@@ -66,7 +66,6 @@ def _build_config(args: argparse.Namespace) -> AnalysisConfig:
         dispersion=DispersionConfig(alpha=args.alpha, mode=args.dispersion_mode),
         reliability=ReliabilityConfig(**rel_kwargs),
         beta=BetaConfig(beta=args.beta),
-        output_format=args.format,
         flag_dr=args.flag_dr,
         flag_span=args.flag_span,
     )

@@ -503,8 +503,3 @@ def classify_tokens(ast: FormulaAst | AstNode) -> list[ClassifiedToken]:
 
     visit(node, 1)
     return out
-
-
-def operator_operand_counts(tokens: list[ClassifiedToken]) -> tuple[int, int]:
-    n_ops = sum(1 for t in tokens if t.kind == "operator")
-    return n_ops, len(tokens) - n_ops

@@ -9,8 +9,10 @@ Reachability of a cell is the number of distinct reference paths from
 zero-fan-in cells: 1 for a cell without precedents, otherwise the sum of the
 reachabilities of its precedents over all incoming edges.
 
-Fast paths run on int64 CSR kernels (see ``_kernels``); when a count would
-overflow int64 the computation is redone in exact Python integers, and all
+Each cell keeps its predecessor and successor lists in reference order. Path
+counts, path-length sums and longest paths depend only on a cell's ancestors,
+so one pass in topological order computes them for every cell in exact Python
+integers; a cascade then needs only its terminal's precedent closure. All
 averages are exact ``Fraction`` values.
 """
 
@@ -21,9 +23,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
-import numpy as np
-
-from . import _kernels
 from .errors import (
     AuditWarning,
     CycleError,
@@ -65,6 +64,10 @@ class CellGraph:
         self._is_formula: list[bool] = []
         self._materialized: list[bool] = []
         self._sort_keys: list[tuple[int, int, int]] = []
+        # Per node, in reference order: precedents (with multiplicity) and
+        # dependents. Edges point in the direction of data flow.
+        self._preds: list[list[int]] = []
+        self._succs: list[list[int]] = []
 
         sheet_order = {s.name.casefold(): i for i, s in enumerate(wb.sheets)}
 
@@ -81,53 +84,28 @@ class CellGraph:
             self._sort_keys.append(
                 (sheet_order[(addr.sheet or "").casefold()], addr.row, addr.column)
             )
+            self._preds.append([])
+            self._succs.append([])
             return idx
 
         for cell in wb.iter_cells():
             add_node(cell.address, cell.is_formula, materialized=False)
 
-        src_list: list[int] = []
-        dst_list: list[int] = []
         for ref in references:
-            # Edge direction is data flow: precedent -> dependent.
             dst = self._index[ref.from_cell.key()]
             src = self._index.get(ref.to_cell.key())
             if src is None:
                 src = add_node(ref.to_cell, is_formula=False, materialized=True)
-            src_list.append(src)
-            dst_list.append(dst)
+            self._preds[dst].append(src)
+            self._succs[src].append(dst)
 
-        n = len(self._addrs)
-        self.node_count = n
-        self.edge_count = len(src_list)
-        self._src = np.asarray(src_list, dtype=np.int64)
-        self._dst = np.asarray(dst_list, dtype=np.int64)
-        self._in_deg = np.bincount(self._dst, minlength=n).astype(np.int64)
-        self._out_deg = np.bincount(self._src, minlength=n).astype(np.int64)
-
-        order_in = np.argsort(self._dst, kind="stable")
-        self._in_src = self._src[order_in]
-        self._in_indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(self._in_deg, out=self._in_indptr[1:])
-
-        order_out = np.argsort(self._src, kind="stable")
-        self._out_dst = self._dst[order_out]
-        self._out_indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(self._out_deg, out=self._out_indptr[1:])
-
-        self._in_lists: list[list[int]] = [
-            [int(s) for s in self._in_src[self._in_indptr[v]:self._in_indptr[v + 1]]]
-            for v in range(n)
-        ]
-
-        self._topo, topo_count = _kernels.topo_order(
-            n, self._out_indptr, self._out_dst, self._in_deg
-        )
-        self._topo_count = int(topo_count)
+        self.node_count = len(self._addrs)
+        self.edge_count = len(references)
+        self._topo = self._topological_order()
         self.cycles: list[list[CellRef]] = (
-            self._find_cycles() if self._topo_count < n else []
+            self._find_cycles() if len(self._topo) < self.node_count else []
         )
-        self._reach: Optional[list[int]] = None
+        self._stats: Optional[tuple[list[int], list[int], list[int]]] = None
 
     # -- node lookup --------------------------------------------------------
 
@@ -158,22 +136,22 @@ class CellGraph:
     # -- degrees and roles ----------------------------------------------------
 
     def fan_in(self, addr: AddrLike) -> int:
-        return int(self._in_deg[self._idx(addr)])
+        return len(self._preds[self._idx(addr)])
 
     def fan_out(self, addr: AddrLike) -> int:
-        return int(self._out_deg[self._idx(addr)])
+        return len(self._succs[self._idx(addr)])
 
     def bottom_line_cells(self) -> list[CellRef]:
         """Formula cells with no dependents, in canonical sheet/row/column order."""
         idxs = [
             i
             for i in range(self.node_count)
-            if self._is_formula[i] and self._out_deg[i] == 0
+            if self._is_formula[i] and not self._succs[i]
         ]
         return [self._addrs[i] for i in self._canonical(idxs)]
 
     def input_cells(self) -> list[CellRef]:
-        idxs = [i for i in range(self.node_count) if self._in_deg[i] == 0]
+        idxs = [i for i in range(self.node_count) if not self._preds[i]]
         return [self._addrs[i] for i in self._canonical(idxs)]
 
     def materialized_cells(self) -> list[CellRef]:
@@ -202,6 +180,17 @@ class CellGraph:
                 [[a.render() for a in cyc] for cyc in self.cycles]
             )
 
+    def _topological_order(self) -> list[int]:
+        """Kahn's algorithm; shorter than ``node_count`` when there is a cycle."""
+        deg = [len(preds) for preds in self._preds]
+        order = [v for v in range(self.node_count) if not deg[v]]
+        for v in order:  # the loop also visits the nodes appended below
+            for w in self._succs[v]:
+                deg[w] -= 1
+                if not deg[w]:
+                    order.append(w)
+        return order
+
     def _find_cycles(self) -> list[list[CellRef]]:
         """Strongly connected components of size > 1, plus self-loops."""
         n = self.node_count
@@ -223,9 +212,9 @@ class CellGraph:
                     stack.append(v)
                     on_stack[v] = True
                 advanced = False
-                out = self._out_dst[self._out_indptr[v]:self._out_indptr[v + 1]]
+                out = self._succs[v]
                 for k in range(ei, len(out)):
-                    w = int(out[k])
+                    w = out[k]
                     if index[w] == -1:
                         work.append((v, k + 1))
                         work.append((w, 0))
@@ -251,68 +240,59 @@ class CellGraph:
         for comp in sccs:
             if len(comp) > 1:
                 cycles.append([self._addrs[i] for i in self._canonical(comp)])
-            elif comp[0] in self._in_lists[comp[0]]:
+            elif comp[0] in self._preds[comp[0]]:
                 cycles.append([self._addrs[comp[0]]])
         cycles.sort(key=lambda cyc: self._sort_keys[self._index[cyc[0].key()]])
         return cycles
 
-    # -- reachability -----------------------------------------------------------
+    # -- path statistics --------------------------------------------------------
 
-    def _reach_exact(self) -> list[int]:
-        r = [0] * self.node_count
-        for k in range(self._topo_count):
-            v = int(self._topo[k])
-            preds = self._in_lists[v]
-            r[v] = sum(r[p] for p in preds) if preds else 1
-        return r
+    def _path_stats(self) -> tuple[list[int], list[int], list[int]]:
+        """Per node: path count, summed path length and longest path length.
 
-    def _reachability_all(self) -> list[int]:
-        if self._reach is None:
-            counts, overflow = _kernels.reachability_counts(
-                self._topo, self._topo_count, self._in_indptr, self._in_src
-            )
-            if overflow:
-                self._reach = self._reach_exact()
-            else:
-                self._reach = [int(x) for x in counts]
-        return self._reach
+        Paths start at zero-fan-in cells and lengths count cells. The values
+        depend only on a node's ancestors, so one topological pass serves
+        every cell and every cascade.
+        """
+        if self._stats is None:
+            n = self.node_count
+            count, length_sum, max_len = [0] * n, [0] * n, [0] * n
+            for v in self._topo:
+                preds = self._preds[v]
+                if preds:
+                    c = sum(count[p] for p in preds)
+                    count[v] = c
+                    length_sum[v] = sum(length_sum[p] for p in preds) + c
+                    max_len[v] = 1 + max(max_len[p] for p in preds)
+                else:
+                    count[v] = length_sum[v] = max_len[v] = 1
+            self._stats = count, length_sum, max_len
+        return self._stats
+
+    def _closure(self, idx: int) -> set[int]:
+        """A node plus all its transitive precedents."""
+        seen = {idx}
+        stack = [idx]
+        while stack:
+            for p in self._preds[stack.pop()]:
+                if p not in seen:
+                    seen.add(p)
+                    stack.append(p)
+        return seen
 
     def reachability(self, addr: AddrLike) -> int:
         """Number of distinct reference paths reaching a cell (>= 1)."""
         idx = self._idx(addr)
         self._ensure_acyclic()
-        return self._reachability_all()[idx]
+        return self._path_stats()[0][idx]
 
     # -- cascades ----------------------------------------------------------------
-
-    def _cascade_exact(self, terminal: int, member: np.ndarray):
-        cnt: dict[int, int] = {}
-        lsum: dict[int, int] = {}
-        mx: dict[int, int] = {}
-        reach_sum = 0
-        for k in range(self._topo_count):
-            v = int(self._topo[k])
-            if not member[v]:
-                continue
-            preds = self._in_lists[v]
-            if not preds:
-                cnt[v], lsum[v], mx[v] = 1, 1, 1
-            else:
-                c = sum(cnt[p] for p in preds)
-                cnt[v] = c
-                lsum[v] = sum(lsum[p] for p in preds) + c
-                mx[v] = 1 + max(mx[p] for p in preds)
-            reach_sum += cnt[v]
-        return cnt[terminal], lsum[terminal], mx[terminal], reach_sum
 
     def cascade_members(self, addr: AddrLike) -> list[CellRef]:
         """The terminal plus all its transitive precedents, canonical order."""
         idx = self._idx(addr)
         self._ensure_acyclic()
-        member, *_ = _kernels.cascade_arrays(
-            idx, self._topo, self._topo_count, self._in_indptr, self._in_src
-        )
-        return [self._addrs[i] for i in self._canonical(np.flatnonzero(member))]
+        return [self._addrs[i] for i in self._canonical(self._closure(idx))]
 
     def cascade_stats(self, addr: AddrLike) -> CascadeStats:
         """Reachability and path-length statistics for one terminal cell.
@@ -323,35 +303,26 @@ class CellGraph:
         """
         idx = self._idx(addr)
         self._ensure_acyclic()
-        if self._out_deg[idx] != 0:
+        if self._succs[idx]:
             _warnings.warn(
                 f"{self._addrs[idx].render()} has dependents; "
                 "cascade statistics cover its precedent closure",
                 NotBottomLineWarning,
                 stacklevel=2,
             )
-        member, paths, length_sum, max_len, cell_count, reach_sum, overflow = (
-            _kernels.cascade_arrays(
-                idx, self._topo, self._topo_count, self._in_indptr, self._in_src
-            )
-        )
-        if overflow:
-            paths, length_sum, max_len, reach_sum = self._cascade_exact(idx, member)
-        member_idxs = self._canonical(int(i) for i in np.flatnonzero(member))
-        inputs = [
-            self._addrs[i] for i in member_idxs if self._in_deg[i] == 0
-        ]
-        total_paths = int(paths)
+        count, length_sum, max_len = self._path_stats()
+        members = self._canonical(self._closure(idx))
+        paths = count[idx]
         return CascadeStats(
             terminal=self._addrs[idx],
-            reachability=total_paths,
-            total_paths=total_paths,
-            avg_reachability=Fraction(int(reach_sum), int(cell_count)),
-            avg_path_length=Fraction(int(length_sum), total_paths),
-            max_path_length=int(max_len),
-            cell_count=int(cell_count),
-            input_cells=tuple(inputs),
-            members=tuple(self._addrs[i] for i in member_idxs),
+            reachability=paths,
+            total_paths=paths,
+            avg_reachability=Fraction(sum(count[i] for i in members), len(members)),
+            avg_path_length=Fraction(length_sum[idx], paths),
+            max_path_length=max_len[idx],
+            cell_count=len(members),
+            input_cells=tuple(self._addrs[i] for i in members if not self._preds[i]),
+            members=tuple(self._addrs[i] for i in members),
         )
 
     # -- path enumeration ----------------------------------------------------------
@@ -370,7 +341,7 @@ class CellGraph:
         edge_pos = [0]
         while trail:
             v = trail[-1]
-            preds = self._in_lists[v]
+            preds = self._preds[v]
             pos = edge_pos[-1]
             if not preds:
                 if len(paths) >= limit:

@@ -59,7 +59,6 @@ class AnalysisConfig:
     dispersion: DispersionConfig = DispersionConfig()
     reliability: ReliabilityConfig = ReliabilityConfig()
     beta: BetaConfig = BetaConfig()
-    output_format: str = "json"
     flag_dr: float = 0.5
     flag_span: int = 20
 
@@ -182,9 +181,8 @@ def analyze(path: Union[str, Path], config: AnalysisConfig = AnalysisConfig(),
     everything else is collected into report warnings.
     """
     data = Path(path).read_bytes()
-    digest = hashlib.sha256(data).hexdigest()
-    wb = load_workbook(path, format=format)
-    return analyze_workbook(wb, config, digest=digest)
+    wb = load_workbook(path, format=format, data=data)
+    return analyze_workbook(wb, config, digest=hashlib.sha256(data).hexdigest())
 
 
 def _canonical_cells(wb: Workbook):

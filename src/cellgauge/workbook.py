@@ -86,12 +86,6 @@ class Workbook:
         idx = self._index.get(name.casefold())
         return self.sheets[idx] if idx is not None else None
 
-    def sheet_order(self, name: str) -> int:
-        idx = self._index.get(name.casefold())
-        if idx is None:
-            raise KeyError(name)
-        return idx
-
     def cell(self, addr: Union[CellRef, str]) -> Optional[Cell]:
         if isinstance(addr, str):
             addr = parse_cell_address(addr)
@@ -222,8 +216,13 @@ def load_csv_grid(text: str, provenance: str = "<csv>") -> Workbook:
     return wb
 
 
-def load_workbook(path: Union[str, Path], format: str = "auto") -> Workbook:
-    """Load a workbook from disk; ``format`` is auto, workbook-doc or csv-grid."""
+def load_workbook(path: Union[str, Path], format: str = "auto",
+                  data: Optional[bytes] = None) -> Workbook:
+    """Load a workbook from disk; ``format`` is auto, workbook-doc or csv-grid.
+
+    ``data`` is the file's content when the caller has already read it; the
+    file is then not read again.
+    """
     path = Path(path)
     if format == "auto":
         suffix = path.suffix.lower()
@@ -235,7 +234,10 @@ def load_workbook(path: Union[str, Path], format: str = "auto") -> Workbook:
             raise FormatError(
                 f"cannot infer format from extension {suffix!r}; pass format explicitly"
             )
-    text = path.read_text(encoding="utf-8")
+    if data is None:
+        data = path.read_bytes()
+    # Decoded as Path.read_text would, universal newlines included.
+    text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
     if format == "workbook-doc":
         try:
             doc = json.loads(text)

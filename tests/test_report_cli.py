@@ -1,6 +1,8 @@
+import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -300,6 +302,30 @@ def test_csv_input_via_cli(tmp_path, capsys):
     parsed = json.loads(capsys.readouterr().out)
     assert code == 0
     assert len(parsed["cells"]) == 2
+
+
+def test_analyze_reads_input_once(five_cell_path, tmp_path, monkeypatch):
+    # The file is replaced right after its first read, so a second read would
+    # analyze other bytes than the digest describes.
+    analyzed = five_cell_path.read_bytes()
+    replacement = write_doc(tmp_path, {"S": {"A1": 1}}, name="other.json").read_bytes()
+    reads = []
+
+    def read_once(real):
+        def read(self, *args, **kwargs):
+            content = real(self, *args, **kwargs)
+            if self == five_cell_path:
+                reads.append(self)
+                five_cell_path.write_bytes(replacement)
+            return content
+        return read
+
+    monkeypatch.setattr(Path, "read_bytes", read_once(Path.read_bytes))
+    monkeypatch.setattr(Path, "read_text", read_once(Path.read_text))
+    report = analyze(five_cell_path)
+    assert len(reads) == 1
+    assert report.input_digest == hashlib.sha256(analyzed).hexdigest()
+    assert report.cascades[0].stats.cell_count == 5
 
 
 def test_analyze_workbook_in_memory():
