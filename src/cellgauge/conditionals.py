@@ -1,11 +1,20 @@
 """Discovery and branch complexity of IF constructs.
 
-Every IF call in a formula is a conditional construct. For a construct, the
-condition expression and both value branches are scanned for further IFs,
-both inside the same formula and transitively through cell references across
-conditionless cells; scanning stops at the first IF on a path because that
-construct accounts for its own subtree. Each value branch whose scan finds
-no conditional is one conditionless computational cascade.
+Every IF call in a formula is a conditional construct. Its M set holds the
+IFs that its condition and value branches reach without crossing another
+IF: IFs inside the same formula, and IFs in formula cells reached through
+cell and range references. Scanning stops at the first IF on a path because
+that construct accounts for its own subtree. Each value branch that reaches
+no IF is one conditionless computational cascade (N counts them).
+
+What a cell contributes to such a scan depends only on the cell, so it is
+computed once per formula cell as the cell's *frontier*: the IFs at the top
+level of its formula (not inside another IF) plus the frontiers of the
+formula cells it reads outside any IF. Frontiers are built on demand with an
+explicit stack. A cell that adds no IF and reads one non-empty frontier
+shares that frontier's frozenset. An IF argument reaches its own top-level
+IFs plus the frontiers of the cells it reads, and each formula's AST is
+walked once to collect both the IF nodes and those per-argument pieces.
 
 The branch complexity of a construct with nested/precedent constructs S_i
 and N conditionless branches is ``(sum of their complexities + N)^(1+beta)``,
@@ -17,21 +26,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import CycleError, DomainError
-from .formula import (
-    AstNode,
-    CellRefNode,
-    FunctionCall,
-    RangeRefNode,
-    child_nodes,
-)
+from .formula import CellRefNode, FunctionCall, RangeRefNode, child_nodes
 from .graph import CellGraph
 from .refs import CellRef
-from .workbook import Workbook
+from .workbook import Cell, Sheet, Workbook
 
 ConstructId = tuple[CellRef, tuple[int, ...]]
+
+# What one expression reaches without crossing an IF: the ids of its
+# top-level IF calls, and its reference nodes outside any IF.
+_Reach = tuple[list[ConstructId], list[Union[CellRefNode, RangeRefNode]]]
+# The IF calls of one formula in path order, each as (path, reach of every
+# argument).
+_Ifs = list[tuple[tuple[int, ...], list[_Reach]]]
+
+_EMPTY: frozenset = frozenset()
 
 
 @dataclass(frozen=True)
@@ -52,70 +64,139 @@ class ConditionalConstruct:
     nested_or_precedent: tuple[ConstructId, ...]
     conditionless_branches: int
     is_final: bool
-    kind: str = "classical_if"
 
     @property
     def id(self) -> ConstructId:
         return (self.cell, self.path)
 
 
-def _if_nodes(root: AstNode) -> list[tuple[tuple[int, ...], FunctionCall]]:
-    """(path, node) of every IF call in a formula, in path order."""
-    found = []
-    stack: list[tuple[tuple[int, ...], AstNode]] = [((), root)]
+def _walk_formula(cell: Cell) -> tuple[_Reach, _Ifs]:
+    """One pass over a formula: its own reach and its IF calls."""
+    addr = cell.address
+    own: _Reach = ([], [])
+    ifs: _Ifs = []
+    stack = [((), cell.ast.root, own)]
     while stack:
-        path, node = stack.pop()
+        path, node, reach = stack.pop()
         if isinstance(node, FunctionCall) and node.name == "IF":
-            found.append((path, node))
-        children = child_nodes(node)
-        for i in range(len(children) - 1, -1, -1):
-            stack.append((path + (i,), children[i]))
-    return sorted(found, key=lambda e: e[0])
+            reach[0].append((addr, path))  # that construct owns its own subtree
+            args: list[_Reach] = [([], []) for _ in node.args]
+            ifs.append((path, args))
+            for i in range(len(args) - 1, -1, -1):
+                stack.append((path + (i,), node.args[i], args[i]))
+        elif isinstance(node, (CellRefNode, RangeRefNode)):
+            reach[1].append(node)
+        else:
+            children = child_nodes(node)
+            for i in range(len(children) - 1, -1, -1):
+                stack.append((path + (i,), children[i], reach))
+    return own, ifs
 
 
-def _scan_for_conditionals(
-    start_cell: CellRef,
-    start_node: AstNode,
-    start_path: tuple[int, ...],
-    wb: Workbook,
-) -> set[ConstructId]:
-    """IF constructs reachable from an expression without crossing an IF.
-
-    Follows cell and range references into formula cells; a cell is scanned
-    at most once. Requires the reference graph to be acyclic.
-    """
-    found: set[ConstructId] = set()
-    visited_cells: set[tuple[str, int, int]] = set()
-    stack: list[tuple[CellRef, tuple[int, ...], AstNode]] = [
-        (start_cell, start_path, start_node)
-    ]
-    while stack:
-        cell, path, node = stack.pop()
-        if isinstance(node, FunctionCall) and node.name == "IF":
-            found.add((cell.address(), path))
-            continue  # that construct owns its own subtree
-        if isinstance(node, (CellRefNode, RangeRefNode)):
-            if isinstance(node, CellRefNode):
-                targets = [node.ref]
-            else:
-                targets = list(node.ref.cells())
-            sheet_name = targets[0].sheet or cell.sheet
-            sheet = wb.sheet(sheet_name)
-            if sheet is None:
-                continue
-            for t in targets:
-                target_addr = CellRef(sheet.name, t.column, t.row)
-                key = target_addr.key()
-                if key in visited_cells:
-                    continue
-                visited_cells.add(key)
-                target = wb.cell(target_addr)
-                if target is not None and target.is_formula:
-                    stack.append((target_addr, (), target.ast.root))
+def _read_formula_cells(
+    wb: Workbook, nodes: Iterable[Union[CellRefNode, RangeRefNode]], own: Sheet
+) -> Iterator[Cell]:
+    """Formula cells behind the reference nodes of a formula on sheet ``own``,
+    resolved as the reference graph resolves them: a range expands cell by
+    cell, a missing sheet is skipped."""
+    for node in nodes:
+        if isinstance(node, CellRefNode):
+            first = last = node.ref
+        else:
+            first, last = node.ref.start, node.ref.end
+        sheet = own if first.sheet is None else wb.sheet(first.sheet)
+        if sheet is None:
             continue
-        for i, child in enumerate(child_nodes(node)):
-            stack.append((cell, path + (i,), child))
-    return found
+        for row in range(first.row, last.row + 1):
+            for col in range(first.column, last.column + 1):
+                target = sheet.cell(col, row)
+                if target is not None and target.ast is not None:
+                    yield target
+
+
+def _merge(ifs: list[ConstructId], frontiers: list[frozenset]) -> frozenset:
+    """Union of own IFs and read frontiers, sharing a lone frontier's set."""
+    parts = [f for f in frontiers if f]
+    if not ifs:
+        if not parts:
+            return _EMPTY
+        if all(p is parts[0] for p in parts):
+            return parts[0]
+    merged = set(ifs)
+    for p in parts:
+        merged |= p
+    return frozenset(merged)
+
+
+class _Frontiers:
+    """Each formula cell's frontier: the IF constructs it reaches without
+    crossing an IF, computed at most once and only for cells something reads.
+
+    Every formula is walked once, by :meth:`_walk`. Until its frontier is
+    needed, a cell keeps only its own reach; a formula walked ahead of
+    canonical order (because an earlier IF reads it) also keeps its IFs
+    until :meth:`ifs_of` hands them out. Keeping every formula's IF
+    arguments alive instead lets garbage collection dominate on long IF
+    chains.
+    """
+
+    def __init__(self, wb: Workbook):
+        self.wb = wb
+        self._known: dict[int, frozenset] = {}  # by id(cell)
+        self._tops: dict[int, _Reach] = {}  # walked, frontier not yet built
+        self._ahead: dict[int, _Ifs] = {}  # walked ahead of canonical order
+
+    def _walk(self, cell: Cell) -> _Ifs:
+        own, ifs = _walk_formula(cell)
+        if own[0] or own[1]:
+            self._tops[id(cell)] = own
+        else:
+            self._known[id(cell)] = _EMPTY
+        return ifs
+
+    def ifs_of(self, cell: Cell) -> _Ifs:
+        """The IF calls of a formula cell, walking it unless already walked."""
+        key = id(cell)
+        if key in self._known or key in self._tops:
+            return self._ahead.pop(key, [])
+        return self._walk(cell)
+
+    def of(self, start: Cell) -> frozenset:
+        """The frontier of a formula cell, built in post-order on an explicit
+        stack together with those of the formula cells it reads outside IFs."""
+        known = self._known
+        found = known.get(id(start))
+        if found is not None:
+            return found
+        reads: dict[int, list[Cell]] = {}  # expanded cells not yet finished
+        stack = [start]
+        while stack:
+            cell = stack[-1]
+            key = id(cell)
+            if key in known:
+                stack.pop()
+                continue
+            top = self._tops.get(key)
+            if top is None:
+                ifs = self._walk(cell)
+                if ifs:
+                    self._ahead[key] = ifs
+                continue
+            deps = reads.get(key)
+            if deps is None:
+                own = self.wb.sheet(cell.address.sheet)
+                deps = reads[key] = list(_read_formula_cells(self.wb, top[1], own))
+                pending = [d for d in deps if id(d) not in known]
+                if pending:
+                    for d in pending:
+                        if id(d) in reads:
+                            raise CycleError([[d.address.render()]])
+                    stack.extend(pending)
+                    continue
+            known[key] = _merge(top[0], [known[id(d)] for d in deps])
+            del self._tops[key], reads[key]
+            stack.pop()
+        return known[id(start)]
 
 
 def find_conditionals(wb: Workbook, g: CellGraph) -> list[ConditionalConstruct]:
@@ -125,76 +206,82 @@ def find_conditionals(wb: Workbook, g: CellGraph) -> list[ConditionalConstruct]:
     """
     if g.is_cyclic:
         raise CycleError([[a.render() for a in cyc] for cyc in g.cycles])
-    sheet_idx = {s.name.casefold(): i for i, s in enumerate(wb.sheets)}
 
-    def order_key(cell: CellRef, path: tuple[int, ...]):
-        return (sheet_idx[(cell.sheet or "").casefold()], cell.row, cell.column, path)
+    frontiers = _Frontiers(wb)
+    records: list[tuple[ConstructId, set[ConstructId], int]] = []
+    reached: set[ConstructId] = set()
+    for sheet in wb.sheets:  # canonical order: sheet, row, column, path
+        formulas = sorted(key for key, c in sheet.cells.items() if c.ast is not None)
+        for key in formulas:
+            cell = sheet.cells[key]
+            for path, args in frontiers.ifs_of(cell):
+                m_set: set[ConstructId] = set()
+                n = 0
+                for arg_idx, (arg_ifs, nodes) in enumerate(args):
+                    hit = bool(arg_ifs)
+                    m_set.update(arg_ifs)
+                    for target in _read_formula_cells(wb, nodes, sheet):
+                        f = frontiers.of(target)
+                        if f:
+                            hit = True
+                            m_set |= f
+                    if arg_idx > 0 and not hit:
+                        n += 1  # a conditionless value branch
+                reached |= m_set
+                records.append(((cell.address, path), m_set, n))
 
-    raw: list[tuple[CellRef, tuple[int, ...], FunctionCall]] = []
-    for cell in wb.formula_cells():
-        for path, node in _if_nodes(cell.ast.root):
-            raw.append((cell.address, path, node))
-    raw.sort(key=lambda e: order_key(e[0], e[1]))
-
-    dependents: dict[ConstructId, set[ConstructId]] = {}
-    records = []
-    for cell, path, node in raw:
-        m_set: set[ConstructId] = set()
-        n = 0
-        for arg_idx, arg in enumerate(node.args):
-            hits = _scan_for_conditionals(cell, arg, path + (arg_idx,), wb)
-            m_set |= hits
-            if arg_idx > 0 and not hits:
-                n += 1  # a conditionless value branch
-        m_set.discard((cell, path))
-        own_id = (cell, path)
-        for hit in m_set:
-            dependents.setdefault(hit, set()).add(own_id)
-        records.append((cell, path, m_set, n))
-
-    constructs = []
-    for cell, path, m_set, n in records:
-        ordered_m = tuple(sorted(m_set, key=lambda cid: order_key(*cid)))
-        constructs.append(ConditionalConstruct(
-            cell=cell,
-            path=path,
-            nested_or_precedent=ordered_m,
+    position = {cid: i for i, (cid, _, _) in enumerate(records)}
+    return [
+        ConditionalConstruct(
+            cell=cid[0],
+            path=cid[1],
+            nested_or_precedent=tuple(sorted(m_set, key=position.__getitem__)),
             conditionless_branches=n,
-            is_final=not dependents.get((cell, path)),
-        ))
-    return constructs
+            is_final=cid not in reached,
+        )
+        for cid, m_set, n in records
+    ]
 
 
 def all_complexities(
     constructs: Sequence[ConditionalConstruct],
     cfg: BetaConfig = BetaConfig(),
 ) -> dict[ConstructId, float]:
-    """Branch complexity of every construct, in one memoized bottom-up pass."""
+    """Branch complexity of every construct, bottom-up in post-order.
+
+    An explicit stack replaces recursion, so long IF chains need no deep
+    call stack. Raises CycleError when a construct reaches itself.
+    """
     registry = {c.id: c for c in constructs}
     memo: dict[ConstructId, float] = {}
     in_progress: set[ConstructId] = set()
-
-    def rec(cid: ConstructId):
-        if cid in memo:
-            return memo[cid]
-        if cid in in_progress:
-            raise CycleError([[cid[0].render()]])
-        in_progress.add(cid)
-        c = registry[cid]
-        base = sum(rec(i) for i in c.nested_or_precedent) + c.conditionless_branches
-        if cfg.beta:
-            try:
-                value = base ** (1.0 + cfg.beta)
-            except OverflowError:
-                value = math.inf
-        else:
-            value = base
-        in_progress.discard(cid)
-        memo[cid] = value
-        return value
-
-    for c in constructs:
-        rec(c.id)
+    for root in constructs:
+        stack = [root.id]
+        while stack:
+            cid = stack[-1]
+            if cid in memo:
+                stack.pop()
+                continue
+            c = registry[cid]
+            if cid not in in_progress:
+                in_progress.add(cid)
+                for sub in c.nested_or_precedent:
+                    if sub in in_progress:
+                        raise CycleError([[sub[0].render()]])
+                    if sub not in memo:
+                        stack.append(sub)
+                continue
+            base = sum(memo[i] for i in c.nested_or_precedent) + c.conditionless_branches
+            if cfg.beta:
+                try:
+                    value = base ** (1.0 + cfg.beta)
+                except OverflowError:
+                    value = math.inf
+            else:
+                value = base
+            in_progress.discard(cid)
+            memo[cid] = value
+            stack.pop()
     return memo
 
 

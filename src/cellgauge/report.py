@@ -137,7 +137,7 @@ def analyze_workbook(wb: Workbook, config: AnalysisConfig = AnalysisConfig(),
     if not graph.is_cyclic:
         constructs = find_conditionals(wb, graph)
         complexity = all_complexities(constructs, config.beta)
-        finals = [c for c in constructs if c.is_final]
+        finals = [(c, c.cell.key()) for c in constructs if c.is_final]
         cascades = []
         for terminal in graph.bottom_line_cells():
             stats = graph.cascade_stats(terminal)
@@ -145,8 +145,8 @@ def analyze_workbook(wb: Workbook, config: AnalysisConfig = AnalysisConfig(),
             member_keys = {a.key() for a in stats.members}
             conds = tuple(
                 (c, complexity[c.id])
-                for c in finals
-                if c.cell.key() in member_keys
+                for c, key in finals
+                if key in member_keys
             )
             cascades.append(CascadeEntry(stats, rel, conds))
 

@@ -1,14 +1,28 @@
+import random
+
 import pytest
 
+from cellgauge import AnalysisConfig, analyze_workbook
 from cellgauge.conditionals import (
     BetaConfig,
+    ConditionalConstruct,
+    all_complexities,
     cascade_conditional_report,
     conditional_complexity,
     find_conditionals,
 )
 from cellgauge.errors import CycleError, DomainError
+from cellgauge.formula import (
+    AstNode,
+    CellRefNode,
+    FunctionCall,
+    RangeRefNode,
+    child_nodes,
+)
+from cellgauge.refs import CellRef
+from cellgauge.workbook import Workbook
 
-from conftest import make_graph
+from conftest import make_graph, make_workbook
 
 
 def discovered(sheets):
@@ -164,6 +178,220 @@ def test_cycle_propagates():
         find_conditionals(wb, g)
 
 
+# --- discovery oracle: the naive per-argument scan ------------------------------
+
+
+def _if_nodes(root: AstNode) -> list[tuple[tuple[int, ...], FunctionCall]]:
+    """(path, node) of every IF call in a formula, in path order."""
+    found = []
+    stack: list[tuple[tuple[int, ...], AstNode]] = [((), root)]
+    while stack:
+        path, node = stack.pop()
+        if isinstance(node, FunctionCall) and node.name == "IF":
+            found.append((path, node))
+        children = child_nodes(node)
+        for i in range(len(children) - 1, -1, -1):
+            stack.append((path + (i,), children[i]))
+    return sorted(found, key=lambda e: e[0])
+
+
+def _scan_for_conditionals(
+    start_cell: CellRef,
+    start_node: AstNode,
+    start_path: tuple[int, ...],
+    wb: Workbook,
+) -> set:
+    """IF constructs reachable from an expression without crossing an IF.
+
+    Follows cell and range references into formula cells; a cell is scanned
+    at most once. Requires the reference graph to be acyclic.
+    """
+    found: set = set()
+    visited_cells: set[tuple[str, int, int]] = set()
+    stack: list[tuple[CellRef, tuple[int, ...], AstNode]] = [
+        (start_cell, start_path, start_node)
+    ]
+    while stack:
+        cell, path, node = stack.pop()
+        if isinstance(node, FunctionCall) and node.name == "IF":
+            found.add((cell.address(), path))
+            continue  # that construct owns its own subtree
+        if isinstance(node, (CellRefNode, RangeRefNode)):
+            if isinstance(node, CellRefNode):
+                targets = [node.ref]
+            else:
+                targets = list(node.ref.cells())
+            sheet_name = targets[0].sheet or cell.sheet
+            sheet = wb.sheet(sheet_name)
+            if sheet is None:
+                continue
+            for t in targets:
+                target_addr = CellRef(sheet.name, t.column, t.row)
+                key = target_addr.key()
+                if key in visited_cells:
+                    continue
+                visited_cells.add(key)
+                target = wb.cell(target_addr)
+                if target is not None and target.is_formula:
+                    stack.append((target_addr, (), target.ast.root))
+            continue
+        for i, child in enumerate(child_nodes(node)):
+            stack.append((cell, path + (i,), child))
+    return found
+
+
+def naive_discovery(wb):
+    """{construct id: (M set, N, is_final)} from one scan per IF argument."""
+    found = {}
+    for cell in wb.formula_cells():
+        for path, node in _if_nodes(cell.ast.root):
+            m_set, n = set(), 0
+            for arg_idx, arg in enumerate(node.args):
+                hits = _scan_for_conditionals(
+                    cell.address, arg, path + (arg_idx,), wb)
+                m_set |= hits
+                if arg_idx > 0 and not hits:
+                    n += 1
+            m_set.discard((cell.address, path))
+            found[(cell.address, path)] = (m_set, n)
+    reached = set().union(*(m for m, _ in found.values()))
+    return {cid: (m, n, cid not in reached) for cid, (m, n) in found.items()}
+
+
+def assert_matches_naive(wb, g, label):
+    constructs = find_conditionals(wb, g)
+    expected = naive_discovery(wb)
+    sheet_idx = {s.name.casefold(): i for i, s in enumerate(wb.sheets)}
+
+    def canonical(cid):
+        return (sheet_idx[cid[0].sheet.casefold()], cid[0].row, cid[0].column, cid[1])
+
+    assert [c.id for c in constructs] == sorted(expected, key=canonical), label
+    for c in constructs:
+        m, n, final = expected[c.id]
+        got = (c.nested_or_precedent, c.conditionless_branches, c.is_final)
+        assert got == (tuple(sorted(m, key=canonical)), n, final), (
+            label, c.cell.render(), c.path)
+    return constructs
+
+
+SHEET_NAMES = ("Data", "Calc", "Out Sheet")
+COLUMNS = "ABC"
+
+
+def _sheet_prefix(rng, name):
+    spelled = rng.choice((name, name.upper(), name.lower()))
+    return f"'{spelled}'!" if " " in spelled else f"{spelled}!"
+
+
+def _ref_text(rng, col, row):
+    return (("$" if rng.random() < 0.3 else "") + COLUMNS[col]
+            + ("$" if rng.random() < 0.3 else "") + str(row))
+
+
+def random_conditional_workbook(seed):
+    """A seeded acyclic multi-sheet workbook dense in IFs and references.
+
+    A cell reads only earlier rows of its own sheet or any row of an earlier
+    sheet, so the reference graph is acyclic. References are relative or
+    absolute, cross-sheet ones spell the sheet name in a random case, a few
+    name a missing sheet, and ranges span formula, data and empty cells.
+    Every third seed adds a chain sheet: 10 IFs over the ends of two
+    50-formula chains.
+    """
+    rng = random.Random(seed)
+    names = SHEET_NAMES[:rng.randint(2, 3)]
+    rows = rng.randint(3, 6)
+    sheets: dict[str, dict[str, object]] = {name: {} for name in names}
+
+    for s_idx, name in enumerate(names):
+        for row in range(1, rows + 1):
+            def reference():
+                roll = rng.random()
+                if roll < 0.05:
+                    return "Nope!" + _ref_text(rng, rng.randrange(3), 1)
+                if s_idx and (row == 1 or roll < 0.4):
+                    other = names[rng.randrange(s_idx)]
+                    return (_sheet_prefix(rng, other)
+                            + _ref_text(rng, rng.randrange(3), rng.randint(1, rows)))
+                return _ref_text(rng, rng.randrange(3), rng.randint(1, row - 1))
+
+            def range_reference():
+                c1, c2 = sorted((rng.randrange(3), rng.randrange(3)))
+                roll = rng.random()
+                if roll < 0.05:
+                    return f"Nope!{COLUMNS[c1]}1:{COLUMNS[c2]}2"
+                if s_idx and (row == 1 or roll < 0.4):
+                    r1, r2 = sorted((rng.randint(1, rows), rng.randint(1, rows)))
+                    prefix = _sheet_prefix(rng, names[rng.randrange(s_idx)])
+                else:
+                    r1, r2 = sorted((rng.randint(1, row - 1), rng.randint(1, row - 1)))
+                    prefix = ""
+                return (prefix + _ref_text(rng, c1, r1) + ":"
+                        + _ref_text(rng, c2, r2))
+
+            can_read = s_idx > 0 or row > 1
+
+            def expr(depth):
+                roll = rng.random()
+                if depth <= 0 or roll < 0.3:
+                    if can_read and rng.random() < 0.7:
+                        return reference()
+                    return str(rng.randint(1, 9))
+                if roll < 0.6:
+                    cond = expr(depth - 1) + ">" + str(rng.randint(0, 5))
+                    if rng.random() < 0.2:
+                        return f"IF({cond}, {expr(depth - 1)})"
+                    return f"IF({cond}, {expr(depth - 1)}, {expr(depth - 1)})"
+                if roll < 0.75 and can_read:
+                    return f"SUM({range_reference()})"
+                return f"{expr(depth - 1)}+{expr(depth - 1)}"
+
+            for col in range(3):
+                roll = rng.random()
+                if roll < 0.15:
+                    continue  # left empty
+                ref = f"{COLUMNS[col]}{row}"
+                if roll < 0.3:
+                    sheets[name][ref] = rng.randint(1, 9)
+                else:
+                    sheets[name][ref] = "=" + expr(rng.randint(0, 3))
+
+    if seed % 3 == 0:
+        chain: dict[str, object] = {"A1": 1, "B1": 2}
+        for r in range(2, 52):
+            chain[f"A{r}"] = f"=A{r - 1}+{r % 9 + 1}"
+            chain[f"B{r}"] = f"=B{r - 1}+{(r + 4) % 9 + 1}"
+        for r in range(1, 11):
+            chain[f"D{r}"] = f"=IF(A51>B51, A51-{r}, B51+{r})"
+        chain["F1"] = "=SUM(D1:D10)"
+        sheets["Chains"] = chain
+    return sheets
+
+
+def test_discovery_matches_naive_scan_on_random_workbooks():
+    seen = {"constructs": 0, "non_final": 0, "cross_cell": 0,
+            "cross_sheet": 0, "n_below_branches": 0, "dangling": 0}
+    for seed in range(200):
+        sheets = random_conditional_workbook(seed)
+        wb, g = make_graph(sheets)
+        assert not g.is_cyclic, seed
+        constructs = assert_matches_naive(wb, g, seed)
+        seen["constructs"] += len(constructs)
+        seen["dangling"] += sum(
+            "Nope!" in c for s in sheets.values() for c in s.values()
+            if isinstance(c, str))
+        for c in constructs:
+            seen["non_final"] += not c.is_final
+            seen["cross_cell"] += any(m[0] != c.cell for m in c.nested_or_precedent)
+            seen["cross_sheet"] += any(
+                m[0].sheet != c.cell.sheet for m in c.nested_or_precedent)
+            seen["n_below_branches"] += c.conditionless_branches < 2
+    # The corpus really exercises nesting, reference following and misses.
+    assert seen["constructs"] > 2000, seen
+    assert min(seen.values()) > 50, seen
+
+
 # --- complexity ---------------------------------------------------------------
 
 
@@ -210,6 +438,12 @@ ORACLE_FIXTURES = [
 
 
 @pytest.mark.parametrize("cells", ORACLE_FIXTURES)
+def test_discovery_matches_naive_scan_on_fixtures(cells):
+    wb, g = make_graph({"S": cells})
+    assert_matches_naive(wb, g, cells)
+
+
+@pytest.mark.parametrize("cells", ORACLE_FIXTURES)
 def test_branch_count_oracle(cells):
     wb, g, cs = discovered({"S": cells})
     for c in cs:
@@ -247,6 +481,35 @@ def test_composition_swap_branch_for_unit_conditional():
     }})
     outer = by_cell(cs2, "S!X1")[0]
     assert conditional_complexity(outer, BetaConfig(0.0), cs2) == base == 2
+
+
+def downward_if_chain(length):
+    """A{r} = IF(A{r+1}>0, A{r+1}+1, 0) for r = 1..length, over data below."""
+    cells = {f"A{r}": f"=IF(A{r + 1}>0,A{r + 1}+1,0)" for r in range(1, length + 1)}
+    cells[f"A{length + 1}"] = 1
+    return {"S": cells}
+
+
+def test_long_downward_chain_needs_no_recursion():
+    # Canonical order starts at the chain's top, which reads 2,999 IFs deep.
+    sheets = downward_if_chain(3000)
+    wb, g, cs = discovered(sheets)
+    complexity = all_complexities(cs, BetaConfig(0.0))
+    finals = [c for c in cs if c.is_final]
+    assert [c.cell.render() for c in finals] == ["S!A1"]
+    assert complexity[finals[0].id] == 3001
+
+    report = analyze_workbook(make_workbook(sheets), AnalysisConfig())
+    (cascade,) = report.cascades
+    assert [(c.cell.render(), o) for c, o in cascade.conditionals] == [("S!A1", 3001)]
+
+
+def test_complexity_cycle_raises():
+    wb, g, cs = discovered({"S": {"X1": "=IF(A1>0, 1, 2)"}})
+    (c,) = cs
+    looped = ConditionalConstruct(c.cell, c.path, (c.id,), 1, True)
+    with pytest.raises(CycleError):
+        all_complexities([looped])
 
 
 def test_beta_config_validation():

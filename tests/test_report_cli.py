@@ -1,11 +1,13 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import cellgauge
 from cellgauge.cli import main
 from cellgauge.report import AnalysisConfig, analyze, analyze_workbook, emit_report
 
@@ -127,10 +129,16 @@ def test_json_deterministic(five_cell_path):
 
 
 def test_json_deterministic_across_processes(five_cell_path):
+    # The children import the package this test imported, installed or not.
+    package_root = str(Path(cellgauge.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (package_root, env.get("PYTHONPATH")) if p)
+
     def run():
         return subprocess.run(
             [sys.executable, "-m", "cellgauge.cli", "analyze", str(five_cell_path)],
-            capture_output=True, check=True,
+            capture_output=True, check=True, env=env,
         ).stdout
 
     assert run() == run()
