@@ -2,7 +2,9 @@
 
 Exit codes for ``analyze``: 0 clean, 1 analyzed with warnings, 2 unreadable
 or invalid input, 3 reference cycle detected (a report is still emitted with
-the graph-dependent sections marked unavailable).
+the graph-dependent sections marked unavailable), 4 internal error: an
+unexpected exception in any command, reported as one ``error: internal error
+in <command>: <type>: <message>`` line on stderr without a traceback.
 """
 
 from __future__ import annotations
@@ -176,6 +178,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     except CellGaugeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(
+            f"error: internal error in {args.command}: {type(exc).__name__}: {exc}",
+            file=sys.stderr,
+        )
+        return 4
 
 
 if __name__ == "__main__":

@@ -32,7 +32,7 @@ from .errors import CycleError, DomainError
 from .formula import CellRefNode, FunctionCall, RangeRefNode, child_nodes
 from .graph import CellGraph
 from .refs import CellRef
-from .workbook import Cell, Sheet, Workbook
+from .workbook import Cell, Sheet, Workbook, resolve_reference
 
 ConstructId = tuple[CellRef, tuple[int, ...]]
 
@@ -100,16 +100,10 @@ def _read_formula_cells(
     resolved as the reference graph resolves them: a range expands cell by
     cell, a missing sheet is skipped."""
     for node in nodes:
-        if isinstance(node, CellRefNode):
-            first = last = node.ref
-        else:
-            first, last = node.ref.start, node.ref.end
-        sheet = own if first.sheet is None else wb.sheet(first.sheet)
-        if sheet is None:
-            continue
-        for row in range(first.row, last.row + 1):
-            for col in range(first.column, last.column + 1):
-                target = sheet.cell(col, row)
+        sheet, targets = resolve_reference(wb, node, own)
+        if sheet is not None:
+            for key in targets:
+                target = sheet.cells.get(key)
                 if target is not None and target.ast is not None:
                     yield target
 

@@ -13,6 +13,11 @@ references and ranges are operands (a range is a single operand). Parentheses
 and argument commas are punctuation, not tokens. The nesting level of a token
 is one plus the number of enclosing function calls; operators and grouping
 parentheses do not add nesting.
+
+Parentheses and function calls may nest at most :data:`MAX_NESTING` levels
+deep (Excel's limit on nested functions), and a run of prefix minus signs
+may be at most that long; deeper formulas raise :class:`FormulaSyntaxError`,
+so the parser's call stack stays bounded.
 """
 
 from __future__ import annotations
@@ -224,6 +229,8 @@ def _lex(text: str, base_offset: int) -> list[_Token]:
 
 _COMPARISON = ("=", "<>", "<", "<=", ">", ">=")
 
+MAX_NESTING = 64
+
 
 class _Parser:
     def __init__(self, tokens: list[_Token]):
@@ -242,6 +249,13 @@ class _Parser:
 
     def at_op(self, *symbols: str) -> bool:
         return self.current.kind == "OP" and self.current.text in symbols
+
+    def open_paren(self, tok: _Token) -> None:
+        self.paren_depth += 1
+        if self.paren_depth > MAX_NESTING:
+            raise FormulaSyntaxError(
+                f"more than {MAX_NESTING} nested parentheses or calls", tok.offset
+            )
 
     def parse(self) -> AstNode:
         node = self.expression()
@@ -288,10 +302,18 @@ class _Parser:
         return node
 
     def unary(self) -> AstNode:
-        if self.at_op("-"):
-            self.advance()
-            return UnaryOp("-", self.unary())
-        return self.postfix()
+        signs = 0
+        while self.at_op("-"):
+            tok = self.advance()
+            signs += 1
+            if signs > MAX_NESTING:
+                raise FormulaSyntaxError(
+                    f"more than {MAX_NESTING} consecutive minus signs", tok.offset
+                )
+        node = self.postfix()
+        for _ in range(signs):
+            node = UnaryOp("-", node)
+        return node
 
     def postfix(self) -> AstNode:
         node = self.primary()
@@ -314,8 +336,7 @@ class _Parser:
         if tok.kind == "NAME":
             return self.name()
         if tok.kind == "LPAREN":
-            self.advance()
-            self.paren_depth += 1
+            self.open_paren(self.advance())
             node = self.expression()
             if self.current.kind != "RPAREN":
                 raise UnbalancedParensError("missing ')'", self.current.offset)
@@ -354,8 +375,7 @@ class _Parser:
     def name(self) -> AstNode:
         tok = self.advance()
         if self.current.kind == "LPAREN":
-            self.advance()
-            self.paren_depth += 1
+            self.open_paren(self.advance())
             args: list[AstNode] = []
             if self.current.kind == "RPAREN":
                 self.advance()
@@ -479,27 +499,29 @@ def classify_tokens(ast: FormulaAst | AstNode) -> list[ClassifiedToken]:
     """
     node = ast.root if isinstance(ast, FormulaAst) else ast
     out: list[ClassifiedToken] = []
-
-    def visit(n: AstNode, level: int) -> None:
+    # An explicit stack, so a long flat chain such as A1+A1+...+A1 (a
+    # left-deep BinaryOp tree) needs no deep call stack. A token on the stack
+    # is emitted when popped, after the subtree pushed above it.
+    stack: list[tuple[Union[AstNode, ClassifiedToken], int]] = [(node, 1)]
+    while stack:
+        n, level = stack.pop()
         if isinstance(n, (NumberLiteral, StringLiteral, BoolLiteral, CellRefNode, RangeRefNode)):
             out.append(ClassifiedToken("operand", level, _render(n)[0]))
-        elif isinstance(n, UnaryOp):
-            if n.op == "%":
-                visit(n.child, level)
-                out.append(ClassifiedToken("operator", level, "%"))
-            else:
-                out.append(ClassifiedToken("operator", level, n.op))
-                visit(n.child, level)
         elif isinstance(n, BinaryOp):
             out.append(ClassifiedToken("operator", level, n.op))
-            visit(n.left, level)
-            visit(n.right, level)
+            stack.append((n.right, level))
+            stack.append((n.left, level))
         elif isinstance(n, FunctionCall):
             out.append(ClassifiedToken("operator", level, n.name))
-            for arg in n.args:
-                visit(arg, level + 1)
+            stack.extend((arg, level + 1) for arg in reversed(n.args))
+        elif isinstance(n, UnaryOp):
+            if n.op == "%":
+                stack.append((ClassifiedToken("operator", level, "%"), level))
+            else:
+                out.append(ClassifiedToken("operator", level, n.op))
+            stack.append((n.child, level))
+        elif isinstance(n, ClassifiedToken):
+            out.append(n)
         else:
             raise TypeError(f"not an AST node: {n!r}")
-
-    visit(node, 1)
     return out

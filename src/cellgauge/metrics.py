@@ -6,7 +6,8 @@ copied-formula ranges, and cross-sheet coupling (data binding triples).
 
 For formula-size metrics a range reference is a single operand; the
 dependency graph view (one arc per member cell) is used for reference
-counts, dispersion and spans.
+counts, dispersion and spans. Range linkage resolves each formula of a run
+once, into one target list per reference slot.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from .errors import DomainError
 from .formula import (
@@ -34,7 +35,7 @@ from .formula import (
 )
 from .graph import CellGraph
 from .refs import CellRef, RangeRef
-from .workbook import Cell, ResolvedReference, Workbook, reference_delta
+from .workbook import Cell, ResolvedReference, Workbook, reference_delta, resolve_reference
 
 _COMPARISONS = {"=", "<>", "<", "<=", ">", ">="}
 _LOGICAL_FUNCS = {"AND", "OR", "NOT"}
@@ -218,45 +219,52 @@ def _shift_key(node: AstNode, base_col: int, base_row: int) -> str:
         row = f"R{ref.row}" if ref.row_absolute else f"r[{ref.row - base_row}]"
         return sheet + col + row
 
-    def enc(n: AstNode) -> str:
-        if isinstance(n, NumberLiteral):
-            return render_number(n.value)
-        if isinstance(n, StringLiteral):
-            return '"' + n.value + '"'
-        if isinstance(n, BoolLiteral):
-            return "TRUE" if n.value else "FALSE"
-        if isinstance(n, CellRefNode):
-            return enc_ref(n.ref)
-        if isinstance(n, RangeRefNode):
-            return enc_ref(n.ref.start) + ":" + enc_ref(n.ref.end)
-        if isinstance(n, UnaryOp):
-            return f"u{n.op}({enc(n.child)})"
-        if isinstance(n, BinaryOp):
-            return f"({enc(n.left)}{n.op}{enc(n.right)})"
-        if isinstance(n, FunctionCall):
-            return f"{n.name}({','.join(enc(a) for a in n.args)})"
-        raise TypeError(f"not an AST node: {n!r}")
+    # An explicit stack, so a long flat chain such as A1+A1+...+A1 needs no
+    # deep call stack; a string on the stack is emitted as is when popped.
+    parts: list[str] = []
+    stack: list[Union[AstNode, str]] = [node]
+    while stack:
+        n = stack.pop()
+        if isinstance(n, str):
+            parts.append(n)
+        elif isinstance(n, CellRefNode):
+            parts.append(enc_ref(n.ref))
+        elif isinstance(n, BinaryOp):
+            stack.extend((")", n.right, n.op, n.left, "("))
+        elif isinstance(n, NumberLiteral):
+            parts.append(render_number(n.value))
+        elif isinstance(n, RangeRefNode):
+            parts.append(enc_ref(n.ref.start) + ":" + enc_ref(n.ref.end))
+        elif isinstance(n, FunctionCall):
+            items: list[Union[AstNode, str]] = [f"{n.name}("]
+            for i, arg in enumerate(n.args):
+                if i:
+                    items.append(",")
+                items.append(arg)
+            items.append(")")
+            stack.extend(reversed(items))
+        elif isinstance(n, UnaryOp):
+            stack.extend((")", n.child, f"u{n.op}("))
+        elif isinstance(n, StringLiteral):
+            parts.append('"' + n.value + '"')
+        elif isinstance(n, BoolLiteral):
+            parts.append("TRUE" if n.value else "FALSE")
+        else:
+            raise TypeError(f"not an AST node: {n!r}")
+    return "".join(parts)
 
-    return enc(node)
 
-
-def _ref_nodes(ast: FormulaAst) -> list[AstNode]:
-    return [
-        n for n in walk(ast.root) if isinstance(n, (CellRefNode, RangeRefNode))
-    ]
-
-
-def _touched(node: AstNode, own_sheet: str, wb: Workbook) -> Optional[list[CellRef]]:
-    """Cells a reference node reads, or None when the sheet does not exist."""
-    if isinstance(node, CellRefNode):
-        refs = [node.ref]
-    else:
-        refs = list(node.ref.cells())
-    sheet_name = refs[0].sheet or own_sheet
-    sheet = wb.sheet(sheet_name)
-    if sheet is None:
-        return None
-    return [CellRef(sheet.name, r.column, r.row) for r in refs]
+def _slot_targets(wb: Workbook, cell: Cell) -> list[Optional[list[CellRef]]]:
+    """The cells each reference of a formula reads, in reference order; None
+    for a reference that names a missing sheet."""
+    own = wb.sheet(cell.address.sheet)
+    slots: list[Optional[list[CellRef]]] = []
+    for node in walk(cell.ast.root):
+        if isinstance(node, (CellRefNode, RangeRefNode)):
+            sheet, targets = resolve_reference(wb, node, own)
+            slots.append(None if sheet is None else [
+                CellRef(sheet.name, col, row) for row, col in targets])
+    return slots
 
 
 def _runs_along(cells: list[Cell], fixed: str) -> list[list[Cell]]:
@@ -338,16 +346,9 @@ def check_range_linkage(wb: Workbook) -> list[RangeLinkageFinding]:
                 CellRef(first.sheet, first.column, first.row),
                 CellRef(last.sheet, last.column, last.row),
             )
-            slots = len(_ref_nodes(run[0].ast))
-            for slot in range(slots):
-                touched_sets = []
-                for cell in run:
-                    node = _ref_nodes(cell.ast)[slot]
-                    touched = _touched(node, cell.address.sheet, wb)
-                    if touched is None:
-                        break
-                    touched_sets.append(touched)
-                if len(touched_sets) != len(run):
+            resolved = [_slot_targets(wb, cell) for cell in run]
+            for touched_sets in zip(*resolved):
+                if any(ts is None for ts in touched_sets):
                     continue
                 s = len(touched_sets[0])
                 axis_ok = all(

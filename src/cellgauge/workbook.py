@@ -5,6 +5,8 @@ format) and a CSV grid that becomes a single sheet named ``Sheet1``. Cells
 whose text begins with ``=`` are parsed as formulas; malformed formulas are
 downgraded to string data cells with a W001 warning so an audit can proceed
 on broken workbooks.
+
+Every stage maps references to cells through :func:`resolve_reference`.
 """
 
 from __future__ import annotations
@@ -13,8 +15,9 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
+from itertools import product
 from pathlib import Path
-from typing import Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from .errors import (
     AuditWarning,
@@ -276,37 +279,50 @@ def _style_of(flags: list[bool]) -> str:
     return "mixed"
 
 
+def resolve_reference(
+    wb: Workbook, node: Union[CellRefNode, RangeRefNode], own: Sheet
+) -> tuple[Optional[Sheet], Iterable[tuple[int, int]]]:
+    """The sheet a reference node reads and the cells it reads there.
+
+    ``own`` is the sheet of the formula holding the node; an unqualified
+    reference reads it. The sheet is None when the reference names a missing
+    sheet. Targets are ``(row, column)`` keys of :attr:`Sheet.cells`,
+    row-major, one per member cell of a range.
+    """
+    ref = node.ref
+    if isinstance(node, CellRefNode):
+        first, targets = ref, ((ref.row, ref.column),)
+    else:
+        first, last = ref.start, ref.end
+        rows = range(first.row, last.row + 1)
+        targets = product(rows, range(first.column, last.column + 1))
+    sheet = own if first.sheet is None else wb.sheet(first.sheet)
+    return sheet, targets
+
+
 def _resolve_all(wb: Workbook) -> tuple[list[ResolvedReference], list[DanglingReference]]:
     resolved: list[ResolvedReference] = []
     dangling: list[DanglingReference] = []
     for cell in wb.formula_cells():
-        own_sheet = cell.address.sheet
+        own = wb.sheet(cell.address.sheet)
         for node in walk(cell.ast.root):
             if isinstance(node, CellRefNode):
-                targets = [node.ref]
-                via_range = False
-                style = _style_of([node.ref.col_absolute, node.ref.row_absolute])
-                text = node.ref.render()
+                corners = [node.ref]
             elif isinstance(node, RangeRefNode):
-                targets = list(node.ref.cells())
-                via_range = True
-                style = _style_of([
-                    node.ref.start.col_absolute, node.ref.start.row_absolute,
-                    node.ref.end.col_absolute, node.ref.end.row_absolute,
-                ])
-                text = node.ref.render()
+                corners = [node.ref.start, node.ref.end]
             else:
                 continue
-            sheet_name = targets[0].sheet or own_sheet
-            sheet = wb.sheet(sheet_name)
+            sheet, targets = resolve_reference(wb, node, own)
             if sheet is None:
-                dangling.append(DanglingReference(cell.address, text, sheet_name))
+                missing = corners[0].sheet
+                dangling.append(DanglingReference(cell.address, node.ref.render(), missing))
                 continue
-            for t in targets:
+            style = _style_of([f for c in corners for f in (c.col_absolute, c.row_absolute)])
+            for row, col in targets:
                 resolved.append(ResolvedReference(
                     from_cell=cell.address,
-                    to_cell=CellRef(sheet.name, t.column, t.row),
-                    via_range=via_range,
+                    to_cell=CellRef(sheet.name, col, row),
+                    via_range=len(corners) == 2,
                     ref_style=style,
                 ))
     return resolved, dangling

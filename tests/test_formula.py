@@ -10,6 +10,7 @@ from cellgauge.errors import (
     UnbalancedParensError,
 )
 from cellgauge.formula import (
+    MAX_NESTING,
     BinaryOp,
     BoolLiteral,
     CellRefNode,
@@ -289,3 +290,60 @@ def test_avg_nesting_level_worked_value():
     tokens = classify_tokens(parse_formula("=SUM(A1, MAX(B1,C1))"))
     total = sum(t.nesting_level for t in tokens)
     assert Fraction(total, len(tokens)) == Fraction(11, 5)
+
+
+# --- nesting limits -------------------------------------------------------------
+
+
+def nested_parens(depth):
+    return "=" + "(" * depth + "A1" + ")" * depth
+
+
+def nested_ifs(depth):
+    return "=" + "IF(A1>0," * depth + "1" + ",2)" * depth
+
+
+def test_nesting_cap_is_excels_function_limit():
+    assert MAX_NESTING == 64
+
+
+@pytest.mark.parametrize("make", [nested_parens, nested_ifs])
+def test_nesting_at_the_cap_parses(make):
+    ast = parse_formula(make(MAX_NESTING))
+    levels = [t.nesting_level for t in classify_tokens(ast)]
+    assert max(levels) == (1 if make is nested_parens else MAX_NESTING + 1)
+
+
+@pytest.mark.parametrize("make", [nested_parens, nested_ifs])
+@pytest.mark.parametrize("depth", [MAX_NESTING + 1, 130, 400, 3000])
+def test_nesting_past_the_cap_is_a_syntax_error(make, depth):
+    with pytest.raises(FormulaSyntaxError, match="nested"):
+        parse_formula(make(depth))
+
+
+def test_mixed_parens_and_calls_share_the_cap():
+    text = "=" + "SUM((" * 32 + "A1" + "))" * 32
+    parse_formula(text)
+    with pytest.raises(FormulaSyntaxError):
+        parse_formula("=(" + text[1:] + ")")
+
+
+def test_minus_runs_parse_without_recursion():
+    ast = parse_formula("=" + "-" * MAX_NESTING + "A1%")
+    node, signs = ast.root, 0
+    while isinstance(node, UnaryOp) and node.op == "-":
+        node, signs = node.child, signs + 1
+    assert signs == MAX_NESTING
+    assert node == UnaryOp("%", ref(1, 1))
+    with pytest.raises(FormulaSyntaxError, match="minus"):
+        parse_formula("=" + "-" * 3000 + "A1")
+
+
+def test_long_flat_sum_classifies_in_order():
+    # A left-deep BinaryOp chain 2,000 levels deep, far past the call stack.
+    terms = 2000
+    ast = parse_formula("=" + "+".join(f"A{r}" for r in range(1, terms + 1)))
+    tokens = classify_tokens(ast)
+    assert [t.text for t in tokens] == ["+"] * (terms - 1) + [
+        f"A{r}" for r in range(1, terms + 1)]
+    assert {t.nesting_level for t in tokens} == {1}

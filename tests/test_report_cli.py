@@ -358,3 +358,65 @@ def test_astronomical_path_counts_still_emit(monkeypatch):
     assert parsed["cascades"][0]["total_paths"] == 2 ** (n - 1)
     assert parsed["cascades"][0]["avg_reachability"] > 0
     emit_report(report, "text")  # must not raise either
+
+
+# --- inputs that once crashed the audit ------------------------------------------
+
+
+DEEP_FORMULAS = {
+    "parens": lambda depth: "=" + "(" * depth + "A1" + ")" * depth,
+    "ifs": lambda depth: "=" + "IF(A1>0," * depth + "1" + ",2)" * depth,
+}
+
+
+@pytest.mark.parametrize("shape", sorted(DEEP_FORMULAS))
+def test_nesting_at_the_cap_analyzes(tmp_path, capsys, shape):
+    path = write_doc(tmp_path, {"S": {"A1": 1, "B1": DEEP_FORMULAS[shape](64)}})
+    assert main(["analyze", str(path)]) == 0
+    parsed = json.loads(capsys.readouterr().out)
+    assert parsed["warnings"] == []
+    assert len(parsed["cascades"]) == 1
+
+
+@pytest.mark.parametrize("formula", [
+    DEEP_FORMULAS["parens"](65),
+    DEEP_FORMULAS["parens"](130),
+    DEEP_FORMULAS["ifs"](65),
+    DEEP_FORMULAS["ifs"](400),
+    "=" + "-" * 3000 + "A1",
+], ids=["parens65", "parens130", "ifs65", "ifs400", "minus3000"])
+def test_too_deep_formula_is_w001_data(tmp_path, capsys, formula):
+    path = write_doc(tmp_path, {"S": {"A1": 1, "B1": formula}})
+    code = main(["analyze", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1, captured.err
+    assert captured.err == ""
+    parsed = json.loads(captured.out)
+    assert [(w["code"], w["address"]) for w in parsed["warnings"]] == [("W001", "S!B1")]
+    assert len(parsed["cells"]) == 2
+
+
+def test_long_flat_sums_analyze(tmp_path, capsys):
+    # Each formula is a 2,000-level left-deep BinaryOp chain with one
+    # reference; the two form one vertical copied-formula run.
+    tail = "+1" * 1999
+    path = write_doc(tmp_path, {"S": {
+        "A1": 1, "A2": 2, "B1": "=A1" + tail, "B2": "=A2" + tail,
+    }})
+    assert main(["analyze", str(path)]) == 0
+    parsed = json.loads(capsys.readouterr().out)
+    (finding,) = parsed["range_findings"]
+    assert finding["target_range"] == "S!B1:B2"
+    assert finding["verdict"] == "ok"
+    assert {c["address"]: c["n_operands"] for c in parsed["cells"]}["S!B1"] == 2000
+
+
+def test_unexpected_exception_exits_four(five_cell_path, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("cellgauge.cli.analyze", broken)
+    assert main(["analyze", str(five_cell_path)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: internal error in analyze: RuntimeError: boom\n"

@@ -1,0 +1,325 @@
+"""Oracle tests for the one reference-resolution layer.
+
+The reference-arc builder, range linkage and the conditional scan each used
+to resolve references on their own. Those versions are kept below verbatim
+as reference implementations; the resolving code of today must give the
+same arcs, dangling references, range-linkage findings and conditional
+constructs on seeded random multi-sheet workbooks.
+"""
+
+import random
+from collections import Counter
+from typing import Iterable, Iterator, Optional, Union
+
+import pytest
+
+from cellgauge import conditionals, metrics, workbook
+from cellgauge.formula import AstNode, CellRefNode, FormulaAst, RangeRefNode, walk
+from cellgauge.metrics import RangeLinkageFinding, _populated_extent, _runs_along
+from cellgauge.refs import CellRef, RangeRef
+from cellgauge.workbook import (
+    Cell,
+    DanglingReference,
+    ResolvedReference,
+    Sheet,
+    Workbook,
+    _style_of,
+)
+
+from conftest import make_graph
+from test_conditionals import ORACLE_FIXTURES, _sheet_prefix, random_conditional_workbook
+
+
+# --- reference implementations, verbatim ------------------------------------------
+
+
+def _resolve_all(wb: Workbook) -> tuple[list[ResolvedReference], list[DanglingReference]]:
+    resolved: list[ResolvedReference] = []
+    dangling: list[DanglingReference] = []
+    for cell in wb.formula_cells():
+        own_sheet = cell.address.sheet
+        for node in walk(cell.ast.root):
+            if isinstance(node, CellRefNode):
+                targets = [node.ref]
+                via_range = False
+                style = _style_of([node.ref.col_absolute, node.ref.row_absolute])
+                text = node.ref.render()
+            elif isinstance(node, RangeRefNode):
+                targets = list(node.ref.cells())
+                via_range = True
+                style = _style_of([
+                    node.ref.start.col_absolute, node.ref.start.row_absolute,
+                    node.ref.end.col_absolute, node.ref.end.row_absolute,
+                ])
+                text = node.ref.render()
+            else:
+                continue
+            sheet_name = targets[0].sheet or own_sheet
+            sheet = wb.sheet(sheet_name)
+            if sheet is None:
+                dangling.append(DanglingReference(cell.address, text, sheet_name))
+                continue
+            for t in targets:
+                resolved.append(ResolvedReference(
+                    from_cell=cell.address,
+                    to_cell=CellRef(sheet.name, t.column, t.row),
+                    via_range=via_range,
+                    ref_style=style,
+                ))
+    return resolved, dangling
+
+
+def _ref_nodes(ast: FormulaAst) -> list[AstNode]:
+    return [
+        n for n in walk(ast.root) if isinstance(n, (CellRefNode, RangeRefNode))
+    ]
+
+
+def _touched(node: AstNode, own_sheet: str, wb: Workbook) -> Optional[list[CellRef]]:
+    """Cells a reference node reads, or None when the sheet does not exist."""
+    if isinstance(node, CellRefNode):
+        refs = [node.ref]
+    else:
+        refs = list(node.ref.cells())
+    sheet_name = refs[0].sheet or own_sheet
+    sheet = wb.sheet(sheet_name)
+    if sheet is None:
+        return None
+    return [CellRef(sheet.name, r.column, r.row) for r in refs]
+
+
+def check_range_linkage(wb: Workbook) -> list[RangeLinkageFinding]:
+    """Audit copied-formula runs against their source regions.
+
+    Detects maximal vertical and horizontal runs of shift-equivalent
+    formulas; for every reference position shared by the run's formulas it
+    compares the populated source extent against the expected one
+    (``s`` for absolute references, run length + ``s`` - 1 for relative).
+    """
+    findings: list[RangeLinkageFinding] = []
+    formula_cells = list(wb.formula_cells())
+    for vertical in (True, False):
+        runs = _runs_along(formula_cells, "column" if vertical else "row")
+        for run in runs:
+            first, last = run[0].address, run[-1].address
+            target = RangeRef(
+                CellRef(first.sheet, first.column, first.row),
+                CellRef(last.sheet, last.column, last.row),
+            )
+            slots = len(_ref_nodes(run[0].ast))
+            for slot in range(slots):
+                touched_sets = []
+                for cell in run:
+                    node = _ref_nodes(cell.ast)[slot]
+                    touched = _touched(node, cell.address.sheet, wb)
+                    if touched is None:
+                        break
+                    touched_sets.append(touched)
+                if len(touched_sets) != len(run):
+                    continue
+                s = len(touched_sets[0])
+                axis_ok = all(
+                    len({c.column for c in ts} if vertical else {c.row for c in ts}) == 1
+                    for ts in touched_sets
+                )
+                if not axis_ok:
+                    continue
+                keys = [frozenset(c.key() for c in ts) for ts in touched_sets]
+                style = "absolute" if all(k == keys[0] for k in keys) else "relative"
+                expected = s if style == "absolute" else len(run) + s - 1
+                union: dict[tuple, CellRef] = {}
+                for ts in touched_sets:
+                    for c in ts:
+                        union.setdefault(c.key(), c)
+                actual, bounds = _populated_extent(wb, list(union.values()), vertical)
+                if bounds is None:
+                    cells = sorted(union.values(), key=lambda c: (c.row, c.column))
+                    bounds = RangeRef(cells[0], cells[-1])
+                findings.append(RangeLinkageFinding(
+                    source_range=bounds,
+                    target_range=target,
+                    s=s,
+                    ref_style=style,
+                    expected_extent=expected,
+                    actual_extent=actual,
+                    verdict="ok" if expected == actual else "violation",
+                ))
+    return findings
+
+
+def _read_formula_cells(
+    wb: Workbook, nodes: Iterable[Union[CellRefNode, RangeRefNode]], own: Sheet
+) -> Iterator[Cell]:
+    """Formula cells behind the reference nodes of a formula on sheet ``own``,
+    resolved as the reference graph resolves them: a range expands cell by
+    cell, a missing sheet is skipped."""
+    for node in nodes:
+        if isinstance(node, CellRefNode):
+            first = last = node.ref
+        else:
+            first, last = node.ref.start, node.ref.end
+        sheet = own if first.sheet is None else wb.sheet(first.sheet)
+        if sheet is None:
+            continue
+        for row in range(first.row, last.row + 1):
+            for col in range(first.column, last.column + 1):
+                target = sheet.cell(col, row)
+                if target is not None and target.ast is not None:
+                    yield target
+
+
+# --- random workbooks with copied-formula runs -------------------------------------
+
+MISSING_PREFIXES = ("Nope!", "'No Such'!")
+COLUMN_LETTERS = "ABCDEFGHIJKL"
+
+
+def _part(col, row, col_abs, row_abs, dc, dr):
+    """A1 text of one reference part, its relative parts shifted by (dc, dr)."""
+    col = col if col_abs else col + dc
+    row = row if row_abs else row + dr
+    return f"{'$' if col_abs else ''}{COLUMN_LETTERS[col - 1]}{'$' if row_abs else ''}{row}"
+
+
+def _random_slot(rng, names, rows, shapes):
+    """One reference of a run template: (prefix, corners) with corners
+    [(column, row, column absolute, row absolute)], one per range end."""
+    roll = rng.random()
+    if roll < 0.07:
+        prefix = rng.choice(MISSING_PREFIXES)
+        shapes["missing_sheet_slot"] += 1
+    elif roll < 0.4:
+        name = rng.choice(names)
+        prefix = _sheet_prefix(rng, name)
+        shapes["cross_sheet_random_case"] += prefix.strip("'!") != name
+    else:
+        prefix = ""
+    flags = rng.choice([(False, False), (True, True), (True, False), (False, True)])
+    corners = [(rng.randint(1, 3), rng.randint(1, rows + 2)) + flags]
+    if rng.random() < 0.4:
+        c2, r2 = rng.randint(corners[0][0], 3), corners[0][1] + rng.randint(0, 2)
+        end_flags = flags if rng.random() < 0.7 else rng.choice(
+            [(False, False), (True, True), (True, False), (False, True)])
+        corners.append((c2, r2) + end_flags)
+        if prefix and prefix not in MISSING_PREFIXES:
+            shapes["cross_sheet_range"] += 1
+    shapes["absolute_or_mixed_slot"] += any(c[2] or c[3] for c in corners)
+    return prefix, corners
+
+
+def _render_slot(slot, dc, dr):
+    prefix, corners = slot
+    text = prefix + ":".join(_part(*c, dc, dr) for c in corners)
+    return f"SUM({text})" if len(corners) == 2 else text
+
+
+def _render_template(form, slots, dc, dr):
+    texts = [_render_slot(s, dc, dr) for s in slots]
+    if form == "if":
+        return f"=IF({texts[0]}>2,{texts[1]},{'+'.join(texts[2:]) or '0'})"
+    return "=" + "+".join(texts)
+
+
+def random_run_workbook(seed, shapes):
+    """``random_conditional_workbook`` plus copied-formula runs.
+
+    Columns A-C hold that workbook's acyclic cells. Vertical runs in columns
+    E-G and horizontal runs on rows 12-13 copy a template of 2-4 reference
+    slots; each template slot reads columns A-C of any sheet (or names a
+    missing sheet), so a relative column always points left of the formula
+    and the workbook stays acyclic.
+    """
+    rng = random.Random(seed)
+    sheets = random_conditional_workbook(seed)
+    sheets.pop("Chains", None)  # long plain chains add no reference shape
+    names = list(sheets)
+    rows = 6
+    for name in names:
+        cells = sheets[name]
+        for r in range(1, rows + 3):  # data beyond the formulas, for extents
+            for c in "ABC":
+                if f"{c}{r}" not in cells and rng.random() < 0.3:
+                    cells[f"{c}{r}"] = rng.randint(1, 9)
+        runs = [("v", col, rng.randint(1, 3)) for col in (5, 6, 7) if rng.random() < 0.8]
+        runs += [("h", 5, row) for row in (12, 13) if rng.random() < 0.6]
+        for direction, col, row in runs:
+            slots = [_random_slot(rng, names, rows, shapes) for _ in range(rng.randint(2, 4))]
+            if rng.random() < 0.3:
+                slots.append(rng.choice(slots))
+                shapes["duplicate_slot"] += 1
+            form = rng.choice(["sum", "if"])
+            length = rng.randint(2, 5)
+            shapes["runs"] += 1
+            for i in range(length):
+                dc, dr = (0, i) if direction == "v" else (i, 0)
+                cells[f"{COLUMN_LETTERS[col + dc - 1]}{row + dr}"] = _render_template(
+                    form, slots, dc, dr)
+    return sheets
+
+
+# --- the oracle ----------------------------------------------------------------------
+
+
+def _construct_fields(constructs):
+    return [(c.cell, c.path, c.nested_or_precedent, c.conditionless_branches, c.is_final)
+            for c in constructs]
+
+
+def assert_resolution_matches(wb, g, label, monkeypatch):
+    """Today's results against the reference ones; returns the arcs, the
+    dangling references, the findings and the constructs."""
+    arcs, dangling = _resolve_all(wb)
+    assert workbook._resolve_all(wb) == (arcs, dangling), label
+    findings = check_range_linkage(wb)
+    assert metrics.check_range_linkage(wb) == findings, label
+    for cell in wb.formula_cells():
+        nodes = [n for n in walk(cell.ast.root) if isinstance(n, (CellRefNode, RangeRefNode))]
+        own = wb.sheet(cell.address.sheet)
+        got = list(conditionals._read_formula_cells(wb, nodes, own))
+        assert [id(c) for c in got] == [id(c) for c in _read_formula_cells(wb, nodes, own)]
+    constructs = conditionals.find_conditionals(wb, g)
+    with monkeypatch.context() as m:
+        m.setattr(conditionals, "_read_formula_cells", _read_formula_cells)
+        expected = conditionals.find_conditionals(wb, g)
+    assert _construct_fields(constructs) == _construct_fields(expected), label
+    return arcs, dangling, findings, constructs
+
+
+@pytest.mark.parametrize("cells", ORACLE_FIXTURES)
+def test_resolution_matches_reference_on_fixtures(cells, monkeypatch):
+    wb, g = make_graph({"S": cells})
+    assert_resolution_matches(wb, g, cells, monkeypatch)
+
+
+def test_resolution_matches_reference_on_random_workbooks(monkeypatch):
+    shapes = Counter()
+    seen = Counter()
+    for seed in range(200):
+        wb, g = make_graph(random_run_workbook(seed, shapes))
+        assert not g.is_cyclic, seed
+        arcs, dangling, findings, constructs = assert_resolution_matches(
+            wb, g, seed, monkeypatch)
+        per_run = Counter(f.target_range for f in findings)
+        seen["constructs"] += len(constructs)
+        seen["multi_slot_runs"] += sum(1 for n in per_run.values() if n >= 2)
+        seen["findings_ok"] += sum(f.verdict == "ok" for f in findings)
+        seen["findings_violation"] += sum(f.verdict == "violation" for f in findings)
+        seen["findings_absolute"] += sum(f.ref_style == "absolute" for f in findings)
+        seen["findings_relative"] += sum(f.ref_style == "relative" for f in findings)
+        dangling_cells = {d.from_cell.key() for d in dangling}
+        seen["runs_with_dangling_slot"] += sum(
+            any(CellRef(t.start.sheet, c, r).key() in dangling_cells
+                for r in range(t.start.row, t.end.row + 1)
+                for c in range(t.start.column, t.end.column + 1))
+            for t in per_run)
+        seen["cross_sheet_range_arcs"] += sum(
+            a.via_range and a.from_cell.sheet != a.to_cell.sheet for a in arcs)
+        seen["absolute_arcs"] += sum(a.ref_style == "absolute" for a in arcs)
+        seen["mixed_arcs"] += sum(a.ref_style == "mixed" for a in arcs)
+        seen["duplicate_arcs"] += sum(
+            n - 1 for n in Counter((a.from_cell, a.to_cell) for a in arcs).values())
+    # Every shape the layer must agree on shows up, many times over.
+    for shape in ("runs", "missing_sheet_slot", "cross_sheet_range",
+                  "cross_sheet_random_case", "absolute_or_mixed_slot", "duplicate_slot"):
+        assert shapes[shape] > 50, shapes
+    assert min(seen.values()) > 50, seen
