@@ -5,11 +5,15 @@ or invalid input, 3 reference cycle detected (a report is still emitted with
 the graph-dependent sections marked unavailable), 4 internal error: an
 unexpected exception in any command, reported as one ``error: internal error
 in <command>: <type>: <message>`` line on stderr without a traceback.
+
+Every command runs with cyclic garbage collection off; ``main`` restores the
+caller's setting when it returns.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from pathlib import Path
@@ -173,6 +177,12 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = _parser().parse_args(argv)
+    # A command builds many objects and leaves no garbage cycle that grows
+    # with the input, so cyclic garbage collection would only re-walk every
+    # AST node and cell on each full pass; reference counting still frees
+    # everything else. The caller's setting is restored on return.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except CellGaugeError as exc:
@@ -184,6 +194,9 @@ def main(argv: Optional[list[str]] = None) -> int:
             file=sys.stderr,
         )
         return 4
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Iterator, Optional, Union
 
 from .errors import EmptyFormulaError, FormulaSyntaxError, UnbalancedParensError
 from .refs import CellRef, RangeRef, letters_to_column, unquote_sheet_name
@@ -440,40 +440,71 @@ def render_number(value: float) -> str:
     return repr(value)
 
 
-def _render(node: AstNode) -> tuple[str, int]:
+def _atom_text(node: AstNode) -> Optional[str]:
+    """The text of a leaf node; None for an operator or a call."""
     if isinstance(node, NumberLiteral):
-        return render_number(node.value), _ATOM_PREC
+        return render_number(node.value)
     if isinstance(node, StringLiteral):
-        return '"' + node.value.replace('"', '""') + '"', _ATOM_PREC
+        return '"' + node.value.replace('"', '""') + '"'
     if isinstance(node, BoolLiteral):
-        return ("TRUE" if node.value else "FALSE"), _ATOM_PREC
-    if isinstance(node, CellRefNode):
-        return node.ref.render(), _ATOM_PREC
-    if isinstance(node, RangeRefNode):
-        return node.ref.render(), _ATOM_PREC
-    if isinstance(node, UnaryOp):
-        if node.op == "%":
-            text, prec = _render(node.child)
-            if prec < _PERCENT_PREC:
-                text = f"({text})"
-            return text + "%", _PERCENT_PREC
-        text, prec = _render(node.child)
-        if prec < _UNARY_PREC:
-            text = f"({text})"
-        return "-" + text, _UNARY_PREC
-    if isinstance(node, BinaryOp):
-        prec = _PREC[node.op]
-        left, lprec = _render(node.left)
-        right, rprec = _render(node.right)
-        if lprec < prec:
-            left = f"({left})"
-        if rprec <= prec:
-            right = f"({right})"
-        return f"{left}{node.op}{right}", prec
-    if isinstance(node, FunctionCall):
-        args = ", ".join(_render(a)[0] for a in node.args)
-        return f"{node.name}({args})", _ATOM_PREC
-    raise TypeError(f"not an AST node: {node!r}")
+        return "TRUE" if node.value else "FALSE"
+    if isinstance(node, (CellRefNode, RangeRefNode)):
+        return node.ref.render()
+    return None
+
+
+def _render(node: AstNode) -> tuple[str, int]:
+    """Text and precedence of a subtree, with minimal parentheses.
+
+    An explicit stack, so a long flat chain such as A1+A1+...+A1 needs no
+    deep call stack: a node is pushed again above its children and combined
+    when popped the second time, from its children's (text, precedence)
+    results on ``done``.
+    """
+    done: list[tuple[str, int]] = []
+    stack: list[tuple[AstNode, bool]] = [(node, False)]
+    while stack:
+        n, children_done = stack.pop()
+        if not children_done:
+            text = _atom_text(n)
+            if text is not None:
+                done.append((text, _ATOM_PREC))
+                continue
+            stack.append((n, True))
+            if isinstance(n, UnaryOp):
+                stack.append((n.child, False))
+            elif isinstance(n, BinaryOp):
+                stack.append((n.right, False))
+                stack.append((n.left, False))
+            elif isinstance(n, FunctionCall):
+                stack.extend((arg, False) for arg in reversed(n.args))
+            else:
+                raise TypeError(f"not an AST node: {n!r}")
+        elif isinstance(n, UnaryOp):
+            text, prec = done.pop()
+            if n.op == "%":
+                if prec < _PERCENT_PREC:
+                    text = f"({text})"
+                done.append((text + "%", _PERCENT_PREC))
+            else:
+                if prec < _UNARY_PREC:
+                    text = f"({text})"
+                done.append(("-" + text, _UNARY_PREC))
+        elif isinstance(n, BinaryOp):
+            prec = _PREC[n.op]
+            right, rprec = done.pop()
+            left, lprec = done.pop()
+            if lprec < prec:
+                left = f"({left})"
+            if rprec <= prec:
+                right = f"({right})"
+            done.append((f"{left}{n.op}{right}", prec))
+        else:
+            first = len(done) - len(n.args)
+            args = ", ".join(text for text, _ in done[first:])
+            del done[first:]
+            done.append((f"{n.name}({args})", _ATOM_PREC))
+    return done[0]
 
 
 def render_formula(ast: FormulaAst | AstNode) -> str:
@@ -506,7 +537,7 @@ def classify_tokens(ast: FormulaAst | AstNode) -> list[ClassifiedToken]:
     while stack:
         n, level = stack.pop()
         if isinstance(n, (NumberLiteral, StringLiteral, BoolLiteral, CellRefNode, RangeRefNode)):
-            out.append(ClassifiedToken("operand", level, _render(n)[0]))
+            out.append(ClassifiedToken("operand", level, _atom_text(n)))
         elif isinstance(n, BinaryOp):
             out.append(ClassifiedToken("operator", level, n.op))
             stack.append((n.right, level))

@@ -254,29 +254,41 @@ def _shift_key(node: AstNode, base_col: int, base_row: int) -> str:
     return "".join(parts)
 
 
-def _slot_targets(wb: Workbook, cell: Cell) -> list[Optional[list[CellRef]]]:
+def _slot_targets(wb: Workbook, cell: Cell) -> list[Optional[tuple[CellRef, ...]]]:
     """The cells each reference of a formula reads, in reference order; None
-    for a reference that names a missing sheet."""
+    for a reference that names a missing sheet.
+
+    A populated target is its cell's own address object, so keeping the
+    slots of every run cell for both passes costs little memory.
+    """
     own = wb.sheet(cell.address.sheet)
-    slots: list[Optional[list[CellRef]]] = []
+    slots: list[Optional[tuple[CellRef, ...]]] = []
     for node in walk(cell.ast.root):
         if isinstance(node, (CellRefNode, RangeRefNode)):
             sheet, targets = resolve_reference(wb, node, own)
-            slots.append(None if sheet is None else [
-                CellRef(sheet.name, col, row) for row, col in targets])
+            if sheet is None:
+                slots.append(None)
+                continue
+            cells = sheet.cells
+            slots.append(tuple(
+                cells[t].address if t in cells else CellRef(sheet.name, t[1], t[0])
+                for t in targets))
     return slots
 
 
-def _runs_along(cells: list[Cell], fixed: str) -> list[list[Cell]]:
+def _runs_along(cells: list[Cell], fixed: str,
+                keys: Optional[list[str]] = None) -> list[list[Cell]]:
     """Maximal runs of >= 2 consecutive shift-equivalent formula cells.
 
     ``fixed`` is the constant axis: "column" groups vertical runs, "row"
-    groups horizontal ones.
+    groups horizontal ones. ``keys[i]`` is the shift key of ``cells[i]``;
+    it is computed here when not given.
     """
+    if keys is None:
+        keys = [_shift_key(c.ast.root, c.address.column, c.address.row) for c in cells]
     groups: dict[tuple, list[tuple[int, str, Cell]]] = {}
-    for cell in cells:
+    for cell, key_text in zip(cells, keys):
         a = cell.address
-        key_text = _shift_key(cell.ast.root, a.column, a.row)
         if fixed == "column":
             group, pos = (a.sheet, a.column), a.row
         else:
@@ -328,6 +340,16 @@ def _populated_extent(
     return hi - lo + 1, bounds
 
 
+def _copied_runs(cells: list[Cell]) -> tuple[list[list[Cell]], list[list[Cell]]]:
+    """The vertical and the horizontal runs of ``cells``, keying each once.
+
+    The keys are dropped on return, so they are never held beside the slot
+    targets that ``check_range_linkage`` keeps for both passes.
+    """
+    keys = [_shift_key(c.ast.root, c.address.column, c.address.row) for c in cells]
+    return _runs_along(cells, "column", keys), _runs_along(cells, "row", keys)
+
+
 def check_range_linkage(wb: Workbook) -> list[RangeLinkageFinding]:
     """Audit copied-formula runs against their source regions.
 
@@ -338,15 +360,21 @@ def check_range_linkage(wb: Workbook) -> list[RangeLinkageFinding]:
     """
     findings: list[RangeLinkageFinding] = []
     formula_cells = list(wb.formula_cells())
-    for vertical in (True, False):
-        runs = _runs_along(formula_cells, "column" if vertical else "row")
+    # A cell in a vertical and a horizontal run is resolved once, for both.
+    slots: dict[CellRef, list[Optional[tuple[CellRef, ...]]]] = {}
+    for vertical, runs in zip((True, False), _copied_runs(formula_cells)):
         for run in runs:
             first, last = run[0].address, run[-1].address
             target = RangeRef(
                 CellRef(first.sheet, first.column, first.row),
                 CellRef(last.sheet, last.column, last.row),
             )
-            resolved = [_slot_targets(wb, cell) for cell in run]
+            resolved = []
+            for cell in run:
+                cell_slots = slots.get(cell.address)
+                if cell_slots is None:
+                    cell_slots = slots[cell.address] = _slot_targets(wb, cell)
+                resolved.append(cell_slots)
             for touched_sets in zip(*resolved):
                 if any(ts is None for ts in touched_sets):
                     continue

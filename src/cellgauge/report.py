@@ -10,7 +10,9 @@ byte-identical output.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -251,11 +253,32 @@ def _cascade_dict(entry: CascadeEntry) -> dict:
     }
 
 
-def _modular_dict(mod: ModularMetrics) -> dict:
+def _rows_list(build, items) -> list:
+    return [build(item) for item in items]
+
+
+class _Rows:
+    """A list of report rows that the JSON emitter builds one at a time.
+
+    ``_report_dict(r, rows=_Rows)`` gives the report with each row list
+    left unbuilt, so emission never holds every row's dict at once.
+    """
+
+    __slots__ = ("build", "items")
+
+    def __init__(self, build, items):
+        self.build = build
+        self.items = items
+
+
+def _triple_dict(triple: tuple) -> dict:
+    p, q, r = triple
+    return {"p": p, "q": q.render(), "r": r}
+
+
+def _modular_dict(mod: ModularMetrics, rows=_rows_list) -> dict:
     return {
-        "triples": [
-            {"p": p, "q": q.render(), "r": r} for p, q, r in mod.triples
-        ],
+        "triples": rows(_triple_dict, mod.triples),
         "triple_count_by_pair": {
             f"{p}->{r}": n for (p, r), n in sorted(mod.triple_count_by_pair.items())
         },
@@ -297,7 +320,16 @@ def _config_dict(cfg: AnalysisConfig) -> dict:
     }
 
 
-def _report_dict(r: WorkbookReport) -> dict:
+def _warning_dict(w: AuditWarning) -> dict:
+    return {"code": w.code, "address": w.address, "message": w.message}
+
+
+def _report_dict(r: WorkbookReport, rows=_rows_list) -> dict:
+    """The canonical report schema.
+
+    ``rows(build, items)`` turns each per-row list into its JSON value:
+    by default the built list, in emission a ``_Rows``.
+    """
     return {
         "meta": {
             "tool": "cellgauge",
@@ -305,20 +337,83 @@ def _report_dict(r: WorkbookReport) -> dict:
             "input_sha256": r.input_digest,
         },
         "config": _config_dict(r.config),
-        "cells": [_metrics_dict(m) for m in r.cells],
+        "cells": rows(_metrics_dict, r.cells),
         "cascades": (
-            None if r.cascades is None else [_cascade_dict(e) for e in r.cascades]
+            None if r.cascades is None else rows(_cascade_dict, r.cascades)
         ),
-        "modular": _modular_dict(r.modular),
-        "range_findings": [_finding_dict(f) for f in r.range_findings],
-        "warnings": [
-            {"code": w.code, "address": w.address, "message": w.message}
-            for w in r.warnings
-        ],
+        "modular": _modular_dict(r.modular, rows),
+        "range_findings": rows(_finding_dict, r.range_findings),
+        "warnings": rows(_warning_dict, r.warnings),
     }
 
 
 # --- Emission -----------------------------------------------------------------
+
+_INDENT = "  "
+_NESTABLE = (dict, list, tuple, _Rows)  # a _Rows is truthy even when empty
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+@functools.cache
+def _flat_encoder(level: int) -> json.JSONEncoder:
+    """The C encoder for a flat value at nesting ``level``: its item
+    separator carries the newline and the indentation of the items."""
+    return json.JSONEncoder(sort_keys=True, ensure_ascii=False,
+                            separators=(",\n" + _INDENT * (level + 1), ": "))
+
+
+def _holds_container(value) -> bool:
+    children = value.values() if isinstance(value, dict) else value
+    if _SCALARS.issuperset(map(type, children)):  # the common case, in C
+        return False
+    return any(isinstance(child, _NESTABLE) and child for child in children)
+
+
+def _encode_json(value, level: int, out: list[str]) -> None:
+    """Append the text ``json.dumps(value, sort_keys=True, indent=2,
+    ensure_ascii=False)`` gives for ``value`` at nesting ``level``.
+
+    A value that holds no non-empty container is one call to the C encoder,
+    whose item separator carries the newline and the indentation; only the
+    newlines next to its brackets are added here. The encoder escapes
+    control characters inside strings, so a raw newline can only come from
+    a separator. Only containers that hold a non-empty container recurse,
+    and a ``_Rows`` builds its rows one at a time. Dict keys must be str.
+    """
+    if isinstance(value, _Rows):
+        if not value.items:
+            out.append("[]")
+            return
+        brackets, prefixes = "[]", itertools.repeat("")
+        children = map(value.build, value.items)
+    elif isinstance(value, (dict, list, tuple)) and _holds_container(value):
+        if isinstance(value, dict):
+            keys = sorted(value)
+            brackets = "{}"
+            prefixes = (json.dumps(key, ensure_ascii=False) + ": " for key in keys)
+            children = map(value.__getitem__, keys)
+        else:
+            brackets, prefixes, children = "[]", itertools.repeat(""), value
+    else:
+        text = _flat_encoder(level).encode(value)
+        if len(text) > 2 and text[0] in "[{":
+            text = (text[0] + "\n" + _INDENT * (level + 1) + text[1:-1]
+                    + "\n" + _INDENT * level + text[-1])
+        out.append(text)
+        return
+    sep = brackets[0] + "\n" + _INDENT * (level + 1)
+    for prefix, child in zip(prefixes, children):
+        out.append(sep + prefix)
+        _encode_json(child, level + 1, out)
+        sep = ",\n" + _INDENT * (level + 1)
+    out.append("\n" + _INDENT * level + brackets[1])
+
+
+def _json_chunks(r: WorkbookReport) -> list[str]:
+    out: list[str] = []
+    _encode_json(_report_dict(r, _Rows), 0, out)
+    out.append("\n")
+    return out
 
 
 def _color_enabled() -> bool:
@@ -460,11 +555,17 @@ def _text_report(r: WorkbookReport, top_n: int = 20) -> str:
 
 
 def emit_report(r: WorkbookReport, format: str = "json") -> bytes:
-    """Serialize a report; JSON output is canonical and deterministic."""
+    """Serialize a report as UTF-8 bytes in ``format`` "json" or "text".
+
+    The JSON form is canonical and deterministic: the bytes of
+    ``json.dumps(r.as_dict(), sort_keys=True, indent=2, ensure_ascii=False)``
+    plus a trailing newline. It is produced by ``_encode_json`` through the
+    C encoder, one row at a time, so the report's dict of rows and the pure
+    Python encoder's chunk list are never held; the text is joined and
+    encoded once.
+    """
     if format == "json":
-        text = json.dumps(r.as_dict(), sort_keys=True, indent=2,
-                          ensure_ascii=False)
-        return (text + "\n").encode("utf-8")
+        return "".join(_json_chunks(r)).encode("utf-8")
     if format == "text":
         return _text_report(r).encode("utf-8")
     raise ValueError(f"unknown report format {format!r}")

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,10 @@ from cellgauge.errors import (
     UnbalancedParensError,
 )
 from cellgauge.formula import (
+    _ATOM_PREC,
+    _PERCENT_PREC,
+    _PREC,
+    _UNARY_PREC,
     MAX_NESTING,
     BinaryOp,
     BoolLiteral,
@@ -22,6 +27,7 @@ from cellgauge.formula import (
     classify_tokens,
     parse_formula,
     render_formula,
+    render_number,
     walk,
 )
 from cellgauge.refs import CellRef, RangeRef
@@ -347,3 +353,88 @@ def test_long_flat_sum_classifies_in_order():
     assert [t.text for t in tokens] == ["+"] * (terms - 1) + [
         f"A{r}" for r in range(1, terms + 1)]
     assert {t.nesting_level for t in tokens} == {1}
+
+
+# --- Rendering without recursion -------------------------------------------------
+
+
+def recursive_render(node):
+    """The recursive renderer that ``render_formula`` replaced, kept as the
+    reference for its text and its minimal parenthesization."""
+    if isinstance(node, NumberLiteral):
+        return render_number(node.value), _ATOM_PREC
+    if isinstance(node, StringLiteral):
+        return '"' + node.value.replace('"', '""') + '"', _ATOM_PREC
+    if isinstance(node, BoolLiteral):
+        return ("TRUE" if node.value else "FALSE"), _ATOM_PREC
+    if isinstance(node, CellRefNode):
+        return node.ref.render(), _ATOM_PREC
+    if isinstance(node, RangeRefNode):
+        return node.ref.render(), _ATOM_PREC
+    if isinstance(node, UnaryOp):
+        if node.op == "%":
+            text, prec = recursive_render(node.child)
+            if prec < _PERCENT_PREC:
+                text = f"({text})"
+            return text + "%", _PERCENT_PREC
+        text, prec = recursive_render(node.child)
+        if prec < _UNARY_PREC:
+            text = f"({text})"
+        return "-" + text, _UNARY_PREC
+    if isinstance(node, BinaryOp):
+        prec = _PREC[node.op]
+        left, lprec = recursive_render(node.left)
+        right, rprec = recursive_render(node.right)
+        if lprec < prec:
+            left = f"({left})"
+        if rprec <= prec:
+            right = f"({right})"
+        return f"{left}{node.op}{right}", prec
+    if isinstance(node, FunctionCall):
+        args = ", ".join(recursive_render(a)[0] for a in node.args)
+        return f"{node.name}({args})", _ATOM_PREC
+    raise TypeError(f"not an AST node: {node!r}")
+
+
+def random_ast(rng, depth):
+    """A random AST over every node kind and operator, up to ``depth`` deep."""
+    if depth == 0 or rng.random() < 0.25:
+        kind = rng.randrange(6)
+        if kind == 0:
+            return NumberLiteral(rng.choice([0.0, 1.0, 2.5, 1e20, -3.0, 0.1]))
+        if kind == 1:
+            return StringLiteral(rng.choice(["", "a", 'say "hi"', "x,y"]))
+        if kind == 2:
+            return BoolLiteral(rng.random() < 0.5)
+        if kind == 3:
+            return RangeRefNode(RangeRef(CellRef(None, 1, 1), CellRef(None, 2, 3)))
+        return ref(rng.randint(1, 30), rng.randint(1, 99), rng.random() < 0.3,
+                   rng.random() < 0.3, rng.choice([None, "Data", "My Data"]))
+    kind = rng.randrange(4)
+    if kind == 0:
+        return UnaryOp(rng.choice("-%"), random_ast(rng, depth - 1))
+    if kind == 1:
+        return FunctionCall(rng.choice(["SUM", "IF", "NOW", "MAX"]), tuple(
+            random_ast(rng, depth - 1) for _ in range(rng.randrange(4))))
+    return BinaryOp(rng.choice(sorted(_PREC)), random_ast(rng, depth - 1),
+                    random_ast(rng, depth - 1))
+
+
+def test_render_matches_recursive_reference_on_random_asts():
+    rng = random.Random(2024)
+    for _ in range(3000):
+        node = random_ast(rng, rng.randint(1, 7))
+        assert render_formula(node) == "=" + recursive_render(node)[0], node
+
+
+def test_render_rejects_non_nodes():
+    with pytest.raises(TypeError, match="not an AST node"):
+        render_formula(BinaryOp("+", ref(1, 1), "A2"))
+
+
+def test_long_flat_sum_renders_and_round_trips():
+    # A left-deep BinaryOp chain 2,000 levels deep, far past the call stack.
+    text = "=" + "+".join(f"A{r}" for r in range(1, 2001))
+    ast = parse_formula(text)
+    assert render_formula(ast) == text
+    assert render_formula(parse_formula(render_formula(ast))) == text

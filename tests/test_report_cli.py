@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -420,3 +421,57 @@ def test_unexpected_exception_exits_four(five_cell_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: internal error in analyze: RuntimeError: boom\n"
+
+
+# --- Cyclic garbage collection during a command ------------------------------------
+
+
+@pytest.mark.parametrize("gc_on", [True, False], ids=["gc_on", "gc_off"])
+@pytest.mark.parametrize("expected_exit", [0, 2, 4])
+def test_gc_setting_restored_after_command(five_cell_path, tmp_path, capsys,
+                                            monkeypatch, gc_on, expected_exit):
+    path = five_cell_path if expected_exit != 2 else tmp_path / "missing.json"
+    if expected_exit == 4:
+        def broken(*args, **kwargs):
+            assert not gc.isenabled()
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr("cellgauge.cli.analyze", broken)
+    was_enabled = gc.isenabled()
+    try:
+        gc.enable() if gc_on else gc.disable()
+        assert main(["analyze", str(path), "--out", str(tmp_path / "r.json")]) == expected_exit
+        assert gc.isenabled() == gc_on
+    finally:
+        gc.enable() if was_enabled else gc.disable()
+
+
+def bad_formula_doc(n: int) -> dict:
+    """n cells of each kind of problem: W001 syntax errors, W002 references
+    to a missing sheet, W003 empty precedents, plus one W004 cycle."""
+    cells = {}
+    for r in range(1, n + 1):
+        cells[f"A{r}"] = f"=SUM(B{r}"
+        cells[f"C{r}"] = f"=Nope!A{r}+1"
+        cells[f"D{r}"] = f"=E{r}*2"
+    cells["F1"], cells["F2"] = "=F2", "=F1"
+    return {"S": cells}
+
+
+def test_audit_leaves_no_garbage_that_grows_with_the_input(tmp_path):
+    # The CLI runs with cyclic collection off, which is safe only if the
+    # garbage an audit leaves behind does not grow with the workbook.
+    unreachable = {}
+    was_enabled = gc.isenabled()
+    try:
+        for n in (100, 2000):
+            path = write_doc(tmp_path, bad_formula_doc(n), name=f"bad{n}.json")
+            gc.collect()
+            gc.disable()
+            assert main(["analyze", str(path), "--out", str(tmp_path / "r.json")]) == 3
+            unreachable[n] = gc.collect()
+    finally:
+        gc.enable() if was_enabled else gc.disable()
+    codes = {w["code"] for w in json.loads((tmp_path / "r.json").read_text())["warnings"]}
+    assert codes >= {"W001", "W002", "W003", "W004"}
+    assert unreachable[100] == unreachable[2000]
