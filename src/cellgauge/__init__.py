@@ -53,6 +53,7 @@ from .reliability import (
     adjusted_cell_rate,
     bottom_line_error_rate,
     cascade_reliability,
+    cell_error_rates,
 )
 from .report import (
     AnalysisConfig,
@@ -63,14 +64,10 @@ from .report import (
 )
 from .workbook import (
     Cell,
-    ResolvedReference,
     Workbook,
     load_workbook,
     load_workbook_doc,
     load_csv_grid,
-    reference_delta,
-    resolve_references,
-    find_dangling_references,
 )
 
 __all__ = [
@@ -99,7 +96,6 @@ __all__ = [
     "RangeLinkageFinding",
     "RangeRef",
     "ReliabilityConfig",
-    "ResolvedReference",
     "UnbalancedParensError",
     "UnknownCellError",
     "Workbook",
@@ -111,6 +107,7 @@ __all__ = [
     "build_graph",
     "cascade_conditional_report",
     "cascade_reliability",
+    "cell_error_rates",
     "check_range_linkage",
     "classify_tokens",
     "conditional_complexity",
@@ -118,7 +115,6 @@ __all__ = [
     "dispersion",
     "emit_report",
     "find_conditionals",
-    "find_dangling_references",
     "formula_metrics",
     "load_csv_grid",
     "load_workbook",
@@ -126,9 +122,7 @@ __all__ = [
     "modular_metrics",
     "parse_cell_address",
     "parse_formula",
-    "reference_delta",
     "render_formula",
     "render_ref",
-    "resolve_references",
     "spans",
 ]

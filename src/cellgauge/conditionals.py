@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import CycleError, DomainError
 from .formula import CellRefNode, FunctionCall, RangeRefNode, child_nodes
@@ -292,6 +292,30 @@ def conditional_complexity(
     return all_complexities(constructs if constructs is not None else [s], cfg)[s.id]
 
 
+def finals_by_cell(
+    constructs: Iterable[ConditionalConstruct],
+) -> dict[CellRef, list[ConditionalConstruct]]:
+    """The final constructs of each cell, in construct order."""
+    by_cell: dict[CellRef, list[ConditionalConstruct]] = {}
+    for c in constructs:
+        if c.is_final:
+            by_cell.setdefault(c.cell, []).append(c)
+    return by_cell
+
+
+def cascade_finals(
+    members: Iterable[CellRef],
+    finals: Mapping[CellRef, list[ConditionalConstruct]],
+) -> list[ConditionalConstruct]:
+    """The final constructs of a cascade's members, in construct order.
+
+    ``members`` must be in canonical sheet/row/column order, as cascades
+    list them; constructs follow that order too, so picking each member's
+    finals in turn keeps construct order in time linear in the members.
+    """
+    return [c for addr in members for c in finals.get(addr, ())]
+
+
 def cascade_conditional_report(
     g: CellGraph,
     constructs: Sequence[ConditionalConstruct],
@@ -299,10 +323,6 @@ def cascade_conditional_report(
     cfg: BetaConfig = BetaConfig(),
 ) -> list[tuple[ConditionalConstruct, float]]:
     """(final construct, complexity) pairs within one terminal's cascade."""
-    members = {a.key() for a in g.cascade_members(terminal)}
     complexity = all_complexities(constructs, cfg)
-    return [
-        (c, complexity[c.id])
-        for c in constructs
-        if c.is_final and c.cell.key() in members
-    ]
+    finals = cascade_finals(g.cascade_members(terminal), finals_by_cell(constructs))
+    return [(c, complexity[c.id]) for c in finals]

@@ -1,9 +1,15 @@
 """Workbook dependency multigraph and cascade statistics.
 
+The graph is the one resolved form of a workbook's references. Each formula
+is resolved through ``workbook.resolve_reference`` straight into integer
+node ids: populated cells come first in ``iter_cells`` order, and a
+referenced empty cell is materialized as a zero-fan-in data node when it is
+first referenced. A reference to a missing sheet adds no edge and is kept in
+``CellGraph.dangling``.
+
 Edges point in the direction of data flow (referenced cell -> referencing
 cell), one edge per resolved reference, so duplicate references and expanded
-ranges produce parallel edges that multiply path counts. Referenced cells
-that are empty in the workbook are materialized as zero-fan-in data nodes.
+ranges produce parallel edges that multiply path counts.
 
 Reachability of a cell is the number of distinct reference paths from
 zero-fan-in cells: 1 for a cell without precedents, otherwise the sum of the
@@ -31,8 +37,9 @@ from .errors import (
     UnknownCellError,
     W_EMPTY_REFERENCED_CELL,
 )
+from .formula import CellRefNode, RangeRefNode, walk
 from .refs import CellRef, parse_cell_address
-from .workbook import ResolvedReference, Workbook, resolve_references
+from .workbook import DanglingReference, Workbook, resolve_reference
 
 AddrLike = Union[CellRef, str]
 
@@ -53,54 +60,76 @@ class CascadeStats:
 
 
 class CellGraph:
-    """Immutable directed multigraph over the non-empty cells of a workbook."""
+    """Immutable directed multigraph over the non-empty cells of a workbook.
 
-    def __init__(self, wb: Workbook, references: Optional[list[ResolvedReference]] = None):
-        if references is None:
-            references = resolve_references(wb)
-        self.references = references
+    Every formula is resolved here, through
+    :func:`~cellgauge.workbook.resolve_reference`, straight into node ids:
+    populated cells are nodes 0.. in ``iter_cells`` order, and each empty
+    cell becomes a node when it is first referenced. References to missing
+    sheets are collected in ``dangling`` and add no edge.
+    """
+
+    def __init__(self, wb: Workbook):
+        self._wb = wb
         self._addrs: list[CellRef] = []
-        self._index: dict[tuple[str, int, int], int] = {}
         self._is_formula: list[bool] = []
-        self._materialized: list[bool] = []
         self._sort_keys: list[tuple[int, int, int]] = []
         # Per node, in reference order: precedents (with multiplicity) and
         # dependents. Edges point in the direction of data flow.
         self._preds: list[list[int]] = []
         self._succs: list[list[int]] = []
+        # Per sheet name: the node id of each (row, column) key.
+        self._ids: dict[str, dict[tuple[int, int], int]] = {}
+        self.dangling: list[DanglingReference] = []
 
-        sheet_order = {s.name.casefold(): i for i, s in enumerate(wb.sheets)}
-
-        def add_node(addr: CellRef, is_formula: bool, materialized: bool) -> int:
-            key = addr.key()
-            idx = self._index.get(key)
-            if idx is not None:
-                return idx
-            idx = len(self._addrs)
-            self._index[key] = idx
+        def add_node(addr: CellRef, is_formula: bool, sort_key: tuple[int, int, int]) -> int:
             self._addrs.append(addr)
             self._is_formula.append(is_formula)
-            self._materialized.append(materialized)
-            self._sort_keys.append(
-                (sheet_order[(addr.sheet or "").casefold()], addr.row, addr.column)
-            )
+            self._sort_keys.append(sort_key)
             self._preds.append([])
             self._succs.append([])
-            return idx
+            return len(self._addrs) - 1
 
-        for cell in wb.iter_cells():
-            add_node(cell.address, cell.is_formula, materialized=False)
+        sheet_pos = {}
+        for pos, sheet in enumerate(wb.sheets):
+            sheet_pos[sheet.name] = pos
+            self._ids[sheet.name] = {
+                key: add_node(cell.address, cell.is_formula, (pos,) + key)
+                for key, cell in sheet.cells.items()
+            }
+        self._populated = len(self._addrs)
 
-        for ref in references:
-            dst = self._index[ref.from_cell.key()]
-            src = self._index.get(ref.to_cell.key())
-            if src is None:
-                src = add_node(ref.to_cell, is_formula=False, materialized=True)
-            self._preds[dst].append(src)
-            self._succs[src].append(dst)
+        edges = 0
+        for own in wb.sheets:
+            own_ids = self._ids[own.name]
+            for key, cell in own.cells.items():
+                if cell.ast is None:
+                    continue
+                dst = own_ids[key]
+                preds = self._preds[dst]
+                for node in walk(cell.ast.root):
+                    if not isinstance(node, (CellRefNode, RangeRefNode)):
+                        continue
+                    sheet, targets = resolve_reference(wb, node, own)
+                    if sheet is None:
+                        first = node.ref if isinstance(node, CellRefNode) else node.ref.start
+                        self.dangling.append(
+                            DanglingReference(cell.address, node.ref.render(), first.sheet))
+                        continue
+                    ids = self._ids[sheet.name]
+                    for target in targets:
+                        src = ids.get(target)
+                        if src is None:  # an empty cell, materialized as data
+                            row, column = target
+                            src = ids[target] = add_node(
+                                CellRef(sheet.name, column, row), False,
+                                (sheet_pos[sheet.name], row, column))
+                        preds.append(src)
+                        self._succs[src].append(dst)
+                        edges += 1
 
         self.node_count = len(self._addrs)
-        self.edge_count = len(references)
+        self.edge_count = edges
         self._topo = self._topological_order()
         self.cycles: list[list[CellRef]] = (
             self._find_cycles() if len(self._topo) < self.node_count else []
@@ -112,7 +141,8 @@ class CellGraph:
     def _idx(self, addr: AddrLike) -> int:
         if isinstance(addr, str):
             addr = parse_cell_address(addr)
-        idx = self._index.get(addr.key())
+        sheet = self._wb.sheet(addr.sheet) if addr.sheet is not None else None
+        idx = None if sheet is None else self._ids[sheet.name].get((addr.row, addr.column))
         if idx is None:
             raise UnknownCellError(addr.render())
         return idx
@@ -129,6 +159,11 @@ class CellGraph:
 
     def address_of(self, idx: int) -> CellRef:
         return self._addrs[idx]
+
+    def precedents(self, addr: AddrLike) -> list[CellRef]:
+        """The cells a cell reads, one per resolved reference, in reference
+        order: ranges expanded row-major, duplicates kept."""
+        return [self._addrs[p] for p in self._preds[self._idx(addr)]]
 
     def _canonical(self, indices: Iterable[int]) -> list[int]:
         return sorted(indices, key=lambda i: self._sort_keys[i])
@@ -155,7 +190,7 @@ class CellGraph:
         return [self._addrs[i] for i in self._canonical(idxs)]
 
     def materialized_cells(self) -> list[CellRef]:
-        idxs = [i for i in range(self.node_count) if self._materialized[i]]
+        idxs = range(self._populated, self.node_count)
         return [self._addrs[i] for i in self._canonical(idxs)]
 
     def materialized_warnings(self) -> list[AuditWarning]:
@@ -236,14 +271,12 @@ class CellGraph:
                 if work:
                     parent = work[-1][0]
                     low[parent] = min(low[parent], low[v])
-        cycles = []
-        for comp in sccs:
-            if len(comp) > 1:
-                cycles.append([self._addrs[i] for i in self._canonical(comp)])
-            elif comp[0] in self._preds[comp[0]]:
-                cycles.append([self._addrs[comp[0]]])
-        cycles.sort(key=lambda cyc: self._sort_keys[self._index[cyc[0].key()]])
-        return cycles
+        cycles = [
+            self._canonical(comp) for comp in sccs
+            if len(comp) > 1 or comp[0] in self._preds[comp[0]]
+        ]
+        cycles.sort(key=lambda cyc: self._sort_keys[cyc[0]])
+        return [[self._addrs[i] for i in cyc] for cyc in cycles]
 
     # -- path statistics --------------------------------------------------------
 
@@ -357,11 +390,11 @@ class CellGraph:
         return paths
 
 
-def build_graph(wb: Workbook, references: Optional[list[ResolvedReference]] = None) -> CellGraph:
+def build_graph(wb: Workbook) -> CellGraph:
     """Build the dependency graph of a workbook.
 
     Cycle detection always runs: the graph is returned with ``cycles``
     populated, and reachability/path operations raise CycleError on a cyclic
     graph.
     """
-    return CellGraph(wb, references)
+    return CellGraph(wb)

@@ -4,9 +4,10 @@ Covers operator/operand counts and nesting levels, decision counts,
 dispersion of references with column/row spans, consistency checks for
 copied-formula ranges, and cross-sheet coupling (data binding triples).
 
-For formula-size metrics a range reference is a single operand; the
-dependency graph view (one arc per member cell) is used for reference
-counts, dispersion and spans. Range linkage resolves each formula of a run
+For formula-size metrics a range reference is a single operand; reference
+counts, dispersion and spans use the cell's precedents in the dependency
+graph (one per member cell of a range), and the graph's cross-sheet arcs
+give the data binding triples. Range linkage resolves each formula of a run
 once, into one target list per reference slot.
 """
 
@@ -35,7 +36,7 @@ from .formula import (
 )
 from .graph import CellGraph
 from .refs import CellRef, RangeRef
-from .workbook import Cell, ResolvedReference, Workbook, reference_delta, resolve_reference
+from .workbook import Cell, Workbook, resolve_reference
 
 _COMPARISONS = {"=", "<>", "<", "<=", ">", ">="}
 _LOGICAL_FUNCS = {"AND", "OR", "NOT"}
@@ -141,13 +142,15 @@ def decision_count(ast: FormulaAst | AstNode) -> int:
 
 def formula_metrics(
     cell: Cell,
-    refs: Sequence[ResolvedReference],
+    precedents: Sequence[CellRef],
     cfg: DispersionConfig = DispersionConfig(),
 ) -> CellMetrics:
     """Size, structure, and reference-geometry metrics for one cell.
 
-    Data cells yield the all-zero record. ``refs`` must be the cell's own
-    resolved references (ranges expanded, duplicates kept).
+    Data cells yield the all-zero record. ``precedents`` must be the cell's
+    own precedent addresses in reference order (ranges expanded, duplicates
+    kept), as :meth:`CellGraph.precedents` gives them. A precedent on
+    another sheet counts as cross-sheet; the rest give (column, row) deltas.
     """
     if not cell.is_formula:
         return CellMetrics(address=cell.address)
@@ -155,14 +158,10 @@ def formula_metrics(
     n_operators = sum(1 for t in tokens if t.kind == "operator")
     n_operands = len(tokens) - n_operators
     levels = [t.nesting_level for t in tokens]
-    deltas = []
-    cross_sheet = 0
-    for r in refs:
-        d = reference_delta(r)
-        if d is None:
-            cross_sheet += 1
-        else:
-            deltas.append(d)
+    at = cell.address
+    deltas = [(p.column - at.column, p.row - at.row)
+              for p in precedents if p.sheet == at.sheet]
+    cross_sheet = len(precedents) - len(deltas)
     dr, delta_sum = dispersion(deltas, cfg)
     col_span, row_span = spans(deltas)
     mixed = any(dx == 0 and dy != 0 for dx, dy in deltas) and any(
@@ -175,7 +174,7 @@ def formula_metrics(
         depth_of_nesting=max(levels),
         avg_nesting_level=Fraction(sum(levels), len(levels)),
         decision_count=decision_count(cell.ast),
-        n_references=len(refs),
+        n_references=len(precedents),
         dispersion=dr,
         delta_sum=delta_sum,
         col_span=col_span,
@@ -426,15 +425,12 @@ class ModularMetrics:
 
 
 def modular_metrics(wb: Workbook, g: CellGraph) -> ModularMetrics:
-    triples: set[tuple[str, tuple, str]] = set()
-    by_cell: dict[tuple, CellRef] = {}
-    for ref in g.references:
-        p = ref.to_cell.sheet
-        r = ref.from_cell.sheet
-        if p.casefold() == r.casefold():
-            continue
-        triples.add((p, ref.to_cell.key(), r))
-        by_cell[ref.to_cell.key()] = ref.to_cell
+    triples = {
+        (q.sheet, q, cell.address.sheet)
+        for cell in wb.formula_cells()
+        for q in g.precedents(cell.address)
+        if q.sheet != cell.address.sheet
+    }
     fan_in: dict[str, set[str]] = {s.name: set() for s in wb.sheets}
     fan_out: dict[str, set[str]] = {s.name: set() for s in wb.sheets}
     for p, _, r in triples:
@@ -448,7 +444,7 @@ def modular_metrics(wb: Workbook, g: CellGraph) -> ModularMetrics:
         pct = 0.0
     sheet_idx = {s.name: i for i, s in enumerate(wb.sheets)}
     ordered = sorted(
-        ((p, by_cell[qk], r) for p, qk, r in triples),
+        triples,
         key=lambda t: (sheet_idx[t[0]], t[1].row, t[1].column, sheet_idx[t[2]]),
     )
     counts: dict[tuple[str, str], int] = {}

@@ -11,7 +11,7 @@ long-but-trivial ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 from .errors import DomainError
 from .graph import CascadeStats
@@ -63,7 +63,6 @@ class CascadeReliability:
     n: int
     uniform_e: float
     adjusted_e: float
-    per_cell_rates: dict[CellRef, float]
 
 
 def bottom_line_error_rate(e: float, n: int) -> float:
@@ -94,26 +93,31 @@ def adjusted_cell_rate(
     return min(cfg.cap, cfg.base_cer * (1.0 + c))
 
 
+def cell_error_rates(
+    metrics: Iterable[CellMetrics], cfg: ReliabilityConfig = ReliabilityConfig()
+) -> dict[CellRef, float]:
+    """Each cell's :func:`adjusted_cell_rate`, keyed by address."""
+    return {m.address: adjusted_cell_rate(m, cfg) for m in metrics}
+
+
 def cascade_reliability(
     stats: CascadeStats,
-    metrics: Mapping[CellRef, CellMetrics],
+    rates: Mapping[CellRef, float],
     cfg: ReliabilityConfig = ReliabilityConfig(),
 ) -> CascadeReliability:
     """Uniform and complexity-adjusted bottom-line error rates for a cascade.
 
-    ``metrics`` is keyed by cell address; cascade members without a record
-    (e.g. materialized empty cells) are treated as data cells.
+    ``rates`` holds per-cell adjusted rates keyed by address, as
+    :func:`cell_error_rates` computes them once for every cascade; members
+    without a rate (e.g. materialized empty cells) get the data-cell rate.
     """
-    rates: dict[CellRef, float] = {}
+    data_rate = adjusted_cell_rate(None, cfg)
     survive = 1.0
     for addr in stats.members:
-        rate = adjusted_cell_rate(metrics.get(addr), cfg)
-        rates[addr] = rate
-        survive *= 1.0 - rate
+        survive *= 1.0 - rates.get(addr, data_rate)
     return CascadeReliability(
         terminal=stats.terminal,
         n=stats.cell_count,
         uniform_e=bottom_line_error_rate(cfg.base_cer, stats.cell_count),
         adjusted_e=1.0 - survive,
-        per_cell_rates=rates,
     )

@@ -1,11 +1,12 @@
 """Analysis pipeline and report emission.
 
-``analyze`` runs load -> resolve -> graph -> metrics -> reliability ->
-conditional complexity and collects per-cell problems as warnings instead of
-aborting; only unreadable or structurally invalid input raises. The JSON
-form is canonical: sorted keys, floats rounded to six decimals, stable
-ordering everywhere, so identical input bytes and configuration produce
-byte-identical output.
+``analyze`` runs load -> graph (every reference resolved into node ids) ->
+cell metrics -> conditionals -> cascades and reliability -> modular
+structure -> range linkage and collects per-cell problems as warnings
+instead of aborting; only unreadable or structurally invalid input raises.
+The JSON form is canonical: sorted keys, floats rounded to six decimals,
+stable ordering everywhere, so identical input bytes and configuration
+produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -27,7 +28,9 @@ from .conditionals import (
     BetaConfig,
     ConditionalConstruct,
     all_complexities,
+    cascade_finals,
     find_conditionals,
+    finals_by_cell,
 )
 from .errors import (
     AuditWarning,
@@ -46,14 +49,14 @@ from .metrics import (
     formula_metrics,
     modular_metrics,
 )
-from .refs import CellRef
 from .reliability import (
     CascadeReliability,
     ReliabilityConfig,
     adjusted_cell_rate,
     cascade_reliability,
+    cell_error_rates,
 )
-from .workbook import Workbook, _resolve_all, load_workbook
+from .workbook import Workbook, load_workbook
 
 
 @dataclass(frozen=True)
@@ -100,57 +103,8 @@ def analyze_workbook(wb: Workbook, config: AnalysisConfig = AnalysisConfig(),
                      digest: str = "") -> WorkbookReport:
     """Run the full pipeline over an already-loaded workbook."""
     warnings: list[AuditWarning] = list(wb.warnings)
-    references, dangling = _resolve_all(wb)
-    for d in dangling:
-        warnings.append(AuditWarning(
-            W_DANGLING_REFERENCE,
-            d.from_cell.render(),
-            f"reference {d.target_text} names missing sheet {d.missing_sheet!r}",
-        ))
-    graph = build_graph(wb, references)
-    warnings.extend(graph.materialized_warnings())
-    for cyc in graph.cycles:
-        warnings.append(AuditWarning(
-            W_CYCLE_DETECTED,
-            cyc[0].render(),
-            "reference cycle: " + " -> ".join(a.render() for a in cyc),
-        ))
-
-    refs_by_cell: dict[tuple, list] = {}
-    for ref in references:
-        refs_by_cell.setdefault(ref.from_cell.key(), []).append(ref)
-
-    cells: list[CellMetrics] = []
-    metrics_by_addr: dict[CellRef, CellMetrics] = {}
-    for cell in _canonical_cells(wb):
-        m = formula_metrics(cell, refs_by_cell.get(cell.address.key(), []),
-                            config.dispersion)
-        cells.append(m)
-        metrics_by_addr[cell.address] = m
-        if m.cross_sheet_ref_count:
-            warnings.append(AuditWarning(
-                W_CROSS_SHEET_DISPERSION_EXCLUDED,
-                cell.address.render(),
-                f"{m.cross_sheet_ref_count} cross-sheet reference(s) excluded "
-                "from dispersion and spans",
-            ))
-
-    cascades: Optional[list[CascadeEntry]] = None
-    if not graph.is_cyclic:
-        constructs = find_conditionals(wb, graph)
-        complexity = all_complexities(constructs, config.beta)
-        finals = [(c, c.cell.key()) for c in constructs if c.is_final]
-        cascades = []
-        for terminal in graph.bottom_line_cells():
-            stats = graph.cascade_stats(terminal)
-            rel = cascade_reliability(stats, metrics_by_addr, config.reliability)
-            member_keys = {a.key() for a in stats.members}
-            conds = tuple(
-                (c, complexity[c.id])
-                for c, key in finals
-                if key in member_keys
-            )
-            cascades.append(CascadeEntry(stats, rel, conds))
+    # Every graph-wide temporary, the graph included, is freed on return.
+    cells, cascades, modular = _graph_analysis(wb, config, warnings)
 
     findings = check_range_linkage(wb)
     for f in findings:
@@ -169,10 +123,59 @@ def analyze_workbook(wb: Workbook, config: AnalysisConfig = AnalysisConfig(),
         config=config,
         cells=cells,
         cascades=cascades,
-        modular=modular_metrics(wb, graph),
+        modular=modular,
         range_findings=findings,
         warnings=warnings,
     )
+
+
+def _graph_analysis(
+    wb: Workbook, config: AnalysisConfig, warnings: list[AuditWarning],
+) -> tuple[list[CellMetrics], Optional[list[CascadeEntry]], ModularMetrics]:
+    """Cell metrics, cascades and modular metrics: every stage that reads
+    the dependency graph. Appends the graph's warnings to ``warnings``."""
+    graph = build_graph(wb)
+    for d in graph.dangling:
+        warnings.append(AuditWarning(
+            W_DANGLING_REFERENCE,
+            d.from_cell.render(),
+            f"reference {d.target_text} names missing sheet {d.missing_sheet!r}",
+        ))
+    warnings.extend(graph.materialized_warnings())
+    for cyc in graph.cycles:
+        warnings.append(AuditWarning(
+            W_CYCLE_DETECTED,
+            cyc[0].render(),
+            "reference cycle: " + " -> ".join(a.render() for a in cyc),
+        ))
+
+    cells: list[CellMetrics] = []
+    for cell in _canonical_cells(wb):
+        m = formula_metrics(cell, graph.precedents(cell.address), config.dispersion)
+        cells.append(m)
+        if m.cross_sheet_ref_count:
+            warnings.append(AuditWarning(
+                W_CROSS_SHEET_DISPERSION_EXCLUDED,
+                cell.address.render(),
+                f"{m.cross_sheet_ref_count} cross-sheet reference(s) excluded "
+                "from dispersion and spans",
+            ))
+
+    cascades: Optional[list[CascadeEntry]] = None
+    if not graph.is_cyclic:
+        constructs = find_conditionals(wb, graph)
+        complexity = all_complexities(constructs, config.beta)
+        finals = finals_by_cell(constructs)
+        rates = cell_error_rates(cells, config.reliability)
+        cascades = []
+        for terminal in graph.bottom_line_cells():
+            stats = graph.cascade_stats(terminal)
+            rel = cascade_reliability(stats, rates, config.reliability)
+            conds = tuple(
+                (c, complexity[c.id]) for c in cascade_finals(stats.members, finals)
+            )
+            cascades.append(CascadeEntry(stats, rel, conds))
+    return cells, cascades, modular_metrics(wb, graph)
 
 
 def analyze(path: Union[str, Path], config: AnalysisConfig = AnalysisConfig(),

@@ -6,7 +6,9 @@ whose text begins with ``=`` are parsed as formulas; malformed formulas are
 downgraded to string data cells with a W001 warning so an audit can proceed
 on broken workbooks.
 
-Every stage maps references to cells through :func:`resolve_reference`.
+Every stage maps references to cells through :func:`resolve_reference`,
+which gives a reference's sheet and ``(row, column)`` targets; the
+dependency graph resolves each formula through it straight into node ids.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from .formula import (
     FormulaAst,
     RangeRefNode,
     parse_formula,
-    walk,
 )
 from .refs import CellRef, parse_cell_address
 
@@ -255,28 +256,12 @@ def load_workbook(path: Union[str, Path], format: str = "auto",
 # --- Reference resolution ---------------------------------------------------
 
 @dataclass(frozen=True)
-class ResolvedReference:
-    """One single-cell reference arc from a formula cell to a precedent."""
-
-    from_cell: CellRef
-    to_cell: CellRef
-    via_range: bool
-    ref_style: str  # "absolute" | "relative" | "mixed"
-
-
-@dataclass(frozen=True)
 class DanglingReference:
+    """A formula reference that names a sheet the workbook does not have."""
+
     from_cell: CellRef
     target_text: str
     missing_sheet: str
-
-
-def _style_of(flags: list[bool]) -> str:
-    if all(flags):
-        return "absolute"
-    if not any(flags):
-        return "relative"
-    return "mixed"
 
 
 def resolve_reference(
@@ -298,55 +283,3 @@ def resolve_reference(
         targets = product(rows, range(first.column, last.column + 1))
     sheet = own if first.sheet is None else wb.sheet(first.sheet)
     return sheet, targets
-
-
-def _resolve_all(wb: Workbook) -> tuple[list[ResolvedReference], list[DanglingReference]]:
-    resolved: list[ResolvedReference] = []
-    dangling: list[DanglingReference] = []
-    for cell in wb.formula_cells():
-        own = wb.sheet(cell.address.sheet)
-        for node in walk(cell.ast.root):
-            if isinstance(node, CellRefNode):
-                corners = [node.ref]
-            elif isinstance(node, RangeRefNode):
-                corners = [node.ref.start, node.ref.end]
-            else:
-                continue
-            sheet, targets = resolve_reference(wb, node, own)
-            if sheet is None:
-                missing = corners[0].sheet
-                dangling.append(DanglingReference(cell.address, node.ref.render(), missing))
-                continue
-            style = _style_of([f for c in corners for f in (c.col_absolute, c.row_absolute)])
-            for row, col in targets:
-                resolved.append(ResolvedReference(
-                    from_cell=cell.address,
-                    to_cell=CellRef(sheet.name, col, row),
-                    via_range=len(corners) == 2,
-                    ref_style=style,
-                ))
-    return resolved, dangling
-
-
-def resolve_references(wb: Workbook) -> list[ResolvedReference]:
-    """Expand every formula reference to single-cell arcs.
-
-    Ranges contribute one arc per member cell; duplicate references from the
-    same formula stay distinct. References to sheets that do not exist are
-    omitted (see :func:`find_dangling_references`).
-    """
-    return _resolve_all(wb)[0]
-
-
-def find_dangling_references(wb: Workbook) -> list[DanglingReference]:
-    return _resolve_all(wb)[1]
-
-
-def reference_delta(ref: ResolvedReference) -> Optional[tuple[int, int]]:
-    """(column delta, row delta) of an arc, or None for cross-sheet arcs."""
-    if (ref.from_cell.sheet or "").casefold() != (ref.to_cell.sheet or "").casefold():
-        return None
-    return (
-        ref.to_cell.column - ref.from_cell.column,
-        ref.to_cell.row - ref.from_cell.row,
-    )

@@ -1,6 +1,6 @@
 import pytest
 
-from cellgauge import build_graph, load_workbook_doc, resolve_references
+from cellgauge import build_graph, load_workbook_doc
 
 
 def make_workbook(sheets: dict[str, dict[str, object]]):
@@ -19,7 +19,7 @@ def make_workbook(sheets: dict[str, dict[str, object]]):
 
 def make_graph(sheets: dict[str, dict[str, object]]):
     wb = make_workbook(sheets)
-    return wb, build_graph(wb, resolve_references(wb))
+    return wb, build_graph(wb)
 
 
 # Two physically different implementations of the same weighted additive

@@ -20,11 +20,10 @@ from cellgauge import (
     emit_report,
     find_conditionals,
     formula_metrics,
-    resolve_references,
 )
 from cellgauge.metrics import check_range_linkage
 from cellgauge.refs import column_to_letters
-from cellgauge.reliability import cascade_reliability
+from cellgauge.reliability import cascade_reliability, cell_error_rates
 
 from conftest import FIVE_CELL_SHEETS, NINE_CELL_SHEETS, make_graph, make_workbook
 from test_conditionals import ORACLE_FIXTURES, enumerate_branch_selections
@@ -178,15 +177,10 @@ def test_criterion_07_reduction_to_uniform():
     cascades = 0
     for sheets in fixtures:
         wb, g = make_graph(sheets)
-        refs_by_cell = {}
-        for r in resolve_references(wb):
-            refs_by_cell.setdefault(r.from_cell.key(), []).append(r)
-        metrics = {
-            c.address: formula_metrics(c, refs_by_cell.get(c.address.key(), []))
-            for c in wb.iter_cells()
-        }
+        rates = cell_error_rates(
+            (formula_metrics(c, g.precedents(c.address)) for c in wb.iter_cells()), cfg)
         for t in g.bottom_line_cells():
-            rel = cascade_reliability(g.cascade_stats(t), metrics, cfg)
+            rel = cascade_reliability(g.cascade_stats(t), rates, cfg)
             assert rel.adjusted_e == pytest.approx(rel.uniform_e, rel=1e-12)
             cascades += 1
     assert cascades >= 5
@@ -198,11 +192,9 @@ def test_criterion_08_average_nesting_exact():
     token levels on the 25-formula corpus."""
     assert len(NL_CORPUS) == 25
     for formula, level_sum, count, _depth in NL_CORPUS:
-        wb = make_workbook({"S": {"Z9": formula}, "Data": {}})
+        wb, g = make_graph({"S": {"Z9": formula}, "Data": {}})
         cell = wb.cell("S!Z9")
-        refs = [r for r in resolve_references(wb)
-                if r.from_cell.key() == cell.address.key()]
-        m = formula_metrics(cell, refs)
+        m = formula_metrics(cell, g.precedents(cell.address))
         assert m.avg_nesting_level == Fraction(level_sum, count), formula
     worked = next(m for m in NL_CORPUS if m[0] == "=SUM(A1, MAX(B1,C1))")
     assert Fraction(worked[1], worked[2]) == Fraction(11, 5)

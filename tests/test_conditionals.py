@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -549,3 +550,60 @@ def test_cascade_report_only_members():
     }})
     report = cascade_conditional_report(g, cs, wb.cell("S!X1").address)
     assert [c.cell.render() for c, _ in report] == ["S!X1"]
+
+
+def test_cascade_conditionals_keep_construct_order():
+    # Each cascade lists the final constructs of its members in construct
+    # order, as the filter over every final construct did; the report and
+    # cascade_conditional_report agree.
+    checked = 0
+    for seed in range(120):
+        sheets = random_conditional_workbook(seed)
+        wb, g, cs = discovered(sheets)
+        complexity = all_complexities(cs, BetaConfig(0.0))
+        report = analyze_workbook(wb, AnalysisConfig())
+        for entry in report.cascades:
+            members = {a.key() for a in entry.stats.members}
+            expected = [(c, complexity[c.id]) for c in cs
+                        if c.is_final and c.cell.key() in members]
+            assert list(entry.conditionals) == expected, seed
+            assert cascade_conditional_report(g, cs, entry.stats.terminal) == expected
+            checked += len(expected) > 1
+    assert checked > 50
+
+
+def _lines_run(fn, modules):
+    """Lines executed inside ``modules`` while ``fn()`` runs."""
+    files = {m.__file__ for m in modules}
+    count = 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        if event == "line":
+            count += 1
+        return local
+
+    def tracer(frame, event, arg):
+        return local if frame.f_code.co_filename in files else None
+
+    old = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        fn()
+    finally:
+        sys.settrace(old)
+    return count
+
+
+def test_cascade_conditionals_work_is_linear_in_terminals():
+    # N independent IF terminals, each its own cascade with one final
+    # construct: choosing each cascade's constructs must not scan all of
+    # them, so doubling N at most about doubles the work.
+    from cellgauge import conditionals, report
+
+    def work(n):
+        wb = make_workbook({"S": {"A1": 1, **{f"B{r}": "=IF(A1>0,1,2)" for r in range(1, n + 1)}}})
+        return _lines_run(lambda: analyze_workbook(wb, AnalysisConfig()), (report, conditionals))
+
+    small, large = work(500), work(1000)
+    assert large < 2.2 * small, (small, large)

@@ -14,7 +14,6 @@ from cellgauge.metrics import (
     modular_metrics,
     spans,
 )
-from cellgauge.workbook import resolve_references
 
 from conftest import make_graph, make_workbook
 
@@ -179,10 +178,9 @@ NL_CORPUS = [
 
 @pytest.mark.parametrize("formula,level_sum,count,depth", NL_CORPUS)
 def test_nl_avg_exact_on_corpus(formula, level_sum, count, depth):
-    wb = make_workbook({"S": {"Z9": formula}, "Data": {}})
+    wb, g = make_graph({"S": {"Z9": formula}, "Data": {}})
     cell = wb.cell("S!Z9")
-    refs = [r for r in resolve_references(wb) if r.from_cell.key() == cell.address.key()]
-    m = formula_metrics(cell, refs)
+    m = formula_metrics(cell, g.precedents(cell.address))
     assert m.n_operators + m.n_operands == count
     assert m.avg_nesting_level == Fraction(level_sum, count)
     assert m.depth_of_nesting == depth
@@ -190,11 +188,9 @@ def test_nl_avg_exact_on_corpus(formula, level_sum, count, depth):
 
 
 def metrics_for(sheets, addr):
-    wb = make_workbook(sheets)
+    wb, g = make_graph(sheets)
     cell = wb.cell(addr)
-    refs = [r for r in resolve_references(wb)
-            if r.from_cell.key() == cell.address.key()]
-    return formula_metrics(cell, refs)
+    return formula_metrics(cell, g.precedents(cell.address))
 
 
 def test_formula_metrics_flat_example():

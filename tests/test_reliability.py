@@ -8,8 +8,8 @@ from cellgauge.reliability import (
     adjusted_cell_rate,
     bottom_line_error_rate,
     cascade_reliability,
+    cell_error_rates,
 )
-from cellgauge.workbook import resolve_references
 
 from conftest import FIVE_CELL_SHEETS, NINE_CELL_SHEETS, make_graph
 
@@ -85,21 +85,24 @@ def test_adjusted_rate_each_weight_contributes():
     assert adjusted_cell_rate(base, only_tokens) == pytest.approx(0.02 * 1.5)
 
 
-def analyzed(sheets, cfg=ReliabilityConfig()):
+def analyzed_with_rates(sheets, cfg=ReliabilityConfig()):
+    """Per cascade: its reliability and its members' rates in member order."""
     wb, g = make_graph(sheets)
-    refs_by_cell = {}
-    for r in resolve_references(wb):
-        refs_by_cell.setdefault(r.from_cell.key(), []).append(r)
-    metrics = {
-        c.address: formula_metrics(c, refs_by_cell.get(c.address.key(), []),
-                                   DispersionConfig())
-        for c in wb.iter_cells()
-    }
+    rates = cell_error_rates(
+        (formula_metrics(c, g.precedents(c.address), DispersionConfig())
+         for c in wb.iter_cells()),
+        cfg,
+    )
     out = []
     for t in g.bottom_line_cells():
         stats = g.cascade_stats(t)
-        out.append(cascade_reliability(stats, metrics, cfg))
+        out.append((cascade_reliability(stats, rates, cfg),
+                    [rates.get(a, adjusted_cell_rate(None, cfg)) for a in stats.members]))
     return out
+
+
+def analyzed(sheets, cfg=ReliabilityConfig()):
+    return [rel for rel, _ in analyzed_with_rates(sheets, cfg)]
 
 
 def test_five_cell_cascade_uniform_rate():
@@ -157,21 +160,21 @@ def test_adjusted_monotone_in_weights_and_base():
 
 def test_adjusted_bounds():
     for sheets in (FIVE_CELL_SHEETS, NINE_CELL_SHEETS):
-        (rel,) = analyzed(sheets)
+        ((rel, member_rates),) = analyzed_with_rates(sheets)
         assert 0.0 <= rel.adjusted_e < 1.0
-        lo = 1.0 - (1.0 - min(rel.per_cell_rates.values())) ** rel.n
-        hi = 1.0 - (1.0 - max(rel.per_cell_rates.values())) ** rel.n
+        lo = 1.0 - (1.0 - min(member_rates)) ** rel.n
+        hi = 1.0 - (1.0 - max(member_rates)) ** rel.n
         assert lo - 1e-12 <= rel.adjusted_e <= hi + 1e-12
 
 
 def test_materialized_cells_get_data_rate():
     wb, g = make_graph({"S": {"B1": "=A1*2"}})  # A1 empty -> materialized
     stats = g.cascade_stats("S!B1")
-    refs = resolve_references(wb)
-    metrics = {
-        c.address: formula_metrics(c, refs, DispersionConfig())
-        for c in wb.iter_cells()
-    }
-    rel = cascade_reliability(stats, metrics)
+    rates = cell_error_rates(
+        formula_metrics(c, g.precedents(c.address)) for c in wb.iter_cells())
     a1 = CellRef("S", 1, 1)
-    assert rel.per_cell_rates[a1] == pytest.approx(0.005)
+    assert a1 in stats.members and a1 not in rates
+    b1_rate = rates[CellRef("S", 2, 1)]
+    rel = cascade_reliability(stats, rates)
+    # A1 gets the data-cell rate, 0.02 * 0.25.
+    assert rel.adjusted_e == pytest.approx(1.0 - (1.0 - 0.005) * (1.0 - b1_rate))

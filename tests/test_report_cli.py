@@ -475,3 +475,37 @@ def test_audit_leaves_no_garbage_that_grows_with_the_input(tmp_path):
     codes = {w["code"] for w in json.loads((tmp_path / "r.json").read_text())["warnings"]}
     assert codes >= {"W001", "W002", "W003", "W004"}
     assert unreachable[100] == unreachable[2000]
+
+
+def test_graph_is_freed_before_range_linkage(monkeypatch):
+    # Range linkage does not read the graph, so the graph and everything
+    # built from it for cell metrics and cascades are gone by then.
+    import weakref
+
+    from cellgauge import report as report_mod
+
+    graphs = []
+    build, link = report_mod.build_graph, report_mod.check_range_linkage
+
+    def recording_build(wb):
+        g = build(wb)
+        graphs.append(weakref.ref(g))
+        return g
+
+    def checking_link(wb):
+        assert graphs and all(ref() is None for ref in graphs)
+        return link(wb)
+
+    monkeypatch.setattr(report_mod, "build_graph", recording_build)
+    monkeypatch.setattr(report_mod, "check_range_linkage", checking_link)
+    gc_was_enabled = gc.isenabled()
+    gc.disable()  # freed by reference counting alone, as in the CLI
+    try:
+        report = analyze_workbook(make_workbook({
+            "S": {"A1": 1, "A2": 2, "B1": "=A1*2", "B2": "=A2*2",
+                  "C1": "=IF(B1>0,SUM(B1:B2),Nope!A1)"},
+        }))
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+    assert report.cascades and report.warnings

@@ -3,34 +3,47 @@
 The reference-arc builder, range linkage and the conditional scan each used
 to resolve references on their own. Those versions are kept below verbatim
 as reference implementations; the resolving code of today must give the
-same arcs, dangling references, range-linkage findings and conditional
-constructs on seeded random multi-sheet workbooks.
+same arcs (as the graph's precedent lists and node order), dangling
+references, range-linkage findings and conditional constructs on seeded
+random multi-sheet workbooks.
 """
 
 import random
 from collections import Counter
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Union
 
 import pytest
 
-from cellgauge import conditionals, metrics, workbook
+from cellgauge import conditionals, metrics
 from cellgauge.formula import AstNode, CellRefNode, FormulaAst, RangeRefNode, walk
 from cellgauge.metrics import RangeLinkageFinding, _populated_extent, _runs_along
 from cellgauge.refs import CellRef, RangeRef
-from cellgauge.workbook import (
-    Cell,
-    DanglingReference,
-    ResolvedReference,
-    Sheet,
-    Workbook,
-    _style_of,
-)
+from cellgauge.workbook import Cell, DanglingReference, Sheet, Workbook
 
 from conftest import make_graph
 from test_conditionals import ORACLE_FIXTURES, _sheet_prefix, random_conditional_workbook
 
 
 # --- reference implementations, verbatim ------------------------------------------
+
+
+@dataclass(frozen=True)
+class ResolvedReference:
+    """One single-cell reference arc from a formula cell to a precedent."""
+
+    from_cell: CellRef
+    to_cell: CellRef
+    via_range: bool
+    ref_style: str  # "absolute" | "relative" | "mixed"
+
+
+def _style_of(flags: list[bool]) -> str:
+    if all(flags):
+        return "absolute"
+    if not any(flags):
+        return "relative"
+    return "mixed"
 
 
 def _resolve_all(wb: Workbook) -> tuple[list[ResolvedReference], list[DanglingReference]]:
@@ -265,11 +278,33 @@ def _construct_fields(constructs):
             for c in constructs]
 
 
+def assert_graph_matches_arcs(wb, g, arcs, dangling, label):
+    """The graph holds exactly the reference arcs: each formula's precedents
+    in reference order, populated cells as nodes in ``iter_cells`` order and
+    then empty targets in first-reference order, and the same dangling
+    references."""
+    by_cell: dict[CellRef, list[CellRef]] = {}
+    for a in arcs:
+        by_cell.setdefault(a.from_cell, []).append(a.to_cell)
+    for cell in wb.formula_cells():
+        assert g.precedents(cell.address) == by_cell.pop(cell.address, []), label
+    assert not by_cell, label
+    nodes = [c.address for c in wb.iter_cells()]
+    populated = {a.key() for a in nodes}
+    for a in arcs:
+        if a.to_cell.key() not in populated:
+            populated.add(a.to_cell.key())
+            nodes.append(a.to_cell)
+    assert g.nodes() == nodes, label
+    assert g.edge_count == len(arcs), label
+    assert g.dangling == dangling, label
+
+
 def assert_resolution_matches(wb, g, label, monkeypatch):
     """Today's results against the reference ones; returns the arcs, the
     dangling references, the findings and the constructs."""
     arcs, dangling = _resolve_all(wb)
-    assert workbook._resolve_all(wb) == (arcs, dangling), label
+    assert_graph_matches_arcs(wb, g, arcs, dangling, label)
     findings = check_range_linkage(wb)
     assert metrics.check_range_linkage(wb) == findings, label
     for cell in wb.formula_cells():

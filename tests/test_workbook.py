@@ -3,18 +3,17 @@ import json
 import pytest
 
 from cellgauge.errors import FormatError
+from cellgauge.graph import build_graph
+from cellgauge.metrics import DispersionConfig, formula_metrics
 from cellgauge.refs import CellRef
 from cellgauge.workbook import (
-    find_dangling_references,
     load_csv_grid,
     load_workbook,
     load_workbook_doc,
-    reference_delta,
-    resolve_references,
 )
 from cellgauge.formula import CellRefNode, RangeRefNode, walk
 
-from conftest import make_workbook
+from conftest import make_graph, make_workbook
 
 
 def test_csv_two_cell_grid():
@@ -37,14 +36,12 @@ def test_csv_typing_and_quoting():
 
 
 def test_doc_cross_sheet():
-    wb = make_workbook({
+    wb, g = make_graph({
         "In": {"A1": 1},
         "Out": {"A1": "=In!A1+1"},
     })
-    refs = resolve_references(wb)
-    assert len(refs) == 1
-    assert refs[0].to_cell == CellRef("In", 1, 1)
-    assert refs[0].from_cell == CellRef("Out", 1, 1)
+    assert g.edge_count == 1
+    assert g.precedents(CellRef("Out", 1, 1)) == [CellRef("In", 1, 1)]
 
 
 def test_bad_formula_degrades_to_string_with_warning():
@@ -104,87 +101,89 @@ def test_invalid_json_is_format_error(tmp_path):
 
 
 def test_duplicate_references_kept():
-    wb = make_workbook({"S": {"A1": 1, "B1": "=A1+A1"}})
-    refs = resolve_references(wb)
-    assert len(refs) == 2
-    assert all(r.to_cell == CellRef("S", 1, 1) for r in refs)
+    wb, g = make_graph({"S": {"A1": 1, "B1": "=A1+A1"}})
+    assert g.precedents("S!B1") == [CellRef("S", 1, 1)] * 2
+    assert g.edge_count == 2
 
 
 def test_range_expansion():
-    wb = make_workbook({"S": {"B1": "=SUM(A1:A3)"}})
-    refs = resolve_references(wb)
-    assert [r.to_cell.render(include_sheet=False) for r in refs] == ["A1", "A2", "A3"]
-    assert all(r.via_range for r in refs)
+    wb, g = make_graph({"S": {"B1": "=SUM(A1:A3)"}})
+    got = [p.render(include_sheet=False) for p in g.precedents("S!B1")]
+    assert got == ["A1", "A2", "A3"]
 
 
 def test_empty_workbook_resolves_empty():
-    wb = make_workbook({"S": {}})
-    assert resolve_references(wb) == []
-
-
-def test_ref_styles():
-    wb = make_workbook({"S": {
-        "B1": "=$A$1", "B2": "=A1", "B3": "=$A1", "B4": "=SUM($A$1:$A$2)",
-    }})
-    styles = {r.from_cell.render(include_sheet=False): r.ref_style
-              for r in resolve_references(wb)}
-    assert styles["B1"] == "absolute"
-    assert styles["B2"] == "relative"
-    assert styles["B3"] == "mixed"
-    assert styles["B4"] == "absolute"
+    wb, g = make_graph({"S": {}})
+    assert (g.node_count, g.edge_count, g.dangling) == (0, 0, [])
 
 
 def test_dangling_reference_detected():
-    wb = make_workbook({"S": {"A1": "=Missing!B2+1"}})
-    assert resolve_references(wb) == []
-    dangling = find_dangling_references(wb)
-    assert len(dangling) == 1
-    assert dangling[0].missing_sheet == "Missing"
+    wb, g = make_graph({"S": {"A1": "=Missing!B2+1"}})
+    assert g.precedents("S!A1") == [] and g.edge_count == 0
+    assert len(g.dangling) == 1
+    assert g.dangling[0].from_cell == CellRef("S", 1, 1)
+    assert g.dangling[0].target_text == "Missing!B2"
+    assert g.dangling[0].missing_sheet == "Missing"
 
 
 def test_sheet_names_match_case_insensitively():
-    wb = make_workbook({"Data": {"A1": 5}, "Out": {"A1": "=data!A1"}})
-    refs = resolve_references(wb)
-    assert refs[0].to_cell.sheet == "Data"  # canonical case restored
+    wb, g = make_graph({"Data": {"A1": 5}, "Out": {"A1": "=data!A1"}})
+    (p,) = g.precedents("Out!A1")
+    assert p.sheet == "Data"  # canonical case restored
+    assert p is wb.cell("Data!A1").address
 
 
 def test_reference_conservation():
-    wb = make_workbook({"S": {
+    wb, g = make_graph({"S": {
         "C1": "=A1+SUM(B1:B4)+A1*MAX(A1:B2,7)",
     }})
-    refs = resolve_references(wb)
     cell = wb.cell("S!C1")
     singles = sum(isinstance(n, CellRefNode) for n in walk(cell.ast.root))
     area = sum(
         n.ref.width * n.ref.height
         for n in walk(cell.ast.root) if isinstance(n, RangeRefNode)
     )
-    assert len(refs) == singles + area == 2 + 4 + 4
+    assert len(g.precedents("S!C1")) == g.edge_count == singles + area == 2 + 4 + 4
 
 
 # --- deltas --------------------------------------------------------------------
 
 
-def delta_of(formula, at="C3"):
-    wb = make_workbook({"S": {at: formula}})
-    return reference_delta(resolve_references(wb)[0])
+def deltas_of(wb, g, addr):
+    """(column delta, row delta) of each same-sheet precedent of a cell."""
+    at = wb.cell(addr).address
+    return [(p.column - at.column, p.row - at.row)
+            for p in g.precedents(at) if p.sheet == at.sheet]
+
+
+def metrics_of(formula, at="C3", mode="manhattan"):
+    wb, g = make_graph({"S": {at: formula}})
+    cell = wb.cell(f"S!{at}")
+    return deltas_of(wb, g, cell.address), formula_metrics(
+        cell, g.precedents(cell.address), DispersionConfig(mode=mode))
 
 
 def test_reference_delta_examples():
-    assert delta_of("=A1") == (-2, -2)
-    assert delta_of("=C10") == (0, 7)
+    deltas, m = metrics_of("=A1")
+    assert deltas == [(-2, -2)]
+    assert (m.delta_sum, m.col_span, m.row_span, m.forward_ref_count) == (4, 2, 2, 0)
+    deltas, m = metrics_of("=C10")
+    assert deltas == [(0, 7)]
+    assert (m.delta_sum, m.col_span, m.row_span, m.forward_ref_count) == (7, 0, 7, 1)
 
 
 def test_reference_delta_cross_sheet_marker():
-    wb = make_workbook({"In": {"A1": 1}, "Out": {"A1": "=In!A1"}})
-    assert reference_delta(resolve_references(wb)[0]) is None
+    wb, g = make_graph({"In": {"A1": 1}, "Out": {"A1": "=In!A1"}})
+    assert deltas_of(wb, g, "Out!A1") == []
+    m = formula_metrics(wb.cell("Out!A1"), g.precedents("Out!A1"))
+    assert (m.n_references, m.cross_sheet_ref_count) == (1, 1)
+    assert (m.delta_sum, m.col_span, m.row_span) == (0, 0, 0)
 
 
 def test_delta_antisymmetry():
-    wb = make_workbook({"S": {"C3": "=A1", "A1": "=C3"}})
-    refs = resolve_references(wb)
-    d1 = reference_delta(refs[0])
-    d2 = reference_delta(refs[1])
+    wb, g = make_graph({"S": {"C3": "=A1", "A1": "=C3"}})
+    (d1,) = deltas_of(wb, g, "S!C3")
+    (d2,) = deltas_of(wb, g, "S!A1")
     assert d1 == (-d2[0], -d2[1])
 
 
@@ -197,4 +196,7 @@ def test_loading_deterministic():
     wb2 = load_workbook_doc(doc)
     assert [s.name for s in wb1.sheets] == [s.name for s in wb2.sheets]
     assert [c.address for c in wb1.iter_cells()] == [c.address for c in wb2.iter_cells()]
-    assert resolve_references(wb1) == resolve_references(wb2)
+    g1, g2 = build_graph(wb1), build_graph(wb2)
+    assert g1.nodes() == g2.nodes()
+    assert ([g1.precedents(c.address) for c in wb1.formula_cells()]
+            == [g2.precedents(c.address) for c in wb2.formula_cells()])
