@@ -120,7 +120,7 @@ def _cmd_check_ranges(args: argparse.Namespace) -> int:
     except (OSError, FormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    findings = check_range_linkage(wb)
+    findings = check_range_linkage(wb, build_graph(wb))
     if not findings:
         print("no copied-formula runs detected")
         return 0

@@ -15,6 +15,8 @@ explicit stack. A cell that adds no IF and reads one non-empty frontier
 shares that frontier's frozenset. An IF argument reaches its own top-level
 IFs plus the frontiers of the cells it reads, and each formula's AST is
 walked once to collect both the IF nodes and those per-argument pieces.
+The cells a reference reads come from the dependency graph, which numbers
+references in ``walk`` order.
 
 The branch complexity of a construct with nested/precedent constructs S_i
 and N conditionless branches is ``(sum of their complexities + N)^(1+beta)``,
@@ -26,19 +28,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import CycleError, DomainError
 from .formula import CellRefNode, FunctionCall, RangeRefNode, child_nodes
 from .graph import CellGraph
 from .refs import CellRef
-from .workbook import Cell, Sheet, Workbook, resolve_reference
+from .workbook import Cell, Workbook
 
 ConstructId = tuple[CellRef, tuple[int, ...]]
 
 # What one expression reaches without crossing an IF: the ids of its
-# top-level IF calls, and its reference nodes outside any IF.
-_Reach = tuple[list[ConstructId], list[Union[CellRefNode, RangeRefNode]]]
+# top-level IF calls, and the ordinals of its references outside any IF.
+_Reach = tuple[list[ConstructId], list[int]]
 # The IF calls of one formula in path order, each as (path, reach of every
 # argument).
 _Ifs = list[tuple[tuple[int, ...], list[_Reach]]]
@@ -71,10 +73,13 @@ class ConditionalConstruct:
 
 
 def _walk_formula(cell: Cell) -> tuple[_Reach, _Ifs]:
-    """One pass over a formula: its own reach and its IF calls."""
+    """One pass over a formula: its own reach and its IF calls. The pass is
+    pre-order, so references are numbered in ``walk`` order, as the graph
+    lists their targets."""
     addr = cell.address
     own: _Reach = ([], [])
     ifs: _Ifs = []
+    ordinal = 0
     stack = [((), cell.ast.root, own)]
     while stack:
         path, node, reach = stack.pop()
@@ -85,7 +90,8 @@ def _walk_formula(cell: Cell) -> tuple[_Reach, _Ifs]:
             for i in range(len(args) - 1, -1, -1):
                 stack.append((path + (i,), node.args[i], args[i]))
         elif isinstance(node, (CellRefNode, RangeRefNode)):
-            reach[1].append(node)
+            reach[1].append(ordinal)
+            ordinal += 1
         else:
             children = child_nodes(node)
             for i in range(len(children) - 1, -1, -1):
@@ -93,19 +99,16 @@ def _walk_formula(cell: Cell) -> tuple[_Reach, _Ifs]:
     return own, ifs
 
 
-def _read_formula_cells(
-    wb: Workbook, nodes: Iterable[Union[CellRefNode, RangeRefNode]], own: Sheet
+def _formulas_read(
+    g: CellGraph, targets: list[list[int]], ordinals: Iterable[int]
 ) -> Iterator[Cell]:
-    """Formula cells behind the reference nodes of a formula on sheet ``own``,
-    resolved as the reference graph resolves them: a range expands cell by
-    cell, a missing sheet is skipped."""
-    for node in nodes:
-        sheet, targets = resolve_reference(wb, node, own)
-        if sheet is not None:
-            for key in targets:
-                target = sheet.cells.get(key)
-                if target is not None and target.ast is not None:
-                    yield target
+    """Formula cells behind the references ``ordinals`` of a formula whose
+    per-reference targets are ``targets``."""
+    for o in ordinals:
+        for t in targets[o]:
+            cell = g.formula_of(t)
+            if cell is not None:
+                yield cell
 
 
 def _merge(ifs: list[ConstructId], frontiers: list[frozenset]) -> frozenset:
@@ -134,8 +137,8 @@ class _Frontiers:
     chains.
     """
 
-    def __init__(self, wb: Workbook):
-        self.wb = wb
+    def __init__(self, g: CellGraph):
+        self.g = g
         self._known: dict[int, frozenset] = {}  # by id(cell)
         self._tops: dict[int, _Reach] = {}  # walked, frontier not yet built
         self._ahead: dict[int, _Ifs] = {}  # walked ahead of canonical order
@@ -178,8 +181,8 @@ class _Frontiers:
                 continue
             deps = reads.get(key)
             if deps is None:
-                own = self.wb.sheet(cell.address.sheet)
-                deps = reads[key] = list(_read_formula_cells(self.wb, top[1], own))
+                targets = self.g.reference_targets(cell.address)
+                deps = reads[key] = list(_formulas_read(self.g, targets, top[1]))
                 pending = [d for d in deps if id(d) not in known]
                 if pending:
                     for d in pending:
@@ -201,20 +204,22 @@ def find_conditionals(wb: Workbook, g: CellGraph) -> list[ConditionalConstruct]:
     if g.is_cyclic:
         raise CycleError([[a.render() for a in cyc] for cyc in g.cycles])
 
-    frontiers = _Frontiers(wb)
+    frontiers = _Frontiers(g)
     records: list[tuple[ConstructId, set[ConstructId], int]] = []
     reached: set[ConstructId] = set()
     for sheet in wb.sheets:  # canonical order: sheet, row, column, path
         formulas = sorted(key for key, c in sheet.cells.items() if c.ast is not None)
         for key in formulas:
             cell = sheet.cells[key]
-            for path, args in frontiers.ifs_of(cell):
+            ifs = frontiers.ifs_of(cell)
+            targets = g.reference_targets(cell.address) if ifs else []
+            for path, args in ifs:
                 m_set: set[ConstructId] = set()
                 n = 0
-                for arg_idx, (arg_ifs, nodes) in enumerate(args):
+                for arg_idx, (arg_ifs, ordinals) in enumerate(args):
                     hit = bool(arg_ifs)
                     m_set.update(arg_ifs)
-                    for target in _read_formula_cells(wb, nodes, sheet):
+                    for target in _formulas_read(g, targets, ordinals):
                         f = frontiers.of(target)
                         if f:
                             hit = True

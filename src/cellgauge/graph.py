@@ -1,11 +1,12 @@
 """Workbook dependency multigraph and cascade statistics.
 
-The graph is the one resolved form of a workbook's references. Each formula
-is resolved through ``workbook.resolve_reference`` straight into integer
-node ids: populated cells come first in ``iter_cells`` order, and a
+The graph is the only code that maps a reference to the cells it reads.
+Each formula's references are resolved in ``walk`` order straight into
+integer node ids: populated cells come first in ``iter_cells`` order, and a
 referenced empty cell is materialized as a zero-fan-in data node when it is
-first referenced. A reference to a missing sheet adds no edge and is kept in
-``CellGraph.dangling``.
+first referenced. A reference to a missing sheet reads nothing and is kept
+in ``CellGraph.dangling``. Conditional discovery and range linkage read each
+reference's targets from ``CellGraph.reference_targets``.
 
 Edges point in the direction of data flow (referenced cell -> referencing
 cell), one edge per resolved reference, so duplicate references and expanded
@@ -27,6 +28,7 @@ from __future__ import annotations
 import warnings as _warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Iterable, Optional, Union
 
 from .errors import (
@@ -39,9 +41,34 @@ from .errors import (
 )
 from .formula import CellRefNode, RangeRefNode, walk
 from .refs import CellRef, parse_cell_address
-from .workbook import DanglingReference, Workbook, resolve_reference
+from .workbook import Cell, Sheet, Workbook
 
 AddrLike = Union[CellRef, str]
+
+
+@dataclass(frozen=True)
+class DanglingReference:
+    """A formula reference that names a sheet the workbook does not have."""
+
+    from_cell: CellRef
+    target_text: str
+    missing_sheet: str
+
+
+def _resolve(
+    wb: Workbook, node: Union[CellRefNode, RangeRefNode], own: Sheet
+) -> tuple[Optional[Sheet], Iterable[tuple[int, int]]]:
+    """The sheet a reference reads (``own`` when unqualified, None when it is
+    missing) and the ``(row, column)`` keys it reads there, row-major."""
+    ref = node.ref
+    if isinstance(node, CellRefNode):
+        first, targets = ref, ((ref.row, ref.column),)
+    else:
+        first, last = ref.start, ref.end
+        rows = range(first.row, last.row + 1)
+        targets = product(rows, range(first.column, last.column + 1))
+    sheet = own if first.sheet is None else wb.sheet(first.sheet)
+    return sheet, targets
 
 
 @dataclass(frozen=True)
@@ -62,44 +89,47 @@ class CascadeStats:
 class CellGraph:
     """Immutable directed multigraph over the non-empty cells of a workbook.
 
-    Every formula is resolved here, through
-    :func:`~cellgauge.workbook.resolve_reference`, straight into node ids:
-    populated cells are nodes 0.. in ``iter_cells`` order, and each empty
-    cell becomes a node when it is first referenced. References to missing
-    sheets are collected in ``dangling`` and add no edge.
+    Every formula is resolved here straight into node ids: populated cells
+    are nodes 0.. in ``iter_cells`` order, and each empty cell becomes a node
+    when it is first referenced. References to missing sheets are collected
+    in ``dangling`` and add no edge.
     """
 
     def __init__(self, wb: Workbook):
         self._wb = wb
         self._addrs: list[CellRef] = []
-        self._is_formula: list[bool] = []
+        self._formulas: list[Optional[Cell]] = []  # None for a data cell
         self._sort_keys: list[tuple[int, int, int]] = []
         # Per node, in reference order: precedents (with multiplicity) and
         # dependents. Edges point in the direction of data flow.
         self._preds: list[list[int]] = []
         self._succs: list[list[int]] = []
+        # Per node, where each reference's targets end in its precedents.
+        self._ref_ends: list[tuple[int, ...]] = []
         # Per sheet name: the node id of each (row, column) key.
         self._ids: dict[str, dict[tuple[int, int], int]] = {}
         self.dangling: list[DanglingReference] = []
 
-        def add_node(addr: CellRef, is_formula: bool, sort_key: tuple[int, int, int]) -> int:
+        def add_node(addr: CellRef, formula: Optional[Cell], sort_key: tuple) -> int:
             self._addrs.append(addr)
-            self._is_formula.append(is_formula)
+            self._formulas.append(formula)
             self._sort_keys.append(sort_key)
             self._preds.append([])
             self._succs.append([])
+            self._ref_ends.append(())
             return len(self._addrs) - 1
 
         sheet_pos = {}
         for pos, sheet in enumerate(wb.sheets):
             sheet_pos[sheet.name] = pos
             self._ids[sheet.name] = {
-                key: add_node(cell.address, cell.is_formula, (pos,) + key)
+                key: add_node(cell.address, cell if cell.is_formula else None, (pos,) + key)
                 for key, cell in sheet.cells.items()
             }
         self._populated = len(self._addrs)
 
         edges = 0
+        layouts: dict[tuple[int, ...], tuple[int, ...]] = {}
         for own in wb.sheets:
             own_ids = self._ids[own.name]
             for key, cell in own.cells.items():
@@ -107,26 +137,30 @@ class CellGraph:
                     continue
                 dst = own_ids[key]
                 preds = self._preds[dst]
+                ends = []
                 for node in walk(cell.ast.root):
                     if not isinstance(node, (CellRefNode, RangeRefNode)):
                         continue
-                    sheet, targets = resolve_reference(wb, node, own)
+                    sheet, targets = _resolve(wb, node, own)
                     if sheet is None:
                         first = node.ref if isinstance(node, CellRefNode) else node.ref.start
                         self.dangling.append(
                             DanglingReference(cell.address, node.ref.render(), first.sheet))
-                        continue
-                    ids = self._ids[sheet.name]
-                    for target in targets:
-                        src = ids.get(target)
-                        if src is None:  # an empty cell, materialized as data
-                            row, column = target
-                            src = ids[target] = add_node(
-                                CellRef(sheet.name, column, row), False,
-                                (sheet_pos[sheet.name], row, column))
-                        preds.append(src)
-                        self._succs[src].append(dst)
-                        edges += 1
+                    else:
+                        ids = self._ids[sheet.name]
+                        for target in targets:
+                            src = ids.get(target)
+                            if src is None:  # an empty cell, materialized as data
+                                row, column = target
+                                src = ids[target] = add_node(
+                                    CellRef(sheet.name, column, row), None,
+                                    (sheet_pos[sheet.name], row, column))
+                            preds.append(src)
+                            self._succs[src].append(dst)
+                    ends.append(len(preds))
+                ends = tuple(ends)  # copies of one formula share one tuple
+                self._ref_ends[dst] = layouts.setdefault(ends, ends)
+                edges += len(preds)
 
         self.node_count = len(self._addrs)
         self.edge_count = edges
@@ -160,10 +194,25 @@ class CellGraph:
     def address_of(self, idx: int) -> CellRef:
         return self._addrs[idx]
 
+    def formula_of(self, idx: int) -> Optional[Cell]:
+        """The formula cell of a node; None for a data or empty cell."""
+        return self._formulas[idx]
+
     def precedents(self, addr: AddrLike) -> list[CellRef]:
         """The cells a cell reads, one per resolved reference, in reference
         order: ranges expanded row-major, duplicates kept."""
         return [self._addrs[p] for p in self._preds[self._idx(addr)]]
+
+    def reference_targets(self, addr: AddrLike) -> list[list[int]]:
+        """The node ids each reference of a cell's formula reads, one list
+        per reference in ``walk`` order: a range's cells row-major, and no
+        target for a reference to a missing sheet."""
+        idx = self._idx(addr)
+        preds, start, targets = self._preds[idx], 0, []
+        for end in self._ref_ends[idx]:
+            targets.append(preds[start:end])
+            start = end
+        return targets
 
     def _canonical(self, indices: Iterable[int]) -> list[int]:
         return sorted(indices, key=lambda i: self._sort_keys[i])
@@ -181,7 +230,7 @@ class CellGraph:
         idxs = [
             i
             for i in range(self.node_count)
-            if self._is_formula[i] and not self._succs[i]
+            if self._formulas[i] is not None and not self._succs[i]
         ]
         return [self._addrs[i] for i in self._canonical(idxs)]
 

@@ -7,8 +7,8 @@ copied-formula ranges, and cross-sheet coupling (data binding triples).
 For formula-size metrics a range reference is a single operand; reference
 counts, dispersion and spans use the cell's precedents in the dependency
 graph (one per member cell of a range), and the graph's cross-sheet arcs
-give the data binding triples. Range linkage resolves each formula of a run
-once, into one target list per reference slot.
+give the data binding triples. Range linkage reads each run formula's
+per-reference targets from the graph, one target list per reference slot.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .formula import (
 )
 from .graph import CellGraph
 from .refs import CellRef, RangeRef
-from .workbook import Cell, Workbook, resolve_reference
+from .workbook import Cell, Workbook
 
 _COMPARISONS = {"=", "<>", "<", "<=", ">", ">="}
 _LOGICAL_FUNCS = {"AND", "OR", "NOT"}
@@ -253,28 +253,6 @@ def _shift_key(node: AstNode, base_col: int, base_row: int) -> str:
     return "".join(parts)
 
 
-def _slot_targets(wb: Workbook, cell: Cell) -> list[Optional[tuple[CellRef, ...]]]:
-    """The cells each reference of a formula reads, in reference order; None
-    for a reference that names a missing sheet.
-
-    A populated target is its cell's own address object, so keeping the
-    slots of every run cell for both passes costs little memory.
-    """
-    own = wb.sheet(cell.address.sheet)
-    slots: list[Optional[tuple[CellRef, ...]]] = []
-    for node in walk(cell.ast.root):
-        if isinstance(node, (CellRefNode, RangeRefNode)):
-            sheet, targets = resolve_reference(wb, node, own)
-            if sheet is None:
-                slots.append(None)
-                continue
-            cells = sheet.cells
-            slots.append(tuple(
-                cells[t].address if t in cells else CellRef(sheet.name, t[1], t[0])
-                for t in targets))
-    return slots
-
-
 def _runs_along(cells: list[Cell], fixed: str,
                 keys: Optional[list[str]] = None) -> list[list[Cell]]:
     """Maximal runs of >= 2 consecutive shift-equivalent formula cells.
@@ -340,60 +318,47 @@ def _populated_extent(
 
 
 def _copied_runs(cells: list[Cell]) -> tuple[list[list[Cell]], list[list[Cell]]]:
-    """The vertical and the horizontal runs of ``cells``, keying each once.
-
-    The keys are dropped on return, so they are never held beside the slot
-    targets that ``check_range_linkage`` keeps for both passes.
-    """
+    """The vertical and the horizontal runs of ``cells``, keying each once."""
     keys = [_shift_key(c.ast.root, c.address.column, c.address.row) for c in cells]
     return _runs_along(cells, "column", keys), _runs_along(cells, "row", keys)
 
 
-def check_range_linkage(wb: Workbook) -> list[RangeLinkageFinding]:
+def check_range_linkage(wb: Workbook, g: CellGraph) -> list[RangeLinkageFinding]:
     """Audit copied-formula runs against their source regions.
 
     Detects maximal vertical and horizontal runs of shift-equivalent
     formulas; for every reference position shared by the run's formulas it
     compares the populated source extent against the expected one
     (``s`` for absolute references, run length + ``s`` - 1 for relative).
+    What each reference reads comes from ``g``, the graph of ``wb``; a
+    position where some formula names a missing sheet is skipped.
     """
     findings: list[RangeLinkageFinding] = []
     formula_cells = list(wb.formula_cells())
-    # A cell in a vertical and a horizontal run is resolved once, for both.
-    slots: dict[CellRef, list[Optional[tuple[CellRef, ...]]]] = {}
+    addr = g.address_of
     for vertical, runs in zip((True, False), _copied_runs(formula_cells)):
         for run in runs:
-            first, last = run[0].address, run[-1].address
-            target = RangeRef(
-                CellRef(first.sheet, first.column, first.row),
-                CellRef(last.sheet, last.column, last.row),
-            )
-            resolved = []
-            for cell in run:
-                cell_slots = slots.get(cell.address)
-                if cell_slots is None:
-                    cell_slots = slots[cell.address] = _slot_targets(wb, cell)
-                resolved.append(cell_slots)
+            target = RangeRef(run[0].address, run[-1].address)
+            resolved = [g.reference_targets(cell.address) for cell in run]
             for touched_sets in zip(*resolved):
-                if any(ts is None for ts in touched_sets):
+                if not all(touched_sets):  # a reference to a missing sheet
                     continue
                 s = len(touched_sets[0])
                 axis_ok = all(
-                    len({c.column for c in ts} if vertical else {c.row for c in ts}) == 1
+                    len({addr(i).column for i in ts} if vertical
+                        else {addr(i).row for i in ts}) == 1
                     for ts in touched_sets
                 )
                 if not axis_ok:
                     continue
-                keys = [frozenset(c.key() for c in ts) for ts in touched_sets]
+                # A node id stands for one cell, so id sets compare cell sets.
+                keys = [frozenset(ts) for ts in touched_sets]
                 style = "absolute" if all(k == keys[0] for k in keys) else "relative"
                 expected = s if style == "absolute" else len(run) + s - 1
-                union: dict[tuple, CellRef] = {}
-                for ts in touched_sets:
-                    for c in ts:
-                        union.setdefault(c.key(), c)
-                actual, bounds = _populated_extent(wb, list(union.values()), vertical)
+                union = [addr(i) for i in dict.fromkeys(i for ts in touched_sets for i in ts)]
+                actual, bounds = _populated_extent(wb, union, vertical)
                 if bounds is None:
-                    cells = sorted(union.values(), key=lambda c: (c.row, c.column))
+                    cells = sorted(union, key=lambda c: (c.row, c.column))
                     bounds = RangeRef(cells[0], cells[-1])
                 findings.append(RangeLinkageFinding(
                     source_range=bounds,

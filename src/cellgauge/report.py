@@ -1,9 +1,11 @@
 """Analysis pipeline and report emission.
 
 ``analyze`` runs load -> graph (every reference resolved into node ids) ->
-cell metrics -> conditionals -> cascades and reliability -> modular
-structure -> range linkage and collects per-cell problems as warnings
-instead of aborting; only unreadable or structurally invalid input raises.
+range linkage -> cell metrics -> conditionals -> cascades and reliability
+-> modular structure and collects per-cell problems as warnings instead of
+aborting; only unreadable or structurally invalid input raises. The graph
+resolves each reference once, and every later stage reads from it what a
+reference reads.
 The JSON form is canonical: sorted keys, floats rounded to six decimals,
 stable ordering everywhere, so identical input bytes and configuration
 produce byte-identical output.
@@ -104,18 +106,7 @@ def analyze_workbook(wb: Workbook, config: AnalysisConfig = AnalysisConfig(),
     """Run the full pipeline over an already-loaded workbook."""
     warnings: list[AuditWarning] = list(wb.warnings)
     # Every graph-wide temporary, the graph included, is freed on return.
-    cells, cascades, modular = _graph_analysis(wb, config, warnings)
-
-    findings = check_range_linkage(wb)
-    for f in findings:
-        if f.verdict == "violation":
-            warnings.append(AuditWarning(
-                W_RANGE_LINKAGE_VIOLATION,
-                f.target_range.render(),
-                f"{f.ref_style} linkage to {f.source_range.render()}: "
-                f"expected extent {f.expected_extent}, found {f.actual_extent}",
-            ))
-
+    cells, cascades, modular, findings = _graph_analysis(wb, config, warnings)
     warnings.sort(key=lambda w: (w.code, w.address, w.message))
     return WorkbookReport(
         tool_version=__version__,
@@ -131,9 +122,11 @@ def analyze_workbook(wb: Workbook, config: AnalysisConfig = AnalysisConfig(),
 
 def _graph_analysis(
     wb: Workbook, config: AnalysisConfig, warnings: list[AuditWarning],
-) -> tuple[list[CellMetrics], Optional[list[CascadeEntry]], ModularMetrics]:
-    """Cell metrics, cascades and modular metrics: every stage that reads
-    the dependency graph. Appends the graph's warnings to ``warnings``."""
+) -> tuple[list[CellMetrics], Optional[list[CascadeEntry]], ModularMetrics,
+           list[RangeLinkageFinding]]:
+    """Range linkage, cell metrics, cascades and modular metrics: every
+    stage that reads the dependency graph. Appends their warnings to
+    ``warnings``."""
     graph = build_graph(wb)
     for d in graph.dangling:
         warnings.append(AuditWarning(
@@ -148,6 +141,18 @@ def _graph_analysis(
             cyc[0].render(),
             "reference cycle: " + " -> ".join(a.render() for a in cyc),
         ))
+
+    # Range linkage runs first, so its temporaries sit beside the graph alone
+    # rather than beside every cell's metrics and cascade as well.
+    findings = check_range_linkage(wb, graph)
+    for f in findings:
+        if f.verdict == "violation":
+            warnings.append(AuditWarning(
+                W_RANGE_LINKAGE_VIOLATION,
+                f.target_range.render(),
+                f"{f.ref_style} linkage to {f.source_range.render()}: "
+                f"expected extent {f.expected_extent}, found {f.actual_extent}",
+            ))
 
     cells: list[CellMetrics] = []
     for cell in _canonical_cells(wb):
@@ -175,7 +180,7 @@ def _graph_analysis(
                 (c, complexity[c.id]) for c in cascade_finals(stats.members, finals)
             )
             cascades.append(CascadeEntry(stats, rel, conds))
-    return cells, cascades, modular_metrics(wb, graph)
+    return cells, cascades, modular_metrics(wb, graph), findings
 
 
 def analyze(path: Union[str, Path], config: AnalysisConfig = AnalysisConfig(),

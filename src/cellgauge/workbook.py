@@ -1,14 +1,13 @@
-"""Multi-sheet workbook model, file loading, and reference resolution.
+"""Multi-sheet workbook model and file loading.
 
 Two input formats are supported: a JSON workbook document (the canonical
 format) and a CSV grid that becomes a single sheet named ``Sheet1``. Cells
 whose text begins with ``=`` are parsed as formulas; malformed formulas are
 downgraded to string data cells with a W001 warning so an audit can proceed
-on broken workbooks.
+on broken workbooks. A CSV with malformed quoting is a FormatError.
 
-Every stage maps references to cells through :func:`resolve_reference`,
-which gives a reference's sheet and ``(row, column)`` targets; the
-dependency graph resolves each formula through it straight into node ids.
+The workbook holds cells only; the dependency graph (``graph.py``) is what
+maps a formula's references to the cells they read.
 """
 
 from __future__ import annotations
@@ -17,9 +16,8 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
-from itertools import product
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterator, Optional, Union
 
 from .errors import (
     AuditWarning,
@@ -27,12 +25,7 @@ from .errors import (
     FormulaSyntaxError,
     W_FORMULA_ERROR,
 )
-from .formula import (
-    CellRefNode,
-    FormulaAst,
-    RangeRefNode,
-    parse_formula,
-)
+from .formula import FormulaAst, parse_formula
 from .refs import CellRef, parse_cell_address
 
 DataValue = Union[float, str, bool]
@@ -195,28 +188,32 @@ def load_workbook_doc(doc: dict, provenance: str = "<doc>") -> Workbook:
 
 
 def load_csv_grid(text: str, provenance: str = "<csv>") -> Workbook:
-    """Load an RFC-4180 CSV grid as a single sheet named ``Sheet1``."""
+    """Load an RFC-4180 CSV grid as a single sheet named ``Sheet1``; bad
+    quoting or a field past the csv module's size limit is a FormatError."""
     wb = Workbook(provenance=provenance)
     sheet = Sheet(name="Sheet1")
     wb.add_sheet(sheet)
-    reader = csv.reader(io.StringIO(text))
-    for row_idx, row in enumerate(reader, start=1):
-        for col_idx, raw in enumerate(row, start=1):
-            if raw == "":
-                continue
-            address = CellRef("Sheet1", col_idx, row_idx)
-            if raw.startswith("="):
-                sheet.add(_make_cell(address, raw, wb.warnings, True))
-                continue
-            upper = raw.strip().upper()
-            if upper in ("TRUE", "FALSE"):
-                value: DataValue = upper == "TRUE"
-            else:
-                try:
-                    value = float(raw)
-                except ValueError:
-                    value = raw
-            sheet.add(Cell(address=address, value=value))
+    reader = csv.reader(io.StringIO(text), strict=True)
+    try:
+        for row_idx, row in enumerate(reader, start=1):
+            for col_idx, raw in enumerate(row, start=1):
+                if raw == "":
+                    continue
+                address = CellRef("Sheet1", col_idx, row_idx)
+                if raw.startswith("="):
+                    sheet.add(_make_cell(address, raw, wb.warnings, True))
+                    continue
+                upper = raw.strip().upper()
+                if upper in ("TRUE", "FALSE"):
+                    value: DataValue = upper == "TRUE"
+                else:
+                    try:
+                        value = float(raw)
+                    except ValueError:
+                        value = raw
+                sheet.add(Cell(address=address, value=value))
+    except csv.Error as exc:
+        raise FormatError(f"invalid CSV at line {reader.line_num}: {exc}") from exc
     return wb
 
 
@@ -251,35 +248,3 @@ def load_workbook(path: Union[str, Path], format: str = "auto",
     if format == "csv-grid":
         return load_csv_grid(text, provenance=str(path))
     raise FormatError(f"unknown format {format!r}")
-
-
-# --- Reference resolution ---------------------------------------------------
-
-@dataclass(frozen=True)
-class DanglingReference:
-    """A formula reference that names a sheet the workbook does not have."""
-
-    from_cell: CellRef
-    target_text: str
-    missing_sheet: str
-
-
-def resolve_reference(
-    wb: Workbook, node: Union[CellRefNode, RangeRefNode], own: Sheet
-) -> tuple[Optional[Sheet], Iterable[tuple[int, int]]]:
-    """The sheet a reference node reads and the cells it reads there.
-
-    ``own`` is the sheet of the formula holding the node; an unqualified
-    reference reads it. The sheet is None when the reference names a missing
-    sheet. Targets are ``(row, column)`` keys of :attr:`Sheet.cells`,
-    row-major, one per member cell of a range.
-    """
-    ref = node.ref
-    if isinstance(node, CellRefNode):
-        first, targets = ref, ((ref.row, ref.column),)
-    else:
-        first, last = ref.start, ref.end
-        rows = range(first.row, last.row + 1)
-        targets = product(rows, range(first.column, last.column + 1))
-    sheet = own if first.sheet is None else wb.sheet(first.sheet)
-    return sheet, targets

@@ -25,7 +25,7 @@ from cellgauge.metrics import check_range_linkage
 from cellgauge.refs import column_to_letters
 from cellgauge.reliability import cascade_reliability, cell_error_rates
 
-from conftest import FIVE_CELL_SHEETS, NINE_CELL_SHEETS, make_graph, make_workbook
+from conftest import FIVE_CELL_SHEETS, NINE_CELL_SHEETS, make_graph
 from test_conditionals import ORACLE_FIXTURES, enumerate_branch_selections
 from test_graph import oracle_stats, random_dag_workbook
 from test_metrics import DISPERSION_TABLE, NL_CORPUS
@@ -137,8 +137,7 @@ def test_criterion_06_range_linkage_rules():
     def run(data_rows, formula):
         cells = {f"A{r}": float(r) for r in data_rows}
         cells.update({f"B{r}": formula(r) for r in range(1, 6)})
-        wb = make_workbook({"S": cells})
-        (finding,) = check_range_linkage(wb)
+        (finding,) = check_range_linkage(*make_graph({"S": cells}))
         return finding
 
     ok_abs = run(range(1, 4), lambda r: "=SUM($A$1:$A$3)")

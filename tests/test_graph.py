@@ -145,6 +145,20 @@ def test_edge_count_excludes_dangling():
     assert g.has_cell("S!A2") and not g.has_cell("Missing!B1")
 
 
+def test_reference_targets_one_list_per_reference():
+    wb, g = make_graph({
+        "S": {"A1": 1, "B2": "=A1*2",
+              "C1": "=A1+SUM(A1:B2)+Missing!A1+t!A1+A1"},
+        "T": {"A1": "=S!B2"},
+    })
+    targets = g.reference_targets("S!C1")
+    assert [[g.address_of(i).render() for i in t] for t in targets] == [
+        ["S!A1"], ["S!A1", "S!B1", "S!A2", "S!B2"], [], ["T!A1"], ["S!A1"]]
+    assert [g.formula_of(t[0]) for t in targets if t] == [
+        None, None, wb.cell("T!A1"), None]
+    assert g.reference_targets("S!A1") == []
+
+
 def test_graph_build_deterministic():
     sheets = {"S": {
         "A1": 1, "A2": 2, "B1": "=A1+A2", "B2": "=SUM(A1:A2)", "C1": "=B1*B2",

@@ -304,6 +304,63 @@ def test_cli_check_ranges_none(tmp_path, capsys):
     assert "no copied-formula runs" in capsys.readouterr().out
 
 
+# Range linkage reads each reference's targets from the graph. On the cyclic
+# workbook every copied run is part of a cycle; on the other, some reference
+# slots name a missing sheet and are skipped.
+CHECK_RANGES_CASES = {
+    "cyclic": (
+        {**{f"A{r}": float(r) for r in range(1, 5)},
+         **{f"B{r}": f"=SUM(A{r}:A{r + 1})+C{r}" for r in range(1, 5)},
+         **{f"C{r}": f"=$A$1*D{r}" for r in range(1, 5)},
+         **{f"D{r}": f"=B{r}" for r in range(1, 5)}},
+        [
+            "VIOLATION S!B1:B4 [relative, s=2] source S!A1:A4 expected 5 actual 4",
+            "OK        S!B1:B4 [relative, s=1] source S!C1:C4 expected 4 actual 4",
+            "VIOLATION S!C1:C4 [absolute, s=1] source S!A1:A4 expected 1 actual 4",
+            "OK        S!C1:C4 [relative, s=1] source S!D1:D4 expected 4 actual 4",
+            "OK        S!D1:D4 [relative, s=1] source S!B1:B4 expected 4 actual 4",
+        ],
+    ),
+    "missing_sheet": (
+        {**{f"A{r}": float(r) for r in range(1, 4)},
+         **{f"B{r}": f"=Nope!A{r}+SUM($A$1:$A$2)+A{r}" for r in range(1, 5)},
+         **{f"{c}6": f"=Gone!{c}1*{c}5" for c in "ABC"}},
+        [
+            "VIOLATION S!B1:B4 [absolute, s=2] source S!A1:A3 expected 2 actual 3",
+            "VIOLATION S!B1:B4 [relative, s=1] source S!A1:A3 expected 4 actual 3",
+            "VIOLATION S!A6:C6 [relative, s=1] source S!A5:C5 expected 3 actual 0",
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHECK_RANGES_CASES))
+def test_cli_check_ranges_reads_the_graph(tmp_path, capsys, case):
+    cells, lines = CHECK_RANGES_CASES[case]
+    path = write_doc(tmp_path, {"S": cells})
+    assert main(["check-ranges", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == lines
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("text, message", [
+    # An unterminated quote would swallow the formula into one string cell.
+    ('1,"abc\n=A1+1\n', "invalid CSV at line 2: unexpected end of data"),
+    ('1\n"ab"c,2\n', "invalid CSV at line 2: ',' expected after '\"'"),
+    ("a" * 131_073 + "\n",
+     "invalid CSV at line 1: field larger than field limit (131072)"),
+], ids=["unterminated_quote", "text_after_quote", "field_too_large"])
+@pytest.mark.parametrize("command", ["analyze", "check-ranges"])
+def test_csv_load_errors_exit_two(tmp_path, capsys, command, text, message):
+    path = tmp_path / "grid.csv"
+    path.write_text(text)
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_csv_input_via_cli(tmp_path, capsys):
     path = tmp_path / "grid.csv"
     path.write_text("3,=A1*2\n")
@@ -475,37 +532,3 @@ def test_audit_leaves_no_garbage_that_grows_with_the_input(tmp_path):
     codes = {w["code"] for w in json.loads((tmp_path / "r.json").read_text())["warnings"]}
     assert codes >= {"W001", "W002", "W003", "W004"}
     assert unreachable[100] == unreachable[2000]
-
-
-def test_graph_is_freed_before_range_linkage(monkeypatch):
-    # Range linkage does not read the graph, so the graph and everything
-    # built from it for cell metrics and cascades are gone by then.
-    import weakref
-
-    from cellgauge import report as report_mod
-
-    graphs = []
-    build, link = report_mod.build_graph, report_mod.check_range_linkage
-
-    def recording_build(wb):
-        g = build(wb)
-        graphs.append(weakref.ref(g))
-        return g
-
-    def checking_link(wb):
-        assert graphs and all(ref() is None for ref in graphs)
-        return link(wb)
-
-    monkeypatch.setattr(report_mod, "build_graph", recording_build)
-    monkeypatch.setattr(report_mod, "check_range_linkage", checking_link)
-    gc_was_enabled = gc.isenabled()
-    gc.disable()  # freed by reference counting alone, as in the CLI
-    try:
-        report = analyze_workbook(make_workbook({
-            "S": {"A1": 1, "A2": 2, "B1": "=A1*2", "B2": "=A2*2",
-                  "C1": "=IF(B1>0,SUM(B1:B2),Nope!A1)"},
-        }))
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    assert report.cascades and report.warnings

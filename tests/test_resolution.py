@@ -1,28 +1,39 @@
-"""Oracle tests for the one reference-resolution layer.
+"""Oracle tests for the one reference resolution.
 
-The reference-arc builder, range linkage and the conditional scan each used
-to resolve references on their own. Those versions are kept below verbatim
-as reference implementations; the resolving code of today must give the
-same arcs (as the graph's precedent lists and node order), dangling
-references, range-linkage findings and conditional constructs on seeded
-random multi-sheet workbooks.
+The dependency graph is the only code that maps a reference to cells;
+conditional discovery and range linkage read each reference's targets from
+it. The reference-arc builder and range linkage that resolved references on
+their own are kept below verbatim as reference implementations: the graph
+must hold the same arcs (as its precedent lists and node order) and dangling
+references, and range linkage must give the same findings. Conditional
+discovery is checked against the independent naive scan of
+``test_conditionals``. Both run on the oracle fixtures and on seeded random
+multi-sheet workbooks with copied runs, missing-sheet references,
+cross-sheet ranges and duplicate references.
 """
 
 import random
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Union
+from typing import Optional
 
 import pytest
 
-from cellgauge import conditionals, metrics
+from cellgauge import graph, metrics
 from cellgauge.formula import AstNode, CellRefNode, FormulaAst, RangeRefNode, walk
+from cellgauge.graph import DanglingReference
 from cellgauge.metrics import RangeLinkageFinding, _populated_extent, _runs_along
 from cellgauge.refs import CellRef, RangeRef
-from cellgauge.workbook import Cell, DanglingReference, Sheet, Workbook
+from cellgauge.report import analyze_workbook
+from cellgauge.workbook import Workbook
 
-from conftest import make_graph
-from test_conditionals import ORACLE_FIXTURES, _sheet_prefix, random_conditional_workbook
+from conftest import make_graph, make_workbook
+from test_conditionals import (
+    ORACLE_FIXTURES,
+    _sheet_prefix,
+    assert_matches_naive,
+    random_conditional_workbook,
+)
 
 
 # --- reference implementations, verbatim ------------------------------------------
@@ -160,27 +171,6 @@ def check_range_linkage(wb: Workbook) -> list[RangeLinkageFinding]:
     return findings
 
 
-def _read_formula_cells(
-    wb: Workbook, nodes: Iterable[Union[CellRefNode, RangeRefNode]], own: Sheet
-) -> Iterator[Cell]:
-    """Formula cells behind the reference nodes of a formula on sheet ``own``,
-    resolved as the reference graph resolves them: a range expands cell by
-    cell, a missing sheet is skipped."""
-    for node in nodes:
-        if isinstance(node, CellRefNode):
-            first = last = node.ref
-        else:
-            first, last = node.ref.start, node.ref.end
-        sheet = own if first.sheet is None else wb.sheet(first.sheet)
-        if sheet is None:
-            continue
-        for row in range(first.row, last.row + 1):
-            for col in range(first.column, last.column + 1):
-                target = sheet.cell(col, row)
-                if target is not None and target.ast is not None:
-                    yield target
-
-
 # --- random workbooks with copied-formula runs -------------------------------------
 
 MISSING_PREFIXES = ("Nope!", "'No Such'!")
@@ -273,11 +263,6 @@ def random_run_workbook(seed, shapes):
 # --- the oracle ----------------------------------------------------------------------
 
 
-def _construct_fields(constructs):
-    return [(c.cell, c.path, c.nested_or_precedent, c.conditionless_branches, c.is_final)
-            for c in constructs]
-
-
 def assert_graph_matches_arcs(wb, g, arcs, dangling, label):
     """The graph holds exactly the reference arcs: each formula's precedents
     in reference order, populated cells as nodes in ``iter_cells`` order and
@@ -300,40 +285,30 @@ def assert_graph_matches_arcs(wb, g, arcs, dangling, label):
     assert g.dangling == dangling, label
 
 
-def assert_resolution_matches(wb, g, label, monkeypatch):
+def assert_resolution_matches(wb, g, label):
     """Today's results against the reference ones; returns the arcs, the
     dangling references, the findings and the constructs."""
     arcs, dangling = _resolve_all(wb)
     assert_graph_matches_arcs(wb, g, arcs, dangling, label)
     findings = check_range_linkage(wb)
-    assert metrics.check_range_linkage(wb) == findings, label
-    for cell in wb.formula_cells():
-        nodes = [n for n in walk(cell.ast.root) if isinstance(n, (CellRefNode, RangeRefNode))]
-        own = wb.sheet(cell.address.sheet)
-        got = list(conditionals._read_formula_cells(wb, nodes, own))
-        assert [id(c) for c in got] == [id(c) for c in _read_formula_cells(wb, nodes, own)]
-    constructs = conditionals.find_conditionals(wb, g)
-    with monkeypatch.context() as m:
-        m.setattr(conditionals, "_read_formula_cells", _read_formula_cells)
-        expected = conditionals.find_conditionals(wb, g)
-    assert _construct_fields(constructs) == _construct_fields(expected), label
+    assert metrics.check_range_linkage(wb, g) == findings, label
+    constructs = assert_matches_naive(wb, g, label)
     return arcs, dangling, findings, constructs
 
 
 @pytest.mark.parametrize("cells", ORACLE_FIXTURES)
-def test_resolution_matches_reference_on_fixtures(cells, monkeypatch):
+def test_resolution_matches_reference_on_fixtures(cells):
     wb, g = make_graph({"S": cells})
-    assert_resolution_matches(wb, g, cells, monkeypatch)
+    assert_resolution_matches(wb, g, cells)
 
 
-def test_resolution_matches_reference_on_random_workbooks(monkeypatch):
+def test_resolution_matches_reference_on_random_workbooks():
     shapes = Counter()
     seen = Counter()
     for seed in range(200):
         wb, g = make_graph(random_run_workbook(seed, shapes))
         assert not g.is_cyclic, seed
-        arcs, dangling, findings, constructs = assert_resolution_matches(
-            wb, g, seed, monkeypatch)
+        arcs, dangling, findings, constructs = assert_resolution_matches(wb, g, seed)
         per_run = Counter(f.target_range for f in findings)
         seen["constructs"] += len(constructs)
         seen["multi_slot_runs"] += sum(1 for n in per_run.values() if n >= 2)
@@ -358,3 +333,33 @@ def test_resolution_matches_reference_on_random_workbooks(monkeypatch):
                   "cross_sheet_random_case", "absolute_or_mixed_slot", "duplicate_slot"):
         assert shapes[shape] > 50, shapes
     assert min(seen.values()) > 50, seen
+
+
+def test_each_reference_is_resolved_once_per_audit(monkeypatch):
+    # Conditional discovery and range linkage read what the graph resolved,
+    # so an audit resolves every reference node exactly once.
+    wb = make_workbook({
+        "In": {"A1": 1, "A2": 2, "A3": 3, "B1": "=IF(A1>0,A2,A3)"},
+        "Calc": {
+            **{f"A{r}": f"=IF(A{r - 1}>0,A{r - 1},In!B1)" for r in range(2, 8)},
+            "A1": "=IF(In!A1>1,In!B1,0)",
+            **{f"B{r}": f"=SUM(In!$A$1:$A$3)+A{r}+Nope!C{r}" for r in range(1, 6)},
+            "C1": "=IF(A7>0,SUM(B1:B5),'No Such'!A1:B2)",
+        },
+    })
+    references = sum(
+        isinstance(node, (CellRefNode, RangeRefNode))
+        for cell in wb.formula_cells() for node in walk(cell.ast.root))
+    calls = []
+    resolve = graph._resolve
+
+    def counting_resolve(*args):
+        calls.append(args[1])
+        return resolve(*args)
+
+    monkeypatch.setattr(graph, "_resolve", counting_resolve)
+    report = analyze_workbook(wb)
+    assert len(calls) == references == 41
+    assert report.range_findings and report.cascades
+    assert any(c.conditionals for c in report.cascades)
+    assert {w.code for w in report.warnings} >= {"W002", "W005", "W006"}

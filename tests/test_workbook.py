@@ -25,12 +25,14 @@ def test_csv_two_cell_grid():
 
 
 def test_csv_typing_and_quoting():
-    wb = load_csv_grid('TRUE,false,hello,"=SUM(A1,B1)",1.5\n,still here\n')
+    wb = load_csv_grid('TRUE,false,hello,"=SUM(A1,B1)",1.5,"=IF(A2=""x"",1,2)"\n'
+                       ',still here\n')
     assert wb.cell("Sheet1!A1").value is True
     assert wb.cell("Sheet1!B1").value is False
     assert wb.cell("Sheet1!C1").value == "hello"
     assert wb.cell("Sheet1!D1").is_formula
     assert wb.cell("Sheet1!E1").value == 1.5
+    assert wb.cell("Sheet1!F1").ast.source == '=IF(A2="x",1,2)'
     assert wb.cell("Sheet1!A2") is None  # empty cells are skipped
     assert wb.cell("Sheet1!B2").value == "still here"
 
