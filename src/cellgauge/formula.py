@@ -17,12 +17,23 @@ parentheses do not add nesting.
 Parentheses and function calls may nest at most :data:`MAX_NESTING` levels
 deep (Excel's limit on nested functions), and a run of prefix minus signs
 may be at most that long; deeper formulas raise :class:`FormulaSyntaxError`,
-so the parser's call stack stays bounded.
+so the parser's call stack stays bounded. AST nodes compare and hash
+structurally, on an explicit stack, so a long flat chain needs no deep call
+stack there either (``repr`` still recurses).
+
+A formula's *shape* is the formula up to the shift of its relative
+references: ``=A1*2`` in B1 and ``=A2*2`` in B2 share one. :func:`shape_key`
+keys a text by its shape in one regex pass that finds the references where
+the lexer would, and :class:`FormulaShape` keeps one parsed template plus
+what the metrics need of its structure (operator and operand counts,
+nesting, decisions and the range-linkage shift key); ``ast_of_copy`` builds
+each further copy's own AST from the template and the copy's references.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 import re
 from dataclasses import dataclass
 from typing import Iterator, Optional, Union
@@ -33,46 +44,61 @@ from .refs import CellRef, RangeRef, letters_to_column, unquote_sheet_name
 
 # --- AST -----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NumberLiteral:
+class _Node:
+    """Structural ``==`` and ``hash`` for AST nodes, computed with an explicit
+    stack, so a 2,000-term flat sum compares and hashes without recursion."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if not isinstance(other, _Node):
+            return NotImplemented
+        return ast_equal(self, other)
+
+    def __hash__(self):
+        return ast_hash(self)
+
+
+@dataclass(frozen=True, eq=False)
+class NumberLiteral(_Node):
     value: float
 
 
-@dataclass(frozen=True)
-class StringLiteral:
+@dataclass(frozen=True, eq=False)
+class StringLiteral(_Node):
     value: str
 
 
-@dataclass(frozen=True)
-class BoolLiteral:
+@dataclass(frozen=True, eq=False)
+class BoolLiteral(_Node):
     value: bool
 
 
-@dataclass(frozen=True)
-class CellRefNode:
+@dataclass(frozen=True, eq=False)
+class CellRefNode(_Node):
     ref: CellRef
 
 
-@dataclass(frozen=True)
-class RangeRefNode:
+@dataclass(frozen=True, eq=False)
+class RangeRefNode(_Node):
     ref: RangeRef
 
 
-@dataclass(frozen=True)
-class UnaryOp:
+@dataclass(frozen=True, eq=False)
+class UnaryOp(_Node):
     op: str  # "-" (prefix) or "%" (postfix)
     child: "AstNode"
 
 
-@dataclass(frozen=True)
-class BinaryOp:
+@dataclass(frozen=True, eq=False)
+class BinaryOp(_Node):
     op: str
     left: "AstNode"
     right: "AstNode"
 
 
-@dataclass(frozen=True)
-class FunctionCall:
+@dataclass(frozen=True, eq=False)
+class FunctionCall(_Node):
     name: str  # stored upper-cased
     args: tuple["AstNode", ...]
 
@@ -113,6 +139,56 @@ def walk(node: AstNode) -> Iterator[AstNode]:
         n = stack.pop()
         yield n
         stack.extend(reversed(child_nodes(n)))
+
+
+def _label(node: AstNode) -> object:
+    """What a node holds besides its children."""
+    if isinstance(node, (UnaryOp, BinaryOp)):
+        return node.op
+    if isinstance(node, FunctionCall):
+        return node.name
+    if isinstance(node, (CellRefNode, RangeRefNode)):
+        return node.ref
+    return node.value
+
+
+def ast_equal(a: AstNode, b: AstNode) -> bool:
+    """Structural equality of two subtrees, on an explicit stack."""
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if x is y:
+            continue
+        if type(x) is not type(y):
+            return False
+        lx, ly = _label(x), _label(y)
+        if lx is not ly and lx != ly:
+            return False
+        cx, cy = child_nodes(x), child_nodes(y)
+        if len(cx) != len(cy):
+            return False
+        stack.extend(zip(cx, cy))
+    return True
+
+
+def ast_hash(node: AstNode) -> int:
+    """A hash consistent with :func:`ast_equal`, combined in post-order on an
+    explicit stack: a node is pushed again above its children and hashed
+    when popped the second time, from its children's hashes on ``done``."""
+    done: list[int] = []
+    stack: list[tuple[AstNode, bool]] = [(node, False)]
+    while stack:
+        n, children_done = stack.pop()
+        children = child_nodes(n)
+        if children and not children_done:
+            stack.append((n, True))
+            stack.extend((c, False) for c in reversed(children))
+            continue
+        first = len(done) - len(children)
+        hashes = tuple(done[first:])
+        del done[first:]
+        done.append(hash((type(n), _label(n), hashes)))
+    return done[0]
 
 
 # --- Lexer ---------------------------------------------------------------
@@ -556,3 +632,275 @@ def classify_tokens(ast: FormulaAst | AstNode) -> list[ClassifiedToken]:
         else:
             raise TypeError(f"not an AST node: {n!r}")
     return out
+
+
+# --- Per-formula measures -------------------------------------------------
+
+_COMPARISONS = {"=", "<>", "<", "<=", ">", ">="}
+_LOGICAL_FUNCS = {"AND", "OR", "NOT"}
+
+
+def _is_boolean_form(node: AstNode) -> bool:
+    if isinstance(node, BinaryOp) and node.op in _COMPARISONS:
+        return True
+    return isinstance(node, FunctionCall) and node.name in _LOGICAL_FUNCS
+
+
+def decision_count(ast: FormulaAst | AstNode) -> int:
+    """Number of simple conditions (atomic predicates) in one formula.
+
+    Each comparison operator is one condition; each AND/OR/NOT argument that
+    is not itself a comparison or logical call is one condition; a bare
+    non-boolean IF condition is one condition.
+    """
+    root = ast.root if isinstance(ast, FormulaAst) else ast
+    count = 0
+    for node in walk(root):
+        if isinstance(node, BinaryOp) and node.op in _COMPARISONS:
+            count += 1
+        elif isinstance(node, FunctionCall):
+            if node.name in _LOGICAL_FUNCS:
+                count += sum(1 for arg in node.args if not _is_boolean_form(arg))
+            elif node.name == "IF" and node.args:
+                cond = node.args[0]
+                if not _is_boolean_form(cond) and not isinstance(cond, BoolLiteral):
+                    count += 1
+    return count
+
+
+def shift_key(node: AstNode, base_col: int, base_row: int) -> str:
+    """Canonical formula text with relative reference parts as offsets.
+
+    Cells whose formulas are copies of each other (identical up to the
+    relative-reference shift) produce identical keys.
+    """
+
+    def enc_ref(ref: CellRef) -> str:
+        sheet = f"{ref.sheet.casefold()}!" if ref.sheet else ""
+        col = f"C{ref.column}" if ref.col_absolute else f"c[{ref.column - base_col}]"
+        row = f"R{ref.row}" if ref.row_absolute else f"r[{ref.row - base_row}]"
+        return sheet + col + row
+
+    # An explicit stack, so a long flat chain such as A1+A1+...+A1 needs no
+    # deep call stack; a string on the stack is emitted as is when popped.
+    parts: list[str] = []
+    stack: list[Union[AstNode, str]] = [node]
+    while stack:
+        n = stack.pop()
+        if isinstance(n, str):
+            parts.append(n)
+        elif isinstance(n, CellRefNode):
+            parts.append(enc_ref(n.ref))
+        elif isinstance(n, BinaryOp):
+            stack.extend((")", n.right, n.op, n.left, "("))
+        elif isinstance(n, NumberLiteral):
+            parts.append(render_number(n.value))
+        elif isinstance(n, RangeRefNode):
+            parts.append(enc_ref(n.ref.start) + ":" + enc_ref(n.ref.end))
+        elif isinstance(n, FunctionCall):
+            items: list[Union[AstNode, str]] = [f"{n.name}("]
+            for i, arg in enumerate(n.args):
+                if i:
+                    items.append(",")
+                items.append(arg)
+            items.append(")")
+            stack.extend(reversed(items))
+        elif isinstance(n, UnaryOp):
+            stack.extend((")", n.child, f"u{n.op}("))
+        elif isinstance(n, StringLiteral):
+            parts.append('"' + n.value + '"')
+        elif isinstance(n, BoolLiteral):
+            parts.append("TRUE" if n.value else "FALSE")
+        else:
+            raise TypeError(f"not an AST node: {n!r}")
+    return "".join(parts)
+
+
+# --- Formula shapes ---------------------------------------------------------
+
+# A reference token as _lex finds it: _REF, except that a reference with
+# neither a sheet nor a "$" is a function name when "(" follows it (LOG10).
+_REF_TOKEN = (
+    r"(?:(?:'(?:[^']|'')+'|[A-Za-z_][A-Za-z0-9_]*)!\$?[A-Za-z]{1,3}\$?[0-9]+"
+    r"|\$[A-Za-z]{1,3}\$?[0-9]+|[A-Za-z]{1,3}\$[0-9]+|[A-Za-z]{1,3}[0-9]+(?!\())"
+    r"(?![A-Za-z0-9_$])"
+)
+# One lexer token that is not a reference, matched exactly as _lex matches
+# it: a string (closed by the first quote run of odd length), a number, a
+# name where _lex sees no reference, or a run of whitespace, punctuation and
+# operator characters (each of those is a token of its own).
+_OTHER_TOKEN = (
+    r'"(?:[^"]|"")*"(?!")'
+    r"|(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+    rf"|(?!{_REF_TOKEN})[A-Za-z_][A-Za-z0-9_.]*"
+    r"|[ \t\r\n(),:<>=+\-*/^&%]+"
+)
+# The text up to and including the next reference, or up to the end of the
+# text when no reference follows. The run of other tokens is captured in a
+# lookahead, which never backtracks, so a reference is never found inside a
+# name or a number (AB1 in XYAB1, E5 in 1E5).
+_UP_TO_REF = re.compile(
+    rf"(?:(?=(?P<other>(?:{_OTHER_TOKEN})+))(?P=other))?(?:(?P<ref>{_REF_TOKEN})|\Z)"
+)
+
+_RefInfo = tuple[CellRef, Optional[str], bool, int, bool, int]
+
+
+def _ref_info(text: str) -> Optional[_RefInfo]:
+    """The reference _lex builds for a reference token; None for row 0."""
+    m = _REF.fullmatch(text)
+    row = int(m.group("row"))
+    if row < 1:
+        return None
+    sheet = m.group("sheet")
+    ref = CellRef(
+        sheet=unquote_sheet_name(sheet) if sheet else None,
+        column=letters_to_column(m.group("col")),
+        row=row,
+        col_absolute=m.group("colabs") == "$",
+        row_absolute=m.group("rowabs") == "$",
+    )
+    return ref, ref.sheet, ref.col_absolute, ref.column, ref.row_absolute, ref.row
+
+
+def shape_key(
+    text: str, column: int, row: int, memo: dict[str, Optional[_RefInfo]]
+) -> Optional[tuple[tuple, list[CellRef]]]:
+    """The shape key of a formula text in cell (column, row), and its refs.
+
+    One regex pass finds the reference tokens exactly where :func:`_lex`
+    finds them. The key is a tuple of the verbatim text between references
+    and, for each reference, its sheet and each absolute flag with the
+    absolute value or the offset from the cell, so two texts share a key
+    exactly when they are copies of one formula. The refs are those
+    ``_lex`` would build, in text order. None when the text cannot share a
+    shape: when it does not start with ``=``, holds a character no token
+    starts with, or a reference to row 0 (such texts fail to parse, and
+    each must report its own error offset). ``memo`` maps reference texts
+    to what they denote; it should live as long as one load.
+    """
+    if not text.startswith("="):
+        return None
+    match = _UP_TO_REF.match
+    key: list = []
+    refs: list[CellRef] = []
+    pos = 1
+    while True:
+        m = match(text, pos)
+        if m is None:  # a character no token starts with
+            return None
+        start = m.start("ref")
+        if start < 0:  # the end of the text
+            break
+        end = m.end()
+        token = text[start:end]
+        info = memo.get(token, False)
+        if info is False:
+            info = memo[token] = _ref_info(token)
+        if info is None:
+            return None
+        ref, sheet, col_abs, col, row_abs, ref_row = info
+        key.append(text[pos:start])
+        key += (sheet, col_abs, col if col_abs else col - column,
+                row_abs, ref_row if row_abs else ref_row - row)
+        refs.append(ref)
+        pos = end
+    key.append(text[pos:])
+    return tuple(key), refs
+
+
+class FormulaShape:
+    """A formula up to the shift of its relative references.
+
+    Copies of one formula share one shape. It holds the first copy's AST as
+    the template and what depends only on the formula's structure: operator
+    and operand counts, nesting depth and average level, and the decision
+    count. ``shift_key`` is the copies' common :func:`shift_key`, or None
+    when some range anchors one axis absolutely at one end and relatively
+    at the other: normalizing such a range can swap its ends from one copy
+    to the next, so each cell keys itself.
+    """
+
+    __slots__ = ("template", "n_operators", "n_operands", "depth_of_nesting",
+                 "avg_nesting_level", "decision_count", "shift_key", "_program")
+
+    def __init__(self, ast: FormulaAst, column: int, row: int):
+        self.template = ast
+        tokens = classify_tokens(ast)
+        levels = [t.nesting_level for t in tokens]
+        self.n_operators = sum(1 for t in tokens if t.kind == "operator")
+        self.n_operands = len(tokens) - self.n_operators
+        self.depth_of_nesting = max(levels)
+        self.avg_nesting_level = Fraction(sum(levels), len(levels))
+        self.decision_count = decision_count(ast)
+        uniform = all(
+            n.ref.start.col_absolute == n.ref.end.col_absolute
+            and n.ref.start.row_absolute == n.ref.end.row_absolute
+            for n in walk(ast.root) if isinstance(n, RangeRefNode)
+        )
+        self.shift_key = shift_key(ast.root, column, row) if uniform else None
+        self._program: Optional[list[tuple]] = None
+
+    def ast_of_copy(self, text: str, refs: list[CellRef]) -> FormulaAst:
+        """The AST of the copy ``text`` whose references are ``refs`` (text
+        order): the template with ``refs`` put in its reference leaves in
+        pre-order, each range normalized as the parser does. Subtrees
+        without a reference are shared with the template."""
+        if self._program is None:
+            self._program = _rebuild_program(self.template.root)
+        out: list = []
+        refs_left = iter(refs)
+        for step in self._program:
+            kind = step[0]
+            if kind == "keep":
+                out.append(step[1])
+            elif kind == "cell":
+                out.append(CellRefNode(next(refs_left)))
+            elif kind == "range":
+                start, end = next(refs_left), next(refs_left)
+                out.append(RangeRefNode(RangeRef.normalized(
+                    start, end.with_sheet(start.sheet) if start.sheet else end)))
+            elif kind == "unary":
+                out[-1] = UnaryOp(step[1], out[-1])
+            elif kind == "binary":
+                right = out.pop()
+                out[-1] = BinaryOp(step[1], out[-1], right)
+            else:
+                first = len(out) - step[2]
+                args = tuple(out[first:])
+                del out[first:]
+                out.append(FunctionCall(step[1], args))
+        return FormulaAst(root=out[0], source=text)
+
+
+def _rebuild_program(root: AstNode) -> list[tuple]:
+    """Post-order steps that rebuild ``root`` around new references; a
+    subtree without a reference is one ``keep`` step."""
+    has_ref: set[int] = set()  # ids of the nodes with a reference below
+    order = list(walk(root))
+    for node in reversed(order):  # children before parents
+        if isinstance(node, (CellRefNode, RangeRefNode)) or any(
+            id(c) in has_ref for c in child_nodes(node)
+        ):
+            has_ref.add(id(node))
+    program: list[tuple] = []
+    stack: list[tuple[AstNode, bool]] = [(root, False)]
+    while stack:
+        node, children_done = stack.pop()
+        if id(node) not in has_ref:
+            program.append(("keep", node))
+        elif isinstance(node, CellRefNode):
+            program.append(("cell",))
+        elif isinstance(node, RangeRefNode):
+            program.append(("range",))
+        elif children_done:
+            if isinstance(node, UnaryOp):
+                program.append(("unary", node.op))
+            elif isinstance(node, BinaryOp):
+                program.append(("binary", node.op))
+            else:
+                program.append(("call", node.name, len(node.args)))
+        else:
+            stack.append((node, True))
+            stack.extend((c, False) for c in reversed(child_nodes(node)))
+    return program

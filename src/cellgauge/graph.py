@@ -104,8 +104,6 @@ class CellGraph:
         # dependents. Edges point in the direction of data flow.
         self._preds: list[list[int]] = []
         self._succs: list[list[int]] = []
-        # Per node, where each reference's targets end in its precedents.
-        self._ref_ends: list[tuple[int, ...]] = []
         # Per sheet name: the node id of each (row, column) key.
         self._ids: dict[str, dict[tuple[int, int], int]] = {}
         self.dangling: list[DanglingReference] = []
@@ -116,7 +114,6 @@ class CellGraph:
             self._sort_keys.append(sort_key)
             self._preds.append([])
             self._succs.append([])
-            self._ref_ends.append(())
             return len(self._addrs) - 1
 
         sheet_pos = {}
@@ -127,6 +124,9 @@ class CellGraph:
                 for key, cell in sheet.cells.items()
             }
         self._populated = len(self._addrs)
+        # Per populated node, where each reference's targets end in its
+        # precedents; a materialized empty cell has no formula.
+        self._ref_ends: list[tuple[int, ...]] = [()] * self._populated
 
         edges = 0
         layouts: dict[tuple[int, ...], tuple[int, ...]] = {}
@@ -208,6 +208,8 @@ class CellGraph:
         per reference in ``walk`` order: a range's cells row-major, and no
         target for a reference to a missing sheet."""
         idx = self._idx(addr)
+        if idx >= self._populated:
+            return []
         preds, start, targets = self._preds[idx], 0, []
         for end in self._ref_ends[idx]:
             targets.append(preds[start:end])

@@ -9,6 +9,12 @@ counts, dispersion and spans use the cell's precedents in the dependency
 graph (one per member cell of a range), and the graph's cross-sheet arcs
 give the data binding triples. Range linkage reads each run formula's
 per-reference targets from the graph, one target list per reference slot.
+
+Sizes, nesting, decision counts and shift keys depend only on a formula's
+shape (``formula.FormulaShape``), which the load computes once for all the
+copies of a formula; they are read from the cell's shape, not recomputed
+per cell. Range linkage walks each populated source block once per axis,
+however many runs read it.
 """
 
 from __future__ import annotations
@@ -16,30 +22,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .errors import DomainError
-from .formula import (
-    AstNode,
-    BinaryOp,
-    BoolLiteral,
-    CellRefNode,
-    FormulaAst,
-    FunctionCall,
-    NumberLiteral,
-    RangeRefNode,
-    StringLiteral,
-    UnaryOp,
-    classify_tokens,
-    render_number,
-    walk,
-)
+from .formula import decision_count, shift_key  # decision_count is re-exported
 from .graph import CellGraph
 from .refs import CellRef, RangeRef
 from .workbook import Cell, Workbook
-
-_COMPARISONS = {"=", "<>", "<", "<=", ">", ">="}
-_LOGICAL_FUNCS = {"AND", "OR", "NOT"}
 
 DISPERSION_MODES = ("product", "manhattan", "euclidean")
 
@@ -112,34 +101,6 @@ def spans(deltas: Sequence[tuple[int, int]]) -> tuple[int, int]:
     )
 
 
-def _is_boolean_form(node: AstNode) -> bool:
-    if isinstance(node, BinaryOp) and node.op in _COMPARISONS:
-        return True
-    return isinstance(node, FunctionCall) and node.name in _LOGICAL_FUNCS
-
-
-def decision_count(ast: FormulaAst | AstNode) -> int:
-    """Number of simple conditions (atomic predicates) in one formula.
-
-    Each comparison operator is one condition; each AND/OR/NOT argument that
-    is not itself a comparison or logical call is one condition; a bare
-    non-boolean IF condition is one condition.
-    """
-    root = ast.root if isinstance(ast, FormulaAst) else ast
-    count = 0
-    for node in walk(root):
-        if isinstance(node, BinaryOp) and node.op in _COMPARISONS:
-            count += 1
-        elif isinstance(node, FunctionCall):
-            if node.name in _LOGICAL_FUNCS:
-                count += sum(1 for arg in node.args if not _is_boolean_form(arg))
-            elif node.name == "IF" and node.args:
-                cond = node.args[0]
-                if not _is_boolean_form(cond) and not isinstance(cond, BoolLiteral):
-                    count += 1
-    return count
-
-
 def formula_metrics(
     cell: Cell,
     precedents: Sequence[CellRef],
@@ -151,13 +112,11 @@ def formula_metrics(
     own precedent addresses in reference order (ranges expanded, duplicates
     kept), as :meth:`CellGraph.precedents` gives them. A precedent on
     another sheet counts as cross-sheet; the rest give (column, row) deltas.
+    Sizes, nesting and decisions come from the cell's shape.
     """
     if not cell.is_formula:
         return CellMetrics(address=cell.address)
-    tokens = classify_tokens(cell.ast)
-    n_operators = sum(1 for t in tokens if t.kind == "operator")
-    n_operands = len(tokens) - n_operators
-    levels = [t.nesting_level for t in tokens]
+    shape = cell.shape
     at = cell.address
     deltas = [(p.column - at.column, p.row - at.row)
               for p in precedents if p.sheet == at.sheet]
@@ -169,11 +128,11 @@ def formula_metrics(
     )
     return CellMetrics(
         address=cell.address,
-        n_operators=n_operators,
-        n_operands=n_operands,
-        depth_of_nesting=max(levels),
-        avg_nesting_level=Fraction(sum(levels), len(levels)),
-        decision_count=decision_count(cell.ast),
+        n_operators=shape.n_operators,
+        n_operands=shape.n_operands,
+        depth_of_nesting=shape.depth_of_nesting,
+        avg_nesting_level=shape.avg_nesting_level,
+        decision_count=shape.decision_count,
         n_references=len(precedents),
         dispersion=dr,
         delta_sum=delta_sum,
@@ -205,52 +164,14 @@ class RangeLinkageFinding:
     verdict: str  # "ok" | "violation"
 
 
-def _shift_key(node: AstNode, base_col: int, base_row: int) -> str:
-    """Canonical formula text with relative reference parts as offsets.
-
-    Cells whose formulas are copies of each other (identical up to the
-    relative-reference shift) produce identical keys.
-    """
-
-    def enc_ref(ref: CellRef) -> str:
-        sheet = f"{ref.sheet.casefold()}!" if ref.sheet else ""
-        col = f"C{ref.column}" if ref.col_absolute else f"c[{ref.column - base_col}]"
-        row = f"R{ref.row}" if ref.row_absolute else f"r[{ref.row - base_row}]"
-        return sheet + col + row
-
-    # An explicit stack, so a long flat chain such as A1+A1+...+A1 needs no
-    # deep call stack; a string on the stack is emitted as is when popped.
-    parts: list[str] = []
-    stack: list[Union[AstNode, str]] = [node]
-    while stack:
-        n = stack.pop()
-        if isinstance(n, str):
-            parts.append(n)
-        elif isinstance(n, CellRefNode):
-            parts.append(enc_ref(n.ref))
-        elif isinstance(n, BinaryOp):
-            stack.extend((")", n.right, n.op, n.left, "("))
-        elif isinstance(n, NumberLiteral):
-            parts.append(render_number(n.value))
-        elif isinstance(n, RangeRefNode):
-            parts.append(enc_ref(n.ref.start) + ":" + enc_ref(n.ref.end))
-        elif isinstance(n, FunctionCall):
-            items: list[Union[AstNode, str]] = [f"{n.name}("]
-            for i, arg in enumerate(n.args):
-                if i:
-                    items.append(",")
-                items.append(arg)
-            items.append(")")
-            stack.extend(reversed(items))
-        elif isinstance(n, UnaryOp):
-            stack.extend((")", n.child, f"u{n.op}("))
-        elif isinstance(n, StringLiteral):
-            parts.append('"' + n.value + '"')
-        elif isinstance(n, BoolLiteral):
-            parts.append("TRUE" if n.value else "FALSE")
-        else:
-            raise TypeError(f"not an AST node: {n!r}")
-    return "".join(parts)
+def _shift_keys(cells: list[Cell]) -> list[str]:
+    """Each formula cell's shift key: its shape's, unless the shape keys
+    each cell (see ``FormulaShape.shift_key``)."""
+    return [
+        c.shape.shift_key if c.shape.shift_key is not None
+        else shift_key(c.ast.root, c.address.column, c.address.row)
+        for c in cells
+    ]
 
 
 def _runs_along(cells: list[Cell], fixed: str,
@@ -262,7 +183,7 @@ def _runs_along(cells: list[Cell], fixed: str,
     it is computed here when not given.
     """
     if keys is None:
-        keys = [_shift_key(c.ast.root, c.address.column, c.address.row) for c in cells]
+        keys = _shift_keys(cells)
     groups: dict[tuple, list[tuple[int, str, Cell]]] = {}
     for cell, key_text in zip(cells, keys):
         a = cell.address
@@ -287,29 +208,42 @@ def _runs_along(cells: list[Cell], fixed: str,
 
 
 def _populated_extent(
-    wb: Workbook, union: list[CellRef], vertical: bool
+    wb: Workbook, union: list[CellRef], vertical: bool,
+    blocks: Optional[dict[tuple, tuple[int, int]]] = None,
 ) -> tuple[int, Optional[RangeRef]]:
     """Size and bounds of the contiguous populated source run.
 
     Anchored at the first (top-most/left-most) referenced cell that is
-    populated; 0 when no referenced cell is populated.
+    populated; 0 when no referenced cell is populated. ``blocks`` keeps the
+    bounds of every block walked, by (sheet, axis, line, position), so calls
+    that share it walk each cell at most once per axis.
     """
     union = sorted(union, key=lambda c: (c.row, c.column) if vertical else (c.column, c.row))
     anchor = next((c for c in union if wb.cell(c) is not None), None)
     if anchor is None:
         return 0, None
     sheet, col, row = anchor.sheet, anchor.column, anchor.row
-
-    def populated(pos: int) -> bool:
-        c = CellRef(sheet, col, pos) if vertical else CellRef(sheet, pos, row)
-        return wb.cell(c) is not None
-
-    lo = anchor.row if vertical else anchor.column
-    hi = lo
-    while lo > 1 and populated(lo - 1):
-        lo -= 1
-    while populated(hi + 1):
-        hi += 1
+    line, pos = (col, row) if vertical else (row, col)
+    if blocks is None:
+        blocks = {}
+    found = blocks.get((sheet, vertical, line, pos))
+    if found is None:
+        cells = wb.sheet(sheet).cells
+        if vertical:
+            def populated(p: int) -> bool:
+                return (p, col) in cells
+        else:
+            def populated(p: int) -> bool:
+                return (row, p) in cells
+        lo = hi = pos
+        while lo > 1 and populated(lo - 1):
+            lo -= 1
+        while populated(hi + 1):
+            hi += 1
+        found = (lo, hi)
+        for p in range(lo, hi + 1):
+            blocks[(sheet, vertical, line, p)] = found
+    lo, hi = found
     if vertical:
         bounds = RangeRef(CellRef(sheet, col, lo), CellRef(sheet, col, hi))
     else:
@@ -319,7 +253,7 @@ def _populated_extent(
 
 def _copied_runs(cells: list[Cell]) -> tuple[list[list[Cell]], list[list[Cell]]]:
     """The vertical and the horizontal runs of ``cells``, keying each once."""
-    keys = [_shift_key(c.ast.root, c.address.column, c.address.row) for c in cells]
+    keys = _shift_keys(cells)
     return _runs_along(cells, "column", keys), _runs_along(cells, "row", keys)
 
 
@@ -336,6 +270,7 @@ def check_range_linkage(wb: Workbook, g: CellGraph) -> list[RangeLinkageFinding]
     findings: list[RangeLinkageFinding] = []
     formula_cells = list(wb.formula_cells())
     addr = g.address_of
+    blocks: dict[tuple, tuple[int, int]] = {}
     for vertical, runs in zip((True, False), _copied_runs(formula_cells)):
         for run in runs:
             target = RangeRef(run[0].address, run[-1].address)
@@ -356,7 +291,7 @@ def check_range_linkage(wb: Workbook, g: CellGraph) -> list[RangeLinkageFinding]
                 style = "absolute" if all(k == keys[0] for k in keys) else "relative"
                 expected = s if style == "absolute" else len(run) + s - 1
                 union = [addr(i) for i in dict.fromkeys(i for ts in touched_sets for i in ts)]
-                actual, bounds = _populated_extent(wb, union, vertical)
+                actual, bounds = _populated_extent(wb, union, vertical, blocks)
                 if bounds is None:
                     cells = sorted(union, key=lambda c: (c.row, c.column))
                     bounds = RangeRef(cells[0], cells[-1])

@@ -6,6 +6,15 @@ whose text begins with ``=`` are parsed as formulas; malformed formulas are
 downgraded to string data cells with a W001 warning so an audit can proceed
 on broken workbooks. A CSV with malformed quoting is a FormatError.
 
+Most formulas in a model are copies of one another, identical up to the
+shift of their relative references. One load keys each formula text by its
+shape (``formula.shape_key``: one regex pass that also yields the text's
+references) and parses only the first text of each shape; every later copy
+gets its own AST, built from that template and its own references. Every
+formula cell carries its ``FormulaShape``, which holds the measures that do
+not depend on where the copy sits. A text that fails to parse is never a
+template: each such text is parsed, and reports its error offset, on its own.
+
 The workbook holds cells only; the dependency graph (``graph.py``) is what
 maps a formula's references to the cells they read.
 """
@@ -25,7 +34,7 @@ from .errors import (
     FormulaSyntaxError,
     W_FORMULA_ERROR,
 )
-from .formula import FormulaAst, parse_formula
+from .formula import FormulaAst, FormulaShape, parse_formula, shape_key
 from .refs import CellRef, parse_cell_address
 
 DataValue = Union[float, str, bool]
@@ -33,11 +42,13 @@ DataValue = Union[float, str, bool]
 
 @dataclass(frozen=True)
 class Cell:
-    """A non-empty cell: either data (``value``) or a formula (``ast``)."""
+    """A non-empty cell: either data (``value``) or a formula (``ast``, with
+    the ``shape`` it shares with its copies)."""
 
     address: CellRef  # sheet always set, no absolute markers
     value: Optional[DataValue] = None
     ast: Optional[FormulaAst] = None
+    shape: Optional[FormulaShape] = field(default=None, compare=False, repr=False)
 
     @property
     def is_formula(self) -> bool:
@@ -115,18 +126,34 @@ def _typed_value(raw: object) -> DataValue:
     raise FormatError(f"cell value must be number, string or boolean, got {raw!r}")
 
 
+@dataclass
+class _Shapes:
+    """The formula shapes of one load by shape key, and what each reference
+    text denotes (``shape_key``'s memo)."""
+
+    by_key: dict[tuple, FormulaShape] = field(default_factory=dict)
+    refs: dict = field(default_factory=dict)
+
+
 def _make_cell(address: CellRef, text_or_value, warnings: list[AuditWarning],
-               is_formula: bool) -> Cell:
-    if is_formula:
-        try:
-            ast = parse_formula(text_or_value)
-        except FormulaSyntaxError as exc:
-            warnings.append(
-                AuditWarning(W_FORMULA_ERROR, address.render(), str(exc))
-            )
-            return Cell(address=address, value=str(text_or_value))
-        return Cell(address=address, ast=ast)
-    return Cell(address=address, value=_typed_value(text_or_value))
+               is_formula: bool, shapes: _Shapes) -> Cell:
+    if not is_formula:
+        return Cell(address=address, value=_typed_value(text_or_value))
+    keyed = shape_key(text_or_value, address.column, address.row, shapes.refs)
+    shape = shapes.by_key.get(keyed[0]) if keyed is not None else None
+    if shape is not None:
+        return Cell(address=address, ast=shape.ast_of_copy(text_or_value, keyed[1]), shape=shape)
+    try:
+        ast = parse_formula(text_or_value)
+    except FormulaSyntaxError as exc:
+        warnings.append(
+            AuditWarning(W_FORMULA_ERROR, address.render(), str(exc))
+        )
+        return Cell(address=address, value=str(text_or_value))
+    shape = FormulaShape(ast, address.column, address.row)
+    if keyed is not None:
+        shapes.by_key[keyed[0]] = shape
+    return Cell(address=address, ast=ast, shape=shape)
 
 
 def load_workbook_doc(doc: dict, provenance: str = "<doc>") -> Workbook:
@@ -144,6 +171,7 @@ def load_workbook_doc(doc: dict, provenance: str = "<doc>") -> Workbook:
     if not isinstance(sheets, list):
         raise FormatError('"sheets" must be a list')
     wb = Workbook(provenance=provenance)
+    shapes = _Shapes()
     for sheet_doc in sheets:
         if not isinstance(sheet_doc, dict):
             raise FormatError("sheet entry must be an object")
@@ -183,7 +211,7 @@ def load_workbook_doc(doc: dict, provenance: str = "<doc>") -> Workbook:
             if has_formula and not isinstance(cell_doc["formula"], str):
                 raise FormatError(f'cell {ref_text} "formula" must be a string')
             payload = cell_doc["formula"] if has_formula else cell_doc["value"]
-            sheet.add(_make_cell(address, payload, wb.warnings, has_formula))
+            sheet.add(_make_cell(address, payload, wb.warnings, has_formula, shapes))
     return wb
 
 
@@ -193,6 +221,7 @@ def load_csv_grid(text: str, provenance: str = "<csv>") -> Workbook:
     wb = Workbook(provenance=provenance)
     sheet = Sheet(name="Sheet1")
     wb.add_sheet(sheet)
+    shapes = _Shapes()
     reader = csv.reader(io.StringIO(text), strict=True)
     try:
         for row_idx, row in enumerate(reader, start=1):
@@ -201,7 +230,7 @@ def load_csv_grid(text: str, provenance: str = "<csv>") -> Workbook:
                     continue
                 address = CellRef("Sheet1", col_idx, row_idx)
                 if raw.startswith("="):
-                    sheet.add(_make_cell(address, raw, wb.warnings, True))
+                    sheet.add(_make_cell(address, raw, wb.warnings, True, shapes))
                     continue
                 upper = raw.strip().upper()
                 if upper in ("TRUE", "FALSE"):

@@ -355,6 +355,19 @@ def test_long_flat_sum_classifies_in_order():
     assert {t.nesting_level for t in tokens} == {1}
 
 
+def test_long_flat_sum_compares_and_hashes():
+    # == and hash() walk the 2,000-level chain on an explicit stack.
+    text = "=" + "+".join(f"A{r}" for r in range(1, 2001))
+    a, b = parse_formula(text), parse_formula(text)
+    assert a.root is not b.root
+    assert a == b and a.root == b.root
+    assert hash(a) == hash(b) and len({a.root, b.root}) == 1
+    other = parse_formula(text[:-4] + "A2001")
+    assert a.root != other.root
+    assert parse_formula("=A1+B1").root != parse_formula("=A1-B1").root
+    assert parse_formula("=SUM(A1)").root != parse_formula("=SUM(A1,A1)").root
+
+
 # --- Rendering without recursion -------------------------------------------------
 
 

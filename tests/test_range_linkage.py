@@ -155,3 +155,33 @@ def test_fully_empty_source_reports_zero_extent():
     f = check_range_linkage(wb, build_graph(wb))[0]
     assert f.actual_extent == 0
     assert f.verdict == "violation"
+
+
+def alternating_pairs(n):
+    """Column A holds data in rows 1..n; column B alternates =A{r}*2 and
+    =A{r}+2 in pairs, so every run is two cells over one tall column."""
+    cells = {f"A{r}": float(r) for r in range(1, n + 1)}
+    cells.update({f"B{r}": f"=A{r}*2" if (r - 1) // 2 % 2 == 0 else f"=A{r}+2"
+                  for r in range(1, n + 1)})
+    return make_workbook({"S": cells})
+
+
+def test_short_runs_over_a_tall_column_are_linear():
+    # Each run's source extent is the whole column; walking it once per run
+    # made range linkage quadratic in the column's height.
+    from cellgauge import metrics
+    from test_conditionals import _lines_run
+    from test_resolution import check_range_linkage as reference
+
+    def work(n):
+        wb = alternating_pairs(n)
+        g = build_graph(wb)
+        return _lines_run(lambda: check_range_linkage(wb, g), (metrics,))
+
+    small, large = work(500), work(1000)
+    assert large < 2.2 * small, (small, large)
+    wb = alternating_pairs(40)
+    findings = check_range_linkage(wb, build_graph(wb))
+    assert findings == reference(wb)
+    assert {(f.actual_extent, f.verdict) for f in findings} == {(40, "violation")}
+

@@ -1,0 +1,313 @@
+"""Formula shapes against parsing every formula on its own.
+
+A load parses only the first text of each shape and builds every later
+copy's AST from that template. These tests load workbooks and compare every
+formula cell with what parsing its own text gives: the AST (through plain
+``==``), the cell metrics and the range-linkage shift key, each computed
+the way they were before shapes, and every W001 warning with its offset.
+"""
+
+from __future__ import annotations
+
+import csv
+import io
+from fractions import Fraction
+from typing import Union
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cellgauge import build_graph, load_csv_grid, load_workbook_doc
+from cellgauge import workbook as workbook_module
+from cellgauge.errors import FormulaSyntaxError, W_FORMULA_ERROR
+from cellgauge.formula import (
+    AstNode,
+    BinaryOp,
+    BoolLiteral,
+    CellRefNode,
+    FunctionCall,
+    NumberLiteral,
+    RangeRefNode,
+    StringLiteral,
+    UnaryOp,
+    classify_tokens,
+    decision_count,
+    parse_formula,
+    render_number,
+)
+from cellgauge.metrics import _shift_keys, formula_metrics
+from cellgauge.refs import CellRef, column_to_letters, parse_cell_address
+from cellgauge.workbook import Workbook
+
+
+def old_shift_key(node: AstNode, base_col: int, base_row: int) -> str:
+    """The per-cell shift key as range linkage computed it before shapes."""
+
+    def enc_ref(ref: CellRef) -> str:
+        sheet = f"{ref.sheet.casefold()}!" if ref.sheet else ""
+        col = f"C{ref.column}" if ref.col_absolute else f"c[{ref.column - base_col}]"
+        row = f"R{ref.row}" if ref.row_absolute else f"r[{ref.row - base_row}]"
+        return sheet + col + row
+
+    parts: list[str] = []
+    stack: list[Union[AstNode, str]] = [node]
+    while stack:
+        n = stack.pop()
+        if isinstance(n, str):
+            parts.append(n)
+        elif isinstance(n, CellRefNode):
+            parts.append(enc_ref(n.ref))
+        elif isinstance(n, BinaryOp):
+            stack.extend((")", n.right, n.op, n.left, "("))
+        elif isinstance(n, NumberLiteral):
+            parts.append(render_number(n.value))
+        elif isinstance(n, RangeRefNode):
+            parts.append(enc_ref(n.ref.start) + ":" + enc_ref(n.ref.end))
+        elif isinstance(n, FunctionCall):
+            items: list[Union[AstNode, str]] = [f"{n.name}("]
+            for i, arg in enumerate(n.args):
+                if i:
+                    items.append(",")
+                items.append(arg)
+            items.append(")")
+            stack.extend(reversed(items))
+        elif isinstance(n, UnaryOp):
+            stack.extend((")", n.child, f"u{n.op}("))
+        elif isinstance(n, StringLiteral):
+            parts.append('"' + n.value + '"')
+        elif isinstance(n, BoolLiteral):
+            parts.append("TRUE" if n.value else "FALSE")
+    return "".join(parts)
+
+
+def old_size_metrics(ast) -> tuple:
+    """Operator and operand counts, nesting and decisions of one AST, as
+    ``formula_metrics`` computed them per cell before shapes."""
+    tokens = classify_tokens(ast)
+    n_operators = sum(1 for t in tokens if t.kind == "operator")
+    levels = [t.nesting_level for t in tokens]
+    return (n_operators, len(tokens) - n_operators, max(levels),
+            Fraction(sum(levels), len(levels)), decision_count(ast))
+
+
+def assert_matches_own_parse(wb: Workbook, texts: dict[CellRef, str]) -> int:
+    """Every formula text of ``wb`` (``texts`` by address) against its own
+    parse; returns the number of cells whose AST was built from a template."""
+    g = build_graph(wb)
+    expected_warnings = []
+    copies = 0
+    for sheet in wb.sheets:
+        for cell in sheet.cells.values():
+            text = texts.get(cell.address)
+            if text is None:
+                assert not cell.is_formula
+                continue
+            try:
+                fresh = parse_formula(text)
+            except FormulaSyntaxError as exc:
+                expected_warnings.append((cell.address.render(), str(exc)))
+                assert not cell.is_formula and cell.value == text
+                continue
+            assert cell.ast == fresh, text
+            assert cell.ast.source == text
+            copies += cell.ast is not cell.shape.template
+            at = cell.address
+            assert _shift_keys([cell]) == [old_shift_key(fresh.root, at.column, at.row)], text
+            m = formula_metrics(cell, g.precedents(at))
+            assert (m.n_operators, m.n_operands, m.depth_of_nesting,
+                    m.avg_nesting_level, m.decision_count) == old_size_metrics(fresh), text
+    got = [(w.address, w.message) for w in wb.warnings if w.code == W_FORMULA_ERROR]
+    assert sorted(got) == sorted(expected_warnings)
+    return copies
+
+
+def load_doc(sheets: dict[str, dict[str, object]]) -> tuple[Workbook, dict]:
+    """A JSON-document workbook from {sheet: {ref: value-or-'=formula'}},
+    and its formula texts by address."""
+    doc = {"sheets": []}
+    texts = {}
+    for name, cells in sheets.items():
+        entries = []
+        for ref, content in cells.items():
+            if isinstance(content, str) and content.startswith("="):
+                entries.append({"ref": ref, "formula": content})
+                texts[parse_cell_address(ref).with_sheet(name)] = content
+            else:
+                entries.append({"ref": ref, "value": content})
+        doc["sheets"].append({"name": name, "cells": entries})
+    return load_workbook_doc(doc), texts
+
+
+def load_csv(rows: list[list[str]]) -> tuple[Workbook, dict]:
+    out = io.StringIO()
+    csv.writer(out).writerows(rows)
+    wb = load_csv_grid(out.getvalue())
+    texts = {
+        CellRef("Sheet1", c, r): text
+        for r, row in enumerate(rows, start=1)
+        for c, text in enumerate(row, start=1)
+        if text.startswith("=")
+    }
+    return wb, texts
+
+
+def copied_cases() -> dict[str, dict[str, object]]:
+    """One sheet per case; each formula is copied over several cells."""
+    long_sum = "+".join(["A1"] * 2000)
+    return {
+        "Data": {f"{column_to_letters(c)}{r}": float(c * r) for c in range(1, 30) for r in range(1, 8)},
+        "My Data": {f"A{r}": float(r) for r in range(1, 8)},
+        "it's": {"B2": 1.0},
+        # Relative, absolute and mixed references.
+        "Mixed": {f"B{r}": f"=A{r}+$A$1+A$1+$A{r}+SUM(A{r}:A{r + 1})*SUM($A$1:$A$3)"
+                  for r in range(1, 6)},
+        # Quoted cross-sheet names, in two spellings of one sheet.
+        "Cross": {
+            **{f"B{r}": f"='My Data'!A{r}*2+'it''s'!$B$2" for r in range(1, 5)},
+            **{f"C{r}": f"='my data'!A{r}*2+Data!A{r}" for r in range(1, 5)},
+        },
+        # Column letters rolling over from Z to AA along a row.
+        "Roll": {
+            **{f"{column_to_letters(c)}1": f"={column_to_letters(c - 1)}1+1" for c in range(24, 30)},
+            **{f"{column_to_letters(c)}2": f"=SUM({column_to_letters(c - 3)}1:{column_to_letters(c - 1)}1)"
+               for c in range(24, 30)},
+        },
+        # A$3:A1 copied across row 3: normalization swaps its ends there.
+        "Flip": {f"C{r}": f"=SUM(A$3:A{r})" for r in range(1, 7)},
+        # Text that looks like references: strings, LOG10( and 1E5.
+        "Text": {
+            **{f"B{r}": f'="A1"&B{r + 10}&"c[0]r[0]"' for r in range(1, 5)},
+            **{f"C{r}": f"=LOG10(A{r})+1" for r in range(1, 5)},
+            **{f"D{r}": f"=A{r}*1E5+1e-3" for r in range(1, 5)},
+        },
+        # A copy whose reference lands on row 0 is a W001 with its own offset.
+        "Row0": {
+            **{f"B{r}": f"=A{r - 1}+1" for r in range(1, 5)},
+            **{f"C{r}": f"=SUM($B$1:$B$4)+A{r - 1}" for r in range(1, 5)},
+        },
+        # Texts containing "[": errors, except inside a string.
+        "Bracket": {
+            **{f"B{r}": f"=A{r}+c[0]r[0]" for r in range(1, 4)},
+            **{f"C{r}": f'="c[0]r[0]"&A{r}' for r in range(1, 4)},
+            **{f"D{r}": "=c[0]r[0]" for r in range(1, 4)},
+        },
+        # A 2,000-term flat sum, copied once.
+        "Long": {"B1": "=" + long_sum, "B2": "=" + long_sum.replace("A1", "A2")},
+    }
+
+
+def test_copies_match_their_own_parse():
+    wb, texts = load_doc(copied_cases())
+    copies = assert_matches_own_parse(wb, texts)
+    assert copies == 41  # every text but the first of each shape and the errors
+
+
+def test_csv_copies_match_their_own_parse():
+    rows = [
+        [f"{r}", f"=A{r}*2+$A$1", f"=SUM(A$3:A{r})", f'="A1"&B{r}', f"=LOG10(A{r})*1E5",
+         f"=A{r - 1}+1", f"=A{r}+c[0]r[0]"]
+        for r in range(1, 7)
+    ]
+    wb, texts = load_csv(rows)
+    assert assert_matches_own_parse(wb, texts) > 15
+
+
+def test_each_shape_is_parsed_once(monkeypatch):
+    calls = []
+    real = workbook_module.parse_formula
+
+    def counting(text):
+        calls.append(text)
+        return real(text)
+
+    monkeypatch.setattr(workbook_module, "parse_formula", counting)
+    wb, _ = load_doc({"S": {
+        **{f"A{r}": float(r) for r in range(1, 11)},
+        **{f"B{r}": f"=A{r}*2+$A$1" for r in range(1, 11)},
+        **{f"C{r}": f"=A{r - 1}+1" for r in range(1, 11)},  # C1 reads row 0
+        **{f"D{r}": f"=SUM(A$3:A{r})" for r in range(1, 11)},
+    }})
+    # B, C2..C10 and D are one shape each; C1 fails on its own text.
+    assert sorted(calls) == sorted(["=A0+1", "=A1+1", "=A1*2+$A$1", "=SUM(A$3:A1)"])
+    b = [wb.cell(f"S!B{r}") for r in range(1, 11)]
+    assert len({id(c.shape) for c in b}) == 1
+    # The flipping range keys each cell; the others share one shift key.
+    d = [wb.cell(f"S!D{r}") for r in range(1, 11)]
+    assert d[0].shape.shift_key is None and b[0].shape.shift_key is not None
+    assert _shift_keys(d) == ["SUM(c[-3]r[0]:c[-3]R3)"] * 2 + ["SUM(c[-3]R3:c[-3]r[0])"] * 8
+
+
+def test_shapes_are_per_load():
+    sheets = {"S": {"A1": 1.0, "B1": "=A1+1", "B2": "=A2+1"}}
+    first, _ = load_doc(sheets)
+    second, _ = load_doc(sheets)
+    assert first.cell("S!B2").shape is not second.cell("S!B2").shape
+    assert first.cell("S!B2").shape is first.cell("S!B1").shape
+
+
+# --- random copied formulas ----------------------------------------------------
+
+_SHEETS = (None, "Data", "'My Data'", "'my data'")
+_CONSTANTS = ("1", "1E5", "2.5", "0.5e-2", '"A1"', '"c[0]r[0]"', '""""', "TRUE", "LOG10(4)")
+_OPS = ("+", "-", "*", "&", ">", "<=", "<>")
+
+
+@st.composite
+def ref_spec(draw):
+    return (draw(st.booleans()), draw(st.integers(-3, 3)), draw(st.integers(1, 30)),
+            draw(st.booleans()), draw(st.integers(-1, 2)), draw(st.integers(1, 9)))
+
+
+@st.composite
+def atom(draw):
+    kind = draw(st.sampled_from(("ref", "range", "const")))
+    if kind == "const":
+        return ("const", draw(st.sampled_from(_CONSTANTS)))
+    sheet = draw(st.sampled_from(_SHEETS))
+    ends = [draw(ref_spec())] if kind == "ref" else [draw(ref_spec()), draw(ref_spec())]
+    return (kind, sheet, ends)
+
+
+@st.composite
+def template(draw):
+    atoms = draw(st.lists(atom(), min_size=1, max_size=5))
+    ops = [draw(st.sampled_from(_OPS)) for _ in atoms[1:]]
+    wrap = draw(st.sampled_from((None, "SUM", "IF", "LOG10", "-")))
+    return atoms, ops, wrap
+
+
+def render_ref(spec, column: int, row: int) -> str:
+    col_abs, dc, col, row_abs, dr, abs_row = spec
+    c = col if col_abs else column + dc
+    r = abs_row if row_abs else row + dr
+    return f"{'$' if col_abs else ''}{column_to_letters(c)}{'$' if row_abs else ''}{r}"
+
+
+def render(tmpl, column: int, row: int) -> str:
+    atoms, ops, wrap = tmpl
+    parts = []
+    for a in atoms:
+        if a[0] == "const":
+            parts.append(a[1])
+            continue
+        _, sheet, ends = a
+        text = ":".join(render_ref(e, column, row) for e in ends)
+        parts.append(f"{sheet}!{text}" if sheet else text)
+    body = parts[0] + "".join(op + p for op, p in zip(ops, parts[1:]))
+    if wrap == "-":
+        return "=-(" + body + ")"
+    return f"={wrap}({body})" if wrap else "=" + body
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(template(), min_size=1, max_size=4))
+def test_random_copies_match_their_own_parse(templates):
+    # Each template is copied over columns X..AC (across Z -> AA) and rows
+    # 1..4; relative offsets reach row 0 on row 1.
+    cells: dict[str, object] = {}
+    for i, tmpl in enumerate(templates):
+        for c in range(24, 30):
+            for r in range(1, 5):
+                cells[f"{column_to_letters(c)}{r + 5 * i}"] = render(tmpl, c, r + 5 * i)
+    wb, texts = load_doc({"Data": {"A1": 1.0}, "My Data": {"B2": 2.0}, "S": cells})
+    assert_matches_own_parse(wb, texts)
