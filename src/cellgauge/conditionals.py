@@ -11,12 +11,14 @@ What a cell contributes to such a scan depends only on the cell, so it is
 computed once per formula cell as the cell's *frontier*: the IFs at the top
 level of its formula (not inside another IF) plus the frontiers of the
 formula cells it reads outside any IF. Frontiers are built on demand with an
-explicit stack. A cell that adds no IF and reads one non-empty frontier
-shares that frontier's frozenset. An IF argument reaches its own top-level
-IFs plus the frontiers of the cells it reads, and each formula's AST is
-walked once to collect both the IF nodes and those per-argument pieces.
-The cells a reference reads come from the dependency graph, which numbers
-references in ``walk`` order.
+explicit stack and kept by node id. A cell that adds no IF and reads one
+non-empty frontier shares that frontier's frozenset. An IF argument reaches
+its own top-level IFs plus the frontiers of the cells it reads. Where a
+formula's IFs sit and which references each argument holds depend only on
+its shape, so the load computes that layout once per shape
+(``FormulaShape.if_reach`` and ``ifs``) and each cell pairs it with its
+address; no AST is walked. The cells a reference reads come from the
+dependency graph, which numbers references in ``walk`` order, by node id.
 
 The branch complexity of a construct with nested/precedent constructs S_i
 and N conditionless branches is ``(sum of their complexities + N)^(1+beta)``,
@@ -31,19 +33,11 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import CycleError, DomainError
-from .formula import CellRefNode, FunctionCall, RangeRefNode, child_nodes
 from .graph import CellGraph
 from .refs import CellRef
-from .workbook import Cell, Workbook
+from .workbook import Workbook
 
 ConstructId = tuple[CellRef, tuple[int, ...]]
-
-# What one expression reaches without crossing an IF: the ids of its
-# top-level IF calls, and the ordinals of its references outside any IF.
-_Reach = tuple[list[ConstructId], list[int]]
-# The IF calls of one formula in path order, each as (path, reach of every
-# argument).
-_Ifs = list[tuple[tuple[int, ...], list[_Reach]]]
 
 _EMPTY: frozenset = frozenset()
 
@@ -59,56 +53,30 @@ class BetaConfig:
 
 @dataclass(frozen=True)
 class ConditionalConstruct:
-    """One IF call, located by its cell and AST path (child index chain)."""
+    """One IF call, located by its cell and AST path (child index chain);
+    ``node`` is the cell's node id in the graph it was found in."""
 
     cell: CellRef
     path: tuple[int, ...]
     nested_or_precedent: tuple[ConstructId, ...]
     conditionless_branches: int
     is_final: bool
+    node: int
 
     @property
     def id(self) -> ConstructId:
         return (self.cell, self.path)
 
 
-def _walk_formula(cell: Cell) -> tuple[_Reach, _Ifs]:
-    """One pass over a formula: its own reach and its IF calls. The pass is
-    pre-order, so references are numbered in ``walk`` order, as the graph
-    lists their targets."""
-    addr = cell.address
-    own: _Reach = ([], [])
-    ifs: _Ifs = []
-    ordinal = 0
-    stack = [((), cell.ast.root, own)]
-    while stack:
-        path, node, reach = stack.pop()
-        if isinstance(node, FunctionCall) and node.name == "IF":
-            reach[0].append((addr, path))  # that construct owns its own subtree
-            args: list[_Reach] = [([], []) for _ in node.args]
-            ifs.append((path, args))
-            for i in range(len(args) - 1, -1, -1):
-                stack.append((path + (i,), node.args[i], args[i]))
-        elif isinstance(node, (CellRefNode, RangeRefNode)):
-            reach[1].append(ordinal)
-            ordinal += 1
-        else:
-            children = child_nodes(node)
-            for i in range(len(children) - 1, -1, -1):
-                stack.append((path + (i,), children[i], reach))
-    return own, ifs
-
-
 def _formulas_read(
     g: CellGraph, targets: list[list[int]], ordinals: Iterable[int]
-) -> Iterator[Cell]:
-    """Formula cells behind the references ``ordinals`` of a formula whose
-    per-reference targets are ``targets``."""
+) -> Iterator[int]:
+    """Node ids of the formula cells behind the references ``ordinals`` of
+    a formula whose per-reference targets are ``targets``."""
     for o in ordinals:
         for t in targets[o]:
-            cell = g.formula_of(t)
-            if cell is not None:
-                yield cell
+            if g.formula_of(t) is not None:
+                yield t
 
 
 def _merge(ifs: list[ConstructId], frontiers: list[frozenset]) -> frozenset:
@@ -126,110 +94,85 @@ def _merge(ifs: list[ConstructId], frontiers: list[frozenset]) -> frozenset:
 
 
 class _Frontiers:
-    """Each formula cell's frontier: the IF constructs it reaches without
-    crossing an IF, computed at most once and only for cells something reads.
-
-    Every formula is walked once, by :meth:`_walk`. Until its frontier is
-    needed, a cell keeps only its own reach; a formula walked ahead of
-    canonical order (because an earlier IF reads it) also keeps its IFs
-    until :meth:`ifs_of` hands them out. Keeping every formula's IF
-    arguments alive instead lets garbage collection dominate on long IF
-    chains.
-    """
+    """Each formula cell's frontier by node id: the IF constructs it reaches
+    without crossing an IF, computed at most once and only for cells
+    something reads. A cell's own reach comes from its shape
+    (``FormulaShape.if_reach``), paired with its address."""
 
     def __init__(self, g: CellGraph):
         self.g = g
-        self._known: dict[int, frozenset] = {}  # by id(cell)
-        self._tops: dict[int, _Reach] = {}  # walked, frontier not yet built
-        self._ahead: dict[int, _Ifs] = {}  # walked ahead of canonical order
+        self._known: dict[int, frozenset] = {}
 
-    def _walk(self, cell: Cell) -> _Ifs:
-        own, ifs = _walk_formula(cell)
-        if own[0] or own[1]:
-            self._tops[id(cell)] = own
-        else:
-            self._known[id(cell)] = _EMPTY
-        return ifs
-
-    def ifs_of(self, cell: Cell) -> _Ifs:
-        """The IF calls of a formula cell, walking it unless already walked."""
-        key = id(cell)
-        if key in self._known or key in self._tops:
-            return self._ahead.pop(key, [])
-        return self._walk(cell)
-
-    def of(self, start: Cell) -> frozenset:
-        """The frontier of a formula cell, built in post-order on an explicit
+    def of(self, start: int) -> frozenset:
+        """The frontier of a formula node, built in post-order on an explicit
         stack together with those of the formula cells it reads outside IFs."""
-        known = self._known
-        found = known.get(id(start))
+        g, known = self.g, self._known
+        found = known.get(start)
         if found is not None:
             return found
-        reads: dict[int, list[Cell]] = {}  # expanded cells not yet finished
+        reads: dict[int, list[int]] = {}  # expanded nodes not yet finished
         stack = [start]
         while stack:
-            cell = stack[-1]
-            key = id(cell)
-            if key in known:
+            v = stack[-1]
+            if v in known:
                 stack.pop()
                 continue
-            top = self._tops.get(key)
-            if top is None:
-                ifs = self._walk(cell)
-                if ifs:
-                    self._ahead[key] = ifs
-                continue
-            deps = reads.get(key)
+            cell = g.formula_of(v)
+            top_ifs, top_refs = cell.shape.if_reach
+            deps = reads.get(v)
             if deps is None:
-                targets = self.g.reference_targets(cell.address)
-                deps = reads[key] = list(_formulas_read(self.g, targets, top[1]))
-                pending = [d for d in deps if id(d) not in known]
+                deps = reads[v] = (
+                    list(_formulas_read(g, g.reference_targets(v), top_refs))
+                    if top_refs else [])
+                pending = [d for d in deps if d not in known]
                 if pending:
                     for d in pending:
-                        if id(d) in reads:
-                            raise CycleError([[d.address.render()]])
+                        if d in reads:
+                            raise CycleError([[g.address_of(d).render()]])
                     stack.extend(pending)
                     continue
-            known[key] = _merge(top[0], [known[id(d)] for d in deps])
-            del self._tops[key], reads[key]
+            addr = cell.address
+            known[v] = _merge([(addr, p) for p in top_ifs], [known[d] for d in deps])
+            del reads[v]
             stack.pop()
-        return known[id(start)]
+        return known[start]
 
 
 def find_conditionals(wb: Workbook, g: CellGraph) -> list[ConditionalConstruct]:
     """Discover every IF construct in the workbook with its M set and N.
 
-    Raises CycleError on a cyclic reference graph.
+    ``g`` is the graph of ``wb``. Raises CycleError on a cyclic reference
+    graph.
     """
     if g.is_cyclic:
         raise CycleError([[a.render() for a in cyc] for cyc in g.cycles])
 
     frontiers = _Frontiers(g)
-    records: list[tuple[ConstructId, set[ConstructId], int]] = []
+    records: list[tuple[ConstructId, set[ConstructId], int, int]] = []
     reached: set[ConstructId] = set()
-    for sheet in wb.sheets:  # canonical order: sheet, row, column, path
-        formulas = sorted(key for key, c in sheet.cells.items() if c.ast is not None)
-        for key in formulas:
-            cell = sheet.cells[key]
-            ifs = frontiers.ifs_of(cell)
-            targets = g.reference_targets(cell.address) if ifs else []
-            for path, args in ifs:
-                m_set: set[ConstructId] = set()
-                n = 0
-                for arg_idx, (arg_ifs, ordinals) in enumerate(args):
-                    hit = bool(arg_ifs)
-                    m_set.update(arg_ifs)
-                    for target in _formulas_read(g, targets, ordinals):
-                        f = frontiers.of(target)
-                        if f:
-                            hit = True
-                            m_set |= f
-                    if arg_idx > 0 and not hit:
-                        n += 1  # a conditionless value branch
-                reached |= m_set
-                records.append(((cell.address, path), m_set, n))
+    for v in g.cell_ids():  # canonical order: sheet, row, column, path
+        cell = g.formula_of(v)
+        if cell is None or not cell.shape.ifs:
+            continue
+        addr = cell.address
+        targets = g.reference_targets(v)
+        for path, args in cell.shape.ifs:
+            m_set: set[ConstructId] = set()
+            n = 0
+            for arg_idx, (arg_ifs, ordinals) in enumerate(args):
+                hit = bool(arg_ifs)
+                m_set.update((addr, p) for p in arg_ifs)
+                for target in _formulas_read(g, targets, ordinals):
+                    f = frontiers.of(target)
+                    if f:
+                        hit = True
+                        m_set |= f
+                if arg_idx > 0 and not hit:
+                    n += 1  # a conditionless value branch
+            reached |= m_set
+            records.append(((addr, path), m_set, n, v))
 
-    position = {cid: i for i, (cid, _, _) in enumerate(records)}
+    position = {cid: i for i, (cid, _, _, _) in enumerate(records)}
     return [
         ConditionalConstruct(
             cell=cid[0],
@@ -237,8 +180,9 @@ def find_conditionals(wb: Workbook, g: CellGraph) -> list[ConditionalConstruct]:
             nested_or_precedent=tuple(sorted(m_set, key=position.__getitem__)),
             conditionless_branches=n,
             is_final=cid not in reached,
+            node=v,
         )
-        for cid, m_set, n in records
+        for cid, m_set, n, v in records
     ]
 
 
@@ -299,26 +243,26 @@ def conditional_complexity(
 
 def finals_by_cell(
     constructs: Iterable[ConditionalConstruct],
-) -> dict[CellRef, list[ConditionalConstruct]]:
-    """The final constructs of each cell, in construct order."""
-    by_cell: dict[CellRef, list[ConditionalConstruct]] = {}
+) -> dict[int, list[ConditionalConstruct]]:
+    """The final constructs of each cell by node id, in construct order."""
+    by_cell: dict[int, list[ConditionalConstruct]] = {}
     for c in constructs:
         if c.is_final:
-            by_cell.setdefault(c.cell, []).append(c)
+            by_cell.setdefault(c.node, []).append(c)
     return by_cell
 
 
 def cascade_finals(
-    members: Iterable[CellRef],
-    finals: Mapping[CellRef, list[ConditionalConstruct]],
+    member_ids: Iterable[int],
+    finals: Mapping[int, list[ConditionalConstruct]],
 ) -> list[ConditionalConstruct]:
     """The final constructs of a cascade's members, in construct order.
 
-    ``members`` must be in canonical sheet/row/column order, as cascades
+    ``member_ids`` must be in canonical sheet/row/column order, as cascades
     list them; constructs follow that order too, so picking each member's
     finals in turn keeps construct order in time linear in the members.
     """
-    return [c for addr in members for c in finals.get(addr, ())]
+    return [c for i in member_ids for c in finals.get(i, ())]
 
 
 def cascade_conditional_report(
@@ -327,7 +271,8 @@ def cascade_conditional_report(
     terminal: CellRef,
     cfg: BetaConfig = BetaConfig(),
 ) -> list[tuple[ConditionalConstruct, float]]:
-    """(final construct, complexity) pairs within one terminal's cascade."""
+    """(final construct, complexity) pairs within one terminal's cascade;
+    ``constructs`` are those ``find_conditionals`` found in ``g``."""
     complexity = all_complexities(constructs, cfg)
-    finals = cascade_finals(g.cascade_members(terminal), finals_by_cell(constructs))
+    finals = cascade_finals(g.member_ids(terminal), finals_by_cell(constructs))
     return [(c, complexity[c.id]) for c in finals]

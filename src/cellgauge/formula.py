@@ -17,17 +17,20 @@ parentheses do not add nesting.
 Parentheses and function calls may nest at most :data:`MAX_NESTING` levels
 deep (Excel's limit on nested functions), and a run of prefix minus signs
 may be at most that long; deeper formulas raise :class:`FormulaSyntaxError`,
-so the parser's call stack stays bounded. AST nodes compare and hash
-structurally, on an explicit stack, so a long flat chain needs no deep call
-stack there either (``repr`` still recurses).
+so the parser's call stack stays bounded. AST nodes compare, hash and
+print (``repr``) structurally, on an explicit stack, so a long flat chain
+needs no deep call stack there either.
 
 A formula's *shape* is the formula up to the shift of its relative
 references: ``=A1*2`` in B1 and ``=A2*2`` in B2 share one. :func:`shape_key`
 keys a text by its shape in one regex pass that finds the references where
-the lexer would, and :class:`FormulaShape` keeps one parsed template plus
-what the metrics need of its structure (operator and operand counts,
-nesting, decisions and the range-linkage shift key); ``ast_of_copy`` builds
-each further copy's own AST from the template and the copy's references.
+the lexer would, and yields the text's references. :class:`FormulaShape`
+keeps one parsed template plus what the audit needs of its structure,
+computed once: operator and operand counts, nesting, decisions, the
+range-linkage shift key, whether each reference leaf is a range, and the IF
+layout conditional discovery reads. A copy is then just its references:
+``FormulaShape.references`` gives its reference leaves without an AST, and
+``ast_of_copy`` builds its AST only when one is asked for.
 """
 
 from __future__ import annotations
@@ -35,8 +38,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 import re
-from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from dataclasses import dataclass, fields
+from typing import Iterator, Optional, Sequence, Union
 
 from .errors import EmptyFormulaError, FormulaSyntaxError, UnbalancedParensError
 from .refs import CellRef, RangeRef, letters_to_column, unquote_sheet_name
@@ -45,8 +48,9 @@ from .refs import CellRef, RangeRef, letters_to_column, unquote_sheet_name
 # --- AST -----------------------------------------------------------------
 
 class _Node:
-    """Structural ``==`` and ``hash`` for AST nodes, computed with an explicit
-    stack, so a 2,000-term flat sum compares and hashes without recursion."""
+    """Structural ``==``, ``hash`` and ``repr`` for AST nodes, computed with an
+    explicit stack, so a 2,000-term flat sum compares, hashes and prints
+    without recursion."""
 
     __slots__ = ()
 
@@ -58,46 +62,49 @@ class _Node:
     def __hash__(self):
         return ast_hash(self)
 
+    def __repr__(self):
+        return ast_repr(self)
 
-@dataclass(frozen=True, eq=False)
+
+@dataclass(frozen=True, eq=False, repr=False)
 class NumberLiteral(_Node):
     value: float
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class StringLiteral(_Node):
     value: str
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class BoolLiteral(_Node):
     value: bool
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class CellRefNode(_Node):
     ref: CellRef
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class RangeRefNode(_Node):
     ref: RangeRef
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class UnaryOp(_Node):
     op: str  # "-" (prefix) or "%" (postfix)
     child: "AstNode"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class BinaryOp(_Node):
     op: str
     left: "AstNode"
     right: "AstNode"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class FunctionCall(_Node):
     name: str  # stored upper-cased
     args: tuple["AstNode", ...]
@@ -189,6 +196,35 @@ def ast_hash(node: AstNode) -> int:
         del done[first:]
         done.append(hash((type(n), _label(n), hashes)))
     return done[0]
+
+
+def ast_repr(node: AstNode) -> str:
+    """The text the generated dataclass ``repr`` gives for a subtree, built on
+    an explicit stack: a str on the stack is emitted as is when popped, a
+    node is replaced by its pieces."""
+    parts: list[str] = []
+    stack: list[Union[AstNode, str]] = [node]
+    while stack:
+        n = stack.pop()
+        if isinstance(n, str):
+            parts.append(n)
+            continue
+        items: list[Union[AstNode, str]] = [type(n).__qualname__ + "("]
+        for i, f in enumerate(fields(n)):
+            value = getattr(n, f.name)
+            items.append(f"{', ' if i else ''}{f.name}=")
+            if isinstance(value, _Node):
+                items.append(value)
+            elif isinstance(value, tuple):  # FunctionCall.args
+                items.append("(")
+                for j, arg in enumerate(value):
+                    items.extend((", ", arg) if j else (arg,))
+                items.append(",)" if len(value) == 1 else ")")
+            else:
+                items.append(repr(value))
+        items.append(")")
+        stack.extend(reversed(items))
+    return "".join(parts)
 
 
 # --- Lexer ---------------------------------------------------------------
@@ -446,7 +482,7 @@ class _Parser:
             raise FormulaSyntaxError(
                 "sheet qualifier belongs on the range start", end_tok.offset
             )
-        return RangeRefNode(RangeRef.normalized(start, end.with_sheet(start.sheet) if start.sheet else end))
+        return RangeRefNode(_copy_range(start, end))
 
     def name(self) -> AstNode:
         tok = self.advance()
@@ -765,7 +801,7 @@ def _ref_info(text: str) -> Optional[_RefInfo]:
 
 def shape_key(
     text: str, column: int, row: int, memo: dict[str, Optional[_RefInfo]]
-) -> Optional[tuple[tuple, list[CellRef]]]:
+) -> Optional[tuple[tuple, tuple[CellRef, ...]]]:
     """The shape key of a formula text in cell (column, row), and its refs.
 
     One regex pass finds the reference tokens exactly where :func:`_lex`
@@ -806,7 +842,53 @@ def shape_key(
         refs.append(ref)
         pos = end
     key.append(text[pos:])
-    return tuple(key), refs
+    return tuple(key), tuple(refs)
+
+
+# What one expression reaches without crossing an IF call: the paths of its
+# top-level IF calls, and the ordinals of its references outside any IF.
+Reach = tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]
+# The IF calls of one formula in path order, each as (path, reach of every
+# argument).
+IfLayout = tuple[tuple[tuple[int, ...], tuple[Reach, ...]], ...]
+
+
+def _copy_range(start: CellRef, end: CellRef) -> RangeRef:
+    """The range ``start:end`` as the parser builds it: the end takes the
+    start's sheet, and the corners are normalized."""
+    return RangeRef.normalized(start, end.with_sheet(start.sheet) if start.sheet else end)
+
+
+def _layout(root: AstNode) -> tuple[list[Union[CellRef, RangeRef]], Reach, IfLayout]:
+    """One pre-order pass over a formula: the refs of its reference leaves,
+    its own reach and its IF calls. References are numbered in ``walk``
+    order, as the dependency graph lists their targets; a path is the chain
+    of child indexes from the root."""
+    leaves: list[Union[CellRef, RangeRef]] = []
+    own: tuple[list, list] = ([], [])
+    ifs: list = []
+    stack = [((), root, own)]
+    while stack:
+        path, node, reach = stack.pop()
+        if isinstance(node, FunctionCall) and node.name == "IF":
+            reach[0].append(path)  # that construct owns its own subtree
+            args: list[tuple[list, list]] = [([], []) for _ in node.args]
+            ifs.append((path, args))
+            for i in range(len(args) - 1, -1, -1):
+                stack.append((path + (i,), node.args[i], args[i]))
+        elif isinstance(node, (CellRefNode, RangeRefNode)):
+            reach[1].append(len(leaves))
+            leaves.append(node.ref)
+        else:
+            children = child_nodes(node)
+            for i in range(len(children) - 1, -1, -1):
+                stack.append((path + (i,), children[i], reach))
+
+    def frozen(reach: tuple[list, list]) -> Reach:
+        return tuple(reach[0]), tuple(reach[1])
+
+    return leaves, frozen(own), tuple(
+        (path, tuple(frozen(arg) for arg in args)) for path, args in ifs)
 
 
 class FormulaShape:
@@ -814,15 +896,24 @@ class FormulaShape:
 
     Copies of one formula share one shape. It holds the first copy's AST as
     the template and what depends only on the formula's structure: operator
-    and operand counts, nesting depth and average level, and the decision
-    count. ``shift_key`` is the copies' common :func:`shift_key`, or None
-    when some range anchors one axis absolutely at one end and relatively
-    at the other: normalizing such a range can swap its ends from one copy
-    to the next, so each cell keys itself.
+    and operand counts, nesting depth and average level, the decision
+    count, whether each reference leaf is a range, and the IF layout that
+    conditional discovery reads (``if_reach``, the formula's own reach, and
+    ``ifs``; see :data:`Reach` and :data:`IfLayout`). ``shift_key`` is the
+    copies' common :func:`shift_key`, or None when some range anchors one
+    axis absolutely at one end and relatively at the other: normalizing such
+    a range can swap its ends from one copy to the next, so each cell keys
+    itself.
+
+    A copy is its references in text order, a range taking two:
+    :meth:`references` turns them into the copy's reference leaves without
+    an AST, and :meth:`ast_of_copy` builds the copy's AST when one is asked
+    for.
     """
 
     __slots__ = ("template", "n_operators", "n_operands", "depth_of_nesting",
-                 "avg_nesting_level", "decision_count", "shift_key", "_program")
+                 "avg_nesting_level", "decision_count", "shift_key", "if_reach",
+                 "ifs", "_leaves", "_is_range", "_program")
 
     def __init__(self, ast: FormulaAst, column: int, row: int):
         self.template = ast
@@ -833,15 +924,37 @@ class FormulaShape:
         self.depth_of_nesting = max(levels)
         self.avg_nesting_level = Fraction(sum(levels), len(levels))
         self.decision_count = decision_count(ast)
+        leaves, self.if_reach, self.ifs = _layout(ast.root)
+        self._leaves = tuple(leaves)
+        is_range = tuple(isinstance(ref, RangeRef) for ref in leaves)
+        self._is_range = is_range if any(is_range) else None
         uniform = all(
-            n.ref.start.col_absolute == n.ref.end.col_absolute
-            and n.ref.start.row_absolute == n.ref.end.row_absolute
-            for n in walk(ast.root) if isinstance(n, RangeRefNode)
+            ref.start.col_absolute == ref.end.col_absolute
+            and ref.start.row_absolute == ref.end.row_absolute
+            for ref in leaves if isinstance(ref, RangeRef)
         )
         self.shift_key = shift_key(ast.root, column, row) if uniform else None
         self._program: Optional[list[tuple]] = None
 
-    def ast_of_copy(self, text: str, refs: list[CellRef]) -> FormulaAst:
+    def references(
+        self, refs: Optional[tuple[CellRef, ...]]
+    ) -> Sequence[Union[CellRef, RangeRef]]:
+        """The reference leaves, in ``walk`` order, of the copy whose
+        references in text order are ``refs``: a ``CellRef`` per cell leaf
+        and a normalized ``RangeRef`` per range leaf, as in the copy's AST.
+        None stands for the template's own references."""
+        if refs is None:
+            return self._leaves
+        if self._is_range is None:
+            return refs
+        out: list[Union[CellRef, RangeRef]] = []
+        refs_left = iter(refs)
+        for is_range in self._is_range:
+            ref = next(refs_left)
+            out.append(_copy_range(ref, next(refs_left)) if is_range else ref)
+        return out
+
+    def ast_of_copy(self, text: str, refs: Sequence[CellRef]) -> FormulaAst:
         """The AST of the copy ``text`` whose references are ``refs`` (text
         order): the template with ``refs`` put in its reference leaves in
         pre-order, each range normalized as the parser does. Subtrees
@@ -857,9 +970,8 @@ class FormulaShape:
             elif kind == "cell":
                 out.append(CellRefNode(next(refs_left)))
             elif kind == "range":
-                start, end = next(refs_left), next(refs_left)
-                out.append(RangeRefNode(RangeRef.normalized(
-                    start, end.with_sheet(start.sheet) if start.sheet else end)))
+                start = next(refs_left)
+                out.append(RangeRefNode(_copy_range(start, next(refs_left))))
             elif kind == "unary":
                 out[-1] = UnaryOp(step[1], out[-1])
             elif kind == "binary":

@@ -1,12 +1,19 @@
 """Workbook dependency multigraph and cascade statistics.
 
 The graph is the only code that maps a reference to the cells it reads.
-Each formula's references are resolved in ``walk`` order straight into
-integer node ids: populated cells come first in ``iter_cells`` order, and a
-referenced empty cell is materialized as a zero-fan-in data node when it is
-first referenced. A reference to a missing sheet reads nothing and is kept
-in ``CellGraph.dangling``. Conditional discovery and range linkage read each
-reference's targets from ``CellGraph.reference_targets``.
+Each formula's references come from its shape and its own refs
+(``FormulaShape.references``, no AST) in ``walk`` order and are resolved
+straight into integer node ids: populated cells come first in
+``iter_cells`` order, and a referenced empty cell is materialized as a
+zero-fan-in data node when it is first referenced. A reference to a missing sheet reads nothing and is
+kept in ``CellGraph.dangling``. Conditional discovery and range linkage read
+each reference's targets from ``CellGraph.reference_targets``.
+
+Every query takes a node id as well as an address. After the graph is
+built, the audit's stages work on node ids only: cell metrics read the
+precedent lists by id, per-cell rates are a list indexed by id, and each
+cascade lists its members as ids, so no stage looks a cell up by its
+address except to find each bottom-line cell once.
 
 Edges point in the direction of data flow (referenced cell -> referencing
 cell), one edge per resolved reference, so duplicate references and expanded
@@ -39,11 +46,11 @@ from .errors import (
     UnknownCellError,
     W_EMPTY_REFERENCED_CELL,
 )
-from .formula import CellRefNode, RangeRefNode, walk
-from .refs import CellRef, parse_cell_address
+from .refs import CellRef, RangeRef, parse_cell_address
 from .workbook import Cell, Sheet, Workbook
 
-AddrLike = Union[CellRef, str]
+# A cell address, or an int: a node id of the graph at hand.
+AddrLike = Union[CellRef, str, int]
 
 
 @dataclass(frozen=True)
@@ -56,12 +63,11 @@ class DanglingReference:
 
 
 def _resolve(
-    wb: Workbook, node: Union[CellRefNode, RangeRefNode], own: Sheet
+    wb: Workbook, ref: Union[CellRef, RangeRef], own: Sheet
 ) -> tuple[Optional[Sheet], Iterable[tuple[int, int]]]:
     """The sheet a reference reads (``own`` when unqualified, None when it is
     missing) and the ``(row, column)`` keys it reads there, row-major."""
-    ref = node.ref
-    if isinstance(node, CellRefNode):
+    if isinstance(ref, CellRef):
         first, targets = ref, ((ref.row, ref.column),)
     else:
         first, last = ref.start, ref.end
@@ -73,7 +79,12 @@ def _resolve(
 
 @dataclass(frozen=True)
 class CascadeStats:
-    """Path statistics over one bottom-line cell's precedent closure."""
+    """Path statistics over one bottom-line cell's precedent closure.
+
+    ``member_ids`` and ``input_ids`` are node ids of the graph that computed
+    the statistics. A ``WorkbookReport`` keeps both empty: its graph is
+    freed when the analysis returns.
+    """
 
     terminal: CellRef
     reachability: int
@@ -82,23 +93,27 @@ class CascadeStats:
     avg_path_length: Fraction
     max_path_length: int
     cell_count: int
-    input_cells: tuple[CellRef, ...]
-    members: tuple[CellRef, ...]
+    input_ids: tuple[int, ...]  # node ids, canonical order
+    member_ids: tuple[int, ...]  # node ids, canonical order
 
 
 class CellGraph:
     """Immutable directed multigraph over the non-empty cells of a workbook.
 
     Every formula is resolved here straight into node ids: populated cells
-    are nodes 0.. in ``iter_cells`` order, and each empty cell becomes a node
-    when it is first referenced. References to missing sheets are collected
-    in ``dangling`` and add no edge.
+    are nodes 0.. in ``iter_cells`` order (``cells()``), and each empty cell
+    becomes a node when it is first referenced. References to missing sheets
+    are collected in ``dangling`` and add no edge.
+
+    Every query takes a cell address (a ``CellRef`` or its text) or a node
+    id. The audit's stages pass node ids, so after the graph is built no
+    stage looks a cell up by its address.
     """
 
     def __init__(self, wb: Workbook):
         self._wb = wb
         self._addrs: list[CellRef] = []
-        self._formulas: list[Optional[Cell]] = []  # None for a data cell
+        self._cells: list[Cell] = []  # the populated nodes' cells
         self._sort_keys: list[tuple[int, int, int]] = []
         # Per node, in reference order: precedents (with multiplicity) and
         # dependents. Edges point in the direction of data flow.
@@ -108,9 +123,8 @@ class CellGraph:
         self._ids: dict[str, dict[tuple[int, int], int]] = {}
         self.dangling: list[DanglingReference] = []
 
-        def add_node(addr: CellRef, formula: Optional[Cell], sort_key: tuple) -> int:
+        def add_node(addr: CellRef, sort_key: tuple) -> int:
             self._addrs.append(addr)
-            self._formulas.append(formula)
             self._sort_keys.append(sort_key)
             self._preds.append([])
             self._succs.append([])
@@ -120,9 +134,10 @@ class CellGraph:
         for pos, sheet in enumerate(wb.sheets):
             sheet_pos[sheet.name] = pos
             self._ids[sheet.name] = {
-                key: add_node(cell.address, cell if cell.is_formula else None, (pos,) + key)
+                key: add_node(cell.address, (pos,) + key)
                 for key, cell in sheet.cells.items()
             }
+            self._cells.extend(sheet.cells.values())
         self._populated = len(self._addrs)
         # Per populated node, where each reference's targets end in its
         # precedents; a materialized empty cell has no formula.
@@ -133,19 +148,17 @@ class CellGraph:
         for own in wb.sheets:
             own_ids = self._ids[own.name]
             for key, cell in own.cells.items():
-                if cell.ast is None:
+                if cell.shape is None:
                     continue
                 dst = own_ids[key]
                 preds = self._preds[dst]
                 ends = []
-                for node in walk(cell.ast.root):
-                    if not isinstance(node, (CellRefNode, RangeRefNode)):
-                        continue
-                    sheet, targets = _resolve(wb, node, own)
+                for ref in cell.shape.references(cell.refs):
+                    sheet, targets = _resolve(wb, ref, own)
                     if sheet is None:
-                        first = node.ref if isinstance(node, CellRefNode) else node.ref.start
+                        first = ref if isinstance(ref, CellRef) else ref.start
                         self.dangling.append(
-                            DanglingReference(cell.address, node.ref.render(), first.sheet))
+                            DanglingReference(cell.address, ref.render(), first.sheet))
                     else:
                         ids = self._ids[sheet.name]
                         for target in targets:
@@ -153,7 +166,7 @@ class CellGraph:
                             if src is None:  # an empty cell, materialized as data
                                 row, column = target
                                 src = ids[target] = add_node(
-                                    CellRef(sheet.name, column, row), None,
+                                    CellRef(sheet.name, column, row),
                                     (sheet_pos[sheet.name], row, column))
                             preds.append(src)
                             self._succs[src].append(dst)
@@ -172,7 +185,7 @@ class CellGraph:
 
     # -- node lookup --------------------------------------------------------
 
-    def _idx(self, addr: AddrLike) -> int:
+    def _idx(self, addr: Union[CellRef, str]) -> int:
         if isinstance(addr, str):
             addr = parse_cell_address(addr)
         sheet = self._wb.sheet(addr.sheet) if addr.sheet is not None else None
@@ -181,9 +194,16 @@ class CellGraph:
             raise UnknownCellError(addr.render())
         return idx
 
+    def _node(self, addr: AddrLike) -> int:
+        return addr if isinstance(addr, int) else self._idx(addr)
+
+    def node_id(self, addr: Union[CellRef, str]) -> int:
+        """The node id of a cell; UnknownCellError when it is not a node."""
+        return self._idx(addr)
+
     def has_cell(self, addr: AddrLike) -> bool:
         try:
-            self._idx(addr)
+            self._node(addr)
             return True
         except UnknownCellError:
             return False
@@ -191,23 +211,40 @@ class CellGraph:
     def nodes(self) -> list[CellRef]:
         return list(self._addrs)
 
+    def cells(self) -> list[Cell]:
+        """The workbook's cells in node order: node ``i`` is ``cells()[i]``."""
+        return list(self._cells)
+
+    def cell_ids(self) -> list[int]:
+        """The node ids of the workbook's cells, canonical sheet/row/column
+        order."""
+        return self._canonical(range(self._populated))
+
     def address_of(self, idx: int) -> CellRef:
         return self._addrs[idx]
 
     def formula_of(self, idx: int) -> Optional[Cell]:
         """The formula cell of a node; None for a data or empty cell."""
-        return self._formulas[idx]
+        if idx < self._populated:
+            cell = self._cells[idx]
+            if cell.shape is not None:
+                return cell
+        return None
 
     def precedents(self, addr: AddrLike) -> list[CellRef]:
         """The cells a cell reads, one per resolved reference, in reference
         order: ranges expanded row-major, duplicates kept."""
-        return [self._addrs[p] for p in self._preds[self._idx(addr)]]
+        return [self._addrs[p] for p in self._preds[self._node(addr)]]
+
+    def precedent_ids(self, addr: AddrLike) -> list[int]:
+        """The node ids of ``precedents(addr)``, in the same order."""
+        return list(self._preds[self._node(addr)])
 
     def reference_targets(self, addr: AddrLike) -> list[list[int]]:
         """The node ids each reference of a cell's formula reads, one list
         per reference in ``walk`` order: a range's cells row-major, and no
         target for a reference to a missing sheet."""
-        idx = self._idx(addr)
+        idx = self._node(addr)
         if idx >= self._populated:
             return []
         preds, start, targets = self._preds[idx], 0, []
@@ -217,22 +254,22 @@ class CellGraph:
         return targets
 
     def _canonical(self, indices: Iterable[int]) -> list[int]:
-        return sorted(indices, key=lambda i: self._sort_keys[i])
+        return sorted(indices, key=self._sort_keys.__getitem__)
 
     # -- degrees and roles ----------------------------------------------------
 
     def fan_in(self, addr: AddrLike) -> int:
-        return len(self._preds[self._idx(addr)])
+        return len(self._preds[self._node(addr)])
 
     def fan_out(self, addr: AddrLike) -> int:
-        return len(self._succs[self._idx(addr)])
+        return len(self._succs[self._node(addr)])
 
     def bottom_line_cells(self) -> list[CellRef]:
         """Formula cells with no dependents, in canonical sheet/row/column order."""
         idxs = [
             i
-            for i in range(self.node_count)
-            if self._formulas[i] is not None and not self._succs[i]
+            for i, cell in enumerate(self._cells)
+            if cell.shape is not None and not self._succs[i]
         ]
         return [self._addrs[i] for i in self._canonical(idxs)]
 
@@ -366,17 +403,22 @@ class CellGraph:
 
     def reachability(self, addr: AddrLike) -> int:
         """Number of distinct reference paths reaching a cell (>= 1)."""
-        idx = self._idx(addr)
+        idx = self._node(addr)
         self._ensure_acyclic()
         return self._path_stats()[0][idx]
 
     # -- cascades ----------------------------------------------------------------
 
+    def member_ids(self, addr: AddrLike) -> list[int]:
+        """The node ids of the terminal plus all its transitive precedents,
+        canonical order."""
+        idx = self._node(addr)
+        self._ensure_acyclic()
+        return self._canonical(self._closure(idx))
+
     def cascade_members(self, addr: AddrLike) -> list[CellRef]:
         """The terminal plus all its transitive precedents, canonical order."""
-        idx = self._idx(addr)
-        self._ensure_acyclic()
-        return [self._addrs[i] for i in self._canonical(self._closure(idx))]
+        return [self._addrs[i] for i in self.member_ids(addr)]
 
     def cascade_stats(self, addr: AddrLike) -> CascadeStats:
         """Reachability and path-length statistics for one terminal cell.
@@ -385,7 +427,7 @@ class CellGraph:
         If the cell still has dependents a NotBottomLineWarning is emitted and
         the statistics cover its precedent closure anyway.
         """
-        idx = self._idx(addr)
+        idx = self._node(addr)
         self._ensure_acyclic()
         if self._succs[idx]:
             _warnings.warn(
@@ -395,7 +437,7 @@ class CellGraph:
                 stacklevel=2,
             )
         count, length_sum, max_len = self._path_stats()
-        members = self._canonical(self._closure(idx))
+        members = self.member_ids(idx)
         paths = count[idx]
         return CascadeStats(
             terminal=self._addrs[idx],
@@ -405,8 +447,8 @@ class CellGraph:
             avg_path_length=Fraction(length_sum[idx], paths),
             max_path_length=max_len[idx],
             cell_count=len(members),
-            input_cells=tuple(self._addrs[i] for i in members if not self._preds[i]),
-            members=tuple(self._addrs[i] for i in members),
+            input_ids=tuple(i for i in members if not self._preds[i]),
+            member_ids=tuple(members),
         )
 
     # -- path enumeration ----------------------------------------------------------
@@ -417,7 +459,7 @@ class CellGraph:
         Parallel edges yield one path each. Raises LimitExceededError as soon
         as more than ``limit`` paths exist.
         """
-        terminal = self._idx(addr)
+        terminal = self._node(addr)
         self._ensure_acyclic()
         paths: list[list[CellRef]] = []
         # Depth-first over incoming edges; trail holds the path terminal-first.

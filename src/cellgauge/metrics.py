@@ -9,6 +9,8 @@ counts, dispersion and spans use the cell's precedents in the dependency
 graph (one per member cell of a range), and the graph's cross-sheet arcs
 give the data binding triples. Range linkage reads each run formula's
 per-reference targets from the graph, one target list per reference slot.
+Range linkage and modular metrics walk the graph's cells by node id, so
+neither looks a cell up by its address.
 
 Sizes, nesting, decision counts and shift keys depend only on a formula's
 shape (``formula.FormulaShape``), which the load computes once for all the
@@ -164,19 +166,21 @@ class RangeLinkageFinding:
     verdict: str  # "ok" | "violation"
 
 
-def _shift_keys(cells: list[Cell]) -> list[str]:
+def _shift_keys(cells: list[Cell]) -> list[Optional[str]]:
     """Each formula cell's shift key: its shape's, unless the shape keys
-    each cell (see ``FormulaShape.shift_key``)."""
+    each cell (see ``FormulaShape.shift_key``); None for a data cell."""
     return [
-        c.shape.shift_key if c.shape.shift_key is not None
+        None if c.shape is None
+        else c.shape.shift_key if c.shape.shift_key is not None
         else shift_key(c.ast.root, c.address.column, c.address.row)
         for c in cells
     ]
 
 
 def _runs_along(cells: list[Cell], fixed: str,
-                keys: Optional[list[str]] = None) -> list[list[Cell]]:
-    """Maximal runs of >= 2 consecutive shift-equivalent formula cells.
+                keys: Optional[list[Optional[str]]] = None) -> list[list[int]]:
+    """Maximal runs of >= 2 consecutive shift-equivalent formula cells, each
+    as the positions of its cells in ``cells``; data cells join no run.
 
     ``fixed`` is the constant axis: "column" groups vertical runs, "row"
     groups horizontal ones. ``keys[i]`` is the shift key of ``cells[i]``;
@@ -184,18 +188,20 @@ def _runs_along(cells: list[Cell], fixed: str,
     """
     if keys is None:
         keys = _shift_keys(cells)
-    groups: dict[tuple, list[tuple[int, str, Cell]]] = {}
-    for cell, key_text in zip(cells, keys):
+    groups: dict[tuple, list[tuple[int, str, int]]] = {}
+    for i, (cell, key_text) in enumerate(zip(cells, keys)):
+        if key_text is None:
+            continue
         a = cell.address
         if fixed == "column":
             group, pos = (a.sheet, a.column), a.row
         else:
             group, pos = (a.sheet, a.row), a.column
-        groups.setdefault(group, []).append((pos, key_text, cell))
+        groups.setdefault(group, []).append((pos, key_text, i))
     runs = []
     for entries in groups.values():
         entries.sort(key=lambda e: e[0])
-        run: list[tuple[int, str, Cell]] = []
+        run: list[tuple[int, str, int]] = []
         for entry in entries:
             if run and (entry[0] != run[-1][0] + 1 or entry[1] != run[-1][1]):
                 if len(run) >= 2:
@@ -251,8 +257,9 @@ def _populated_extent(
     return hi - lo + 1, bounds
 
 
-def _copied_runs(cells: list[Cell]) -> tuple[list[list[Cell]], list[list[Cell]]]:
-    """The vertical and the horizontal runs of ``cells``, keying each once."""
+def _copied_runs(cells: list[Cell]) -> tuple[list[list[int]], list[list[int]]]:
+    """The vertical and the horizontal runs of ``cells`` (positions in
+    ``cells``), keying each cell once."""
     keys = _shift_keys(cells)
     return _runs_along(cells, "column", keys), _runs_along(cells, "row", keys)
 
@@ -265,16 +272,16 @@ def check_range_linkage(wb: Workbook, g: CellGraph) -> list[RangeLinkageFinding]
     compares the populated source extent against the expected one
     (``s`` for absolute references, run length + ``s`` - 1 for relative).
     What each reference reads comes from ``g``, the graph of ``wb``; a
-    position where some formula names a missing sheet is skipped.
+    position where some formula names a missing sheet is skipped. Runs are
+    found over ``g.cells()``, so each run is a list of node ids.
     """
     findings: list[RangeLinkageFinding] = []
-    formula_cells = list(wb.formula_cells())
     addr = g.address_of
     blocks: dict[tuple, tuple[int, int]] = {}
-    for vertical, runs in zip((True, False), _copied_runs(formula_cells)):
+    for vertical, runs in zip((True, False), _copied_runs(g.cells())):
         for run in runs:
-            target = RangeRef(run[0].address, run[-1].address)
-            resolved = [g.reference_targets(cell.address) for cell in run]
+            target = RangeRef(addr(run[0]), addr(run[-1]))
+            resolved = [g.reference_targets(i) for i in run]
             for touched_sets in zip(*resolved):
                 if not all(touched_sets):  # a reference to a missing sheet
                     continue
@@ -325,26 +332,30 @@ class ModularMetrics:
 
 
 def modular_metrics(wb: Workbook, g: CellGraph) -> ModularMetrics:
-    triples = {
-        (q.sheet, q, cell.address.sheet)
-        for cell in wb.formula_cells()
-        for q in g.precedents(cell.address)
-        if q.sheet != cell.address.sheet
-    }
+    """Data binding triples, module fan-in/out and the share of data cells
+    nothing reads, from ``g``, the graph of ``wb``, by node id."""
+    triples: set[tuple[str, int, str]] = set()  # (P, node id of Q, R)
+    data_cells = unreferenced = 0
+    for i, cell in enumerate(g.cells()):
+        if cell.shape is None:
+            data_cells += 1
+            unreferenced += g.fan_out(i) == 0
+            continue
+        r = cell.address.sheet
+        for q in g.precedent_ids(i):
+            p = g.address_of(q).sheet
+            if p != r:
+                triples.add((p, q, r))
     fan_in: dict[str, set[str]] = {s.name: set() for s in wb.sheets}
     fan_out: dict[str, set[str]] = {s.name: set() for s in wb.sheets}
     for p, _, r in triples:
         fan_out[p].add(r)
         fan_in[r].add(p)
-    data_cells = [c for c in wb.iter_cells() if not c.is_formula]
-    if data_cells:
-        unref = sum(1 for c in data_cells if g.fan_out(c.address) == 0)
-        pct = 100.0 * unref / len(data_cells)
-    else:
-        pct = 0.0
+    pct = 100.0 * unreferenced / data_cells if data_cells else 0.0
     sheet_idx = {s.name: i for i, s in enumerate(wb.sheets)}
+    addr = g.address_of
     ordered = sorted(
-        triples,
+        ((p, addr(q), r) for p, q, r in triples),
         key=lambda t: (sheet_idx[t[0]], t[1].row, t[1].column, sheet_idx[t[2]]),
     )
     counts: dict[tuple[str, str], int] = {}

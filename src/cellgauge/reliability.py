@@ -6,12 +6,15 @@ are independent, so correctness must survive every cell). The adjusted
 variant replaces the uniform rate with a per-cell rate scaled by that
 cell's complexity, so few-but-complex cascades can rank worse than
 long-but-trivial ones.
+
+Per-cell rates are computed once per audit, as a list indexed by graph node
+id, and a cascade's adjusted rate multiplies them over its member ids.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Optional, Sequence
 
 from .errors import DomainError
 from .graph import CascadeStats
@@ -95,26 +98,32 @@ def adjusted_cell_rate(
 
 def cell_error_rates(
     metrics: Iterable[CellMetrics], cfg: ReliabilityConfig = ReliabilityConfig()
-) -> dict[CellRef, float]:
-    """Each cell's :func:`adjusted_cell_rate`, keyed by address."""
-    return {m.address: adjusted_cell_rate(m, cfg) for m in metrics}
+) -> list[float]:
+    """Each cell's :func:`adjusted_cell_rate`, in the order of ``metrics``.
+
+    Given the metrics of a graph's cells in node order (``g.cells()``, which
+    is ``wb.iter_cells()`` order), the list is indexed by node id.
+    """
+    return [adjusted_cell_rate(m, cfg) for m in metrics]
 
 
 def cascade_reliability(
     stats: CascadeStats,
-    rates: Mapping[CellRef, float],
+    rates: Sequence[float],
     cfg: ReliabilityConfig = ReliabilityConfig(),
 ) -> CascadeReliability:
     """Uniform and complexity-adjusted bottom-line error rates for a cascade.
 
-    ``rates`` holds per-cell adjusted rates keyed by address, as
-    :func:`cell_error_rates` computes them once for every cascade; members
-    without a rate (e.g. materialized empty cells) get the data-cell rate.
+    ``rates[i]`` is the adjusted rate of node ``i``, as
+    :func:`cell_error_rates` computes them once for every cascade; a member
+    past the end of ``rates`` (a materialized empty cell) gets the
+    data-cell rate.
     """
     data_rate = adjusted_cell_rate(None, cfg)
+    known = len(rates)
     survive = 1.0
-    for addr in stats.members:
-        survive *= 1.0 - rates.get(addr, data_rate)
+    for i in stats.member_ids:
+        survive *= 1.0 - (rates[i] if i < known else data_rate)
     return CascadeReliability(
         terminal=stats.terminal,
         n=stats.cell_count,

@@ -5,7 +5,10 @@ range linkage -> cell metrics -> conditionals -> cascades and reliability
 -> modular structure and collects per-cell problems as warnings instead of
 aborting; only unreadable or structurally invalid input raises. The graph
 resolves each reference once, and every later stage reads from it what a
-reference reads.
+reference reads. After the graph is built the stages pass node ids: cell
+metrics are computed in node order (and listed in canonical order), rates
+and final constructs are keyed by node id, and the only address lookups are
+one per bottom-line cell.
 The JSON form is canonical: sorted keys, floats rounded to six decimals,
 stable ordering everywhere, so identical input bytes and configuration
 produce byte-identical output.
@@ -20,7 +23,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Union
@@ -154,14 +157,15 @@ def _graph_analysis(
                 f"expected extent {f.expected_extent}, found {f.actual_extent}",
             ))
 
-    cells: list[CellMetrics] = []
-    for cell in _canonical_cells(wb):
-        m = formula_metrics(cell, graph.precedents(cell.address), config.dispersion)
-        cells.append(m)
+    # Per node id, then in canonical order for the report.
+    by_node = [formula_metrics(cell, graph.precedents(i), config.dispersion)
+               for i, cell in enumerate(graph.cells())]
+    cells = [by_node[i] for i in graph.cell_ids()]
+    for m in cells:
         if m.cross_sheet_ref_count:
             warnings.append(AuditWarning(
                 W_CROSS_SHEET_DISPERSION_EXCLUDED,
-                cell.address.render(),
+                m.address.render(),
                 f"{m.cross_sheet_ref_count} cross-sheet reference(s) excluded "
                 "from dispersion and spans",
             ))
@@ -171,14 +175,17 @@ def _graph_analysis(
         constructs = find_conditionals(wb, graph)
         complexity = all_complexities(constructs, config.beta)
         finals = finals_by_cell(constructs)
-        rates = cell_error_rates(cells, config.reliability)
+        rates = cell_error_rates(by_node, config.reliability)
         cascades = []
         for terminal in graph.bottom_line_cells():
             stats = graph.cascade_stats(terminal)
             rel = cascade_reliability(stats, rates, config.reliability)
             conds = tuple(
-                (c, complexity[c.id]) for c in cascade_finals(stats.members, finals)
+                (c, complexity[c.id]) for c in cascade_finals(stats.member_ids, finals)
             )
+            # The report keeps no node ids: they name nodes of a graph that
+            # is freed on return, and would hold every cascade's members.
+            stats = replace(stats, member_ids=(), input_ids=())
             cascades.append(CascadeEntry(stats, rel, conds))
     return cells, cascades, modular_metrics(wb, graph), findings
 
@@ -193,12 +200,6 @@ def analyze(path: Union[str, Path], config: AnalysisConfig = AnalysisConfig(),
     data = Path(path).read_bytes()
     wb = load_workbook(path, format=format, data=data)
     return analyze_workbook(wb, config, digest=hashlib.sha256(data).hexdigest())
-
-
-def _canonical_cells(wb: Workbook):
-    for sheet in wb.sheets:
-        for key in sorted(sheet.cells):
-            yield sheet.cells[key]
 
 
 # --- Canonical JSON -----------------------------------------------------------

@@ -9,11 +9,12 @@ on broken workbooks. A CSV with malformed quoting is a FormatError.
 Most formulas in a model are copies of one another, identical up to the
 shift of their relative references. One load keys each formula text by its
 shape (``formula.shape_key``: one regex pass that also yields the text's
-references) and parses only the first text of each shape; every later copy
-gets its own AST, built from that template and its own references. Every
-formula cell carries its ``FormulaShape``, which holds the measures that do
-not depend on where the copy sits. A text that fails to parse is never a
-template: each such text is parsed, and reports its error offset, on its own.
+references) and parses only the first text of each shape. A later copy
+keeps only its text and its references; no AST is built for it unless
+``Cell.ast`` is read. Every formula cell carries its ``FormulaShape``, which
+holds the measures that do not depend on where the copy sits. A text that
+fails to parse is never a template: each such text is parsed, and reports
+its error offset, on its own.
 
 The workbook holds cells only; the dependency graph (``graph.py``) is what
 maps a formula's references to the cells they read.
@@ -40,19 +41,37 @@ from .refs import CellRef, parse_cell_address
 DataValue = Union[float, str, bool]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cell:
-    """A non-empty cell: either data (``value``) or a formula (``ast``, with
-    the ``shape`` it shares with its copies)."""
+    """A non-empty cell: either data (``value``) or a formula (``source``,
+    its text, with the ``shape`` it shares with its copies).
+
+    A formula cell keeps no AST. ``refs`` are its references in text order
+    (a range takes two), or None when its formula is its shape's template;
+    ``shape.references(refs)`` gives its reference leaves from them, and
+    ``ast`` builds the AST on demand. Cells compare and print by address, value and
+    source, so neither builds an AST.
+    """
 
     address: CellRef  # sheet always set, no absolute markers
     value: Optional[DataValue] = None
-    ast: Optional[FormulaAst] = None
+    source: Optional[str] = None
     shape: Optional[FormulaShape] = field(default=None, compare=False, repr=False)
+    refs: Optional[tuple[CellRef, ...]] = field(default=None, compare=False, repr=False)
 
     @property
     def is_formula(self) -> bool:
-        return self.ast is not None
+        return self.shape is not None
+
+    @property
+    def ast(self) -> Optional[FormulaAst]:
+        """The formula's AST, built from the shape's template on each call;
+        None for a data cell."""
+        if self.shape is None:
+            return None
+        if self.refs is None:
+            return self.shape.template
+        return self.shape.ast_of_copy(self.source, self.refs)
 
 
 @dataclass
@@ -142,7 +161,7 @@ def _make_cell(address: CellRef, text_or_value, warnings: list[AuditWarning],
     keyed = shape_key(text_or_value, address.column, address.row, shapes.refs)
     shape = shapes.by_key.get(keyed[0]) if keyed is not None else None
     if shape is not None:
-        return Cell(address=address, ast=shape.ast_of_copy(text_or_value, keyed[1]), shape=shape)
+        return Cell(address=address, source=text_or_value, shape=shape, refs=keyed[1])
     try:
         ast = parse_formula(text_or_value)
     except FormulaSyntaxError as exc:
@@ -153,7 +172,7 @@ def _make_cell(address: CellRef, text_or_value, warnings: list[AuditWarning],
     shape = FormulaShape(ast, address.column, address.row)
     if keyed is not None:
         shapes.by_key[keyed[0]] = shape
-    return Cell(address=address, ast=ast, shape=shape)
+    return Cell(address=address, source=text_or_value, shape=shape)
 
 
 def load_workbook_doc(doc: dict, provenance: str = "<doc>") -> Workbook:
@@ -201,7 +220,7 @@ def load_workbook_doc(doc: dict, provenance: str = "<doc>") -> Workbook:
                 ref = parse_cell_address(ref_text)
             except ValueError as exc:
                 raise FormatError(str(exc)) from exc
-            address = ref.address().with_sheet(name)
+            address = CellRef(name, ref.column, ref.row)
             has_value = "value" in cell_doc
             has_formula = "formula" in cell_doc
             if has_value == has_formula:

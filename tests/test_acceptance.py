@@ -55,7 +55,7 @@ def test_criterion_02_bottom_line_rates_and_fixtures():
         (terminal,) = g.bottom_line_cells()
         stats = g.cascade_stats(terminal)
         assert stats.cell_count == n
-        rel = cascade_reliability(stats, {}, ReliabilityConfig())
+        rel = cascade_reliability(stats, [], ReliabilityConfig())
         assert abs(rel.uniform_e - bottom_line_error_rate(0.02, n)) < 1e-15
     report("2 bottom-line error rates (n=5 -> 0.0961, n=9 -> 0.1663)")
 
@@ -104,7 +104,7 @@ def test_criterion_04_six_cell_cascade_aggregates():
     st = g.cascade_stats("S!D1")
     assert st.cell_count == 6
     assert st.avg_reachability == Fraction(17, 6)
-    reach_sum = sum(g.reachability(a) for a in st.members)
+    reach_sum = sum(g.reachability(i) for i in st.member_ids)
     assert Fraction(reach_sum, 6) == Fraction(17, 6)
     report("4 six-cell cascade aggregates (terminal 7, interior 4, avg 17/6)")
 
@@ -267,8 +267,8 @@ def test_criterion_09_scale_and_determinism(tmp_path):
     path = tmp_path / "large.json"
     path.write_text(json.dumps(doc))
 
-    # Warm the jitted kernels so the one-time compile/cache load stays out
-    # of the measured runs.
+    # Audit a tiny workbook first, so one-time costs (first calls, lazily
+    # built JSON encoders) stay out of the measured runs.
     warm = tmp_path / "warm.json"
     warm.write_text(json.dumps(
         {"sheets": [{"name": "S", "cells": [

@@ -1,5 +1,6 @@
 import random
 import sys
+from types import SimpleNamespace
 
 import pytest
 
@@ -19,9 +20,10 @@ from cellgauge.formula import (
     FunctionCall,
     RangeRefNode,
     child_nodes,
+    parse_formula,
 )
 from cellgauge.refs import CellRef
-from cellgauge.workbook import Workbook
+from cellgauge.workbook import Cell, Workbook
 
 from conftest import make_graph, make_workbook
 
@@ -508,7 +510,7 @@ def test_long_downward_chain_needs_no_recursion():
 def test_complexity_cycle_raises():
     wb, g, cs = discovered({"S": {"X1": "=IF(A1>0, 1, 2)"}})
     (c,) = cs
-    looped = ConditionalConstruct(c.cell, c.path, (c.id,), 1, True)
+    looped = ConditionalConstruct(c.cell, c.path, (c.id,), 1, True, c.node)
     with pytest.raises(CycleError):
         all_complexities([looped])
 
@@ -563,7 +565,7 @@ def test_cascade_conditionals_keep_construct_order():
         complexity = all_complexities(cs, BetaConfig(0.0))
         report = analyze_workbook(wb, AnalysisConfig())
         for entry in report.cascades:
-            members = {a.key() for a in entry.stats.members}
+            members = {a.key() for a in g.cascade_members(entry.stats.terminal)}
             expected = [(c, complexity[c.id]) for c in cs
                         if c.is_final and c.cell.key() in members]
             assert list(entry.conditionals) == expected, seed
@@ -607,3 +609,76 @@ def test_cascade_conditionals_work_is_linear_in_terminals():
 
     small, large = work(500), work(1000)
     assert large < 2.2 * small, (small, large)
+
+
+# --- IF layouts per shape ----------------------------------------------------------
+
+# The per-formula walk conditional discovery ran on every formula's AST
+# before shapes carried the IF layout, kept verbatim as the oracle.
+ConstructId = tuple[CellRef, tuple[int, ...]]
+_Reach = tuple[list[ConstructId], list[int]]
+_Ifs = list[tuple[tuple[int, ...], list[_Reach]]]
+
+
+def _walk_formula(cell: Cell) -> tuple[_Reach, _Ifs]:
+    """One pass over a formula: its own reach and its IF calls. The pass is
+    pre-order, so references are numbered in ``walk`` order, as the graph
+    lists their targets."""
+    addr = cell.address
+    own: _Reach = ([], [])
+    ifs: _Ifs = []
+    ordinal = 0
+    stack = [((), cell.ast.root, own)]
+    while stack:
+        path, node, reach = stack.pop()
+        if isinstance(node, FunctionCall) and node.name == "IF":
+            reach[0].append((addr, path))  # that construct owns its own subtree
+            args: list[_Reach] = [([], []) for _ in node.args]
+            ifs.append((path, args))
+            for i in range(len(args) - 1, -1, -1):
+                stack.append((path + (i,), node.args[i], args[i]))
+        elif isinstance(node, (CellRefNode, RangeRefNode)):
+            reach[1].append(ordinal)
+            ordinal += 1
+        else:
+            children = child_nodes(node)
+            for i in range(len(children) - 1, -1, -1):
+                stack.append((path + (i,), children[i], reach))
+    return own, ifs
+
+
+def paired_layout(cell):
+    """A formula cell's shape's IF layout paired with its address, in the
+    form ``_walk_formula`` returns."""
+    addr = cell.address
+
+    def reach(r):
+        return [(addr, p) for p in r[0]], list(r[1])
+
+    return reach(cell.shape.if_reach), [
+        (path, [reach(arg) for arg in args]) for path, args in cell.shape.ifs]
+
+
+def assert_layouts_match_own_parse(wb):
+    """Returns the number of IF calls checked."""
+    checked = 0
+    for cell in wb.formula_cells():
+        parsed = SimpleNamespace(address=cell.address, ast=parse_formula(cell.source))
+        expected = _walk_formula(parsed)
+        assert paired_layout(cell) == expected, cell.source
+        checked += len(expected[1])
+    return checked
+
+
+@pytest.mark.parametrize("cells", ORACLE_FIXTURES)
+def test_shape_if_layout_matches_walk_on_fixtures(cells):
+    assert assert_layouts_match_own_parse(make_workbook({"S": cells})) > 0
+
+
+def test_shape_if_layout_matches_walk_on_random_workbooks():
+    checked = copies = 0
+    for seed in range(200):
+        wb = make_workbook(random_conditional_workbook(seed))
+        checked += assert_layouts_match_own_parse(wb)
+        copies += sum(c.refs is not None for c in wb.formula_cells())
+    assert checked > 2000 and copies > 500, (checked, copies)

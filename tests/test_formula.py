@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -451,3 +452,51 @@ def test_long_flat_sum_renders_and_round_trips():
     ast = parse_formula(text)
     assert render_formula(ast) == text
     assert render_formula(parse_formula(render_formula(ast))) == text
+
+
+# --- repr without recursion ------------------------------------------------------
+
+
+def _mirror_class(cls):
+    """A plain frozen dataclass with the fields of an AST node class, so its
+    ``repr`` is the one the dataclass decorator generates."""
+    return dataclasses.make_dataclass(
+        cls.__name__, [(f.name, object) for f in dataclasses.fields(cls)], frozen=True)
+
+
+_MIRRORS = {cls: _mirror_class(cls) for cls in (
+    NumberLiteral, StringLiteral, BoolLiteral, CellRefNode, RangeRefNode,
+    UnaryOp, BinaryOp, FunctionCall)}
+
+
+def generated_repr(node):
+    """The generated dataclass repr of a subtree, through mirror classes
+    (recursive, so for small trees only)."""
+
+    def mirror(value):
+        if type(value) in _MIRRORS:
+            fields = dataclasses.fields(value)
+            return _MIRRORS[type(value)](*(mirror(getattr(value, f.name)) for f in fields))
+        if isinstance(value, tuple):
+            return tuple(mirror(v) for v in value)
+        return value
+
+    return repr(mirror(node))
+
+
+def test_repr_matches_generated_repr_on_random_asts():
+    rng = random.Random(99)
+    for _ in range(2000):
+        node = random_ast(rng, rng.randint(0, 6))
+        assert repr(node) == generated_repr(node)
+    ast = parse_formula('=IF(A1>0,SUM(B1:C2),-D$3%)&"x"&TRUE+F(1)')
+    assert repr(ast) == f"FormulaAst(root={generated_repr(ast.root)}, source={ast.source!r})"
+
+
+def test_long_flat_sum_reprs_without_recursion():
+    # The generated repr recursed once per level and raised RecursionError.
+    ast = parse_formula("=" + "+".join(["A1"] * 2000))
+    text = repr(ast)
+    assert text.startswith("FormulaAst(root=BinaryOp(op='+', left=BinaryOp(op='+', ")
+    assert text.count("CellRefNode(ref=CellRef(sheet=None, column=1, row=1, ") == 2000
+    assert text.endswith(f", source={ast.source!r})")

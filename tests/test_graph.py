@@ -107,7 +107,7 @@ def test_cascade_stats_diamond(diamond_graph):
     assert st.avg_reachability == Fraction(1 + 1 + 1 + 2, 4)
     assert st.avg_path_length == Fraction(3)
     assert st.max_path_length == 3
-    assert [a.render() for a in st.input_cells] == ["Sheet1!A1"]
+    assert [g.address_of(i).render() for i in st.input_ids] == ["Sheet1!A1"]
 
 
 def test_cascade_on_non_terminal_warns(chain_graph):
@@ -223,11 +223,12 @@ def test_reachability_matches_enumeration_on_random_dags():
             assert st.avg_path_length == avg_len
             assert st.max_path_length == max_len
             members = {a.key() for p in paths for a in p}
-            assert members == {a.key() for a in st.members}
-            assert g.cascade_members(t) == list(st.members)
+            assert members == {g.address_of(i).key() for i in st.member_ids}
+            assert g.member_ids(t) == list(st.member_ids)
+            assert g.cascade_members(t) == [g.address_of(i) for i in st.member_ids]
             assert st.cell_count == len(members)
             # Within-cascade reachability sums over members.
-            reach_sum = sum(g.reachability(a) for a in st.members)
+            reach_sum = sum(g.reachability(i) for i in st.member_ids)
             assert st.avg_reachability == Fraction(reach_sum, st.cell_count)
             checked += 1
             terminals += t.key() in bottom

@@ -97,7 +97,8 @@ def analyzed_with_rates(sheets, cfg=ReliabilityConfig()):
     for t in g.bottom_line_cells():
         stats = g.cascade_stats(t)
         out.append((cascade_reliability(stats, rates, cfg),
-                    [rates.get(a, adjusted_cell_rate(None, cfg)) for a in stats.members]))
+                    [rates[i] if i < len(rates) else adjusted_cell_rate(None, cfg)
+                     for i in stats.member_ids]))
     return out
 
 
@@ -172,9 +173,9 @@ def test_materialized_cells_get_data_rate():
     stats = g.cascade_stats("S!B1")
     rates = cell_error_rates(
         formula_metrics(c, g.precedents(c.address)) for c in wb.iter_cells())
-    a1 = CellRef("S", 1, 1)
-    assert a1 in stats.members and a1 not in rates
-    b1_rate = rates[CellRef("S", 2, 1)]
+    a1 = g.node_id(CellRef("S", 1, 1))
+    assert a1 in stats.member_ids and a1 >= len(rates)
+    b1_rate = rates[g.node_id(CellRef("S", 2, 1))]
     rel = cascade_reliability(stats, rates)
     # A1 gets the data-cell rate, 0.02 * 0.25.
     assert rel.adjusted_e == pytest.approx(1.0 - (1.0 - 0.005) * (1.0 - b1_rate))

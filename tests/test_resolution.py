@@ -123,7 +123,8 @@ def check_range_linkage(wb: Workbook) -> list[RangeLinkageFinding]:
     findings: list[RangeLinkageFinding] = []
     formula_cells = list(wb.formula_cells())
     for vertical in (True, False):
-        runs = _runs_along(formula_cells, "column" if vertical else "row")
+        runs = [[formula_cells[p] for p in run]
+                for run in _runs_along(formula_cells, "column" if vertical else "row")]
         for run in runs:
             first, last = run[0].address, run[-1].address
             target = RangeRef(

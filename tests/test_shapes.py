@@ -1,10 +1,11 @@
 """Formula shapes against parsing every formula on its own.
 
-A load parses only the first text of each shape and builds every later
-copy's AST from that template. These tests load workbooks and compare every
-formula cell with what parsing its own text gives: the AST (through plain
-``==``), the cell metrics and the range-linkage shift key, each computed
-the way they were before shapes, and every W001 warning with its offset.
+A load parses only the first text of each shape; a later copy keeps its
+references and builds its AST only when asked. These tests load workbooks
+and compare every formula cell with what parsing its own text gives: the
+AST (through plain ``==``), the references the dependency graph reads, the
+cell metrics and the range-linkage shift key, each computed the way they
+were before shapes, and every W001 warning with its offset.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cellgauge import build_graph, load_csv_grid, load_workbook_doc
+from cellgauge import graph as graph_module
 from cellgauge import workbook as workbook_module
 from cellgauge.errors import FormulaSyntaxError, W_FORMULA_ERROR
 from cellgauge.formula import (
@@ -31,9 +33,11 @@ from cellgauge.formula import (
     StringLiteral,
     UnaryOp,
     classify_tokens,
+    FormulaShape,
     decision_count,
     parse_formula,
     render_number,
+    walk,
 )
 from cellgauge.metrics import _shift_keys, formula_metrics
 from cellgauge.refs import CellRef, column_to_letters, parse_cell_address
@@ -90,10 +94,33 @@ def old_size_metrics(ast) -> tuple:
             Fraction(sum(levels), len(levels)), decision_count(ast))
 
 
+def graph_and_reads(wb: Workbook):
+    """``build_graph(wb)`` and the reference of each of its ``_resolve``
+    calls, in call order: every reference the graph reads."""
+    reads = []
+    resolve = graph_module._resolve
+
+    def recording(wb_, ref, own):
+        reads.append(ref)
+        return resolve(wb_, ref, own)
+
+    graph_module._resolve = recording
+    try:
+        return build_graph(wb), reads
+    finally:
+        graph_module._resolve = resolve
+
+
+def reference_leaves(ast) -> list:
+    """The refs of an AST's reference leaves in ``walk`` order."""
+    return [n.ref for n in walk(ast.root) if isinstance(n, (CellRefNode, RangeRefNode))]
+
+
 def assert_matches_own_parse(wb: Workbook, texts: dict[CellRef, str]) -> int:
     """Every formula text of ``wb`` (``texts`` by address) against its own
-    parse; returns the number of cells whose AST was built from a template."""
-    g = build_graph(wb)
+    parse; returns the number of cells that are copies of a template."""
+    g, reads = graph_and_reads(wb)
+    expected_reads = []
     expected_warnings = []
     copies = 0
     for sheet in wb.sheets:
@@ -109,15 +136,21 @@ def assert_matches_own_parse(wb: Workbook, texts: dict[CellRef, str]) -> int:
                 assert not cell.is_formula and cell.value == text
                 continue
             assert cell.ast == fresh, text
-            assert cell.ast.source == text
-            copies += cell.ast is not cell.shape.template
+            assert cell.ast.source == cell.source == text
+            copies += cell.refs is not None
+            assert (cell.ast is cell.shape.template) == (cell.refs is None)
+            expected_reads += reference_leaves(fresh)
             at = cell.address
+            assert len(g.reference_targets(at)) == len(reference_leaves(fresh)), text
             assert _shift_keys([cell]) == [old_shift_key(fresh.root, at.column, at.row)], text
             m = formula_metrics(cell, g.precedents(at))
             assert (m.n_operators, m.n_operands, m.depth_of_nesting,
                     m.avg_nesting_level, m.decision_count) == old_size_metrics(fresh), text
     got = [(w.address, w.message) for w in wb.warnings if w.code == W_FORMULA_ERROR]
     assert sorted(got) == sorted(expected_warnings)
+    # The graph walks no AST: it reads each cell's references from its shape
+    # and refs, in the order the cells' own parses list them.
+    assert reads == expected_reads
     return copies
 
 
@@ -237,6 +270,27 @@ def test_each_shape_is_parsed_once(monkeypatch):
     assert _shift_keys(d) == ["SUM(c[-3]r[0]:c[-3]R3)"] * 2 + ["SUM(c[-3]R3:c[-3]r[0])"] * 8
 
 
+def test_cells_compare_and_print_without_an_ast(monkeypatch):
+    long_sum = "+".join(["A1"] * 2000)
+    sheets = {"S": {"A1": 1.0, "B1": "=" + long_sum, "B2": "=" + long_sum.replace("A1", "A2")}}
+    first, _ = load_doc(sheets)
+    second, _ = load_doc(sheets)
+
+    def no_ast(*args):
+        raise AssertionError("an AST was built")
+
+    monkeypatch.setattr(FormulaShape, "ast_of_copy", no_ast)
+    b2 = first.cell("S!B2")
+    assert b2.refs is not None  # a copy of B1's shape
+    assert b2 == second.cell("S!B2") and hash(b2) == hash(second.cell("S!B2"))
+    assert b2 != first.cell("S!B1")
+    assert repr(b2) == (f"Cell(address={b2.address!r}, value=None, "
+                        f"source={b2.source!r})")
+    monkeypatch.undo()
+    # The 2,000-level AST prints on an explicit stack.
+    assert repr(b2.ast).count("CellRefNode(") == 2000
+
+
 def test_shapes_are_per_load():
     sheets = {"S": {"A1": 1.0, "B1": "=A1+1", "B2": "=A2+1"}}
     first, _ = load_doc(sheets)
@@ -311,3 +365,35 @@ def test_random_copies_match_their_own_parse(templates):
                 cells[f"{column_to_letters(c)}{r + 5 * i}"] = render(tmpl, c, r + 5 * i)
     wb, texts = load_doc({"Data": {"A1": 1.0}, "My Data": {"B2": 2.0}, "S": cells})
     assert_matches_own_parse(wb, texts)
+
+
+# --- the audit works on shapes and node ids ---------------------------------------
+
+
+def test_audit_builds_no_ast_and_looks_up_only_terminals(monkeypatch):
+    # Load and analysis read each copy's shape and refs, never an AST, and
+    # after the graph is built every stage passes node ids: the only address
+    # lookups left are the cascade stages' one per bottom-line cell.
+    from cellgauge import analyze_workbook
+    from cellgauge.graph import CellGraph
+    from test_acceptance import generate_large_workbook_doc
+
+    calls = {"ast_of_copy": 0, "_idx": 0}
+
+    def counting(owner, name):
+        real = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counting(FormulaShape, "ast_of_copy")
+    counting(CellGraph, "_idx")
+    wb = load_workbook_doc(generate_large_workbook_doc())
+    report = analyze_workbook(wb)
+    assert calls["ast_of_copy"] == 0
+    assert len(report.cascades) == 900
+    assert calls["_idx"] <= len(report.cascades)
+    assert sum(c.refs is not None for c in wb.formula_cells()) == 8044
