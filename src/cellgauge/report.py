@@ -9,24 +9,32 @@ reference reads. After the graph is built the stages pass node ids: cell
 metrics are computed in node order (and listed in canonical order), rates
 and final constructs are keyed by node id, and the only address lookups are
 one per bottom-line cell.
+
 The JSON form is canonical: sorted keys, floats rounded to six decimals,
 stable ordering everywhere, so identical input bytes and configuration
-produce byte-identical output.
+produce byte-identical output. Each kind of report row (cell metrics,
+cascade, cascade conditional, range finding, data binding triple, warning)
+is declared once, as its sorted keys and a function that gives a row's
+values in that order (``_Kind``). ``as_dict`` builds its row dicts from
+these declarations, and emission writes the rows in batches: one C-encoder
+call per batch of value tuples, whose texts fill a template per kind.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
+import io
 import itertools
 import json
 import math
+import operator
 import os
 import sys
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 from . import __version__
 from .conditionals import (
@@ -209,13 +217,21 @@ def _to_float(x) -> float:
     """float() that saturates instead of overflowing on huge rationals."""
     if isinstance(x, Fraction):
         try:
-            return float(x)
+            # What float(x) computes (numbers.Rational.__float__), inline.
+            return x.numerator / x.denominator
         except OverflowError:
             return sys.float_info.max if x > 0 else -sys.float_info.max
     return float(x)
 
 
 def _num(x) -> Union[int, float]:
+    # Finite floats and ints first: isinstance(x, Fraction) on any other
+    # type runs ABCMeta.__instancecheck__.
+    t = type(x)
+    if t is float and math.isfinite(x):
+        return round(x, 6)
+    if t is int:
+        return x
     if isinstance(x, Fraction):
         x = _to_float(x)
     if isinstance(x, float):
@@ -225,87 +241,86 @@ def _num(x) -> Union[int, float]:
     return x
 
 
-def _metrics_dict(m: CellMetrics) -> dict:
-    return {
-        "address": m.address.render(),
-        "n_operators": m.n_operators,
-        "n_operands": m.n_operands,
-        "depth_of_nesting": m.depth_of_nesting,
-        "avg_nesting_level": _num(m.avg_nesting_level),
-        "decision_count": m.decision_count,
-        "n_references": m.n_references,
-        "dispersion": _num(m.dispersion),
-        "delta_sum": _num(m.delta_sum),
-        "col_span": m.col_span,
-        "row_span": m.row_span,
-        "cross_sheet_ref_count": m.cross_sheet_ref_count,
-        "mixed_axis_flag": m.mixed_axis_flag,
-        "forward_ref_count": m.forward_ref_count,
-    }
+class _Kind(NamedTuple):
+    """One kind of report row: its keys in sorted order, and ``values(row)``,
+    which gives a row's values in that order.
 
-
-def _cascade_dict(entry: CascadeEntry) -> dict:
-    stats, rel = entry.stats, entry.reliability
-    return {
-        "terminal": stats.terminal.render(),
-        "cell_count": stats.cell_count,
-        "total_paths": stats.total_paths,
-        "avg_reachability": _num(stats.avg_reachability),
-        "avg_path_length": _num(stats.avg_path_length),
-        "max_path_length": stats.max_path_length,
-        "uniform_e": _num(rel.uniform_e),
-        "adjusted_e": _num(rel.adjusted_e),
-        "conditionals": [
-            {"cell": c.cell.render(), "o_value": _num(float(o))}
-            for c, o in entry.conditionals
-        ],
-    }
-
-
-def _rows_list(build, items) -> list:
-    return [build(item) for item in items]
-
-
-class _Rows:
-    """A list of report rows that the JSON emitter builds one at a time.
-
-    ``_report_dict(r, rows=_Rows)`` gives the report with each row list
-    left unbuilt, so emission never holds every row's dict at once.
+    ``nested`` names the one list-valued column, if any, and the kind of
+    its rows; ``values`` gives that column as its unbuilt rows.
     """
 
-    __slots__ = ("build", "items")
+    keys: tuple[str, ...]
+    values: Callable[..., tuple]
+    nested: Optional[tuple[str, "_Kind"]] = None
 
-    def __init__(self, build, items):
-        self.build = build
+
+_CELL = _Kind(
+    ("address", "avg_nesting_level", "col_span", "cross_sheet_ref_count",
+     "decision_count", "delta_sum", "depth_of_nesting", "dispersion",
+     "forward_ref_count", "mixed_axis_flag", "n_operands", "n_operators",
+     "n_references", "row_span"),
+    lambda m: (m.address.render(), _num(m.avg_nesting_level), m.col_span,
+               m.cross_sheet_ref_count, m.decision_count, _num(m.delta_sum),
+               m.depth_of_nesting, _num(m.dispersion), m.forward_ref_count,
+               m.mixed_axis_flag, m.n_operands, m.n_operators,
+               m.n_references, m.row_span),
+)
+# A cascade's conditional: (ConditionalConstruct, O value).
+_CONDITIONAL = _Kind(("cell", "o_value"),
+                     lambda co: (co[0].cell.render(), _num(float(co[1]))))
+_CASCADE = _Kind(
+    ("adjusted_e", "avg_path_length", "avg_reachability", "cell_count",
+     "conditionals", "max_path_length", "terminal", "total_paths",
+     "uniform_e"),
+    lambda e: (_num(e.reliability.adjusted_e), _num(e.stats.avg_path_length),
+               _num(e.stats.avg_reachability), e.stats.cell_count,
+               e.conditionals, e.stats.max_path_length,
+               e.stats.terminal.render(), e.stats.total_paths,
+               _num(e.reliability.uniform_e)),
+    nested=("conditionals", _CONDITIONAL),
+)
+_FINDING = _Kind(
+    ("actual_extent", "expected_extent", "ref_style", "s", "source_range",
+     "target_range", "verdict"),
+    lambda f: (f.actual_extent, f.expected_extent, f.ref_style, f.s,
+               f.source_range.render(), f.target_range.render(), f.verdict),
+)
+# A data binding triple: (sheet P, cell Q, sheet R).
+_TRIPLE = _Kind(("p", "q", "r"), lambda t: (t[0], t[1].render(), t[2]))
+_WARNING = _Kind(("address", "code", "message"),
+                 operator.attrgetter("address", "code", "message"))
+
+
+def _row_dicts(kind: _Kind, items) -> list[dict]:
+    """The rows ``items`` of ``kind`` as dicts."""
+    rows = [dict(zip(kind.keys, kind.values(item))) for item in items]
+    if kind.nested is not None:
+        key, nested = kind.nested
+        for row in rows:
+            row[key] = _row_dicts(nested, row[key])
+    return rows
+
+
+class _Table:
+    """The rows ``items`` of ``kind``, left unbuilt until emission writes
+    them in batches (``_emit_rows``)."""
+
+    __slots__ = ("kind", "items")
+
+    def __init__(self, kind: _Kind, items):
+        self.kind = kind
         self.items = items
 
 
-def _triple_dict(triple: tuple) -> dict:
-    p, q, r = triple
-    return {"p": p, "q": q.render(), "r": r}
-
-
-def _modular_dict(mod: ModularMetrics, rows=_rows_list) -> dict:
+def _modular_dict(mod: ModularMetrics, rows=_row_dicts) -> dict:
     return {
-        "triples": rows(_triple_dict, mod.triples),
+        "triples": rows(_TRIPLE, mod.triples),
         "triple_count_by_pair": {
             f"{p}->{r}": n for (p, r), n in sorted(mod.triple_count_by_pair.items())
         },
         "unreferenced_data_pct": _num(mod.unreferenced_data_pct),
         "module_fan_in": dict(sorted(mod.module_fan_in.items())),
         "module_fan_out": dict(sorted(mod.module_fan_out.items())),
-    }
-
-
-def _finding_dict(f: RangeLinkageFinding) -> dict:
-    return {
-        "source_range": f.source_range.render(),
-        "target_range": f.target_range.render(),
-        "s": f.s,
-        "ref_style": f.ref_style,
-        "expected_extent": f.expected_extent,
-        "actual_extent": f.actual_extent,
-        "verdict": f.verdict,
     }
 
 
@@ -329,15 +344,11 @@ def _config_dict(cfg: AnalysisConfig) -> dict:
     }
 
 
-def _warning_dict(w: AuditWarning) -> dict:
-    return {"code": w.code, "address": w.address, "message": w.message}
-
-
-def _report_dict(r: WorkbookReport, rows=_rows_list) -> dict:
+def _report_dict(r: WorkbookReport, rows=_row_dicts) -> dict:
     """The canonical report schema.
 
-    ``rows(build, items)`` turns each per-row list into its JSON value:
-    by default the built list, in emission a ``_Rows``.
+    ``rows(kind, items)`` turns each row list into its JSON value: by
+    default a list of dicts, in emission a ``_Table``.
     """
     return {
         "meta": {
@@ -346,21 +357,24 @@ def _report_dict(r: WorkbookReport, rows=_rows_list) -> dict:
             "input_sha256": r.input_digest,
         },
         "config": _config_dict(r.config),
-        "cells": rows(_metrics_dict, r.cells),
-        "cascades": (
-            None if r.cascades is None else rows(_cascade_dict, r.cascades)
-        ),
+        "cells": rows(_CELL, r.cells),
+        "cascades": None if r.cascades is None else rows(_CASCADE, r.cascades),
         "modular": _modular_dict(r.modular, rows),
-        "range_findings": rows(_finding_dict, r.range_findings),
-        "warnings": rows(_warning_dict, r.warnings),
+        "range_findings": rows(_FINDING, r.range_findings),
+        "warnings": rows(_WARNING, r.warnings),
     }
 
 
 # --- Emission -----------------------------------------------------------------
 
 _INDENT = "  "
-_NESTABLE = (dict, list, tuple, _Rows)  # a _Rows is truthy even when empty
+_NESTABLE = (dict, list, tuple, _Table)  # a _Table is truthy even when empty
 _SCALARS = frozenset((str, int, float, bool, type(None)))
+_BATCH = 1024  # rows per C-encoder call
+# Encodes a batch of rows' value tuples with "\n" between items; strings
+# escape their control characters, so every raw newline is a separator.
+_BATCH_ENCODER = json.JSONEncoder(ensure_ascii=False, check_circular=False,
+                                  separators=("\n", ": "))
 
 
 @functools.cache
@@ -371,6 +385,53 @@ def _flat_encoder(level: int) -> json.JSONEncoder:
                             separators=(",\n" + _INDENT * (level + 1), ": "))
 
 
+@functools.cache
+def _row_template(kind: _Kind, level: int) -> str:
+    """A ``%``-template of one ``kind`` row at nesting ``level``: the keys
+    and indentation filled in, one ``%s`` per value's JSON text."""
+    inner = _INDENT * (level + 1)
+    return ("{\n" + ",\n".join(
+        inner + json.dumps(key, ensure_ascii=False).replace("%", "%%") + ": %s"
+        for key in kind.keys) + "\n" + _INDENT * level + "}")
+
+
+def _emit_rows(kind: _Kind, items, level: int, write: Callable[[str], object]) -> None:
+    """Pass ``write`` the text ``json.dumps`` gives for the list of ``kind``
+    rows ``items`` at nesting ``level``, ``_BATCH`` rows per C-encoder call.
+
+    The encoder writes a batch's value tuples as ``[[a\\nb]\\n[c\\nd]]``, so
+    stripping the outer brackets and the row boundaries leaves one value's
+    text per line, and each row fills its kind's template. A nested
+    column's value is encoded as ``null`` and then replaced by the text of
+    its own rows.
+    """
+    if not items:
+        write("[]")
+        return
+    width = len(kind.keys)
+    template = _row_template(kind, level + 1)
+    sep = ",\n" + _INDENT * (level + 1)
+    write("[\n" + _INDENT * (level + 1))
+    for start in range(0, len(items), _BATCH):
+        batch = list(map(kind.values, items[start:start + _BATCH]))
+        if kind.nested is not None:
+            key, nested_kind = kind.nested
+            at = kind.keys.index(key)
+            nested = []
+            for i, values in enumerate(batch):
+                sub: list[str] = []
+                _emit_rows(nested_kind, values[at], level + 2, sub.append)
+                nested.append("".join(sub))
+                batch[i] = values[:at] + (None,) + values[at + 1:]
+        texts = _BATCH_ENCODER.encode(batch)[2:-2].replace("]\n[", "\n").split("\n")
+        if kind.nested is not None:
+            texts[at::width] = nested
+        if start:
+            write(sep)
+        write(sep.join(map(template.__mod__, zip(*[iter(texts)] * width))))
+    write("\n" + _INDENT * level + "]")
+
+
 def _holds_container(value) -> bool:
     children = value.values() if isinstance(value, dict) else value
     if _SCALARS.issuperset(map(type, children)):  # the common case, in C
@@ -378,24 +439,22 @@ def _holds_container(value) -> bool:
     return any(isinstance(child, _NESTABLE) and child for child in children)
 
 
-def _encode_json(value, level: int, out: list[str]) -> None:
-    """Append the text ``json.dumps(value, sort_keys=True, indent=2,
+def _encode_json(value, level: int, write: Callable[[str], object]) -> None:
+    """Pass ``write`` the text ``json.dumps(value, sort_keys=True, indent=2,
     ensure_ascii=False)`` gives for ``value`` at nesting ``level``.
 
-    A value that holds no non-empty container is one call to the C encoder,
-    whose item separator carries the newline and the indentation; only the
-    newlines next to its brackets are added here. The encoder escapes
-    control characters inside strings, so a raw newline can only come from
-    a separator. Only containers that hold a non-empty container recurse,
-    and a ``_Rows`` builds its rows one at a time. Dict keys must be str.
+    A ``_Table`` is written by ``_emit_rows``. Any other value that holds
+    no non-empty container is one call to the C encoder, whose item
+    separator carries the newline and the indentation; only the newlines
+    next to its brackets are added here. The encoder escapes control
+    characters inside strings, so a raw newline can only come from a
+    separator. Only containers that hold a non-empty container recurse.
+    Dict keys must be str.
     """
-    if isinstance(value, _Rows):
-        if not value.items:
-            out.append("[]")
-            return
-        brackets, prefixes = "[]", itertools.repeat("")
-        children = map(value.build, value.items)
-    elif isinstance(value, (dict, list, tuple)) and _holds_container(value):
+    if isinstance(value, _Table):
+        _emit_rows(value.kind, value.items, level, write)
+        return
+    if isinstance(value, (dict, list, tuple)) and _holds_container(value):
         if isinstance(value, dict):
             keys = sorted(value)
             brackets = "{}"
@@ -408,21 +467,14 @@ def _encode_json(value, level: int, out: list[str]) -> None:
         if len(text) > 2 and text[0] in "[{":
             text = (text[0] + "\n" + _INDENT * (level + 1) + text[1:-1]
                     + "\n" + _INDENT * level + text[-1])
-        out.append(text)
+        write(text)
         return
     sep = brackets[0] + "\n" + _INDENT * (level + 1)
     for prefix, child in zip(prefixes, children):
-        out.append(sep + prefix)
-        _encode_json(child, level + 1, out)
+        write(sep + prefix)
+        _encode_json(child, level + 1, write)
         sep = ",\n" + _INDENT * (level + 1)
-    out.append("\n" + _INDENT * level + brackets[1])
-
-
-def _json_chunks(r: WorkbookReport) -> list[str]:
-    out: list[str] = []
-    _encode_json(_report_dict(r, _Rows), 0, out)
-    out.append("\n")
-    return out
+    write("\n" + _INDENT * level + brackets[1])
 
 
 def _color_enabled() -> bool:
@@ -568,13 +620,20 @@ def emit_report(r: WorkbookReport, format: str = "json") -> bytes:
 
     The JSON form is canonical and deterministic: the bytes of
     ``json.dumps(r.as_dict(), sort_keys=True, indent=2, ensure_ascii=False)``
-    plus a trailing newline. It is produced by ``_encode_json`` through the
-    C encoder, one row at a time, so the report's dict of rows and the pure
-    Python encoder's chunk list are never held; the text is joined and
-    encoded once.
+    plus a trailing newline. ``_encode_json`` writes the report's few small
+    dicts through the C encoder and each row list through ``_emit_rows``:
+    ``_BATCH`` rows per C-encoder call, each row's value texts put into its
+    kind's template. No row dict is built and the pure-Python encoder never
+    runs. Each piece is encoded to UTF-8 as it is written into one buffer,
+    whose bytes are returned without a copy, so the report's text is never
+    held beside its bytes.
     """
     if format == "json":
-        return "".join(_json_chunks(r)).encode("utf-8")
+        buf = io.BytesIO()
+        _encode_json(_report_dict(r, _Table), 0,
+                     lambda text: buf.write(text.encode("utf-8")))
+        buf.write(b"\n")
+        return buf.getvalue()  # the buffer itself, not a copy
     if format == "text":
         return _text_report(r).encode("utf-8")
     raise ValueError(f"unknown report format {format!r}")

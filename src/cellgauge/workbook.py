@@ -25,6 +25,8 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Optional, Union
@@ -36,9 +38,13 @@ from .errors import (
     W_FORMULA_ERROR,
 )
 from .formula import FormulaAst, FormulaShape, parse_formula, shape_key
-from .refs import CellRef, parse_cell_address
+from .refs import CellRef, letters_to_column, parse_cell_address
 
 DataValue = Union[float, str, bool]
+
+# The common form of a cell's "ref": upper-case letters and a row with no
+# leading zero. Anything else goes through ``parse_cell_address``.
+_PLAIN_ADDRESS = re.compile(r"\$?([A-Z]{1,3})\$?([1-9][0-9]*)\Z")
 
 
 @dataclass(frozen=True, slots=True)
@@ -135,11 +141,19 @@ class Workbook:
 
 # --- Loading ---------------------------------------------------------------
 
-def _typed_value(raw: object) -> DataValue:
+def _typed_value(raw: object, address: CellRef) -> DataValue:
     if isinstance(raw, bool):
         return raw
     if isinstance(raw, (int, float)):
-        return float(raw)
+        try:
+            value = float(raw)
+        except OverflowError:  # an integer literal past float's range
+            value = math.inf if raw > 0 else -math.inf
+        if not math.isfinite(value):
+            raise FormatError(
+                f"cell {address.render()} value must be a finite number, got {value!r}"
+            )
+        return value
     if isinstance(raw, str):
         return raw
     raise FormatError(f"cell value must be number, string or boolean, got {raw!r}")
@@ -157,7 +171,7 @@ class _Shapes:
 def _make_cell(address: CellRef, text_or_value, warnings: list[AuditWarning],
                is_formula: bool, shapes: _Shapes) -> Cell:
     if not is_formula:
-        return Cell(address=address, value=_typed_value(text_or_value))
+        return Cell(address=address, value=_typed_value(text_or_value, address))
     keyed = shape_key(text_or_value, address.column, address.row, shapes.refs)
     shape = shapes.by_key.get(keyed[0]) if keyed is not None else None
     if shape is not None:
@@ -216,11 +230,16 @@ def load_workbook_doc(doc: dict, provenance: str = "<doc>") -> Workbook:
                 raise FormatError('cell "ref" must be a string')
             if "!" in ref_text:
                 raise FormatError(f"cell ref must not carry a sheet: {ref_text!r}")
-            try:
-                ref = parse_cell_address(ref_text)
-            except ValueError as exc:
-                raise FormatError(str(exc)) from exc
-            address = CellRef(name, ref.column, ref.row)
+            plain = _PLAIN_ADDRESS.match(ref_text)
+            if plain is not None:
+                letters, row = plain.groups()
+                address = CellRef(name, letters_to_column(letters), int(row))
+            else:
+                try:
+                    ref = parse_cell_address(ref_text)
+                except ValueError as exc:
+                    raise FormatError(str(exc)) from exc
+                address = CellRef(name, ref.column, ref.row)
             has_value = "value" in cell_doc
             has_formula = "formula" in cell_doc
             if has_value == has_formula:
@@ -259,6 +278,9 @@ def load_csv_grid(text: str, provenance: str = "<csv>") -> Workbook:
                         value = float(raw)
                     except ValueError:
                         value = raw
+                    else:
+                        if not math.isfinite(value):  # "nan", "inf", "1e400"
+                            value = raw
                 sheet.add(Cell(address=address, value=value))
     except csv.Error as exc:
         raise FormatError(f"invalid CSV at line {reader.line_num}: {exc}") from exc
@@ -288,9 +310,11 @@ def load_workbook(path: Union[str, Path], format: str = "auto",
     # Decoded as Path.read_text would, universal newlines included.
     text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
     if format == "workbook-doc":
+        # A JSONDecodeError is a ValueError, as is an integer literal past
+        # the interpreter's 4,300-digit limit; nesting too deep recurses.
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise FormatError(f"invalid JSON: {exc}") from exc
         return load_workbook_doc(doc, provenance=str(path))
     if format == "csv-grid":

@@ -1,20 +1,47 @@
-"""The streaming JSON emitter against ``json.dumps(..., indent=2)``.
+"""The batched JSON emitter against ``json.dumps(..., indent=2)``.
 
-``emit_report`` builds the canonical report through the C encoder one row
-at a time; the pure-Python one-liner it replaced is kept here as the
-reference, and every report and arbitrary JSON value must give the same
-bytes.
+``emit_report`` writes each row list through the C encoder, ``_BATCH`` rows
+per call, into a template per row kind; the pure-Python one-liner it
+replaced is kept here as the reference, and every report and arbitrary
+JSON value must give the same bytes.
 """
 
 import json
+import math
 import random
+import sys
+from fractions import Fraction
+from typing import Union
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from cellgauge import load_workbook_doc
-from cellgauge.report import _encode_json, _Rows, analyze_workbook, emit_report
+from cellgauge.conditionals import ConditionalConstruct
+from cellgauge.errors import AuditWarning
+from cellgauge.graph import CascadeStats
+from cellgauge.metrics import CellMetrics, ModularMetrics, RangeLinkageFinding
+from cellgauge.refs import CellRef, RangeRef
+from cellgauge.reliability import CascadeReliability
+from cellgauge.report import (
+    _BATCH,
+    _CASCADE,
+    _CELL,
+    _CONDITIONAL,
+    _FINDING,
+    _TRIPLE,
+    _WARNING,
+    AnalysisConfig,
+    CascadeEntry,
+    WorkbookReport,
+    _encode_json,
+    _num,
+    _row_dicts,
+    _Table,
+    analyze_workbook,
+    emit_report,
+)
 
 from conftest import make_workbook
 from test_acceptance import generate_large_workbook_doc
@@ -31,8 +58,13 @@ def reference_report(report) -> bytes:
 
 def encode(value) -> str:
     out: list[str] = []
-    _encode_json(value, 0, out)
+    _encode_json(value, 0, out.append)
     return "".join(out)
+
+
+@pytest.fixture(scope="module")
+def acceptance_report():
+    return analyze_workbook(load_workbook_doc(generate_large_workbook_doc()))
 
 
 # Quotes, backslashes, raw control characters, line breaks, non-ASCII and
@@ -80,13 +112,17 @@ def test_encoder_matches_on_edge_cases(value):
 
 
 def test_rows_encode_like_lists():
-    def build(n):
-        return {"n": n, "nested": [n] * (n % 3)}
-
-    for items in ([], [0], [1, 2, 3], list(range(7))):
-        value = {"rows": _Rows(build, items), "tail": _Rows(build, [])}
-        expected = {"rows": [build(n) for n in items], "tail": []}
+    kind = _TRIPLE
+    for n in (0, 1, 3, 7):
+        items = [(f"P{i}", CellRef(f"Q {i}", i + 1, i % 3 + 1), "R\n") for i in range(n)]
+        value = {"rows": _Table(kind, items), "tail": _Table(kind, [])}
+        expected = {"rows": _row_dicts(kind, items), "tail": []}
         assert encode(value) == reference_json(expected)
+
+
+def test_row_kinds_list_their_keys_sorted():
+    for kind in (_CELL, _CASCADE, _CONDITIONAL, _FINDING, _TRIPLE, _WARNING):
+        assert list(kind.keys) == sorted(kind.keys)
 
 
 @pytest.mark.parametrize("cells", ORACLE_FIXTURES)
@@ -95,10 +131,32 @@ def test_emit_report_matches_reference_on_fixtures(cells):
     assert emit_report(report, "json") == reference_report(report)
 
 
-def test_emit_report_matches_reference_on_acceptance_document():
-    report = analyze_workbook(load_workbook_doc(generate_large_workbook_doc()))
-    assert len(report.cells) == 10_000
-    assert emit_report(report, "json") == reference_report(report)
+def test_emit_report_matches_reference_on_acceptance_document(acceptance_report):
+    assert len(acceptance_report.cells) == 10_000
+    assert emit_report(acceptance_report, "json") == reference_report(acceptance_report)
+
+
+def test_emission_calls_the_encoder_once_per_batch_and_cascade(acceptance_report,
+                                                               monkeypatch):
+    report = acceptance_report
+    calls = 0
+    encode_once = json.JSONEncoder.encode
+
+    def counting(self, o):
+        nonlocal calls
+        calls += 1
+        return encode_once(self, o)
+
+    monkeypatch.setattr(json.JSONEncoder, "encode", counting)
+    emit_report(report, "json")
+    batches = sum(math.ceil(len(rows) / _BATCH) for rows in (
+        report.cells, report.cascades, report.range_findings,
+        report.modular.triples, report.warnings))
+    # One call per batch of rows and one per cascade's conditionals, plus a
+    # fixed number for meta, config, modular's small dicts and the keys in
+    # the row templates. Row at a time it was 29,937.
+    assert batches == 15 and len(report.cascades) == 900
+    assert calls <= len(report.cascades) + batches + 80
 
 
 SHEET_NAMES = [
@@ -157,3 +215,140 @@ def test_emit_report_matches_reference_on_awkward_text():
             seen.add("range finding")
     assert seen >= {"\\n", '\\"', "\\\\", "\\t", "\\u0001", "é", "\U0001f600",
                     "W001", "W002", "W003", "W004", "cyclic", "acyclic", "range finding"}
+
+
+# --- Rows of every kind at the batch boundaries -------------------------------
+
+FRACTIONS = st.one_of(
+    st.fractions(),
+    st.builds(Fraction, st.integers(-(10 ** 400), 10 ** 400), st.integers(1, 10 ** 6)),
+    st.builds(Fraction, st.integers(-5, 5), st.integers(10 ** 350, 10 ** 400)),
+)
+FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([5e-324, -5e-324, -0.0, 0.0, 1.7976931348623157e308,
+                     float("nan"), float("inf"), float("-inf"), 0.1234565, 2.5e-7]),
+)
+INTS = st.one_of(st.booleans(), st.integers(), st.integers(-(10 ** 80), 10 ** 80),
+                 st.sampled_from([10 ** 80 + 1, -(10 ** 81), 3 ** 299]))
+NUMBERS = st.one_of(FLOATS, INTS, FRACTIONS)
+ADDRESSES = st.builds(CellRef, TEXT, st.integers(1, 20_000), st.integers(1, 10 ** 7))
+RANGES = st.builds(RangeRef, ADDRESSES, ADDRESSES)
+
+CELL_ROWS = st.builds(
+    CellMetrics, ADDRESSES, n_operators=INTS, n_operands=INTS,
+    depth_of_nesting=INTS, avg_nesting_level=NUMBERS, decision_count=INTS,
+    n_references=INTS, dispersion=NUMBERS, delta_sum=NUMBERS, col_span=INTS,
+    row_span=INTS, cross_sheet_ref_count=INTS, mixed_axis_flag=st.booleans(),
+    forward_ref_count=INTS,
+)
+CONDITIONAL_ROWS = st.tuples(
+    st.builds(ConditionalConstruct, ADDRESSES, st.just((0,)), st.just(()),
+              st.integers(0, 3), st.booleans(), st.integers(0, 9)),
+    st.one_of(FLOATS, st.integers(-(10 ** 80), 10 ** 80), st.fractions()),
+)
+CASCADE_ROWS = st.builds(
+    lambda terminal, stats, rel, conditionals: CascadeEntry(
+        CascadeStats(terminal, *stats, input_ids=(), member_ids=()),
+        CascadeReliability(terminal, *rel), tuple(conditionals)),
+    ADDRESSES,
+    st.tuples(INTS, INTS, NUMBERS, NUMBERS, INTS, INTS),
+    st.tuples(INTS, NUMBERS, NUMBERS),
+    st.lists(CONDITIONAL_ROWS, max_size=3),
+)
+FINDING_ROWS = st.builds(RangeLinkageFinding, RANGES, RANGES, INTS, TEXT, INTS, INTS, TEXT)
+TRIPLE_ROWS = st.tuples(TEXT, ADDRESSES, TEXT)
+WARNING_ROWS = st.builds(AuditWarning, TEXT, TEXT, TEXT)
+
+
+def repeated(pool: list, n: int) -> list:
+    """``n`` rows drawn in turn from ``pool``, so neighbours differ."""
+    return [pool[i % len(pool)] for i in range(n)]
+
+
+@pytest.mark.parametrize("n", [0, 1, _BATCH - 1, _BATCH, _BATCH + 1, 2 * _BATCH + 1])
+# Shrinking a report of thousands of rows takes minutes; a failure is
+# reported as drawn.
+@settings(max_examples=8, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(data=st.data())
+def test_emit_report_matches_reference_on_rows_of_every_kind(n, data):
+    def rows(strategy):
+        return repeated(data.draw(st.lists(strategy, min_size=1, max_size=5)), n)
+
+    cascades = None if data.draw(st.booleans()) and n else rows(CASCADE_ROWS)
+    report = WorkbookReport(
+        tool_version=data.draw(TEXT),
+        input_digest=data.draw(TEXT),
+        config=AnalysisConfig(),
+        cells=rows(CELL_ROWS),
+        cascades=cascades,
+        modular=ModularMetrics(
+            triples=tuple(rows(TRIPLE_ROWS)),
+            triple_count_by_pair=data.draw(st.dictionaries(st.tuples(TEXT, TEXT), INTS, max_size=3)),
+            unreferenced_data_pct=data.draw(NUMBERS),
+            module_fan_in=data.draw(st.dictionaries(TEXT, INTS, max_size=3)),
+            module_fan_out=data.draw(st.dictionaries(TEXT, INTS, max_size=3)),
+        ),
+        range_findings=rows(FINDING_ROWS),
+        warnings=rows(WARNING_ROWS),
+    )
+    assert emit_report(report, "json") == reference_report(report)
+
+
+@pytest.mark.parametrize("n", [_BATCH, 2 * _BATCH + 1])
+def test_a_cascade_with_batches_of_conditionals(n):
+    def conditional(i):
+        construct = ConditionalConstruct(CellRef(f"S{i % 3}", i + 1, 1), (0,), (), 1, True, i)
+        return construct, [i, 0.5 * i, float("nan"), -0.0, Fraction(1, 3)][i % 5]
+
+    terminal = CellRef("S", 1, 1)
+    entries = [
+        CascadeEntry(CascadeStats(terminal, 1, 2, Fraction(1, 3), Fraction(2), 1, 3, (), ()),
+                     CascadeReliability(terminal, 3, 0.1, 0.2), conditionals)
+        for conditionals in ((), tuple(map(conditional, range(n))), ())
+    ]
+    report = WorkbookReport("v", "d", AnalysisConfig(), [], entries,
+                            ModularMetrics((), {}, 0.0, {}, {}), [], [])
+    assert emit_report(report, "json") == reference_report(report)
+
+
+# --- _num against the version before its fast path ----------------------------
+
+
+def _to_float_before(x) -> float:
+    """float() that saturates instead of overflowing on huge rationals."""
+    if isinstance(x, Fraction):
+        try:
+            return float(x)
+        except OverflowError:
+            return sys.float_info.max if x > 0 else -sys.float_info.max
+    return float(x)
+
+
+def _num_before(x) -> Union[int, float]:
+    if isinstance(x, Fraction):
+        x = _to_float_before(x)
+    if isinstance(x, float):
+        if math.isinf(x):
+            x = sys.float_info.max if x > 0 else -sys.float_info.max
+        return round(x, 6)
+    return x
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.one_of(SCALARS, NUMBERS))
+def test_num_matches_the_version_before_its_fast_path(x):
+    got, want = _num(x), _num_before(x)
+    assert type(got) is type(want)
+    assert repr(got) == repr(want)  # tells -0.0 from 0.0, and NaN from NaN
+
+
+@pytest.mark.parametrize("x", [
+    -0.0, float("nan"), float("inf"), float("-inf"), True, False, 0, -(10 ** 90),
+    5e-324, 0.0000005, 0.0000015, 2.675, Fraction(10 ** 400, 3), Fraction(-(10 ** 400), 7),
+    Fraction(1, 10 ** 400), Fraction(-1, 3), Fraction(0), None, "1.5",
+])
+def test_num_matches_the_version_before_on_edge_cases(x):
+    got, want = _num(x), _num_before(x)
+    assert (type(got), repr(got)) == (type(want), repr(want))

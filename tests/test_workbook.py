@@ -1,11 +1,14 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cellgauge.cli import main
 from cellgauge.errors import FormatError
 from cellgauge.graph import build_graph
 from cellgauge.metrics import DispersionConfig, formula_metrics
-from cellgauge.refs import CellRef
+from cellgauge.refs import CellRef, parse_cell_address
 from cellgauge.workbook import (
     load_csv_grid,
     load_workbook,
@@ -97,6 +100,84 @@ def test_invalid_json_is_format_error(tmp_path):
     p.write_text("{not json")
     with pytest.raises(FormatError):
         load_workbook(p)
+
+
+def one_value_doc(value_text: str) -> str:
+    return '{"sheets": [{"name": "S", "cells": [{"ref": "B2", "value": %s}]}]}' % value_text
+
+
+@pytest.mark.parametrize("value_text, shown", [
+    ("1e400", "inf"), ("-1e400", "-inf"), ("NaN", "nan"), ("Infinity", "inf"),
+    ("-Infinity", "-inf"), ("1" + "0" * 400, "inf"), ("-1" + "0" * 400, "-inf"),
+], ids=["1e400", "-1e400", "NaN", "Infinity", "-Infinity", "10**400", "-10**400"])
+def test_non_finite_json_value_exits_two_naming_the_cell(tmp_path, capsys, value_text, shown):
+    path = tmp_path / "wb.json"
+    path.write_text(one_value_doc(value_text))
+    assert main(["analyze", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cell S!B2 value must be a finite number, got {shown}\n"
+
+
+@pytest.mark.parametrize("text", [
+    one_value_doc("1" * 5000),  # past the interpreter's int-from-text digit limit
+    "[" * 100_000,  # past the decoder's recursion limit
+], ids=["long_integer", "deep_nesting"])
+def test_json_the_decoder_refuses_exits_two(tmp_path, capsys, text):
+    path = tmp_path / "wb.json"
+    path.write_text(text)
+    assert main(["analyze", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: invalid JSON: ")
+
+
+def test_finite_json_values_load_as_floats():
+    wb = load_workbook_doc(json.loads(one_value_doc("1.7976931348623157e308")))
+    assert wb.cell("S!B2").value == 1.7976931348623157e308
+    wb = load_workbook_doc(json.loads(one_value_doc("-" + "9" * 300)))
+    assert wb.cell("S!B2").value == -float("9" * 300)
+
+
+def test_csv_fields_that_parse_only_to_non_finite_floats_stay_text():
+    wb = load_csv_grid("nan,inf,1e400,-Infinity, NaN ,2.5,-1e308\n")
+    values = [wb.cell(f"Sheet1!{c}1").value for c in "ABCDEFG"]
+    assert values == ["nan", "inf", "1e400", "-Infinity", " NaN ", 2.5, -1e308]
+
+
+def expected_address(ref: str):
+    """What ``parse_cell_address`` makes of a cell's "ref": its (column,
+    row) or its error message."""
+    try:
+        addr = parse_cell_address(ref)
+    except ValueError as exc:
+        return str(exc)
+    return addr.column, addr.row
+
+
+def loaded_address(ref: str):
+    try:
+        wb = load_workbook_doc({"sheets": [{"name": "S", "cells": [{"ref": ref, "value": 1}]}]})
+    except FormatError as exc:
+        return str(exc)
+    (cell,) = wb.iter_cells()
+    assert cell.address.sheet == "S" and not cell.address.col_absolute
+    return cell.address.column, cell.address.row
+
+
+@pytest.mark.parametrize("ref", [
+    "A1", "Z9", "AA10", "XFD1048576", "ZZZ7", "XFE3", "$A$1", "$B7", "C$8",
+    "A01", "A0", "A00", "a1", "aB3", " A1", "A1 ", "\tA1\n", "AAAA1", "A", "1",
+    "", "??", "A-1", "A1.5", "$$A1", "A$$1",
+])
+def test_cell_refs_load_as_parse_cell_address_reads_them(ref):
+    assert loaded_address(ref) == expected_address(ref)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet=list("$AZaz0189 \t"), max_size=8))
+def test_any_cell_ref_loads_as_parse_cell_address_reads_it(ref):
+    assert loaded_address(ref) == expected_address(ref)
 
 
 # --- resolution ---------------------------------------------------------------
