@@ -21,16 +21,20 @@ so the parser's call stack stays bounded. AST nodes compare, hash and
 print (``repr``) structurally, on an explicit stack, so a long flat chain
 needs no deep call stack there either.
 
+What a cell reference is, is defined once, by ``refs.REFERENCE``: the
+lexer's token pattern and the shape scan both embed it, and read a
+reference's parts from its groups.
+
 A formula's *shape* is the formula up to the shift of its relative
 references: ``=A1*2`` in B1 and ``=A2*2`` in B2 share one. :func:`shape_key`
 keys a text by its shape in one regex pass that finds the references where
-the lexer would, and yields the text's references. :class:`FormulaShape`
-keeps one parsed template plus what the audit needs of its structure,
-computed once: operator and operand counts, nesting, decisions, the
-range-linkage shift key, whether each reference leaf is a range, and the IF
-layout conditional discovery reads. A copy is then just its references:
-``FormulaShape.references`` gives its reference leaves without an AST, and
-``ast_of_copy`` builds its AST only when one is asked for.
+the lexer would, and yields the text's references. :class:`FormulaShape` is
+built from one parse and keeps what the audit needs of the formula's
+structure, not the AST: operator and operand counts, nesting, decisions,
+the range-linkage shift key split at the reference leaves, whether each
+leaf is a range, and the IF layout conditional discovery reads. A copy is
+then just its references: ``FormulaShape.references`` gives its reference
+leaves and ``FormulaShape.shift_key_at`` its shift key, with no AST.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from dataclasses import dataclass, fields
 from typing import Iterator, Optional, Sequence, Union
 
 from .errors import EmptyFormulaError, FormulaSyntaxError, UnbalancedParensError
-from .refs import CellRef, RangeRef, letters_to_column, unquote_sheet_name
+from .refs import REFERENCE, CellRef, RangeRef, ref_from_match
 
 
 # --- AST -----------------------------------------------------------------
@@ -229,15 +233,23 @@ def ast_repr(node: AstNode) -> str:
 
 # --- Lexer ---------------------------------------------------------------
 
-_WS = re.compile(r"[ \t\r\n]+")
-_NUMBER = re.compile(r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
-_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*")
-_REF = re.compile(
-    r"(?:(?P<sheet>'(?:[^']|'')+'|[A-Za-z_][A-Za-z0-9_]*)!)?"
-    r"(?P<colabs>\$?)(?P<col>[A-Za-z]{1,3})(?P<rowabs>\$?)(?P<row>[0-9]+)"
-    r"(?![A-Za-z0-9_$])"
+# The lexer's tokens other than references, as text patterns the shape scan
+# shares. A string closes at the first quote run of odd length; ``""``
+# inside it stands for one quote.
+_STRING = r'"(?:[^"]|"")*"(?!")'
+_NUMBER = r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+_NAME = r"[A-Za-z_][A-Za-z0-9_.]*"
+
+# One token, named by the group that matched it; alternatives are tried in
+# order, so a number or a reference wins over a name. A quote that opens no
+# complete string is an unterminated one; no match means no token starts
+# at that character.
+_TOKEN = re.compile(
+    rf"(?P<WS>[ \t\r\n]+)|(?P<STRING>{_STRING})|(?P<UNTERMINATED>\")"
+    rf"|(?P<NUMBER>{_NUMBER})|(?P<REF>{REFERENCE})|(?P<NAME>{_NAME})"
+    r"|(?P<LPAREN>\()|(?P<RPAREN>\))|(?P<COMMA>,)|(?P<COLON>:)"
+    r"|(?P<OP><=|>=|<>|[=<>+\-*/^&%])"
 )
-_OPERATORS = ("<=", ">=", "<>", "=", "<", ">", "+", "-", "*", "/", "^", "&", "%")
 
 
 @dataclass(frozen=True)
@@ -250,89 +262,32 @@ class _Token:
 
 def _lex(text: str, base_offset: int) -> list[_Token]:
     tokens: list[_Token] = []
+    match = _TOKEN.match
     i = 0
     n = len(text)
     while i < n:
-        ws = _WS.match(text, i)
-        if ws:
-            i = ws.end()
-            continue
         off = base_offset + i
-        ch = text[i]
-        if ch == '"':
-            j = i + 1
-            parts: list[str] = []
-            while True:
-                if j >= n:
-                    raise FormulaSyntaxError("unterminated string literal", off)
-                if text[j] == '"':
-                    if j + 1 < n and text[j + 1] == '"':
-                        parts.append('"')
-                        j += 2
-                        continue
-                    break
-                parts.append(text[j])
-                j += 1
-            tokens.append(_Token("STRING", text[i : j + 1], off, "".join(parts)))
-            i = j + 1
+        m = match(text, i)
+        if m is None:
+            raise FormulaSyntaxError(f"unexpected character {text[i]!r}", off)
+        kind = m.lastgroup
+        i = m.end()
+        if kind == "WS":
             continue
-        m = _NUMBER.match(text, i)
-        if m:
-            tokens.append(_Token("NUMBER", m.group(), off, float(m.group())))
-            i = m.end()
-            continue
-        m = _REF.match(text, i)
-        # A name followed by "(" is a function call even when it looks like a
-        # cell reference (e.g. LOG10); names with a sheet prefix never are.
-        if m and not (
-            m.group("sheet") is None
-            and m.end() < n
-            and text[m.end()] == "("
-            and not m.group("colabs")
-            and not m.group("rowabs")
-        ):
-            row = int(m.group("row"))
-            if row < 1:
-                raise FormulaSyntaxError("row index must be >= 1", off)
-            sheet = m.group("sheet")
-            ref = CellRef(
-                sheet=unquote_sheet_name(sheet) if sheet else None,
-                column=letters_to_column(m.group("col")),
-                row=row,
-                col_absolute=m.group("colabs") == "$",
-                row_absolute=m.group("rowabs") == "$",
-            )
-            tokens.append(_Token("REF", m.group(), off, ref))
-            i = m.end()
-            continue
-        m = _NAME.match(text, i)
-        if m:
-            tokens.append(_Token("NAME", m.group(), off))
-            i = m.end()
-            continue
-        if ch == "(":
-            tokens.append(_Token("LPAREN", ch, off))
-            i += 1
-            continue
-        if ch == ")":
-            tokens.append(_Token("RPAREN", ch, off))
-            i += 1
-            continue
-        if ch == ",":
-            tokens.append(_Token("COMMA", ch, off))
-            i += 1
-            continue
-        if ch == ":":
-            tokens.append(_Token("COLON", ch, off))
-            i += 1
-            continue
-        for op in _OPERATORS:
-            if text.startswith(op, i):
-                tokens.append(_Token("OP", op, off))
-                i += len(op)
-                break
-        else:
-            raise FormulaSyntaxError(f"unexpected character {ch!r}", off)
+        token = m.group()
+        value = None
+        if kind == "STRING":
+            value = token[1:-1].replace('""', '"')
+        elif kind == "NUMBER":
+            value = float(token)
+        elif kind == "REF":
+            try:
+                value = ref_from_match(m)
+            except ValueError as exc:
+                raise FormulaSyntaxError(str(exc), off) from None
+        elif kind == "UNTERMINATED":
+            raise FormulaSyntaxError("unterminated string literal", off)
+        tokens.append(_Token(kind, token, off, value))
     tokens.append(_Token("EOF", "", base_offset + n))
     return tokens
 
@@ -704,35 +659,27 @@ def decision_count(ast: FormulaAst | AstNode) -> int:
     return count
 
 
-def shift_key(node: AstNode, base_col: int, base_row: int) -> str:
-    """Canonical formula text with relative reference parts as offsets.
-
-    Cells whose formulas are copies of each other (identical up to the
-    relative-reference shift) produce identical keys.
-    """
-
-    def enc_ref(ref: CellRef) -> str:
-        sheet = f"{ref.sheet.casefold()}!" if ref.sheet else ""
-        col = f"C{ref.column}" if ref.col_absolute else f"c[{ref.column - base_col}]"
-        row = f"R{ref.row}" if ref.row_absolute else f"r[{ref.row - base_row}]"
-        return sheet + col + row
-
+def _shift_key_pieces(node: AstNode) -> list[str]:
+    """A formula's canonical text split at its reference leaves: the text
+    before, between and after them in ``walk`` order. Joined with each
+    leaf's parts relative to a cell (:func:`_shift_key`), it is that cell's
+    shift key, which copies of one formula share."""
     # An explicit stack, so a long flat chain such as A1+A1+...+A1 needs no
     # deep call stack; a string on the stack is emitted as is when popped.
+    pieces: list[str] = []
     parts: list[str] = []
     stack: list[Union[AstNode, str]] = [node]
     while stack:
         n = stack.pop()
         if isinstance(n, str):
             parts.append(n)
-        elif isinstance(n, CellRefNode):
-            parts.append(enc_ref(n.ref))
+        elif isinstance(n, (CellRefNode, RangeRefNode)):
+            pieces.append("".join(parts))
+            parts = []
         elif isinstance(n, BinaryOp):
             stack.extend((")", n.right, n.op, n.left, "("))
         elif isinstance(n, NumberLiteral):
             parts.append(render_number(n.value))
-        elif isinstance(n, RangeRefNode):
-            parts.append(enc_ref(n.ref.start) + ":" + enc_ref(n.ref.end))
         elif isinstance(n, FunctionCall):
             items: list[Union[AstNode, str]] = [f"{n.name}("]
             for i, arg in enumerate(n.args):
@@ -749,26 +696,43 @@ def shift_key(node: AstNode, base_col: int, base_row: int) -> str:
             parts.append("TRUE" if n.value else "FALSE")
         else:
             raise TypeError(f"not an AST node: {n!r}")
+    pieces.append("".join(parts))
+    return pieces
+
+
+def _shift_key(pieces: Sequence[str], leaves: Sequence[Union[CellRef, RangeRef]],
+               column: int, row: int) -> str:
+    """The shift key of the formula in cell (column, row) whose text split
+    at its reference leaves is ``pieces``: absolute reference parts as
+    written, relative ones as offsets from the cell."""
+
+    def enc_ref(ref: CellRef) -> str:
+        sheet = f"{ref.sheet.casefold()}!" if ref.sheet else ""
+        col = f"C{ref.column}" if ref.col_absolute else f"c[{ref.column - column}]"
+        r = f"R{ref.row}" if ref.row_absolute else f"r[{ref.row - row}]"
+        return sheet + col + r
+
+    parts = [pieces[0]]
+    for leaf, piece in zip(leaves, pieces[1:]):
+        if isinstance(leaf, RangeRef):
+            parts.append(enc_ref(leaf.start) + ":" + enc_ref(leaf.end))
+        else:
+            parts.append(enc_ref(leaf))
+        parts.append(piece)
     return "".join(parts)
 
 
 # --- Formula shapes ---------------------------------------------------------
 
-# A reference token as _lex finds it: _REF, except that a reference with
-# neither a sheet nor a "$" is a function name when "(" follows it (LOG10).
-_REF_TOKEN = (
-    r"(?:(?:'(?:[^']|'')+'|[A-Za-z_][A-Za-z0-9_]*)!\$?[A-Za-z]{1,3}\$?[0-9]+"
-    r"|\$[A-Za-z]{1,3}\$?[0-9]+|[A-Za-z]{1,3}\$[0-9]+|[A-Za-z]{1,3}[0-9]+(?!\())"
-    r"(?![A-Za-z0-9_$])"
-)
+# REFERENCE without its group names, for a lookahead in a pattern that
+# names them already (one pattern may not name a group twice).
+_ANY_REFERENCE = re.sub(r"\(\?P<\w+>", "(?:", REFERENCE)
 # One lexer token that is not a reference, matched exactly as _lex matches
-# it: a string (closed by the first quote run of odd length), a number, a
-# name where _lex sees no reference, or a run of whitespace, punctuation and
-# operator characters (each of those is a token of its own).
+# it: a string, a number, a name where _lex sees no reference, or a run of
+# whitespace, punctuation and operator characters (each of those is a token
+# of its own).
 _OTHER_TOKEN = (
-    r'"(?:[^"]|"")*"(?!")'
-    r"|(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
-    rf"|(?!{_REF_TOKEN})[A-Za-z_][A-Za-z0-9_.]*"
+    rf"{_STRING}|{_NUMBER}|(?!{_ANY_REFERENCE}){_NAME}"
     r"|[ \t\r\n(),:<>=+\-*/^&%]+"
 )
 # The text up to and including the next reference, or up to the end of the
@@ -776,27 +740,10 @@ _OTHER_TOKEN = (
 # lookahead, which never backtracks, so a reference is never found inside a
 # name or a number (AB1 in XYAB1, E5 in 1E5).
 _UP_TO_REF = re.compile(
-    rf"(?:(?=(?P<other>(?:{_OTHER_TOKEN})+))(?P=other))?(?:(?P<ref>{_REF_TOKEN})|\Z)"
+    rf"(?:(?=(?P<other>(?:{_OTHER_TOKEN})+))(?P=other))?(?:(?P<ref>{REFERENCE})|\Z)"
 )
 
 _RefInfo = tuple[CellRef, Optional[str], bool, int, bool, int]
-
-
-def _ref_info(text: str) -> Optional[_RefInfo]:
-    """The reference _lex builds for a reference token; None for row 0."""
-    m = _REF.fullmatch(text)
-    row = int(m.group("row"))
-    if row < 1:
-        return None
-    sheet = m.group("sheet")
-    ref = CellRef(
-        sheet=unquote_sheet_name(sheet) if sheet else None,
-        column=letters_to_column(m.group("col")),
-        row=row,
-        col_absolute=m.group("colabs") == "$",
-        row_absolute=m.group("rowabs") == "$",
-    )
-    return ref, ref.sheet, ref.col_absolute, ref.column, ref.row_absolute, ref.row
 
 
 def shape_key(
@@ -811,9 +758,10 @@ def shape_key(
     exactly when they are copies of one formula. The refs are those
     ``_lex`` would build, in text order. None when the text cannot share a
     shape: when it does not start with ``=``, holds a character no token
-    starts with, or a reference to row 0 (such texts fail to parse, and
-    each must report its own error offset). ``memo`` maps reference texts
-    to what they denote; it should live as long as one load.
+    starts with, or a reference to row 0 or past column XFD (such texts
+    fail to parse, and each must report its own error offset). ``memo``
+    maps reference texts to what they denote; it should live as long as
+    one load.
     """
     if not text.startswith("="):
         return None
@@ -825,24 +773,27 @@ def shape_key(
         m = match(text, pos)
         if m is None:  # a character no token starts with
             return None
-        start = m.start("ref")
-        if start < 0:  # the end of the text
-            break
-        end = m.end()
-        token = text[start:end]
+        other, token = m.group("other", "ref")
+        key.append(other)  # the text before the reference; None if there is none
+        if token is None:  # the end of the text
+            return tuple(key), tuple(refs)
         info = memo.get(token, False)
         if info is False:
-            info = memo[token] = _ref_info(token)
+            try:
+                ref = ref_from_match(m)
+            except ValueError:
+                info = None
+            else:
+                info = (ref, ref.sheet, ref.col_absolute, ref.column,
+                        ref.row_absolute, ref.row)
+            memo[token] = info
         if info is None:
             return None
         ref, sheet, col_abs, col, row_abs, ref_row = info
-        key.append(text[pos:start])
         key += (sheet, col_abs, col if col_abs else col - column,
                 row_abs, ref_row if row_abs else ref_row - row)
         refs.append(ref)
-        pos = end
-    key.append(text[pos:])
-    return tuple(key), tuple(refs)
+        pos = m.end()
 
 
 # What one expression reaches without crossing an IF call: the paths of its
@@ -894,29 +845,27 @@ def _layout(root: AstNode) -> tuple[list[Union[CellRef, RangeRef]], Reach, IfLay
 class FormulaShape:
     """A formula up to the shift of its relative references.
 
-    Copies of one formula share one shape. It holds the first copy's AST as
-    the template and what depends only on the formula's structure: operator
-    and operand counts, nesting depth and average level, the decision
-    count, whether each reference leaf is a range, and the IF layout that
-    conditional discovery reads (``if_reach``, the formula's own reach, and
-    ``ifs``; see :data:`Reach` and :data:`IfLayout`). ``shift_key`` is the
-    copies' common :func:`shift_key`, or None when some range anchors one
-    axis absolutely at one end and relatively at the other: normalizing such
-    a range can swap its ends from one copy to the next, so each cell keys
-    itself.
+    Copies of one formula share one shape. It is built from the first
+    copy's AST, which it does not keep, and holds what depends only on the
+    formula's structure: operator and operand counts, nesting depth and
+    average level, the decision count, whether each reference leaf is a
+    range, the IF layout that conditional discovery reads (``if_reach``, the
+    formula's own reach, and ``ifs``; see :data:`Reach` and
+    :data:`IfLayout`), and the range-linkage shift key's text split at the
+    reference leaves. ``shift_key`` is the copies' common shift key, or None
+    when some range anchors one axis absolutely at one end and relatively at
+    the other: normalizing such a range can swap its ends from one copy to
+    the next, so :meth:`shift_key_at` keys each cell from its own leaves.
 
     A copy is its references in text order, a range taking two:
-    :meth:`references` turns them into the copy's reference leaves without
-    an AST, and :meth:`ast_of_copy` builds the copy's AST when one is asked
-    for.
+    :meth:`references` turns them into the copy's reference leaves.
     """
 
-    __slots__ = ("template", "n_operators", "n_operands", "depth_of_nesting",
+    __slots__ = ("n_operators", "n_operands", "depth_of_nesting",
                  "avg_nesting_level", "decision_count", "shift_key", "if_reach",
-                 "ifs", "_leaves", "_is_range", "_program")
+                 "ifs", "_leaves", "_is_range", "_key_pieces")
 
     def __init__(self, ast: FormulaAst, column: int, row: int):
-        self.template = ast
         tokens = classify_tokens(ast)
         levels = [t.nesting_level for t in tokens]
         self.n_operators = sum(1 for t in tokens if t.kind == "operator")
@@ -933,8 +882,8 @@ class FormulaShape:
             and ref.start.row_absolute == ref.end.row_absolute
             for ref in leaves if isinstance(ref, RangeRef)
         )
-        self.shift_key = shift_key(ast.root, column, row) if uniform else None
-        self._program: Optional[list[tuple]] = None
+        self._key_pieces = _shift_key_pieces(ast.root)
+        self.shift_key = _shift_key(self._key_pieces, leaves, column, row) if uniform else None
 
     def references(
         self, refs: Optional[tuple[CellRef, ...]]
@@ -942,7 +891,7 @@ class FormulaShape:
         """The reference leaves, in ``walk`` order, of the copy whose
         references in text order are ``refs``: a ``CellRef`` per cell leaf
         and a normalized ``RangeRef`` per range leaf, as in the copy's AST.
-        None stands for the template's own references."""
+        None stands for the references of the copy the shape was built from."""
         if refs is None:
             return self._leaves
         if self._is_range is None:
@@ -954,65 +903,9 @@ class FormulaShape:
             out.append(_copy_range(ref, next(refs_left)) if is_range else ref)
         return out
 
-    def ast_of_copy(self, text: str, refs: Sequence[CellRef]) -> FormulaAst:
-        """The AST of the copy ``text`` whose references are ``refs`` (text
-        order): the template with ``refs`` put in its reference leaves in
-        pre-order, each range normalized as the parser does. Subtrees
-        without a reference are shared with the template."""
-        if self._program is None:
-            self._program = _rebuild_program(self.template.root)
-        out: list = []
-        refs_left = iter(refs)
-        for step in self._program:
-            kind = step[0]
-            if kind == "keep":
-                out.append(step[1])
-            elif kind == "cell":
-                out.append(CellRefNode(next(refs_left)))
-            elif kind == "range":
-                start = next(refs_left)
-                out.append(RangeRefNode(_copy_range(start, next(refs_left))))
-            elif kind == "unary":
-                out[-1] = UnaryOp(step[1], out[-1])
-            elif kind == "binary":
-                right = out.pop()
-                out[-1] = BinaryOp(step[1], out[-1], right)
-            else:
-                first = len(out) - step[2]
-                args = tuple(out[first:])
-                del out[first:]
-                out.append(FunctionCall(step[1], args))
-        return FormulaAst(root=out[0], source=text)
-
-
-def _rebuild_program(root: AstNode) -> list[tuple]:
-    """Post-order steps that rebuild ``root`` around new references; a
-    subtree without a reference is one ``keep`` step."""
-    has_ref: set[int] = set()  # ids of the nodes with a reference below
-    order = list(walk(root))
-    for node in reversed(order):  # children before parents
-        if isinstance(node, (CellRefNode, RangeRefNode)) or any(
-            id(c) in has_ref for c in child_nodes(node)
-        ):
-            has_ref.add(id(node))
-    program: list[tuple] = []
-    stack: list[tuple[AstNode, bool]] = [(root, False)]
-    while stack:
-        node, children_done = stack.pop()
-        if id(node) not in has_ref:
-            program.append(("keep", node))
-        elif isinstance(node, CellRefNode):
-            program.append(("cell",))
-        elif isinstance(node, RangeRefNode):
-            program.append(("range",))
-        elif children_done:
-            if isinstance(node, UnaryOp):
-                program.append(("unary", node.op))
-            elif isinstance(node, BinaryOp):
-                program.append(("binary", node.op))
-            else:
-                program.append(("call", node.name, len(node.args)))
-        else:
-            stack.append((node, True))
-            stack.extend((c, False) for c in reversed(child_nodes(node)))
-    return program
+    def shift_key_at(self, refs: Optional[tuple[CellRef, ...]], column: int, row: int) -> str:
+        """The shift key of the copy in cell (column, row) whose references
+        are ``refs`` (as for :meth:`references`)."""
+        if self.shift_key is not None:
+            return self.shift_key
+        return _shift_key(self._key_pieces, self.references(refs), column, row)

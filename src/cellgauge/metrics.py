@@ -15,8 +15,9 @@ neither looks a cell up by its address.
 Sizes, nesting, decision counts and shift keys depend only on a formula's
 shape (``formula.FormulaShape``), which the load computes once for all the
 copies of a formula; they are read from the cell's shape, not recomputed
-per cell. Range linkage walks each populated source block once per axis,
-however many runs read it.
+per cell. A shape whose ranges mix anchors keys each copy from the copy's
+own references, so no stage reads an AST. Range linkage walks each
+populated source block once per axis, however many runs read it.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import DomainError
-from .formula import decision_count, shift_key  # decision_count is re-exported
+from .formula import decision_count  # re-exported
 from .graph import CellGraph
 from .refs import CellRef, RangeRef
 from .workbook import Cell, Workbook
@@ -167,12 +168,11 @@ class RangeLinkageFinding:
 
 
 def _shift_keys(cells: list[Cell]) -> list[Optional[str]]:
-    """Each formula cell's shift key: its shape's, unless the shape keys
-    each cell (see ``FormulaShape.shift_key``); None for a data cell."""
+    """Each formula cell's shift key (``FormulaShape.shift_key_at``); None
+    for a data cell."""
     return [
         None if c.shape is None
-        else c.shape.shift_key if c.shape.shift_key is not None
-        else shift_key(c.ast.root, c.address.column, c.address.row)
+        else c.shape.shift_key_at(c.refs, c.address.column, c.address.row)
         for c in cells
     ]
 

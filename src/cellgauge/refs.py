@@ -2,7 +2,8 @@
 
 Columns are 1-based bijective base-26 ("A" = 1, "Z" = 26, "AA" = 27); rows
 are 1-based. ``$`` marks an absolute column or row part; a reference may be
-qualified with a sheet name (``Data!B7`` or ``'My Data'!B7``).
+qualified with a sheet name (``Data!B7`` or ``'My Data'!B7``). A parsed
+reference reads at most column ``XFD`` (16,384), a sheet's last column.
 """
 
 from __future__ import annotations
@@ -11,11 +12,24 @@ import re
 from dataclasses import dataclass, replace
 from typing import Iterator, Optional
 
-_PLAIN_SHEET = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-_ADDRESS = re.compile(
-    r"(?:(?P<sheet>'(?:[^']|'')+'|[A-Za-z_][A-Za-z0-9_]*)!)?"
-    r"(?P<colabs>\$?)(?P<col>[A-Za-z]{1,3})(?P<rowabs>\$?)(?P<row>[0-9]+)\Z"
+# A sheet name that needs no quotes; any other is quoted, with '' for '.
+_PLAIN_SHEET_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+_PLAIN_SHEET = re.compile(_PLAIN_SHEET_NAME + r"\Z")
+
+# The one grammar of a cell reference, shared by the address parser, the
+# formula lexer and the shape scan: an optional sheet, then column letters
+# and a row, each part with an optional "$". A reference ends where no
+# letter, digit, "_" or "$" follows, and a bare one followed by "(" is a
+# function name instead (LOG10). ``ref_from_match`` reads a match.
+REFERENCE = (
+    r"(?![A-Za-z]{1,3}[0-9]+\()"
+    rf"(?:(?P<sheet>'(?:[^']|'')+'|{_PLAIN_SHEET_NAME})!)?"
+    r"(?P<colabs>\$?)(?P<col>[A-Za-z]{1,3})(?P<rowabs>\$?)(?P<row>[0-9]+)"
+    r"(?![A-Za-z0-9_$])"
 )
+_REFERENCE = re.compile(REFERENCE)
+
+MAX_COLUMN = 16_384  # XFD, the last column of a sheet
 
 
 def column_to_letters(col: int) -> str:
@@ -147,27 +161,34 @@ class RangeRef:
         return self.render()
 
 
+def ref_from_match(m: re.Match) -> CellRef:
+    """The reference a match of :data:`REFERENCE` denotes.
+
+    Raises ValueError when its row is 0 or its column is past XFD.
+    """
+    row = int(m["row"])
+    if row < 1:
+        raise ValueError("row index must be >= 1")
+    column = letters_to_column(m["col"])
+    if column > MAX_COLUMN:
+        raise ValueError("column must be at most XFD")
+    sheet = m["sheet"]
+    return CellRef(unquote_sheet_name(sheet) if sheet else None, column, row,
+                   m["colabs"] == "$", m["rowabs"] == "$")
+
+
 def parse_cell_address(text: str) -> CellRef:
     """Parse an address like ``B2``, ``$A$1`` or ``Data!B7``.
 
     Raises ValueError for anything that is not a single-cell reference.
     """
-    m = _ADDRESS.match(text.strip())
+    m = _REFERENCE.fullmatch(text.strip())
     if not m:
         raise ValueError(f"not a cell reference: {text!r}")
-    sheet: Optional[str] = None
-    if m.group("sheet"):
-        sheet = unquote_sheet_name(m.group("sheet"))
-    row = int(m.group("row"))
-    if row < 1:
-        raise ValueError(f"row must be >= 1 in {text!r}")
-    return CellRef(
-        sheet=sheet,
-        column=letters_to_column(m.group("col")),
-        row=row,
-        col_absolute=m.group("colabs") == "$",
-        row_absolute=m.group("rowabs") == "$",
-    )
+    try:
+        return ref_from_match(m)
+    except ValueError as exc:
+        raise ValueError(f"{exc} in {text!r}") from None
 
 
 def render_ref(ref: CellRef) -> str:

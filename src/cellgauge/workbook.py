@@ -9,12 +9,12 @@ on broken workbooks. A CSV with malformed quoting is a FormatError.
 Most formulas in a model are copies of one another, identical up to the
 shift of their relative references. One load keys each formula text by its
 shape (``formula.shape_key``: one regex pass that also yields the text's
-references) and parses only the first text of each shape. A later copy
-keeps only its text and its references; no AST is built for it unless
-``Cell.ast`` is read. Every formula cell carries its ``FormulaShape``, which
-holds the measures that do not depend on where the copy sits. A text that
-fails to parse is never a template: each such text is parsed, and reports
-its error offset, on its own.
+references) and parses only the first text of each shape, into the
+``FormulaShape`` every copy carries: the measures that do not depend on
+where a copy sits. No AST outlives the load; a copy keeps only its text and
+its references, and ``Cell.ast`` parses the text again when it is read. A
+text that fails to parse has no shape: each such text is parsed, and
+reports its error offset, on its own.
 
 The workbook holds cells only; the dependency graph (``graph.py``) is what
 maps a formula's references to the cells they read.
@@ -38,12 +38,13 @@ from .errors import (
     W_FORMULA_ERROR,
 )
 from .formula import FormulaAst, FormulaShape, parse_formula, shape_key
-from .refs import CellRef, letters_to_column, parse_cell_address
+from .refs import MAX_COLUMN, CellRef, letters_to_column, parse_cell_address
 
 DataValue = Union[float, str, bool]
 
 # The common form of a cell's "ref": upper-case letters and a row with no
-# leading zero. Anything else goes through ``parse_cell_address``.
+# leading zero. Anything else, or a column past XFD, goes through
+# ``parse_cell_address``.
 _PLAIN_ADDRESS = re.compile(r"\$?([A-Z]{1,3})\$?([1-9][0-9]*)\Z")
 
 
@@ -53,10 +54,10 @@ class Cell:
     its text, with the ``shape`` it shares with its copies).
 
     A formula cell keeps no AST. ``refs`` are its references in text order
-    (a range takes two), or None when its formula is its shape's template;
+    (a range takes two), or None when its shape was built from its own text;
     ``shape.references(refs)`` gives its reference leaves from them, and
-    ``ast`` builds the AST on demand. Cells compare and print by address, value and
-    source, so neither builds an AST.
+    ``ast`` parses ``source`` on each read. Cells compare and print by
+    address, value and source, so neither parses.
     """
 
     address: CellRef  # sheet always set, no absolute markers
@@ -71,13 +72,9 @@ class Cell:
 
     @property
     def ast(self) -> Optional[FormulaAst]:
-        """The formula's AST, built from the shape's template on each call;
-        None for a data cell."""
-        if self.shape is None:
-            return None
-        if self.refs is None:
-            return self.shape.template
-        return self.shape.ast_of_copy(self.source, self.refs)
+        """The formula's AST, parsed from ``source`` on each read; None for a
+        data cell."""
+        return None if self.shape is None else parse_formula(self.source)
 
 
 @dataclass
@@ -231,9 +228,8 @@ def load_workbook_doc(doc: dict, provenance: str = "<doc>") -> Workbook:
             if "!" in ref_text:
                 raise FormatError(f"cell ref must not carry a sheet: {ref_text!r}")
             plain = _PLAIN_ADDRESS.match(ref_text)
-            if plain is not None:
-                letters, row = plain.groups()
-                address = CellRef(name, letters_to_column(letters), int(row))
+            if plain is not None and (column := letters_to_column(plain[1])) <= MAX_COLUMN:
+                address = CellRef(name, column, int(plain[2]))
             else:
                 try:
                     ref = parse_cell_address(ref_text)

@@ -1,6 +1,11 @@
 import pytest
+from hypothesis import settings
 
 from cellgauge import build_graph, load_workbook_doc
+
+# A deeper search for CI (``pytest --hypothesis-profile=ci``): properties
+# that set no example count of their own run ten times the default's.
+settings.register_profile("ci", max_examples=1000)
 
 
 def make_workbook(sheets: dict[str, dict[str, object]]):

@@ -1,0 +1,211 @@
+"""The one reference grammar against the lexer it replaced.
+
+``oracle_lex`` is the formula lexer as it was before the token pattern
+shared ``refs.REFERENCE``: a character-by-character scan with its own
+reference regex and a hand-coded exception for ``LOG10(``. Its one addition
+is the XFD column check. The properties check that the lexer, the shape scan
+and the address parser read formula-like text exactly as it does.
+"""
+
+from __future__ import annotations
+
+import re
+
+from hypothesis import given
+from hypothesis import strategies as st
+
+from cellgauge.errors import FormulaSyntaxError
+from cellgauge.formula import _lex, _Token, shape_key
+from cellgauge.refs import (
+    MAX_COLUMN,
+    CellRef,
+    letters_to_column,
+    parse_cell_address,
+    unquote_sheet_name,
+)
+
+_WS = re.compile(r"[ \t\r\n]+")
+_NUMBER = re.compile(r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*")
+_REF = re.compile(
+    r"(?:(?P<sheet>'(?:[^']|'')+'|[A-Za-z_][A-Za-z0-9_]*)!)?"
+    r"(?P<colabs>\$?)(?P<col>[A-Za-z]{1,3})(?P<rowabs>\$?)(?P<row>[0-9]+)"
+    r"(?![A-Za-z0-9_$])"
+)
+_OPERATORS = ("<=", ">=", "<>", "=", "<", ">", "+", "-", "*", "/", "^", "&", "%")
+
+
+def oracle_lex(text: str, base_offset: int) -> list[_Token]:
+    tokens: list[_Token] = []
+    i = 0
+    n = len(text)
+    while i < n:
+        ws = _WS.match(text, i)
+        if ws:
+            i = ws.end()
+            continue
+        off = base_offset + i
+        ch = text[i]
+        if ch == '"':
+            j = i + 1
+            parts: list[str] = []
+            while True:
+                if j >= n:
+                    raise FormulaSyntaxError("unterminated string literal", off)
+                if text[j] == '"':
+                    if j + 1 < n and text[j + 1] == '"':
+                        parts.append('"')
+                        j += 2
+                        continue
+                    break
+                parts.append(text[j])
+                j += 1
+            tokens.append(_Token("STRING", text[i : j + 1], off, "".join(parts)))
+            i = j + 1
+            continue
+        m = _NUMBER.match(text, i)
+        if m:
+            tokens.append(_Token("NUMBER", m.group(), off, float(m.group())))
+            i = m.end()
+            continue
+        m = _REF.match(text, i)
+        # A name followed by "(" is a function call even when it looks like a
+        # cell reference (e.g. LOG10); names with a sheet prefix never are.
+        if m and not (
+            m.group("sheet") is None
+            and m.end() < n
+            and text[m.end()] == "("
+            and not m.group("colabs")
+            and not m.group("rowabs")
+        ):
+            row = int(m.group("row"))
+            if row < 1:
+                raise FormulaSyntaxError("row index must be >= 1", off)
+            if letters_to_column(m.group("col")) > MAX_COLUMN:
+                raise FormulaSyntaxError("column must be at most XFD", off)
+            sheet = m.group("sheet")
+            ref = CellRef(
+                sheet=unquote_sheet_name(sheet) if sheet else None,
+                column=letters_to_column(m.group("col")),
+                row=row,
+                col_absolute=m.group("colabs") == "$",
+                row_absolute=m.group("rowabs") == "$",
+            )
+            tokens.append(_Token("REF", m.group(), off, ref))
+            i = m.end()
+            continue
+        m = _NAME.match(text, i)
+        if m:
+            tokens.append(_Token("NAME", m.group(), off))
+            i = m.end()
+            continue
+        if ch == "(":
+            tokens.append(_Token("LPAREN", ch, off))
+            i += 1
+            continue
+        if ch == ")":
+            tokens.append(_Token("RPAREN", ch, off))
+            i += 1
+            continue
+        if ch == ",":
+            tokens.append(_Token("COMMA", ch, off))
+            i += 1
+            continue
+        if ch == ":":
+            tokens.append(_Token("COLON", ch, off))
+            i += 1
+            continue
+        for op in _OPERATORS:
+            if text.startswith(op, i):
+                tokens.append(_Token("OP", op, off))
+                i += len(op)
+                break
+        else:
+            raise FormulaSyntaxError(f"unexpected character {ch!r}", off)
+    tokens.append(_Token("EOF", "", base_offset + n))
+    return tokens
+
+
+# Formula-like text built from pieces around the edges of the grammar:
+# references with and without anchors and sheets, the last column and the
+# ones past it, row 0, references followed by "(" (function names when
+# bare), numbers with exponents, strings with doubled quotes; sometimes with
+# one stray character that no token starts with, or a string left open by
+# a doubled quote.
+_SHEETS = ("", "", "", "Data!", "data!", "'My Data'!", "'it''s'!", "_x!")
+_COLUMNS = ("A", "z", "AB", "XFD", "xfd", "XFE", "ZZZ", "ABCD", "LOG")
+_ROWS = ("1", "9", "10", "0", "00", "01", "1048576")
+_TOKENS = (
+    "(", "SUM(", "IF(", "1E5", "2.5", ".5", "1e-3", "12", '"A1"', '""', '"x""y"',
+    "TRUE", ":", ",", ")", "+", "-", "*", "/", "^", "&", "%", "<=", ">=", "<>",
+    "=", "<", " ", "\t", "\n", "A", "AB", "_", ".", "e", "0", "1",
+)
+_STRAYS = ('"', '"x""', "'", "$", "!", "#", "[", "''")
+
+
+@st.composite
+def reference_like(draw) -> str:
+    return "".join((
+        draw(st.sampled_from(_SHEETS)),
+        draw(st.sampled_from(("", "$"))),
+        draw(st.sampled_from(_COLUMNS)),
+        draw(st.sampled_from(("", "$"))),
+        draw(st.sampled_from(_ROWS)),
+        draw(st.sampled_from(("", "", "("))),
+    ))
+
+
+@st.composite
+def pieced_formula(draw) -> str:
+    pieces = draw(st.lists(st.one_of(reference_like(), st.sampled_from(_TOKENS)), max_size=10))
+    if draw(st.booleans()):
+        pieces.insert(draw(st.integers(0, len(pieces))), draw(st.sampled_from(_STRAYS)))
+    return "".join(pieces)
+
+
+formula_like = st.one_of(
+    pieced_formula(),
+    st.text(alphabet="$!'\"(),:.+-AaBEeFXxDZ_019 ", max_size=16),
+)
+
+
+def lexed(text: str):
+    """The tokens ``_lex`` gives for a formula body, as tuples, or its
+    error's type, message and offset."""
+    try:
+        return [(t.kind, t.text, t.offset, t.value) for t in _lex(text, 1)]
+    except FormulaSyntaxError as exc:
+        return type(exc), str(exc), exc.offset
+
+
+@given(formula_like)
+def test_lexer_matches_the_oracle(body):
+    try:
+        want = [(t.kind, t.text, t.offset, t.value) for t in oracle_lex(body, 1)]
+    except FormulaSyntaxError as exc:
+        want = type(exc), str(exc), exc.offset
+    assert lexed(body) == want
+
+
+@given(formula_like, st.integers(1, 40), st.integers(1, 40))
+def test_shape_scan_finds_the_lexers_references(body, column, row):
+    tokens = lexed(body)
+    keyed = shape_key("=" + body, column, row, {})
+    # A text the lexer refuses cannot share a shape, and every text it
+    # accepts can.
+    assert (keyed is None) == isinstance(tokens, tuple)
+    if keyed is not None:
+        assert list(keyed[1]) == [value for kind, _, _, value in tokens if kind == "REF"]
+
+
+@given(formula_like)
+def test_address_parser_reads_a_lone_reference_token(text):
+    tokens = lexed(text)
+    try:
+        ref = parse_cell_address(text)
+    except ValueError:
+        ref = None
+    lone = not isinstance(tokens, tuple) and [t[0] for t in tokens] == ["REF", "EOF"]
+    assert (ref is not None) == lone
+    if lone:
+        assert ref == tokens[0][3]

@@ -1,7 +1,7 @@
 """Formula shapes against parsing every formula on its own.
 
 A load parses only the first text of each shape; a later copy keeps its
-references and builds its AST only when asked. These tests load workbooks
+references, and its text is parsed again only when its AST is asked for. These tests load workbooks
 and compare every formula cell with what parsing its own text gives: the
 AST (through plain ``==``), the references the dependency graph reads, the
 cell metrics and the range-linkage shift key, each computed the way they
@@ -33,7 +33,6 @@ from cellgauge.formula import (
     StringLiteral,
     UnaryOp,
     classify_tokens,
-    FormulaShape,
     decision_count,
     parse_formula,
     render_number,
@@ -118,7 +117,7 @@ def reference_leaves(ast) -> list:
 
 def assert_matches_own_parse(wb: Workbook, texts: dict[CellRef, str]) -> int:
     """Every formula text of ``wb`` (``texts`` by address) against its own
-    parse; returns the number of cells that are copies of a template."""
+    parse; returns the number of cells that are copies of another text."""
     g, reads = graph_and_reads(wb)
     expected_reads = []
     expected_warnings = []
@@ -138,7 +137,6 @@ def assert_matches_own_parse(wb: Workbook, texts: dict[CellRef, str]) -> int:
             assert cell.ast == fresh, text
             assert cell.ast.source == cell.source == text
             copies += cell.refs is not None
-            assert (cell.ast is cell.shape.template) == (cell.refs is None)
             expected_reads += reference_leaves(fresh)
             at = cell.address
             assert len(g.reference_targets(at)) == len(reference_leaves(fresh)), text
@@ -277,9 +275,9 @@ def test_cells_compare_and_print_without_an_ast(monkeypatch):
     second, _ = load_doc(sheets)
 
     def no_ast(*args):
-        raise AssertionError("an AST was built")
+        raise AssertionError("a formula was parsed")
 
-    monkeypatch.setattr(FormulaShape, "ast_of_copy", no_ast)
+    monkeypatch.setattr(workbook_module, "parse_formula", no_ast)
     b2 = first.cell("S!B2")
     assert b2.refs is not None  # a copy of B1's shape
     assert b2 == second.cell("S!B2") and hash(b2) == hash(second.cell("S!B2"))
@@ -371,14 +369,16 @@ def test_random_copies_match_their_own_parse(templates):
 
 
 def test_audit_builds_no_ast_and_looks_up_only_terminals(monkeypatch):
-    # Load and analysis read each copy's shape and refs, never an AST, and
-    # after the graph is built every stage passes node ids: the only address
-    # lookups left are the cascade stages' one per bottom-line cell.
+    # The load parses each shape once and the audit parses nothing: each
+    # copy is its shape and refs, even where a range mixing anchors makes
+    # range linkage key each cell on its own. After the graph is built every
+    # stage passes node ids: the only address lookups left are the cascade
+    # stages' one per bottom-line cell.
     from cellgauge import analyze_workbook
     from cellgauge.graph import CellGraph
     from test_acceptance import generate_large_workbook_doc
 
-    calls = {"ast_of_copy": 0, "_idx": 0}
+    calls = {"parse_formula": 0, "_idx": 0}
 
     def counting(owner, name):
         real = getattr(owner, name)
@@ -389,11 +389,25 @@ def test_audit_builds_no_ast_and_looks_up_only_terminals(monkeypatch):
 
         monkeypatch.setattr(owner, name, wrapper)
 
-    counting(FormulaShape, "ast_of_copy")
+    counting(workbook_module, "parse_formula")
     counting(CellGraph, "_idx")
-    wb = load_workbook_doc(generate_large_workbook_doc())
+    doc = generate_large_workbook_doc()
+    # A$3:A{r} copied across row 3, where normalization swaps its ends.
+    doc["sheets"].append({"name": "Flip", "cells": [
+        *({"ref": f"A{r}", "value": float(r)} for r in range(1, 11)),
+        *({"ref": f"C{r}", "formula": f"=SUM(A$3:A{r})"} for r in range(1, 11)),
+    ]})
+    wb = load_workbook_doc(doc)
+    shapes = {id(c.shape): c.shape for c in wb.formula_cells()}
+    assert calls["parse_formula"] == len(shapes) == 207
+    flip = wb.sheet("Flip")
+    assert flip.cell(3, 1).shape.shift_key is None
     report = analyze_workbook(wb)
-    assert calls["ast_of_copy"] == 0
-    assert len(report.cascades) == 900
+    assert calls["parse_formula"] == len(shapes)
+    assert len(report.cascades) == 910
     assert calls["_idx"] <= len(report.cascades)
-    assert sum(c.refs is not None for c in wb.formula_cells()) == 8044
+    assert sum(c.refs is not None for c in wb.formula_cells()) == 8053
+    # The flip splits the copies into two runs, one per shift key.
+    flip_runs = sorted(f.target_range.render() for f in report.range_findings
+                       if f.target_range.start.sheet == "Flip")
+    assert flip_runs == ["Flip!C1:C2", "Flip!C3:C10"]

@@ -180,6 +180,30 @@ def test_any_cell_ref_loads_as_parse_cell_address_reads_it(ref):
     assert loaded_address(ref) == expected_address(ref)
 
 
+@pytest.mark.parametrize("ref", ["XFE3", "ZZZ7", "$XFE$3", "xfe3", " XFE3"])
+def test_cell_refs_past_xfd_are_format_errors(ref, tmp_path, capsys):
+    # XFD (16,384) is a sheet's last column, on the plain-form fast path and
+    # in parse_cell_address alike; a load names the ref and exits 2.
+    assert loaded_address(ref) == f"column must be at most XFD in {ref!r}"
+    path = tmp_path / "wb.json"
+    path.write_text(json.dumps({"sheets": [{"name": "S", "cells": [{"ref": ref, "value": 1}]}]}))
+    assert main(["analyze", str(path)]) == 2
+    assert repr(ref) in capsys.readouterr().err
+
+
+def test_formula_references_past_xfd_are_w001():
+    wb = make_workbook({"S": {"A1": "=XFE1+1", "A2": "=1+S!$xfe$2", "A3": "=XFD1+1",
+                              "A4": "=XFE1(2)"}})
+    warnings = {w.address: w.message for w in wb.warnings}
+    assert warnings == {
+        "S!A1": "column must be at most XFD (at offset 1)",
+        "S!A2": "column must be at most XFD (at offset 3)",
+    }
+    assert wb.cell("S!A3").is_formula
+    # A bare reference before "(" is a function name, whatever its column.
+    assert wb.cell("S!A4").is_formula and wb.cell("S!A4").shape.n_operators == 1
+
+
 # --- resolution ---------------------------------------------------------------
 
 
