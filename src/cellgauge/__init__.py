@@ -23,6 +23,7 @@ from .errors import (
     FormatError,
     FormulaSyntaxError,
     LimitExceededError,
+    RangeBudgetError,
     UnbalancedParensError,
     UnknownCellError,
 )
@@ -93,6 +94,7 @@ __all__ = [
     "FormulaSyntaxError",
     "LimitExceededError",
     "ModularMetrics",
+    "RangeBudgetError",
     "RangeLinkageFinding",
     "RangeRef",
     "ReliabilityConfig",

@@ -5,6 +5,9 @@ or invalid input, 3 reference cycle detected (a report is still emitted with
 the graph-dependent sections marked unavailable), 4 internal error: an
 unexpected exception in any command, reported as one ``error: internal error
 in <command>: <type>: <message>`` line on stderr without a traceback.
+Invalid input includes, in every command, a file that is not UTF-8, an
+option or weight that is not a finite number, and ranges that expand to
+more cells than ``--max-range-cells`` allows.
 
 Every command runs with cyclic garbage collection off; ``main`` restores the
 caller's setting when it returns.
@@ -15,6 +18,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Optional
@@ -28,7 +32,7 @@ from .errors import (
     LimitExceededError,
     UnknownCellError,
 )
-from .graph import build_graph
+from .graph import MAX_RANGE_CELLS, build_graph
 from .metrics import DispersionConfig, check_range_linkage
 from .refs import parse_cell_address
 from .reliability import ReliabilityConfig
@@ -48,8 +52,14 @@ _WEIGHT_KEYS = {
 
 def _load_weights(path: str) -> dict:
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"weights file {path} is not valid UTF-8: {exc}") from exc
+    # A JSONDecodeError is a ValueError, as is an integer literal past the
+    # interpreter's 4,300-digit limit; nesting too deep recurses.
+    try:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:
         raise FormatError(f"invalid weights file: {exc}") from exc
     if not isinstance(doc, dict):
         raise FormatError("weights file must be a JSON object")
@@ -60,7 +70,10 @@ def _load_weights(path: str) -> dict:
     for key, value in doc.items():
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise FormatError(f"weight {key!r} must be a number")
-        out[_WEIGHT_KEYS[key]] = float(value)
+        try:
+            out[_WEIGHT_KEYS[key]] = float(value)
+        except OverflowError:  # an integer past float's range
+            out[_WEIGHT_KEYS[key]] = math.inf
     return out
 
 
@@ -74,6 +87,7 @@ def _build_config(args: argparse.Namespace) -> AnalysisConfig:
         beta=BetaConfig(beta=args.beta),
         flag_dr=args.flag_dr,
         flag_span=args.flag_span,
+        max_range_cells=args.max_range_cells,
     )
 
 
@@ -160,6 +174,9 @@ def _parser() -> argparse.ArgumentParser:
                    help="flag cells whose dispersion exceeds this (default 0.5)")
     p.add_argument("--flag-span", type=int, default=20,
                    help="flag cells whose column/row span exceeds this (default 20)")
+    p.add_argument("--max-range-cells", type=int, default=MAX_RANGE_CELLS,
+                   help="most cells the ranges of all formulas may expand to; "
+                        f"past it the audit exits 2 (default {MAX_RANGE_CELLS:,})")
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("paths", help="enumerate reference paths to a cell")

@@ -17,8 +17,11 @@ its own top-level IFs plus the frontiers of the cells it reads. Where a
 formula's IFs sit and which references each argument holds depend only on
 its shape, so the load computes that layout once per shape
 (``FormulaShape.if_reach`` and ``ifs``) and each cell pairs it with its
-address; no AST is walked. The cells a reference reads come from the
+node id; no AST is walked. The cells a reference reads come from the
 dependency graph, which numbers references in ``walk`` order, by node id.
+Discovery and complexity key constructs by integers, (node id, path) and
+list position, and build the public ``(CellRef, path)`` ids only for what
+they return.
 
 The branch complexity of a construct with nested/precedent constructs S_i
 and N conditionless branches is ``(sum of their complexities + N)^(1+beta)``,
@@ -32,12 +35,14 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .errors import CycleError, DomainError
+from .errors import CycleError, DomainError, require_finite
 from .graph import CellGraph
 from .refs import CellRef
 from .workbook import Workbook
 
 ConstructId = tuple[CellRef, tuple[int, ...]]
+# A construct inside this module: (node id of its cell, path).
+_Key = tuple[int, tuple[int, ...]]
 
 _EMPTY: frozenset = frozenset()
 
@@ -47,6 +52,7 @@ class BetaConfig:
     beta: float = 0.0
 
     def __post_init__(self):
+        require_finite(self, "beta")
         if self.beta < 0:
             raise DomainError(f"beta must be >= 0, got {self.beta}")
 
@@ -79,7 +85,7 @@ def _formulas_read(
                 yield t
 
 
-def _merge(ifs: list[ConstructId], frontiers: list[frozenset]) -> frozenset:
+def _merge(ifs: list[_Key], frontiers: list[frozenset]) -> frozenset:
     """Union of own IFs and read frontiers, sharing a lone frontier's set."""
     parts = [f for f in frontiers if f]
     if not ifs:
@@ -95,18 +101,18 @@ def _merge(ifs: list[ConstructId], frontiers: list[frozenset]) -> frozenset:
 
 class _Frontiers:
     """Each formula cell's frontier by node id: the IF constructs it reaches
-    without crossing an IF, computed at most once and only for cells
-    something reads. A cell's own reach comes from its shape
-    (``FormulaShape.if_reach``), paired with its address."""
+    without crossing an IF, as (node id, path) keys, computed at most once
+    and only for cells something reads. A cell's own reach comes from its
+    shape (``FormulaShape.if_reach``), paired with its node id."""
 
     def __init__(self, g: CellGraph):
         self.g = g
-        self._known: dict[int, frozenset] = {}
+        self.known: dict[int, frozenset] = {}
 
     def of(self, start: int) -> frozenset:
         """The frontier of a formula node, built in post-order on an explicit
         stack together with those of the formula cells it reads outside IFs."""
-        g, known = self.g, self._known
+        g, known = self.g, self.known
         found = known.get(start)
         if found is not None:
             return found
@@ -117,8 +123,7 @@ class _Frontiers:
             if v in known:
                 stack.pop()
                 continue
-            cell = g.formula_of(v)
-            top_ifs, top_refs = cell.shape.if_reach
+            top_ifs, top_refs = g.formula_of(v).shape.if_reach
             deps = reads.get(v)
             if deps is None:
                 deps = reads[v] = (
@@ -131,8 +136,7 @@ class _Frontiers:
                             raise CycleError([[g.address_of(d).render()]])
                     stack.extend(pending)
                     continue
-            addr = cell.address
-            known[v] = _merge([(addr, p) for p in top_ifs], [known[d] for d in deps])
+            known[v] = _merge([(v, p) for p in top_ifs], [known[d] for d in deps])
             del reads[v]
             stack.pop()
         return known[start]
@@ -142,47 +146,55 @@ def find_conditionals(wb: Workbook, g: CellGraph) -> list[ConditionalConstruct]:
     """Discover every IF construct in the workbook with its M set and N.
 
     ``g`` is the graph of ``wb``. Raises CycleError on a cyclic reference
-    graph.
+    graph. Constructs are keyed by (node id, path) throughout; the public
+    ``(CellRef, path)`` ids are built once per construct, for the result.
     """
     if g.is_cyclic:
         raise CycleError([[a.render() for a in cyc] for cyc in g.cycles])
 
     frontiers = _Frontiers(g)
-    records: list[tuple[ConstructId, set[ConstructId], int, int]] = []
-    reached: set[ConstructId] = set()
+    known = frontiers.known
+    records: list[tuple[_Key, set[_Key], int]] = []
+    reached: set[_Key] = set()
     for v in g.cell_ids():  # canonical order: sheet, row, column, path
         cell = g.formula_of(v)
         if cell is None or not cell.shape.ifs:
             continue
-        addr = cell.address
         targets = g.reference_targets(v)
         for path, args in cell.shape.ifs:
-            m_set: set[ConstructId] = set()
+            m_set: set[_Key] = set()
             n = 0
             for arg_idx, (arg_ifs, ordinals) in enumerate(args):
                 hit = bool(arg_ifs)
-                m_set.update((addr, p) for p in arg_ifs)
+                if arg_ifs:
+                    m_set.update([(v, p) for p in arg_ifs])
                 for target in _formulas_read(g, targets, ordinals):
-                    f = frontiers.of(target)
+                    f = known.get(target)
+                    if f is None:
+                        f = frontiers.of(target)
                     if f:
                         hit = True
                         m_set |= f
                 if arg_idx > 0 and not hit:
                     n += 1  # a conditionless value branch
             reached |= m_set
-            records.append(((addr, path), m_set, n, v))
+            records.append(((v, path), m_set, n))
 
-    position = {cid: i for i, (cid, _, _, _) in enumerate(records)}
+    position = {key: i for i, (key, _, _) in enumerate(records)}
+    # The graph's address object of a node serves every id naming it, so
+    # all_complexities can match nested ids to constructs by identity.
+    ids = [(g.address_of(v), path) for (v, path), _, _ in records]
     return [
         ConditionalConstruct(
-            cell=cid[0],
-            path=cid[1],
-            nested_or_precedent=tuple(sorted(m_set, key=position.__getitem__)),
+            cell=ids[i][0],
+            path=key[1],
+            nested_or_precedent=tuple(
+                ids[j] for j in sorted(map(position.__getitem__, m_set))),
             conditionless_branches=n,
-            is_final=cid not in reached,
-            node=v,
+            is_final=key not in reached,
+            node=key[0],
         )
-        for cid, m_set, n, v in records
+        for i, (key, m_set, n) in enumerate(records)
     ]
 
 
@@ -192,29 +204,44 @@ def all_complexities(
 ) -> dict[ConstructId, float]:
     """Branch complexity of every construct, bottom-up in post-order.
 
-    An explicit stack replaces recursion, so long IF chains need no deep
-    call stack. Raises CycleError when a construct reaches itself.
+    Works on construct positions: a nested id is matched to its construct
+    by the identity of its ``CellRef`` (``find_conditionals`` names a cell
+    with one object throughout), and by equality only when that fails, so
+    addresses are hashed once per construct, for the result. An explicit
+    stack replaces recursion, so long IF chains need no deep call stack.
+    Raises CycleError when a construct reaches itself.
     """
-    registry = {c.id: c for c in constructs}
-    memo: dict[ConstructId, float] = {}
-    in_progress: set[ConstructId] = set()
-    for root in constructs:
-        stack = [root.id]
+    by_object = {(id(c.cell), c.path): i for i, c in enumerate(constructs)}
+    by_id: Optional[dict[ConstructId, int]] = None
+
+    def position(sub: ConstructId) -> int:
+        nonlocal by_id
+        i = by_object.get((id(sub[0]), sub[1]))
+        if i is None:
+            if by_id is None:
+                by_id = {c.id: i for i, c in enumerate(constructs)}
+            i = by_id[sub]
+        return i
+
+    nested = [[position(sub) for sub in c.nested_or_precedent] for c in constructs]
+    memo: list[Optional[float]] = [None] * len(constructs)
+    in_progress = [False] * len(constructs)
+    for root in range(len(constructs)):
+        stack = [root]
         while stack:
-            cid = stack[-1]
-            if cid in memo:
+            i = stack[-1]
+            if memo[i] is not None:
                 stack.pop()
                 continue
-            c = registry[cid]
-            if cid not in in_progress:
-                in_progress.add(cid)
-                for sub in c.nested_or_precedent:
-                    if sub in in_progress:
-                        raise CycleError([[sub[0].render()]])
-                    if sub not in memo:
-                        stack.append(sub)
+            if not in_progress[i]:
+                in_progress[i] = True
+                for j in nested[i]:
+                    if in_progress[j]:
+                        raise CycleError([[constructs[j].cell.render()]])
+                    if memo[j] is None:
+                        stack.append(j)
                 continue
-            base = sum(memo[i] for i in c.nested_or_precedent) + c.conditionless_branches
+            base = sum(memo[j] for j in nested[i]) + constructs[i].conditionless_branches
             if cfg.beta:
                 try:
                     value = base ** (1.0 + cfg.beta)
@@ -222,10 +249,10 @@ def all_complexities(
                     value = math.inf
             else:
                 value = base
-            in_progress.discard(cid)
-            memo[cid] = value
+            in_progress[i] = False
+            memo[i] = value
             stack.pop()
-    return memo
+    return {c.id: value for c, value in zip(constructs, memo)}
 
 
 def conditional_complexity(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -57,8 +58,31 @@ class LimitExceededError(CellGaugeError):
         self.limit = limit
 
 
+class RangeBudgetError(CellGaugeError):
+    """The ranges of a workbook's formulas expand to more cells than the
+    audit allows (``AnalysisConfig.max_range_cells``)."""
+
+    def __init__(self, cell: str, range_text: str, limit: int):
+        super().__init__(
+            f"range {range_text} in cell {cell} takes the cells that ranges "
+            f"expand to past the limit of {limit:,} (--max-range-cells)"
+        )
+        self.cell = cell
+        self.range = range_text
+        self.limit = limit
+
+
 class DomainError(CellGaugeError, ValueError):
     """Argument outside the mathematical domain of an operation."""
+
+
+def require_finite(owner: object, *names: str) -> None:
+    """Raise DomainError for the first of ``owner``'s fields ``names`` whose
+    value is not a finite number (NaN or an infinity)."""
+    for name in names:
+        value = getattr(owner, name)
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be a finite number, got {value}")
 
 
 class NotBottomLineWarning(UserWarning):

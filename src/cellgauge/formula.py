@@ -22,17 +22,19 @@ print (``repr``) structurally, on an explicit stack, so a long flat chain
 needs no deep call stack there either.
 
 What a cell reference is, is defined once, by ``refs.REFERENCE``: the
-lexer's token pattern and the shape scan both embed it, and read a
-reference's parts from its groups.
+lexer's token pattern and the shape scan both embed it.
 
 A formula's *shape* is the formula up to the shift of its relative
 references: ``=A1*2`` in B1 and ``=A2*2`` in B2 share one. :func:`shape_key`
-keys a text by its shape in one regex pass that finds the references where
-the lexer would, and yields the text's references. :class:`FormulaShape` is
-built from one parse and keeps what the audit needs of the formula's
-structure, not the AST: operator and operand counts, nesting, decisions,
-the range-linkage shift key split at the reference leaves, whether each
-leaf is a range, and the IF layout conditional discovery reads. A copy is
+keys a text by its shape and yields the text's references. It finds the
+references where the lexer would, with one regex pass per *skeleton* (the
+text with each letter and digit replaced by its class), which copies of a
+formula mostly share. :class:`FormulaShape` is built from one parse and
+keeps what the audit needs of the formula's structure, not the AST:
+operator and operand counts, nesting, decisions, the range-linkage shift
+key split at the reference leaves, whether each leaf is a range, whether
+every reference is relative, and the IF layout conditional discovery
+reads. A copy is
 then just its references: ``FormulaShape.references`` gives its reference
 leaves and ``FormulaShape.shift_key_at`` its shift key, with no AST.
 """
@@ -46,7 +48,7 @@ from dataclasses import dataclass, fields
 from typing import Iterator, Optional, Sequence, Union
 
 from .errors import EmptyFormulaError, FormulaSyntaxError, UnbalancedParensError
-from .refs import REFERENCE, CellRef, RangeRef, ref_from_match
+from .refs import REFERENCE, CellRef, RangeRef, parse_cell_address, ref_from_match
 
 
 # --- AST -----------------------------------------------------------------
@@ -745,55 +747,91 @@ _UP_TO_REF = re.compile(
 
 _RefInfo = tuple[CellRef, Optional[str], bool, int, bool, int]
 
+# A text's character-class skeleton: each ASCII letter but e/E becomes "a"
+# and each ASCII digit "0"; every other character stays. _UP_TO_REF tells
+# characters apart only by these classes (e/E only inside a number's
+# exponent), so texts with one skeleton split into tokens at the same spans.
+_SKELETON = str.maketrans(
+    {**{c: "a" for c in "ABCDFGHIJKLMNOPQRSTUVWXYZabcdfghijklmnopqrstuvwxyz"},
+     **{c: "0" for c in "0123456789"}})
 
-def shape_key(
-    text: str, column: int, row: int, memo: dict[str, Optional[_RefInfo]]
-) -> Optional[tuple[tuple, tuple[CellRef, ...]]]:
-    """The shape key of a formula text in cell (column, row), and its refs.
 
-    One regex pass finds the reference tokens exactly where :func:`_lex`
-    finds them. The key is a tuple of the verbatim text between references
-    and, for each reference, its sheet and each absolute flag with the
-    absolute value or the offset from the cell, so two texts share a key
-    exactly when they are copies of one formula. The refs are those
-    ``_lex`` would build, in text order. None when the text cannot share a
-    shape: when it does not start with ``=``, holds a character no token
-    starts with, or a reference to row 0 or past column XFD (such texts
-    fail to parse, and each must report its own error offset). ``memo``
-    maps reference texts to what they denote; it should live as long as
-    one load.
-    """
-    if not text.startswith("="):
-        return None
+def _scan_spans(text: str) -> Optional[tuple[tuple, ...]]:
+    """``_UP_TO_REF``'s cuts of a formula text after its ``=``: per match,
+    the span of its run of other tokens (None if there is none) and the span
+    of its reference (None at the end of the text). None when some character
+    starts no token."""
     match = _UP_TO_REF.match
-    key: list = []
-    refs: list[CellRef] = []
+    spans = []
     pos = 1
     while True:
         m = match(text, pos)
-        if m is None:  # a character no token starts with
+        if m is None:
             return None
-        other, token = m.group("other", "ref")
-        key.append(other)  # the text before the reference; None if there is none
-        if token is None:  # the end of the text
-            return tuple(key), tuple(refs)
+        other = m.span("other") if m.start("other") >= 0 else None
+        if m.start("ref") < 0:
+            spans.append((other, None))
+            return tuple(spans)
+        spans.append((other, m.span("ref")))
+        pos = m.end()
+
+
+def _ref_info(token: str) -> Optional[_RefInfo]:
+    """What a reference token denotes; None for row 0 or a column past XFD."""
+    try:
+        ref = parse_cell_address(token)
+    except ValueError:
+        return None
+    return ref, ref.sheet, ref.col_absolute, ref.column, ref.row_absolute, ref.row
+
+
+def shape_key(
+    text: str, column: int, row: int, memo: dict[str, object]
+) -> Optional[tuple[tuple, tuple[CellRef, ...]]]:
+    """The shape key of a formula text in cell (column, row), and its refs.
+
+    The text is cut into tokens exactly where :func:`_lex` cuts it. The key
+    is a tuple of the verbatim text between references and, for each
+    reference, its sheet and each absolute flag with the absolute value or
+    the offset from the cell, so two texts share a key exactly when they
+    are copies of one formula. The refs are those ``_lex`` would build, in
+    text order. None when the text cannot share a shape: when it does not
+    start with ``=``, holds a character no token starts with, or a
+    reference to row 0 or past column XFD (such texts fail to parse, and
+    each must report its own error offset).
+
+    ``memo`` should live as long as one load. It maps each text skeleton
+    (see ``_SKELETON``) to the cuts ``_UP_TO_REF`` found in the first text
+    with that skeleton, so later texts with it are cut without a scan, and
+    each reference text to what it denotes. The two kinds of key never
+    meet: a skeleton starts with ``=``, a reference text never does.
+    """
+    if not text.startswith("="):
+        return None
+    skeleton = text.translate(_SKELETON)
+    spans = memo.get(skeleton, False)
+    if spans is False:
+        spans = memo[skeleton] = _scan_spans(text)
+    if spans is None:  # a character no token starts with
+        return None
+    key: list = []
+    refs: list[CellRef] = []
+    for other, ref_span in spans:
+        # The text before the reference; None if there is none.
+        key.append(None if other is None else text[other[0]:other[1]])
+        if ref_span is None:  # the end of the text
+            break
+        token = text[ref_span[0]:ref_span[1]]
         info = memo.get(token, False)
         if info is False:
-            try:
-                ref = ref_from_match(m)
-            except ValueError:
-                info = None
-            else:
-                info = (ref, ref.sheet, ref.col_absolute, ref.column,
-                        ref.row_absolute, ref.row)
-            memo[token] = info
+            info = memo[token] = _ref_info(token)
         if info is None:
             return None
         ref, sheet, col_abs, col, row_abs, ref_row = info
         key += (sheet, col_abs, col if col_abs else col - column,
                 row_abs, ref_row if row_abs else ref_row - row)
         refs.append(ref)
-        pos = m.end()
+    return tuple(key), tuple(refs)
 
 
 # What one expression reaches without crossing an IF call: the paths of its
@@ -852,18 +890,21 @@ class FormulaShape:
     range, the IF layout that conditional discovery reads (``if_reach``, the
     formula's own reach, and ``ifs``; see :data:`Reach` and
     :data:`IfLayout`), and the range-linkage shift key's text split at the
-    reference leaves. ``shift_key`` is the copies' common shift key, or None
-    when some range anchors one axis absolutely at one end and relatively at
-    the other: normalizing such a range can swap its ends from one copy to
-    the next, so :meth:`shift_key_at` keys each cell from its own leaves.
+    reference leaves. ``relative`` is True when every part of every
+    reference is relative, so that every copy reads its cells at the same
+    offsets from itself. ``shift_key`` is the copies' common shift key, or
+    None when some range anchors one axis absolutely at one end and
+    relatively at the other: normalizing such a range can swap its ends
+    from one copy to the next, so :meth:`shift_key_at` keys each cell from
+    its own leaves.
 
     A copy is its references in text order, a range taking two:
     :meth:`references` turns them into the copy's reference leaves.
     """
 
     __slots__ = ("n_operators", "n_operands", "depth_of_nesting",
-                 "avg_nesting_level", "decision_count", "shift_key", "if_reach",
-                 "ifs", "_leaves", "_is_range", "_key_pieces")
+                 "avg_nesting_level", "decision_count", "relative", "shift_key",
+                 "if_reach", "ifs", "_leaves", "_is_range", "_key_pieces")
 
     def __init__(self, ast: FormulaAst, column: int, row: int):
         tokens = classify_tokens(ast)
@@ -877,6 +918,11 @@ class FormulaShape:
         self._leaves = tuple(leaves)
         is_range = tuple(isinstance(ref, RangeRef) for ref in leaves)
         self._is_range = is_range if any(is_range) else None
+        self.relative = not any(
+            ref.col_absolute or ref.row_absolute
+            for leaf in leaves
+            for ref in ((leaf.start, leaf.end) if isinstance(leaf, RangeRef) else (leaf,))
+        )
         uniform = all(
             ref.start.col_absolute == ref.end.col_absolute
             and ref.start.row_absolute == ref.end.row_absolute

@@ -43,11 +43,18 @@ from .errors import (
     CycleError,
     LimitExceededError,
     NotBottomLineWarning,
+    RangeBudgetError,
     UnknownCellError,
     W_EMPTY_REFERENCED_CELL,
 )
 from .refs import CellRef, RangeRef, parse_cell_address
 from .workbook import Cell, Sheet, Workbook
+
+# The default cap on the cells that the ranges of one workbook's formulas
+# expand to. An empty range cell adds ~0.9 KB to an audit's peak RSS (a
+# node, a W003 warning and a report row), so the default caps the
+# range-driven part of the peak near 0.9 GB.
+MAX_RANGE_CELLS = 1_000_000
 
 # A cell address, or an int: a node id of the graph at hand.
 AddrLike = Union[CellRef, str, int]
@@ -62,19 +69,19 @@ class DanglingReference:
     missing_sheet: str
 
 
-def _resolve(
-    wb: Workbook, ref: Union[CellRef, RangeRef], own: Sheet
-) -> tuple[Optional[Sheet], Iterable[tuple[int, int]]]:
-    """The sheet a reference reads (``own`` when unqualified, None when it is
-    missing) and the ``(row, column)`` keys it reads there, row-major."""
+def _resolve(wb: Workbook, ref: Union[CellRef, RangeRef], own: Sheet) -> Optional[Sheet]:
+    """The sheet a reference reads: ``own`` when unqualified, None when it
+    names a missing sheet."""
+    name = (ref if isinstance(ref, CellRef) else ref.start).sheet
+    return own if name is None else wb.sheet(name)
+
+
+def _targets(ref: Union[CellRef, RangeRef]) -> Iterable[tuple[int, int]]:
+    """The ``(row, column)`` keys a reference reads, row-major."""
     if isinstance(ref, CellRef):
-        first, targets = ref, ((ref.row, ref.column),)
-    else:
-        first, last = ref.start, ref.end
-        rows = range(first.row, last.row + 1)
-        targets = product(rows, range(first.column, last.column + 1))
-    sheet = own if first.sheet is None else wb.sheet(first.sheet)
-    return sheet, targets
+        return ((ref.row, ref.column),)
+    return product(range(ref.start.row, ref.end.row + 1),
+                   range(ref.start.column, ref.end.column + 1))
 
 
 @dataclass(frozen=True)
@@ -108,9 +115,14 @@ class CellGraph:
     Every query takes a cell address (a ``CellRef`` or its text) or a node
     id. The audit's stages pass node ids, so after the graph is built no
     stage looks a cell up by its address.
+
+    The ranges of all formulas together may expand to at most
+    ``max_range_cells`` cells (each range counts its area, once per
+    reference); a range that would go past it raises RangeBudgetError
+    before it expands.
     """
 
-    def __init__(self, wb: Workbook):
+    def __init__(self, wb: Workbook, max_range_cells: int = MAX_RANGE_CELLS):
         self._wb = wb
         self._addrs: list[CellRef] = []
         self._cells: list[Cell] = []  # the populated nodes' cells
@@ -144,6 +156,7 @@ class CellGraph:
         self._ref_ends: list[tuple[int, ...]] = [()] * self._populated
 
         edges = 0
+        range_cells_left = max_range_cells
         layouts: dict[tuple[int, ...], tuple[int, ...]] = {}
         for own in wb.sheets:
             own_ids = self._ids[own.name]
@@ -154,14 +167,19 @@ class CellGraph:
                 preds = self._preds[dst]
                 ends = []
                 for ref in cell.shape.references(cell.refs):
-                    sheet, targets = _resolve(wb, ref, own)
+                    sheet = _resolve(wb, ref, own)
                     if sheet is None:
                         first = ref if isinstance(ref, CellRef) else ref.start
                         self.dangling.append(
                             DanglingReference(cell.address, ref.render(), first.sheet))
                     else:
+                        if isinstance(ref, RangeRef):  # checked before it expands
+                            range_cells_left -= ref.width * ref.height
+                            if range_cells_left < 0:
+                                raise RangeBudgetError(
+                                    cell.address.render(), ref.render(), max_range_cells)
                         ids = self._ids[sheet.name]
-                        for target in targets:
+                        for target in _targets(ref):
                             src = ids.get(target)
                             if src is None:  # an empty cell, materialized as data
                                 row, column = target
@@ -483,11 +501,12 @@ class CellGraph:
         return paths
 
 
-def build_graph(wb: Workbook) -> CellGraph:
+def build_graph(wb: Workbook, max_range_cells: int = MAX_RANGE_CELLS) -> CellGraph:
     """Build the dependency graph of a workbook.
 
     Cycle detection always runs: the graph is returned with ``cycles``
     populated, and reachability/path operations raise CycleError on a cyclic
-    graph.
+    graph. RangeBudgetError when the ranges of its formulas expand to more
+    than ``max_range_cells`` cells.
     """
-    return CellGraph(wb)
+    return CellGraph(wb, max_range_cells)

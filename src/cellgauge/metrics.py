@@ -17,7 +17,8 @@ shape (``formula.FormulaShape``), which the load computes once for all the
 copies of a formula; they are read from the cell's shape, not recomputed
 per cell. A shape whose ranges mix anchors keys each copy from the copy's
 own references, so no stage reads an AST. Range linkage walks each
-populated source block once per axis, however many runs read it.
+populated source block once per axis, however many runs read it, and reads
+a run of a uniform shape from its first and last copies alone.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
-from .errors import DomainError
+from .errors import DomainError, require_finite
 from .formula import decision_count  # re-exported
 from .graph import CellGraph
 from .refs import CellRef, RangeRef
@@ -49,6 +50,7 @@ class DispersionConfig:
     mode: str = "product"
 
     def __post_init__(self):
+        require_finite(self, "alpha")
         if not self.alpha > 0:
             raise DomainError(f"alpha must be positive, got {self.alpha}")
         if self.mode not in DISPERSION_MODES:
@@ -75,6 +77,14 @@ class CellMetrics:
     @property
     def is_formula(self) -> bool:
         return self.n_operators + self.n_operands > 0
+
+    def moved_to(self, address: CellRef) -> "CellMetrics":
+        """The same record for the cell at ``address``."""
+        # Fills the new record's fields in one dict update, not one frozen
+        # setattr each: copies of a shape take their record this way.
+        moved = object.__new__(CellMetrics)
+        moved.__dict__.update(self.__dict__, address=address)
+        return moved
 
 
 def dispersion(
@@ -220,27 +230,39 @@ def _populated_extent(
     """Size and bounds of the contiguous populated source run.
 
     Anchored at the first (top-most/left-most) referenced cell that is
-    populated; 0 when no referenced cell is populated. ``blocks`` keeps the
-    bounds of every block walked, by (sheet, axis, line, position), so calls
-    that share it walk each cell at most once per axis.
+    populated; 0 when no referenced cell is populated. ``blocks`` is as for
+    :func:`_block_through`.
     """
     union = sorted(union, key=lambda c: (c.row, c.column) if vertical else (c.column, c.row))
     anchor = next((c for c in union if wb.cell(c) is not None), None)
     if anchor is None:
         return 0, None
-    sheet, col, row = anchor.sheet, anchor.column, anchor.row
-    line, pos = (col, row) if vertical else (row, col)
-    if blocks is None:
-        blocks = {}
+    line, pos = (anchor.column, anchor.row) if vertical else (anchor.row, anchor.column)
+    return _block_through(wb, anchor.sheet, vertical, line, pos,
+                          {} if blocks is None else blocks)
+
+
+def _block_through(
+    wb: Workbook, sheet: str, vertical: bool, line: int, pos: int,
+    blocks: dict[tuple, tuple[int, int]],
+) -> tuple[int, RangeRef]:
+    """Size and bounds of the block of populated cells, contiguous along
+    ``line`` (a column when ``vertical``, else a row), that holds the
+    populated cell at position ``pos`` of that line.
+
+    ``blocks`` keeps the bounds of every block walked, by (sheet, axis,
+    line, position), so calls that share it walk each cell at most once per
+    axis.
+    """
     found = blocks.get((sheet, vertical, line, pos))
     if found is None:
         cells = wb.sheet(sheet).cells
         if vertical:
             def populated(p: int) -> bool:
-                return (p, col) in cells
+                return (p, line) in cells
         else:
             def populated(p: int) -> bool:
-                return (row, p) in cells
+                return (line, p) in cells
         lo = hi = pos
         while lo > 1 and populated(lo - 1):
             lo -= 1
@@ -251,9 +273,9 @@ def _populated_extent(
             blocks[(sheet, vertical, line, p)] = found
     lo, hi = found
     if vertical:
-        bounds = RangeRef(CellRef(sheet, col, lo), CellRef(sheet, col, hi))
+        bounds = RangeRef(CellRef(sheet, line, lo), CellRef(sheet, line, hi))
     else:
-        bounds = RangeRef(CellRef(sheet, lo, row), CellRef(sheet, hi, row))
+        bounds = RangeRef(CellRef(sheet, lo, line), CellRef(sheet, hi, line))
     return hi - lo + 1, bounds
 
 
@@ -262,6 +284,78 @@ def _copied_runs(cells: list[Cell]) -> tuple[list[list[int]], list[list[int]]]:
     ``cells``), keying each cell once."""
     keys = _shift_keys(cells)
     return _runs_along(cells, "column", keys), _runs_along(cells, "row", keys)
+
+
+# A reference slot of a run: (s, reference style, actual extent, source bounds).
+_Slot = tuple[int, str, int, RangeRef]
+
+
+def _slots_per_copy(wb: Workbook, g: CellGraph, run: list[int], vertical: bool,
+                    blocks: dict) -> Iterator[_Slot]:
+    """The checked reference slots of a run, read from every copy's targets."""
+    addr = g.address_of
+    resolved = [g.reference_targets(i) for i in run]
+    for touched_sets in zip(*resolved):
+        if not all(touched_sets):  # a reference to a missing sheet
+            continue
+        s = len(touched_sets[0])
+        axis_ok = all(
+            len({addr(i).column for i in ts} if vertical
+                else {addr(i).row for i in ts}) == 1
+            for ts in touched_sets
+        )
+        if not axis_ok:
+            continue
+        # A node id stands for one cell, so id sets compare cell sets.
+        keys = [frozenset(ts) for ts in touched_sets]
+        style = "absolute" if all(k == keys[0] for k in keys) else "relative"
+        union = [addr(i) for i in dict.fromkeys(i for ts in touched_sets for i in ts)]
+        actual, bounds = _populated_extent(wb, union, vertical, blocks)
+        if bounds is None:
+            cells = sorted(union, key=lambda c: (c.row, c.column))
+            bounds = RangeRef(cells[0], cells[-1])
+        yield s, style, actual, bounds
+
+
+def _slots_of_uniform_run(wb: Workbook, g: CellGraph, run: list[int], vertical: bool,
+                          blocks: dict) -> Iterator[_Slot]:
+    """The checked reference slots of a run of a uniform shape (one whose
+    ``shift_key`` is not None), read from its first and last copies.
+
+    Copy k of such a run reads the first copy's cells moved k steps along
+    the run when the slot is relative along that axis, and the first copy's
+    cells otherwise. So a slot is absolute when its last copy's cells sit
+    where its first copy's do, and a checked slot (one line of cells along
+    the run's axis) of either style reads one contiguous segment of that
+    line, found from the two copies' ends with no per-copy work.
+    """
+    addr = g.address_of
+    for first, last in zip(g.reference_targets(run[0]), g.reference_targets(run[-1])):
+        if not first:  # a reference to a missing sheet
+            continue
+        a, b = addr(first[0]), addr(last[0])  # each slot's top-left cell
+        if vertical:
+            line, start, shift = a.column, a.row, b.row - a.row
+            if any(addr(i).column != line for i in first):
+                continue
+        else:
+            line, start, shift = a.row, a.column, b.column - a.column
+            if any(addr(i).row != line for i in first):
+                continue
+        s = len(first)
+        lo, hi = start + min(shift, 0), start + s - 1 + max(shift, 0)
+        cells = wb.sheet(a.sheet).cells
+
+        def key(p: int) -> tuple[int, int]:  # (row, column) of position p
+            return (p, line) if vertical else (line, p)
+
+        anchor = next((p for p in range(lo, hi + 1) if key(p) in cells), None)
+        if anchor is None:
+            (r1, c1), (r2, c2) = key(lo), key(hi)
+            actual, bounds = 0, RangeRef(CellRef(a.sheet, c1, r1), CellRef(a.sheet, c2, r2))
+        else:
+            actual, bounds = _block_through(wb, a.sheet, vertical, line, anchor, blocks)
+        yield s, "absolute" if shift == 0 else "relative", actual, bounds
 
 
 def check_range_linkage(wb: Workbook, g: CellGraph) -> list[RangeLinkageFinding]:
@@ -273,35 +367,22 @@ def check_range_linkage(wb: Workbook, g: CellGraph) -> list[RangeLinkageFinding]
     (``s`` for absolute references, run length + ``s`` - 1 for relative).
     What each reference reads comes from ``g``, the graph of ``wb``; a
     position where some formula names a missing sheet is skipped. Runs are
-    found over ``g.cells()``, so each run is a list of node ids.
+    found over ``g.cells()``, so each run is a list of node ids. A run of a
+    uniform shape is read from its first and last copies; a run of a shape
+    whose ranges mix anchors (``A$3:A1``) from every copy.
     """
     findings: list[RangeLinkageFinding] = []
     addr = g.address_of
     blocks: dict[tuple, tuple[int, int]] = {}
-    for vertical, runs in zip((True, False), _copied_runs(g.cells())):
+    cells = g.cells()
+    for vertical, runs in zip((True, False), _copied_runs(cells)):
         for run in runs:
             target = RangeRef(addr(run[0]), addr(run[-1]))
-            resolved = [g.reference_targets(i) for i in run]
-            for touched_sets in zip(*resolved):
-                if not all(touched_sets):  # a reference to a missing sheet
-                    continue
-                s = len(touched_sets[0])
-                axis_ok = all(
-                    len({addr(i).column for i in ts} if vertical
-                        else {addr(i).row for i in ts}) == 1
-                    for ts in touched_sets
-                )
-                if not axis_ok:
-                    continue
-                # A node id stands for one cell, so id sets compare cell sets.
-                keys = [frozenset(ts) for ts in touched_sets]
-                style = "absolute" if all(k == keys[0] for k in keys) else "relative"
+            uniform = all(cells[i].shape.shift_key is not None for i in run)
+            slots = (_slots_of_uniform_run if uniform else _slots_per_copy)(
+                wb, g, run, vertical, blocks)
+            for s, style, actual, bounds in slots:
                 expected = s if style == "absolute" else len(run) + s - 1
-                union = [addr(i) for i in dict.fromkeys(i for ts in touched_sets for i in ts)]
-                actual, bounds = _populated_extent(wb, union, vertical, blocks)
-                if bounds is None:
-                    cells = sorted(union, key=lambda c: (c.row, c.column))
-                    bounds = RangeRef(cells[0], cells[-1])
                 findings.append(RangeLinkageFinding(
                     source_range=bounds,
                     target_range=target,

@@ -34,6 +34,13 @@ MAX_COLUMN = 16_384  # XFD, the last column of a sheet
 
 def column_to_letters(col: int) -> str:
     """1 -> "A", 26 -> "Z", 27 -> "AA", 28 -> "AB"."""
+    # One and two letters (A..ZZ, columns 1..702) directly: every rendered
+    # address comes through here.
+    if 0 < col <= 26:
+        return chr(64 + col)
+    if 26 < col <= 702:
+        high, low = divmod(col - 1, 26)
+        return chr(64 + high) + chr(65 + low)
     if col < 1:
         raise ValueError(f"column index must be >= 1, got {col}")
     letters = ""

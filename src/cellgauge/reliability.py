@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .errors import DomainError
+from .errors import DomainError, require_finite
 from .graph import CascadeStats
 from .metrics import CellMetrics
 from .refs import CellRef
@@ -47,6 +47,8 @@ class ReliabilityConfig:
     cap: float = 0.25
 
     def __post_init__(self):
+        require_finite(self, "base_cer", "w_tokens", "w_depth", "w_dispersion",
+                       "w_decisions", "w_span", "data_cell_factor", "cap")
         if not 0.0 <= self.base_cer < 1.0:
             raise DomainError(f"base_cer must be in [0, 1), got {self.base_cer}")
         for name in ("w_tokens", "w_depth", "w_dispersion", "w_decisions", "w_span"):

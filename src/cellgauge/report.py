@@ -47,12 +47,14 @@ from .conditionals import (
 )
 from .errors import (
     AuditWarning,
+    DomainError,
     W_CROSS_SHEET_DISPERSION_EXCLUDED,
     W_CYCLE_DETECTED,
     W_DANGLING_REFERENCE,
     W_RANGE_LINKAGE_VIOLATION,
+    require_finite,
 )
-from .graph import CascadeStats, build_graph
+from .graph import MAX_RANGE_CELLS, CascadeStats, CellGraph, build_graph
 from .metrics import (
     CellMetrics,
     DispersionConfig,
@@ -74,11 +76,24 @@ from .workbook import Workbook, load_workbook
 
 @dataclass(frozen=True)
 class AnalysisConfig:
+    """What an audit computes, and ``max_range_cells``, the most cells the
+    ranges of all formulas may expand to (a graph that would need more is a
+    RangeBudgetError). The budget bounds the audit's cost, not its result,
+    so the report's ``config`` section leaves it out."""
+
     dispersion: DispersionConfig = DispersionConfig()
     reliability: ReliabilityConfig = ReliabilityConfig()
     beta: BetaConfig = BetaConfig()
     flag_dr: float = 0.5
     flag_span: int = 20
+    max_range_cells: int = MAX_RANGE_CELLS
+
+    def __post_init__(self):
+        require_finite(self, "flag_dr")
+        budget = self.max_range_cells
+        if type(budget) is not int or budget < 0:
+            raise DomainError(
+                f"max_range_cells must be a non-negative integer, got {budget!r}")
 
 
 @dataclass(frozen=True)
@@ -138,7 +153,7 @@ def _graph_analysis(
     """Range linkage, cell metrics, cascades and modular metrics: every
     stage that reads the dependency graph. Appends their warnings to
     ``warnings``."""
-    graph = build_graph(wb)
+    graph = build_graph(wb, config.max_range_cells)
     for d in graph.dangling:
         warnings.append(AuditWarning(
             W_DANGLING_REFERENCE,
@@ -166,8 +181,7 @@ def _graph_analysis(
             ))
 
     # Per node id, then in canonical order for the report.
-    by_node = [formula_metrics(cell, graph.precedents(i), config.dispersion)
-               for i, cell in enumerate(graph.cells())]
+    by_node = _cell_metrics(graph, config.dispersion)
     cells = [by_node[i] for i in graph.cell_ids()]
     for m in cells:
         if m.cross_sheet_ref_count:
@@ -196,6 +210,37 @@ def _graph_analysis(
             stats = replace(stats, member_ids=(), input_ids=())
             cascades.append(CascadeEntry(stats, rel, conds))
     return cells, cascades, modular_metrics(wb, graph), findings
+
+
+def _cell_metrics(graph: CellGraph, cfg: DispersionConfig) -> list[CellMetrics]:
+    """Each populated node's metrics (``formula_metrics``), by node id.
+
+    A data cell gets the all-zero record without a call. Copies of a
+    formula whose references are all relative read their cells at the same
+    offsets, so on one sheet they share one record but its address: the
+    first copy's call computes it and each later copy takes it with its own
+    address. Any other formula gets a call of its own.
+    """
+    by_node: list[CellMetrics] = []
+    shared: dict[tuple, CellMetrics] = {}  # by (shape, sheet)
+    zero: Optional[CellMetrics] = None
+    for i, cell in enumerate(graph.cells()):
+        shape, address = cell.shape, cell.address
+        if shape is None:
+            if zero is None:
+                zero = CellMetrics(address)
+            m = zero.moved_to(address)
+        elif shape.relative:
+            m = shared.get((shape, address.sheet))
+            if m is None:
+                m = shared[shape, address.sheet] = formula_metrics(
+                    cell, graph.precedents(i), cfg)
+            else:
+                m = m.moved_to(address)
+        else:
+            m = formula_metrics(cell, graph.precedents(i), cfg)
+        by_node.append(m)
+    return by_node
 
 
 def analyze(path: Union[str, Path], config: AnalysisConfig = AnalysisConfig(),

@@ -304,7 +304,10 @@ def load_workbook(path: Union[str, Path], format: str = "auto",
     if data is None:
         data = path.read_bytes()
     # Decoded as Path.read_text would, universal newlines included.
-    text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
+    try:
+        text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path} is not valid UTF-8: {exc}") from exc
     if format == "workbook-doc":
         # A JSONDecodeError is a ValueError, as is an integer literal past
         # the interpreter's 4,300-digit limit; nesting too deep recurses.

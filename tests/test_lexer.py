@@ -4,18 +4,20 @@
 shared ``refs.REFERENCE``: a character-by-character scan with its own
 reference regex and a hand-coded exception for ``LOG10(``. Its one addition
 is the XFD column check. The properties check that the lexer, the shape scan
-and the address parser read formula-like text exactly as it does.
+and the address parser read formula-like text exactly as it does, and that
+the shape scan may reuse one text's cuts for another of the same skeleton.
 """
 
 from __future__ import annotations
 
 import re
+import string
 
 from hypothesis import given
 from hypothesis import strategies as st
 
 from cellgauge.errors import FormulaSyntaxError
-from cellgauge.formula import _lex, _Token, shape_key
+from cellgauge.formula import _SKELETON, _UP_TO_REF, _lex, _Token, shape_key
 from cellgauge.refs import (
     MAX_COLUMN,
     CellRef,
@@ -209,3 +211,59 @@ def test_address_parser_reads_a_lone_reference_token(text):
     assert (ref is not None) == lone
     if lone:
         assert ref == tokens[0][3]
+
+
+# Each ASCII letter and digit with the characters of its skeleton class, as
+# ``_SKELETON`` defines the classes; any other character is alone in its own.
+_CLASSMATES = {
+    c: [d for d in string.ascii_letters + string.digits
+        if d.translate(_SKELETON) == c.translate(_SKELETON)]
+    for c in string.ascii_letters + string.digits
+}
+
+
+# Pieces where a letter's class decides the cut: an exponent's e/E next to
+# digits (1E5 is a number, 1A5 a number and a reference).
+_EXPONENT_PIECES = ("1E5", "2e-3", ".5e1", "1", "09", "e", "E", "E1", "e12", "a1",
+                    "+", "(", "SUM(", ":")
+
+
+@st.composite
+def same_skeleton_pair(draw):
+    """A formula-like text and a rewrite of it that swaps characters only
+    within their skeleton classes (letters other than e/E among themselves,
+    digits among themselves)."""
+    text = "=" + draw(st.one_of(
+        formula_like, st.lists(st.sampled_from(_EXPONENT_PIECES), max_size=8).map("".join)))
+    picks = draw(st.lists(st.integers(0, 99), min_size=len(text), max_size=len(text)))
+    mates = [_CLASSMATES.get(c, [c]) for c in text]
+    return text, "".join(m[k % len(m)] for m, k in zip(mates, picks))
+
+
+def up_to_ref_spans(text):
+    """The (other, ref) spans of every ``_UP_TO_REF`` match in a formula
+    text after its "=", or None when a character starts no token."""
+    spans, pos = [], 1
+    while True:
+        m = _UP_TO_REF.match(text, pos)
+        if m is None:
+            return None
+        spans.append((m.span("other"), m.span("ref")))
+        if m["ref"] is None:
+            return spans
+        pos = m.end()
+
+
+@given(same_skeleton_pair())
+def test_texts_of_one_skeleton_scan_alike(pair):
+    text, rewrite = pair
+    assert text.translate(_SKELETON) == rewrite.translate(_SKELETON)
+    assert up_to_ref_spans(rewrite) == up_to_ref_spans(text)
+
+
+@given(same_skeleton_pair(), st.integers(1, 40), st.integers(1, 40))
+def test_shape_key_reuses_the_cuts_of_a_text_of_the_same_skeleton(pair, column, row):
+    text, rewrite = pair
+    warm: dict = {}
+    shape_key(text, column, row, warm)
+    assert shape_key(rewrite, column, row, warm) == shape_key(rewrite, column, row, {})

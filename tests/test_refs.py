@@ -33,6 +33,24 @@ def test_column_codec_against_enumeration():
         assert letters_to_column(letters) == i
 
 
+def loop_column_to_letters(col):
+    """``column_to_letters`` as it was before its one- and two-letter fast
+    path: one divmod per letter."""
+    letters = ""
+    while col:
+        col, rem = divmod(col - 1, 26)
+        letters = chr(ord("A") + rem) + letters
+    return letters
+
+
+def test_column_letters_match_the_loop_on_every_column():
+    for col in range(1, 16_385):  # A..XFD
+        assert column_to_letters(col) == loop_column_to_letters(col), col
+    for col in (0, -1):
+        with pytest.raises(ValueError):
+            column_to_letters(col)
+
+
 def test_column_codec_known_values():
     assert column_to_letters(1) == "A"
     assert column_to_letters(26) == "Z"

@@ -1,3 +1,4 @@
+import functools
 import gc
 import hashlib
 import json
@@ -10,6 +11,7 @@ import pytest
 
 import cellgauge
 from cellgauge.cli import main
+from cellgauge.graph import build_graph
 from cellgauge.report import AnalysisConfig, analyze, analyze_workbook, emit_report
 
 from conftest import FIVE_CELL_SHEETS, make_workbook
@@ -532,3 +534,116 @@ def test_audit_leaves_no_garbage_that_grows_with_the_input(tmp_path):
     codes = {w["code"] for w in json.loads((tmp_path / "r.json").read_text())["warnings"]}
     assert codes >= {"W001", "W002", "W003", "W004"}
     assert unreachable[100] == unreachable[2000]
+
+
+# --- Range budget -------------------------------------------------------------
+
+# Ranges of 10 (A1:B5) and 3 (A1:A3) cells, 13 in all; C3 reads a missing
+# sheet's range, which expands to nothing.
+BUDGET_SHEETS = {"S": {"A1": 1, "A2": 2, "C1": "=SUM(A1:B5)", "C2": "=SUM($A$1:A3)+A1",
+                       "C3": "=SUM(Nope!A1:Z99)"}}
+
+
+@pytest.mark.parametrize("command", [
+    ["analyze"], ["analyze", "--format", "text"], ["check-ranges"],
+    ["paths", "--cell", "S!C1"],
+])
+def test_range_budget_exceeded_exits_two_naming_cell_and_range(tmp_path, capsys,
+                                                               monkeypatch, command):
+    path = write_doc(tmp_path, BUDGET_SHEETS)
+    args = [command[0], str(path), *command[1:]]
+    if command[0] == "analyze":
+        args += ["--max-range-cells", "12"]
+    else:  # the other commands build their graphs with the default budget
+        monkeypatch.setattr("cellgauge.cli.build_graph",
+                            functools.partial(build_graph, max_range_cells=12))
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: range $A$1:A3 in cell S!C2 takes the cells that ranges expand to "
+        "past the limit of 12 (--max-range-cells)\n")
+
+
+def test_range_budget_counts_each_range_reference(tmp_path, capsys):
+    path = write_doc(tmp_path, BUDGET_SHEETS)
+    # 13 cells exactly fit; the reference to the missing sheet costs nothing.
+    assert main(["analyze", str(path), "--max-range-cells", "13"]) == 1
+    within = capsys.readouterr().out
+    assert main(["analyze", str(path), "--max-range-cells", "0"]) == 2
+    assert "range A1:B5 in cell S!C1 " in capsys.readouterr().err
+    # The budget bounds the work, not the result: the report does not list it.
+    assert main(["analyze", str(path)]) == 1
+    assert capsys.readouterr().out == within
+    assert "max_range_cells" not in json.loads(within)["config"]
+
+
+def test_negative_range_budget_exits_two(five_cell_path, capsys):
+    assert main(["analyze", str(five_cell_path), "--max-range-cells", "-1"]) == 2
+    assert capsys.readouterr().err == (
+        "error: max_range_cells must be a non-negative integer, got -1\n")
+
+
+def test_range_budget_in_the_library():
+    wb = make_workbook(BUDGET_SHEETS)
+    analyze_workbook(wb, AnalysisConfig(max_range_cells=13))
+    with pytest.raises(cellgauge.RangeBudgetError) as caught:
+        analyze_workbook(wb, AnalysisConfig(max_range_cells=12))
+    error = caught.value
+    assert (error.cell, error.range, error.limit) == ("S!C2", "$A$1:A3", 12)
+    for bad in (-1, True, 2.0):
+        with pytest.raises(cellgauge.DomainError):
+            AnalysisConfig(max_range_cells=bad)
+
+
+# --- Exit 2 for undecodable bytes and non-finite options ------------------------
+
+def test_workbook_that_is_not_utf8_exits_two_naming_the_file(tmp_path, capsys):
+    path = tmp_path / "wb.json"
+    path.write_bytes(b'{"sheets": [{"name": "S", "cells": [{"ref": "A1", "value": "\xff"}]}]}')
+    for command in (["analyze", str(path)], ["check-ranges", str(path)],
+                    ["paths", str(path), "--cell", "S!A1"]):
+        assert main(command) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path} is not valid UTF-8: ")
+        assert "internal error" not in err
+
+
+def test_weights_file_that_is_not_utf8_exits_two_naming_the_file(five_cell_path, tmp_path,
+                                                                  capsys):
+    weights = tmp_path / "w.json"
+    weights.write_bytes(b'\xff\xfe{\x00}\x00')
+    assert main(["analyze", str(five_cell_path), "--weights", str(weights)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: weights file {weights} is not valid UTF-8: ")
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--alpha", "inf"], "alpha must be a finite number, got inf"),
+    (["--alpha", "nan"], "alpha must be a finite number, got nan"),
+    (["--beta", "nan"], "beta must be a finite number, got nan"),
+    (["--beta", "inf"], "beta must be a finite number, got inf"),
+    (["--flag-dr", "nan"], "flag_dr must be a finite number, got nan"),
+    (["--flag-dr=-inf"], "flag_dr must be a finite number, got -inf"),
+    (["--cer", "nan"], "base_cer must be a finite number, got nan"),
+])
+def test_non_finite_options_exit_two(five_cell_path, capsys, flags, message):
+    assert main(["analyze", str(five_cell_path), *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"tokens": NaN}', "w_tokens must be a finite number, got nan"),
+    ('{"depth": 1e400}', "w_depth must be a finite number, got inf"),
+    ('{"span": -Infinity}', "w_span must be a finite number, got -inf"),
+    ('{"cap": Infinity}', "cap must be a finite number, got inf"),
+    ('{"data_cell_factor": 1' + "0" * 400 + "}",
+     "data_cell_factor must be a finite number, got inf"),
+])
+def test_non_finite_weights_exit_two(five_cell_path, tmp_path, capsys, text, message):
+    weights = tmp_path / "w.json"
+    weights.write_text(text)
+    assert main(["analyze", str(five_cell_path), "--weights", str(weights)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
