@@ -6,8 +6,8 @@ the graph-dependent sections marked unavailable), 4 internal error: an
 unexpected exception in any command, reported as one ``error: internal error
 in <command>: <type>: <message>`` line on stderr without a traceback.
 Invalid input includes, in every command, a file that is not UTF-8, an
-option or weight that is not a finite number, and ranges that expand to
-more cells than ``--max-range-cells`` allows.
+option or weight that is not a finite number, and ranges that cost more
+than ``--max-range-cells`` allows (see ``graph.CellGraph``).
 
 Every command runs with cyclic garbage collection off; ``main`` restores the
 caller's setting when it returns.
@@ -32,7 +32,7 @@ from .errors import (
     LimitExceededError,
     UnknownCellError,
 )
-from .graph import MAX_RANGE_CELLS, build_graph
+from .graph import EMPTY_RANGE_CELL_COST, MAX_RANGE_CELLS, build_graph
 from .metrics import DispersionConfig, check_range_linkage
 from .refs import parse_cell_address
 from .reliability import ReliabilityConfig
@@ -111,7 +111,7 @@ def _cmd_paths(args: argparse.Namespace) -> int:
     try:
         wb = load_workbook(args.file)
         cell = parse_cell_address(args.cell)
-        graph = build_graph(wb)
+        graph = build_graph(wb, args.max_range_cells)
         paths = graph.enumerate_paths(cell, limit=args.limit)
     except (OSError, FormatError, UnknownCellError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -134,7 +134,7 @@ def _cmd_check_ranges(args: argparse.Namespace) -> int:
     except (OSError, FormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    findings = check_range_linkage(wb, build_graph(wb))
+    findings = check_range_linkage(wb, build_graph(wb, args.max_range_cells))
     if not findings:
         print("no copied-formula runs detected")
         return 0
@@ -148,6 +148,13 @@ def _cmd_check_ranges(args: argparse.Namespace) -> int:
             f"expected {f.expected_extent} actual {f.actual_extent}"
         )
     return 1 if violations else 0
+
+
+def _add_range_budget(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--max-range-cells", type=int, default=MAX_RANGE_CELLS,
+                   help="most the ranges of all formulas may cost: each cell a "
+                        f"range reads counts 1, an empty one {EMPTY_RANGE_CELL_COST}; "
+                        f"past it the command exits 2 (default {MAX_RANGE_CELLS:,})")
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -174,19 +181,19 @@ def _parser() -> argparse.ArgumentParser:
                    help="flag cells whose dispersion exceeds this (default 0.5)")
     p.add_argument("--flag-span", type=int, default=20,
                    help="flag cells whose column/row span exceeds this (default 20)")
-    p.add_argument("--max-range-cells", type=int, default=MAX_RANGE_CELLS,
-                   help="most cells the ranges of all formulas may expand to; "
-                        f"past it the audit exits 2 (default {MAX_RANGE_CELLS:,})")
+    _add_range_budget(p)
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("paths", help="enumerate reference paths to a cell")
     p.add_argument("file")
     p.add_argument("--cell", required=True, help="terminal cell, e.g. Sheet1!D1")
     p.add_argument("--limit", type=int, default=1000)
+    _add_range_budget(p)
     p.set_defaults(func=_cmd_paths)
 
     p = sub.add_parser("check-ranges", help="copied-range linkage findings only")
     p.add_argument("file")
+    _add_range_budget(p)
     p.set_defaults(func=_cmd_check_ranges)
 
     return parser

@@ -107,15 +107,15 @@ class _Frontiers:
 
     def __init__(self, g: CellGraph):
         self.g = g
-        self.known: dict[int, frozenset] = {}
+        self._known: dict[int, frozenset] = {}
 
     def of(self, start: int) -> frozenset:
         """The frontier of a formula node, built in post-order on an explicit
         stack together with those of the formula cells it reads outside IFs."""
-        g, known = self.g, self.known
-        found = known.get(start)
+        found = self._known.get(start)
         if found is not None:
             return found
+        g, known = self.g, self._known
         reads: dict[int, list[int]] = {}  # expanded nodes not yet finished
         stack = [start]
         while stack:
@@ -153,7 +153,6 @@ def find_conditionals(wb: Workbook, g: CellGraph) -> list[ConditionalConstruct]:
         raise CycleError([[a.render() for a in cyc] for cyc in g.cycles])
 
     frontiers = _Frontiers(g)
-    known = frontiers.known
     records: list[tuple[_Key, set[_Key], int]] = []
     reached: set[_Key] = set()
     for v in g.cell_ids():  # canonical order: sheet, row, column, path
@@ -169,9 +168,7 @@ def find_conditionals(wb: Workbook, g: CellGraph) -> list[ConditionalConstruct]:
                 if arg_ifs:
                     m_set.update([(v, p) for p in arg_ifs])
                 for target in _formulas_read(g, targets, ordinals):
-                    f = known.get(target)
-                    if f is None:
-                        f = frontiers.of(target)
+                    f = frontiers.of(target)
                     if f:
                         hit = True
                         m_set |= f
@@ -181,8 +178,6 @@ def find_conditionals(wb: Workbook, g: CellGraph) -> list[ConditionalConstruct]:
             records.append(((v, path), m_set, n))
 
     position = {key: i for i, (key, _, _) in enumerate(records)}
-    # The graph's address object of a node serves every id naming it, so
-    # all_complexities can match nested ids to constructs by identity.
     ids = [(g.address_of(v), path) for (v, path), _, _ in records]
     return [
         ConditionalConstruct(
@@ -204,26 +199,13 @@ def all_complexities(
 ) -> dict[ConstructId, float]:
     """Branch complexity of every construct, bottom-up in post-order.
 
-    Works on construct positions: a nested id is matched to its construct
-    by the identity of its ``CellRef`` (``find_conditionals`` names a cell
-    with one object throughout), and by equality only when that fails, so
-    addresses are hashed once per construct, for the result. An explicit
-    stack replaces recursion, so long IF chains need no deep call stack.
-    Raises CycleError when a construct reaches itself.
+    Works on construct positions: each nested id is looked up once, and
+    the walk then runs on list indices. An explicit stack replaces
+    recursion, so long IF chains need no deep call stack. Raises CycleError
+    when a construct reaches itself.
     """
-    by_object = {(id(c.cell), c.path): i for i, c in enumerate(constructs)}
-    by_id: Optional[dict[ConstructId, int]] = None
-
-    def position(sub: ConstructId) -> int:
-        nonlocal by_id
-        i = by_object.get((id(sub[0]), sub[1]))
-        if i is None:
-            if by_id is None:
-                by_id = {c.id: i for i, c in enumerate(constructs)}
-            i = by_id[sub]
-        return i
-
-    nested = [[position(sub) for sub in c.nested_or_precedent] for c in constructs]
+    position = {c.id: i for i, c in enumerate(constructs)}
+    nested = [[position[sub] for sub in c.nested_or_precedent] for c in constructs]
     memo: list[Optional[float]] = [None] * len(constructs)
     in_progress = [False] * len(constructs)
     for root in range(len(constructs)):

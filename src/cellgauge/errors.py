@@ -59,13 +59,13 @@ class LimitExceededError(CellGaugeError):
 
 
 class RangeBudgetError(CellGaugeError):
-    """The ranges of a workbook's formulas expand to more cells than the
-    audit allows (``AnalysisConfig.max_range_cells``)."""
+    """The ranges of a workbook's formulas cost more than the audit allows
+    (``AnalysisConfig.max_range_cells``)."""
 
     def __init__(self, cell: str, range_text: str, limit: int):
         super().__init__(
-            f"range {range_text} in cell {cell} takes the cells that ranges "
-            f"expand to past the limit of {limit:,} (--max-range-cells)"
+            f"range {range_text} in cell {cell} takes the range budget "
+            f"past its limit of {limit:,} (--max-range-cells)"
         )
         self.cell = cell
         self.range = range_text

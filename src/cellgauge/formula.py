@@ -746,6 +746,10 @@ _UP_TO_REF = re.compile(
 )
 
 _RefInfo = tuple[CellRef, Optional[str], bool, int, bool, int]
+# Where _UP_TO_REF cuts a text: per match, the (start, end) of its run of
+# other tokens and of its reference, each None when absent.
+_Span = Optional[tuple[int, int]]
+_Cuts = tuple[tuple[_Span, _Span], ...]
 
 # A text's character-class skeleton: each ASCII letter but e/E becomes "a"
 # and each ASCII digit "0"; every other character stays. _UP_TO_REF tells
@@ -756,7 +760,7 @@ _SKELETON = str.maketrans(
      **{c: "0" for c in "0123456789"}})
 
 
-def _scan_spans(text: str) -> Optional[tuple[tuple, ...]]:
+def _scan_spans(text: str) -> Optional[_Cuts]:
     """``_UP_TO_REF``'s cuts of a formula text after its ``=``: per match,
     the span of its run of other tokens (None if there is none) and the span
     of its reference (None at the end of the text). None when some character
@@ -776,17 +780,9 @@ def _scan_spans(text: str) -> Optional[tuple[tuple, ...]]:
         pos = m.end()
 
 
-def _ref_info(token: str) -> Optional[_RefInfo]:
-    """What a reference token denotes; None for row 0 or a column past XFD."""
-    try:
-        ref = parse_cell_address(token)
-    except ValueError:
-        return None
-    return ref, ref.sheet, ref.col_absolute, ref.column, ref.row_absolute, ref.row
-
-
 def shape_key(
-    text: str, column: int, row: int, memo: dict[str, object]
+    text: str, column: int, row: int, memo: dict[str, Optional[_RefInfo]],
+    cuts: Optional[dict[str, Optional[_Cuts]]] = None,
 ) -> Optional[tuple[tuple, tuple[CellRef, ...]]]:
     """The shape key of a formula text in cell (column, row), and its refs.
 
@@ -800,18 +796,20 @@ def shape_key(
     reference to row 0 or past column XFD (such texts fail to parse, and
     each must report its own error offset).
 
-    ``memo`` should live as long as one load. It maps each text skeleton
-    (see ``_SKELETON``) to the cuts ``_UP_TO_REF`` found in the first text
-    with that skeleton, so later texts with it are cut without a scan, and
-    each reference text to what it denotes. The two kinds of key never
-    meet: a skeleton starts with ``=``, a reference text never does.
+    ``memo`` maps each reference text to what it denotes, and ``cuts`` each
+    text skeleton (see ``_SKELETON``) to the cuts ``_UP_TO_REF`` found in
+    the first text with that skeleton, so later texts with it are cut
+    without a scan. Both should live as long as one load; without ``cuts``
+    the text is scanned.
     """
     if not text.startswith("="):
         return None
+    if cuts is None:
+        cuts = {}
     skeleton = text.translate(_SKELETON)
-    spans = memo.get(skeleton, False)
+    spans = cuts.get(skeleton, False)
     if spans is False:
-        spans = memo[skeleton] = _scan_spans(text)
+        spans = cuts[skeleton] = _scan_spans(text)
     if spans is None:  # a character no token starts with
         return None
     key: list = []
@@ -824,7 +822,14 @@ def shape_key(
         token = text[ref_span[0]:ref_span[1]]
         info = memo.get(token, False)
         if info is False:
-            info = memo[token] = _ref_info(token)
+            try:
+                ref = parse_cell_address(token)
+            except ValueError:  # row 0 or a column past XFD
+                info = None
+            else:
+                info = (ref, ref.sheet, ref.col_absolute, ref.column,
+                        ref.row_absolute, ref.row)
+            memo[token] = info
         if info is None:
             return None
         ref, sheet, col_abs, col, row_abs, ref_row = info

@@ -41,6 +41,7 @@ from typing import Iterable, Optional, Union
 from .errors import (
     AuditWarning,
     CycleError,
+    DomainError,
     LimitExceededError,
     NotBottomLineWarning,
     RangeBudgetError,
@@ -50,11 +51,21 @@ from .errors import (
 from .refs import CellRef, RangeRef, parse_cell_address
 from .workbook import Cell, Sheet, Workbook
 
-# The default cap on the cells that the ranges of one workbook's formulas
-# expand to. An empty range cell adds ~0.9 KB to an audit's peak RSS (a
-# node, a W003 warning and a report row), so the default caps the
-# range-driven part of the peak near 0.9 GB.
-MAX_RANGE_CELLS = 1_000_000
+# The range budget counts what ranges cost an audit. Each cell a range
+# reads is one arc, ~90 bytes of peak RSS; an empty one also becomes a node
+# with a W003 warning and a report row, ~0.9 KB in all, so it counts
+# EMPTY_RANGE_CELL_COST. The default budget caps the range-driven part of
+# an audit's peak RSS near 0.9 GB.
+EMPTY_RANGE_CELL_COST = 10
+MAX_RANGE_CELLS = 10_000_000
+
+
+def require_range_budget(budget: object) -> None:
+    """Raise DomainError unless ``budget`` is a non-negative integer."""
+    if type(budget) is not int or budget < 0:
+        raise DomainError(
+            f"max_range_cells must be a non-negative integer, got {budget!r}")
+
 
 # A cell address, or an int: a node id of the graph at hand.
 AddrLike = Union[CellRef, str, int]
@@ -116,13 +127,16 @@ class CellGraph:
     id. The audit's stages pass node ids, so after the graph is built no
     stage looks a cell up by its address.
 
-    The ranges of all formulas together may expand to at most
-    ``max_range_cells`` cells (each range counts its area, once per
-    reference); a range that would go past it raises RangeBudgetError
-    before it expands.
+    The ranges of all formulas together may cost at most
+    ``max_range_cells``: each range reference counts its area before it
+    expands, and each empty cell it brings into the graph counts
+    ``EMPTY_RANGE_CELL_COST`` in all. A range that would go past the budget
+    raises RangeBudgetError, before it expands or when its empty cells
+    take the budget past its limit.
     """
 
     def __init__(self, wb: Workbook, max_range_cells: int = MAX_RANGE_CELLS):
+        require_range_budget(max_range_cells)
         self._wb = wb
         self._addrs: list[CellRef] = []
         self._cells: list[Cell] = []  # the populated nodes' cells
@@ -173,7 +187,8 @@ class CellGraph:
                         self.dangling.append(
                             DanglingReference(cell.address, ref.render(), first.sheet))
                     else:
-                        if isinstance(ref, RangeRef):  # checked before it expands
+                        is_range = isinstance(ref, RangeRef)
+                        if is_range:  # checked before it expands
                             range_cells_left -= ref.width * ref.height
                             if range_cells_left < 0:
                                 raise RangeBudgetError(
@@ -182,6 +197,12 @@ class CellGraph:
                         for target in _targets(ref):
                             src = ids.get(target)
                             if src is None:  # an empty cell, materialized as data
+                                if is_range:
+                                    range_cells_left -= EMPTY_RANGE_CELL_COST - 1
+                                    if range_cells_left < 0:
+                                        raise RangeBudgetError(
+                                            cell.address.render(), ref.render(),
+                                            max_range_cells)
                                 row, column = target
                                 src = ids[target] = add_node(
                                     CellRef(sheet.name, column, row),
@@ -506,7 +527,7 @@ def build_graph(wb: Workbook, max_range_cells: int = MAX_RANGE_CELLS) -> CellGra
 
     Cycle detection always runs: the graph is returned with ``cycles``
     populated, and reachability/path operations raise CycleError on a cyclic
-    graph. RangeBudgetError when the ranges of its formulas expand to more
-    than ``max_range_cells`` cells.
+    graph. RangeBudgetError when the ranges of its formulas cost more than
+    ``max_range_cells`` (see ``CellGraph``).
     """
     return CellGraph(wb, max_range_cells)

@@ -47,14 +47,19 @@ from .conditionals import (
 )
 from .errors import (
     AuditWarning,
-    DomainError,
     W_CROSS_SHEET_DISPERSION_EXCLUDED,
     W_CYCLE_DETECTED,
     W_DANGLING_REFERENCE,
     W_RANGE_LINKAGE_VIOLATION,
     require_finite,
 )
-from .graph import MAX_RANGE_CELLS, CascadeStats, CellGraph, build_graph
+from .graph import (
+    MAX_RANGE_CELLS,
+    CascadeStats,
+    CellGraph,
+    build_graph,
+    require_range_budget,
+)
 from .metrics import (
     CellMetrics,
     DispersionConfig,
@@ -76,10 +81,10 @@ from .workbook import Workbook, load_workbook
 
 @dataclass(frozen=True)
 class AnalysisConfig:
-    """What an audit computes, and ``max_range_cells``, the most cells the
-    ranges of all formulas may expand to (a graph that would need more is a
-    RangeBudgetError). The budget bounds the audit's cost, not its result,
-    so the report's ``config`` section leaves it out."""
+    """What an audit computes, and ``max_range_cells``, the most the ranges
+    of all formulas may cost (see ``CellGraph``; a graph that would need
+    more is a RangeBudgetError). The budget bounds the audit's cost, not
+    its result, so the report's ``config`` section leaves it out."""
 
     dispersion: DispersionConfig = DispersionConfig()
     reliability: ReliabilityConfig = ReliabilityConfig()
@@ -90,10 +95,7 @@ class AnalysisConfig:
 
     def __post_init__(self):
         require_finite(self, "flag_dr")
-        budget = self.max_range_cells
-        if type(budget) is not int or budget < 0:
-            raise DomainError(
-                f"max_range_cells must be a non-negative integer, got {budget!r}")
+        require_range_budget(self.max_range_cells)
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,8 @@ on broken workbooks. A CSV with malformed quoting is a FormatError.
 
 Most formulas in a model are copies of one another, identical up to the
 shift of their relative references. One load keys each formula text by its
-shape (``formula.shape_key``: one regex pass that also yields the text's
-references) and parses only the first text of each shape, into the
+shape (``formula.shape_key``, which cuts the text into tokens once per
+character-class skeleton and also yields its references) and parses only the first text of each shape, into the
 ``FormulaShape`` every copy carries: the measures that do not depend on
 where a copy sits. No AST outlives the load; a copy keeps only its text and
 its references, and ``Cell.ast`` parses the text again when it is read. A
@@ -158,18 +158,21 @@ def _typed_value(raw: object, address: CellRef) -> DataValue:
 
 @dataclass
 class _Shapes:
-    """The formula shapes of one load by shape key, and what each reference
-    text denotes (``shape_key``'s memo)."""
+    """The formula shapes of one load by shape key, and ``shape_key``'s
+    memos: what each reference text denotes, and the cuts of each text
+    skeleton."""
 
     by_key: dict[tuple, FormulaShape] = field(default_factory=dict)
     refs: dict = field(default_factory=dict)
+    cuts: dict = field(default_factory=dict)
 
 
 def _make_cell(address: CellRef, text_or_value, warnings: list[AuditWarning],
                is_formula: bool, shapes: _Shapes) -> Cell:
     if not is_formula:
         return Cell(address=address, value=_typed_value(text_or_value, address))
-    keyed = shape_key(text_or_value, address.column, address.row, shapes.refs)
+    keyed = shape_key(text_or_value, address.column, address.row, shapes.refs,
+                      shapes.cuts)
     shape = shapes.by_key.get(keyed[0]) if keyed is not None else None
     if shape is not None:
         return Cell(address=address, source=text_or_value, shape=shape, refs=keyed[1])

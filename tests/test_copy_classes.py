@@ -189,9 +189,9 @@ def test_a_mixed_anchor_run_is_read_per_copy():
 
 
 def test_complexities_match_constructs_by_equal_addresses_too():
-    # find_conditionals names each construct's cell with one CellRef object,
-    # which all_complexities matches by identity; ids built apart, with
-    # equal but distinct addresses, must give the same complexities.
+    # all_complexities matches nested ids to constructs by equality: ids
+    # built apart, with equal but distinct addresses, give the same
+    # complexities.
     doc = {"sheets": [{"name": "S", "cells": (
         [{"ref": f"{c}1", "value": 1.0} for c in "AB"]
         + [{"ref": f"{c}{r}", "formula": f"=IF({c}{r - 1}>0,{c}{r - 1}+1,IF({c}1<0,1,2))"}

@@ -264,6 +264,7 @@ def test_texts_of_one_skeleton_scan_alike(pair):
 @given(same_skeleton_pair(), st.integers(1, 40), st.integers(1, 40))
 def test_shape_key_reuses_the_cuts_of_a_text_of_the_same_skeleton(pair, column, row):
     text, rewrite = pair
-    warm: dict = {}
-    shape_key(text, column, row, warm)
-    assert shape_key(rewrite, column, row, warm) == shape_key(rewrite, column, row, {})
+    refs: dict = {}
+    cuts: dict = {}
+    shape_key(text, column, row, refs, cuts)
+    assert shape_key(rewrite, column, row, refs, cuts) == shape_key(rewrite, column, row, {})

@@ -1,4 +1,3 @@
-import functools
 import gc
 import hashlib
 import json
@@ -538,8 +537,9 @@ def test_audit_leaves_no_garbage_that_grows_with_the_input(tmp_path):
 
 # --- Range budget -------------------------------------------------------------
 
-# Ranges of 10 (A1:B5) and 3 (A1:A3) cells, 13 in all; C3 reads a missing
-# sheet's range, which expands to nothing.
+# C1's range A1:B5 reads 2 cells and brings 8 empty ones into the graph
+# (10 + 8 x 9 = 82); C2's range $A$1:A3 reads 3 cells that are nodes by then
+# (3), 85 in all. C3 reads a missing sheet's range, which expands to nothing.
 BUDGET_SHEETS = {"S": {"A1": 1, "A2": 2, "C1": "=SUM(A1:B5)", "C2": "=SUM($A$1:A3)+A1",
                        "C3": "=SUM(Nope!A1:Z99)"}}
 
@@ -548,28 +548,23 @@ BUDGET_SHEETS = {"S": {"A1": 1, "A2": 2, "C1": "=SUM(A1:B5)", "C2": "=SUM($A$1:A
     ["analyze"], ["analyze", "--format", "text"], ["check-ranges"],
     ["paths", "--cell", "S!C1"],
 ])
-def test_range_budget_exceeded_exits_two_naming_cell_and_range(tmp_path, capsys,
-                                                               monkeypatch, command):
+def test_range_budget_exceeded_exits_two_naming_cell_and_range(tmp_path, capsys, command):
     path = write_doc(tmp_path, BUDGET_SHEETS)
-    args = [command[0], str(path), *command[1:]]
-    if command[0] == "analyze":
-        args += ["--max-range-cells", "12"]
-    else:  # the other commands build their graphs with the default budget
-        monkeypatch.setattr("cellgauge.cli.build_graph",
-                            functools.partial(build_graph, max_range_cells=12))
-    assert main(args) == 2
+    assert main([command[0], str(path), *command[1:], "--max-range-cells", "84"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "error: range $A$1:A3 in cell S!C2 takes the cells that ranges expand to "
-        "past the limit of 12 (--max-range-cells)\n")
+        "error: range $A$1:A3 in cell S!C2 takes the range budget past its limit "
+        "of 84 (--max-range-cells)\n")
 
 
-def test_range_budget_counts_each_range_reference(tmp_path, capsys):
+def test_range_budget_counts_each_range_and_its_empty_cells(tmp_path, capsys):
     path = write_doc(tmp_path, BUDGET_SHEETS)
-    # 13 cells exactly fit; the reference to the missing sheet costs nothing.
-    assert main(["analyze", str(path), "--max-range-cells", "13"]) == 1
+    assert main(["analyze", str(path), "--max-range-cells", "85"]) == 1
     within = capsys.readouterr().out
+    # A1:B5's area fits in 81, but its empty cells take the budget past it.
+    assert main(["analyze", str(path), "--max-range-cells", "81"]) == 2
+    assert "range A1:B5 in cell S!C1 " in capsys.readouterr().err
     assert main(["analyze", str(path), "--max-range-cells", "0"]) == 2
     assert "range A1:B5 in cell S!C1 " in capsys.readouterr().err
     # The budget bounds the work, not the result: the report does not list it.
@@ -578,22 +573,38 @@ def test_range_budget_counts_each_range_reference(tmp_path, capsys):
     assert "max_range_cells" not in json.loads(within)["config"]
 
 
-def test_negative_range_budget_exits_two(five_cell_path, capsys):
-    assert main(["analyze", str(five_cell_path), "--max-range-cells", "-1"]) == 2
+def test_running_total_fits_the_default_range_budget(tmp_path, capsys):
+    # SUM($A$1:Ar) copied down 1,500 rows reads 1,125,750 populated cells,
+    # ~100 MB of arcs.
+    rows = 1500
+    sheet = {f"A{r}": 1 for r in range(1, rows + 1)}
+    sheet.update({f"B{r}": f"=SUM($A$1:A{r})" for r in range(1, rows + 1)})
+    path = write_doc(tmp_path, {"G": sheet})
+    assert main(["analyze", str(path), "--out", str(tmp_path / "report.json")]) == 0
+    assert main(["check-ranges", str(path)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("command", [["analyze"], ["check-ranges"], ["paths", "--cell", "S!C1"]])
+def test_negative_range_budget_exits_two(five_cell_path, capsys, command):
+    args = [command[0], str(five_cell_path), *command[1:], "--max-range-cells", "-1"]
+    assert main(args) == 2
     assert capsys.readouterr().err == (
         "error: max_range_cells must be a non-negative integer, got -1\n")
 
 
 def test_range_budget_in_the_library():
     wb = make_workbook(BUDGET_SHEETS)
-    analyze_workbook(wb, AnalysisConfig(max_range_cells=13))
+    analyze_workbook(wb, AnalysisConfig(max_range_cells=85))
     with pytest.raises(cellgauge.RangeBudgetError) as caught:
-        analyze_workbook(wb, AnalysisConfig(max_range_cells=12))
+        analyze_workbook(wb, AnalysisConfig(max_range_cells=84))
     error = caught.value
-    assert (error.cell, error.range, error.limit) == ("S!C2", "$A$1:A3", 12)
+    assert (error.cell, error.range, error.limit) == ("S!C2", "$A$1:A3", 84)
     for bad in (-1, True, 2.0):
         with pytest.raises(cellgauge.DomainError):
             AnalysisConfig(max_range_cells=bad)
+        with pytest.raises(cellgauge.DomainError):
+            build_graph(wb, bad)
 
 
 # --- Exit 2 for undecodable bytes and non-finite options ------------------------
