@@ -37,6 +37,10 @@ class UnknownCellError(CellGaugeError, KeyError):
         super().__init__(f"no such cell in graph: {address}")
         self.address = address
 
+    def __str__(self) -> str:
+        # KeyError's __str__ would give the message's repr, quotes and all.
+        return self.args[0]
+
 
 class CycleError(CellGaugeError):
     """Reference cycles in the dependency graph.

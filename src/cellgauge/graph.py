@@ -48,7 +48,7 @@ from .errors import (
     UnknownCellError,
     W_EMPTY_REFERENCED_CELL,
 )
-from .refs import CellRef, RangeRef, parse_cell_address
+from .refs import CellRef, RangeRef, parse_cell_address, render_refs
 from .workbook import Cell, Sheet, Workbook
 
 # The range budget counts what ranges cost an audit. Each cell a range
@@ -321,14 +321,9 @@ class CellGraph:
         return [self._addrs[i] for i in self._canonical(idxs)]
 
     def materialized_warnings(self) -> list[AuditWarning]:
-        return [
-            AuditWarning(
-                W_EMPTY_REFERENCED_CELL,
-                addr.render(),
-                "referenced cell is empty; treated as data cell with value 0",
-            )
-            for addr in self.materialized_cells()
-        ]
+        message = "referenced cell is empty; treated as data cell with value 0"
+        return [AuditWarning(W_EMPTY_REFERENCED_CELL, text, message)
+                for text in render_refs(self.materialized_cells())]
 
     # -- cycles ---------------------------------------------------------------
 
@@ -496,8 +491,11 @@ class CellGraph:
         """All source-to-terminal reference paths, depth-first.
 
         Parallel edges yield one path each. Raises LimitExceededError as soon
-        as more than ``limit`` paths exist.
+        as more than ``limit`` paths exist, and DomainError when ``limit`` is
+        negative.
         """
+        if limit < 0:
+            raise DomainError(f"path limit must be non-negative, got {limit}")
         terminal = self._node(addr)
         self._ensure_acyclic()
         paths: list[list[CellRef]] = []

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 # A sheet name that needs no quotes; any other is quoted, with '' for '.
 _PLAIN_SHEET_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
@@ -201,3 +201,24 @@ def parse_cell_address(text: str) -> CellRef:
 def render_ref(ref: CellRef) -> str:
     """A1-notation text of a reference, with ``$`` markers and sheet prefix."""
     return ref.render()
+
+
+def render_refs(refs: Iterable[CellRef]) -> list[str]:
+    """``[ref.render() for ref in refs]``, quoting each sheet name and
+    lettering each column once per call: reports render thousands of
+    addresses on a few sheets."""
+    prefixes: dict[Optional[str], str] = {None: ""}
+    letters: dict[int, str] = {}
+    out: list[str] = []
+    append = out.append
+    for ref in refs:
+        sheet, column = ref.sheet, ref.column
+        prefix = prefixes.get(sheet)
+        if prefix is None:
+            prefix = prefixes[sheet] = quote_sheet_name(sheet) + "!"
+        col = letters.get(column)
+        if col is None:
+            col = letters[column] = column_to_letters(column)
+        append(f"{prefix}{'$' if ref.col_absolute else ''}{col}"
+               f"{'$' if ref.row_absolute else ''}{ref.row}")
+    return out

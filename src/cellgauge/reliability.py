@@ -104,9 +104,13 @@ def cell_error_rates(
     """Each cell's :func:`adjusted_cell_rate`, in the order of ``metrics``.
 
     Given the metrics of a graph's cells in node order (``g.cells()``, which
-    is ``wb.iter_cells()`` order), the list is indexed by node id.
+    is ``wb.iter_cells()`` order), the list is indexed by node id. A record
+    that many cells share (one object) is rated once.
     """
-    return [adjusted_cell_rate(m, cfg) for m in metrics]
+    metrics = list(metrics)  # keeps each record alive while its id is a key
+    distinct = dict(zip(map(id, metrics), metrics))
+    rate = {k: adjusted_cell_rate(m, cfg) for k, m in distinct.items()}
+    return list(map(rate.__getitem__, map(id, metrics)))
 
 
 def cascade_reliability(

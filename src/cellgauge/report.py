@@ -6,9 +6,11 @@ range linkage -> cell metrics -> conditionals -> cascades and reliability
 aborting; only unreadable or structurally invalid input raises. The graph
 resolves each reference once, and every later stage reads from it what a
 reference reads. After the graph is built the stages pass node ids: cell
-metrics are computed in node order (and listed in canonical order), rates
-and final constructs are keyed by node id, and the only address lookups are
-one per bottom-line cell.
+metrics are computed in node order, rates and final constructs are keyed by
+node id, and the only address lookups are one per bottom-line cell. The
+report keeps its cells as two columns in canonical order (``CellColumns``):
+addresses, and metrics records that many cells share, such as the one
+all-zero record of every data cell.
 
 The JSON form is canonical: sorted keys, floats rounded to six decimals,
 stable ordering everywhere, so identical input bytes and configuration
@@ -17,13 +19,16 @@ cascade, cascade conditional, range finding, data binding triple, warning)
 is declared once, as its sorted keys and a function that gives a row's
 values in that order (``_Kind``). ``as_dict`` builds its row dicts from
 these declarations, and emission writes the rows in batches: one C-encoder
-call per batch of value tuples, whose texts fill a template per kind.
+call per batch of value tuples, whose texts fill a template per kind. Cell
+and warning rows encode the values after their address once per shared
+record or (code, message) pair, and each row adds only its address.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
+import heapq
 import io
 import itertools
 import json
@@ -31,10 +36,10 @@ import math
 import operator
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, NamedTuple, Optional, Union
+from typing import Callable, Iterator, NamedTuple, Optional, Union
 
 from . import __version__
 from .conditionals import (
@@ -69,10 +74,10 @@ from .metrics import (
     formula_metrics,
     modular_metrics,
 )
+from .refs import CellRef, render_refs
 from .reliability import (
     CascadeReliability,
     ReliabilityConfig,
-    adjusted_cell_rate,
     cascade_reliability,
     cell_error_rates,
 )
@@ -105,16 +110,70 @@ class CascadeEntry:
     conditionals: tuple[tuple[ConditionalConstruct, float], ...]
 
 
-@dataclass
+class CellColumns:
+    """A report's cells as two columns in canonical order: ``addresses[k]``
+    is cell k's address and ``records[k]`` its metrics record.
+
+    Many cells may share one record object, whose own ``address`` is then
+    one of theirs; only the address column says which cell a row is.
+    Iterating gives each cell's record at its own address.
+    """
+
+    __slots__ = ("addresses", "records")
+
+    def __init__(self, addresses: list[CellRef], records: list[CellMetrics]):
+        self.addresses = addresses
+        self.records = records
+
+    def __iter__(self) -> Iterator[CellMetrics]:
+        for address, m in zip(self.addresses, self.records):
+            yield m if m.address is address else m.moved_to(address)
+
+
 class WorkbookReport:
-    tool_version: str
-    input_digest: str
-    config: AnalysisConfig
-    cells: list[CellMetrics]
-    cascades: Optional[list[CascadeEntry]]  # None when the graph is cyclic
-    modular: ModularMetrics
-    range_findings: list[RangeLinkageFinding]
-    warnings: list[AuditWarning] = field(default_factory=list)
+    """An audit's results.
+
+    ``cells`` may be given as a list of records, or as ``CellColumns``
+    whose records many cells share, as ``analyze_workbook`` gives it. It
+    reads as the list either way: from columns the list is built on first
+    read, and from then on it is the report's cells. Emission reads
+    ``cell_columns`` and never builds it.
+    """
+
+    def __init__(self, tool_version: str, input_digest: str, config: AnalysisConfig,
+                 cells: Union[list[CellMetrics], CellColumns],
+                 cascades: Optional[list[CascadeEntry]],  # None when the graph is cyclic
+                 modular: ModularMetrics, range_findings: list[RangeLinkageFinding],
+                 warnings: Optional[list[AuditWarning]] = None):
+        self.tool_version = tool_version
+        self.input_digest = input_digest
+        self.config = config
+        self.cells = cells
+        self.cascades = cascades
+        self.modular = modular
+        self.range_findings = range_findings
+        self.warnings = [] if warnings is None else warnings
+
+    @property
+    def cells(self) -> list[CellMetrics]:
+        if self._cells is None:
+            self._cells = list(self._columns)
+        return self._cells
+
+    @cells.setter
+    def cells(self, cells: Union[list[CellMetrics], CellColumns]) -> None:
+        if isinstance(cells, CellColumns):
+            self._cells, self._columns = None, cells
+        else:
+            self._cells, self._columns = cells, None
+
+    @property
+    def cell_columns(self) -> CellColumns:
+        """The cells as columns. Once ``cells`` is a list, the columns come
+        from it, each record its own."""
+        if self._cells is None:
+            return self._columns
+        return CellColumns([m.address for m in self._cells], self._cells)
 
     @property
     def cyclic(self) -> bool:
@@ -135,7 +194,7 @@ def analyze_workbook(wb: Workbook, config: AnalysisConfig = AnalysisConfig(),
     warnings: list[AuditWarning] = list(wb.warnings)
     # Every graph-wide temporary, the graph included, is freed on return.
     cells, cascades, modular, findings = _graph_analysis(wb, config, warnings)
-    warnings.sort(key=lambda w: (w.code, w.address, w.message))
+    warnings.sort(key=operator.attrgetter("code", "address", "message"))
     return WorkbookReport(
         tool_version=__version__,
         input_digest=digest,
@@ -150,7 +209,7 @@ def analyze_workbook(wb: Workbook, config: AnalysisConfig = AnalysisConfig(),
 
 def _graph_analysis(
     wb: Workbook, config: AnalysisConfig, warnings: list[AuditWarning],
-) -> tuple[list[CellMetrics], Optional[list[CascadeEntry]], ModularMetrics,
+) -> tuple[CellColumns, Optional[list[CascadeEntry]], ModularMetrics,
            list[RangeLinkageFinding]]:
     """Range linkage, cell metrics, cascades and modular metrics: every
     stage that reads the dependency graph. Appends their warnings to
@@ -184,12 +243,14 @@ def _graph_analysis(
 
     # Per node id, then in canonical order for the report.
     by_node = _cell_metrics(graph, config.dispersion)
-    cells = [by_node[i] for i in graph.cell_ids()]
-    for m in cells:
+    order = graph.cell_ids()
+    cells = CellColumns(list(map(graph.nodes().__getitem__, order)),
+                        list(map(by_node.__getitem__, order)))
+    for address, m in zip(cells.addresses, cells.records):
         if m.cross_sheet_ref_count:
             warnings.append(AuditWarning(
                 W_CROSS_SHEET_DISPERSION_EXCLUDED,
-                m.address.render(),
+                address.render(),
                 f"{m.cross_sheet_ref_count} cross-sheet reference(s) excluded "
                 "from dispersion and spans",
             ))
@@ -215,30 +276,28 @@ def _graph_analysis(
 
 
 def _cell_metrics(graph: CellGraph, cfg: DispersionConfig) -> list[CellMetrics]:
-    """Each populated node's metrics (``formula_metrics``), by node id.
+    """Each populated node's metrics record (``formula_metrics``), by node
+    id; many nodes share one record, and its address is the first one's.
 
-    A data cell gets the all-zero record without a call. Copies of a
-    formula whose references are all relative read their cells at the same
-    offsets, so on one sheet they share one record but its address: the
-    first copy's call computes it and each later copy takes it with its own
-    address. Any other formula gets a call of its own.
+    Every data cell shares the all-zero record, built without a call.
+    Copies of a formula whose references are all relative read their cells
+    at the same offsets, so on one sheet they share the record the first
+    copy's call computes. Any other formula gets a call of its own.
     """
     by_node: list[CellMetrics] = []
     shared: dict[tuple, CellMetrics] = {}  # by (shape, sheet)
     zero: Optional[CellMetrics] = None
     for i, cell in enumerate(graph.cells()):
-        shape, address = cell.shape, cell.address
+        shape = cell.shape
         if shape is None:
             if zero is None:
-                zero = CellMetrics(address)
-            m = zero.moved_to(address)
+                zero = CellMetrics(cell.address)
+            m = zero
         elif shape.relative:
-            m = shared.get((shape, address.sheet))
+            m = shared.get((shape, cell.address.sheet))
             if m is None:
-                m = shared[shape, address.sheet] = formula_metrics(
+                m = shared[shape, cell.address.sheet] = formula_metrics(
                     cell, graph.precedents(i), cfg)
-            else:
-                m = m.moved_to(address)
         else:
             m = formula_metrics(cell, graph.precedents(i), cfg)
         by_node.append(m)
@@ -294,11 +353,19 @@ class _Kind(NamedTuple):
 
     ``nested`` names the one list-valued column, if any, and the kind of
     its rows; ``values`` gives that column as its unbuilt rows.
+
+    ``shared`` marks a kind whose first key is "address" and whose rows
+    share the values after it. It splits the rows ``items`` into
+    ``(addresses, render, bodies, key)``: ``render(addresses[a:b])`` gives
+    the address texts of rows a..b-1, row k's other values are
+    ``values(bodies[k])[1:]``, and rows whose bodies have equal ``key``
+    have equal values there.
     """
 
     keys: tuple[str, ...]
     values: Callable[..., tuple]
     nested: Optional[tuple[str, "_Kind"]] = None
+    shared: Optional[Callable[..., tuple]] = None
 
 
 _CELL = _Kind(
@@ -311,6 +378,8 @@ _CELL = _Kind(
                m.depth_of_nesting, _num(m.dispersion), m.forward_ref_count,
                m.mixed_axis_flag, m.n_operands, m.n_operators,
                m.n_references, m.row_span),
+    # Rows are CellColumns; records shared by many cells are one object.
+    shared=lambda cells: (cells.addresses, render_refs, cells.records, id),
 )
 # A cascade's conditional: (ConditionalConstruct, O value).
 _CONDITIONAL = _Kind(("cell", "o_value"),
@@ -335,7 +404,10 @@ _FINDING = _Kind(
 # A data binding triple: (sheet P, cell Q, sheet R).
 _TRIPLE = _Kind(("p", "q", "r"), lambda t: (t[0], t[1].render(), t[2]))
 _WARNING = _Kind(("address", "code", "message"),
-                 operator.attrgetter("address", "code", "message"))
+                 operator.attrgetter("address", "code", "message"),
+                 shared=lambda warnings: (
+                     warnings, lambda batch: [w.address for w in batch], warnings,
+                     operator.attrgetter("code", "message")))
 
 
 def _row_dicts(kind: _Kind, items) -> list[dict]:
@@ -404,7 +476,7 @@ def _report_dict(r: WorkbookReport, rows=_row_dicts) -> dict:
             "input_sha256": r.input_digest,
         },
         "config": _config_dict(r.config),
-        "cells": rows(_CELL, r.cells),
+        "cells": rows(_CELL, r.cell_columns),
         "cascades": None if r.cascades is None else rows(_CASCADE, r.cascades),
         "modular": _modular_dict(r.modular, rows),
         "range_findings": rows(_FINDING, r.range_findings),
@@ -479,6 +551,50 @@ def _emit_rows(kind: _Kind, items, level: int, write: Callable[[str], object]) -
     write("\n" + _INDENT * level + "]")
 
 
+def _emit_shared_rows(kind: _Kind, items, level: int,
+                      write: Callable[[str], object]) -> None:
+    """``_emit_rows`` for a kind whose rows share all but their address
+    (``_Kind.shared``).
+
+    The row text after the address is encoded once per distinct body key
+    and kept. Each batch of ``_BATCH`` rows is one C-encoder call, for its
+    address texts and the values of the bodies it is first to use, and each
+    row is written as the template's head, its address and its body's tail.
+    A batch whose rows share little clears what is kept, so at most about
+    ``2 * _BATCH`` tails are held.
+    """
+    addresses, render, bodies, key = kind.shared(items)
+    if not bodies:
+        write("[]")
+        return
+    head, tail = _row_template(kind, level + 1).split("%s", 1)
+    head %= ()  # the template's "%%" is a "%" here
+    width = len(kind.keys) - 1
+    tails: dict = {}  # body key -> the row's text after its address
+    sep = ",\n" + _INDENT * (level + 1)
+    write("[\n" + _INDENT * (level + 1))
+    for start in range(0, len(bodies), _BATCH):
+        batch = bodies[start:start + _BATCH]
+        keys = list(map(key, batch))
+        if len(tails) > _BATCH:
+            tails.clear()
+        new = dict(zip(keys, batch))
+        for k in new.keys() & tails.keys():
+            del new[k]
+        values = render(addresses[start:start + _BATCH])
+        n = len(values)
+        for body in new.values():
+            values.extend(kind.values(body)[1:])
+        texts = _BATCH_ENCODER.encode(values)[1:-1].split("\n")
+        for k, body_texts in zip(new, zip(*[iter(texts[n:])] * width)):
+            tails[k] = tail % body_texts
+        if start:
+            write(sep)
+        write(sep.join([head + address + t for address, t
+                        in zip(texts[:n], map(tails.__getitem__, keys))]))
+    write("\n" + _INDENT * level + "]")
+
+
 def _holds_container(value) -> bool:
     children = value.values() if isinstance(value, dict) else value
     if _SCALARS.issuperset(map(type, children)):  # the common case, in C
@@ -499,7 +615,8 @@ def _encode_json(value, level: int, write: Callable[[str], object]) -> None:
     Dict keys must be str.
     """
     if isinstance(value, _Table):
-        _emit_rows(value.kind, value.items, level, write)
+        emit = _emit_rows if value.kind.shared is None else _emit_shared_rows
+        emit(value.kind, value.items, level, write)
         return
     if isinstance(value, (dict, list, tuple)) and _holds_container(value):
         if isinstance(value, dict):
@@ -557,19 +674,21 @@ def _text_report(r: WorkbookReport, top_n: int = 20) -> str:
     )
     out.append("")
 
-    formulas = [m for m in r.cells if m.is_formula]
-    out.append(f"cells: {len(r.cells)} ({len(formulas)} formulas)")
+    cells = r.cell_columns
+    records = cells.records
+    formulas = sum(m.is_formula for m in records)
+    out.append(f"cells: {len(records)} ({formulas} formulas)")
     out.append(f"warnings: {len(r.warnings)}")
     out.append("")
 
     out.append(_style(f"TOP RISK CELLS (adjusted cell error rate, max {top_n})", "1", color))
-    ranked = sorted(
-        r.cells,
-        key=lambda m: (-adjusted_cell_rate(m, cfg.reliability),
-                       m.address.render()),
-    )[:top_n]
+    # The row index keeps ties in the order a stable sort would give.
+    ranked = heapq.nsmallest(top_n, zip(
+        map(operator.neg, cell_error_rates(records, cfg.reliability)),
+        render_refs(cells.addresses), range(len(records))))
     rows = []
-    for m in ranked:
+    for neg, address, k in ranked:
+        m = records[k]
         flags = []
         if m.dispersion > cfg.flag_dr:
             flags.append("DR")
@@ -578,8 +697,8 @@ def _text_report(r: WorkbookReport, top_n: int = 20) -> str:
         if m.mixed_axis_flag:
             flags.append("MIXED")
         rows.append([
-            m.address.render(),
-            f"{adjusted_cell_rate(m, cfg.reliability):.4f}",
+            address,
+            f"{-neg:.4f}",
             str(m.n_operators),
             str(m.n_operands),
             str(m.depth_of_nesting),
@@ -670,8 +789,9 @@ def emit_report(r: WorkbookReport, format: str = "json") -> bytes:
     plus a trailing newline. ``_encode_json`` writes the report's few small
     dicts through the C encoder and each row list through ``_emit_rows``:
     ``_BATCH`` rows per C-encoder call, each row's value texts put into its
-    kind's template. No row dict is built and the pure-Python encoder never
-    runs. Each piece is encoded to UTF-8 as it is written into one buffer,
+    kind's template. Cell and warning rows go through ``_emit_shared_rows``,
+    which encodes what rows share once; the report's cell list is never
+    built. No row dict is built and the pure-Python encoder never runs. Each piece is encoded to UTF-8 as it is written into one buffer,
     whose bytes are returned without a copy, so the report's text is never
     held beside its bytes.
     """

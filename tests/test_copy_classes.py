@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from cellgauge.conditionals import BetaConfig, all_complexities, find_conditionals
 from cellgauge.graph import CellGraph, build_graph
 from cellgauge.metrics import (
+    CellMetrics,
     RangeLinkageFinding,
     _copied_runs,
     _populated_extent,
@@ -30,7 +31,7 @@ from cellgauge.metrics import (
     formula_metrics,
 )
 from cellgauge.refs import RangeRef, column_to_letters
-from cellgauge.report import analyze_workbook
+from cellgauge.report import analyze_workbook, emit_report
 from cellgauge.workbook import Workbook, load_workbook_doc
 
 
@@ -147,6 +148,39 @@ def test_cell_metrics_match_formula_metrics_on_every_cell(wb):
     cells = g.cells()
     want = [formula_metrics(cells[i], g.precedents(i)) for i in g.cell_ids()]
     assert analyze_workbook(wb).cells == want
+
+
+def test_shared_records_are_built_once_and_listed_on_first_read(monkeypatch):
+    # A half-empty 40 x 100 rectangle read by one SUM, and one all-relative
+    # formula copied down a column: analysis and emission build one record
+    # for the data cells, one for the SUM and one for the copies, and none
+    # per cell until ``cells`` is read.
+    doc = {"sheets": [{"name": "S", "cells": (
+        [{"ref": f"{column_to_letters(c)}{r}", "value": float(c * r)}
+         for r in range(1, 101) for c in range(1, 41) if (c + r) % 2]
+        + [{"ref": "AP1", "formula": "=SUM(A1:AN100)"}]
+        + [{"ref": f"AQ{r}", "formula": f"=A{r}*2+B{r}"} for r in range(1, 101)])}]}
+    wb = load_workbook_doc(doc)
+    built = 0
+
+    def counting(method):
+        def counted(*args, **kwargs):
+            nonlocal built
+            built += 1
+            return method(*args, **kwargs)
+        return counted
+
+    with monkeypatch.context() as patch:
+        patch.setattr(CellMetrics, "__init__", counting(CellMetrics.__init__))
+        patch.setattr(CellMetrics, "moved_to", counting(CellMetrics.moved_to))
+        report = analyze_workbook(wb)
+        emit_report(report, "json")
+        emit_report(report, "text")
+    assert built == 3
+    g = build_graph(wb)
+    cells = g.cells()
+    assert len(cells) == 2_101
+    assert report.cells == [formula_metrics(cells[i], g.precedents(i)) for i in g.cell_ids()]
 
 
 @given(copied_workbook())

@@ -34,6 +34,7 @@ from cellgauge.report import (
     _WARNING,
     AnalysisConfig,
     CascadeEntry,
+    CellColumns,
     WorkbookReport,
     _encode_json,
     _num,
@@ -293,6 +294,31 @@ def test_emit_report_matches_reference_on_rows_of_every_kind(n, data):
         range_findings=rows(FINDING_ROWS),
         warnings=rows(WARNING_ROWS),
     )
+    assert emit_report(report, "json") == reference_report(report)
+
+
+@pytest.mark.parametrize("n", [_BATCH, 2 * _BATCH + 1])
+@settings(deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(data=st.data())
+def test_emit_report_matches_reference_on_shared_rows(n, data):
+    # Emission encodes a record's values once however many cells share the
+    # object, and a warning's once per (code, message); each code here comes
+    # with more than one message.
+    records = data.draw(st.lists(CELL_ROWS, min_size=1, max_size=4))
+    pattern = data.draw(st.lists(st.integers(0, len(records) - 1), min_size=1, max_size=7))
+    sheets = data.draw(st.lists(st.sampled_from([None, *SHEET_NAMES]), min_size=1,
+                                max_size=3, unique=True))
+    addresses = [CellRef(sheets[k % len(sheets)], k % 30 + 1, k // 30 + 1) for k in range(n)]
+    codes = data.draw(st.lists(TEXT, min_size=1, max_size=2, unique=True))
+    messages = data.draw(st.lists(TEXT, min_size=2, max_size=3, unique=True))
+    pairs = [(code, message) for code in codes for message in messages]
+    warnings = []
+    for k, address in enumerate(addresses):
+        code, message = pairs[k % len(pairs)]
+        warnings.append(AuditWarning(code, address.render(), message))
+    cells = CellColumns(addresses, [records[pattern[k % len(pattern)]] for k in range(n)])
+    report = WorkbookReport("v", "d", AnalysisConfig(), cells, [],
+                            ModularMetrics((), {}, 0.0, {}, {}), [], warnings)
     assert emit_report(report, "json") == reference_report(report)
 
 

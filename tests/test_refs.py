@@ -12,6 +12,7 @@ from cellgauge.refs import (
     letters_to_column,
     parse_cell_address,
     render_ref,
+    render_refs,
 )
 
 
@@ -73,6 +74,23 @@ def test_render_ref_examples():
 def test_render_quotes_awkward_sheet_names():
     assert render_ref(CellRef("My Data", 1, 1)) == "'My Data'!A1"
     assert parse_cell_address("'My Data'!A1") == CellRef("My Data", 1, 1)
+
+
+# Plain identifiers and names that need quotes (quotes, a backslash, a line
+# break, non-ASCII, a leading digit), and no sheet at all.
+RENDER_SHEETS = st.sampled_from([
+    None, "Plain", "_x1", "S", "My Data", "Apos'trophe", 'Q"uote', "Back\\slash",
+    "New\nLine", "Übersicht", "日本語", "1st", "",
+])
+RENDER_COLUMNS = st.one_of(st.integers(1, 16_384),
+                           st.sampled_from([1, 26, 27, 702, 703, 16_384]))
+RENDER_REFS = st.builds(CellRef, RENDER_SHEETS, RENDER_COLUMNS, st.integers(1, 10 ** 7),
+                        st.booleans(), st.booleans())
+
+
+@given(st.lists(RENDER_REFS, max_size=40))
+def test_render_refs_matches_render(refs):
+    assert render_refs(refs) == [ref.render() for ref in refs]
 
 
 @pytest.mark.parametrize("text,expected", [

@@ -11,6 +11,7 @@ import pytest
 import cellgauge
 from cellgauge.cli import main
 from cellgauge.graph import build_graph
+from cellgauge.reliability import adjusted_cell_rate
 from cellgauge.report import AnalysisConfig, analyze, analyze_workbook, emit_report
 
 from conftest import FIVE_CELL_SHEETS, make_workbook
@@ -154,6 +155,21 @@ def test_text_one_row_per_cell(tmp_path, monkeypatch):
     assert len(rows) == 1 and rows[0].startswith("S!A1")
 
 
+def test_text_report_ranks_cells_as_sorting_them_all_does(monkeypatch):
+    # Thirty data cells tie on their rate, and their address texts sort
+    # apart from sheet order (S!A10 before S!A2); copies share a record.
+    monkeypatch.setenv("CELLGAUGE_NO_COLOR", "1")
+    cells = {f"A{r}": float(r) for r in range(1, 31)}
+    cells.update({f"B{r}": f"=A{r}*2" for r in range(1, 4)}, C1="=SUM(A1:A30)")
+    report = analyze_workbook(make_workbook({"S": cells, "T-1": {"A1": 1, "B1": "=S!A1+A1"}}))
+    text = emit_report(report, "text").decode()  # before anything reads report.cells
+    want = sorted(report.cells, key=lambda m: (-adjusted_cell_rate(m), m.address.render()))
+    table = text.split("TOP RISK CELLS")[1].split("\n\n")[0].splitlines()[3:]
+    assert [line.split()[:2] for line in table] == [
+        [m.address.render(), f"{adjusted_cell_rate(m):.4f}"] for m in want[:20]]
+    assert "cells: 36 (5 formulas)" in text
+
+
 def test_no_color_env(five_cell_path, monkeypatch):
     monkeypatch.setenv("CELLGAUGE_NO_COLOR", "1")
     plain = emit_report(analyze(five_cell_path), "text")
@@ -272,6 +288,14 @@ def test_cli_paths_limit(tmp_path, capsys):
 def test_cli_paths_unknown_cell(tmp_path, capsys):
     path = write_doc(tmp_path, {"S": {"A1": 1}})
     assert main(["paths", str(path), "--cell", "S!Z9"]) == 2
+    assert capsys.readouterr().err == "error: no such cell in graph: S!Z9\n"
+
+
+@pytest.mark.parametrize("limit", ["-1", "-40"])
+def test_cli_paths_negative_limit_exits_two(tmp_path, capsys, limit):
+    path = write_doc(tmp_path, {"S": {"A1": 1, "B1": "=A1*2"}})
+    assert main(["paths", str(path), "--cell", "S!B1", "--limit", limit]) == 2
+    assert capsys.readouterr().err == f"error: path limit must be non-negative, got {limit}\n"
 
 
 def test_cli_paths_cycle(tmp_path, capsys):
