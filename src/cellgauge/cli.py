@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Exit codes for ``analyze``: 0 clean, 1 analyzed with warnings, 2 unreadable
-or invalid input, 3 reference cycle detected (a report is still emitted with
-the graph-dependent sections marked unavailable), 4 internal error: an
+or invalid input, or a report that cannot be written to ``--out``, 3
+reference cycle detected (a report is still emitted with the
+graph-dependent sections marked unavailable), 4 internal error: an
 unexpected exception in any command, reported as one ``error: internal error
 in <command>: <type>: <message>`` line on stderr without a traceback.
 Invalid input includes, in every command, a file that is not UTF-8, an
@@ -100,7 +101,12 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         return 2
     payload = emit_report(report, args.format)
     if args.out:
-        Path(args.out).write_bytes(payload)
+        try:
+            Path(args.out).write_bytes(payload)
+        except OSError as exc:
+            print(f"error: cannot write report to {args.out}: {exc.strerror or exc}",
+                  file=sys.stderr)
+            return 2
     else:
         sys.stdout.buffer.write(payload)
         sys.stdout.buffer.flush()

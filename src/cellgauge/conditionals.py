@@ -155,9 +155,10 @@ def find_conditionals(wb: Workbook, g: CellGraph) -> list[ConditionalConstruct]:
     frontiers = _Frontiers(g)
     records: list[tuple[_Key, set[_Key], int]] = []
     reached: set[_Key] = set()
+    cells = g.cells()
     for v in g.cell_ids():  # canonical order: sheet, row, column, path
-        cell = g.formula_of(v)
-        if cell is None or not cell.shape.ifs:
+        cell = cells[v]
+        if cell.shape is None or not cell.shape.ifs:
             continue
         targets = g.reference_targets(v)
         for path, args in cell.shape.ifs:

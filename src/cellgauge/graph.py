@@ -5,9 +5,17 @@ Each formula's references come from its shape and its own refs
 (``FormulaShape.references``, no AST) in ``walk`` order and are resolved
 straight into integer node ids: populated cells come first in
 ``iter_cells`` order, and a referenced empty cell is materialized as a
-zero-fan-in data node when it is first referenced. A reference to a missing sheet reads nothing and is
-kept in ``CellGraph.dangling``. Conditional discovery and range linkage read
-each reference's targets from ``CellGraph.reference_targets``.
+zero-fan-in data node when it is first referenced. A range resolves in
+bulk: one dict lookup per cell in C, and its empty cells become nodes
+together. A reference to a missing sheet reads nothing and is kept in
+``CellGraph.dangling``. Conditional discovery and range linkage read each
+reference's targets from ``CellGraph.reference_targets``.
+
+Each node has one int sort key whose order is canonical order (sheet
+position, row, column), and every canonical sort compares these ints. A
+materialized empty cell is only its key: its ``CellRef`` is built when a
+query returns it, and ``locations`` reads many nodes' sheets, columns and
+rows, and renders their addresses, from their keys alone.
 
 Every query takes a node id as well as an address. After the graph is
 built, the audit's stages work on node ids only: cell metrics read the
@@ -35,7 +43,8 @@ from __future__ import annotations
 import warnings as _warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import chain, compress, product, repeat
+from operator import and_, is_, is_not, itemgetter, lshift, not_, or_, rshift
 from typing import Iterable, Optional, Union
 
 from .errors import (
@@ -48,16 +57,19 @@ from .errors import (
     UnknownCellError,
     W_EMPTY_REFERENCED_CELL,
 )
-from .refs import CellRef, RangeRef, parse_cell_address, render_refs
+from .refs import CellRef, Locations, RangeRef, parse_cell_address
 from .workbook import Cell, Sheet, Workbook
 
 # The range budget counts what ranges cost an audit. Each cell a range
-# reads is one arc, ~90 bytes of peak RSS; an empty one also becomes a node
-# with a W003 warning and a report row, ~0.9 KB in all, so it counts
+# reads is one arc, ~90 bytes of peak RSS; an empty one also becomes a node,
+# a W003 warning row and a cell row, ~0.5 KB in all, and counts
 # EMPTY_RANGE_CELL_COST. The default budget caps the range-driven part of
 # an audit's peak RSS near 0.9 GB.
 EMPTY_RANGE_CELL_COST = 10
 MAX_RANGE_CELLS = 10_000_000
+
+# The message of every W003 warning.
+EMPTY_CELL_MESSAGE = "referenced cell is empty; treated as data cell with value 0"
 
 
 def require_range_budget(budget: object) -> None:
@@ -85,14 +97,6 @@ def _resolve(wb: Workbook, ref: Union[CellRef, RangeRef], own: Sheet) -> Optiona
     names a missing sheet."""
     name = (ref if isinstance(ref, CellRef) else ref.start).sheet
     return own if name is None else wb.sheet(name)
-
-
-def _targets(ref: Union[CellRef, RangeRef]) -> Iterable[tuple[int, int]]:
-    """The ``(row, column)`` keys a reference reads, row-major."""
-    if isinstance(ref, CellRef):
-        return ((ref.row, ref.column),)
-    return product(range(ref.start.row, ref.end.row + 1),
-                   range(ref.start.column, ref.end.column + 1))
 
 
 @dataclass(frozen=True)
@@ -138,47 +142,40 @@ class CellGraph:
     def __init__(self, wb: Workbook, max_range_cells: int = MAX_RANGE_CELLS):
         require_range_budget(max_range_cells)
         self._wb = wb
-        self._addrs: list[CellRef] = []
         self._cells: list[Cell] = []  # the populated nodes' cells
-        self._sort_keys: list[tuple[int, int, int]] = []
-        # Per node, in reference order: precedents (with multiplicity) and
-        # dependents. Edges point in the direction of data flow.
-        self._preds: list[list[int]] = []
-        self._succs: list[list[int]] = []
         # Per sheet name: the node id of each (row, column) key.
         self._ids: dict[str, dict[tuple[int, int], int]] = {}
-        self.dangling: list[DanglingReference] = []
-
-        def add_node(addr: CellRef, sort_key: tuple) -> int:
-            self._addrs.append(addr)
-            self._sort_keys.append(sort_key)
-            self._preds.append([])
-            self._succs.append([])
-            return len(self._addrs) - 1
-
-        sheet_pos = {}
-        for pos, sheet in enumerate(wb.sheets):
-            sheet_pos[sheet.name] = pos
-            self._ids[sheet.name] = {
-                key: add_node(cell.address, (pos,) + key)
-                for key, cell in sheet.cells.items()
-            }
+        for sheet in wb.sheets:
+            first = len(self._cells)
+            self._ids[sheet.name] = dict(zip(sheet.cells, range(first, first + len(sheet.cells))))
             self._cells.extend(sheet.cells.values())
-        self._populated = len(self._addrs)
+        n = self._populated = len(self._cells)
+        # Per node, in reference order: precedents (with multiplicity) and
+        # dependents. Edges point in the direction of data flow. A node
+        # without a formula shares one empty tuple of precedents.
+        self._preds: list[Union[list[int], tuple[()]]] = [()] * n
+        self._succs: list[list[int]] = [[] for _ in range(n)]
         # Per populated node, where each reference's targets end in its
         # precedents; a materialized empty cell has no formula.
-        self._ref_ends: list[tuple[int, ...]] = [()] * self._populated
+        self._ref_ends: list[tuple[int, ...]] = [()] * n
+        # Each materialized node's (row, column) key and sheet position,
+        # until the sort keys are built from them.
+        empty_keys: list[tuple[int, int]] = []
+        empty_sheets: list[int] = []
+        self.dangling: list[DanglingReference] = []
 
         edges = 0
         range_cells_left = max_range_cells
         layouts: dict[tuple[int, ...], tuple[int, ...]] = {}
+        sheet_pos = {sheet.name: pos for pos, sheet in enumerate(wb.sheets)}
+        succs = self._succs
         for own in wb.sheets:
             own_ids = self._ids[own.name]
             for key, cell in own.cells.items():
                 if cell.shape is None:
                     continue
                 dst = own_ids[key]
-                preds = self._preds[dst]
+                preds = self._preds[dst] = []
                 ends = []
                 for ref in cell.shape.references(cell.refs):
                     sheet = _resolve(wb, ref, own)
@@ -186,41 +183,84 @@ class CellGraph:
                         first = ref if isinstance(ref, CellRef) else ref.start
                         self.dangling.append(
                             DanglingReference(cell.address, ref.render(), first.sheet))
-                    else:
-                        is_range = isinstance(ref, RangeRef)
-                        if is_range:  # checked before it expands
-                            range_cells_left -= ref.width * ref.height
-                            if range_cells_left < 0:
-                                raise RangeBudgetError(
-                                    cell.address.render(), ref.render(), max_range_cells)
-                        ids = self._ids[sheet.name]
-                        for target in _targets(ref):
-                            src = ids.get(target)
-                            if src is None:  # an empty cell, materialized as data
-                                if is_range:
-                                    range_cells_left -= EMPTY_RANGE_CELL_COST - 1
-                                    if range_cells_left < 0:
-                                        raise RangeBudgetError(
-                                            cell.address.render(), ref.render(),
-                                            max_range_cells)
-                                row, column = target
-                                src = ids[target] = add_node(
-                                    CellRef(sheet.name, column, row),
-                                    (sheet_pos[sheet.name], row, column))
-                            preds.append(src)
-                            self._succs[src].append(dst)
+                        ends.append(len(preds))
+                        continue
+                    ids = self._ids[sheet.name]
+                    if isinstance(ref, CellRef):
+                        target = (ref.row, ref.column)
+                        src = ids.get(target)
+                        if src is None:  # an empty cell, materialized as data
+                            src = ids[target] = len(succs)
+                            succs.append([])
+                            self._preds.append(())
+                            empty_keys.append(target)
+                            empty_sheets.append(sheet_pos[sheet.name])
+                        preds.append(src)
+                        succs[src].append(dst)
+                        ends.append(len(preds))
+                        continue
+                    # A range, resolved in bulk: its area is checked before
+                    # it expands, and its empty cells become nodes at once.
+                    range_cells_left -= ref.width * ref.height
+                    if range_cells_left < 0:
+                        raise RangeBudgetError(
+                            cell.address.render(), ref.render(), max_range_cells)
+                    targets = list(product(range(ref.start.row, ref.end.row + 1),
+                                           range(ref.start.column, ref.end.column + 1)))
+                    found = list(map(ids.get, targets))
+                    for src in compress(found, map(is_not, found, repeat(None))):
+                        succs[src].append(dst)
+                    empty = found.count(None)
+                    if empty:
+                        range_cells_left -= (EMPTY_RANGE_CELL_COST - 1) * empty
+                        if range_cells_left < 0:
+                            raise RangeBudgetError(
+                                cell.address.render(), ref.render(), max_range_cells)
+                        new = list(compress(targets, map(is_, found, repeat(None))))
+                        ids.update(zip(new, range(len(succs), len(succs) + empty)))
+                        succs.extend(map(list, repeat((dst,), empty)))
+                        self._preds.extend(repeat((), empty))
+                        empty_keys.extend(new)
+                        empty_sheets.extend(repeat(sheet_pos[sheet.name], empty))
+                        found = map(ids.__getitem__, targets)
+                    preds.extend(found)
                     ends.append(len(preds))
                 ends = tuple(ends)  # copies of one formula share one tuple
                 self._ref_ends[dst] = layouts.setdefault(ends, ends)
                 edges += len(preds)
 
-        self.node_count = len(self._addrs)
+        self.node_count = len(succs)
         self.edge_count = edges
+        self._set_sort_keys(empty_keys, empty_sheets)
         self._topo = self._topological_order()
         self.cycles: list[list[CellRef]] = (
             self._find_cycles() if len(self._topo) < self.node_count else []
         )
         self._stats: Optional[tuple[list[int], list[int], list[int]]] = None
+
+    def _set_sort_keys(self, empty_keys: list[tuple[int, int]],
+                       empty_sheets: list[int]) -> None:
+        """Give each node one int whose order is canonical order: its sheet
+        position, row and column, as bit fields wide enough for the
+        largest row and column of any node, populated or materialized."""
+        sheets = self._wb.sheets
+        self._sheet_names = [sheet.name for sheet in sheets]
+        keys = list(chain.from_iterable(sheet.cells for sheet in sheets))
+        keys += empty_keys
+        rows = list(map(itemgetter(0), keys))
+        columns = list(map(itemgetter(1), keys))
+        self._column_bits = max(columns, default=0).bit_length()
+        row_bits = max(rows, default=0).bit_length()
+        self._sheet_shift = row_bits + self._column_bits
+        self._column_mask = (1 << self._column_bits) - 1
+        self._row_mask = (1 << row_bits) - 1
+        sort_keys = map(or_, map(lshift, rows, repeat(self._column_bits)), columns)
+        if len(sheets) > 1:
+            positions = chain.from_iterable(
+                repeat(pos, len(sheet.cells)) for pos, sheet in enumerate(sheets))
+            sort_keys = map(or_, sort_keys, map(
+                lshift, chain(positions, empty_sheets), repeat(self._sheet_shift)))
+        self._sort_keys: list[int] = list(sort_keys)
 
     # -- node lookup --------------------------------------------------------
 
@@ -248,7 +288,8 @@ class CellGraph:
             return False
 
     def nodes(self) -> list[CellRef]:
-        return list(self._addrs)
+        return [cell.address for cell in self._cells] + list(
+            self.locations(range(self._populated, self.node_count)))
 
     def cells(self) -> list[Cell]:
         """The workbook's cells in node order: node ``i`` is ``cells()[i]``."""
@@ -260,7 +301,35 @@ class CellGraph:
         return self._canonical(range(self._populated))
 
     def address_of(self, idx: int) -> CellRef:
-        return self._addrs[idx]
+        """A node's address; a materialized empty cell's is built here."""
+        if idx < self._populated:
+            return self._cells[idx].address
+        key = self._sort_keys[idx]
+        return CellRef(self._sheet_names[key >> self._sheet_shift],
+                       key & self._column_mask,
+                       key >> self._column_bits & self._row_mask)
+
+    def _addresses(self, ids: Iterable[int]) -> list[CellRef]:
+        return list(map(self.address_of, ids))
+
+    def locations(self, ids: Iterable[int]) -> Locations:
+        """The locations of nodes ``ids``, read from their sort keys: no
+        ``CellRef`` is built until one is read."""
+        keys = list(map(self._sort_keys.__getitem__, ids))
+        return Locations(
+            self._sheets_of(keys), list(map(and_, keys, repeat(self._column_mask))),
+            list(map(and_, map(rshift, keys, repeat(self._column_bits)),
+                     repeat(self._row_mask))))
+
+    def _sheets_of(self, keys: list[int]) -> list[str]:
+        if len(self._sheet_names) == 1:  # every node is on the one sheet
+            return self._sheet_names * len(keys)
+        return list(map(self._sheet_names.__getitem__,
+                        map(rshift, keys, repeat(self._sheet_shift))))
+
+    def sheet_names(self) -> list[str]:
+        """The sheet name of each node, by node id."""
+        return self._sheets_of(self._sort_keys)
 
     def formula_of(self, idx: int) -> Optional[Cell]:
         """The formula cell of a node; None for a data or empty cell."""
@@ -273,7 +342,7 @@ class CellGraph:
     def precedents(self, addr: AddrLike) -> list[CellRef]:
         """The cells a cell reads, one per resolved reference, in reference
         order: ranges expanded row-major, duplicates kept."""
-        return [self._addrs[p] for p in self._preds[self._node(addr)]]
+        return self._addresses(self._preds[self._node(addr)])
 
     def precedent_ids(self, addr: AddrLike) -> list[int]:
         """The node ids of ``precedents(addr)``, in the same order."""
@@ -305,25 +374,25 @@ class CellGraph:
 
     def bottom_line_cells(self) -> list[CellRef]:
         """Formula cells with no dependents, in canonical sheet/row/column order."""
-        idxs = [
-            i
-            for i, cell in enumerate(self._cells)
-            if cell.shape is not None and not self._succs[i]
-        ]
-        return [self._addrs[i] for i in self._canonical(idxs)]
+        cells = self._cells
+        idxs = [i for i in compress(range(self._populated), map(not_, self._succs))
+                if cells[i].shape is not None]
+        return [cells[i].address for i in self._canonical(idxs)]
 
     def input_cells(self) -> list[CellRef]:
-        idxs = [i for i in range(self.node_count) if not self._preds[i]]
-        return [self._addrs[i] for i in self._canonical(idxs)]
+        idxs = compress(range(self.node_count), map(not_, self._preds))
+        return self._addresses(self._canonical(idxs))
+
+    def materialized_locations(self) -> Locations:
+        """The empty cells the graph materialized, in canonical order."""
+        return self.locations(self._canonical(range(self._populated, self.node_count)))
 
     def materialized_cells(self) -> list[CellRef]:
-        idxs = range(self._populated, self.node_count)
-        return [self._addrs[i] for i in self._canonical(idxs)]
+        return list(self.materialized_locations())
 
     def materialized_warnings(self) -> list[AuditWarning]:
-        message = "referenced cell is empty; treated as data cell with value 0"
-        return [AuditWarning(W_EMPTY_REFERENCED_CELL, text, message)
-                for text in render_refs(self.materialized_cells())]
+        return [AuditWarning(W_EMPTY_REFERENCED_CELL, text, EMPTY_CELL_MESSAGE)
+                for text in self.materialized_locations().render()]
 
     # -- cycles ---------------------------------------------------------------
 
@@ -339,10 +408,11 @@ class CellGraph:
 
     def _topological_order(self) -> list[int]:
         """Kahn's algorithm; shorter than ``node_count`` when there is a cycle."""
-        deg = [len(preds) for preds in self._preds]
-        order = [v for v in range(self.node_count) if not deg[v]]
+        succs = self._succs
+        deg = list(map(len, self._preds))
+        order = list(compress(range(self.node_count), map(not_, deg)))
         for v in order:  # the loop also visits the nodes appended below
-            for w in self._succs[v]:
+            for w in succs[v]:
                 deg[w] -= 1
                 if not deg[w]:
                     order.append(w)
@@ -398,7 +468,7 @@ class CellGraph:
             if len(comp) > 1 or comp[0] in self._preds[comp[0]]
         ]
         cycles.sort(key=lambda cyc: self._sort_keys[cyc[0]])
-        return [[self._addrs[i] for i in cyc] for cyc in cycles]
+        return [self._addresses(cyc) for cyc in cycles]
 
     # -- path statistics --------------------------------------------------------
 
@@ -411,28 +481,29 @@ class CellGraph:
         """
         if self._stats is None:
             n = self.node_count
-            count, length_sum, max_len = [0] * n, [0] * n, [0] * n
-            for v in self._topo:
-                preds = self._preds[v]
-                if preds:
-                    c = sum(count[p] for p in preds)
-                    count[v] = c
-                    length_sum[v] = sum(length_sum[p] for p in preds) + c
-                    max_len[v] = 1 + max(max_len[p] for p in preds)
-                else:
-                    count[v] = length_sum[v] = max_len[v] = 1
+            # A zero-fan-in node has one path, one cell long.
+            count, length_sum, max_len = [1] * n, [1] * n, [1] * n
+            preds_of = self._preds
+            for v in compress(self._topo, map(preds_of.__getitem__, self._topo)):
+                preds = preds_of[v]
+                c = sum(map(count.__getitem__, preds))
+                count[v] = c
+                length_sum[v] = sum(map(length_sum.__getitem__, preds)) + c
+                max_len[v] = 1 + max(map(max_len.__getitem__, preds))
             self._stats = count, length_sum, max_len
         return self._stats
 
     def _closure(self, idx: int) -> set[int]:
         """A node plus all its transitive precedents."""
+        preds = self._preds
         seen = {idx}
         stack = [idx]
         while stack:
-            for p in self._preds[stack.pop()]:
+            for p in preds[stack.pop()]:
                 if p not in seen:
                     seen.add(p)
-                    stack.append(p)
+                    if preds[p]:  # only a node with precedents has more to visit
+                        stack.append(p)
         return seen
 
     def reachability(self, addr: AddrLike) -> int:
@@ -452,7 +523,7 @@ class CellGraph:
 
     def cascade_members(self, addr: AddrLike) -> list[CellRef]:
         """The terminal plus all its transitive precedents, canonical order."""
-        return [self._addrs[i] for i in self.member_ids(addr)]
+        return self._addresses(self.member_ids(addr))
 
     def cascade_stats(self, addr: AddrLike) -> CascadeStats:
         """Reachability and path-length statistics for one terminal cell.
@@ -465,23 +536,24 @@ class CellGraph:
         self._ensure_acyclic()
         if self._succs[idx]:
             _warnings.warn(
-                f"{self._addrs[idx].render()} has dependents; "
+                f"{self.address_of(idx).render()} has dependents; "
                 "cascade statistics cover its precedent closure",
                 NotBottomLineWarning,
                 stacklevel=2,
             )
         count, length_sum, max_len = self._path_stats()
         members = self.member_ids(idx)
+        preds = self._preds
         paths = count[idx]
         return CascadeStats(
-            terminal=self._addrs[idx],
+            terminal=self.address_of(idx),
             reachability=paths,
             total_paths=paths,
-            avg_reachability=Fraction(sum(count[i] for i in members), len(members)),
+            avg_reachability=Fraction(sum(map(count.__getitem__, members)), len(members)),
             avg_path_length=Fraction(length_sum[idx], paths),
             max_path_length=max_len[idx],
             cell_count=len(members),
-            input_ids=tuple(i for i in members if not self._preds[i]),
+            input_ids=tuple(compress(members, map(not_, map(preds.__getitem__, members)))),
             member_ids=tuple(members),
         )
 
@@ -509,7 +581,7 @@ class CellGraph:
             if not preds:
                 if len(paths) >= limit:
                     raise LimitExceededError(limit)
-                paths.append([self._addrs[i] for i in reversed(trail)])
+                paths.append(self._addresses(reversed(trail)))
             if pos < len(preds):
                 edge_pos[-1] = pos + 1
                 trail.append(preds[pos])

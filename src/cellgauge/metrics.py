@@ -26,12 +26,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, repeat
+from operator import attrgetter, eq, gt, mul, not_, or_, sub
 from typing import Iterator, Optional, Sequence
 
 from .errors import DomainError, require_finite
 from .formula import decision_count  # re-exported
 from .graph import CellGraph
-from .refs import CellRef, RangeRef
+from .refs import CellRef, Locations, RangeRef
 from .workbook import Cell, Workbook
 
 DISPERSION_MODES = ("product", "manhattan", "euclidean")
@@ -87,31 +89,37 @@ class CellMetrics:
         return moved
 
 
-def dispersion(
-    deltas: Sequence[tuple[int, int]], cfg: DispersionConfig = DispersionConfig()
-) -> tuple[float, float]:
-    """(DR, delta sum) for a formula's same-sheet reference deltas."""
+# The metric math works on a formula's same-sheet deltas as two columns,
+# ``dxs`` and ``dys``, with C-level map/sum/max over them.
+
+def _dispersion(dxs: list[int], dys: list[int],
+                cfg: DispersionConfig) -> tuple[float, float]:
     if cfg.mode == "product":
-        delta = sum(abs(dx * dy) for dx, dy in deltas)
+        delta = sum(map(abs, map(mul, dxs, dys)))
     elif cfg.mode == "manhattan":
-        delta = sum(abs(dx) + abs(dy) for dx, dy in deltas)
-    else:
-        delta = sum(math.hypot(dx, dy) for dx, dy in deltas)
+        delta = sum(map(abs, dxs)) + sum(map(abs, dys))
+    else:  # float sums in reference order, as one delta at a time gives
+        delta = sum(map(math.hypot, dxs, dys))
     dr = -math.expm1(-cfg.alpha * delta)
     # The score lives in [0, 1); keep that true when exp() underflows.
     return min(dr, math.nextafter(1.0, 0.0)), delta
 
 
+def _span(ds: list[int]) -> int:
+    """Max positive minus max negative delta; 0 for no delta."""
+    return max(0, max(ds, default=0)) - min(0, min(ds, default=0))
+
+
+def dispersion(
+    deltas: Sequence[tuple[int, int]], cfg: DispersionConfig = DispersionConfig()
+) -> tuple[float, float]:
+    """(DR, delta sum) for a formula's same-sheet (dx, dy) reference deltas."""
+    return _dispersion([dx for dx, _ in deltas], [dy for _, dy in deltas], cfg)
+
+
 def spans(deltas: Sequence[tuple[int, int]]) -> tuple[int, int]:
     """(column span, row span): max positive minus max negative delta."""
-    if not deltas:
-        return 0, 0
-    dxs = [dx for dx, _ in deltas]
-    dys = [dy for _, dy in deltas]
-    return (
-        max(0, max(dxs)) - min(0, min(dxs)),
-        max(0, max(dys)) - min(0, min(dys)),
-    )
+    return _span([dx for dx, _ in deltas]), _span([dy for _, dy in deltas])
 
 
 def formula_metrics(
@@ -125,20 +133,23 @@ def formula_metrics(
     own precedent addresses in reference order (ranges expanded, duplicates
     kept), as :meth:`CellGraph.precedents` gives them. A precedent on
     another sheet counts as cross-sheet; the rest give (column, row) deltas.
-    Sizes, nesting and decisions come from the cell's shape.
+    Sizes, nesting and decisions come from the cell's shape. Precedents
+    given as ``Locations`` (``g.locations(g.precedent_ids(i))``) are read by
+    their columns, so no ``CellRef`` is built.
     """
     if not cell.is_formula:
         return CellMetrics(address=cell.address)
+    if not isinstance(precedents, Locations):
+        precedents = Locations.of(precedents)
     shape = cell.shape
     at = cell.address
-    deltas = [(p.column - at.column, p.row - at.row)
-              for p in precedents if p.sheet == at.sheet]
-    cross_sheet = len(precedents) - len(deltas)
-    dr, delta_sum = dispersion(deltas, cfg)
-    col_span, row_span = spans(deltas)
-    mixed = any(dx == 0 and dy != 0 for dx, dy in deltas) and any(
-        dx != 0 and dy == 0 for dx, dy in deltas
-    )
+    columns, rows = precedents.columns, precedents.rows
+    if precedents.sheets.count(at.sheet) < len(precedents):
+        same_sheet = list(map(eq, precedents.sheets, repeat(at.sheet)))
+        columns, rows = list(compress(columns, same_sheet)), list(compress(rows, same_sheet))
+    dxs = list(map(sub, columns, repeat(at.column)))
+    dys = list(map(sub, rows, repeat(at.row)))
+    dr, delta_sum = _dispersion(dxs, dys, cfg)
     return CellMetrics(
         address=cell.address,
         n_operators=shape.n_operators,
@@ -149,11 +160,13 @@ def formula_metrics(
         n_references=len(precedents),
         dispersion=dr,
         delta_sum=delta_sum,
-        col_span=col_span,
-        row_span=row_span,
-        cross_sheet_ref_count=cross_sheet,
-        mixed_axis_flag=mixed,
-        forward_ref_count=sum(1 for dx, dy in deltas if dx > 0 or dy > 0),
+        col_span=_span(dxs),
+        row_span=_span(dys),
+        cross_sheet_ref_count=len(precedents) - len(dxs),
+        # Some delta has dx == 0 and dy != 0, and some dx != 0 and dy == 0.
+        mixed_axis_flag=(any(compress(dys, map(not_, dxs)))
+                         and any(compress(dxs, map(not_, dys)))),
+        forward_ref_count=sum(map(or_, map(gt, dxs, repeat(0)), map(gt, dys, repeat(0)))),
     )
 
 
@@ -416,17 +429,20 @@ def modular_metrics(wb: Workbook, g: CellGraph) -> ModularMetrics:
     """Data binding triples, module fan-in/out and the share of data cells
     nothing reads, from ``g``, the graph of ``wb``, by node id."""
     triples: set[tuple[str, int, str]] = set()  # (P, node id of Q, R)
-    data_cells = unreferenced = 0
-    for i, cell in enumerate(g.cells()):
-        if cell.shape is None:
-            data_cells += 1
-            unreferenced += g.fan_out(i) == 0
-            continue
-        r = cell.address.sheet
-        for q in g.precedent_ids(i):
-            p = g.address_of(q).sheet
-            if p != r:
-                triples.add((p, q, r))
+    cells = g.cells()
+    shapes = list(map(attrgetter("shape"), cells))
+    sheet_of = g.sheet_names()
+    read: set[int] = set()  # every node some formula reads
+    for i in compress(range(len(cells)), shapes):
+        r = cells[i].address.sheet
+        preds = g.precedent_ids(i)
+        read.update(preds)
+        for q in preds:
+            if sheet_of[q] != r:
+                triples.add((sheet_of[q], q, r))
+    data = list(compress(range(len(cells)), map(not_, shapes)))
+    data_cells = len(data)
+    unreferenced = data_cells - sum(map(read.__contains__, data))
     fan_in: dict[str, set[str]] = {s.name: set() for s in wb.sheets}
     fan_out: dict[str, set[str]] = {s.name: set() for s in wb.sheets}
     for p, _, r in triples:

@@ -9,7 +9,9 @@ reference reads at most column ``XFD`` (16,384), a sheet's last column.
 from __future__ import annotations
 
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
+from operator import attrgetter
 from typing import Iterable, Iterator, Optional
 
 # A sheet name that needs no quotes; any other is quoted, with '' for '.
@@ -51,6 +53,15 @@ def column_to_letters(col: int) -> str:
 
 
 def letters_to_column(letters: str) -> int:
+    """"A" -> 1, "ab" -> 28: column letters in either case."""
+    # One and two ASCII letters (A..ZZ) directly, as column_to_letters
+    # does: the load reads every cell's column here. A letter's code & 31
+    # is its place in the alphabet in either case.
+    if letters.isascii() and letters.isalpha():
+        if len(letters) == 1:
+            return ord(letters) & 31
+        if len(letters) == 2:
+            return (ord(letters[0]) & 31) * 26 + (ord(letters[1]) & 31)
     col = 0
     for ch in letters.upper():
         if not "A" <= ch <= "Z":
@@ -222,3 +233,44 @@ def render_refs(refs: Iterable[CellRef]) -> list[str]:
         append(f"{prefix}{'$' if ref.col_absolute else ''}{col}"
                f"{'$' if ref.row_absolute else ''}{ref.row}")
     return out
+
+
+class Locations(Sequence):
+    """Cells given by location, as three parallel lists: cell k is on the
+    sheet named ``sheets[k]`` (None for the same sheet), in column
+    ``columns[k]`` and row ``rows[k]``.
+
+    It reads as a sequence of ``CellRef``, each built when it is read;
+    ``render`` gives every cell's text without building one.
+    """
+
+    __slots__ = ("sheets", "columns", "rows")
+
+    def __init__(self, sheets: list[Optional[str]], columns: list[int], rows: list[int]):
+        self.sheets = sheets
+        self.columns = columns
+        self.rows = rows
+
+    @classmethod
+    def of(cls, refs: Iterable[CellRef]) -> "Locations":
+        """The locations of ``refs``, without their absolute markers."""
+        refs = list(refs)
+        return cls(list(map(attrgetter("sheet"), refs)),
+                   list(map(attrgetter("column"), refs)),
+                   list(map(attrgetter("row"), refs)))
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, k: int) -> CellRef:
+        return CellRef(self.sheets[k], self.columns[k], self.rows[k])
+
+    def render(self) -> list[str]:
+        """``[ref.render() for ref in self]``, quoting each sheet name and
+        lettering each column once."""
+        prefixes = {name: "" if name is None else quote_sheet_name(name) + "!"
+                    for name in set(self.sheets)}
+        letters = {column: column_to_letters(column) for column in set(self.columns)}
+        return [f"{prefix}{col}{row}" for prefix, col, row in zip(
+            map(prefixes.__getitem__, self.sheets),
+            map(letters.__getitem__, self.columns), self.rows)]

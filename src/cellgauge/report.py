@@ -10,7 +10,9 @@ metrics are computed in node order, rates and final constructs are keyed by
 node id, and the only address lookups are one per bottom-line cell. The
 report keeps its cells as two columns in canonical order (``CellColumns``):
 addresses, and metrics records that many cells share, such as the one
-all-zero record of every data cell.
+all-zero record of every data cell. It keeps its warnings the same way
+(``WarningColumns``): address texts, and records that every W003 warning
+shares, so an empty cell a range reads costs the report one address text.
 
 The JSON form is canonical: sorted keys, floats rounded to six decimals,
 stable ordering everywhere, so identical input bytes and configuration
@@ -26,6 +28,7 @@ record or (code, message) pair, and each row adds only its address.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import hashlib
 import heapq
@@ -55,10 +58,12 @@ from .errors import (
     W_CROSS_SHEET_DISPERSION_EXCLUDED,
     W_CYCLE_DETECTED,
     W_DANGLING_REFERENCE,
+    W_EMPTY_REFERENCED_CELL,
     W_RANGE_LINKAGE_VIOLATION,
     require_finite,
 )
 from .graph import (
+    EMPTY_CELL_MESSAGE,
     MAX_RANGE_CELLS,
     CascadeStats,
     CellGraph,
@@ -74,7 +79,7 @@ from .metrics import (
     formula_metrics,
     modular_metrics,
 )
-from .refs import CellRef, render_refs
+from .refs import render_refs
 from .reliability import (
     CascadeReliability,
     ReliabilityConfig,
@@ -110,41 +115,89 @@ class CascadeEntry:
     conditionals: tuple[tuple[ConditionalConstruct, float], ...]
 
 
-class CellColumns:
-    """A report's cells as two columns in canonical order: ``addresses[k]``
-    is cell k's address and ``records[k]`` its metrics record.
+class _Columns:
+    """Report rows as two columns in report order: ``addresses[k]`` is row
+    k's address and ``records[k]`` its record.
 
-    Many cells may share one record object, whose own ``address`` is then
-    one of theirs; only the address column says which cell a row is.
-    Iterating gives each cell's record at its own address.
+    Many rows may share one record object, whose own ``address`` is then
+    one of theirs; only the address column says which row is which.
+    Iterating gives each row's record at its own address (``_moved``).
     """
 
     __slots__ = ("addresses", "records")
 
-    def __init__(self, addresses: list[CellRef], records: list[CellMetrics]):
+    def __init__(self, addresses: list, records: list):
         self.addresses = addresses
         self.records = records
 
-    def __iter__(self) -> Iterator[CellMetrics]:
-        for address, m in zip(self.addresses, self.records):
-            yield m if m.address is address else m.moved_to(address)
+    @classmethod
+    def of(cls, rows: list):
+        """The columns of ``rows``, each record its own."""
+        return cls([r.address for r in rows], rows)
+
+    def __len__(self) -> int:
+        return len(self.records)
+
+    def __iter__(self) -> Iterator:
+        moved = self._moved
+        for address, r in zip(self.addresses, self.records):
+            yield r if r.address is address else moved(r, address)
+
+
+class CellColumns(_Columns):
+    """A report's cells in canonical order: ``CellRef`` addresses and
+    ``CellMetrics`` records, one all-zero record for every data cell."""
+
+    __slots__ = ()
+    _moved = staticmethod(CellMetrics.moved_to)
+
+
+class WarningColumns(_Columns):
+    """A report's warnings in report order: address texts and
+    ``AuditWarning`` records, one record for every W003 warning."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def _moved(w: AuditWarning, address: str) -> AuditWarning:
+        return AuditWarning(w.code, address, w.message)
+
+
+def _rows(name: str) -> property:
+    """A report attribute given as a list of rows or as ``_Columns``. It
+    reads as the list either way: from columns the list is built on first
+    read, and from then on it is the report's rows."""
+    slot = "_" + name
+
+    def read(report: "WorkbookReport") -> list:
+        rows = getattr(report, slot)
+        if isinstance(rows, _Columns):
+            rows = list(rows)
+            setattr(report, slot, rows)
+        return rows
+
+    return property(read, lambda report, rows: setattr(report, slot, rows))
 
 
 class WorkbookReport:
     """An audit's results.
 
     ``cells`` may be given as a list of records, or as ``CellColumns``
-    whose records many cells share, as ``analyze_workbook`` gives it. It
-    reads as the list either way: from columns the list is built on first
-    read, and from then on it is the report's cells. Emission reads
-    ``cell_columns`` and never builds it.
+    whose records many cells share, as ``analyze_workbook`` gives it;
+    ``warnings`` likewise as a list or as ``WarningColumns``. Each reads as
+    its list either way: from columns the list is built on first read, and
+    from then on it is the report's list. Emission and ``exit_code`` read
+    ``cell_columns`` and ``warning_columns`` and never build either list.
     """
+
+    cells = _rows("cells")
+    warnings = _rows("warnings")
 
     def __init__(self, tool_version: str, input_digest: str, config: AnalysisConfig,
                  cells: Union[list[CellMetrics], CellColumns],
                  cascades: Optional[list[CascadeEntry]],  # None when the graph is cyclic
                  modular: ModularMetrics, range_findings: list[RangeLinkageFinding],
-                 warnings: Optional[list[AuditWarning]] = None):
+                 warnings: Union[list[AuditWarning], WarningColumns, None] = None):
         self.tool_version = tool_version
         self.input_digest = input_digest
         self.config = config
@@ -155,25 +208,18 @@ class WorkbookReport:
         self.warnings = [] if warnings is None else warnings
 
     @property
-    def cells(self) -> list[CellMetrics]:
-        if self._cells is None:
-            self._cells = list(self._columns)
-        return self._cells
-
-    @cells.setter
-    def cells(self, cells: Union[list[CellMetrics], CellColumns]) -> None:
-        if isinstance(cells, CellColumns):
-            self._cells, self._columns = None, cells
-        else:
-            self._cells, self._columns = cells, None
-
-    @property
     def cell_columns(self) -> CellColumns:
         """The cells as columns. Once ``cells`` is a list, the columns come
         from it, each record its own."""
-        if self._cells is None:
-            return self._columns
-        return CellColumns([m.address for m in self._cells], self._cells)
+        cells = self._cells
+        return cells if isinstance(cells, CellColumns) else CellColumns.of(cells)
+
+    @property
+    def warning_columns(self) -> WarningColumns:
+        """The warnings as columns, as ``cell_columns`` gives the cells."""
+        warnings = self._warnings
+        return (warnings if isinstance(warnings, WarningColumns)
+                else WarningColumns.of(warnings))
 
     @property
     def cyclic(self) -> bool:
@@ -182,7 +228,7 @@ class WorkbookReport:
     def exit_code(self) -> int:
         if self.cyclic:
             return 3
-        return 1 if self.warnings else 0
+        return 1 if len(self._warnings) else 0
 
     def as_dict(self) -> dict:
         return _report_dict(self)
@@ -193,8 +239,8 @@ def analyze_workbook(wb: Workbook, config: AnalysisConfig = AnalysisConfig(),
     """Run the full pipeline over an already-loaded workbook."""
     warnings: list[AuditWarning] = list(wb.warnings)
     # Every graph-wide temporary, the graph included, is freed on return.
-    cells, cascades, modular, findings = _graph_analysis(wb, config, warnings)
-    warnings.sort(key=operator.attrgetter("code", "address", "message"))
+    cells, cascades, modular, findings, empty_cells = _graph_analysis(
+        wb, config, warnings)
     return WorkbookReport(
         tool_version=__version__,
         input_digest=digest,
@@ -203,17 +249,39 @@ def analyze_workbook(wb: Workbook, config: AnalysisConfig = AnalysisConfig(),
         cascades=cascades,
         modular=modular,
         range_findings=findings,
-        warnings=warnings,
+        warnings=_warning_columns(warnings, empty_cells),
     )
+
+
+def _warning_columns(warnings: list[AuditWarning],
+                     empty_cells: list[str]) -> WarningColumns:
+    """``warnings`` and a W003 warning for each address text in
+    ``empty_cells``, as columns sorted by (code, address, message).
+
+    Every W003 warning comes from here and has one message, so its rows
+    share one record, and sorted they are the address texts in string
+    order, between the lower codes and the higher ones.
+    """
+    warnings.sort(key=operator.attrgetter("code", "address", "message"))
+    columns = WarningColumns.of(warnings)
+    if empty_cells:
+        texts = sorted(empty_cells)
+        at = bisect.bisect_right(warnings, W_EMPTY_REFERENCED_CELL,
+                                 key=operator.attrgetter("code"))
+        columns.addresses[at:at] = texts
+        columns.records[at:at] = [AuditWarning(
+            W_EMPTY_REFERENCED_CELL, texts[0], EMPTY_CELL_MESSAGE)] * len(texts)
+    return columns
 
 
 def _graph_analysis(
     wb: Workbook, config: AnalysisConfig, warnings: list[AuditWarning],
 ) -> tuple[CellColumns, Optional[list[CascadeEntry]], ModularMetrics,
-           list[RangeLinkageFinding]]:
+           list[RangeLinkageFinding], list[str]]:
     """Range linkage, cell metrics, cascades and modular metrics: every
     stage that reads the dependency graph. Appends their warnings to
-    ``warnings``."""
+    ``warnings``, but for W003: the address texts of the empty cells the
+    graph materialized come last in the result."""
     graph = build_graph(wb, config.max_range_cells)
     for d in graph.dangling:
         warnings.append(AuditWarning(
@@ -221,7 +289,7 @@ def _graph_analysis(
             d.from_cell.render(),
             f"reference {d.target_text} names missing sheet {d.missing_sheet!r}",
         ))
-    warnings.extend(graph.materialized_warnings())
+    empty_cells = graph.materialized_locations().render()
     for cyc in graph.cycles:
         warnings.append(AuditWarning(
             W_CYCLE_DETECTED,
@@ -244,16 +312,18 @@ def _graph_analysis(
     # Per node id, then in canonical order for the report.
     by_node = _cell_metrics(graph, config.dispersion)
     order = graph.cell_ids()
-    cells = CellColumns(list(map(graph.nodes().__getitem__, order)),
-                        list(map(by_node.__getitem__, order)))
-    for address, m in zip(cells.addresses, cells.records):
-        if m.cross_sheet_ref_count:
-            warnings.append(AuditWarning(
-                W_CROSS_SHEET_DISPERSION_EXCLUDED,
-                address.render(),
-                f"{m.cross_sheet_ref_count} cross-sheet reference(s) excluded "
-                "from dispersion and spans",
-            ))
+    cells = CellColumns(
+        list(map(operator.attrgetter("address"), map(graph.cells().__getitem__, order))),
+        list(map(by_node.__getitem__, order)))
+    records = cells.records
+    for k in itertools.compress(
+            itertools.count(), map(operator.attrgetter("cross_sheet_ref_count"), records)):
+        warnings.append(AuditWarning(
+            W_CROSS_SHEET_DISPERSION_EXCLUDED,
+            cells.addresses[k].render(),
+            f"{records[k].cross_sheet_ref_count} cross-sheet reference(s) excluded "
+            "from dispersion and spans",
+        ))
 
     cascades: Optional[list[CascadeEntry]] = None
     if not graph.is_cyclic:
@@ -272,7 +342,7 @@ def _graph_analysis(
             # is freed on return, and would hold every cascade's members.
             stats = replace(stats, member_ids=(), input_ids=())
             cascades.append(CascadeEntry(stats, rel, conds))
-    return cells, cascades, modular_metrics(wb, graph), findings
+    return cells, cascades, modular_metrics(wb, graph), findings, empty_cells
 
 
 def _cell_metrics(graph: CellGraph, cfg: DispersionConfig) -> list[CellMetrics]:
@@ -284,23 +354,22 @@ def _cell_metrics(graph: CellGraph, cfg: DispersionConfig) -> list[CellMetrics]:
     at the same offsets, so on one sheet they share the record the first
     copy's call computes. Any other formula gets a call of its own.
     """
-    by_node: list[CellMetrics] = []
+    cells = graph.cells()
+    shapes = list(map(operator.attrgetter("shape"), cells))
+    first_data = next(itertools.compress(itertools.count(), map(operator.not_, shapes)), None)
+    zero = None if first_data is None else CellMetrics(cells[first_data].address)
+    by_node: list = [zero] * len(cells)  # then each formula cell's record
     shared: dict[tuple, CellMetrics] = {}  # by (shape, sheet)
-    zero: Optional[CellMetrics] = None
-    for i, cell in enumerate(graph.cells()):
-        shape = cell.shape
-        if shape is None:
-            if zero is None:
-                zero = CellMetrics(cell.address)
-            m = zero
-        elif shape.relative:
+    for i in itertools.compress(itertools.count(), shapes):  # the formula cells
+        cell, shape = cells[i], shapes[i]
+        if shape.relative:
             m = shared.get((shape, cell.address.sheet))
             if m is None:
                 m = shared[shape, cell.address.sheet] = formula_metrics(
-                    cell, graph.precedents(i), cfg)
+                    cell, graph.locations(graph.precedent_ids(i)), cfg)
         else:
-            m = formula_metrics(cell, graph.precedents(i), cfg)
-        by_node.append(m)
+            m = formula_metrics(cell, graph.locations(graph.precedent_ids(i)), cfg)
+        by_node[i] = m
     return by_node
 
 
@@ -405,9 +474,9 @@ _FINDING = _Kind(
 _TRIPLE = _Kind(("p", "q", "r"), lambda t: (t[0], t[1].render(), t[2]))
 _WARNING = _Kind(("address", "code", "message"),
                  operator.attrgetter("address", "code", "message"),
+                 # Rows are WarningColumns, whose addresses are texts.
                  shared=lambda warnings: (
-                     warnings, lambda batch: [w.address for w in batch], warnings,
-                     operator.attrgetter("code", "message")))
+                     warnings.addresses, list, warnings.records, id))
 
 
 def _row_dicts(kind: _Kind, items) -> list[dict]:
@@ -480,7 +549,7 @@ def _report_dict(r: WorkbookReport, rows=_row_dicts) -> dict:
         "cascades": None if r.cascades is None else rows(_CASCADE, r.cascades),
         "modular": _modular_dict(r.modular, rows),
         "range_findings": rows(_FINDING, r.range_findings),
-        "warnings": rows(_WARNING, r.warnings),
+        "warnings": rows(_WARNING, r.warning_columns),
     }
 
 
@@ -676,9 +745,10 @@ def _text_report(r: WorkbookReport, top_n: int = 20) -> str:
 
     cells = r.cell_columns
     records = cells.records
+    warnings = r.warning_columns
     formulas = sum(m.is_formula for m in records)
     out.append(f"cells: {len(records)} ({formulas} formulas)")
-    out.append(f"warnings: {len(r.warnings)}")
+    out.append(f"warnings: {len(warnings)}")
     out.append("")
 
     out.append(_style(f"TOP RISK CELLS (adjusted cell error rate, max {top_n})", "1", color))
@@ -774,9 +844,9 @@ def _text_report(r: WorkbookReport, top_n: int = 20) -> str:
         out.append("none")
     out.append("")
 
-    out.append(_style(f"WARNINGS ({len(r.warnings)})", "1", color))
-    for w in r.warnings:
-        out.append(_style(f"{w.code} {w.address}: {w.message}", "33", color))
+    out.append(_style(f"WARNINGS ({len(warnings)})", "1", color))
+    for address, w in zip(warnings.addresses, warnings.records):
+        out.append(_style(f"{w.code} {address}: {w.message}", "33", color))
     out.append("")
     return "\n".join(out)
 

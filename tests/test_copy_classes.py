@@ -5,9 +5,10 @@ once per copy class: cell metrics once per (shape, sheet) for a shape whose
 references are all relative, and range linkage once per run of a uniform
 shape, from the run's first and last copies. The properties here check, on
 random workbooks, that each class-level result equals what the per-copy
-computation gives: ``formula_metrics`` on every cell, and
-``oracle_check_range_linkage``, the range-linkage check as it was when it
-read every copy's targets. Conditional complexities are computed on
+computation gives: ``oracle_formula_metrics``, cell metrics as they were
+computed one precedent address at a time, on every cell under each
+dispersion mode, and ``oracle_check_range_linkage``, the range-linkage
+check as it was when it read every copy's targets. Conditional complexities are computed on
 construct positions; the last test checks that ids built apart from the
 graph still find their constructs.
 """
@@ -15,7 +16,9 @@ graph still find their constructs.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import replace
+from typing import Sequence
 
 from hypothesis import given
 from hypothesis import strategies as st
@@ -23,16 +26,18 @@ from hypothesis import strategies as st
 from cellgauge.conditionals import BetaConfig, all_complexities, find_conditionals
 from cellgauge.graph import CellGraph, build_graph
 from cellgauge.metrics import (
+    DISPERSION_MODES,
     CellMetrics,
+    DispersionConfig,
     RangeLinkageFinding,
     _copied_runs,
     _populated_extent,
     check_range_linkage,
     formula_metrics,
 )
-from cellgauge.refs import RangeRef, column_to_letters
-from cellgauge.report import analyze_workbook, emit_report
-from cellgauge.workbook import Workbook, load_workbook_doc
+from cellgauge.refs import CellRef, RangeRef, column_to_letters
+from cellgauge.report import AnalysisConfig, analyze_workbook, emit_report
+from cellgauge.workbook import Cell, Workbook, load_workbook_doc
 
 
 def oracle_check_range_linkage(wb: Workbook, g: CellGraph) -> list[RangeLinkageFinding]:
@@ -142,12 +147,89 @@ def copied_workbook(draw):
         {"name": name, "cells": list(sheet.values())} for name, sheet in cells.items()]})
 
 
-@given(copied_workbook())
-def test_cell_metrics_match_formula_metrics_on_every_cell(wb):
+# --- Cell metrics as one formula at a time computed them, verbatim but for
+# the names; the audit's records and ``formula_metrics`` must equal them,
+# floats to the bit.
+
+
+def oracle_dispersion(
+    deltas: Sequence[tuple[int, int]], cfg: DispersionConfig = DispersionConfig()
+) -> tuple[float, float]:
+    """(DR, delta sum) for a formula's same-sheet reference deltas."""
+    if cfg.mode == "product":
+        delta = sum(abs(dx * dy) for dx, dy in deltas)
+    elif cfg.mode == "manhattan":
+        delta = sum(abs(dx) + abs(dy) for dx, dy in deltas)
+    else:
+        delta = sum(math.hypot(dx, dy) for dx, dy in deltas)
+    dr = -math.expm1(-cfg.alpha * delta)
+    # The score lives in [0, 1); keep that true when exp() underflows.
+    return min(dr, math.nextafter(1.0, 0.0)), delta
+
+
+def oracle_spans(deltas: Sequence[tuple[int, int]]) -> tuple[int, int]:
+    """(column span, row span): max positive minus max negative delta."""
+    if not deltas:
+        return 0, 0
+    dxs = [dx for dx, _ in deltas]
+    dys = [dy for _, dy in deltas]
+    return (
+        max(0, max(dxs)) - min(0, min(dxs)),
+        max(0, max(dys)) - min(0, min(dys)),
+    )
+
+
+def oracle_formula_metrics(
+    cell: Cell,
+    precedents: Sequence[CellRef],
+    cfg: DispersionConfig = DispersionConfig(),
+) -> CellMetrics:
+    """Size, structure, and reference-geometry metrics for one cell.
+
+    Data cells yield the all-zero record. ``precedents`` must be the cell's
+    own precedent addresses in reference order (ranges expanded, duplicates
+    kept), as :meth:`CellGraph.precedents` gives them. A precedent on
+    another sheet counts as cross-sheet; the rest give (column, row) deltas.
+    Sizes, nesting and decisions come from the cell's shape.
+    """
+    if not cell.is_formula:
+        return CellMetrics(address=cell.address)
+    shape = cell.shape
+    at = cell.address
+    deltas = [(p.column - at.column, p.row - at.row)
+              for p in precedents if p.sheet == at.sheet]
+    cross_sheet = len(precedents) - len(deltas)
+    dr, delta_sum = oracle_dispersion(deltas, cfg)
+    col_span, row_span = oracle_spans(deltas)
+    mixed = any(dx == 0 and dy != 0 for dx, dy in deltas) and any(
+        dx != 0 and dy == 0 for dx, dy in deltas
+    )
+    return CellMetrics(
+        address=cell.address,
+        n_operators=shape.n_operators,
+        n_operands=shape.n_operands,
+        depth_of_nesting=shape.depth_of_nesting,
+        avg_nesting_level=shape.avg_nesting_level,
+        decision_count=shape.decision_count,
+        n_references=len(precedents),
+        dispersion=dr,
+        delta_sum=delta_sum,
+        col_span=col_span,
+        row_span=row_span,
+        cross_sheet_ref_count=cross_sheet,
+        mixed_axis_flag=mixed,
+        forward_ref_count=sum(1 for dx, dy in deltas if dx > 0 or dy > 0),
+    )
+
+
+@given(copied_workbook(), st.sampled_from(DISPERSION_MODES))
+def test_cell_metrics_match_formula_metrics_on_every_cell(wb, mode):
+    cfg = DispersionConfig(mode=mode)
     g = build_graph(wb)
     cells = g.cells()
-    want = [formula_metrics(cells[i], g.precedents(i)) for i in g.cell_ids()]
-    assert analyze_workbook(wb).cells == want
+    want = [oracle_formula_metrics(cells[i], g.precedents(i), cfg) for i in g.cell_ids()]
+    assert [formula_metrics(cells[i], g.precedents(i), cfg) for i in g.cell_ids()] == want
+    assert analyze_workbook(wb, AnalysisConfig(dispersion=cfg)).cells == want
 
 
 def test_shared_records_are_built_once_and_listed_on_first_read(monkeypatch):

@@ -8,6 +8,7 @@ JSON value must give the same bytes.
 
 import json
 import math
+import operator
 import random
 import sys
 from fractions import Fraction
@@ -19,10 +20,10 @@ from hypothesis import strategies as st
 
 from cellgauge import load_workbook_doc
 from cellgauge.conditionals import ConditionalConstruct
-from cellgauge.errors import AuditWarning
+from cellgauge.errors import W_EMPTY_REFERENCED_CELL, AuditWarning
 from cellgauge.graph import CascadeStats
 from cellgauge.metrics import CellMetrics, ModularMetrics, RangeLinkageFinding
-from cellgauge.refs import CellRef, RangeRef
+from cellgauge.refs import CellRef, RangeRef, column_to_letters
 from cellgauge.reliability import CascadeReliability
 from cellgauge.report import (
     _BATCH,
@@ -35,6 +36,7 @@ from cellgauge.report import (
     AnalysisConfig,
     CascadeEntry,
     CellColumns,
+    WarningColumns,
     WorkbookReport,
     _encode_json,
     _num,
@@ -47,6 +49,7 @@ from cellgauge.report import (
 from conftest import make_workbook
 from test_acceptance import generate_large_workbook_doc
 from test_conditionals import ORACLE_FIXTURES
+from test_graph_oracle import OracleGraph
 
 
 def reference_json(value) -> str:
@@ -218,6 +221,69 @@ def test_emit_report_matches_reference_on_awkward_text():
                     "W001", "W002", "W003", "W004", "cyclic", "acyclic", "range finding"}
 
 
+# --- W003 warnings as a column ------------------------------------------------
+
+# Every warning code but W004 around a block of W003 warnings: a broken
+# formula (W001), a missing sheet (W002), empty cells read by a SUM, a
+# copied run and a cross-sheet formula, some on a sheet whose name needs
+# quotes (W003), the run's gap (W005) and the cross-sheet reads (W006).
+WARNING_SHEETS = {
+    "S": {"A1": 1, "A3": 3, "B1": "=A1*2", "B2": "=A2*2", "B3": "=A3*2",
+          **{f"{'DE'[k % 2]}{k // 2 + 1}": k for k in range(0, 80, 3)},
+          "C1": "=SUM(D1:E40)", "F1": "=1+(", "F2": "=Nope!A1+1",
+          "F3": "=Other!A1*2+'My Data'!C3"},
+    "Other": {"A1": 5, "B2": "=S!Z9+A1"},
+    "My Data": {"A1": 1},
+}
+
+
+def test_warnings_are_the_sorted_list_with_w003_spliced_in():
+    wb = make_workbook(WARNING_SHEETS)
+    report = analyze_workbook(wb)
+    emitted = emit_report(report, "json")
+    assert emitted == reference_report(report)
+    others = [w for w in report.warning_columns if w.code != W_EMPTY_REFERENCED_CELL]
+    empty = OracleGraph(wb).materialized_warnings()
+    want = sorted(others + empty, key=operator.attrgetter("code", "address", "message"))
+    assert report.warnings == want
+    codes = [w.code for w in want]
+    first = codes.index(W_EMPTY_REFERENCED_CELL)
+    last = len(codes) - codes[::-1].index(W_EMPTY_REFERENCED_CELL)
+    assert {"W001", "W002"} <= set(codes[:first]) and {"W005", "W006"} <= set(codes[last:])
+    assert last - first == len(empty) == 56  # A2, Z9, C3 and 53 cells of D1:E40
+    assert report.exit_code() == 1
+    assert emit_report(report, "json") == emitted  # from the list, once read
+
+
+def test_empty_range_cells_build_no_address_or_warning_each(monkeypatch):
+    # A SUM over a half-empty 60 x 50 rectangle: analysis and both
+    # emissions build one W003 record in all, and no CellRef at all.
+    doc = {"sheets": [{"name": "S", "cells": (
+        [{"ref": f"{column_to_letters(c)}{r}", "value": r}
+         for r in range(1, 51) for c in range(1, 61) if (c + r) % 2]
+        + [{"ref": "BJ1", "formula": "=SUM(A1:BH50)"}])}]}
+    wb = load_workbook_doc(doc)
+    built = {CellRef: 0, AuditWarning: 0}
+
+    def counting(cls):
+        init = cls.__init__
+
+        def counted(self, *args, **kwargs):
+            built[cls] += 1
+            init(self, *args, **kwargs)
+        return counted
+
+    with monkeypatch.context() as patch:
+        for cls in built:
+            patch.setattr(cls, "__init__", counting(cls))
+        report = analyze_workbook(wb)
+        emit_report(report, "json")
+        emit_report(report, "text")
+    assert report.warning_columns.addresses[:3] == ["S!A1", "S!A11", "S!A13"]
+    assert len(report.warning_columns) == 1_500
+    assert built == {CellRef: 0, AuditWarning: 1}
+
+
 # --- Rows of every kind at the batch boundaries -------------------------------
 
 FRACTIONS = st.one_of(
@@ -301,8 +367,9 @@ def test_emit_report_matches_reference_on_rows_of_every_kind(n, data):
 @settings(deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
 @given(data=st.data())
 def test_emit_report_matches_reference_on_shared_rows(n, data):
-    # Emission encodes a record's values once however many cells share the
-    # object, and a warning's once per (code, message); each code here comes
+    # Emission encodes a record's values once however many rows share the
+    # object. Warnings come as a list, each its own record, or as columns
+    # whose rows share one record per (code, message); each code here comes
     # with more than one message.
     records = data.draw(st.lists(CELL_ROWS, min_size=1, max_size=4))
     pattern = data.draw(st.lists(st.integers(0, len(records) - 1), min_size=1, max_size=7))
@@ -316,6 +383,10 @@ def test_emit_report_matches_reference_on_shared_rows(n, data):
     for k, address in enumerate(addresses):
         code, message = pairs[k % len(pairs)]
         warnings.append(AuditWarning(code, address.render(), message))
+    if data.draw(st.booleans()):
+        shared = {(w.code, w.message): w for w in reversed(warnings)}
+        warnings = WarningColumns([w.address for w in warnings],
+                                  [shared[w.code, w.message] for w in warnings])
     cells = CellColumns(addresses, [records[pattern[k % len(pattern)]] for k in range(n)])
     report = WorkbookReport("v", "d", AnalysisConfig(), cells, [],
                             ModularMetrics((), {}, 0.0, {}, {}), [], warnings)

@@ -1,4 +1,5 @@
 import itertools
+import re
 import string
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from cellgauge.refs import (
     CellRef,
+    Locations,
     RangeRef,
     column_to_letters,
     letters_to_column,
@@ -52,6 +54,35 @@ def test_column_letters_match_the_loop_on_every_column():
             column_to_letters(col)
 
 
+def loop_letters_to_column(letters):
+    """``letters_to_column`` as it was before its one- and two-letter fast
+    path: one step per letter of the upper-cased text."""
+    col = 0
+    for ch in letters.upper():
+        if not "A" <= ch <= "Z":
+            raise ValueError(f"invalid column letters: {letters!r}")
+        col = col * 26 + (ord(ch) - ord("A") + 1)
+    if col == 0:
+        raise ValueError("empty column letters")
+    return col
+
+
+def test_column_numbers_match_the_loop_on_every_column():
+    for col in range(1, 16_385):  # A..XFD
+        letters = column_to_letters(col)
+        for text in (letters, letters.lower()):
+            assert letters_to_column(text) == loop_letters_to_column(text) == col, text
+    # Non-ASCII text the loop upper-cases into ASCII letters ("ß" to "SS")
+    # reads as the loop reads it, and everything else fails as it did.
+    for text in ("ß", "ı", "ﬀ", "Aß"):
+        assert letters_to_column(text) == loop_letters_to_column(text), text
+    for text in ("", "A1", "1", "É", "Ä", "AÄ", "éb", "A B", "$A", "日"):
+        with pytest.raises(ValueError) as loop_error:
+            loop_letters_to_column(text)
+        with pytest.raises(ValueError, match="^" + re.escape(str(loop_error.value)) + "$"):
+            letters_to_column(text)
+
+
 def test_column_codec_known_values():
     assert column_to_letters(1) == "A"
     assert column_to_letters(26) == "Z"
@@ -91,6 +122,14 @@ RENDER_REFS = st.builds(CellRef, RENDER_SHEETS, RENDER_COLUMNS, st.integers(1, 1
 @given(st.lists(RENDER_REFS, max_size=40))
 def test_render_refs_matches_render(refs):
     assert render_refs(refs) == [ref.render() for ref in refs]
+
+
+@given(st.lists(st.builds(CellRef, RENDER_SHEETS, RENDER_COLUMNS, st.integers(1, 10 ** 7)),
+                max_size=40))
+def test_locations_render_and_read_as_their_refs(refs):
+    locations = Locations.of(refs)
+    assert locations.render() == [ref.render() for ref in refs]
+    assert list(locations) == refs and len(locations) == len(refs)
 
 
 @pytest.mark.parametrize("text,expected", [

@@ -199,6 +199,18 @@ def test_cli_analyze_out_file(five_cell_path, tmp_path, capsys):
     assert json.loads(out_path.read_text())["meta"]["tool"] == "cellgauge"
 
 
+@pytest.mark.parametrize("where, reason", [
+    ("missing/dir/r.json", "No such file or directory"),
+    (".", "Is a directory"),
+])
+def test_cli_analyze_unwritable_out_exits_two(five_cell_path, tmp_path, capsys, where, reason):
+    out = tmp_path / where
+    assert main(["analyze", str(five_cell_path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write report to {out}: {reason}\n"
+
+
 def test_cli_analyze_text(five_cell_path, capsys, monkeypatch):
     monkeypatch.setenv("CELLGAUGE_NO_COLOR", "1")
     code = main(["analyze", str(five_cell_path), "--format", "text"])
