@@ -10,12 +10,13 @@ no IF is one conditionless computational cascade (N counts them).
 What a cell contributes to such a scan depends only on the cell, so it is
 computed once per formula cell as the cell's *frontier*: the IFs at the top
 level of its formula (not inside another IF) plus the frontiers of the
-formula cells it reads outside any IF. Frontiers are built on demand with an
-explicit stack and kept by node id. A cell that adds no IF and reads one
-non-empty frontier shares that frontier's frozenset. An IF argument reaches
-its own top-level IFs plus the frontiers of the cells it reads. Where a
-formula's IFs sit and which references each argument holds depend only on
-its shape, so the load computes that layout once per shape
+cells it reads outside any IF. One pass over the graph's topological order
+(``CellGraph.topological_order``) computes every frontier into a list by
+node id; a data cell's frontier is empty. A cell that adds no IF and reads
+one non-empty frontier shares that frontier's frozenset. An IF argument
+reaches its own top-level IFs plus the frontiers of the cells it reads.
+Where a formula's IFs sit and which references each argument holds depend
+only on its shape, so the load computes that layout once per shape
 (``FormulaShape.if_reach`` and ``ifs``) and each cell pairs it with its
 node id; no AST is walked. The cells a reference reads come from the
 dependency graph, which numbers references in ``walk`` order, by node id.
@@ -33,7 +34,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from itertools import compress, repeat
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import CycleError, DomainError, require_finite
 from .graph import CellGraph
@@ -74,17 +76,6 @@ class ConditionalConstruct:
         return (self.cell, self.path)
 
 
-def _formulas_read(
-    g: CellGraph, targets: list[list[int]], ordinals: Iterable[int]
-) -> Iterator[int]:
-    """Node ids of the formula cells behind the references ``ordinals`` of
-    a formula whose per-reference targets are ``targets``."""
-    for o in ordinals:
-        for t in targets[o]:
-            if g.formula_of(t) is not None:
-                yield t
-
-
 def _merge(ifs: list[_Key], frontiers: list[frozenset]) -> frozenset:
     """Union of own IFs and read frontiers, sharing a lone frontier's set."""
     parts = [f for f in frontiers if f]
@@ -99,47 +90,22 @@ def _merge(ifs: list[_Key], frontiers: list[frozenset]) -> frozenset:
     return frozenset(merged)
 
 
-class _Frontiers:
-    """Each formula cell's frontier by node id: the IF constructs it reaches
-    without crossing an IF, as (node id, path) keys, computed at most once
-    and only for cells something reads. A cell's own reach comes from its
-    shape (``FormulaShape.if_reach``), paired with its node id."""
-
-    def __init__(self, g: CellGraph):
-        self.g = g
-        self._known: dict[int, frozenset] = {}
-
-    def of(self, start: int) -> frozenset:
-        """The frontier of a formula node, built in post-order on an explicit
-        stack together with those of the formula cells it reads outside IFs."""
-        found = self._known.get(start)
-        if found is not None:
-            return found
-        g, known = self.g, self._known
-        reads: dict[int, list[int]] = {}  # expanded nodes not yet finished
-        stack = [start]
-        while stack:
-            v = stack[-1]
-            if v in known:
-                stack.pop()
-                continue
-            top_ifs, top_refs = g.formula_of(v).shape.if_reach
-            deps = reads.get(v)
-            if deps is None:
-                deps = reads[v] = (
-                    list(_formulas_read(g, g.reference_targets(v), top_refs))
-                    if top_refs else [])
-                pending = [d for d in deps if d not in known]
-                if pending:
-                    for d in pending:
-                        if d in reads:
-                            raise CycleError([[g.address_of(d).render()]])
-                    stack.extend(pending)
-                    continue
-            known[v] = _merge([(v, p) for p in top_ifs], [known[d] for d in deps])
-            del reads[v]
-            stack.pop()
-        return known[start]
+def _frontiers(g: CellGraph) -> list[frozenset]:
+    """Each node's frontier by node id: the IF constructs it reaches without
+    crossing an IF, as (node id, path) keys; a data cell's is empty. One
+    pass in topological order builds each formula cell's frontier after
+    those of the cells it reads. A cell's own reach comes from its shape
+    (``FormulaShape.if_reach``), paired with its node id."""
+    shapes = [cell.shape for cell in g.cells()]
+    shapes += repeat(None, g.node_count - len(shapes))
+    frontier = [_EMPTY] * g.node_count
+    order = g.topological_order()
+    for v in compress(order, map(shapes.__getitem__, order)):
+        top_ifs, top_refs = shapes[v].if_reach
+        targets = g.reference_targets(v) if top_refs else []
+        frontier[v] = _merge([(v, p) for p in top_ifs],
+                             [frontier[t] for o in top_refs for t in targets[o]])
+    return frontier
 
 
 def find_conditionals(wb: Workbook, g: CellGraph) -> list[ConditionalConstruct]:
@@ -152,27 +118,26 @@ def find_conditionals(wb: Workbook, g: CellGraph) -> list[ConditionalConstruct]:
     if g.is_cyclic:
         raise CycleError([[a.render() for a in cyc] for cyc in g.cycles])
 
-    frontiers = _Frontiers(g)
+    cells = g.cells()
+    # Canonical order: sheet, row, column, path.
+    if_cells = [v for v in g.cell_ids() if cells[v].shape is not None and cells[v].shape.ifs]
+    frontier = _frontiers(g) if if_cells else []  # only IF arguments read it
     records: list[tuple[_Key, set[_Key], int]] = []
     reached: set[_Key] = set()
-    cells = g.cells()
-    for v in g.cell_ids():  # canonical order: sheet, row, column, path
-        cell = cells[v]
-        if cell.shape is None or not cell.shape.ifs:
-            continue
+    for v in if_cells:
         targets = g.reference_targets(v)
-        for path, args in cell.shape.ifs:
+        for path, args in cells[v].shape.ifs:
             m_set: set[_Key] = set()
             n = 0
             for arg_idx, (arg_ifs, ordinals) in enumerate(args):
                 hit = bool(arg_ifs)
                 if arg_ifs:
                     m_set.update([(v, p) for p in arg_ifs])
-                for target in _formulas_read(g, targets, ordinals):
-                    f = frontiers.of(target)
-                    if f:
-                        hit = True
-                        m_set |= f
+                for o in ordinals:
+                    for t in targets[o]:
+                        if frontier[t]:
+                            hit = True
+                            m_set |= frontier[t]
                 if arg_idx > 0 and not hit:
                     n += 1  # a conditionless value branch
             reached |= m_set

@@ -103,9 +103,9 @@ def _resolve(wb: Workbook, ref: Union[CellRef, RangeRef], own: Sheet) -> Optiona
 class CascadeStats:
     """Path statistics over one bottom-line cell's precedent closure.
 
-    ``member_ids`` and ``input_ids`` are node ids of the graph that computed
-    the statistics. A ``WorkbookReport`` keeps both empty: its graph is
-    freed when the analysis returns.
+    ``member_ids`` are node ids of the graph that computed the statistics.
+    A ``WorkbookReport`` keeps them empty: its graph is freed when the
+    analysis returns.
     """
 
     terminal: CellRef
@@ -115,7 +115,6 @@ class CascadeStats:
     avg_path_length: Fraction
     max_path_length: int
     cell_count: int
-    input_ids: tuple[int, ...]  # node ids, canonical order
     member_ids: tuple[int, ...]  # node ids, canonical order
 
 
@@ -406,6 +405,12 @@ class CellGraph:
                 [[a.render() for a in cyc] for cyc in self.cycles]
             )
 
+    def topological_order(self) -> list[int]:
+        """Every node id, each after all the nodes it reads; CycleError on a
+        cyclic graph."""
+        self._ensure_acyclic()
+        return list(self._topo)
+
     def _topological_order(self) -> list[int]:
         """Kahn's algorithm; shorter than ``node_count`` when there is a cycle."""
         succs = self._succs
@@ -543,7 +548,6 @@ class CellGraph:
             )
         count, length_sum, max_len = self._path_stats()
         members = self.member_ids(idx)
-        preds = self._preds
         paths = count[idx]
         return CascadeStats(
             terminal=self.address_of(idx),
@@ -553,7 +557,6 @@ class CellGraph:
             avg_path_length=Fraction(length_sum[idx], paths),
             max_path_length=max_len[idx],
             cell_count=len(members),
-            input_ids=tuple(compress(members, map(not_, map(preds.__getitem__, members)))),
             member_ids=tuple(members),
         )
 

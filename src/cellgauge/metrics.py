@@ -18,7 +18,8 @@ copies of a formula; they are read from the cell's shape, not recomputed
 per cell. A shape whose ranges mix anchors keys each copy from the copy's
 own references, so no stage reads an AST. Range linkage walks each
 populated source block once per axis, however many runs read it, and reads
-a run of a uniform shape from its first and last copies alone.
+every run from its first and last copies alone: copies that share a shift
+key move, grow or shrink each reference slot one step per copy.
 """
 
 from __future__ import annotations
@@ -79,14 +80,6 @@ class CellMetrics:
     @property
     def is_formula(self) -> bool:
         return self.n_operators + self.n_operands > 0
-
-    def moved_to(self, address: CellRef) -> "CellMetrics":
-        """The same record for the cell at ``address``."""
-        # Fills the new record's fields in one dict update, not one frozen
-        # setattr each: copies of a shape take their record this way.
-        moved = object.__new__(CellMetrics)
-        moved.__dict__.update(self.__dict__, address=address)
-        return moved
 
 
 # The metric math works on a formula's same-sheet deltas as two columns,
@@ -236,25 +229,6 @@ def _runs_along(cells: list[Cell], fixed: str,
     return runs
 
 
-def _populated_extent(
-    wb: Workbook, union: list[CellRef], vertical: bool,
-    blocks: Optional[dict[tuple, tuple[int, int]]] = None,
-) -> tuple[int, Optional[RangeRef]]:
-    """Size and bounds of the contiguous populated source run.
-
-    Anchored at the first (top-most/left-most) referenced cell that is
-    populated; 0 when no referenced cell is populated. ``blocks`` is as for
-    :func:`_block_through`.
-    """
-    union = sorted(union, key=lambda c: (c.row, c.column) if vertical else (c.column, c.row))
-    anchor = next((c for c in union if wb.cell(c) is not None), None)
-    if anchor is None:
-        return 0, None
-    line, pos = (anchor.column, anchor.row) if vertical else (anchor.row, anchor.column)
-    return _block_through(wb, anchor.sheet, vertical, line, pos,
-                          {} if blocks is None else blocks)
-
-
 def _block_through(
     wb: Workbook, sheet: str, vertical: bool, line: int, pos: int,
     blocks: dict[tuple, tuple[int, int]],
@@ -303,60 +277,33 @@ def _copied_runs(cells: list[Cell]) -> tuple[list[list[int]], list[list[int]]]:
 _Slot = tuple[int, str, int, RangeRef]
 
 
-def _slots_per_copy(wb: Workbook, g: CellGraph, run: list[int], vertical: bool,
-                    blocks: dict) -> Iterator[_Slot]:
-    """The checked reference slots of a run, read from every copy's targets."""
-    addr = g.address_of
-    resolved = [g.reference_targets(i) for i in run]
-    for touched_sets in zip(*resolved):
-        if not all(touched_sets):  # a reference to a missing sheet
-            continue
-        s = len(touched_sets[0])
-        axis_ok = all(
-            len({addr(i).column for i in ts} if vertical
-                else {addr(i).row for i in ts}) == 1
-            for ts in touched_sets
-        )
-        if not axis_ok:
-            continue
-        # A node id stands for one cell, so id sets compare cell sets.
-        keys = [frozenset(ts) for ts in touched_sets]
-        style = "absolute" if all(k == keys[0] for k in keys) else "relative"
-        union = [addr(i) for i in dict.fromkeys(i for ts in touched_sets for i in ts)]
-        actual, bounds = _populated_extent(wb, union, vertical, blocks)
-        if bounds is None:
-            cells = sorted(union, key=lambda c: (c.row, c.column))
-            bounds = RangeRef(cells[0], cells[-1])
-        yield s, style, actual, bounds
+def _slots(wb: Workbook, g: CellGraph, run: list[int], vertical: bool,
+           blocks: dict) -> Iterator[_Slot]:
+    """The checked reference slots of a run, read from its first and last
+    copies.
 
-
-def _slots_of_uniform_run(wb: Workbook, g: CellGraph, run: list[int], vertical: bool,
-                          blocks: dict) -> Iterator[_Slot]:
-    """The checked reference slots of a run of a uniform shape (one whose
-    ``shift_key`` is not None), read from its first and last copies.
-
-    Copy k of such a run reads the first copy's cells moved k steps along
-    the run when the slot is relative along that axis, and the first copy's
-    cells otherwise. So a slot is absolute when its last copy's cells sit
-    where its first copy's do, and a checked slot (one line of cells along
-    the run's axis) of either style reads one contiguous segment of that
-    line, found from the two copies' ends with no per-copy work.
+    The copies of a run share one shift key, so along the run each end of
+    a slot stays put or moves one step per copy: a relative slot moves, a
+    slot whose range mixes anchors (``A$3:A1``) grows or shrinks, and no
+    slot swaps its ends. So a checked slot (one line of cells along the
+    run's axis) reads, over all its copies, the segment of that line from
+    the lower of the two copies' first cells to the higher of their last
+    cells, and it is absolute only when its last copy reads exactly its
+    first copy's cells. ``s`` is the first copy's cell count.
     """
     addr = g.address_of
     for first, last in zip(g.reference_targets(run[0]), g.reference_targets(run[-1])):
         if not first:  # a reference to a missing sheet
             continue
-        a, b = addr(first[0]), addr(last[0])  # each slot's top-left cell
+        a, z, b, y = map(addr, (first[0], first[-1], last[0], last[-1]))
         if vertical:
-            line, start, shift = a.column, a.row, b.row - a.row
+            line, lo, hi = a.column, min(a.row, b.row), max(z.row, y.row)
             if any(addr(i).column != line for i in first):
                 continue
         else:
-            line, start, shift = a.row, a.column, b.column - a.column
+            line, lo, hi = a.row, min(a.column, b.column), max(z.column, y.column)
             if any(addr(i).row != line for i in first):
                 continue
-        s = len(first)
-        lo, hi = start + min(shift, 0), start + s - 1 + max(shift, 0)
         cells = wb.sheet(a.sheet).cells
 
         def key(p: int) -> tuple[int, int]:  # (row, column) of position p
@@ -368,7 +315,9 @@ def _slots_of_uniform_run(wb: Workbook, g: CellGraph, run: list[int], vertical: 
             actual, bounds = 0, RangeRef(CellRef(a.sheet, c1, r1), CellRef(a.sheet, c2, r2))
         else:
             actual, bounds = _block_through(wb, a.sheet, vertical, line, anchor, blocks)
-        yield s, "absolute" if shift == 0 else "relative", actual, bounds
+        # A slot's cells are one segment of its line, so its ends fix them.
+        same = first[0] == last[0] and first[-1] == last[-1]
+        yield len(first), "absolute" if same else "relative", actual, bounds
 
 
 def check_range_linkage(wb: Workbook, g: CellGraph) -> list[RangeLinkageFinding]:
@@ -380,21 +329,16 @@ def check_range_linkage(wb: Workbook, g: CellGraph) -> list[RangeLinkageFinding]
     (``s`` for absolute references, run length + ``s`` - 1 for relative).
     What each reference reads comes from ``g``, the graph of ``wb``; a
     position where some formula names a missing sheet is skipped. Runs are
-    found over ``g.cells()``, so each run is a list of node ids. A run of a
-    uniform shape is read from its first and last copies; a run of a shape
-    whose ranges mix anchors (``A$3:A1``) from every copy.
+    found over ``g.cells()``, so each run is a list of node ids, and each
+    run is read from its first and last copies (``_slots``).
     """
     findings: list[RangeLinkageFinding] = []
     addr = g.address_of
     blocks: dict[tuple, tuple[int, int]] = {}
-    cells = g.cells()
-    for vertical, runs in zip((True, False), _copied_runs(cells)):
+    for vertical, runs in zip((True, False), _copied_runs(g.cells())):
         for run in runs:
             target = RangeRef(addr(run[0]), addr(run[-1]))
-            uniform = all(cells[i].shape.shift_key is not None for i in run)
-            slots = (_slots_of_uniform_run if uniform else _slots_per_copy)(
-                wb, g, run, vertical, blocks)
-            for s, style, actual, bounds in slots:
+            for s, style, actual, bounds in _slots(wb, g, run, vertical, blocks):
                 expected = s if style == "absolute" else len(run) + s - 1
                 findings.append(RangeLinkageFinding(
                     source_range=bounds,

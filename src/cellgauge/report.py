@@ -79,7 +79,7 @@ from .metrics import (
     formula_metrics,
     modular_metrics,
 )
-from .refs import render_refs
+from .refs import CellRef, render_refs
 from .reliability import (
     CascadeReliability,
     ReliabilityConfig,
@@ -149,7 +149,10 @@ class CellColumns(_Columns):
     ``CellMetrics`` records, one all-zero record for every data cell."""
 
     __slots__ = ()
-    _moved = staticmethod(CellMetrics.moved_to)
+
+    @staticmethod
+    def _moved(r: CellMetrics, address: CellRef) -> CellMetrics:
+        return replace(r, address=address)
 
 
 class WarningColumns(_Columns):
@@ -340,7 +343,7 @@ def _graph_analysis(
             )
             # The report keeps no node ids: they name nodes of a graph that
             # is freed on return, and would hold every cascade's members.
-            stats = replace(stats, member_ids=(), input_ids=())
+            stats = replace(stats, member_ids=())
             cascades.append(CascadeEntry(stats, rel, conds))
     return cells, cascades, modular_metrics(wb, graph), findings, empty_cells
 

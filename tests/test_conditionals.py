@@ -611,6 +611,25 @@ def test_cascade_conditionals_work_is_linear_in_terminals():
     assert large < 2.2 * small, (small, large)
 
 
+def test_frontier_work_is_linear_in_ifs_reading_a_chain():
+    # N IFs each read the end of an N-formula chain without IFs: the chain's
+    # frontiers are computed once, not rescanned per IF, so doubling N at
+    # most about doubles the work.
+    from cellgauge import conditionals, graph
+
+    def work(n):
+        wb, g = make_graph({"S": {
+            "A1": 1,
+            "B1": "=A1+1",
+            **{f"B{r}": f"=B{r - 1}+1" for r in range(2, n + 1)},
+            **{f"C{r}": f"=IF(B{n}>0,1,2)" for r in range(1, n + 1)},
+        }})
+        return _lines_run(lambda: find_conditionals(wb, g), (conditionals, graph))
+
+    small, large = work(300), work(600)
+    assert large < 2.2 * small, (small, large)
+
+
 # --- IF layouts per shape ----------------------------------------------------------
 
 # The per-formula walk conditional discovery ran on every formula's AST

@@ -2,15 +2,16 @@
 
 Copies of one formula share a shape, and the audit does some of its work
 once per copy class: cell metrics once per (shape, sheet) for a shape whose
-references are all relative, and range linkage once per run of a uniform
-shape, from the run's first and last copies. The properties here check, on
-random workbooks, that each class-level result equals what the per-copy
-computation gives: ``oracle_formula_metrics``, cell metrics as they were
-computed one precedent address at a time, on every cell under each
-dispersion mode, and ``oracle_check_range_linkage``, the range-linkage
-check as it was when it read every copy's targets. Conditional complexities are computed on
-construct positions; the last test checks that ids built apart from the
-graph still find their constructs.
+references are all relative, and range linkage once per run, from the run's
+first and last copies, mixed-anchor runs (``A$3:A1``) included. The
+properties here check, on random workbooks, that each class-level result
+equals what the per-copy computation gives: ``oracle_formula_metrics``,
+cell metrics as they were computed one precedent address at a time, on
+every cell under each dispersion mode, and ``oracle_check_range_linkage``,
+the range-linkage check as it was when it read every copy's targets, with
+its populated-extent helper ``_populated_extent`` kept verbatim. Conditional
+complexities are computed on construct positions; the last test checks that
+ids built apart from the graph still find their constructs.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import replace
-from typing import Sequence
+from typing import Optional, Sequence
 
 from hypothesis import given
 from hypothesis import strategies as st
@@ -30,14 +31,33 @@ from cellgauge.metrics import (
     CellMetrics,
     DispersionConfig,
     RangeLinkageFinding,
+    _block_through,
     _copied_runs,
-    _populated_extent,
     check_range_linkage,
     formula_metrics,
 )
 from cellgauge.refs import CellRef, RangeRef, column_to_letters
 from cellgauge.report import AnalysisConfig, analyze_workbook, emit_report
 from cellgauge.workbook import Cell, Workbook, load_workbook_doc
+
+
+def _populated_extent(
+    wb: Workbook, union: list[CellRef], vertical: bool,
+    blocks: Optional[dict[tuple, tuple[int, int]]] = None,
+) -> tuple[int, Optional[RangeRef]]:
+    """Size and bounds of the contiguous populated source run.
+
+    Anchored at the first (top-most/left-most) referenced cell that is
+    populated; 0 when no referenced cell is populated. ``blocks`` is as for
+    :func:`_block_through`.
+    """
+    union = sorted(union, key=lambda c: (c.row, c.column) if vertical else (c.column, c.row))
+    anchor = next((c for c in union if wb.cell(c) is not None), None)
+    if anchor is None:
+        return 0, None
+    line, pos = (anchor.column, anchor.row) if vertical else (anchor.row, anchor.column)
+    return _block_through(wb, anchor.sheet, vertical, line, pos,
+                          {} if blocks is None else blocks)
 
 
 def oracle_check_range_linkage(wb: Workbook, g: CellGraph) -> list[RangeLinkageFinding]:
@@ -254,7 +274,6 @@ def test_shared_records_are_built_once_and_listed_on_first_read(monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(CellMetrics, "__init__", counting(CellMetrics.__init__))
-        patch.setattr(CellMetrics, "moved_to", counting(CellMetrics.moved_to))
         report = analyze_workbook(wb)
         emit_report(report, "json")
         emit_report(report, "text")
@@ -291,9 +310,11 @@ def test_one_shape_on_two_sheets_keeps_each_sheets_record():
     assert by_address["S2!B3"].dispersion == by_address["S2!B2"].dispersion
 
 
-def test_a_mixed_anchor_run_is_read_per_copy():
+def test_a_mixed_anchor_run_is_read_from_its_ends():
     # SUM(A$3:A1) flips its ends at row 3, so its copies key by their own
-    # references and split into two runs, each checked copy by copy.
+    # references and split into two runs. Each run's slot keeps its top-left
+    # or its bottom cell and grows or shrinks along the run: it is relative,
+    # and ``s`` is the first copy's cell count.
     doc = {"sheets": [{"name": "S", "cells": (
         [{"ref": f"A{r}", "value": float(r)} for r in range(1, 9)]
         + [{"ref": f"C{r}", "formula": f"=SUM(A$3:A{r})"} for r in range(1, 9)])}]}
@@ -302,6 +323,7 @@ def test_a_mixed_anchor_run_is_read_per_copy():
     findings = check_range_linkage(wb, g)
     assert findings == oracle_check_range_linkage(wb, g)
     assert [f.target_range.render() for f in findings] == ["S!C1:C2", "S!C3:C8"]
+    assert [(f.ref_style, f.s) for f in findings] == [("relative", 3), ("relative", 1)]
 
 
 def test_complexities_match_constructs_by_equal_addresses_too():

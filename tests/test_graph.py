@@ -31,6 +31,8 @@ def test_three_cycle_detected():
         g.cascade_stats("S!A1")
     with pytest.raises(CycleError):
         g.enumerate_paths("S!A1")
+    with pytest.raises(CycleError):
+        g.topological_order()
 
 
 def test_self_reference_cycle():
@@ -107,7 +109,7 @@ def test_cascade_stats_diamond(diamond_graph):
     assert st.avg_reachability == Fraction(1 + 1 + 1 + 2, 4)
     assert st.avg_path_length == Fraction(3)
     assert st.max_path_length == 3
-    assert [g.address_of(i).render() for i in st.input_ids] == ["Sheet1!A1"]
+    assert [a.render() for a in g.input_cells()] == ["Sheet1!A1"]
 
 
 def test_cascade_on_non_terminal_warns(chain_graph):
@@ -211,6 +213,10 @@ def test_reachability_matches_enumeration_on_random_dags():
     checked = terminals = 0
     for _ in range(200):
         wb, g = random_dag_workbook(rng)
+        order = g.topological_order()  # every node once, after what it reads
+        position = {v: k for k, v in enumerate(order)}
+        assert sorted(order) == list(range(g.node_count))
+        assert all(position[p] < position[v] for v in order for p in g.precedent_ids(v))
         bottom = {a.key() for a in g.bottom_line_cells()}
         for t in g.nodes():
             paths = g.enumerate_paths(t, limit=500_000)

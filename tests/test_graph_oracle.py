@@ -427,7 +427,6 @@ class OracleGraph:
             avg_path_length=Fraction(length_sum[idx], paths),
             max_path_length=max_len[idx],
             cell_count=len(members),
-            input_ids=tuple(i for i in members if not self._preds[i]),
             member_ids=tuple(members),
         )
 

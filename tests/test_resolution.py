@@ -22,7 +22,7 @@ import pytest
 from cellgauge import graph, metrics
 from cellgauge.formula import AstNode, CellRefNode, FormulaAst, RangeRefNode, walk
 from cellgauge.graph import DanglingReference
-from cellgauge.metrics import RangeLinkageFinding, _populated_extent, _runs_along
+from cellgauge.metrics import RangeLinkageFinding, _runs_along
 from cellgauge.refs import CellRef, RangeRef
 from cellgauge.report import analyze_workbook
 from cellgauge.workbook import Workbook
@@ -34,6 +34,7 @@ from test_conditionals import (
     assert_matches_naive,
     random_conditional_workbook,
 )
+from test_copy_classes import _populated_extent
 
 
 # --- reference implementations, verbatim ------------------------------------------
