@@ -16,6 +16,7 @@ from .conditionals import (
 )
 from .errors import (
     AuditWarning,
+    CascadeBudgetError,
     CellGaugeError,
     CycleError,
     DomainError,
@@ -76,6 +77,7 @@ __all__ = [
     "AnalysisConfig",
     "AuditWarning",
     "BetaConfig",
+    "CascadeBudgetError",
     "CascadeReliability",
     "CascadeStats",
     "Cell",

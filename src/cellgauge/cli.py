@@ -7,8 +7,9 @@ graph-dependent sections marked unavailable), 4 internal error: an
 unexpected exception in any command, reported as one ``error: internal error
 in <command>: <type>: <message>`` line on stderr without a traceback.
 Invalid input includes, in every command, a file that is not UTF-8, an
-option or weight that is not a finite number, and ranges that cost more
-than ``--max-range-cells`` allows (see ``graph.CellGraph``).
+option or weight that is not a finite number, ranges that cost more than
+``--max-range-cells`` allows (see ``graph.CellGraph``), and, in ``analyze``,
+cascades that hold more members in all than ``report.MAX_CASCADE_CELLS``.
 
 Every command runs with cyclic garbage collection off; ``main`` restores the
 caller's setting when it returns.

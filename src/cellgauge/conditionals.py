@@ -10,11 +10,13 @@ no IF is one conditionless computational cascade (N counts them).
 What a cell contributes to such a scan depends only on the cell, so it is
 computed once per formula cell as the cell's *frontier*: the IFs at the top
 level of its formula (not inside another IF) plus the frontiers of the
-cells it reads outside any IF. One pass over the graph's topological order
-(``CellGraph.topological_order``) computes every frontier into a list by
-node id; a data cell's frontier is empty. A cell that adds no IF and reads
-one non-empty frontier shares that frontier's frozenset. An IF argument
-reaches its own top-level IFs plus the frontiers of the cells it reads.
+cells it reads outside any IF. Only a formula cell downstream of some IF
+cell (``CellGraph.downstream``) can have a non-empty frontier; one pass over
+the graph's topological order (``CellGraph.topological_order``) computes
+theirs into a list by node id, and every other node's frontier is empty. A
+cell that adds no IF and reads one non-empty frontier shares that
+frontier's frozenset. An IF argument reaches its own top-level IFs plus the
+frontiers of the cells it reads.
 Where a formula's IFs sit and which references each argument holds depend
 only on its shape, so the load computes that layout once per shape
 (``FormulaShape.if_reach`` and ``ifs``) and each cell pairs it with its
@@ -34,7 +36,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress, repeat
+from itertools import compress
+from operator import attrgetter
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import CycleError, DomainError, require_finite
@@ -90,17 +93,19 @@ def _merge(ifs: list[_Key], frontiers: list[frozenset]) -> frozenset:
     return frozenset(merged)
 
 
-def _frontiers(g: CellGraph) -> list[frozenset]:
+def _frontiers(g: CellGraph, if_cells: list[int]) -> list[frozenset]:
     """Each node's frontier by node id: the IF constructs it reaches without
-    crossing an IF, as (node id, path) keys; a data cell's is empty. One
-    pass in topological order builds each formula cell's frontier after
-    those of the cells it reads. A cell's own reach comes from its shape
-    (``FormulaShape.if_reach``), paired with its node id."""
-    shapes = [cell.shape for cell in g.cells()]
-    shapes += repeat(None, g.node_count - len(shapes))
+    crossing an IF, as (node id, path) keys. Only the formula cells
+    downstream of ``if_cells`` (the IF cells) can reach one; every other
+    node's frontier is empty. One pass in topological order builds each of
+    their frontiers after those of the cells it reads. A cell's own reach
+    comes from its shape (``FormulaShape.if_reach``), paired with its node
+    id."""
+    shapes = g.shapes()
+    down = g.downstream(if_cells)
     frontier = [_EMPTY] * g.node_count
     order = g.topological_order()
-    for v in compress(order, map(shapes.__getitem__, order)):
+    for v in compress(order, map(down.__contains__, order)):
         top_ifs, top_refs = shapes[v].if_reach
         targets = g.reference_targets(v) if top_refs else []
         frontier[v] = _merge([(v, p) for p in top_ifs],
@@ -118,15 +123,16 @@ def find_conditionals(wb: Workbook, g: CellGraph) -> list[ConditionalConstruct]:
     if g.is_cyclic:
         raise CycleError([[a.render() for a in cyc] for cyc in g.cycles])
 
-    cells = g.cells()
+    ids, shapes, _ = g.formulas()
+    shape_of = dict(compress(zip(ids, shapes), map(attrgetter("ifs"), shapes)))
     # Canonical order: sheet, row, column, path.
-    if_cells = [v for v in g.cell_ids() if cells[v].shape is not None and cells[v].shape.ifs]
-    frontier = _frontiers(g) if if_cells else []  # only IF arguments read it
+    if_cells = g.canonical(shape_of)
+    frontier = _frontiers(g, if_cells) if if_cells else []  # only IF arguments read it
     records: list[tuple[_Key, set[_Key], int]] = []
     reached: set[_Key] = set()
     for v in if_cells:
         targets = g.reference_targets(v)
-        for path, args in cells[v].shape.ifs:
+        for path, args in shape_of[v].ifs:
             m_set: set[_Key] = set()
             n = 0
             for arg_idx, (arg_ifs, ordinals) in enumerate(args):
@@ -236,7 +242,10 @@ def cascade_finals(
     ``member_ids`` must be in canonical sheet/row/column order, as cascades
     list them; constructs follow that order too, so picking each member's
     finals in turn keeps construct order in time linear in the members.
+    Without any final construct no member is scanned.
     """
+    if not finals:
+        return []
     return [c for i in member_ids for c in finals.get(i, ())]
 
 

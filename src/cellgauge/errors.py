@@ -76,6 +76,19 @@ class RangeBudgetError(CellGaugeError):
         self.limit = limit
 
 
+class CascadeBudgetError(CellGaugeError):
+    """The cascades of a workbook's bottom-line cells hold more members in
+    all than an audit allows (``report.MAX_CASCADE_CELLS``)."""
+
+    def __init__(self, cell: str, limit: int):
+        super().__init__(
+            f"cascade of cell {cell} takes the cascade budget past its limit "
+            f"of {limit:,} members"
+        )
+        self.cell = cell
+        self.limit = limit
+
+
 class DomainError(CellGaugeError, ValueError):
     """Argument outside the mathematical domain of an operation."""
 

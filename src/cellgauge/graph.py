@@ -1,27 +1,31 @@
 """Workbook dependency multigraph and cascade statistics.
 
-The graph is the only code that maps a reference to the cells it reads.
-Each formula's references come from its shape and its own refs
-(``FormulaShape.references``, no AST) in ``walk`` order and are resolved
-straight into integer node ids: populated cells come first in
-``iter_cells`` order, and a referenced empty cell is materialized as a
-zero-fan-in data node when it is first referenced. A range resolves in
-bulk: one dict lookup per cell in C, and its empty cells become nodes
-together. A reference to a missing sheet reads nothing and is kept in
-``CellGraph.dangling``. Conditional discovery and range linkage read each
-reference's targets from ``CellGraph.reference_targets``.
+The graph is the only code that maps a reference to the cells it reads. It
+reads the workbook's columns (``workbook.Sheet``), not ``Cell`` objects:
+each sheet's cells are nodes from the sheet's offset on, in position order,
+so a node id is the sheet's offset plus the cell's position, and only the
+formula rows are walked. Each formula's references come from its shape and
+its own refs (``FormulaShape.references``, no AST) in ``walk`` order and
+are resolved straight into integer node ids; a referenced empty cell is
+materialized as a zero-fan-in data node when it is first referenced. A
+range resolves in bulk: one dict lookup per cell in C, and its empty cells
+become nodes together. A reference to a missing sheet reads nothing and is
+kept in ``CellGraph.dangling``. Conditional discovery and range linkage
+read each reference's targets from ``CellGraph.reference_targets``.
 
 Each node has one int sort key whose order is canonical order (sheet
 position, row, column), and every canonical sort compares these ints. A
-materialized empty cell is only its key: its ``CellRef`` is built when a
-query returns it, and ``locations`` reads many nodes' sheets, columns and
+node is only its key: its ``CellRef`` is built when a query returns it or
+an error names it, and ``locations`` reads many nodes' sheets, columns and
 rows, and renders their addresses, from their keys alone.
 
 Every query takes a node id as well as an address. After the graph is
-built, the audit's stages work on node ids only: cell metrics read the
-precedent lists by id, per-cell rates are a list indexed by id, and each
-cascade lists its members as ids, so no stage looks a cell up by its
-address except to find each bottom-line cell once.
+built, the audit's stages work on node-id columns only: the formula cells'
+ids, shapes and refs (``formulas``), each node's shape (``shapes``), the
+precedent lists by id, per-cell rates as a list indexed by id, and each
+cascade's members as ids. No stage looks a cell up by its address except
+to find each bottom-line cell once, and none reads ``cells()``, which
+builds the workbook's ``Cell`` objects for callers that want them.
 
 Edges point in the direction of data flow (referenced cell -> referencing
 cell), one edge per resolved reference, so duplicate references and expanded
@@ -41,6 +45,7 @@ averages are exact ``Fraction`` values.
 from __future__ import annotations
 
 import warnings as _warnings
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress, product, repeat
@@ -99,6 +104,12 @@ def _resolve(wb: Workbook, ref: Union[CellRef, RangeRef], own: Sheet) -> Optiona
     return own if name is None else wb.sheet(name)
 
 
+def _address(sheet: Sheet, pos: int) -> str:
+    """The address text of the cell at position ``pos`` of ``sheet``."""
+    row, column = list(sheet.index)[pos]
+    return CellRef(sheet.name, column, row).render()
+
+
 @dataclass(frozen=True)
 class CascadeStats:
     """Path statistics over one bottom-line cell's precedent closure.
@@ -141,14 +152,18 @@ class CellGraph:
     def __init__(self, wb: Workbook, max_range_cells: int = MAX_RANGE_CELLS):
         require_range_budget(max_range_cells)
         self._wb = wb
-        self._cells: list[Cell] = []  # the populated nodes' cells
-        # Per sheet name: the node id of each (row, column) key.
+        # Per sheet name: the node id of each (row, column) key. A sheet's
+        # cells are nodes from its offset on, in position order.
         self._ids: dict[str, dict[tuple[int, int], int]] = {}
+        self._offsets: list[int] = []
+        n = 0
         for sheet in wb.sheets:
-            first = len(self._cells)
-            self._ids[sheet.name] = dict(zip(sheet.cells, range(first, first + len(sheet.cells))))
-            self._cells.extend(sheet.cells.values())
-        n = self._populated = len(self._cells)
+            self._offsets.append(n)
+            self._ids[sheet.name] = dict(zip(sheet.index, range(n, n + len(sheet.index))))
+            n += len(sheet.index)
+        self._populated = n
+        # Each populated node's shape, None for a data cell.
+        self._shapes: list = [None] * n
         # Per node, in reference order: precedents (with multiplicity) and
         # dependents. Edges point in the direction of data flow. A node
         # without a formula shares one empty tuple of precedents.
@@ -161,27 +176,24 @@ class CellGraph:
         # until the sort keys are built from them.
         empty_keys: list[tuple[int, int]] = []
         empty_sheets: list[int] = []
-        self.dangling: list[DanglingReference] = []
+        dangling: list[tuple[int, str, str]] = []  # (node id, text, sheet)
 
         edges = 0
         range_cells_left = max_range_cells
         layouts: dict[tuple[int, ...], tuple[int, ...]] = {}
         sheet_pos = {sheet.name: pos for pos, sheet in enumerate(wb.sheets)}
         succs = self._succs
-        for own in wb.sheets:
-            own_ids = self._ids[own.name]
-            for key, cell in own.cells.items():
-                if cell.shape is None:
-                    continue
-                dst = own_ids[key]
+        for own, first in zip(wb.sheets, self._offsets):
+            for dst, shape, refs in zip(map(first.__add__, own.formula_rows),
+                                        own.shapes, own.refs):
+                self._shapes[dst] = shape
                 preds = self._preds[dst] = []
                 ends = []
-                for ref in cell.shape.references(cell.refs):
+                for ref in shape.references(refs):
                     sheet = _resolve(wb, ref, own)
                     if sheet is None:
-                        first = ref if isinstance(ref, CellRef) else ref.start
-                        self.dangling.append(
-                            DanglingReference(cell.address, ref.render(), first.sheet))
+                        first_ref = ref if isinstance(ref, CellRef) else ref.start
+                        dangling.append((dst, ref.render(), first_ref.sheet))
                         ends.append(len(preds))
                         continue
                     ids = self._ids[sheet.name]
@@ -203,7 +215,7 @@ class CellGraph:
                     range_cells_left -= ref.width * ref.height
                     if range_cells_left < 0:
                         raise RangeBudgetError(
-                            cell.address.render(), ref.render(), max_range_cells)
+                            _address(own, dst - first), ref.render(), max_range_cells)
                     targets = list(product(range(ref.start.row, ref.end.row + 1),
                                            range(ref.start.column, ref.end.column + 1)))
                     found = list(map(ids.get, targets))
@@ -214,7 +226,7 @@ class CellGraph:
                         range_cells_left -= (EMPTY_RANGE_CELL_COST - 1) * empty
                         if range_cells_left < 0:
                             raise RangeBudgetError(
-                                cell.address.render(), ref.render(), max_range_cells)
+                                _address(own, dst - first), ref.render(), max_range_cells)
                         new = list(compress(targets, map(is_, found, repeat(None))))
                         ids.update(zip(new, range(len(succs), len(succs) + empty)))
                         succs.extend(map(list, repeat((dst,), empty)))
@@ -231,6 +243,9 @@ class CellGraph:
         self.node_count = len(succs)
         self.edge_count = edges
         self._set_sort_keys(empty_keys, empty_sheets)
+        self.dangling: list[DanglingReference] = [
+            DanglingReference(self.address_of(dst), text, missing)
+            for dst, text, missing in dangling]
         self._topo = self._topological_order()
         self.cycles: list[list[CellRef]] = (
             self._find_cycles() if len(self._topo) < self.node_count else []
@@ -244,7 +259,7 @@ class CellGraph:
         largest row and column of any node, populated or materialized."""
         sheets = self._wb.sheets
         self._sheet_names = [sheet.name for sheet in sheets]
-        keys = list(chain.from_iterable(sheet.cells for sheet in sheets))
+        keys = list(chain.from_iterable(sheet.index for sheet in sheets))
         keys += empty_keys
         rows = list(map(itemgetter(0), keys))
         columns = list(map(itemgetter(1), keys))
@@ -256,7 +271,7 @@ class CellGraph:
         sort_keys = map(or_, map(lshift, rows, repeat(self._column_bits)), columns)
         if len(sheets) > 1:
             positions = chain.from_iterable(
-                repeat(pos, len(sheet.cells)) for pos, sheet in enumerate(sheets))
+                repeat(pos, len(sheet.index)) for pos, sheet in enumerate(sheets))
             sort_keys = map(or_, sort_keys, map(
                 lshift, chain(positions, empty_sheets), repeat(self._sheet_shift)))
         self._sort_keys: list[int] = list(sort_keys)
@@ -287,22 +302,37 @@ class CellGraph:
             return False
 
     def nodes(self) -> list[CellRef]:
-        return [cell.address for cell in self._cells] + list(
-            self.locations(range(self._populated, self.node_count)))
+        return list(self.locations(range(self.node_count)))
 
     def cells(self) -> list[Cell]:
-        """The workbook's cells in node order: node ``i`` is ``cells()[i]``."""
-        return list(self._cells)
+        """The workbook's cells in node order: node ``i`` is ``cells()[i]``.
+        Each sheet builds its ``Cell`` objects on first read."""
+        return list(chain.from_iterable(sheet.cells.values() for sheet in self._wb.sheets))
 
     def cell_ids(self) -> list[int]:
         """The node ids of the workbook's cells, canonical sheet/row/column
         order."""
-        return self._canonical(range(self._populated))
+        return self.canonical(range(self._populated))
+
+    def shapes(self) -> list:
+        """Each populated node's ``FormulaShape`` by node id; None for a
+        data cell."""
+        return list(self._shapes)
+
+    def formulas(self) -> tuple[list[int], list, list]:
+        """The formula cells' node ids, ascending, with their shapes and
+        refs (as ``Cell`` keeps them) in the same order."""
+        ids: list[int] = []
+        shapes: list = []
+        refs: list = []
+        for sheet, first in zip(self._wb.sheets, self._offsets):
+            ids += map(first.__add__, sheet.formula_rows)
+            shapes += sheet.shapes
+            refs += sheet.refs
+        return ids, shapes, refs
 
     def address_of(self, idx: int) -> CellRef:
-        """A node's address; a materialized empty cell's is built here."""
-        if idx < self._populated:
-            return self._cells[idx].address
+        """A node's address, built from its sort key."""
         key = self._sort_keys[idx]
         return CellRef(self._sheet_names[key >> self._sheet_shift],
                        key & self._column_mask,
@@ -331,12 +361,15 @@ class CellGraph:
         return self._sheets_of(self._sort_keys)
 
     def formula_of(self, idx: int) -> Optional[Cell]:
-        """The formula cell of a node; None for a data or empty cell."""
-        if idx < self._populated:
-            cell = self._cells[idx]
-            if cell.shape is not None:
-                return cell
-        return None
+        """The formula cell of a node, built on each call; None for a data
+        or empty cell."""
+        if idx >= self._populated or self._shapes[idx] is None:
+            return None
+        sheet_pos = bisect_right(self._offsets, idx) - 1
+        sheet = self._wb.sheets[sheet_pos]
+        k = bisect_left(sheet.formula_rows, idx - self._offsets[sheet_pos])
+        return Cell(self.address_of(idx), source=sheet.sources[k],
+                    shape=sheet.shapes[k], refs=sheet.refs[k])
 
     def precedents(self, addr: AddrLike) -> list[CellRef]:
         """The cells a cell reads, one per resolved reference, in reference
@@ -360,8 +393,22 @@ class CellGraph:
             start = end
         return targets
 
-    def _canonical(self, indices: Iterable[int]) -> list[int]:
-        return sorted(indices, key=self._sort_keys.__getitem__)
+    def canonical(self, ids: Iterable[int]) -> list[int]:
+        """Node ids sorted into canonical sheet/row/column order."""
+        return sorted(ids, key=self._sort_keys.__getitem__)
+
+    def downstream(self, ids: Iterable[int]) -> set[int]:
+        """Nodes ``ids`` and every node that reads one of them, directly or
+        through other cells."""
+        succs = self._succs
+        seen = set(ids)
+        stack = list(seen)
+        while stack:
+            for w in succs[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        return seen
 
     # -- degrees and roles ----------------------------------------------------
 
@@ -371,20 +418,23 @@ class CellGraph:
     def fan_out(self, addr: AddrLike) -> int:
         return len(self._succs[self._node(addr)])
 
+    def bottom_line_ids(self) -> list[int]:
+        """The node ids of the formula cells with no dependents, in
+        canonical sheet/row/column order."""
+        ids = self.formulas()[0]
+        return self.canonical(compress(ids, map(not_, map(self._succs.__getitem__, ids))))
+
     def bottom_line_cells(self) -> list[CellRef]:
         """Formula cells with no dependents, in canonical sheet/row/column order."""
-        cells = self._cells
-        idxs = [i for i in compress(range(self._populated), map(not_, self._succs))
-                if cells[i].shape is not None]
-        return [cells[i].address for i in self._canonical(idxs)]
+        return self._addresses(self.bottom_line_ids())
 
     def input_cells(self) -> list[CellRef]:
         idxs = compress(range(self.node_count), map(not_, self._preds))
-        return self._addresses(self._canonical(idxs))
+        return self._addresses(self.canonical(idxs))
 
     def materialized_locations(self) -> Locations:
         """The empty cells the graph materialized, in canonical order."""
-        return self.locations(self._canonical(range(self._populated, self.node_count)))
+        return self.locations(self.canonical(range(self._populated, self.node_count)))
 
     def materialized_cells(self) -> list[CellRef]:
         return list(self.materialized_locations())
@@ -469,7 +519,7 @@ class CellGraph:
                     parent = work[-1][0]
                     low[parent] = min(low[parent], low[v])
         cycles = [
-            self._canonical(comp) for comp in sccs
+            self.canonical(comp) for comp in sccs
             if len(comp) > 1 or comp[0] in self._preds[comp[0]]
         ]
         cycles.sort(key=lambda cyc: self._sort_keys[cyc[0]])
@@ -524,7 +574,7 @@ class CellGraph:
         canonical order."""
         idx = self._node(addr)
         self._ensure_acyclic()
-        return self._canonical(self._closure(idx))
+        return self.canonical(self._closure(idx))
 
     def cascade_members(self, addr: AddrLike) -> list[CellRef]:
         """The terminal plus all its transitive precedents, canonical order."""

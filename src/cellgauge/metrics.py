@@ -9,8 +9,9 @@ counts, dispersion and spans use the cell's precedents in the dependency
 graph (one per member cell of a range), and the graph's cross-sheet arcs
 give the data binding triples. Range linkage reads each run formula's
 per-reference targets from the graph, one target list per reference slot.
-Range linkage and modular metrics walk the graph's cells by node id, so
-neither looks a cell up by its address.
+Range linkage and modular metrics read the graph's node-id columns (its
+formula cells' ids, shapes and refs, and the nodes' locations), so neither
+builds a ``Cell`` or looks a cell up by its address.
 
 Sizes, nesting, decision counts and shift keys depend only on a formula's
 shape (``formula.FormulaShape``), which the load computes once for all the
@@ -28,11 +29,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, repeat
-from operator import attrgetter, eq, gt, mul, not_, or_, sub
-from typing import Iterator, Optional, Sequence
+from operator import eq, gt, mul, not_, or_, sub
+from typing import Iterator, Sequence
 
 from .errors import DomainError, require_finite
-from .formula import decision_count  # re-exported
+from .formula import FormulaShape, decision_count  # decision_count re-exported
 from .graph import CellGraph
 from .refs import CellRef, Locations, RangeRef
 from .workbook import Cell, Workbook
@@ -183,37 +184,19 @@ class RangeLinkageFinding:
     verdict: str  # "ok" | "violation"
 
 
-def _shift_keys(cells: list[Cell]) -> list[Optional[str]]:
-    """Each formula cell's shift key (``FormulaShape.shift_key_at``); None
-    for a data cell."""
-    return [
-        None if c.shape is None
-        else c.shape.shift_key_at(c.refs, c.address.column, c.address.row)
-        for c in cells
-    ]
-
-
-def _runs_along(cells: list[Cell], fixed: str,
-                keys: Optional[list[Optional[str]]] = None) -> list[list[int]]:
+def _runs_along(ids: list[int], at: Locations, keys: list[str],
+                fixed: str) -> list[list[int]]:
     """Maximal runs of >= 2 consecutive shift-equivalent formula cells, each
-    as the positions of its cells in ``cells``; data cells join no run.
+    as the node ids of its cells.
 
+    Formula cell ``ids[k]`` sits at ``at[k]`` and has shift key ``keys[k]``.
     ``fixed`` is the constant axis: "column" groups vertical runs, "row"
-    groups horizontal ones. ``keys[i]`` is the shift key of ``cells[i]``;
-    it is computed here when not given.
+    groups horizontal ones.
     """
-    if keys is None:
-        keys = _shift_keys(cells)
+    lines, positions = (at.columns, at.rows) if fixed == "column" else (at.rows, at.columns)
     groups: dict[tuple, list[tuple[int, str, int]]] = {}
-    for i, (cell, key_text) in enumerate(zip(cells, keys)):
-        if key_text is None:
-            continue
-        a = cell.address
-        if fixed == "column":
-            group, pos = (a.sheet, a.column), a.row
-        else:
-            group, pos = (a.sheet, a.row), a.column
-        groups.setdefault(group, []).append((pos, key_text, i))
+    for i, sheet, line, pos, key_text in zip(ids, at.sheets, lines, positions, keys):
+        groups.setdefault((sheet, line), []).append((pos, key_text, i))
     runs = []
     for entries in groups.values():
         entries.sort(key=lambda e: e[0])
@@ -243,13 +226,13 @@ def _block_through(
     """
     found = blocks.get((sheet, vertical, line, pos))
     if found is None:
-        cells = wb.sheet(sheet).cells
+        index = wb.sheet(sheet).index
         if vertical:
             def populated(p: int) -> bool:
-                return (p, line) in cells
+                return (p, line) in index
         else:
             def populated(p: int) -> bool:
-                return (line, p) in cells
+                return (line, p) in index
         lo = hi = pos
         while lo > 1 and populated(lo - 1):
             lo -= 1
@@ -266,11 +249,13 @@ def _block_through(
     return hi - lo + 1, bounds
 
 
-def _copied_runs(cells: list[Cell]) -> tuple[list[list[int]], list[list[int]]]:
-    """The vertical and the horizontal runs of ``cells`` (positions in
-    ``cells``), keying each cell once."""
-    keys = _shift_keys(cells)
-    return _runs_along(cells, "column", keys), _runs_along(cells, "row", keys)
+def _copied_runs(g: CellGraph) -> tuple[list[list[int]], list[list[int]]]:
+    """The vertical and the horizontal runs of ``g``'s formula cells, as
+    node ids, keying each cell once (``FormulaShape.shift_key_at``)."""
+    ids, shapes, refs = g.formulas()
+    at = g.locations(ids)
+    keys = list(map(FormulaShape.shift_key_at, shapes, refs, at.columns, at.rows))
+    return _runs_along(ids, at, keys, "column"), _runs_along(ids, at, keys, "row")
 
 
 # A reference slot of a run: (s, reference style, actual extent, source bounds).
@@ -291,30 +276,29 @@ def _slots(wb: Workbook, g: CellGraph, run: list[int], vertical: bool,
     cells, and it is absolute only when its last copy reads exactly its
     first copy's cells. ``s`` is the first copy's cell count.
     """
-    addr = g.address_of
     for first, last in zip(g.reference_targets(run[0]), g.reference_targets(run[-1])):
         if not first:  # a reference to a missing sheet
             continue
-        a, z, b, y = map(addr, (first[0], first[-1], last[0], last[-1]))
-        if vertical:
-            line, lo, hi = a.column, min(a.row, b.row), max(z.row, y.row)
-            if any(addr(i).column != line for i in first):
-                continue
-        else:
-            line, lo, hi = a.row, min(a.column, b.column), max(z.column, y.column)
-            if any(addr(i).row != line for i in first):
-                continue
-        cells = wb.sheet(a.sheet).cells
+        at, ends = g.locations(first), g.locations((last[0], last[-1]))
+        # Along the slot's line and across it, for the first copy's cells
+        # and for the last copy's two ends.
+        along, across = (at.rows, at.columns) if vertical else (at.columns, at.rows)
+        ends_along = ends.rows if vertical else ends.columns
+        line, lo, hi = across[0], min(along[0], ends_along[0]), max(along[-1], ends_along[1])
+        if across.count(line) != len(first):
+            continue
+        sheet = at.sheets[0]
+        index = wb.sheet(sheet).index
 
         def key(p: int) -> tuple[int, int]:  # (row, column) of position p
             return (p, line) if vertical else (line, p)
 
-        anchor = next((p for p in range(lo, hi + 1) if key(p) in cells), None)
+        anchor = next((p for p in range(lo, hi + 1) if key(p) in index), None)
         if anchor is None:
             (r1, c1), (r2, c2) = key(lo), key(hi)
-            actual, bounds = 0, RangeRef(CellRef(a.sheet, c1, r1), CellRef(a.sheet, c2, r2))
+            actual, bounds = 0, RangeRef(CellRef(sheet, c1, r1), CellRef(sheet, c2, r2))
         else:
-            actual, bounds = _block_through(wb, a.sheet, vertical, line, anchor, blocks)
+            actual, bounds = _block_through(wb, sheet, vertical, line, anchor, blocks)
         # A slot's cells are one segment of its line, so its ends fix them.
         same = first[0] == last[0] and first[-1] == last[-1]
         yield len(first), "absolute" if same else "relative", actual, bounds
@@ -329,13 +313,14 @@ def check_range_linkage(wb: Workbook, g: CellGraph) -> list[RangeLinkageFinding]
     (``s`` for absolute references, run length + ``s`` - 1 for relative).
     What each reference reads comes from ``g``, the graph of ``wb``; a
     position where some formula names a missing sheet is skipped. Runs are
-    found over ``g.cells()``, so each run is a list of node ids, and each
-    run is read from its first and last copies (``_slots``).
+    found over the graph's formula cells (``g.formulas()``), so each run is
+    a list of node ids, and each run is read from its first and last copies
+    (``_slots``).
     """
     findings: list[RangeLinkageFinding] = []
     addr = g.address_of
     blocks: dict[tuple, tuple[int, int]] = {}
-    for vertical, runs in zip((True, False), _copied_runs(g.cells())):
+    for vertical, runs in zip((True, False), _copied_runs(g)):
         for run in runs:
             target = RangeRef(addr(run[0]), addr(run[-1]))
             for s, style, actual, bounds in _slots(wb, g, run, vertical, blocks):
@@ -373,18 +358,17 @@ def modular_metrics(wb: Workbook, g: CellGraph) -> ModularMetrics:
     """Data binding triples, module fan-in/out and the share of data cells
     nothing reads, from ``g``, the graph of ``wb``, by node id."""
     triples: set[tuple[str, int, str]] = set()  # (P, node id of Q, R)
-    cells = g.cells()
-    shapes = list(map(attrgetter("shape"), cells))
+    shapes = g.shapes()
     sheet_of = g.sheet_names()
     read: set[int] = set()  # every node some formula reads
-    for i in compress(range(len(cells)), shapes):
-        r = cells[i].address.sheet
+    for i in g.formulas()[0]:
+        r = sheet_of[i]
         preds = g.precedent_ids(i)
         read.update(preds)
         for q in preds:
             if sheet_of[q] != r:
                 triples.add((sheet_of[q], q, r))
-    data = list(compress(range(len(cells)), map(not_, shapes)))
+    data = list(compress(range(len(shapes)), map(not_, shapes)))
     data_cells = len(data)
     unreferenced = data_cells - sum(map(read.__contains__, data))
     fan_in: dict[str, set[str]] = {s.name: set() for s in wb.sheets}

@@ -12,7 +12,7 @@ import re
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from operator import attrgetter
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Union
 
 # A sheet name that needs no quotes; any other is quoted, with '' for '.
 _PLAIN_SHEET_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
@@ -217,7 +217,9 @@ def render_ref(ref: CellRef) -> str:
 def render_refs(refs: Iterable[CellRef]) -> list[str]:
     """``[ref.render() for ref in refs]``, quoting each sheet name and
     lettering each column once per call: reports render thousands of
-    addresses on a few sheets."""
+    addresses on a few sheets. ``Locations`` render themselves."""
+    if isinstance(refs, Locations):
+        return refs.render()
     prefixes: dict[Optional[str], str] = {None: ""}
     letters: dict[int, str] = {}
     out: list[str] = []
@@ -240,8 +242,9 @@ class Locations(Sequence):
     sheet named ``sheets[k]`` (None for the same sheet), in column
     ``columns[k]`` and row ``rows[k]``.
 
-    It reads as a sequence of ``CellRef``, each built when it is read;
-    ``render`` gives every cell's text without building one.
+    It reads as a sequence of ``CellRef``, each built when it is read (a
+    slice reads as ``Locations``); ``render`` gives every cell's text
+    without building one.
     """
 
     __slots__ = ("sheets", "columns", "rows")
@@ -262,7 +265,9 @@ class Locations(Sequence):
     def __len__(self) -> int:
         return len(self.rows)
 
-    def __getitem__(self, k: int) -> CellRef:
+    def __getitem__(self, k: Union[int, slice]) -> Union[CellRef, "Locations"]:
+        if isinstance(k, slice):
+            return Locations(self.sheets[k], self.columns[k], self.rows[k])
         return CellRef(self.sheets[k], self.columns[k], self.rows[k])
 
     def render(self) -> list[str]:

@@ -5,14 +5,17 @@ range linkage -> cell metrics -> conditionals -> cascades and reliability
 -> modular structure and collects per-cell problems as warnings instead of
 aborting; only unreadable or structurally invalid input raises. The graph
 resolves each reference once, and every later stage reads from it what a
-reference reads. After the graph is built the stages pass node ids: cell
-metrics are computed in node order, rates and final constructs are keyed by
-node id, and the only address lookups are one per bottom-line cell. The
-report keeps its cells as two columns in canonical order (``CellColumns``):
-addresses, and metrics records that many cells share, such as the one
-all-zero record of every data cell. It keeps its warnings the same way
-(``WarningColumns``): address texts, and records that every W003 warning
-shares, so an empty cell a range reads costs the report one address text.
+reference reads. After the graph is built the stages pass node ids and
+read the graph's node-id columns, so no ``Cell`` is built but the one each
+copy-class ``formula_metrics`` call reads: cell metrics are computed in
+node order, rates and final constructs are keyed by node id, and the
+cascades walk the bottom-line cells by id. The report keeps its cells as
+two columns in canonical order (``CellColumns``): addresses, the graph's
+``Locations`` rendered per sheet, and metrics records that many cells
+share, such as the one all-zero record of every data cell. It keeps its
+warnings the same way (``WarningColumns``): address texts, and records
+that every W003 warning shares, so an empty cell a range reads costs the
+report one address text.
 
 The JSON form is canonical: sorted keys, floats rounded to six decimals,
 stable ordering everywhere, so identical input bytes and configuration
@@ -55,6 +58,7 @@ from .conditionals import (
 )
 from .errors import (
     AuditWarning,
+    CascadeBudgetError,
     W_CROSS_SHEET_DISPERSION_EXCLUDED,
     W_CYCLE_DETECTED,
     W_DANGLING_REFERENCE,
@@ -87,6 +91,11 @@ from .reliability import (
     cell_error_rates,
 )
 from .workbook import Workbook, load_workbook
+
+
+# The most members the cascades of one audit may hold in all. Building and
+# summing over one member takes ~0.45 us, so this caps that work near 45 s.
+MAX_CASCADE_CELLS = 100_000_000
 
 
 @dataclass(frozen=True)
@@ -141,11 +150,12 @@ class _Columns:
     def __iter__(self) -> Iterator:
         moved = self._moved
         for address, r in zip(self.addresses, self.records):
-            yield r if r.address is address else moved(r, address)
+            yield r if r.address == address else moved(r, address)
 
 
 class CellColumns(_Columns):
-    """A report's cells in canonical order: ``CellRef`` addresses and
+    """A report's cells in canonical order: addresses, a list of ``CellRef``
+    or the ``Locations`` that ``analyze_workbook`` gives, and
     ``CellMetrics`` records, one all-zero record for every data cell."""
 
     __slots__ = ()
@@ -315,9 +325,7 @@ def _graph_analysis(
     # Per node id, then in canonical order for the report.
     by_node = _cell_metrics(graph, config.dispersion)
     order = graph.cell_ids()
-    cells = CellColumns(
-        list(map(operator.attrgetter("address"), map(graph.cells().__getitem__, order))),
-        list(map(by_node.__getitem__, order)))
+    cells = CellColumns(graph.locations(order), list(map(by_node.__getitem__, order)))
     records = cells.records
     for k in itertools.compress(
             itertools.count(), map(operator.attrgetter("cross_sheet_ref_count"), records)):
@@ -335,8 +343,12 @@ def _graph_analysis(
         finals = finals_by_cell(constructs)
         rates = cell_error_rates(by_node, config.reliability)
         cascades = []
-        for terminal in graph.bottom_line_cells():
+        members_left = MAX_CASCADE_CELLS
+        for terminal in graph.bottom_line_ids():
             stats = graph.cascade_stats(terminal)
+            members_left -= stats.cell_count
+            if members_left < 0:
+                raise CascadeBudgetError(stats.terminal.render(), MAX_CASCADE_CELLS)
             rel = cascade_reliability(stats, rates, config.reliability)
             conds = tuple(
                 (c, complexity[c.id]) for c in cascade_finals(stats.member_ids, finals)
@@ -355,23 +367,22 @@ def _cell_metrics(graph: CellGraph, cfg: DispersionConfig) -> list[CellMetrics]:
     Every data cell shares the all-zero record, built without a call.
     Copies of a formula whose references are all relative read their cells
     at the same offsets, so on one sheet they share the record the first
-    copy's call computes. Any other formula gets a call of its own.
+    copy's call computes. Any other formula gets a call of its own. Each
+    call gets the one ``Cell`` it reads, built for it (``formula_of``).
     """
-    cells = graph.cells()
-    shapes = list(map(operator.attrgetter("shape"), cells))
+    shapes = graph.shapes()
     first_data = next(itertools.compress(itertools.count(), map(operator.not_, shapes)), None)
-    zero = None if first_data is None else CellMetrics(cells[first_data].address)
-    by_node: list = [zero] * len(cells)  # then each formula cell's record
+    zero = None if first_data is None else CellMetrics(graph.address_of(first_data))
+    by_node: list = [zero] * len(shapes)  # then each formula cell's record
     shared: dict[tuple, CellMetrics] = {}  # by (shape, sheet)
-    for i in itertools.compress(itertools.count(), shapes):  # the formula cells
-        cell, shape = cells[i], shapes[i]
-        if shape.relative:
-            m = shared.get((shape, cell.address.sheet))
-            if m is None:
-                m = shared[shape, cell.address.sheet] = formula_metrics(
-                    cell, graph.locations(graph.precedent_ids(i)), cfg)
-        else:
-            m = formula_metrics(cell, graph.locations(graph.precedent_ids(i)), cfg)
+    ids, formula_shapes, _ = graph.formulas()
+    for i, shape, sheet in zip(ids, formula_shapes, graph.locations(ids).sheets):
+        m = shared.get((shape, sheet)) if shape.relative else None
+        if m is None:
+            m = formula_metrics(graph.formula_of(i),
+                                graph.locations(graph.precedent_ids(i)), cfg)
+            if shape.relative:
+                shared[shape, sheet] = m
         by_node[i] = m
     return by_node
 

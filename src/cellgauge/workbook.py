@@ -6,15 +6,27 @@ whose text begins with ``=`` are parsed as formulas; malformed formulas are
 downgraded to string data cells with a W001 warning so an audit can proceed
 on broken workbooks. A CSV with malformed quoting is a FormatError.
 
+A sheet keeps its cells as columns in document order (``Sheet``): an index
+from each (row, column) key to a position, a values column (None at a
+formula row) and, for the formula rows only, their source texts, shapes and
+references. The loader fills these columns and builds no ``Cell`` and no
+``CellRef`` per cell. A well-formed cell doc takes the fast path: one
+key-set test, one address match with a per-load memo of column letters, and
+its value typed inline. Any other doc goes through every check of the cell
+schema in turn (``_checked_cell``), so the error it raises, and which error
+wins, do not depend on the fast path. ``Sheet.cells``, ``Workbook.cell``,
+``iter_cells`` and ``formula_cells`` build ``Cell`` objects from the columns
+on first read.
+
 Most formulas in a model are copies of one another, identical up to the
 shift of their relative references. One load keys each formula text by its
 shape (``formula.shape_key``, which cuts the text into tokens once per
-character-class skeleton and also yields its references) and parses only the first text of each shape, into the
-``FormulaShape`` every copy carries: the measures that do not depend on
-where a copy sits. No AST outlives the load; a copy keeps only its text and
-its references, and ``Cell.ast`` parses the text again when it is read. A
-text that fails to parse has no shape: each such text is parsed, and
-reports its error offset, on its own.
+character-class skeleton and also yields its references) and parses only
+the first text of each shape, into the ``FormulaShape`` every copy carries:
+the measures that do not depend on where a copy sits. No AST outlives the
+load; a copy keeps only its text and its references, and ``Cell.ast``
+parses the text again when it is read. A text that fails to parse has no
+shape: each such text is parsed, and reports its error offset, on its own.
 
 The workbook holds cells only; the dependency graph (``graph.py``) is what
 maps a formula's references to the cells they read.
@@ -42,10 +54,12 @@ from .refs import MAX_COLUMN, CellRef, letters_to_column, parse_cell_address
 
 DataValue = Union[float, str, bool]
 
-# The common form of a cell's "ref": upper-case letters and a row with no
-# leading zero. Anything else, or a column past XFD, goes through
-# ``parse_cell_address``.
-_PLAIN_ADDRESS = re.compile(r"\$?([A-Z]{1,3})\$?([1-9][0-9]*)\Z")
+# The common form of a cell's "ref": upper-case letters and a row of at
+# most seven digits with no leading zero. Anything else, or a column past
+# XFD, goes through ``parse_cell_address``, which also turns a row past
+# ``int``'s digit limit into an error.
+_PLAIN_ADDRESS = re.compile(r"\$?([A-Z]{1,3})\$?([1-9][0-9]{0,6})\Z")
+_CELL_FIELDS = frozenset(("ref", "value", "formula"))
 
 
 @dataclass(frozen=True, slots=True)
@@ -77,21 +91,54 @@ class Cell:
         return None if self.shape is None else parse_formula(self.source)
 
 
-@dataclass
 class Sheet:
-    name: str
-    cells: dict[tuple[int, int], Cell] = field(default_factory=dict)  # (row, col)
+    """A sheet's cells as columns in document order.
+
+    ``index`` maps each cell's (row, column) key to its position, and
+    ``values[k]`` is the value at position k, None at a formula row. The
+    formula rows alone, in position order, have their positions in
+    ``formula_rows`` and their texts, shapes and references (as ``Cell``
+    keeps them) in ``sources``, ``shapes`` and ``refs``. ``cells`` is the
+    same cells as a dict of ``Cell`` by (row, column) key, built on first
+    read and then kept. Sheets compare by name and ``cells``.
+    """
+
+    __slots__ = ("name", "index", "values", "formula_rows", "sources", "shapes",
+                 "refs", "_cells")
+
+    def __init__(self, name: str):
+        self.name = name
+        self.index: dict[tuple[int, int], int] = {}
+        self.values: list[Optional[DataValue]] = []
+        self.formula_rows: list[int] = []
+        self.sources: list[str] = []
+        self.shapes: list[FormulaShape] = []
+        self.refs: list[Optional[tuple[CellRef, ...]]] = []
+        self._cells: Optional[dict[tuple[int, int], Cell]] = None
+
+    @property
+    def cells(self) -> dict[tuple[int, int], Cell]:
+        if self._cells is None:
+            name, keys = self.name, list(self.index)
+            built = [None if value is None else Cell(CellRef(name, column, row), value)
+                     for (row, column), value in zip(keys, self.values)]
+            for pos, source, shape, refs in zip(
+                    self.formula_rows, self.sources, self.shapes, self.refs):
+                row, column = keys[pos]
+                built[pos] = Cell(CellRef(name, column, row), source=source,
+                                  shape=shape, refs=refs)
+            self._cells = dict(zip(keys, built))
+        return self._cells
 
     def cell(self, column: int, row: int) -> Optional[Cell]:
         return self.cells.get((row, column))
 
-    def add(self, cell: Cell) -> None:
-        key = (cell.address.row, cell.address.column)
-        if key in self.cells:
-            raise FormatError(
-                f"duplicate cell {cell.address.render()} in sheet {self.name!r}"
-            )
-        self.cells[key] = cell
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sheet):
+            return NotImplemented
+        return self.name == other.name and self.cells == other.cells
+
+    __hash__ = None  # type: ignore[assignment]
 
 
 @dataclass
@@ -158,35 +205,133 @@ def _typed_value(raw: object, address: CellRef) -> DataValue:
 
 @dataclass
 class _Shapes:
-    """The formula shapes of one load by shape key, and ``shape_key``'s
-    memos: what each reference text denotes, and the cuts of each text
+    """The formula shapes of one load by shape key, and the load's memos:
+    the column of each column-letters text, and ``shape_key``'s memos of
+    what each reference text denotes and of the cuts of each text
     skeleton."""
 
     by_key: dict[tuple, FormulaShape] = field(default_factory=dict)
+    columns: dict[str, int] = field(default_factory=dict)
     refs: dict = field(default_factory=dict)
     cuts: dict = field(default_factory=dict)
 
 
-def _make_cell(address: CellRef, text_or_value, warnings: list[AuditWarning],
-               is_formula: bool, shapes: _Shapes) -> Cell:
-    if not is_formula:
-        return Cell(address=address, value=_typed_value(text_or_value, address))
-    keyed = shape_key(text_or_value, address.column, address.row, shapes.refs,
-                      shapes.cuts)
+def _add_formula(sheet: Sheet, key: tuple[int, int], text: str,
+                 warnings: list[AuditWarning], shapes: _Shapes) -> None:
+    """Append the cell with formula ``text`` at ``key``, which the sheet's
+    index already gives the next position, to the sheet's columns. A text
+    that does not parse becomes a string data cell with a W001 warning."""
+    row, column = key
+    keyed = shape_key(text, column, row, shapes.refs, shapes.cuts)
     shape = shapes.by_key.get(keyed[0]) if keyed is not None else None
+    refs = None
     if shape is not None:
-        return Cell(address=address, source=text_or_value, shape=shape, refs=keyed[1])
-    try:
-        ast = parse_formula(text_or_value)
-    except FormulaSyntaxError as exc:
-        warnings.append(
-            AuditWarning(W_FORMULA_ERROR, address.render(), str(exc))
+        refs = keyed[1]
+    else:
+        try:
+            ast = parse_formula(text)
+        except FormulaSyntaxError as exc:
+            warnings.append(AuditWarning(
+                W_FORMULA_ERROR, CellRef(sheet.name, column, row).render(), str(exc)))
+            sheet.values.append(str(text))
+            return
+        shape = FormulaShape(ast, column, row)
+        if keyed is not None:
+            shapes.by_key[keyed[0]] = shape
+    sheet.formula_rows.append(len(sheet.values))
+    sheet.values.append(None)
+    sheet.sources.append(text)
+    sheet.shapes.append(shape)
+    sheet.refs.append(refs)
+
+
+def _checked_cell(sheet: Sheet, cell_doc: object, warnings: list[AuditWarning],
+                  shapes: _Shapes) -> None:
+    """Append a cell doc to the sheet after every check of the cell schema,
+    one at a time, raising FormatError for the first that fails."""
+    if not isinstance(cell_doc, dict):
+        raise FormatError("cell entry must be an object")
+    extra = set(cell_doc) - _CELL_FIELDS
+    if extra:
+        raise FormatError(f"unknown cell fields: {sorted(extra)}")
+    ref_text = cell_doc.get("ref")
+    if not isinstance(ref_text, str):
+        raise FormatError('cell "ref" must be a string')
+    if "!" in ref_text:
+        raise FormatError(f"cell ref must not carry a sheet: {ref_text!r}")
+    plain = _PLAIN_ADDRESS.match(ref_text)
+    if plain is not None and (column := letters_to_column(plain[1])) <= MAX_COLUMN:
+        address = CellRef(sheet.name, column, int(plain[2]))
+    else:
+        try:
+            ref = parse_cell_address(ref_text)
+        except ValueError as exc:
+            raise FormatError(str(exc)) from exc
+        address = CellRef(sheet.name, ref.column, ref.row)
+    has_value = "value" in cell_doc
+    has_formula = "formula" in cell_doc
+    if has_value == has_formula:
+        raise FormatError(
+            f"cell {ref_text} must have exactly one of value/formula"
         )
-        return Cell(address=address, value=str(text_or_value))
-    shape = FormulaShape(ast, address.column, address.row)
-    if keyed is not None:
-        shapes.by_key[keyed[0]] = shape
-    return Cell(address=address, source=text_or_value, shape=shape)
+    if has_formula and not isinstance(cell_doc["formula"], str):
+        raise FormatError(f'cell {ref_text} "formula" must be a string')
+    value = None if has_formula else _typed_value(cell_doc["value"], address)
+    key = (address.row, address.column)
+    if key in sheet.index:
+        raise FormatError(
+            f"duplicate cell {address.render()} in sheet {sheet.name!r}"
+        )
+    sheet.index[key] = len(sheet.values)
+    if has_formula:
+        _add_formula(sheet, key, cell_doc["formula"], warnings, shapes)
+    else:
+        sheet.values.append(value)
+
+
+def _load_cells(sheet: Sheet, cell_docs: list, warnings: list[AuditWarning],
+                shapes: _Shapes) -> None:
+    """Append a sheet's cell docs to its columns, in document order.
+
+    A doc takes the fast path while it passes each check there: a dict of
+    known fields, a plain ``ref`` (``_PLAIN_ADDRESS``) up to column XFD, a
+    key not yet in the sheet, and a formula text or a finite number,
+    string or boolean value. Any other doc goes through ``_checked_cell``.
+    """
+    index, values, columns = sheet.index, sheet.values, shapes.columns
+    plain, isfinite = _PLAIN_ADDRESS.match, math.isfinite
+    for cell_doc in cell_docs:
+        if type(cell_doc) is dict and cell_doc.keys() <= _CELL_FIELDS:
+            ref_text = cell_doc.get("ref")
+            m = plain(ref_text) if type(ref_text) is str else None
+            if m is not None:
+                letters, digits = m.groups()
+                column = columns.get(letters)
+                if column is None:
+                    column = columns[letters] = letters_to_column(letters)
+                key, position = (int(digits), column), len(values)
+                # Each branch indexes the key last, once every other check
+                # has passed, so a doc sent on to _checked_cell is not in
+                # the index yet.
+                if column <= MAX_COLUMN and "formula" in cell_doc:
+                    text = cell_doc["formula"]
+                    if (type(text) is str and "value" not in cell_doc
+                            and index.setdefault(key, position) == position):
+                        _add_formula(sheet, key, text, warnings, shapes)
+                        continue
+                elif column <= MAX_COLUMN:
+                    value = cell_doc.get("value")  # None is no value
+                    kind = type(value)
+                    if kind is int:
+                        try:
+                            value, kind = float(value), float
+                        except OverflowError:  # past float's range
+                            pass
+                    if ((kind is float and isfinite(value) or kind is str or kind is bool)
+                            and index.setdefault(key, position) == position):
+                        values.append(value)
+                        continue
+        _checked_cell(sheet, cell_doc, warnings, shapes)
 
 
 def load_workbook_doc(doc: dict, provenance: str = "<doc>") -> Workbook:
@@ -214,41 +359,12 @@ def load_workbook_doc(doc: dict, provenance: str = "<doc>") -> Workbook:
         name = sheet_doc.get("name")
         if not isinstance(name, str) or not name:
             raise FormatError("sheet name must be a non-empty string")
-        sheet = Sheet(name=name)
+        sheet = Sheet(name)
         wb.add_sheet(sheet)
         cells = sheet_doc.get("cells", [])
         if not isinstance(cells, list):
             raise FormatError('"cells" must be a list')
-        for cell_doc in cells:
-            if not isinstance(cell_doc, dict):
-                raise FormatError("cell entry must be an object")
-            extra = set(cell_doc) - {"ref", "value", "formula"}
-            if extra:
-                raise FormatError(f"unknown cell fields: {sorted(extra)}")
-            ref_text = cell_doc.get("ref")
-            if not isinstance(ref_text, str):
-                raise FormatError('cell "ref" must be a string')
-            if "!" in ref_text:
-                raise FormatError(f"cell ref must not carry a sheet: {ref_text!r}")
-            plain = _PLAIN_ADDRESS.match(ref_text)
-            if plain is not None and (column := letters_to_column(plain[1])) <= MAX_COLUMN:
-                address = CellRef(name, column, int(plain[2]))
-            else:
-                try:
-                    ref = parse_cell_address(ref_text)
-                except ValueError as exc:
-                    raise FormatError(str(exc)) from exc
-                address = CellRef(name, ref.column, ref.row)
-            has_value = "value" in cell_doc
-            has_formula = "formula" in cell_doc
-            if has_value == has_formula:
-                raise FormatError(
-                    f"cell {ref_text} must have exactly one of value/formula"
-                )
-            if has_formula and not isinstance(cell_doc["formula"], str):
-                raise FormatError(f'cell {ref_text} "formula" must be a string')
-            payload = cell_doc["formula"] if has_formula else cell_doc["value"]
-            sheet.add(_make_cell(address, payload, wb.warnings, has_formula, shapes))
+        _load_cells(sheet, cells, wb.warnings, shapes)
     return wb
 
 
@@ -256,18 +372,20 @@ def load_csv_grid(text: str, provenance: str = "<csv>") -> Workbook:
     """Load an RFC-4180 CSV grid as a single sheet named ``Sheet1``; bad
     quoting or a field past the csv module's size limit is a FormatError."""
     wb = Workbook(provenance=provenance)
-    sheet = Sheet(name="Sheet1")
+    sheet = Sheet("Sheet1")
     wb.add_sheet(sheet)
     shapes = _Shapes()
+    index, values = sheet.index, sheet.values
     reader = csv.reader(io.StringIO(text), strict=True)
     try:
         for row_idx, row in enumerate(reader, start=1):
             for col_idx, raw in enumerate(row, start=1):
                 if raw == "":
                     continue
-                address = CellRef("Sheet1", col_idx, row_idx)
+                key = (row_idx, col_idx)
+                index[key] = len(values)
                 if raw.startswith("="):
-                    sheet.add(_make_cell(address, raw, wb.warnings, True, shapes))
+                    _add_formula(sheet, key, raw, wb.warnings, shapes)
                     continue
                 upper = raw.strip().upper()
                 if upper in ("TRUE", "FALSE"):
@@ -280,7 +398,7 @@ def load_csv_grid(text: str, provenance: str = "<csv>") -> Workbook:
                     else:
                         if not math.isfinite(value):  # "nan", "inf", "1e400"
                             value = raw
-                sheet.add(Cell(address=address, value=value))
+                values.append(value)
     except csv.Error as exc:
         raise FormatError(f"invalid CSV at line {reader.line_num}: {exc}") from exc
     return wb

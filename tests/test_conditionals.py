@@ -22,7 +22,7 @@ from cellgauge.formula import (
     child_nodes,
     parse_formula,
 )
-from cellgauge.refs import CellRef
+from cellgauge.refs import CellRef, column_to_letters
 from cellgauge.workbook import Cell, Workbook
 
 from conftest import make_graph, make_workbook
@@ -628,6 +628,25 @@ def test_frontier_work_is_linear_in_ifs_reading_a_chain():
 
     small, large = work(300), work(600)
     assert large < 2.2 * small, (small, large)
+
+
+def test_frontier_work_does_not_grow_with_an_unrelated_range():
+    # One IF beside a SUM over a half-empty rectangle 26 columns wide: no
+    # frontier is computed for the SUM, which is downstream of no IF, so
+    # finding conditionals does the same work at 250 rows as at 2,500.
+    from cellgauge import conditionals, graph
+
+    def work(rows):
+        wb, g = make_graph({"S": {
+            **{f"{column_to_letters(c)}{r}": float(r)
+               for r in range(1, rows + 1) for c in range(1, 27) if (c + r) % 2},
+            "AB1": f"=SUM(A1:Z{rows})",
+            "AC1": "=IF(A1>0,1,2)",
+        }})
+        return _lines_run(lambda: find_conditionals(wb, g), (conditionals, graph))
+
+    small, large = work(250), work(2_500)
+    assert large < 1.1 * small, (small, large)
 
 
 # --- IF layouts per shape ----------------------------------------------------------

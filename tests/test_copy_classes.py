@@ -69,12 +69,12 @@ def oracle_check_range_linkage(wb: Workbook, g: CellGraph) -> list[RangeLinkageF
     (``s`` for absolute references, run length + ``s`` - 1 for relative).
     What each reference reads comes from ``g``, the graph of ``wb``; a
     position where some formula names a missing sheet is skipped. Runs are
-    found over ``g.cells()``, so each run is a list of node ids.
+    found over the graph's formula cells, so each run is a list of node ids.
     """
     findings: list[RangeLinkageFinding] = []
     addr = g.address_of
     blocks: dict[tuple, tuple[int, int]] = {}
-    for vertical, runs in zip((True, False), _copied_runs(g.cells())):
+    for vertical, runs in zip((True, False), _copied_runs(g)):
         for run in runs:
             target = RangeRef(addr(run[0]), addr(run[-1]))
             resolved = [g.reference_targets(i) for i in run]

@@ -257,7 +257,10 @@ def test_warnings_are_the_sorted_list_with_w003_spliced_in():
 
 def test_empty_range_cells_build_no_address_or_warning_each(monkeypatch):
     # A SUM over a half-empty 60 x 50 rectangle: analysis and both
-    # emissions build one W003 record in all, and no CellRef at all.
+    # emissions build one W003 record in all, and three CellRefs in all:
+    # the address of the data cells' shared record, of the SUM's cell for
+    # its metrics call, and of its cascade's terminal. No empty cell and no
+    # data cell gets one.
     doc = {"sheets": [{"name": "S", "cells": (
         [{"ref": f"{column_to_letters(c)}{r}", "value": r}
          for r in range(1, 51) for c in range(1, 61) if (c + r) % 2]
@@ -281,7 +284,7 @@ def test_empty_range_cells_build_no_address_or_warning_each(monkeypatch):
         emit_report(report, "text")
     assert report.warning_columns.addresses[:3] == ["S!A1", "S!A11", "S!A13"]
     assert len(report.warning_columns) == 1_500
-    assert built == {CellRef: 0, AuditWarning: 1}
+    assert built == {CellRef: 3, AuditWarning: 1}
 
 
 # --- Rows of every kind at the batch boundaries -------------------------------

@@ -1,0 +1,324 @@
+"""The columnar loaders against the loaders they replace.
+
+``loader_oracle`` keeps the earlier ``load_workbook_doc`` and
+``load_csv_grid`` verbatim: one ``Cell`` and one ``CellRef`` per cell, each
+cell doc checked field by field. On random documents, valid and invalid,
+both loaders must give equal cells (values typed alike), sources,
+references and W001 warnings, or the same FormatError message. Any JSON
+document and any CSV text must give a workbook or a FormatError. The
+audit of the acceptance document builds no ``Cell`` beyond one per
+copy-class metrics call, and its load no ``CellRef`` per data cell.
+"""
+
+from __future__ import annotations
+
+import re
+import sys
+
+import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+import loader_oracle
+from cellgauge import report as report_module
+from cellgauge import workbook as workbook_module
+from cellgauge.errors import FormatError
+from cellgauge.graph import build_graph
+from cellgauge.refs import REFERENCE, CellRef, parse_cell_address
+from cellgauge.report import analyze_workbook, emit_report
+from cellgauge.workbook import Cell, Workbook, load_csv_grid, load_workbook_doc
+
+from test_acceptance import generate_large_workbook_doc
+
+
+def _cells(wb: Workbook) -> list[tuple]:
+    """Every cell of ``wb`` by sheet, in sheet order, with its value's type
+    (True equals 1.0) and what ``==`` on cells leaves out."""
+    return [
+        (sheet.name, key, cell, type(cell.value), cell.refs,
+         None if cell.shape is None else cell.shape.shift_key_at(
+             cell.refs, cell.address.column, cell.address.row))
+        for sheet in wb.sheets for key, cell in sheet.cells.items()
+    ]
+
+
+def _shape_classes(wb: Workbook) -> list[int]:
+    """Which cells share one shape object, as the position of each formula
+    cell's shape among the shapes in order of first use."""
+    first: dict[int, int] = {}
+    return [first.setdefault(id(cell.shape), len(first))
+            for cell in wb.iter_cells() if cell.shape is not None]
+
+
+def assert_loads_alike(load, oracle, source) -> None:
+    """``load(source)`` and ``oracle(source)`` give equal workbooks, or
+    FormatErrors with one message."""
+    try:
+        want = oracle(source)
+    except FormatError as exc:
+        with pytest.raises(FormatError) as got:
+            load(source)
+        assert str(got.value) == str(exc)
+        return
+    wb = load(source)
+    assert [s.name for s in wb.sheets] == [s.name for s in want.sheets]
+    assert _cells(wb) == _cells(want)
+    assert _shape_classes(wb) == _shape_classes(want)
+    assert wb.warnings == want.warnings
+
+
+# --- Random documents -------------------------------------------------------
+#
+# Most cell docs are well formed: a plain ref, or one in lower case, with
+# "$" anchors, a space or a leading zero, and a finite number, a string, a
+# boolean or a formula text (some of which fail to parse, for W001). At
+# most one cell doc of a sheet has a fault: a ref past XFD (one with a row
+# past int's digit limit), at row 0, sheet-qualified, not a reference or
+# not a string; an int past float's range, NaN, an infinity
+# or a non-scalar value; a non-string formula; both value and formula or
+# neither; an extra field; a duplicate ref; or no object at all. One
+# document in three also has a fault above the cells.
+
+REFS = [f"{c}{r}" for c in "ABCDE" for r in range(1, 9)] + [
+    "AA9", "XFD1", "a1", "$B$2", "C$3", " D4", "E05", "A12345678"]
+# A row of more digits than int() converts.
+LONG_ROW = "9" * 5_000
+BAD_REFS = ["XFE1", "XFE" + LONG_ROW, "AAAA1", "A0", "S!A1", "1A", "", "A1:B2", 5, None,
+            ["A1"]]
+VALUES = st.one_of(st.floats(-1e6, 1e6), st.integers(-10 ** 6, 10 ** 6),
+                   st.booleans(), st.text(max_size=4))
+BAD_VALUES = [10 ** 400, -(10 ** 400), 2 ** 1024 - 1, float("nan"), float("inf"),
+              float("-inf"), None, [], {}]
+FORMULAS = st.sampled_from([
+    "=A1+1", "=A2+1", "=B1*2", "=SUM(A1:B2)", "=SUM(a1:$B$2)", "=IF(A1>0,1,2)",
+    "=1+", "=", "A1", "=XFE1", "=A0+1", "=S!A1+T!B2", "=LOG10(4)"])
+FAULTS = ["ref", "value", "formula", "both", "neither", "extra", "duplicate", "other"]
+
+
+@st.composite
+def cell_list(draw) -> list:
+    """Cell docs, at most one of them with a fault."""
+    refs = draw(st.lists(st.sampled_from(REFS), unique=True, max_size=10))
+    faulty = draw(st.integers(0, 2 * len(refs)))  # no fault past the end
+    docs: list = []
+    for k, ref in enumerate(refs):
+        fault = draw(st.sampled_from(FAULTS)) if k == faulty else None
+        if fault == "other":
+            docs.append(draw(st.sampled_from([None, "A1", ["A1", 1]])))
+            continue
+        if fault == "ref":
+            ref = draw(st.sampled_from(BAD_REFS))
+        elif fault == "duplicate" and docs:
+            ref = draw(st.sampled_from(docs)).get("ref") if isinstance(docs[-1], dict) else ref
+        doc = {"ref": ref}
+        if fault == "value":
+            doc["value"] = draw(st.sampled_from(BAD_VALUES))
+        elif fault == "formula":
+            doc["formula"] = draw(st.sampled_from([5, None]))
+        elif fault != "neither":
+            if fault == "both" or draw(st.booleans()):
+                doc["formula"] = draw(FORMULAS)
+            if fault == "both" or "formula" not in doc:
+                doc["value"] = draw(VALUES)
+        if fault == "extra":
+            doc["note"] = 1
+        docs.append(doc)
+    return docs
+
+
+@st.composite
+def documents(draw):
+    names = draw(st.lists(st.sampled_from(["S", "T", "My Sheet"]), min_size=1,
+                          max_size=3, unique=True))
+    doc = {"sheets": [{"name": name, "cells": draw(cell_list())} for name in names]}
+    flaw = draw(st.sampled_from([None] * 10 + ["top", "sheets", "sheet", "name", "cells"]))
+    last = doc["sheets"][-1]
+    if flaw == "top":
+        doc["extra"] = 1
+    elif flaw == "sheets":
+        doc["sheets"] = {}
+    elif flaw == "sheet":
+        last["extra"] = 1
+    elif flaw == "name":
+        last["name"] = draw(st.sampled_from(["", 3, "s" if names[0] == "S" else "t"]))
+    elif flaw == "cells":
+        last["cells"] = {}
+    return doc
+
+
+DOCS = documents()
+
+# Any JSON value, and any JSON value as a cell doc or a sheet's cell list.
+JSON = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.integers() | st.text(max_size=4)
+    | st.sampled_from(["A1", "XFD" + LONG_ROW, "A" + LONG_ROW]),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.sampled_from(["ref", "value", "formula", "sheets", "name",
+                                       "cells", "x"]), children, max_size=4),
+    max_leaves=12,
+)
+ANY_DOCS = st.one_of(
+    JSON,
+    st.builds(lambda cells: {"sheets": [{"name": "S", "cells": cells}]},
+              st.lists(JSON, max_size=4)),
+    st.builds(lambda cells: {"sheets": [{"name": "S", "cells": cells}]}, JSON),
+)
+
+
+@given(DOCS)
+def test_doc_loader_matches_the_per_cell_loader(doc):
+    assert_loads_alike(load_workbook_doc, loader_oracle.load_workbook_doc, doc)
+
+
+@given(ANY_DOCS)
+@example({"sheets": [{"name": "S", "cells": [{"ref": "XFD" + LONG_ROW, "value": 1}]}]})
+def test_any_json_document_gives_a_workbook_or_a_format_error(doc):
+    try:
+        wb = load_workbook_doc(doc)
+    except FormatError:
+        pass
+    else:
+        assert isinstance(wb, Workbook)
+    try:
+        loader_oracle.load_workbook_doc(doc)
+    except FormatError:
+        pass
+    except ValueError:  # the per-cell loader's int() of a row past the digit limit
+        return
+    assert_loads_alike(load_workbook_doc, loader_oracle.load_workbook_doc, doc)
+
+
+CSV_FIELDS = st.sampled_from([
+    "", "1", "1.5", "-2e3", "1e400", "nan", "inf", "TRUE", " false ", "x", "=A1+1",
+    "=B1*2", "=SUM(A1:B2)", "=1+", '"=A1,2"', '"a""b"', '"open', "=A0",
+])
+CSV_TEXTS = st.one_of(
+    st.text(max_size=30),
+    st.lists(st.lists(CSV_FIELDS, max_size=4), max_size=5).map(
+        lambda rows: "\n".join(",".join(row) for row in rows)),
+)
+
+
+@given(CSV_TEXTS)
+def test_any_csv_text_gives_a_workbook_or_a_format_error(text):
+    try:
+        wb = load_csv_grid(text)
+    except FormatError:
+        pass
+    else:
+        assert isinstance(wb, Workbook)
+    assert_loads_alike(load_csv_grid, loader_oracle.load_csv_grid, text)
+
+
+@pytest.mark.parametrize("cells, message", [
+    ([{"ref": "A1", "value": 1}, {"ref": "A1", "value": 2}], "duplicate cell S!A1 in sheet 'S'"),
+    ([{"ref": "A1", "value": 1}, {"ref": "$A$1", "formula": "=1"}],
+     "duplicate cell S!A1 in sheet 'S'"),
+    ([{"ref": "XFE1", "value": 1}], "column must be at most XFD in 'XFE1'"),
+    ([{"ref": "A1", "value": 1}, {"ref": "A1", "value": float("nan")}],
+     "cell S!A1 value must be a finite number, got nan"),
+    ([{"ref": "B1", "value": 10 ** 400}], "cell S!B1 value must be a finite number, got inf"),
+    ([{"ref": "B1", "value": 1, "formula": "=1"}],
+     "cell B1 must have exactly one of value/formula"),
+    ([{"ref": "B1"}], "cell B1 must have exactly one of value/formula"),
+    ([{"ref": "B1", "value": None}], "cell value must be number, string or boolean, got None"),
+    ([{"ref": "B1", "value": [1]}], "cell value must be number, string or boolean, got [1]"),
+    ([{"ref": "B1", "formula": None}], 'cell B1 "formula" must be a string'),
+    ([{"ref": "B1", "value": 1, "note": ""}], "unknown cell fields: ['note']"),
+    ([{"ref": "S!B1", "value": 1}], "cell ref must not carry a sheet: 'S!B1'"),
+])
+def test_each_doc_that_leaves_the_fast_path_raises_as_before(cells, message):
+    doc = {"sheets": [{"name": "S", "cells": cells}]}
+    with pytest.raises(FormatError) as exc:
+        load_workbook_doc(doc)
+    assert str(exc.value) == message
+    assert_loads_alike(load_workbook_doc, loader_oracle.load_workbook_doc, doc)
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="int() converts rows of any length")
+@pytest.mark.parametrize("column", ["A", "XFD", "XFE", "a"])
+def test_a_row_past_the_digit_limit_is_a_format_error(column):
+    # The per-cell loader let int()'s ValueError escape up to column XFD.
+    ref = column + "9" * (sys.get_int_max_str_digits() + 1)
+    with pytest.raises(ValueError) as parsed:
+        parse_cell_address(ref)
+    with pytest.raises(FormatError) as exc:
+        load_workbook_doc({"sheets": [{"name": "S", "cells": [{"ref": ref, "value": 1}]}]})
+    assert str(exc.value) == str(parsed.value)
+
+
+# --- Objects built per cell ----------------------------------------------------
+
+
+def _counting(patch, cls, counts):
+    init = cls.__init__
+
+    def counted(self, *args, **kwargs):
+        counts[cls] += 1
+        init(self, *args, **kwargs)
+    patch.setattr(cls, "__init__", counted)
+
+
+def test_the_audit_builds_a_cell_only_per_metrics_call(monkeypatch):
+    # Loading, auditing and emitting the acceptance document builds one Cell
+    # per copy-class formula_metrics call and no other; outside the parser,
+    # which runs once per shape, the load builds at most one CellRef per
+    # distinct reference text, and none per data cell.
+    doc = generate_large_workbook_doc()
+    texts = {m[0] for sheet in doc["sheets"] for cell in sheet["cells"]
+             if "formula" in cell for m in re.finditer(REFERENCE, cell["formula"])}
+    counts = {Cell: 0, CellRef: 0}
+    parsed = []  # CellRefs built inside each parse_formula call
+    calls = []
+    with monkeypatch.context() as patch:
+        for cls in counts:
+            _counting(patch, cls, counts)
+        parse, metrics = workbook_module.parse_formula, report_module.formula_metrics
+
+        def parsing(text):
+            before = counts[CellRef]
+            try:
+                return parse(text)
+            finally:
+                parsed.append(counts[CellRef] - before)
+
+        def measuring(*args, **kwargs):
+            calls.append(args[0])
+            return metrics(*args, **kwargs)
+        patch.setattr(workbook_module, "parse_formula", parsing)
+        patch.setattr(report_module, "formula_metrics", measuring)
+        wb = load_workbook_doc(doc)
+        assert counts[Cell] == 0
+        assert counts[CellRef] - sum(parsed) <= len(texts)
+        report = analyze_workbook(wb)
+        emit_report(report, "json")
+        emit_report(report, "text")
+    assert 0 < len(calls) == counts[Cell] < 300
+    assert len(report.cells) == 10_000
+
+    # One more data sheet of 2,000 cells adds no CellRef to the load.
+    bigger = {"sheets": doc["sheets"] + [{"name": "More", "cells": [
+        {"ref": f"A{r}", "value": r} for r in range(1, 2_001)]}]}
+    with monkeypatch.context() as patch:
+        counts = {Cell: 0, CellRef: 0}
+        _counting(patch, CellRef, counts)
+        load_workbook_doc(doc)
+        small = counts[CellRef]
+        counts[CellRef] = 0
+        load_workbook_doc(bigger)
+    assert counts[CellRef] == small
+
+
+def test_lazy_views_equal_the_per_cell_loaders_cells():
+    doc = generate_large_workbook_doc()
+    wb, want = load_workbook_doc(doc), loader_oracle.load_workbook_doc(doc)
+    assert _cells(wb) == _cells(want)
+    assert list(wb.iter_cells()) == list(want.iter_cells())
+    assert list(wb.formula_cells()) == list(want.formula_cells())
+    assert all(wb.cell(c.address) == c for c in want.iter_cells())
+    assert wb.cell("Data!AY36") is None and wb.cell("Nope!A1") is None
+    g = build_graph(wb)
+    assert g.cells() == list(want.iter_cells())
+    assert [g.formula_of(i) for i in range(len(g.cells()))] == [
+        c if c.is_formula else None for c in want.iter_cells()]

@@ -9,12 +9,14 @@ from pathlib import Path
 import pytest
 
 import cellgauge
+from cellgauge import report as report_module
 from cellgauge.cli import main
 from cellgauge.graph import build_graph
 from cellgauge.reliability import adjusted_cell_rate
 from cellgauge.report import AnalysisConfig, analyze, analyze_workbook, emit_report
 
-from conftest import FIVE_CELL_SHEETS, make_workbook
+from conftest import FIVE_CELL_SHEETS, NINE_CELL_SHEETS, make_workbook
+from test_conditionals import ORACLE_FIXTURES
 
 
 def write_doc(tmp_path, sheets, name="wb.json"):
@@ -641,6 +643,75 @@ def test_range_budget_in_the_library():
             AnalysisConfig(max_range_cells=bad)
         with pytest.raises(cellgauge.DomainError):
             build_graph(wb, bad)
+
+
+# --- The cascade budget ------------------------------------------------------------
+
+# A1 heads a chain down to A30, and B1..B30 each read its end: 30 cascades
+# of 31 members, 930 in all.
+CONE_SHEETS = {"S": {"A1": 1, **{f"A{r}": f"=A{r - 1}+1" for r in range(2, 31)},
+                     **{f"B{r}": f"=A$30*{r}" for r in range(1, 31)}}}
+
+
+def test_cascade_budget_in_the_library(monkeypatch):
+    wb = make_workbook(CONE_SHEETS)
+    monkeypatch.setattr(report_module, "MAX_CASCADE_CELLS", 930)
+    report = analyze_workbook(wb)
+    assert sum(e.stats.cell_count for e in report.cascades) == 930
+    monkeypatch.setattr(report_module, "MAX_CASCADE_CELLS", 929)
+    with pytest.raises(cellgauge.CascadeBudgetError) as caught:
+        analyze_workbook(wb)
+    assert (caught.value.cell, caught.value.limit) == ("S!B30", 929)
+    monkeypatch.setattr(report_module, "MAX_CASCADE_CELLS", 0)
+    with pytest.raises(cellgauge.CascadeBudgetError) as caught:
+        analyze_workbook(wb)
+    assert caught.value.cell == "S!B1"
+
+
+def test_graph_queries_draw_on_no_cascade_budget(monkeypatch):
+    # The budget bounds one audit's cascades; a graph answers every query,
+    # the same one twice included, under the tightest budget.
+    monkeypatch.setattr(report_module, "MAX_CASCADE_CELLS", 31)
+    g = build_graph(make_workbook(CONE_SHEETS))
+    first = g.cascade_stats("S!B8")
+    assert first.cell_count == 31
+    assert g.cascade_stats("S!B8") == first
+    assert all(len(g.member_ids(f"S!B{r}")) == 31 for r in range(1, 31))
+
+
+def test_cascade_budget_exceeded_exits_two_naming_the_terminal(tmp_path, capsys, monkeypatch):
+    path = write_doc(tmp_path, CONE_SHEETS)
+    # Exit 1: the chain is a copied run that reads itself (W005).
+    assert main(["analyze", str(path)]) == 1
+    within = capsys.readouterr().out
+    monkeypatch.setattr(report_module, "MAX_CASCADE_CELLS", 930)
+    assert main(["analyze", str(path)]) == 1
+    assert capsys.readouterr().out == within
+    monkeypatch.setattr(report_module, "MAX_CASCADE_CELLS", 929)
+    assert main(["analyze", str(path), "--format", "text"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: cascade of cell S!B30 takes the cascade budget past its limit "
+        "of 929 members\n")
+
+
+@pytest.mark.parametrize("sheets", [FIVE_CELL_SHEETS, NINE_CELL_SHEETS, CONE_SHEETS,
+                                    *({"S": cells} for cells in ORACLE_FIXTURES)])
+def test_every_fixture_fits_the_default_cascade_budget(sheets, monkeypatch):
+    # The default budget is far above what any fixture's cascades hold, and
+    # a budget of exactly their members gives the same report.
+    wb = make_workbook(sheets)
+    report = emit_report(analyze_workbook(wb))
+    cascades = json.loads(report)["cascades"] or []
+    members = sum(c["cell_count"] for c in cascades)
+    assert members <= report_module.MAX_CASCADE_CELLS == 100_000_000
+    monkeypatch.setattr(report_module, "MAX_CASCADE_CELLS", members)
+    assert emit_report(analyze_workbook(wb)) == report
+    if members:
+        monkeypatch.setattr(report_module, "MAX_CASCADE_CELLS", members - 1)
+        with pytest.raises(cellgauge.CascadeBudgetError):
+            analyze_workbook(wb)
 
 
 # --- Exit 2 for undecodable bytes and non-finite options ------------------------

@@ -22,10 +22,10 @@ import pytest
 from cellgauge import graph, metrics
 from cellgauge.formula import AstNode, CellRefNode, FormulaAst, RangeRefNode, walk
 from cellgauge.graph import DanglingReference
-from cellgauge.metrics import RangeLinkageFinding, _runs_along
+from cellgauge.metrics import RangeLinkageFinding
 from cellgauge.refs import CellRef, RangeRef
 from cellgauge.report import analyze_workbook
-from cellgauge.workbook import Workbook
+from cellgauge.workbook import Cell, Workbook
 
 from conftest import make_graph, make_workbook
 from test_conditionals import (
@@ -92,6 +92,52 @@ def _resolve_all(wb: Workbook) -> tuple[list[ResolvedReference], list[DanglingRe
                     ref_style=style,
                 ))
     return resolved, dangling
+
+
+def _shift_keys(cells: list[Cell]) -> list[Optional[str]]:
+    """Each formula cell's shift key (``FormulaShape.shift_key_at``); None
+    for a data cell."""
+    return [
+        None if c.shape is None
+        else c.shape.shift_key_at(c.refs, c.address.column, c.address.row)
+        for c in cells
+    ]
+
+
+def _runs_along(cells: list[Cell], fixed: str,
+                keys: Optional[list[Optional[str]]] = None) -> list[list[int]]:
+    """Maximal runs of >= 2 consecutive shift-equivalent formula cells, each
+    as the positions of its cells in ``cells``; data cells join no run.
+
+    ``fixed`` is the constant axis: "column" groups vertical runs, "row"
+    groups horizontal ones. ``keys[i]`` is the shift key of ``cells[i]``;
+    it is computed here when not given.
+    """
+    if keys is None:
+        keys = _shift_keys(cells)
+    groups: dict[tuple, list[tuple[int, str, int]]] = {}
+    for i, (cell, key_text) in enumerate(zip(cells, keys)):
+        if key_text is None:
+            continue
+        a = cell.address
+        if fixed == "column":
+            group, pos = (a.sheet, a.column), a.row
+        else:
+            group, pos = (a.sheet, a.row), a.column
+        groups.setdefault(group, []).append((pos, key_text, i))
+    runs = []
+    for entries in groups.values():
+        entries.sort(key=lambda e: e[0])
+        run: list[tuple[int, str, int]] = []
+        for entry in entries:
+            if run and (entry[0] != run[-1][0] + 1 or entry[1] != run[-1][1]):
+                if len(run) >= 2:
+                    runs.append([e[2] for e in run])
+                run = []
+            run.append(entry)
+        if len(run) >= 2:
+            runs.append([e[2] for e in run])
+    return runs
 
 
 def _ref_nodes(ast: FormulaAst) -> list[AstNode]:

@@ -38,9 +38,14 @@ from cellgauge.formula import (
     render_number,
     walk,
 )
-from cellgauge.metrics import _shift_keys, formula_metrics
+from cellgauge.metrics import formula_metrics
 from cellgauge.refs import CellRef, column_to_letters, parse_cell_address
-from cellgauge.workbook import Workbook
+from cellgauge.workbook import Cell, Workbook
+
+
+def _shift_keys(cells: list[Cell]) -> list[str]:
+    """Each formula cell's shift key, as range linkage keys a copy."""
+    return [c.shape.shift_key_at(c.refs, c.address.column, c.address.row) for c in cells]
 
 
 def old_shift_key(node: AstNode, base_col: int, base_row: int) -> str:

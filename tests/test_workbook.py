@@ -237,7 +237,7 @@ def test_sheet_names_match_case_insensitively():
     wb, g = make_graph({"Data": {"A1": 5}, "Out": {"A1": "=data!A1"}})
     (p,) = g.precedents("Out!A1")
     assert p.sheet == "Data"  # canonical case restored
-    assert p is wb.cell("Data!A1").address
+    assert p == wb.cell("Data!A1").address
 
 
 def test_reference_conservation():
@@ -301,6 +301,10 @@ def test_loading_deterministic():
     ]}
     wb1 = load_workbook_doc(doc)
     wb2 = load_workbook_doc(doc)
+    assert wb1 == wb2 and wb1.sheets[0] != wb1.sheets[1]
+    other = {"sheets": [{**doc["sheets"][0], "cells": [{"ref": "A2", "value": 3}]},
+                        doc["sheets"][1]]}
+    assert load_workbook_doc(other) != wb1
     assert [s.name for s in wb1.sheets] == [s.name for s in wb2.sheets]
     assert [c.address for c in wb1.iter_cells()] == [c.address for c in wb2.iter_cells()]
     g1, g2 = build_graph(wb1), build_graph(wb2)
