@@ -7,24 +7,18 @@ cell and range references. Scanning stops at the first IF on a path because
 that construct accounts for its own subtree. Each value branch that reaches
 no IF is one conditionless computational cascade (N counts them).
 
-What a cell contributes to such a scan depends only on the cell, so it is
-computed once per formula cell as the cell's *frontier*: the IFs at the top
-level of its formula (not inside another IF) plus the frontiers of the
-cells it reads outside any IF. Only a formula cell downstream of some IF
-cell (``CellGraph.downstream``) can have a non-empty frontier; one pass over
-the graph's topological order (``CellGraph.topological_order``) computes
-theirs into a list by node id, and every other node's frontier is empty. A
-cell that adds no IF and reads one non-empty frontier shares that
-frontier's frozenset. An IF argument reaches its own top-level IFs plus the
-frontiers of the cells it reads.
-Where a formula's IFs sit and which references each argument holds depend
-only on its shape, so the load computes that layout once per shape
-(``FormulaShape.if_reach`` and ``ifs``) and each cell pairs it with its
-node id; no AST is walked. The cells a reference reads come from the
-dependency graph, which numbers references in ``walk`` order, by node id.
-Discovery and complexity key constructs by integers, (node id, path) and
-list position, and build the public ``(CellRef, path)`` ids only for what
-they return.
+Constructs are numbered by position before discovery: IF cells in canonical
+order, each cell's IFs in the path order of its shape's IF layout
+(``FormulaShape.ifs``, built once per shape at load), so a construct is its
+cell's first position plus the IF's index there. A cell's *frontier* is the
+IFs it reaches without crossing one: those at the top level of its formula
+(``FormulaShape.if_reach``) plus the frontiers of the cells it reads outside
+any IF. One pass in topological order over the formula cells downstream of
+an IF cell builds the frontiers and, at each IF cell, each IF's M set as a
+sorted list of positions, its N and whether it is final; branch complexity
+runs on those lists. The result reads as ``ConditionalConstruct`` objects
+built on read, so an audit builds ``(CellRef, path)`` ids only for the
+constructs its report lists.
 
 The branch complexity of a construct with nested/precedent constructs S_i
 and N conditionless branches is ``(sum of their complexities + N)^(1+beta)``,
@@ -35,10 +29,12 @@ disjunctive branch selections that can produce the construct's value.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from itertools import compress
-from operator import attrgetter
-from typing import Iterable, Mapping, Optional, Sequence
+from functools import cached_property
+from itertools import compress, repeat
+from operator import itemgetter
+from typing import Iterable, Iterator, Optional
 
 from .errors import CycleError, DomainError, require_finite
 from .graph import CellGraph
@@ -46,8 +42,6 @@ from .refs import CellRef
 from .workbook import Workbook
 
 ConstructId = tuple[CellRef, tuple[int, ...]]
-# A construct inside this module: (node id of its cell, path).
-_Key = tuple[int, tuple[int, ...]]
 
 _EMPTY: frozenset = frozenset()
 
@@ -79,134 +73,157 @@ class ConditionalConstruct:
         return (self.cell, self.path)
 
 
-def _merge(ifs: list[_Key], frontiers: list[frozenset]) -> frozenset:
-    """Union of own IFs and read frontiers, sharing a lone frontier's set."""
-    parts = [f for f in frontiers if f]
-    if not ifs:
-        if not parts:
-            return _EMPTY
-        if all(p is parts[0] for p in parts):
-            return parts[0]
-    merged = set(ifs)
-    for p in parts:
-        merged |= p
-    return frozenset(merged)
+@dataclass(eq=False)
+class Constructs(Sequence):
+    """IF constructs as columns by position: construct k is in the cell
+    ``cells[k]`` (node id ``nodes[k]``) at ``paths[k]``, its M set is the
+    positions ``nested[k]``, its N is ``branches[k]`` and ``final[k]`` says
+    whether it is final. It reads as a sequence of ``ConditionalConstruct``,
+    each built when it is read."""
+
+    nodes: list[int]
+    paths: list[tuple[int, ...]]
+    nested: list[list[int]]
+    branches: list[int]
+    final: list[bool]
+    cells: Sequence[CellRef]
+
+    @classmethod
+    def of(cls, constructs: Sequence[ConditionalConstruct]) -> "Constructs":
+        """``constructs`` as columns, matching nested ids to constructs by
+        equality; a ``Constructs`` is returned as it is."""
+        if isinstance(constructs, Constructs):
+            return constructs
+        position = {c.id: k for k, c in enumerate(constructs)}
+        return cls([c.node for c in constructs], [c.path for c in constructs],
+                   [[position[sub] for sub in c.nested_or_precedent] for c in constructs],
+                   [c.conditionless_branches for c in constructs],
+                   [c.is_final for c in constructs], [c.cell for c in constructs])
+
+    def __len__(self) -> int:
+        return len(self.nodes)
+
+    def __getitem__(self, k: int) -> ConditionalConstruct:
+        cells, paths = self.cells, self.paths
+        return ConditionalConstruct(
+            cells[k], paths[k], tuple((cells[j], paths[j]) for j in self.nested[k]),
+            self.branches[k], self.final[k], self.nodes[k])
 
 
-def _frontiers(g: CellGraph, if_cells: list[int]) -> list[frozenset]:
-    """Each node's frontier by node id: the IF constructs it reaches without
-    crossing an IF, as (node id, path) keys. Only the formula cells
-    downstream of ``if_cells`` (the IF cells) can reach one; every other
-    node's frontier is empty. One pass in topological order builds each of
-    their frontiers after those of the cells it reads. A cell's own reach
-    comes from its shape (``FormulaShape.if_reach``), paired with its node
-    id."""
-    shapes = g.shapes()
-    down = g.downstream(if_cells)
-    frontier = [_EMPTY] * g.node_count
-    order = g.topological_order()
-    for v in compress(order, map(down.__contains__, order)):
-        top_ifs, top_refs = shapes[v].if_reach
-        targets = g.reference_targets(v) if top_refs else []
-        frontier[v] = _merge([(v, p) for p in top_ifs],
-                             [frontier[t] for o in top_refs for t in targets[o]])
-    return frontier
-
-
-def find_conditionals(wb: Workbook, g: CellGraph) -> list[ConditionalConstruct]:
-    """Discover every IF construct in the workbook with its M set and N.
-
-    ``g`` is the graph of ``wb``. Raises CycleError on a cyclic reference
-    graph. Constructs are keyed by (node id, path) throughout; the public
-    ``(CellRef, path)`` ids are built once per construct, for the result.
-    """
+def find_conditionals(wb: Workbook, g: CellGraph) -> Constructs:
+    """Discover every IF construct in the workbook with its M set and N, as
+    columns by position (see the module notes). ``g`` is the graph of
+    ``wb``. Raises CycleError on a cyclic reference graph."""
     if g.is_cyclic:
         raise CycleError([[a.render() for a in cyc] for cyc in g.cycles])
 
-    ids, shapes, _ = g.formulas()
-    shape_of = dict(compress(zip(ids, shapes), map(attrgetter("ifs"), shapes)))
-    # Canonical order: sheet, row, column, path.
-    if_cells = g.canonical(shape_of)
-    frontier = _frontiers(g, if_cells) if if_cells else []  # only IF arguments read it
-    records: list[tuple[_Key, set[_Key], int]] = []
-    reached: set[_Key] = set()
+    shapes = g.shapes()
+    if_cells = g.canonical(v for v in g.formulas()[0] if shapes[v].ifs)
+    first: dict[int, int] = {}  # each IF cell's first position
+    nodes: list[int] = []
+    paths: list[tuple[int, ...]] = []
     for v in if_cells:
+        first[v] = len(nodes)
+        paths += map(itemgetter(0), shapes[v].ifs)
+        nodes += repeat(v, len(paths) - len(nodes))
+    nested: list[list[int]] = [[]] * len(nodes)
+    branches = [0] * len(nodes)
+    final = [True] * len(nodes)
+    frontier = [_EMPTY] * g.node_count
+    down = g.downstream(if_cells)
+    order = g.topological_order() if down else []  # no IF: no frontier to build
+    for v in compress(order, map(down.__contains__, order)):
+        shape = shapes[v]
+        top_ifs, top_refs = shape.if_reach
+        base = first.get(v)
         targets = g.reference_targets(v)
-        for path, args in shape_of[v].ifs:
-            m_set: set[_Key] = set()
-            n = 0
+        parts = [f for o in top_refs
+                 for f in filter(None, map(frontier.__getitem__, targets[o]))
+                 ] if top_refs else ()
+        if top_ifs:
+            frontier[v] = frozenset(map(base.__add__, top_ifs)).union(*parts)
+        elif parts:  # one frontier read once or more is shared
+            frontier[v] = (parts[0] if all(p is parts[0] for p in parts)
+                           else _EMPTY.union(*parts))
+        if base is None:
+            continue
+        for k, (_, args) in enumerate(shape.ifs, base):
+            m_set: set[int] = set()
             for arg_idx, (arg_ifs, ordinals) in enumerate(args):
                 hit = bool(arg_ifs)
                 if arg_ifs:
-                    m_set.update([(v, p) for p in arg_ifs])
+                    m_set.update(map(base.__add__, arg_ifs))
                 for o in ordinals:
                     for t in targets[o]:
-                        if frontier[t]:
+                        f = frontier[t]
+                        if f:
                             hit = True
-                            m_set |= frontier[t]
-                if arg_idx > 0 and not hit:
-                    n += 1  # a conditionless value branch
-            reached |= m_set
-            records.append(((v, path), m_set, n))
+                            m_set |= f
+                if arg_idx and not hit:
+                    branches[k] += 1  # a conditionless value branch
+            nested[k] = m = sorted(m_set)
+            for j in m:
+                final[j] = False
+    return Constructs(nodes, paths, nested, branches, final, g.locations(nodes))
 
-    position = {key: i for i, (key, _, _) in enumerate(records)}
-    ids = [(g.address_of(v), path) for (v, path), _, _ in records]
-    return [
-        ConditionalConstruct(
-            cell=ids[i][0],
-            path=key[1],
-            nested_or_precedent=tuple(
-                ids[j] for j in sorted(map(position.__getitem__, m_set))),
-            conditionless_branches=n,
-            is_final=key not in reached,
-            node=key[0],
-        )
-        for i, (key, m_set, n) in enumerate(records)
-    ]
+
+class Complexities(Mapping):
+    """Branch complexities by construct id, in construct order;
+    ``by_position[k]`` is that of construct k of ``constructs``."""
+
+    def __init__(self, constructs: Constructs, by_position: list[float]):
+        self.constructs = constructs
+        self.by_position = by_position
+
+    @cached_property
+    def _by_id(self) -> dict[ConstructId, float]:
+        return dict(zip(zip(self.constructs.cells, self.constructs.paths), self.by_position))
+
+    def __getitem__(self, cid: ConstructId) -> float:
+        return self._by_id[cid]
+
+    def __iter__(self) -> Iterator[ConstructId]:
+        return iter(self._by_id)
+
+    def __len__(self) -> int:
+        return len(self._by_id)
 
 
 def all_complexities(
     constructs: Sequence[ConditionalConstruct],
     cfg: BetaConfig = BetaConfig(),
-) -> dict[ConstructId, float]:
+) -> Complexities:
     """Branch complexity of every construct, bottom-up in post-order.
 
-    Works on construct positions: each nested id is looked up once, and
-    the walk then runs on list indices. An explicit stack replaces
-    recursion, so long IF chains need no deep call stack. Raises CycleError
-    when a construct reaches itself.
+    Runs on construct positions (``Constructs.of``). An explicit stack
+    replaces recursion, so long IF chains need no deep call stack. Raises
+    CycleError when a construct reaches itself.
     """
-    position = {c.id: i for i, c in enumerate(constructs)}
-    nested = [[position[sub] for sub in c.nested_or_precedent] for c in constructs]
-    memo: list[Optional[float]] = [None] * len(constructs)
-    in_progress = [False] * len(constructs)
-    for root in range(len(constructs)):
+    cs = Constructs.of(constructs)
+    nested, branches, beta = cs.nested, cs.branches, cfg.beta
+    memo: list[Optional[float]] = [None] * len(cs)
+    in_progress = [False] * len(cs)
+    for root in range(len(cs)):
         stack = [root]
         while stack:
             i = stack[-1]
-            if memo[i] is not None:
-                stack.pop()
-                continue
-            if not in_progress[i]:
+            if memo[i] is None and not in_progress[i]:
                 in_progress[i] = True
                 for j in nested[i]:
                     if in_progress[j]:
-                        raise CycleError([[constructs[j].cell.render()]])
+                        raise CycleError([[cs.cells[j].render()]])
                     if memo[j] is None:
                         stack.append(j)
                 continue
-            base = sum(memo[j] for j in nested[i]) + constructs[i].conditionless_branches
-            if cfg.beta:
-                try:
-                    value = base ** (1.0 + cfg.beta)
-                except OverflowError:
-                    value = math.inf
-            else:
-                value = base
-            in_progress[i] = False
-            memo[i] = value
             stack.pop()
-    return {c.id: value for c, value in zip(constructs, memo)}
+            if memo[i] is None:  # its nested constructs are done
+                in_progress[i] = False
+                base = sum(memo[j] for j in nested[i]) + branches[i]
+                try:
+                    memo[i] = base ** (1.0 + beta) if beta else base
+                except OverflowError:
+                    memo[i] = math.inf
+    return Complexities(cs, memo)
 
 
 def conditional_complexity(
@@ -222,22 +239,22 @@ def conditional_complexity(
     return all_complexities(constructs if constructs is not None else [s], cfg)[s.id]
 
 
-def finals_by_cell(
-    constructs: Iterable[ConditionalConstruct],
-) -> dict[int, list[ConditionalConstruct]]:
-    """The final constructs of each cell by node id, in construct order."""
-    by_cell: dict[int, list[ConditionalConstruct]] = {}
-    for c in constructs:
-        if c.is_final:
-            by_cell.setdefault(c.node, []).append(c)
+def finals_by_cell(constructs: Sequence[ConditionalConstruct]) -> dict[int, list[int]]:
+    """The positions of each cell's final constructs by node id, in
+    construct order."""
+    cs = Constructs.of(constructs)
+    by_cell: dict[int, list[int]] = {}
+    for k in compress(range(len(cs)), cs.final):
+        by_cell.setdefault(cs.nodes[k], []).append(k)
     return by_cell
 
 
 def cascade_finals(
     member_ids: Iterable[int],
-    finals: Mapping[int, list[ConditionalConstruct]],
-) -> list[ConditionalConstruct]:
-    """The final constructs of a cascade's members, in construct order.
+    finals: Mapping[int, list[int]],
+) -> list[int]:
+    """The positions of the final constructs of a cascade's members, in
+    construct order.
 
     ``member_ids`` must be in canonical sheet/row/column order, as cascades
     list them; constructs follow that order too, so picking each member's
@@ -246,7 +263,7 @@ def cascade_finals(
     """
     if not finals:
         return []
-    return [c for i in member_ids for c in finals.get(i, ())]
+    return [k for i in member_ids for k in finals.get(i, ())]
 
 
 def cascade_conditional_report(
@@ -257,6 +274,7 @@ def cascade_conditional_report(
 ) -> list[tuple[ConditionalConstruct, float]]:
     """(final construct, complexity) pairs within one terminal's cascade;
     ``constructs`` are those ``find_conditionals`` found in ``g``."""
-    complexity = all_complexities(constructs, cfg)
-    finals = cascade_finals(g.member_ids(terminal), finals_by_cell(constructs))
-    return [(c, complexity[c.id]) for c in finals]
+    cs = Constructs.of(constructs)
+    complexity = all_complexities(cs, cfg).by_position
+    return [(cs[k], complexity[k])
+            for k in cascade_finals(g.member_ids(terminal), finals_by_cell(cs))]

@@ -839,9 +839,10 @@ def shape_key(
     return tuple(key), tuple(refs)
 
 
-# What one expression reaches without crossing an IF call: the paths of its
-# top-level IF calls, and the ordinals of its references outside any IF.
-Reach = tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]
+# What one expression reaches without crossing an IF call: the indexes in
+# its formula's IfLayout of its top-level IF calls, and the ordinals of its
+# references outside any IF.
+Reach = tuple[tuple[int, ...], tuple[int, ...]]
 # The IF calls of one formula in path order, each as (path, reach of every
 # argument).
 IfLayout = tuple[tuple[tuple[int, ...], tuple[Reach, ...]], ...]
@@ -857,7 +858,8 @@ def _layout(root: AstNode) -> tuple[list[Union[CellRef, RangeRef]], Reach, IfLay
     """One pre-order pass over a formula: the refs of its reference leaves,
     its own reach and its IF calls. References are numbered in ``walk``
     order, as the dependency graph lists their targets; a path is the chain
-    of child indexes from the root."""
+    of child indexes from the root. Pre-order lists the IF calls in path
+    order, so a reach names each IF by its index in that list."""
     leaves: list[Union[CellRef, RangeRef]] = []
     own: tuple[list, list] = ([], [])
     ifs: list = []
@@ -865,7 +867,7 @@ def _layout(root: AstNode) -> tuple[list[Union[CellRef, RangeRef]], Reach, IfLay
     while stack:
         path, node, reach = stack.pop()
         if isinstance(node, FunctionCall) and node.name == "IF":
-            reach[0].append(path)  # that construct owns its own subtree
+            reach[0].append(len(ifs))  # that construct owns its own subtree
             args: list[tuple[list, list]] = [([], []) for _ in node.args]
             ifs.append((path, args))
             for i in range(len(args) - 1, -1, -1):

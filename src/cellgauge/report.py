@@ -339,8 +339,10 @@ def _graph_analysis(
     cascades: Optional[list[CascadeEntry]] = None
     if not graph.is_cyclic:
         constructs = find_conditionals(wb, graph)
-        complexity = all_complexities(constructs, config.beta)
+        complexity = all_complexities(constructs, config.beta).by_position
         finals = finals_by_cell(constructs)
+        # Each construct a cascade lists, built once, with its O value.
+        listed: dict[int, tuple[ConditionalConstruct, float]] = {}
         rates = cell_error_rates(by_node, config.reliability)
         cascades = []
         members_left = MAX_CASCADE_CELLS
@@ -351,8 +353,8 @@ def _graph_analysis(
                 raise CascadeBudgetError(stats.terminal.render(), MAX_CASCADE_CELLS)
             rel = cascade_reliability(stats, rates, config.reliability)
             conds = tuple(
-                (c, complexity[c.id]) for c in cascade_finals(stats.member_ids, finals)
-            )
+                listed.get(k) or listed.setdefault(k, (constructs[k], complexity[k]))
+                for k in cascade_finals(stats.member_ids, finals))
             # The report keeps no node ids: they name nodes of a graph that
             # is freed on return, and would hold every cascade's members.
             stats = replace(stats, member_ids=())

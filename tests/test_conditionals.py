@@ -3,7 +3,10 @@ import sys
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import conditionals_oracle
 from cellgauge import AnalysisConfig, analyze_workbook
 from cellgauge.conditionals import (
     BetaConfig,
@@ -22,6 +25,7 @@ from cellgauge.formula import (
     child_nodes,
     parse_formula,
 )
+from cellgauge.graph import CellGraph
 from cellgauge.refs import CellRef, column_to_letters
 from cellgauge.workbook import Cell, Workbook
 
@@ -687,11 +691,11 @@ def _walk_formula(cell: Cell) -> tuple[_Reach, _Ifs]:
 
 def paired_layout(cell):
     """A formula cell's shape's IF layout paired with its address, in the
-    form ``_walk_formula`` returns."""
+    form ``_walk_formula`` returns: each IF index read as its path."""
     addr = cell.address
 
     def reach(r):
-        return [(addr, p) for p in r[0]], list(r[1])
+        return [(addr, cell.shape.ifs[k][0]) for k in r[0]], list(r[1])
 
     return reach(cell.shape.if_reach), [
         (path, [reach(arg) for arg in args]) for path, args in cell.shape.ifs]
@@ -720,3 +724,120 @@ def test_shape_if_layout_matches_walk_on_random_workbooks():
         checked += assert_layouts_match_own_parse(wb)
         copies += sum(c.refs is not None for c in wb.formula_cells())
     assert checked > 2000 and copies > 500, (checked, copies)
+
+
+# --- against discovery and complexity before positions ----------------------------
+
+
+def assert_matches_oracle(wb, g):
+    """Every construct field and the complexities at beta 0 and 0.5 equal
+    those of the code in ``conditionals_oracle``, or both raise CycleError.
+    Returns the constructs found."""
+    try:
+        want = conditionals_oracle.find_conditionals(wb, g)
+    except CycleError:
+        with pytest.raises(CycleError):
+            find_conditionals(wb, g)
+        return []
+    got = find_conditionals(wb, g)
+    assert len(got) == len(want)
+    for c, w in zip(got, want):
+        assert (c.cell, c.path, c.nested_or_precedent, c.conditionless_branches,
+                c.is_final, c.node) == (w.cell, w.path, w.nested_or_precedent,
+                                        w.conditionless_branches, w.is_final, w.node)
+    for beta in (0.0, 0.5):
+        expected = list(conditionals_oracle.all_complexities(want, BetaConfig(beta)).items())
+        assert list(all_complexities(got, BetaConfig(beta)).items()) == expected
+        # A list of constructs goes through the same engine.
+        assert list(all_complexities(want, BetaConfig(beta)).items()) == expected
+    return want
+
+
+def test_constructs_match_the_oracle_on_random_workbooks():
+    constructs = non_final = 0
+    for seed in range(120):
+        wb, g = make_graph(random_conditional_workbook(seed))
+        found = assert_matches_oracle(wb, g)
+        constructs += len(found)
+        non_final += sum(not c.is_final for c in found)
+    assert constructs > 1000 and non_final > 200, (constructs, non_final)
+
+
+IF_REFS = st.sampled_from(
+    ["A1", "A2", "$B$1", "B2", "C3", "T!A1", "'T'!B2", "t!C3", "Nope!A1"])
+IF_RANGES = st.sampled_from(["A1:A3", "A1:C3", "B$1:B2", "T!A1:B2", "Nope!A1:A2"])
+IF_EXPRS = st.recursive(
+    st.one_of(st.integers(0, 9).map(str), IF_REFS, IF_RANGES.map("SUM({})".format)),
+    lambda inner: st.one_of(
+        st.builds("IF({}>0,{},{})".format, inner, inner, inner),
+        st.builds("IF({},{})".format, inner, inner),
+        st.builds("{}+{}".format, inner, inner),
+        st.builds("MAX({},{})".format, inner, inner)),
+    max_leaves=10)
+IF_CELLS = st.dictionaries(
+    st.sampled_from(["A1", "A2", "A3", "B1", "B2", "C3"]),
+    st.one_of(st.integers(0, 9), IF_EXPRS.map("={}".format)), max_size=6)
+
+
+@given(st.fixed_dictionaries({"S": IF_CELLS, "T": IF_CELLS}))
+@example({"S": {"A1": "=IF(IF(A2>0,1,2)>0,IF(B1>0,A2,IF(B2,3)),IF(C3>0,T!A1))",
+                "A2": "=IF(SUM(T!A1:B2)>0,SUM(A3:B3),Nope!A1)",
+                "B1": "=IF(A2,IF(A2,1,2),A2)+IF(T!A1>0,2)", "B2": 4},
+          "T": {"A1": "=IF(A2>0,1,2)+IF(A2,A2)", "A2": 3}})
+@settings(deadline=None)
+def test_constructs_match_the_oracle_with_several_ifs_per_formula(sheets):
+    assert_matches_oracle(*make_graph(sheets))
+
+
+@pytest.mark.parametrize("sheets", [
+    # IFs over ranges of IF cells, some read twice.
+    {"S": {"A1": "=IF(B9>0,1,2)", "A2": "=IF(A1>0,A1,3)", "A3": 5,
+           "B1": "=IF(SUM(A1:A3)>0,MAX(A1:A2),SUM(A2:A3))", "C1": "=IF(B1,SUM(A1:B1))"}},
+    # Cross-sheet references in any case, and a missing sheet.
+    {"S": {"A1": "=IF(T!A1>0,Nope!A1,'my t'!B1)", "B1": "=IF(SUM(t!A1:B2)>0,1)"},
+     "T": {"A1": "=IF(A2>0,A2,2)", "A2": 1, "B2": "=IF('My T'!B1,1,2)"},
+     "My T": {"B1": "=IF(Nope!B1:B2,T!A1)"}},
+    downward_if_chain(3000),
+])
+def test_constructs_match_the_oracle_on_fixtures(sheets):
+    assert assert_matches_oracle(*make_graph(sheets))
+
+
+def test_a_cycle_raises_as_in_the_oracle():
+    wb, g = make_graph({"S": {"A1": "=IF(B1>0,1,2)", "B1": "=IF(A1,1)"}})
+    assert assert_matches_oracle(wb, g) == []
+    wb, g, cs = discovered({"S": {"X1": "=IF(A1>0, 1, 2)"}})
+    (c,) = cs
+    looped = ConditionalConstruct(c.cell, c.path, (c.id,), 1, True, c.node)
+    for complexities in (all_complexities, conditionals_oracle.all_complexities):
+        with pytest.raises(CycleError):
+            complexities([looped])
+
+
+def test_the_audit_builds_objects_only_for_listed_constructs(monkeypatch):
+    # A single IF chain lists one final construct however long it is, so the
+    # audit builds the same addresses and constructs at 300 cells as at 3,000.
+    counts = dict.fromkeys(("address_of", "CellRef", "ConditionalConstruct"), 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(CellGraph, "address_of", counting("address_of", CellGraph.address_of))
+    monkeypatch.setattr(CellRef, "__post_init__", counting("CellRef", CellRef.__post_init__))
+    monkeypatch.setattr(ConditionalConstruct, "__init__",
+                        counting("ConditionalConstruct", ConditionalConstruct.__init__))
+
+    def work(n):
+        wb = make_workbook(downward_if_chain(n))
+        counts.update(dict.fromkeys(counts, 0))
+        report = analyze_workbook(wb, AnalysisConfig())
+        (cascade,) = report.cascades
+        assert [(c.cell.render(), o) for c, o in cascade.conditionals] == [("S!A1", n + 1)]
+        return dict(counts)
+
+    small, large = work(300), work(3_000)
+    assert small == large, (small, large)
+    assert small["ConditionalConstruct"] == 1
