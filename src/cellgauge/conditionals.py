@@ -15,10 +15,13 @@ IFs it reaches without crossing one: those at the top level of its formula
 (``FormulaShape.if_reach``) plus the frontiers of the cells it reads outside
 any IF. One pass in topological order over the formula cells downstream of
 an IF cell builds the frontiers and, at each IF cell, each IF's M set as a
-sorted list of positions, its N and whether it is final; branch complexity
-runs on those lists. The result reads as ``ConditionalConstruct`` objects
-built on read, so an audit builds ``(CellRef, path)`` ids only for the
-constructs its report lists.
+sorted list of positions, its N and whether it is final. The pass also
+records the order in which it finishes constructs: IF cells in topological
+order, each cell's IFs from its last position to its first, so every
+construct follows its whole M set, and branch complexity is one loop in that
+order. The result reads as ``ConditionalConstruct`` objects built on read,
+so an audit builds ``(CellRef, path)`` ids only for the constructs its
+report lists.
 
 The branch complexity of a construct with nested/precedent constructs S_i
 and N conditionless branches is ``(sum of their complexities + N)^(1+beta)``,
@@ -29,12 +32,12 @@ disjunctive branch selections that can produce the construct's value.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping, Sequence
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import compress, repeat
+from itertools import compress, count, repeat
 from operator import itemgetter
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional, Union
 
 from .errors import CycleError, DomainError, require_finite
 from .graph import CellGraph
@@ -78,8 +81,10 @@ class Constructs(Sequence):
     """IF constructs as columns by position: construct k is in the cell
     ``cells[k]`` (node id ``nodes[k]``) at ``paths[k]``, its M set is the
     positions ``nested[k]``, its N is ``branches[k]`` and ``final[k]`` says
-    whether it is final. It reads as a sequence of ``ConditionalConstruct``,
-    each built when it is read."""
+    whether it is final. ``order`` holds every position once, each after
+    all the positions of its M set: the order in which discovery finished
+    them. It reads as a sequence of ``ConditionalConstruct``, each built
+    when it is read (a slice reads as a list)."""
 
     nodes: list[int]
     paths: list[tuple[int, ...]]
@@ -87,23 +92,14 @@ class Constructs(Sequence):
     branches: list[int]
     final: list[bool]
     cells: Sequence[CellRef]
-
-    @classmethod
-    def of(cls, constructs: Sequence[ConditionalConstruct]) -> "Constructs":
-        """``constructs`` as columns, matching nested ids to constructs by
-        equality; a ``Constructs`` is returned as it is."""
-        if isinstance(constructs, Constructs):
-            return constructs
-        position = {c.id: k for k, c in enumerate(constructs)}
-        return cls([c.node for c in constructs], [c.path for c in constructs],
-                   [[position[sub] for sub in c.nested_or_precedent] for c in constructs],
-                   [c.conditionless_branches for c in constructs],
-                   [c.is_final for c in constructs], [c.cell for c in constructs])
+    order: Sequence[int]
 
     def __len__(self) -> int:
         return len(self.nodes)
 
-    def __getitem__(self, k: int) -> ConditionalConstruct:
+    def __getitem__(self, k: Union[int, slice]):
+        if isinstance(k, slice):
+            return list(map(self.__getitem__, range(len(self))[k]))
         cells, paths = self.cells, self.paths
         return ConditionalConstruct(
             cells[k], paths[k], tuple((cells[j], paths[j]) for j in self.nested[k]),
@@ -130,6 +126,10 @@ def find_conditionals(wb: Workbook, g: CellGraph) -> Constructs:
     branches = [0] * len(nodes)
     final = [True] * len(nodes)
     frontier = [_EMPTY] * g.node_count
+    # Positions as the pass finishes them, allocated once: growing it by
+    # appends left the heap about 0.2 MB larger on deep_chain.
+    finished = array("q", [0]) * len(nodes)
+    slot = count()
     down = g.downstream(if_cells)
     order = g.topological_order() if down else []  # no IF: no frontier to build
     for v in compress(order, map(down.__contains__, order)):
@@ -147,7 +147,10 @@ def find_conditionals(wb: Workbook, g: CellGraph) -> Constructs:
                            else _EMPTY.union(*parts))
         if base is None:
             continue
-        for k, (_, args) in enumerate(shape.ifs, base):
+        k = base + len(shape.ifs)
+        # An IF nests only IFs after it in path order: finish them last to first.
+        for _, args in reversed(shape.ifs):
+            k -= 1
             m_set: set[int] = set()
             for arg_idx, (arg_ifs, ordinals) in enumerate(args):
                 hit = bool(arg_ifs)
@@ -164,94 +167,60 @@ def find_conditionals(wb: Workbook, g: CellGraph) -> Constructs:
             nested[k] = m = sorted(m_set)
             for j in m:
                 final[j] = False
-    return Constructs(nodes, paths, nested, branches, final, g.locations(nodes))
+            finished[next(slot)] = k
+    return Constructs(nodes, paths, nested, branches, final, g.locations(nodes), finished)
 
 
-class Complexities(Mapping):
-    """Branch complexities by construct id, in construct order;
-    ``by_position[k]`` is that of construct k of ``constructs``."""
-
-    def __init__(self, constructs: Constructs, by_position: list[float]):
-        self.constructs = constructs
-        self.by_position = by_position
-
-    @cached_property
-    def _by_id(self) -> dict[ConstructId, float]:
-        return dict(zip(zip(self.constructs.cells, self.constructs.paths), self.by_position))
-
-    def __getitem__(self, cid: ConstructId) -> float:
-        return self._by_id[cid]
-
-    def __iter__(self) -> Iterator[ConstructId]:
-        return iter(self._by_id)
-
-    def __len__(self) -> int:
-        return len(self._by_id)
-
-
-def all_complexities(
-    constructs: Sequence[ConditionalConstruct],
-    cfg: BetaConfig = BetaConfig(),
-) -> Complexities:
-    """Branch complexity of every construct, bottom-up in post-order.
-
-    Runs on construct positions (``Constructs.of``). An explicit stack
-    replaces recursion, so long IF chains need no deep call stack. Raises
-    CycleError when a construct reaches itself.
-    """
-    cs = Constructs.of(constructs)
-    nested, branches, beta = cs.nested, cs.branches, cfg.beta
-    memo: list[Optional[float]] = [None] * len(cs)
-    in_progress = [False] * len(cs)
-    for root in range(len(cs)):
-        stack = [root]
-        while stack:
-            i = stack[-1]
-            if memo[i] is None and not in_progress[i]:
-                in_progress[i] = True
-                for j in nested[i]:
-                    if in_progress[j]:
-                        raise CycleError([[cs.cells[j].render()]])
-                    if memo[j] is None:
-                        stack.append(j)
-                continue
-            stack.pop()
-            if memo[i] is None:  # its nested constructs are done
-                in_progress[i] = False
-                base = sum(memo[j] for j in nested[i]) + branches[i]
-                try:
-                    memo[i] = base ** (1.0 + beta) if beta else base
-                except OverflowError:
-                    memo[i] = math.inf
-    return Complexities(cs, memo)
+def all_complexities(constructs: Constructs, cfg: BetaConfig = BetaConfig()) -> list[float]:
+    """Branch complexity of each construct ``find_conditionals`` found, by
+    position: one loop in ``constructs.order``, where each construct's M set
+    is done before it."""
+    nested, branches, beta = constructs.nested, constructs.branches, cfg.beta
+    memo: list[float] = [0.0] * len(constructs)
+    for k in constructs.order:
+        base = sum(map(memo.__getitem__, nested[k])) + branches[k]
+        try:
+            memo[k] = base ** (1.0 + beta) if beta else base
+        except OverflowError:
+            memo[k] = math.inf
+    return memo
 
 
 def conditional_complexity(
     s: ConditionalConstruct,
     cfg: BetaConfig = BetaConfig(),
-    constructs: Optional[Sequence[ConditionalConstruct]] = None,
+    constructs: Optional[Constructs] = None,
 ) -> float:
     """Branch complexity of one construct.
 
-    ``constructs`` must contain every construct reachable from ``s``; it
-    defaults to just ``s`` (valid only when the construct has no M set).
+    ``constructs`` are those ``find_conditionals`` found with ``s``. Without
+    them ``s`` must have no M set, and its complexity is N^(1+beta).
     """
-    return all_complexities(constructs if constructs is not None else [s], cfg)[s.id]
+    if constructs is None:
+        if s.nested_or_precedent:
+            raise DomainError(f"the IF at {s.cell.render()} path {s.path} has an M set: "
+                              "pass the constructs found with it")
+        n = s.conditionless_branches
+        return n ** (1.0 + cfg.beta) if cfg.beta else n
+    k = next((k for k, at in enumerate(zip(constructs.nodes, constructs.paths))
+              if at == (s.node, s.path)), None)
+    if k is None:
+        raise DomainError(f"the IF at {s.cell.render()} path {s.path} is not among the constructs")
+    return all_complexities(constructs, cfg)[k]
 
 
-def finals_by_cell(constructs: Sequence[ConditionalConstruct]) -> dict[int, list[int]]:
+def finals_by_cell(constructs: Constructs) -> dict[int, list[int]]:
     """The positions of each cell's final constructs by node id, in
     construct order."""
-    cs = Constructs.of(constructs)
     by_cell: dict[int, list[int]] = {}
-    for k in compress(range(len(cs)), cs.final):
-        by_cell.setdefault(cs.nodes[k], []).append(k)
+    for k in compress(range(len(constructs)), constructs.final):
+        by_cell.setdefault(constructs.nodes[k], []).append(k)
     return by_cell
 
 
 def cascade_finals(
     member_ids: Iterable[int],
-    finals: Mapping[int, list[int]],
+    finals: dict[int, list[int]],
 ) -> list[int]:
     """The positions of the final constructs of a cascade's members, in
     construct order.
@@ -268,13 +237,12 @@ def cascade_finals(
 
 def cascade_conditional_report(
     g: CellGraph,
-    constructs: Sequence[ConditionalConstruct],
+    constructs: Constructs,
     terminal: CellRef,
     cfg: BetaConfig = BetaConfig(),
 ) -> list[tuple[ConditionalConstruct, float]]:
     """(final construct, complexity) pairs within one terminal's cascade;
     ``constructs`` are those ``find_conditionals`` found in ``g``."""
-    cs = Constructs.of(constructs)
-    complexity = all_complexities(cs, cfg).by_position
-    return [(cs[k], complexity[k])
-            for k in cascade_finals(g.member_ids(terminal), finals_by_cell(cs))]
+    complexity = all_complexities(constructs, cfg)
+    return [(constructs[k], complexity[k])
+            for k in cascade_finals(g.member_ids(terminal), finals_by_cell(constructs))]

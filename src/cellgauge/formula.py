@@ -680,8 +680,8 @@ def _shift_key_pieces(node: AstNode) -> list[str]:
             parts = []
         elif isinstance(n, BinaryOp):
             stack.extend((")", n.right, n.op, n.left, "("))
-        elif isinstance(n, NumberLiteral):
-            parts.append(render_number(n.value))
+        elif isinstance(n, (NumberLiteral, StringLiteral, BoolLiteral)):
+            parts.append(_atom_text(n))
         elif isinstance(n, FunctionCall):
             items: list[Union[AstNode, str]] = [f"{n.name}("]
             for i, arg in enumerate(n.args):
@@ -692,10 +692,6 @@ def _shift_key_pieces(node: AstNode) -> list[str]:
             stack.extend(reversed(items))
         elif isinstance(n, UnaryOp):
             stack.extend((")", n.child, f"u{n.op}("))
-        elif isinstance(n, StringLiteral):
-            parts.append('"' + n.value + '"')
-        elif isinstance(n, BoolLiteral):
-            parts.append("TRUE" if n.value else "FALSE")
         else:
             raise TypeError(f"not an AST node: {n!r}")
     pieces.append("".join(parts))

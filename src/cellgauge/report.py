@@ -339,7 +339,7 @@ def _graph_analysis(
     cascades: Optional[list[CascadeEntry]] = None
     if not graph.is_cyclic:
         constructs = find_conditionals(wb, graph)
-        complexity = all_complexities(constructs, config.beta).by_position
+        complexity = all_complexities(constructs, config.beta)
         finals = finals_by_cell(constructs)
         # Each construct a cascade lists, built once, with its O value.
         listed: dict[int, tuple[ConditionalConstruct, float]] = {}

@@ -502,21 +502,32 @@ def test_long_downward_chain_needs_no_recursion():
     sheets = downward_if_chain(3000)
     wb, g, cs = discovered(sheets)
     complexity = all_complexities(cs, BetaConfig(0.0))
-    finals = [c for c in cs if c.is_final]
-    assert [c.cell.render() for c in finals] == ["S!A1"]
-    assert complexity[finals[0].id] == 3001
+    finals = [(k, c) for k, c in enumerate(cs) if c.is_final]
+    assert [(c.cell.render(), complexity[k]) for k, c in finals] == [("S!A1", 3001)]
 
     report = analyze_workbook(make_workbook(sheets), AnalysisConfig())
     (cascade,) = report.cascades
     assert [(c.cell.render(), o) for c, o in cascade.conditionals] == [("S!A1", 3001)]
 
 
-def test_complexity_cycle_raises():
-    wb, g, cs = discovered({"S": {"X1": "=IF(A1>0, 1, 2)"}})
-    (c,) = cs
-    looped = ConditionalConstruct(c.cell, c.path, (c.id,), 1, True, c.node)
-    with pytest.raises(CycleError):
-        all_complexities([looped])
+def test_complexity_without_constructs_needs_no_m_set():
+    wb, g, cs = discovered({"S": {"A1": 1, "D1": "=IF(A1>0, IF(A1>1,1,2), 5)"}})
+    outer, inner = cs
+    assert conditional_complexity(inner) == 2
+    assert conditional_complexity(inner, BetaConfig(0.5)) == 2 ** 1.5
+    with pytest.raises(DomainError, match=r"S!D1 path \(\)"):
+        conditional_complexity(outer)
+    assert conditional_complexity(outer, BetaConfig(0.0), cs) == 3
+    _, _, elsewhere = discovered({"S": {"X1": "=1+IF(A1>0,1,2)"}})
+    with pytest.raises(DomainError, match="not among"):
+        conditional_complexity(outer, BetaConfig(0.0), elsewhere)
+
+
+def test_constructs_slice_to_lists():
+    wb, g, cs = discovered({"S": {"A1": 1, "D1": "=IF(A1>0, IF(A1>1,1,2), 5)"}})
+    assert cs[0:1] == [cs[0]]
+    assert cs[::-1] == [cs[1], cs[0]] == list(reversed(cs))
+    assert cs[5:] == []
 
 
 def test_beta_config_validation():
@@ -570,7 +581,7 @@ def test_cascade_conditionals_keep_construct_order():
         report = analyze_workbook(wb, AnalysisConfig())
         for entry in report.cascades:
             members = {a.key() for a in g.cascade_members(entry.stats.terminal)}
-            expected = [(c, complexity[c.id]) for c in cs
+            expected = [(c, complexity[k]) for k, c in enumerate(cs)
                         if c.is_final and c.cell.key() in members]
             assert list(entry.conditionals) == expected, seed
             assert cascade_conditional_report(g, cs, entry.stats.terminal) == expected
@@ -729,10 +740,20 @@ def test_shape_if_layout_matches_walk_on_random_workbooks():
 # --- against discovery and complexity before positions ----------------------------
 
 
+def assert_finished_order(cs):
+    """``cs.order`` lists every position once, each after its M set."""
+    order = list(cs.order)
+    assert sorted(order) == list(range(len(cs)))
+    done = [False] * len(cs)
+    for k in order:
+        assert all(done[j] for j in cs.nested[k]), k
+        done[k] = True
+
+
 def assert_matches_oracle(wb, g):
-    """Every construct field and the complexities at beta 0 and 0.5 equal
-    those of the code in ``conditionals_oracle``, or both raise CycleError.
-    Returns the constructs found."""
+    """Every construct field and the (id, complexity) pairs at beta 0 and
+    0.5 equal those of the code in ``conditionals_oracle``, by position, or
+    both raise CycleError. Returns the constructs found."""
     try:
         want = conditionals_oracle.find_conditionals(wb, g)
     except CycleError:
@@ -745,11 +766,11 @@ def assert_matches_oracle(wb, g):
         assert (c.cell, c.path, c.nested_or_precedent, c.conditionless_branches,
                 c.is_final, c.node) == (w.cell, w.path, w.nested_or_precedent,
                                         w.conditionless_branches, w.is_final, w.node)
+    assert_finished_order(got)
+    ids = [c.id for c in got]
     for beta in (0.0, 0.5):
         expected = list(conditionals_oracle.all_complexities(want, BetaConfig(beta)).items())
-        assert list(all_complexities(got, BetaConfig(beta)).items()) == expected
-        # A list of constructs goes through the same engine.
-        assert list(all_complexities(want, BetaConfig(beta)).items()) == expected
+        assert list(zip(ids, all_complexities(got, BetaConfig(beta)))) == expected
     return want
 
 
@@ -806,12 +827,6 @@ def test_constructs_match_the_oracle_on_fixtures(sheets):
 def test_a_cycle_raises_as_in_the_oracle():
     wb, g = make_graph({"S": {"A1": "=IF(B1>0,1,2)", "B1": "=IF(A1,1)"}})
     assert assert_matches_oracle(wb, g) == []
-    wb, g, cs = discovered({"S": {"X1": "=IF(A1>0, 1, 2)"}})
-    (c,) = cs
-    looped = ConditionalConstruct(c.cell, c.path, (c.id,), 1, True, c.node)
-    for complexities in (all_complexities, conditionals_oracle.all_complexities):
-        with pytest.raises(CycleError):
-            complexities([looped])
 
 
 def test_the_audit_builds_objects_only_for_listed_constructs(monkeypatch):

@@ -9,22 +9,17 @@ equals what the per-copy computation gives: ``oracle_formula_metrics``,
 cell metrics as they were computed one precedent address at a time, on
 every cell under each dispersion mode, and ``oracle_check_range_linkage``,
 the range-linkage check as it was when it read every copy's targets, with
-its populated-extent helper ``_populated_extent`` kept verbatim. Conditional
-complexities are computed on construct positions; the last test checks that
-ids built apart from the graph still find their constructs.
+its populated-extent helper ``_populated_extent`` kept verbatim.
 """
 
 from __future__ import annotations
 
-import copy
 import math
-from dataclasses import replace
 from typing import Optional, Sequence
 
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cellgauge.conditionals import BetaConfig, all_complexities, find_conditionals
 from cellgauge.graph import CellGraph, build_graph
 from cellgauge.metrics import (
     DISPERSION_MODES,
@@ -325,25 +320,3 @@ def test_a_mixed_anchor_run_is_read_from_its_ends():
     assert [f.target_range.render() for f in findings] == ["S!C1:C2", "S!C3:C8"]
     assert [(f.ref_style, f.s) for f in findings] == [("relative", 3), ("relative", 1)]
 
-
-def test_complexities_match_constructs_by_equal_addresses_too():
-    # all_complexities matches nested ids to constructs by equality: ids
-    # built apart, with equal but distinct addresses, give the same
-    # complexities.
-    doc = {"sheets": [{"name": "S", "cells": (
-        [{"ref": f"{c}1", "value": 1.0} for c in "AB"]
-        + [{"ref": f"{c}{r}", "formula": f"=IF({c}{r - 1}>0,{c}{r - 1}+1,IF({c}1<0,1,2))"}
-           for c in "AB" for r in range(2, 6)])}]}
-    wb = load_workbook_doc(doc)
-    constructs = find_conditionals(wb, build_graph(wb))
-    apart = [
-        replace(c, cell=copy.copy(c.cell), nested_or_precedent=tuple(
-            (copy.copy(cell), path) for cell, path in c.nested_or_precedent))
-        for c in constructs
-    ]
-    assert all(a.cell is not c.cell for a, c in zip(apart, constructs))
-    for beta in (0.0, 0.5):
-        want = all_complexities(constructs, BetaConfig(beta))
-        assert all_complexities(apart, BetaConfig(beta)) == want
-        assert list(want) == [c.id for c in constructs]
-    assert max(all_complexities(constructs).values()) == 9

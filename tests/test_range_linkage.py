@@ -157,6 +157,17 @@ def test_fully_empty_source_reports_zero_extent():
     assert f.verdict == "violation"
 
 
+def test_string_literals_with_quotes_do_not_make_copies():
+    # "a","b" and "a"",""b" read alike unless a literal's quotes are doubled
+    # in the shift key; then C1 and C2 would form a run over A1:A3.
+    wb = make_workbook({"S": {
+        **{f"A{r}": float(r) for r in range(1, 4)},
+        "C1": '=CONCAT(A1,"a","b")',
+        "C2": '=CONCAT(A2,"a"",""b")',
+    }})
+    assert check_range_linkage(wb, build_graph(wb)) == []
+
+
 def alternating_pairs(n):
     """Column A holds data in rows 1..n; column B alternates =A{r}*2 and
     =A{r}+2 in pairs, so every run is two cells over one tall column."""

@@ -82,7 +82,7 @@ def old_shift_key(node: AstNode, base_col: int, base_row: int) -> str:
         elif isinstance(n, UnaryOp):
             stack.extend((")", n.child, f"u{n.op}("))
         elif isinstance(n, StringLiteral):
-            parts.append('"' + n.value + '"')
+            parts.append('"' + n.value.replace('"', '""') + '"')
         elif isinstance(n, BoolLiteral):
             parts.append("TRUE" if n.value else "FALSE")
     return "".join(parts)
