@@ -21,22 +21,22 @@ so the parser's call stack stays bounded. AST nodes compare, hash and
 print (``repr``) structurally, on an explicit stack, so a long flat chain
 needs no deep call stack there either.
 
-What a cell reference is, is defined once, by ``refs.REFERENCE``: the
-lexer's token pattern and the shape scan both embed it.
+What a token is, is defined once, by the lexer's pattern ``_TOKEN``, which
+embeds ``refs.REFERENCE`` for a cell reference.
 
 A formula's *shape* is the formula up to the shift of its relative
 references: ``=A1*2`` in B1 and ``=A2*2`` in B2 share one. :func:`shape_key`
-keys a text by its shape and yields the text's references. It finds the
-references where the lexer would, with one regex pass per *skeleton* (the
-text with each letter and digit replaced by its class), which copies of a
-formula mostly share. :class:`FormulaShape` is built from one parse and
+keys a text by its shape and yields the text's references. It cuts the
+text with the lexer's ``_TOKEN``, once per *skeleton* (the text with each
+letter and digit replaced by its class), which copies of a formula mostly
+share. :class:`FormulaShape` is built from two walks of one parse and
 keeps what the audit needs of the formula's structure, not the AST:
 operator and operand counts, nesting, decisions, the range-linkage shift
 key split at the reference leaves, whether each leaf is a range, whether
 every reference is relative, and the IF layout conditional discovery
-reads. A copy is
-then just its references: ``FormulaShape.references`` gives its reference
-leaves and ``FormulaShape.shift_key_at`` its shift key, with no AST.
+reads. A copy is then just its references: ``FormulaShape.references``
+gives its reference leaves and ``FormulaShape.shift_key_at`` its shift
+key, with no AST.
 """
 
 from __future__ import annotations
@@ -235,20 +235,16 @@ def ast_repr(node: AstNode) -> str:
 
 # --- Lexer ---------------------------------------------------------------
 
-# The lexer's tokens other than references, as text patterns the shape scan
-# shares. A string closes at the first quote run of odd length; ``""``
-# inside it stands for one quote.
-_STRING = r'"(?:[^"]|"")*"(?!")'
-_NUMBER = r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
-_NAME = r"[A-Za-z_][A-Za-z0-9_.]*"
-
 # One token, named by the group that matched it; alternatives are tried in
-# order, so a number or a reference wins over a name. A quote that opens no
-# complete string is an unterminated one; no match means no token starts
-# at that character.
+# order, so a number or a reference wins over a name. A string closes at
+# the first quote run of odd length; ``""`` inside it stands for one quote.
+# A quote that opens no complete string is an unterminated one; no match
+# means no token starts at that character. The lexer and the shape scan
+# both cut with this one pattern.
 _TOKEN = re.compile(
-    rf"(?P<WS>[ \t\r\n]+)|(?P<STRING>{_STRING})|(?P<UNTERMINATED>\")"
-    rf"|(?P<NUMBER>{_NUMBER})|(?P<REF>{REFERENCE})|(?P<NAME>{_NAME})"
+    r'(?P<WS>[ \t\r\n]+)|(?P<STRING>"(?:[^"]|"")*"(?!"))|(?P<UNTERMINATED>")'
+    r"|(?P<NUMBER>(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"
+    rf"|(?P<REF>{REFERENCE})|(?P<NAME>[A-Za-z_][A-Za-z0-9_.]*)"
     r"|(?P<LPAREN>\()|(?P<RPAREN>\))|(?P<COMMA>,)|(?P<COLON>:)"
     r"|(?P<OP><=|>=|<>|[=<>+\-*/^&%])"
 )
@@ -647,55 +643,7 @@ def decision_count(ast: FormulaAst | AstNode) -> int:
     non-boolean IF condition is one condition.
     """
     root = ast.root if isinstance(ast, FormulaAst) else ast
-    count = 0
-    for node in walk(root):
-        if isinstance(node, BinaryOp) and node.op in _COMPARISONS:
-            count += 1
-        elif isinstance(node, FunctionCall):
-            if node.name in _LOGICAL_FUNCS:
-                count += sum(1 for arg in node.args if not _is_boolean_form(arg))
-            elif node.name == "IF" and node.args:
-                cond = node.args[0]
-                if not _is_boolean_form(cond) and not isinstance(cond, BoolLiteral):
-                    count += 1
-    return count
-
-
-def _shift_key_pieces(node: AstNode) -> list[str]:
-    """A formula's canonical text split at its reference leaves: the text
-    before, between and after them in ``walk`` order. Joined with each
-    leaf's parts relative to a cell (:func:`_shift_key`), it is that cell's
-    shift key, which copies of one formula share."""
-    # An explicit stack, so a long flat chain such as A1+A1+...+A1 needs no
-    # deep call stack; a string on the stack is emitted as is when popped.
-    pieces: list[str] = []
-    parts: list[str] = []
-    stack: list[Union[AstNode, str]] = [node]
-    while stack:
-        n = stack.pop()
-        if isinstance(n, str):
-            parts.append(n)
-        elif isinstance(n, (CellRefNode, RangeRefNode)):
-            pieces.append("".join(parts))
-            parts = []
-        elif isinstance(n, BinaryOp):
-            stack.extend((")", n.right, n.op, n.left, "("))
-        elif isinstance(n, (NumberLiteral, StringLiteral, BoolLiteral)):
-            parts.append(_atom_text(n))
-        elif isinstance(n, FunctionCall):
-            items: list[Union[AstNode, str]] = [f"{n.name}("]
-            for i, arg in enumerate(n.args):
-                if i:
-                    items.append(",")
-                items.append(arg)
-            items.append(")")
-            stack.extend(reversed(items))
-        elif isinstance(n, UnaryOp):
-            stack.extend((")", n.child, f"u{n.op}("))
-        else:
-            raise TypeError(f"not an AST node: {n!r}")
-    pieces.append("".join(parts))
-    return pieces
+    return _layout(root)[3]
 
 
 def _shift_key(pieces: Sequence[str], leaves: Sequence[Union[CellRef, RangeRef]],
@@ -722,33 +670,15 @@ def _shift_key(pieces: Sequence[str], leaves: Sequence[Union[CellRef, RangeRef]]
 
 # --- Formula shapes ---------------------------------------------------------
 
-# REFERENCE without its group names, for a lookahead in a pattern that
-# names them already (one pattern may not name a group twice).
-_ANY_REFERENCE = re.sub(r"\(\?P<\w+>", "(?:", REFERENCE)
-# One lexer token that is not a reference, matched exactly as _lex matches
-# it: a string, a number, a name where _lex sees no reference, or a run of
-# whitespace, punctuation and operator characters (each of those is a token
-# of its own).
-_OTHER_TOKEN = (
-    rf"{_STRING}|{_NUMBER}|(?!{_ANY_REFERENCE}){_NAME}"
-    r"|[ \t\r\n(),:<>=+\-*/^&%]+"
-)
-# The text up to and including the next reference, or up to the end of the
-# text when no reference follows. The run of other tokens is captured in a
-# lookahead, which never backtracks, so a reference is never found inside a
-# name or a number (AB1 in XYAB1, E5 in 1E5).
-_UP_TO_REF = re.compile(
-    rf"(?:(?=(?P<other>(?:{_OTHER_TOKEN})+))(?P=other))?(?:(?P<ref>{REFERENCE})|\Z)"
-)
-
 _RefInfo = tuple[CellRef, Optional[str], bool, int, bool, int]
-# Where _UP_TO_REF cuts a text: per match, the (start, end) of its run of
-# other tokens and of its reference, each None when absent.
+# Where _scan_spans cuts a text: per reference and once for the end of the
+# text, the (start, end) of the run of other tokens before it and of the
+# reference, each None when absent.
 _Span = Optional[tuple[int, int]]
 _Cuts = tuple[tuple[_Span, _Span], ...]
 
 # A text's character-class skeleton: each ASCII letter but e/E becomes "a"
-# and each ASCII digit "0"; every other character stays. _UP_TO_REF tells
+# and each ASCII digit "0"; every other character stays. _TOKEN tells
 # characters apart only by these classes (e/E only inside a number's
 # exponent), so texts with one skeleton split into tokens at the same spans.
 _SKELETON = str.maketrans(
@@ -757,23 +687,25 @@ _SKELETON = str.maketrans(
 
 
 def _scan_spans(text: str) -> Optional[_Cuts]:
-    """``_UP_TO_REF``'s cuts of a formula text after its ``=``: per match,
-    the span of its run of other tokens (None if there is none) and the span
-    of its reference (None at the end of the text). None when some character
-    starts no token."""
-    match = _UP_TO_REF.match
+    """The cuts of a formula text after its ``=`` at its references, found
+    with ``_TOKEN`` as :func:`_lex` finds its tokens: per reference, the
+    span of the run of other tokens before it (None if there is none) and
+    its span; last, the run after the last reference and None. None when
+    some character starts no token or a string is left open; a reference's
+    row and column are not checked here."""
+    match = _TOKEN.match
     spans = []
-    pos = 1
-    while True:
+    start = pos = 1
+    while pos < len(text):
         m = match(text, pos)
-        if m is None:
+        if m is None or m.lastgroup == "UNTERMINATED":
             return None
-        other = m.span("other") if m.start("other") >= 0 else None
-        if m.start("ref") < 0:
-            spans.append((other, None))
-            return tuple(spans)
-        spans.append((other, m.span("ref")))
+        if m.lastgroup == "REF":
+            spans.append(((start, pos) if start < pos else None, m.span()))
+            start = m.end()
         pos = m.end()
+    spans.append(((start, pos) if start < pos else None, None))
+    return tuple(spans)
 
 
 def shape_key(
@@ -782,19 +714,20 @@ def shape_key(
 ) -> Optional[tuple[tuple, tuple[CellRef, ...]]]:
     """The shape key of a formula text in cell (column, row), and its refs.
 
-    The text is cut into tokens exactly where :func:`_lex` cuts it. The key
-    is a tuple of the verbatim text between references and, for each
-    reference, its sheet and each absolute flag with the absolute value or
-    the offset from the cell, so two texts share a key exactly when they
-    are copies of one formula. The refs are those ``_lex`` would build, in
-    text order. None when the text cannot share a shape: when it does not
-    start with ``=``, holds a character no token starts with, or a
+    The text is cut with the lexer's own token pattern, ``_TOKEN``, so at
+    exactly the places :func:`_lex` cuts it. The key is a tuple of the
+    verbatim text between references and, for each reference, its sheet
+    and each absolute flag with the absolute value or the offset from the
+    cell, so two texts share a key exactly when they are copies of one
+    formula. The refs are those ``_lex`` would build, in text order. None
+    when the text cannot share a shape: when it does not start with ``=``,
+    holds a character no token starts with or an unterminated string, or a
     reference to row 0 or past column XFD (such texts fail to parse, and
     each must report its own error offset).
 
     ``memo`` maps each reference text to what it denotes, and ``cuts`` each
-    text skeleton (see ``_SKELETON``) to the cuts ``_UP_TO_REF`` found in
-    the first text with that skeleton, so later texts with it are cut
+    text skeleton (see ``_SKELETON``) to the cuts :func:`_scan_spans` found
+    in the first text with that skeleton, so later texts with it are cut
     without a scan. Both should live as long as one load; without ``cuts``
     the text is scanned.
     """
@@ -850,37 +783,75 @@ def _copy_range(start: CellRef, end: CellRef) -> RangeRef:
     return RangeRef.normalized(start, end.with_sheet(start.sheet) if start.sheet else end)
 
 
-def _layout(root: AstNode) -> tuple[list[Union[CellRef, RangeRef]], Reach, IfLayout]:
+def _layout(root: AstNode) -> tuple[
+        list[Union[CellRef, RangeRef]], Reach, IfLayout, int, list[str]]:
     """One pre-order pass over a formula: the refs of its reference leaves,
-    its own reach and its IF calls. References are numbered in ``walk``
-    order, as the dependency graph lists their targets; a path is the chain
-    of child indexes from the root. Pre-order lists the IF calls in path
-    order, so a reach names each IF by its index in that list."""
+    its own reach, its IF calls, its decision count (see
+    :func:`decision_count`) and its shift-key pieces. References are
+    numbered in ``walk`` order, as the dependency graph lists their
+    targets; a path is the chain of child indexes from the root. Pre-order
+    lists the IF calls in path order, so a reach names each IF by its index
+    in that list.
+
+    The pieces are the formula's canonical text split at its reference
+    leaves: the text before, between and after them. Joined with each
+    leaf's parts relative to a cell (:func:`_shift_key`), they make that
+    cell's shift key, which copies of one formula share. A string on the
+    stack is canonical text, taken when popped."""
     leaves: list[Union[CellRef, RangeRef]] = []
     own: tuple[list, list] = ([], [])
     ifs: list = []
-    stack = [((), root, own)]
+    decisions = 0
+    pieces: list[str] = []
+    parts: list[str] = []
+    stack: list = [((), root, own)]
     while stack:
-        path, node, reach = stack.pop()
-        if isinstance(node, FunctionCall) and node.name == "IF":
-            reach[0].append(len(ifs))  # that construct owns its own subtree
-            args: list[tuple[list, list]] = [([], []) for _ in node.args]
-            ifs.append((path, args))
-            for i in range(len(args) - 1, -1, -1):
-                stack.append((path + (i,), node.args[i], args[i]))
-        elif isinstance(node, (CellRefNode, RangeRefNode)):
+        item = stack.pop()
+        if isinstance(item, str):
+            parts.append(item)
+            continue
+        path, node, reach = item
+        if isinstance(node, (CellRefNode, RangeRefNode)):
             reach[1].append(len(leaves))
             leaves.append(node.ref)
+            pieces.append("".join(parts))
+            parts = []
+            continue
+        children = child_nodes(node)
+        reaches = [reach] * len(children)
+        if isinstance(node, BinaryOp):
+            if node.op in _COMPARISONS:
+                decisions += 1
+            opening, between = "(", node.op
+        elif isinstance(node, FunctionCall):
+            if node.name in _LOGICAL_FUNCS:
+                decisions += sum(1 for arg in children if not _is_boolean_form(arg))
+            elif node.name == "IF":
+                reach[0].append(len(ifs))  # that construct owns its own subtree
+                reaches = [([], []) for _ in children]
+                ifs.append((path, reaches))
+                if children and not (_is_boolean_form(children[0])
+                                     or isinstance(children[0], BoolLiteral)):
+                    decisions += 1
+            opening, between = f"{node.name}(", ","
+        elif isinstance(node, UnaryOp):
+            opening, between = f"u{node.op}(", ""
         else:
-            children = child_nodes(node)
-            for i in range(len(children) - 1, -1, -1):
-                stack.append((path + (i,), children[i], reach))
+            parts.append(_atom_text(node))
+            continue
+        parts.append(opening)
+        stack.append(")")
+        for i in range(len(children) - 1, -1, -1):
+            stack.append((path + (i,), children[i], reaches[i]))
+            if i:
+                stack.append(between)
+    pieces.append("".join(parts))
 
     def frozen(reach: tuple[list, list]) -> Reach:
         return tuple(reach[0]), tuple(reach[1])
 
     return leaves, frozen(own), tuple(
-        (path, tuple(frozen(arg) for arg in args)) for path, args in ifs)
+        (path, tuple(frozen(arg) for arg in args)) for path, args in ifs), decisions, pieces
 
 
 class FormulaShape:
@@ -916,8 +887,8 @@ class FormulaShape:
         self.n_operands = len(tokens) - self.n_operators
         self.depth_of_nesting = max(levels)
         self.avg_nesting_level = Fraction(sum(levels), len(levels))
-        self.decision_count = decision_count(ast)
-        leaves, self.if_reach, self.ifs = _layout(ast.root)
+        (leaves, self.if_reach, self.ifs, self.decision_count,
+         self._key_pieces) = _layout(ast.root)
         self._leaves = tuple(leaves)
         is_range = tuple(isinstance(ref, RangeRef) for ref in leaves)
         self._is_range = is_range if any(is_range) else None
@@ -931,7 +902,6 @@ class FormulaShape:
             and ref.start.row_absolute == ref.end.row_absolute
             for ref in leaves if isinstance(ref, RangeRef)
         )
-        self._key_pieces = _shift_key_pieces(ast.root)
         self.shift_key = _shift_key(self._key_pieces, leaves, column, row) if uniform else None
 
     def references(

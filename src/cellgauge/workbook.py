@@ -235,9 +235,8 @@ def _add_formula(sheet: Sheet, key: tuple[int, int], text: str,
                 W_FORMULA_ERROR, CellRef(sheet.name, column, row).render(), str(exc)))
             sheet.values.append(str(text))
             return
-        shape = FormulaShape(ast, column, row)
-        if keyed is not None:
-            shapes.by_key[keyed[0]] = shape
+        # A text that parses has a key: shape_key cuts it as _lex does.
+        shape = shapes.by_key[keyed[0]] = FormulaShape(ast, column, row)
     sheet.formula_rows.append(len(sheet.values))
     sheet.values.append(None)
     sheet.sources.append(text)

@@ -1,6 +1,7 @@
 import dataclasses
 import random
 from fractions import Fraction
+from typing import Union
 
 import pytest
 from hypothesis import given
@@ -13,19 +14,27 @@ from cellgauge.errors import (
 )
 from cellgauge.formula import (
     _ATOM_PREC,
+    _COMPARISONS,
+    _LOGICAL_FUNCS,
     _PERCENT_PREC,
     _PREC,
     _UNARY_PREC,
     MAX_NESTING,
+    AstNode,
     BinaryOp,
     BoolLiteral,
     CellRefNode,
+    FormulaAst,
     FunctionCall,
     NumberLiteral,
     RangeRefNode,
     StringLiteral,
     UnaryOp,
+    _atom_text,
+    _is_boolean_form,
+    _layout,
     classify_tokens,
+    decision_count,
     parse_formula,
     render_formula,
     render_number,
@@ -411,7 +420,10 @@ def recursive_render(node):
 
 
 def random_ast(rng, depth):
-    """A random AST over every node kind and operator, up to ``depth`` deep."""
+    """A random AST over every node kind and operator, up to ``depth`` deep,
+    with AND/OR/NOT calls and IFs whose condition is a comparison, a logical
+    call, TRUE or a bare reference: each form ``decision_count`` tells
+    apart."""
     if depth == 0 or rng.random() < 0.25:
         kind = rng.randrange(6)
         if kind == 0:
@@ -424,12 +436,23 @@ def random_ast(rng, depth):
             return RangeRefNode(RangeRef(CellRef(None, 1, 1), CellRef(None, 2, 3)))
         return ref(rng.randint(1, 30), rng.randint(1, 99), rng.random() < 0.3,
                    rng.random() < 0.3, rng.choice([None, "Data", "My Data"]))
-    kind = rng.randrange(4)
+    kind = rng.randrange(5)
     if kind == 0:
         return UnaryOp(rng.choice("-%"), random_ast(rng, depth - 1))
     if kind == 1:
-        return FunctionCall(rng.choice(["SUM", "IF", "NOW", "MAX"]), tuple(
-            random_ast(rng, depth - 1) for _ in range(rng.randrange(4))))
+        return FunctionCall(rng.choice(["SUM", "IF", "NOW", "MAX", "AND", "OR", "NOT"]),
+                            tuple(random_ast(rng, depth - 1) for _ in range(rng.randrange(4))))
+    if kind == 2:
+        cond = rng.choice((
+            lambda: BinaryOp(rng.choice(sorted(_COMPARISONS)), random_ast(rng, depth - 1),
+                             random_ast(rng, depth - 1)),
+            lambda: FunctionCall(rng.choice(["AND", "OR", "NOT"]), tuple(
+                random_ast(rng, depth - 1) for _ in range(rng.randint(1, 3)))),
+            lambda: BoolLiteral(True),
+            lambda: ref(rng.randint(1, 30), rng.randint(1, 99)),
+        ))()
+        return FunctionCall("IF", (cond,) + tuple(
+            random_ast(rng, depth - 1) for _ in range(rng.randrange(3))))
     return BinaryOp(rng.choice(sorted(_PREC)), random_ast(rng, depth - 1),
                     random_ast(rng, depth - 1))
 
@@ -452,6 +475,80 @@ def test_long_flat_sum_renders_and_round_trips():
     ast = parse_formula(text)
     assert render_formula(ast) == text
     assert render_formula(parse_formula(render_formula(ast))) == text
+
+
+# --- The one shape walk against the walks it replaced ----------------------------
+
+
+def _shift_key_pieces(node: AstNode) -> list[str]:
+    """A formula's canonical text split at its reference leaves: the text
+    before, between and after them in ``walk`` order. Joined with each
+    leaf's parts relative to a cell (:func:`_shift_key`), it is that cell's
+    shift key, which copies of one formula share."""
+    # An explicit stack, so a long flat chain such as A1+A1+...+A1 needs no
+    # deep call stack; a string on the stack is emitted as is when popped.
+    pieces: list[str] = []
+    parts: list[str] = []
+    stack: list[Union[AstNode, str]] = [node]
+    while stack:
+        n = stack.pop()
+        if isinstance(n, str):
+            parts.append(n)
+        elif isinstance(n, (CellRefNode, RangeRefNode)):
+            pieces.append("".join(parts))
+            parts = []
+        elif isinstance(n, BinaryOp):
+            stack.extend((")", n.right, n.op, n.left, "("))
+        elif isinstance(n, (NumberLiteral, StringLiteral, BoolLiteral)):
+            parts.append(_atom_text(n))
+        elif isinstance(n, FunctionCall):
+            items: list[Union[AstNode, str]] = [f"{n.name}("]
+            for i, arg in enumerate(n.args):
+                if i:
+                    items.append(",")
+                items.append(arg)
+            items.append(")")
+            stack.extend(reversed(items))
+        elif isinstance(n, UnaryOp):
+            stack.extend((")", n.child, f"u{n.op}("))
+        else:
+            raise TypeError(f"not an AST node: {n!r}")
+    pieces.append("".join(parts))
+    return pieces
+
+
+def walk_decision_count(ast: FormulaAst | AstNode) -> int:
+    """``decision_count`` as a walk of its own, before ``_layout`` counted
+    decisions."""
+    root = ast.root if isinstance(ast, FormulaAst) else ast
+    count = 0
+    for node in walk(root):
+        if isinstance(node, BinaryOp) and node.op in _COMPARISONS:
+            count += 1
+        elif isinstance(node, FunctionCall):
+            if node.name in _LOGICAL_FUNCS:
+                count += sum(1 for arg in node.args if not _is_boolean_form(arg))
+            elif node.name == "IF" and node.args:
+                cond = node.args[0]
+                if not _is_boolean_form(cond) and not isinstance(cond, BoolLiteral):
+                    count += 1
+    return count
+
+
+def test_layout_matches_the_walks_it_replaced_on_random_asts():
+    rng = random.Random(7)
+    conditions = set()
+    for _ in range(3000):
+        node = random_ast(rng, rng.randint(0, 6))
+        leaves, _, _, decisions, pieces = _layout(node)
+        assert pieces == _shift_key_pieces(node), node
+        assert leaves == [n.ref for n in walk(node) if isinstance(n, (CellRefNode, RangeRefNode))]
+        assert decision_count(node) == decisions == walk_decision_count(node), node
+        conditions.update(
+            n.args[0].name if isinstance(n.args[0], FunctionCall) else type(n.args[0])
+            for n in walk(node) if isinstance(n, FunctionCall) and n.name == "IF" and n.args)
+    # Every form of IF condition that decision counting tells apart.
+    assert {BinaryOp, "AND", "OR", "NOT", BoolLiteral, CellRefNode} <= conditions
 
 
 # --- repr without recursion ------------------------------------------------------

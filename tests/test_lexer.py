@@ -4,20 +4,23 @@
 shared ``refs.REFERENCE``: a character-by-character scan with its own
 reference regex and a hand-coded exception for ``LOG10(``. Its one addition
 is the XFD column check. The properties check that the lexer, the shape scan
-and the address parser read formula-like text exactly as it does, and that
-the shape scan may reuse one text's cuts for another of the same skeleton.
+and the address parser read formula-like text exactly as it does, that the
+shape scan cuts a text where the lexer's tokens start and end, and that it
+may reuse one text's cuts for another of the same skeleton.
 """
 
 from __future__ import annotations
 
 import re
 import string
+from unittest.mock import patch
 
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cellgauge import formula
 from cellgauge.errors import FormulaSyntaxError
-from cellgauge.formula import _SKELETON, _UP_TO_REF, _lex, _Token, shape_key
+from cellgauge.formula import _SKELETON, _lex, _scan_spans, _Token, shape_key
 from cellgauge.refs import (
     MAX_COLUMN,
     CellRef,
@@ -201,6 +204,28 @@ def test_shape_scan_finds_the_lexers_references(body, column, row):
 
 
 @given(formula_like)
+def test_scan_cuts_where_the_lexer_does(body):
+    # The scan leaves a reference's row and column to shape_key, so _lex is
+    # compared here with its references read but not checked; then it can
+    # fail only at a character no token starts with or at an open string.
+    text = "=" + body
+    with patch.object(formula, "ref_from_match", lambda m: None):
+        tokens = lexed(body)
+    cuts = _scan_spans(text)
+    assert (cuts is None) == isinstance(tokens, tuple)
+    if cuts is None:
+        assert tokens[1].startswith(("unexpected character", "unterminated string literal"))
+        return
+    assert [ref for _, ref in cuts if ref is not None] == [
+        (offset, offset + len(token)) for kind, token, offset, _ in tokens if kind == "REF"]
+    # The runs of other tokens and the references tile the text after "=".
+    tiles = [span for pair in cuts for span in pair if span is not None]
+    assert [end for _, end in tiles[:-1]] == [start for start, _ in tiles[1:]]
+    if body:
+        assert (tiles[0][0], tiles[-1][1]) == (1, len(text))
+
+
+@given(formula_like)
 def test_address_parser_reads_a_lone_reference_token(text):
     tokens = lexed(text)
     try:
@@ -240,25 +265,11 @@ def same_skeleton_pair(draw):
     return text, "".join(m[k % len(m)] for m, k in zip(mates, picks))
 
 
-def up_to_ref_spans(text):
-    """The (other, ref) spans of every ``_UP_TO_REF`` match in a formula
-    text after its "=", or None when a character starts no token."""
-    spans, pos = [], 1
-    while True:
-        m = _UP_TO_REF.match(text, pos)
-        if m is None:
-            return None
-        spans.append((m.span("other"), m.span("ref")))
-        if m["ref"] is None:
-            return spans
-        pos = m.end()
-
-
 @given(same_skeleton_pair())
 def test_texts_of_one_skeleton_scan_alike(pair):
     text, rewrite = pair
     assert text.translate(_SKELETON) == rewrite.translate(_SKELETON)
-    assert up_to_ref_spans(rewrite) == up_to_ref_spans(text)
+    assert _scan_spans(rewrite) == _scan_spans(text)
 
 
 @given(same_skeleton_pair(), st.integers(1, 40), st.integers(1, 40))
