@@ -10,6 +10,8 @@ Invalid input includes, in every command, a file that is not UTF-8, an
 option or weight that is not a finite number, ranges that cost more than
 ``--max-range-cells`` allows (see ``graph.CellGraph``), and, in ``analyze``,
 cascades that hold more members in all than ``report.MAX_CASCADE_CELLS``.
+``check-ranges`` exits 0 when it finds no copied-formula run or none is a
+violation, 1 when it prints a ``VIOLATION`` line, and 2 and 4 as above.
 
 Every command runs with cyclic garbage collection off; ``main`` restores the
 caller's setting when it returns.

@@ -10,11 +10,10 @@ A sheet keeps its cells as columns in document order (``Sheet``): an index
 from each (row, column) key to a position, a values column (None at a
 formula row) and, for the formula rows only, their source texts, shapes and
 references. The loader fills these columns and builds no ``Cell`` and no
-``CellRef`` per cell. A well-formed cell doc takes the fast path: one
+``CellRef`` per cell. One pass checks each cell doc in a fixed order, and
+the first check it fails gives its error; a well-formed doc costs one
 key-set test, one address match with a per-load memo of column letters, and
-its value typed inline. Any other doc goes through every check of the cell
-schema in turn (``_checked_cell``), so the error it raises, and which error
-wins, do not depend on the fast path. ``Sheet.cells``, ``Workbook.cell``,
+its value typed inline. ``Sheet.cells``, ``Workbook.cell``,
 ``iter_cells`` and ``formula_cells`` build ``Cell`` objects from the columns
 on first read.
 
@@ -185,17 +184,18 @@ class Workbook:
 
 # --- Loading ---------------------------------------------------------------
 
-def _typed_value(raw: object, address: CellRef) -> DataValue:
-    if isinstance(raw, bool):
-        return raw
+def _typed_value(raw: object, sheet: str, key: tuple[int, int]) -> DataValue:
+    """A value ``_load_cells`` does not type inline, of the cell at (row,
+    column) ``key``, whose address is built only for the error message."""
     if isinstance(raw, (int, float)):
         try:
             value = float(raw)
         except OverflowError:  # an integer literal past float's range
             value = math.inf if raw > 0 else -math.inf
         if not math.isfinite(value):
+            address = CellRef(sheet, key[1], key[0]).render()
             raise FormatError(
-                f"cell {address.render()} value must be a finite number, got {value!r}"
+                f"cell {address} value must be a finite number, got {value!r}"
             )
         return value
     if isinstance(raw, str):
@@ -244,93 +244,71 @@ def _add_formula(sheet: Sheet, key: tuple[int, int], text: str,
     sheet.refs.append(refs)
 
 
-def _checked_cell(sheet: Sheet, cell_doc: object, warnings: list[AuditWarning],
-                  shapes: _Shapes) -> None:
-    """Append a cell doc to the sheet after every check of the cell schema,
-    one at a time, raising FormatError for the first that fails."""
-    if not isinstance(cell_doc, dict):
-        raise FormatError("cell entry must be an object")
-    extra = set(cell_doc) - _CELL_FIELDS
-    if extra:
-        raise FormatError(f"unknown cell fields: {sorted(extra)}")
-    ref_text = cell_doc.get("ref")
-    if not isinstance(ref_text, str):
-        raise FormatError('cell "ref" must be a string')
-    if "!" in ref_text:
-        raise FormatError(f"cell ref must not carry a sheet: {ref_text!r}")
-    plain = _PLAIN_ADDRESS.match(ref_text)
-    if plain is not None and (column := letters_to_column(plain[1])) <= MAX_COLUMN:
-        address = CellRef(sheet.name, column, int(plain[2]))
-    else:
-        try:
-            ref = parse_cell_address(ref_text)
-        except ValueError as exc:
-            raise FormatError(str(exc)) from exc
-        address = CellRef(sheet.name, ref.column, ref.row)
-    has_value = "value" in cell_doc
-    has_formula = "formula" in cell_doc
-    if has_value == has_formula:
-        raise FormatError(
-            f"cell {ref_text} must have exactly one of value/formula"
-        )
-    if has_formula and not isinstance(cell_doc["formula"], str):
-        raise FormatError(f'cell {ref_text} "formula" must be a string')
-    value = None if has_formula else _typed_value(cell_doc["value"], address)
-    key = (address.row, address.column)
-    if key in sheet.index:
-        raise FormatError(
-            f"duplicate cell {address.render()} in sheet {sheet.name!r}"
-        )
-    sheet.index[key] = len(sheet.values)
-    if has_formula:
-        _add_formula(sheet, key, cell_doc["formula"], warnings, shapes)
-    else:
-        sheet.values.append(value)
-
-
 def _load_cells(sheet: Sheet, cell_docs: list, warnings: list[AuditWarning],
                 shapes: _Shapes) -> None:
     """Append a sheet's cell docs to its columns, in document order.
 
-    A doc takes the fast path while it passes each check there: a dict of
-    known fields, a plain ``ref`` (``_PLAIN_ADDRESS``) up to column XFD, a
-    key not yet in the sheet, and a formula text or a finite number,
-    string or boolean value. Any other doc goes through ``_checked_cell``.
+    Each doc is checked once, in this order, and the first check that fails
+    raises FormatError: an object; only known fields; a string ``ref`` with
+    no sheet; an address up to column XFD; exactly one of value and formula;
+    a string formula; a valid value; a key not yet in the sheet. A plain
+    ``ref`` takes its column from the load's memo, a float, int, string or
+    boolean value is typed inline, and one ``setdefault`` finds a duplicate.
     """
     index, values, columns = sheet.index, sheet.values, shapes.columns
     plain, isfinite = _PLAIN_ADDRESS.match, math.isfinite
     for cell_doc in cell_docs:
-        if type(cell_doc) is dict and cell_doc.keys() <= _CELL_FIELDS:
-            ref_text = cell_doc.get("ref")
-            m = plain(ref_text) if type(ref_text) is str else None
-            if m is not None:
-                letters, digits = m.groups()
-                column = columns.get(letters)
-                if column is None:
-                    column = columns[letters] = letters_to_column(letters)
-                key, position = (int(digits), column), len(values)
-                # Each branch indexes the key last, once every other check
-                # has passed, so a doc sent on to _checked_cell is not in
-                # the index yet.
-                if column <= MAX_COLUMN and "formula" in cell_doc:
-                    text = cell_doc["formula"]
-                    if (type(text) is str and "value" not in cell_doc
-                            and index.setdefault(key, position) == position):
-                        _add_formula(sheet, key, text, warnings, shapes)
-                        continue
-                elif column <= MAX_COLUMN:
-                    value = cell_doc.get("value")  # None is no value
-                    kind = type(value)
-                    if kind is int:
-                        try:
-                            value, kind = float(value), float
-                        except OverflowError:  # past float's range
-                            pass
-                    if ((kind is float and isfinite(value) or kind is str or kind is bool)
-                            and index.setdefault(key, position) == position):
-                        values.append(value)
-                        continue
-        _checked_cell(sheet, cell_doc, warnings, shapes)
+        if not isinstance(cell_doc, dict):
+            raise FormatError("cell entry must be an object")
+        if not cell_doc.keys() <= _CELL_FIELDS:
+            raise FormatError(f"unknown cell fields: {sorted(cell_doc.keys() - _CELL_FIELDS)}")
+        ref_text = cell_doc.get("ref")
+        if not isinstance(ref_text, str):
+            raise FormatError('cell "ref" must be a string')
+        m = plain(ref_text)
+        if m is not None:
+            letters, digits = m.groups()
+            column = columns.get(letters)
+            if column is None:
+                column = columns[letters] = letters_to_column(letters)
+            row = int(digits)
+        if m is None or column > MAX_COLUMN:
+            if "!" in ref_text:
+                raise FormatError(f"cell ref must not carry a sheet: {ref_text!r}")
+            try:
+                ref = parse_cell_address(ref_text)
+            except ValueError as exc:
+                raise FormatError(str(exc)) from exc
+            row, column = ref.row, ref.column
+        key = (row, column)
+        if "formula" in cell_doc:
+            if "value" in cell_doc:
+                raise FormatError(f"cell {ref_text} must have exactly one of value/formula")
+            value, text = None, cell_doc["formula"]
+            if not isinstance(text, str):
+                raise FormatError(f'cell {ref_text} "formula" must be a string')
+        else:
+            try:
+                value = cell_doc["value"]
+            except KeyError:  # neither value nor formula
+                raise FormatError(
+                    f"cell {ref_text} must have exactly one of value/formula") from None
+            kind = type(value)
+            if kind is int:
+                try:
+                    value, kind = float(value), float
+                except OverflowError:  # past float's range
+                    pass
+            if not (kind is float and isfinite(value) or kind is str or kind is bool):
+                value = _typed_value(value, sheet.name, key)
+        position = len(values)
+        if index.setdefault(key, position) != position:
+            address = CellRef(sheet.name, column, row).render()
+            raise FormatError(f"duplicate cell {address} in sheet {sheet.name!r}")
+        if value is None:  # a formula doc: no value is typed as None
+            _add_formula(sheet, key, text, warnings, shapes)
+        else:
+            values.append(value)
 
 
 def load_workbook_doc(doc: dict, provenance: str = "<doc>") -> Workbook:

@@ -72,12 +72,13 @@ def assert_loads_alike(load, oracle, source) -> None:
 # Most cell docs are well formed: a plain ref, or one in lower case, with
 # "$" anchors, a space or a leading zero, and a finite number, a string, a
 # boolean or a formula text (some of which fail to parse, for W001). At
-# most one cell doc of a sheet has a fault: a ref past XFD (one with a row
-# past int's digit limit), at row 0, sheet-qualified, not a reference or
-# not a string; an int past float's range, NaN, an infinity
+# most one cell doc of a sheet has faults, one or two of: a ref past XFD
+# (one with a row past int's digit limit), at row 0, sheet-qualified, not a
+# reference or not a string; an int past float's range, NaN, an infinity
 # or a non-scalar value; a non-string formula; both value and formula or
-# neither; an extra field; a duplicate ref; or no object at all. One
-# document in three also has a fault above the cells.
+# neither; an extra field; a duplicate ref; or no object at all. A doc with
+# two faults raises the error of the check that comes first. One document
+# in three also has a fault above the cells.
 
 REFS = [f"{c}{r}" for c in "ABCDE" for r in range(1, 9)] + [
     "AA9", "XFD1", "a1", "$B$2", "C$3", " D4", "E05", "A12345678"]
@@ -85,8 +86,11 @@ REFS = [f"{c}{r}" for c in "ABCDE" for r in range(1, 9)] + [
 LONG_ROW = "9" * 5_000
 BAD_REFS = ["XFE1", "XFE" + LONG_ROW, "AAAA1", "A0", "S!A1", "1A", "", "A1:B2", 5, None,
             ["A1"]]
+# Every code point but the surrogates, as st.text() draws them, but without
+# the scan of the utf-8 codec that st.text() makes on its first draw.
+TEXT = st.text(st.characters(), max_size=4)
 VALUES = st.one_of(st.floats(-1e6, 1e6), st.integers(-10 ** 6, 10 ** 6),
-                   st.booleans(), st.text(max_size=4))
+                   st.booleans(), TEXT)
 BAD_VALUES = [10 ** 400, -(10 ** 400), 2 ** 1024 - 1, float("nan"), float("inf"),
               float("-inf"), None, [], {}]
 FORMULAS = st.sampled_from([
@@ -97,30 +101,34 @@ FAULTS = ["ref", "value", "formula", "both", "neither", "extra", "duplicate", "o
 
 @st.composite
 def cell_list(draw) -> list:
-    """Cell docs, at most one of them with a fault."""
+    """Cell docs, at most one of them with one or two faults."""
     refs = draw(st.lists(st.sampled_from(REFS), unique=True, max_size=10))
     faulty = draw(st.integers(0, 2 * len(refs)))  # no fault past the end
     docs: list = []
     for k, ref in enumerate(refs):
-        fault = draw(st.sampled_from(FAULTS)) if k == faulty else None
-        if fault == "other":
+        faults = (draw(st.lists(st.sampled_from(FAULTS), min_size=1, max_size=2))
+                  if k == faulty else ())
+        if "other" in faults:
             docs.append(draw(st.sampled_from([None, "A1", ["A1", 1]])))
             continue
-        if fault == "ref":
+        if "ref" in faults:
             ref = draw(st.sampled_from(BAD_REFS))
-        elif fault == "duplicate" and docs:
-            ref = draw(st.sampled_from(docs)).get("ref") if isinstance(docs[-1], dict) else ref
+        elif "duplicate" in faults and docs:  # only this doc can be no object
+            ref = draw(st.sampled_from(docs))["ref"]
         doc = {"ref": ref}
-        if fault == "value":
+        if "value" in faults:
             doc["value"] = draw(st.sampled_from(BAD_VALUES))
-        elif fault == "formula":
+        if "formula" in faults:
             doc["formula"] = draw(st.sampled_from([5, None]))
-        elif fault != "neither":
-            if fault == "both" or draw(st.booleans()):
+        if "both" in faults:
+            doc.setdefault("formula", draw(FORMULAS))
+            doc.setdefault("value", draw(VALUES))
+        elif "neither" not in faults and len(doc) == 1:
+            if draw(st.booleans()):
                 doc["formula"] = draw(FORMULAS)
-            if fault == "both" or "formula" not in doc:
+            else:
                 doc["value"] = draw(VALUES)
-        if fault == "extra":
+        if "extra" in faults:
             doc["note"] = 1
         docs.append(doc)
     return docs
@@ -150,7 +158,7 @@ DOCS = documents()
 
 # Any JSON value, and any JSON value as a cell doc or a sheet's cell list.
 JSON = st.recursive(
-    st.none() | st.booleans() | st.floats() | st.integers() | st.text(max_size=4)
+    st.none() | st.booleans() | st.floats() | st.integers() | TEXT
     | st.sampled_from(["A1", "XFD" + LONG_ROW, "A" + LONG_ROW]),
     lambda children: st.lists(children, max_size=4)
     | st.dictionaries(st.sampled_from(["ref", "value", "formula", "sheets", "name",
@@ -226,6 +234,12 @@ def test_any_csv_text_gives_a_workbook_or_a_format_error(text):
     ([{"ref": "B1", "formula": None}], 'cell B1 "formula" must be a string'),
     ([{"ref": "B1", "value": 1, "note": ""}], "unknown cell fields: ['note']"),
     ([{"ref": "S!B1", "value": 1}], "cell ref must not carry a sheet: 'S!B1'"),
+    # Docs with two faults give the error of the check that comes first.
+    ([{"ref": "B1", "value": 1, "formula": None}],
+     "cell B1 must have exactly one of value/formula"),
+    ([{"ref": "S!B1", "value": 1, "formula": "=1"}],
+     "cell ref must not carry a sheet: 'S!B1'"),
+    ([{"ref": "B1", "formula": 5, "note": ""}], "unknown cell fields: ['note']"),
 ])
 def test_each_doc_that_leaves_the_fast_path_raises_as_before(cells, message):
     doc = {"sheets": [{"name": "S", "cells": cells}]}

@@ -182,7 +182,7 @@ def test_any_cell_ref_loads_as_parse_cell_address_reads_it(ref):
 
 @pytest.mark.parametrize("ref", ["XFE3", "ZZZ7", "$XFE$3", "xfe3", " XFE3"])
 def test_cell_refs_past_xfd_are_format_errors(ref, tmp_path, capsys):
-    # XFD (16,384) is a sheet's last column, on the plain-form fast path and
+    # XFD (16,384) is a sheet's last column, for a ref in the plain form and
     # in parse_cell_address alike; a load names the ref and exits 2.
     assert loaded_address(ref) == f"column must be at most XFD in {ref!r}"
     path = tmp_path / "wb.json"
