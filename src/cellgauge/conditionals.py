@@ -132,13 +132,16 @@ def find_conditionals(wb: Workbook, g: CellGraph) -> Constructs:
     slot = count()
     down = g.downstream(if_cells)
     order = g.topological_order() if down else []  # no IF: no frontier to build
+    # Reference o of cell v reads preds[v][o and ends[v][o - 1]:ends[v][o]].
+    preds_of, ends_of = g.reference_columns()
     for v in compress(order, map(down.__contains__, order)):
         shape = shapes[v]
         top_ifs, top_refs = shape.if_reach
         base = first.get(v)
-        targets = g.reference_targets(v)
+        preds, ends = preds_of[v], ends_of[v]
         parts = [f for o in top_refs
-                 for f in filter(None, map(frontier.__getitem__, targets[o]))
+                 for f in filter(None, map(frontier.__getitem__,
+                                           preds[o and ends[o - 1]:ends[o]]))
                  ] if top_refs else ()
         if top_ifs:
             frontier[v] = frozenset(map(base.__add__, top_ifs)).union(*parts)
@@ -157,7 +160,7 @@ def find_conditionals(wb: Workbook, g: CellGraph) -> Constructs:
                 if arg_ifs:
                     m_set.update(map(base.__add__, arg_ifs))
                 for o in ordinals:
-                    for t in targets[o]:
+                    for t in preds[o and ends[o - 1]:ends[o]]:
                         f = frontier[t]
                         if f:
                             hit = True

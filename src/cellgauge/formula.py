@@ -26,17 +26,17 @@ embeds ``refs.REFERENCE`` for a cell reference.
 
 A formula's *shape* is the formula up to the shift of its relative
 references: ``=A1*2`` in B1 and ``=A2*2`` in B2 share one. :func:`shape_key`
-keys a text by its shape and yields the text's references. It cuts the
-text with the lexer's ``_TOKEN``, once per *skeleton* (the text with each
-letter and digit replaced by its class), which copies of a formula mostly
-share. :class:`FormulaShape` is built from two walks of one parse and
-keeps what the audit needs of the formula's structure, not the AST:
-operator and operand counts, nesting, decisions, the range-linkage shift
-key split at the reference leaves, whether each leaf is a range, whether
-every reference is relative, and the IF layout conditional discovery
-reads. A copy is then just its references: ``FormulaShape.references``
-gives its reference leaves and ``FormulaShape.shift_key_at`` its shift
-key, with no AST.
+keys a text by its shape, cutting it with the lexer's ``_TOKEN`` once per
+*skeleton* (the text with each letter and digit replaced by its class),
+which copies of a formula mostly share and which fixes where each
+reference's sheet, column and row lie. :class:`FormulaShape` is built from
+two walks of one parse and keeps what the audit needs of the formula's
+structure, not the AST: operator and operand counts, nesting, decisions,
+the range-linkage shift key split at the reference leaves, each leaf as
+its key's parts (offsets for relative parts), whether every reference is
+relative, and the IF layout conditional discovery reads. A copy is then
+its shape plus its cell: ``FormulaShape.references`` gives its reference
+leaves and ``FormulaShape.shift_key_at`` its shift key, with no AST.
 """
 
 from __future__ import annotations
@@ -48,7 +48,8 @@ from dataclasses import dataclass, fields
 from typing import Iterator, Optional, Sequence, Union
 
 from .errors import EmptyFormulaError, FormulaSyntaxError, UnbalancedParensError
-from .refs import REFERENCE, CellRef, RangeRef, parse_cell_address, ref_from_match
+from .refs import (MAX_COLUMN, REFERENCE, CellRef, RangeRef, letters_to_column,
+                   ref_from_match, unquote_sheet_name)
 
 
 # --- AST -----------------------------------------------------------------
@@ -670,17 +671,19 @@ def _shift_key(pieces: Sequence[str], leaves: Sequence[Union[CellRef, RangeRef]]
 
 # --- Formula shapes ---------------------------------------------------------
 
-_RefInfo = tuple[CellRef, Optional[str], bool, int, bool, int]
 # Where _scan_spans cuts a text: per reference and once for the end of the
-# text, the (start, end) of the run of other tokens before it and of the
-# reference, each None when absent.
+# text, the (start, end) of the run of other tokens before it (None when
+# absent) and the reference's (start, end, sheet or None, column "$", column
+# letters, row "$", row digits), each text part as a slice.
 _Span = Optional[tuple[int, int]]
-_Cuts = tuple[tuple[_Span, _Span], ...]
+_RefCut = tuple[int, int, Optional[slice], bool, slice, bool, slice]
+_Cuts = tuple[tuple[_Span, Optional[_RefCut]], ...]
 
 # A text's character-class skeleton: each ASCII letter but e/E becomes "a"
 # and each ASCII digit "0"; every other character stays. _TOKEN tells
 # characters apart only by these classes (e/E only inside a number's
-# exponent), so texts with one skeleton split into tokens at the same spans.
+# exponent), so texts with one skeleton split into tokens, and each
+# reference into its parts, at the same places.
 _SKELETON = str.maketrans(
     {**{c: "a" for c in "ABCDFGHIJKLMNOPQRSTUVWXYZabcdfghijklmnopqrstuvwxyz"},
      **{c: "0" for c in "0123456789"}})
@@ -690,9 +693,9 @@ def _scan_spans(text: str) -> Optional[_Cuts]:
     """The cuts of a formula text after its ``=`` at its references, found
     with ``_TOKEN`` as :func:`_lex` finds its tokens: per reference, the
     span of the run of other tokens before it (None if there is none) and
-    its span; last, the run after the last reference and None. None when
-    some character starts no token or a string is left open; a reference's
-    row and column are not checked here."""
+    its cut (see ``_Cuts``); last, the run after the last reference and
+    None. None when some character starts no token or a string is left
+    open; a reference's row and column are not checked here."""
     match = _TOKEN.match
     spans = []
     start = pos = 1
@@ -701,40 +704,38 @@ def _scan_spans(text: str) -> Optional[_Cuts]:
         if m is None or m.lastgroup == "UNTERMINATED":
             return None
         if m.lastgroup == "REF":
-            spans.append(((start, pos) if start < pos else None, m.span()))
+            spans.append(((start, pos) if start < pos else None, (
+                pos, m.end(), m["sheet"] and slice(*m.span("sheet")), m["colabs"] == "$",
+                slice(*m.span("col")), m["rowabs"] == "$", slice(*m.span("row")))))
             start = m.end()
         pos = m.end()
     spans.append(((start, pos) if start < pos else None, None))
     return tuple(spans)
 
 
-def shape_key(
-    text: str, column: int, row: int, memo: dict[str, Optional[_RefInfo]],
-    cuts: Optional[dict[str, Optional[_Cuts]]] = None,
-) -> Optional[tuple[tuple, tuple[CellRef, ...]]]:
-    """The shape key of a formula text in cell (column, row), and its refs.
+def shape_key(text: str, column: int, row: int, columns: dict[str, int],
+              sheets: dict[str, str], cuts: dict[str, Optional[_Cuts]]) -> Optional[tuple]:
+    """The shape key of a formula text in cell (column, row).
 
     The text is cut with the lexer's own token pattern, ``_TOKEN``, so at
     exactly the places :func:`_lex` cuts it. The key is a tuple of the
     verbatim text between references and, for each reference, its sheet
     and each absolute flag with the absolute value or the offset from the
     cell, so two texts share a key exactly when they are copies of one
-    formula. The refs are those ``_lex`` would build, in text order. None
-    when the text cannot share a shape: when it does not start with ``=``,
-    holds a character no token starts with or an unterminated string, or a
-    reference to row 0 or past column XFD (such texts fail to parse, and
-    each must report its own error offset).
+    formula. None when the text cannot share a shape: when it does not
+    start with ``=``, holds a character no token starts with or an
+    unterminated string, or a reference to row 0, past column XFD or past
+    ``int``'s digits (such texts fail to parse, and each must report its
+    own error offset).
 
-    ``memo`` maps each reference text to what it denotes, and ``cuts`` each
-    text skeleton (see ``_SKELETON``) to the cuts :func:`_scan_spans` found
-    in the first text with that skeleton, so later texts with it are cut
-    without a scan. Both should live as long as one load; without ``cuts``
-    the text is scanned.
+    ``columns`` maps column letters to columns, ``sheets`` a sheet's text
+    to its name, and ``cuts`` each text skeleton (see ``_SKELETON``) to the
+    cuts :func:`_scan_spans` found in the first text with that skeleton, so
+    later texts with it are cut without a scan. All should live as long as
+    one load.
     """
     if not text.startswith("="):
         return None
-    if cuts is None:
-        cuts = {}
     skeleton = text.translate(_SKELETON)
     spans = cuts.get(skeleton, False)
     if spans is False:
@@ -742,30 +743,30 @@ def shape_key(
     if spans is None:  # a character no token starts with
         return None
     key: list = []
-    refs: list[CellRef] = []
-    for other, ref_span in spans:
+    for other, ref in spans:
         # The text before the reference; None if there is none.
         key.append(None if other is None else text[other[0]:other[1]])
-        if ref_span is None:  # the end of the text
+        if ref is None:  # the end of the text
             break
-        token = text[ref_span[0]:ref_span[1]]
-        info = memo.get(token, False)
-        if info is False:
-            try:
-                ref = parse_cell_address(token)
-            except ValueError:  # row 0 or a column past XFD
-                info = None
-            else:
-                info = (ref, ref.sheet, ref.col_absolute, ref.column,
-                        ref.row_absolute, ref.row)
-            memo[token] = info
-        if info is None:
+        _, _, sheet, col_abs, letters, row_abs, digits = ref
+        letters = text[letters]
+        col = columns.get(letters)
+        if col is None:
+            col = columns[letters] = letters_to_column(letters)
+        try:
+            ref_row = int(text[digits])
+        except ValueError:  # past int's digit limit
             return None
-        ref, sheet, col_abs, col, row_abs, ref_row = info
+        if ref_row < 1 or col > MAX_COLUMN:
+            return None
+        if sheet is not None:
+            quoted = text[sheet]
+            sheet = sheets.get(quoted)
+            if sheet is None:
+                sheet = sheets[quoted] = unquote_sheet_name(quoted)
         key += (sheet, col_abs, col if col_abs else col - column,
                 row_abs, ref_row if row_abs else ref_row - row)
-        refs.append(ref)
-    return tuple(key), tuple(refs)
+    return tuple(key)
 
 
 # What one expression reaches without crossing an IF call: the indexes in
@@ -854,31 +855,37 @@ def _layout(root: AstNode) -> tuple[
         (path, tuple(frozen(arg) for arg in args)) for path, args in ifs), decisions, pieces
 
 
+# A reference leaf of a shape as its key's parts: one cell's, or a range's two
+# in text order, each (sheet, column absolute, column or offset, row absolute,
+# row or offset).
+Leaf = tuple[tuple[Optional[str], bool, int, bool, int], ...]
+
+
 class FormulaShape:
     """A formula up to the shift of its relative references.
 
     Copies of one formula share one shape. It is built from the first
     copy's AST, which it does not keep, and holds what depends only on the
     formula's structure: operator and operand counts, nesting depth and
-    average level, the decision count, whether each reference leaf is a
-    range, the IF layout that conditional discovery reads (``if_reach``, the
-    formula's own reach, and ``ifs``; see :data:`Reach` and
-    :data:`IfLayout`), and the range-linkage shift key's text split at the
-    reference leaves. ``relative`` is True when every part of every
-    reference is relative, so that every copy reads its cells at the same
-    offsets from itself. ``shift_key`` is the copies' common shift key, or
-    None when some range anchors one axis absolutely at one end and
-    relatively at the other: normalizing such a range can swap its ends
-    from one copy to the next, so :meth:`shift_key_at` keys each cell from
-    its own leaves.
+    average level, the decision count, the reference leaves in ``walk``
+    order as their key parts (``leaves``, see :data:`Leaf`), the IF layout
+    that conditional discovery reads (``if_reach``, the formula's own
+    reach, and ``ifs``; see :data:`Reach` and :data:`IfLayout`), and the
+    range-linkage shift key's text split at the reference leaves.
+    ``relative`` is True when every part of every reference is relative, so
+    that every copy reads its cells at the same offsets from itself.
+    ``shift_key`` is the copies' common shift key, or None when some range
+    anchors one axis absolutely at one end and relatively at the other:
+    normalizing such a range can swap its ends from one copy to the next,
+    so :meth:`shift_key_at` keys each cell from its own leaves.
 
-    A copy is its references in text order, a range taking two:
-    :meth:`references` turns them into the copy's reference leaves.
+    A copy is its shape and its cell: :meth:`references` builds the copy's
+    reference leaves from the cell's position.
     """
 
     __slots__ = ("n_operators", "n_operands", "depth_of_nesting",
                  "avg_nesting_level", "decision_count", "relative", "shift_key",
-                 "if_reach", "ifs", "_leaves", "_is_range", "_key_pieces")
+                 "if_reach", "ifs", "leaves", "_key_pieces")
 
     def __init__(self, ast: FormulaAst, column: int, row: int):
         tokens = classify_tokens(ast)
@@ -889,42 +896,31 @@ class FormulaShape:
         self.avg_nesting_level = Fraction(sum(levels), len(levels))
         (leaves, self.if_reach, self.ifs, self.decision_count,
          self._key_pieces) = _layout(ast.root)
-        self._leaves = tuple(leaves)
-        is_range = tuple(isinstance(ref, RangeRef) for ref in leaves)
-        self._is_range = is_range if any(is_range) else None
-        self.relative = not any(
-            ref.col_absolute or ref.row_absolute
-            for leaf in leaves
-            for ref in ((leaf.start, leaf.end) if isinstance(leaf, RangeRef) else (leaf,))
-        )
-        uniform = all(
-            ref.start.col_absolute == ref.end.col_absolute
-            and ref.start.row_absolute == ref.end.row_absolute
-            for ref in leaves if isinstance(ref, RangeRef)
-        )
-        self.shift_key = _shift_key(self._key_pieces, leaves, column, row) if uniform else None
+        # The parts of the text's references in text order, which is walk order.
+        key = shape_key(ast.source, column, row, {}, {}, {})
+        parts = iter([key[i:i + 5] for i in range(1, len(key) - 1, 6)])
+        self.leaves: tuple[Leaf, ...] = tuple(
+            (next(parts), next(parts)) if isinstance(leaf, RangeRef) else (next(parts),)
+            for leaf in leaves)
+        self.relative = not any(part[1] or part[3] for leaf in self.leaves for part in leaf)
+        uniform = all(leaf[0][1] == leaf[-1][1] and leaf[0][3] == leaf[-1][3]
+                      for leaf in self.leaves)
+        self.shift_key = _shift_key(self._key_pieces, self.references(column, row),
+                                    column, row) if uniform else None
 
-    def references(
-        self, refs: Optional[tuple[CellRef, ...]]
-    ) -> Sequence[Union[CellRef, RangeRef]]:
-        """The reference leaves, in ``walk`` order, of the copy whose
-        references in text order are ``refs``: a ``CellRef`` per cell leaf
-        and a normalized ``RangeRef`` per range leaf, as in the copy's AST.
-        None stands for the references of the copy the shape was built from."""
-        if refs is None:
-            return self._leaves
-        if self._is_range is None:
-            return refs
+    def references(self, column: int, row: int) -> list[Union[CellRef, RangeRef]]:
+        """The reference leaves, in ``walk`` order, of the copy in cell
+        (column, row): a ``CellRef`` per cell leaf and a normalized
+        ``RangeRef`` per range leaf, as in the copy's AST."""
         out: list[Union[CellRef, RangeRef]] = []
-        refs_left = iter(refs)
-        for is_range in self._is_range:
-            ref = next(refs_left)
-            out.append(_copy_range(ref, next(refs_left)) if is_range else ref)
+        for leaf in self.leaves:
+            cells = [CellRef(sheet, col if col_abs else column + col, r if row_abs else row + r,
+                             col_abs, row_abs) for sheet, col_abs, col, row_abs, r in leaf]
+            out.append(_copy_range(*cells) if len(cells) == 2 else cells[0])
         return out
 
-    def shift_key_at(self, refs: Optional[tuple[CellRef, ...]], column: int, row: int) -> str:
-        """The shift key of the copy in cell (column, row) whose references
-        are ``refs`` (as for :meth:`references`)."""
+    def shift_key_at(self, column: int, row: int) -> str:
+        """The shift key of the copy in cell (column, row)."""
         if self.shift_key is not None:
             return self.shift_key
-        return _shift_key(self._key_pieces, self.references(refs), column, row)
+        return _shift_key(self._key_pieces, self.references(column, row), column, row)

@@ -4,14 +4,16 @@ The graph is the only code that maps a reference to the cells it reads. It
 reads the workbook's columns (``workbook.Sheet``), not ``Cell`` objects:
 each sheet's cells are nodes from the sheet's offset on, in position order,
 so a node id is the sheet's offset plus the cell's position, and only the
-formula rows are walked. Each formula's references come from its shape and
-its own refs (``FormulaShape.references``, no AST) in ``walk`` order and
-are resolved straight into integer node ids; a referenced empty cell is
-materialized as a zero-fan-in data node when it is first referenced. A
-range resolves in bulk: one dict lookup per cell in C, and its empty cells
-become nodes together. A reference to a missing sheet reads nothing and is
-kept in ``CellGraph.dangling``. Conditional discovery and range linkage
-read each reference's targets from ``CellGraph.reference_targets``.
+formula rows are walked. A formula is its shape plus its cell: the sheets
+of a shape's reference leaves (``FormulaShape.leaves``, in ``walk`` order)
+are resolved once per shape and sheet, and a copy's targets are its cell
+plus the leaves' offsets, looked up as node ids with no ``CellRef``. A
+referenced empty cell is materialized as a zero-fan-in data node when it
+is first referenced. A range resolves in bulk: one dict lookup per cell in
+C, and its empty cells become nodes together. A reference to a missing
+sheet reads nothing and is kept in ``CellGraph.dangling``. Conditional
+discovery and range linkage read each reference's targets from the graph
+(``reference_columns``, ``reference_targets``).
 
 Each node has one int sort key whose order is canonical order (sheet
 position, row, column), and every canonical sort compares these ints. A
@@ -21,7 +23,7 @@ rows, and renders their addresses, from their keys alone.
 
 Every query takes a node id as well as an address. After the graph is
 built, the audit's stages work on node-id columns only: the formula cells'
-ids, shapes and refs (``formulas``), each node's shape (``shapes``), the
+ids and shapes (``formulas``), each node's shape (``shapes``), the
 precedent lists by id, per-cell rates as a list indexed by id, and each
 cascade's members as ids. No stage looks a cell up by its address except
 to find each bottom-line cell once, and none reads ``cells()``, which
@@ -62,8 +64,8 @@ from .errors import (
     UnknownCellError,
     W_EMPTY_REFERENCED_CELL,
 )
-from .refs import CellRef, Locations, RangeRef, parse_cell_address
-from .workbook import Cell, Sheet, Workbook
+from .refs import CellRef, Locations, parse_cell_address
+from .workbook import Cell, Workbook
 
 # The range budget counts what ranges cost an audit. Each cell a range
 # reads is one arc, ~90 bytes of peak RSS; an empty one also becomes a node,
@@ -95,19 +97,6 @@ class DanglingReference:
     from_cell: CellRef
     target_text: str
     missing_sheet: str
-
-
-def _resolve(wb: Workbook, ref: Union[CellRef, RangeRef], own: Sheet) -> Optional[Sheet]:
-    """The sheet a reference reads: ``own`` when unqualified, None when it
-    names a missing sheet."""
-    name = (ref if isinstance(ref, CellRef) else ref.start).sheet
-    return own if name is None else wb.sheet(name)
-
-
-def _address(sheet: Sheet, pos: int) -> str:
-    """The address text of the cell at position ``pos`` of ``sheet``."""
-    row, column = list(sheet.index)[pos]
-    return CellRef(sheet.name, column, row).render()
 
 
 @dataclass(frozen=True)
@@ -184,55 +173,76 @@ class CellGraph:
         sheet_pos = {sheet.name: pos for pos, sheet in enumerate(wb.sheets)}
         succs = self._succs
         for own, first in zip(wb.sheets, self._offsets):
-            for dst, shape, refs in zip(map(first.__add__, own.formula_rows),
-                                        own.shapes, own.refs):
+            # The formula rows' (row, column) keys: their values are None.
+            keys = compress(own.index, map(is_, own.values, repeat(None)))
+            # Per shape: each leaf's sheet as its id dict and position
+            # (None when missing), its parts and a range's end parts; and
+            # when every leaf is a cell on a sheet there is, the ends of a
+            # copy that reads no empty cell.
+            plans: dict = {}
+            for pos, shape, (row, column) in zip(own.formula_rows, own.shapes, keys):
+                dst = first + pos
                 self._shapes[dst] = shape
+                entry = plans.get(shape)
+                if entry is None:
+                    plan = [(None, None, leaf[0][1:], None) if sheet is None else (
+                        self._ids[sheet.name], sheet_pos[sheet.name], leaf[0][1:],
+                        leaf[1][1:] if len(leaf) == 2 else None)
+                        for leaf in shape.leaves
+                        for sheet in [own if leaf[0][0] is None else wb.sheet(leaf[0][0])]]
+                    ends = tuple(range(1, len(plan) + 1))
+                    cells = all(ids is not None and end is None for ids, _, _, end in plan)
+                    entry = plans[shape] = plan, layouts.setdefault(ends, ends) if cells else None
+                plan, ends = entry
+                if ends is not None:
+                    preds = [ids.get((r if row_abs else row + r, col if col_abs else column + col))
+                             for ids, _, (col_abs, col, row_abs, r), _ in plan]
+                    if None not in preds:  # no empty cell to materialize
+                        self._preds[dst] = preds
+                        for src in preds:
+                            succs[src].append(dst)
+                        self._ref_ends[dst] = ends
+                        edges += len(preds)
+                        continue
                 preds = self._preds[dst] = []
                 ends = []
-                for ref in shape.references(refs):
-                    sheet = _resolve(wb, ref, own)
-                    if sheet is None:
-                        first_ref = ref if isinstance(ref, CellRef) else ref.start
-                        dangling.append((dst, ref.render(), first_ref.sheet))
+                for k, (ids, at, (col_abs, col, row_abs, r), end) in enumerate(plan):
+                    if ids is None:  # a missing sheet, read by no edge
+                        ref = shape.references(column, row)[k]
+                        dangling.append((dst, ref.render(), shape.leaves[k][0][0]))
                         ends.append(len(preds))
                         continue
-                    ids = self._ids[sheet.name]
-                    if isinstance(ref, CellRef):
-                        target = (ref.row, ref.column)
-                        src = ids.get(target)
-                        if src is None:  # an empty cell, materialized as data
-                            src = ids[target] = len(succs)
-                            succs.append([])
-                            self._preds.append(())
-                            empty_keys.append(target)
-                            empty_sheets.append(sheet_pos[sheet.name])
-                        preds.append(src)
-                        succs[src].append(dst)
-                        ends.append(len(preds))
-                        continue
-                    # A range, resolved in bulk: its area is checked before
-                    # it expands, and its empty cells become nodes at once.
-                    range_cells_left -= ref.width * ref.height
+                    # A cell, or a range resolved in bulk: a range's area
+                    # is checked before it expands, and its empty cells
+                    # become nodes at once.
+                    r = r2 = r if row_abs else row + r
+                    col = col2 = col if col_abs else column + col
+                    if end is not None:
+                        col_abs, col2, row_abs, r2 = end
+                        r2 = r2 if row_abs else row + r2
+                        col2 = col2 if col_abs else column + col2
+                        r, r2 = min(r, r2), max(r, r2)
+                        col, col2 = min(col, col2), max(col, col2)
+                        range_cells_left -= (r2 - r + 1) * (col2 - col + 1)
+                    if range_cells_left >= 0:
+                        targets = list(product(range(r, r2 + 1), range(col, col2 + 1)))
+                        found = list(map(ids.get, targets))
+                        empty = found.count(None)
+                        if end is not None:
+                            range_cells_left -= (EMPTY_RANGE_CELL_COST - 1) * empty
                     if range_cells_left < 0:
                         raise RangeBudgetError(
-                            _address(own, dst - first), ref.render(), max_range_cells)
-                    targets = list(product(range(ref.start.row, ref.end.row + 1),
-                                           range(ref.start.column, ref.end.column + 1)))
-                    found = list(map(ids.get, targets))
+                            CellRef(own.name, column, row).render(),
+                            shape.references(column, row)[k].render(), max_range_cells)
                     for src in compress(found, map(is_not, found, repeat(None))):
                         succs[src].append(dst)
-                    empty = found.count(None)
                     if empty:
-                        range_cells_left -= (EMPTY_RANGE_CELL_COST - 1) * empty
-                        if range_cells_left < 0:
-                            raise RangeBudgetError(
-                                _address(own, dst - first), ref.render(), max_range_cells)
                         new = list(compress(targets, map(is_, found, repeat(None))))
                         ids.update(zip(new, range(len(succs), len(succs) + empty)))
                         succs.extend(map(list, repeat((dst,), empty)))
                         self._preds.extend(repeat((), empty))
                         empty_keys.extend(new)
-                        empty_sheets.extend(repeat(sheet_pos[sheet.name], empty))
+                        empty_sheets.extend(repeat(at, empty))
                         found = map(ids.__getitem__, targets)
                     preds.extend(found)
                     ends.append(len(preds))
@@ -319,17 +329,15 @@ class CellGraph:
         data cell."""
         return list(self._shapes)
 
-    def formulas(self) -> tuple[list[int], list, list]:
-        """The formula cells' node ids, ascending, with their shapes and
-        refs (as ``Cell`` keeps them) in the same order."""
+    def formulas(self) -> tuple[list[int], list]:
+        """The formula cells' node ids, ascending, with their shapes in the
+        same order."""
         ids: list[int] = []
         shapes: list = []
-        refs: list = []
         for sheet, first in zip(self._wb.sheets, self._offsets):
             ids += map(first.__add__, sheet.formula_rows)
             shapes += sheet.shapes
-            refs += sheet.refs
-        return ids, shapes, refs
+        return ids, shapes
 
     def address_of(self, idx: int) -> CellRef:
         """A node's address, built from its sort key."""
@@ -368,8 +376,7 @@ class CellGraph:
         sheet_pos = bisect_right(self._offsets, idx) - 1
         sheet = self._wb.sheets[sheet_pos]
         k = bisect_left(sheet.formula_rows, idx - self._offsets[sheet_pos])
-        return Cell(self.address_of(idx), source=sheet.sources[k],
-                    shape=sheet.shapes[k], refs=sheet.refs[k])
+        return Cell(self.address_of(idx), source=sheet.sources[k], shape=sheet.shapes[k])
 
     def precedents(self, addr: AddrLike) -> list[CellRef]:
         """The cells a cell reads, one per resolved reference, in reference
@@ -387,11 +394,14 @@ class CellGraph:
         idx = self._node(addr)
         if idx >= self._populated:
             return []
-        preds, start, targets = self._preds[idx], 0, []
-        for end in self._ref_ends[idx]:
-            targets.append(preds[start:end])
-            start = end
-        return targets
+        preds, ends = self._preds[idx], self._ref_ends[idx]
+        return [preds[o and ends[o - 1]:end] for o, end in enumerate(ends)]
+
+    def reference_columns(self) -> tuple[list, list[tuple[int, ...]]]:
+        """The graph's own lists behind ``reference_targets``, to read only:
+        by node id, precedent ids ``preds`` and reference ``ends``; reference
+        o of node v reads ``preds[v][o and ends[v][o - 1]:ends[v][o]]``."""
+        return self._preds, self._ref_ends
 
     def canonical(self, ids: Iterable[int]) -> list[int]:
         """Node ids sorted into canonical sheet/row/column order."""

@@ -10,14 +10,14 @@ graph (one per member cell of a range), and the graph's cross-sheet arcs
 give the data binding triples. Range linkage reads each run formula's
 per-reference targets from the graph, one target list per reference slot.
 Range linkage and modular metrics read the graph's node-id columns (its
-formula cells' ids, shapes and refs, and the nodes' locations), so neither
+formula cells' ids and shapes, and the nodes' locations), so neither
 builds a ``Cell`` or looks a cell up by its address.
 
 Sizes, nesting, decision counts and shift keys depend only on a formula's
 shape (``formula.FormulaShape``), which the load computes once for all the
 copies of a formula; they are read from the cell's shape, not recomputed
-per cell. A shape whose ranges mix anchors keys each copy from the copy's
-own references, so no stage reads an AST. Range linkage walks each
+per cell. A shape whose ranges mix anchors keys each copy from the leaves
+its shape gives at the copy's cell, so no stage reads an AST. Range linkage walks each
 populated source block once per axis, however many runs read it, and reads
 every run from its first and last copies alone: copies that share a shift
 key move, grow or shrink each reference slot one step per copy.
@@ -252,9 +252,9 @@ def _block_through(
 def _copied_runs(g: CellGraph) -> tuple[list[list[int]], list[list[int]]]:
     """The vertical and the horizontal runs of ``g``'s formula cells, as
     node ids, keying each cell once (``FormulaShape.shift_key_at``)."""
-    ids, shapes, refs = g.formulas()
+    ids, shapes = g.formulas()
     at = g.locations(ids)
-    keys = list(map(FormulaShape.shift_key_at, shapes, refs, at.columns, at.rows))
+    keys = list(map(FormulaShape.shift_key_at, shapes, at.columns, at.rows))
     return _runs_along(ids, at, keys, "column"), _runs_along(ids, at, keys, "row")
 
 

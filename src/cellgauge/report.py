@@ -377,7 +377,7 @@ def _cell_metrics(graph: CellGraph, cfg: DispersionConfig) -> list[CellMetrics]:
     zero = None if first_data is None else CellMetrics(graph.address_of(first_data))
     by_node: list = [zero] * len(shapes)  # then each formula cell's record
     shared: dict[tuple, CellMetrics] = {}  # by (shape, sheet)
-    ids, formula_shapes, _ = graph.formulas()
+    ids, formula_shapes = graph.formulas()
     for i, shape, sheet in zip(ids, formula_shapes, graph.locations(ids).sheets):
         m = shared.get((shape, sheet)) if shape.relative else None
         if m is None:

@@ -8,9 +8,9 @@ on broken workbooks. A CSV with malformed quoting is a FormatError.
 
 A sheet keeps its cells as columns in document order (``Sheet``): an index
 from each (row, column) key to a position, a values column (None at a
-formula row) and, for the formula rows only, their source texts, shapes and
-references. The loader fills these columns and builds no ``Cell`` and no
-``CellRef`` per cell. One pass checks each cell doc in a fixed order, and
+formula row) and, for the formula rows only, their source texts and shapes.
+The loader fills these columns and builds no ``Cell`` and no ``CellRef`` per
+cell or per reference. One pass checks each cell doc in a fixed order, and
 the first check it fails gives its error; a well-formed doc costs one
 key-set test, one address match with a per-load memo of column letters, and
 its value typed inline. ``Sheet.cells``, ``Workbook.cell``,
@@ -20,10 +20,10 @@ on first read.
 Most formulas in a model are copies of one another, identical up to the
 shift of their relative references. One load keys each formula text by its
 shape (``formula.shape_key``, which cuts the text into tokens once per
-character-class skeleton and also yields its references) and parses only
-the first text of each shape, into the ``FormulaShape`` every copy carries:
-the measures that do not depend on where a copy sits. No AST outlives the
-load; a copy keeps only its text and its references, and ``Cell.ast``
+character-class skeleton) and parses only the first text of each shape,
+into the ``FormulaShape`` every copy carries: the measures that do not
+depend on where a copy sits, and its references as offsets. No AST
+outlives the load; a copy keeps only its text and shape, and ``Cell.ast``
 parses the text again when it is read. A text that fails to parse has no
 shape: each such text is parsed, and reports its error offset, on its own.
 
@@ -66,10 +66,9 @@ class Cell:
     """A non-empty cell: either data (``value``) or a formula (``source``,
     its text, with the ``shape`` it shares with its copies).
 
-    A formula cell keeps no AST. ``refs`` are its references in text order
-    (a range takes two), or None when its shape was built from its own text;
-    ``shape.references(refs)`` gives its reference leaves from them, and
-    ``ast`` parses ``source`` on each read. Cells compare and print by
+    A formula cell keeps no AST. ``shape.references(column, row)`` gives
+    its reference leaves from its address, and ``ast`` parses ``source`` on
+    each read. Cells compare and print by
     address, value and source, so neither parses.
     """
 
@@ -77,7 +76,6 @@ class Cell:
     value: Optional[DataValue] = None
     source: Optional[str] = None
     shape: Optional[FormulaShape] = field(default=None, compare=False, repr=False)
-    refs: Optional[tuple[CellRef, ...]] = field(default=None, compare=False, repr=False)
 
     @property
     def is_formula(self) -> bool:
@@ -96,14 +94,13 @@ class Sheet:
     ``index`` maps each cell's (row, column) key to its position, and
     ``values[k]`` is the value at position k, None at a formula row. The
     formula rows alone, in position order, have their positions in
-    ``formula_rows`` and their texts, shapes and references (as ``Cell``
-    keeps them) in ``sources``, ``shapes`` and ``refs``. ``cells`` is the
+    ``formula_rows`` and their texts and shapes in ``sources`` and
+    ``shapes``. ``cells`` is the
     same cells as a dict of ``Cell`` by (row, column) key, built on first
     read and then kept. Sheets compare by name and ``cells``.
     """
 
-    __slots__ = ("name", "index", "values", "formula_rows", "sources", "shapes",
-                 "refs", "_cells")
+    __slots__ = ("name", "index", "values", "formula_rows", "sources", "shapes", "_cells")
 
     def __init__(self, name: str):
         self.name = name
@@ -112,7 +109,6 @@ class Sheet:
         self.formula_rows: list[int] = []
         self.sources: list[str] = []
         self.shapes: list[FormulaShape] = []
-        self.refs: list[Optional[tuple[CellRef, ...]]] = []
         self._cells: Optional[dict[tuple[int, int], Cell]] = None
 
     @property
@@ -121,11 +117,9 @@ class Sheet:
             name, keys = self.name, list(self.index)
             built = [None if value is None else Cell(CellRef(name, column, row), value)
                      for (row, column), value in zip(keys, self.values)]
-            for pos, source, shape, refs in zip(
-                    self.formula_rows, self.sources, self.shapes, self.refs):
+            for pos, source, shape in zip(self.formula_rows, self.sources, self.shapes):
                 row, column = keys[pos]
-                built[pos] = Cell(CellRef(name, column, row), source=source,
-                                  shape=shape, refs=refs)
+                built[pos] = Cell(CellRef(name, column, row), source=source, shape=shape)
             self._cells = dict(zip(keys, built))
         return self._cells
 
@@ -207,12 +201,11 @@ def _typed_value(raw: object, sheet: str, key: tuple[int, int]) -> DataValue:
 class _Shapes:
     """The formula shapes of one load by shape key, and the load's memos:
     the column of each column-letters text, and ``shape_key``'s memos of
-    what each reference text denotes and of the cuts of each text
-    skeleton."""
+    the name of each sheet text and of the cuts of each text skeleton."""
 
     by_key: dict[tuple, FormulaShape] = field(default_factory=dict)
     columns: dict[str, int] = field(default_factory=dict)
-    refs: dict = field(default_factory=dict)
+    sheets: dict[str, str] = field(default_factory=dict)
     cuts: dict = field(default_factory=dict)
 
 
@@ -222,12 +215,9 @@ def _add_formula(sheet: Sheet, key: tuple[int, int], text: str,
     index already gives the next position, to the sheet's columns. A text
     that does not parse becomes a string data cell with a W001 warning."""
     row, column = key
-    keyed = shape_key(text, column, row, shapes.refs, shapes.cuts)
-    shape = shapes.by_key.get(keyed[0]) if keyed is not None else None
-    refs = None
-    if shape is not None:
-        refs = keyed[1]
-    else:
+    keyed = shape_key(text, column, row, shapes.columns, shapes.sheets, shapes.cuts)
+    shape = shapes.by_key.get(keyed)
+    if shape is None:
         try:
             ast = parse_formula(text)
         except FormulaSyntaxError as exc:
@@ -236,12 +226,11 @@ def _add_formula(sheet: Sheet, key: tuple[int, int], text: str,
             sheet.values.append(str(text))
             return
         # A text that parses has a key: shape_key cuts it as _lex does.
-        shape = shapes.by_key[keyed[0]] = FormulaShape(ast, column, row)
+        shape = shapes.by_key[keyed] = FormulaShape(ast, column, row)
     sheet.formula_rows.append(len(sheet.values))
     sheet.values.append(None)
     sheet.sources.append(text)
     sheet.shapes.append(shape)
-    sheet.refs.append(refs)
 
 
 def _load_cells(sheet: Sheet, cell_docs: list, warnings: list[AuditWarning],

@@ -22,9 +22,11 @@ from cellgauge.errors import (
     FormulaSyntaxError,
     W_FORMULA_ERROR,
 )
-from cellgauge.formula import FormulaShape, parse_formula, shape_key
+from cellgauge.formula import FormulaShape, parse_formula
 from cellgauge.refs import MAX_COLUMN, CellRef, letters_to_column, parse_cell_address
 from cellgauge.workbook import Cell, Workbook
+
+from copies_oracle import shape_key
 
 DataValue = Union[float, str, bool]
 
@@ -90,7 +92,7 @@ def _make_cell(address: CellRef, text_or_value, warnings: list[AuditWarning],
                       shapes.cuts)
     shape = shapes.by_key.get(keyed[0]) if keyed is not None else None
     if shape is not None:
-        return Cell(address=address, source=text_or_value, shape=shape, refs=keyed[1])
+        return Cell(address=address, source=text_or_value, shape=shape)
     try:
         ast = parse_formula(text_or_value)
     except FormulaSyntaxError as exc:

@@ -126,7 +126,7 @@ class OracleGraph:
                 dst = own_ids[key]
                 preds = self._preds[dst]
                 ends = []
-                for ref in cell.shape.references(cell.refs):
+                for ref in cell.shape.references(cell.address.column, cell.address.row):
                     sheet = _resolve(wb, ref, own)
                     if sheet is None:
                         first = ref if isinstance(ref, CellRef) else ref.start

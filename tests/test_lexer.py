@@ -195,12 +195,17 @@ def test_lexer_matches_the_oracle(body):
 @given(formula_like, st.integers(1, 40), st.integers(1, 40))
 def test_shape_scan_finds_the_lexers_references(body, column, row):
     tokens = lexed(body)
-    keyed = shape_key("=" + body, column, row, {})
+    keyed = shape_key("=" + body, column, row, {}, {}, {})
     # A text the lexer refuses cannot share a shape, and every text it
     # accepts can.
     assert (keyed is None) == isinstance(tokens, tuple)
     if keyed is not None:
-        assert list(keyed[1]) == [value for kind, _, _, value in tokens if kind == "REF"]
+        # Each reference's five key parts: its sheet, and per axis its
+        # absolute flag with the value or the offset from the cell.
+        assert [keyed[i:i + 5] for i in range(1, len(keyed) - 1, 6)] == [
+            (ref.sheet, ref.col_absolute, ref.column - (0 if ref.col_absolute else column),
+             ref.row_absolute, ref.row - (0 if ref.row_absolute else row))
+            for kind, _, _, ref in tokens if kind == "REF"]
 
 
 @given(formula_like)
@@ -216,10 +221,10 @@ def test_scan_cuts_where_the_lexer_does(body):
     if cuts is None:
         assert tokens[1].startswith(("unexpected character", "unterminated string literal"))
         return
-    assert [ref for _, ref in cuts if ref is not None] == [
+    assert [ref[:2] for _, ref in cuts if ref is not None] == [
         (offset, offset + len(token)) for kind, token, offset, _ in tokens if kind == "REF"]
     # The runs of other tokens and the references tile the text after "=".
-    tiles = [span for pair in cuts for span in pair if span is not None]
+    tiles = [span[:2] for pair in cuts for span in pair if span is not None]
     assert [end for _, end in tiles[:-1]] == [start for start, _ in tiles[1:]]
     if body:
         assert (tiles[0][0], tiles[-1][1]) == (1, len(text))
@@ -275,7 +280,9 @@ def test_texts_of_one_skeleton_scan_alike(pair):
 @given(same_skeleton_pair(), st.integers(1, 40), st.integers(1, 40))
 def test_shape_key_reuses_the_cuts_of_a_text_of_the_same_skeleton(pair, column, row):
     text, rewrite = pair
-    refs: dict = {}
+    columns: dict = {}
+    sheets: dict = {}
     cuts: dict = {}
-    shape_key(text, column, row, refs, cuts)
-    assert shape_key(rewrite, column, row, refs, cuts) == shape_key(rewrite, column, row, {})
+    shape_key(text, column, row, columns, sheets, cuts)
+    assert shape_key(rewrite, column, row, columns, sheets, cuts) == shape_key(
+        rewrite, column, row, {}, {}, {})

@@ -33,11 +33,12 @@ from test_acceptance import generate_large_workbook_doc
 
 def _cells(wb: Workbook) -> list[tuple]:
     """Every cell of ``wb`` by sheet, in sheet order, with its value's type
-    (True equals 1.0) and what ``==`` on cells leaves out."""
+    (True equals 1.0) and what ``==`` on cells leaves out: a formula's
+    reference leaves and shift key."""
     return [
-        (sheet.name, key, cell, type(cell.value), cell.refs,
-         None if cell.shape is None else cell.shape.shift_key_at(
-             cell.refs, cell.address.column, cell.address.row))
+        (sheet.name, key, cell, type(cell.value)) + (() if cell.shape is None else (
+            cell.shape.references(cell.address.column, cell.address.row),
+            cell.shape.shift_key_at(cell.address.column, cell.address.row)))
         for sheet in wb.sheets for key, cell in sheet.cells.items()
     ]
 

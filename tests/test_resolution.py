@@ -99,7 +99,7 @@ def _shift_keys(cells: list[Cell]) -> list[Optional[str]]:
     for a data cell."""
     return [
         None if c.shape is None
-        else c.shape.shift_key_at(c.refs, c.address.column, c.address.row)
+        else c.shape.shift_key_at(c.address.column, c.address.row)
         for c in cells
     ]
 
@@ -385,7 +385,8 @@ def test_resolution_matches_reference_on_random_workbooks():
 
 def test_each_reference_is_resolved_once_per_audit(monkeypatch):
     # Conditional discovery and range linkage read what the graph resolved,
-    # so an audit resolves every reference node exactly once.
+    # so an audit resolves every reference node exactly once: it builds one
+    # graph, which keeps one end of targets per reference.
     wb = make_workbook({
         "In": {"A1": 1, "A2": 2, "A3": 3, "B1": "=IF(A1>0,A2,A3)"},
         "Calc": {
@@ -398,16 +399,17 @@ def test_each_reference_is_resolved_once_per_audit(monkeypatch):
     references = sum(
         isinstance(node, (CellRefNode, RangeRefNode))
         for cell in wb.formula_cells() for node in walk(cell.ast.root))
-    calls = []
-    resolve = graph._resolve
+    graphs = []
+    init = graph.CellGraph.__init__
 
-    def counting_resolve(*args):
-        calls.append(args[1])
-        return resolve(*args)
+    def recording_init(self, *args, **kwargs):
+        graphs.append(self)
+        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(graph, "_resolve", counting_resolve)
+    monkeypatch.setattr(graph.CellGraph, "__init__", recording_init)
     report = analyze_workbook(wb)
-    assert len(calls) == references == 41
+    assert len(graphs) == 1
+    assert sum(map(len, graphs[0].reference_columns()[1])) == references == 41
     assert report.range_findings and report.cascades
     assert any(c.conditionals for c in report.cascades)
     assert {w.code for w in report.warnings} >= {"W002", "W005", "W006"}

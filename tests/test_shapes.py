@@ -1,7 +1,8 @@
 """Formula shapes against parsing every formula on its own.
 
-A load parses only the first text of each shape; a later copy keeps its
-references, and its text is parsed again only when its AST is asked for. These tests load workbooks
+A load parses only the first text of each shape; a later copy keeps only
+its text and shape, its cell gives its references, and its text is parsed
+again only when its AST is asked for. These tests load workbooks
 and compare every formula cell with what parsing its own text gives: the
 AST (through plain ``==``), the references the dependency graph reads, the
 cell metrics and the range-linkage shift key, each computed the way they
@@ -19,7 +20,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cellgauge import build_graph, load_csv_grid, load_workbook_doc
-from cellgauge import graph as graph_module
 from cellgauge import workbook as workbook_module
 from cellgauge.errors import FormulaSyntaxError, W_FORMULA_ERROR
 from cellgauge.formula import (
@@ -45,7 +45,7 @@ from cellgauge.workbook import Cell, Workbook
 
 def _shift_keys(cells: list[Cell]) -> list[str]:
     """Each formula cell's shift key, as range linkage keys a copy."""
-    return [c.shape.shift_key_at(c.refs, c.address.column, c.address.row) for c in cells]
+    return [c.shape.shift_key_at(c.address.column, c.address.row) for c in cells]
 
 
 def old_shift_key(node: AstNode, base_col: int, base_row: int) -> str:
@@ -98,21 +98,13 @@ def old_size_metrics(ast) -> tuple:
             Fraction(sum(levels), len(levels)), decision_count(ast))
 
 
-def graph_and_reads(wb: Workbook):
-    """``build_graph(wb)`` and the reference of each of its ``_resolve``
-    calls, in call order: every reference the graph reads."""
-    reads = []
-    resolve = graph_module._resolve
-
-    def recording(wb_, ref, own):
-        reads.append(ref)
-        return resolve(wb_, ref, own)
-
-    graph_module._resolve = recording
-    try:
-        return build_graph(wb), reads
-    finally:
-        graph_module._resolve = resolve
+def targets_of(wb: Workbook, leaf, own: str) -> list[CellRef]:
+    """The cells a reference leaf of a formula on sheet ``own`` reads, as
+    the graph resolved it before shapes: a range's row-major; none for a
+    missing sheet."""
+    sheet = wb.sheet((leaf if isinstance(leaf, CellRef) else leaf.start).sheet or own)
+    cells = [leaf] if isinstance(leaf, CellRef) else leaf.cells()
+    return [] if sheet is None else [CellRef(sheet.name, c.column, c.row) for c in cells]
 
 
 def reference_leaves(ast) -> list:
@@ -123,9 +115,9 @@ def reference_leaves(ast) -> list:
 def assert_matches_own_parse(wb: Workbook, texts: dict[CellRef, str]) -> int:
     """Every formula text of ``wb`` (``texts`` by address) against its own
     parse; returns the number of cells that are copies of another text."""
-    g, reads = graph_and_reads(wb)
-    expected_reads = []
+    g = build_graph(wb)
     expected_warnings = []
+    shapes: set[int] = set()
     copies = 0
     for sheet in wb.sheets:
         for cell in sheet.cells.values():
@@ -141,19 +133,21 @@ def assert_matches_own_parse(wb: Workbook, texts: dict[CellRef, str]) -> int:
                 continue
             assert cell.ast == fresh, text
             assert cell.ast.source == cell.source == text
-            copies += cell.refs is not None
-            expected_reads += reference_leaves(fresh)
+            # A copy is a formula cell its shape was not built from.
+            copies += id(cell.shape) in shapes
+            shapes.add(id(cell.shape))
             at = cell.address
-            assert len(g.reference_targets(at)) == len(reference_leaves(fresh)), text
+            leaves = reference_leaves(fresh)
+            assert cell.shape.references(at.column, at.row) == leaves, text
+            # The graph reads each reference as the cell's own parse lists it.
+            assert [list(g.locations(t)) for t in g.reference_targets(at)] == [
+                targets_of(wb, leaf, at.sheet) for leaf in leaves], text
             assert _shift_keys([cell]) == [old_shift_key(fresh.root, at.column, at.row)], text
             m = formula_metrics(cell, g.precedents(at))
             assert (m.n_operators, m.n_operands, m.depth_of_nesting,
                     m.avg_nesting_level, m.decision_count) == old_size_metrics(fresh), text
     got = [(w.address, w.message) for w in wb.warnings if w.code == W_FORMULA_ERROR]
     assert sorted(got) == sorted(expected_warnings)
-    # The graph walks no AST: it reads each cell's references from its shape
-    # and refs, in the order the cells' own parses list them.
-    assert reads == expected_reads
     return copies
 
 
@@ -284,7 +278,7 @@ def test_cells_compare_and_print_without_an_ast(monkeypatch):
 
     monkeypatch.setattr(workbook_module, "parse_formula", no_ast)
     b2 = first.cell("S!B2")
-    assert b2.refs is not None  # a copy of B1's shape
+    assert b2.shape is first.cell("S!B1").shape  # a copy of B1's shape
     assert b2 == second.cell("S!B2") and hash(b2) == hash(second.cell("S!B2"))
     assert b2 != first.cell("S!B1")
     assert repr(b2) == (f"Cell(address={b2.address!r}, value=None, "
@@ -375,7 +369,7 @@ def test_random_copies_match_their_own_parse(templates):
 
 def test_audit_builds_no_ast_and_looks_up_only_terminals(monkeypatch):
     # The load parses each shape once and the audit parses nothing: each
-    # copy is its shape and refs, even where a range mixing anchors makes
+    # copy is its shape and its cell, even where a range mixing anchors makes
     # range linkage key each cell on its own. After the graph is built every
     # stage passes node ids: the only address lookups left are the cascade
     # stages' one per bottom-line cell.
@@ -411,7 +405,8 @@ def test_audit_builds_no_ast_and_looks_up_only_terminals(monkeypatch):
     assert calls["parse_formula"] == len(shapes)
     assert len(report.cascades) == 910
     assert calls["_idx"] <= len(report.cascades)
-    assert sum(c.refs is not None for c in wb.formula_cells()) == 8053
+    # A copy is a formula cell its shape was not built from.
+    assert sum(1 for _ in wb.formula_cells()) - len(shapes) == 8053
     # The flip splits the copies into two runs, one per shift key.
     flip_runs = sorted(f.target_range.render() for f in report.range_findings
                        if f.target_range.start.sheet == "Flip")
