@@ -15,13 +15,15 @@ IFs it reaches without crossing one: those at the top level of its formula
 (``FormulaShape.if_reach``) plus the frontiers of the cells it reads outside
 any IF. One pass in topological order over the formula cells downstream of
 an IF cell builds the frontiers and, at each IF cell, each IF's M set as a
-sorted list of positions, its N and whether it is final. The pass also
-records the order in which it finishes constructs: IF cells in topological
-order, each cell's IFs from its last position to its first, so every
-construct follows its whole M set, and branch complexity is one loop in that
-order. The result reads as ``ConditionalConstruct`` objects built on read,
-so an audit builds ``(CellRef, path)`` ids only for the constructs its
-report lists.
+sorted list of positions, its N and whether it is final. A frontier of
+more than four IFs built from other frontiers is dropped once its last
+reader is done, so the frontiers held stay linear in the cells even where
+they grow along a chain. The pass also records the order in which it
+finishes constructs: IF cells in topological order, each cell's IFs from
+its last position to its first, so every construct follows its whole M
+set, and branch complexity is one loop in that order. The result reads as
+``ConditionalConstruct`` objects built on read, so an audit builds
+``(CellRef, path)`` ids only for the constructs its report lists.
 
 The branch complexity of a construct with nested/precedent constructs S_i
 and N conditionless branches is ``(sum of their complexities + N)^(1+beta)``,
@@ -134,6 +136,12 @@ def find_conditionals(wb: Workbook, g: CellGraph) -> Constructs:
     order = g.topological_order() if down else []  # no IF: no frontier to build
     # Reference o of cell v reads preds[v][o and ends[v][o - 1]:ends[v][o]].
     preds_of, ends_of = g.reference_columns()
+    # Holding every frontier made memory quadratic in the length of an
+    # IF-fed chain. ``readers`` counts the reading arcs still to come of
+    # each frontier of more than four IFs built from others; each frontier
+    # held to the end is its own cell's IFs, or at most four, which a
+    # frozenset keeps in its smallest table.
+    readers: dict[int, int] = {}
     for v in compress(order, map(down.__contains__, order)):
         shape = shapes[v]
         top_ifs, top_refs = shape.if_reach
@@ -148,29 +156,41 @@ def find_conditionals(wb: Workbook, g: CellGraph) -> Constructs:
         elif parts:  # one frontier read once or more is shared
             frontier[v] = (parts[0] if all(p is parts[0] for p in parts)
                            else _EMPTY.union(*parts))
-        if base is None:
-            continue
-        k = base + len(shape.ifs)
-        # An IF nests only IFs after it in path order: finish them last to first.
-        for _, args in reversed(shape.ifs):
-            k -= 1
-            m_set: set[int] = set()
-            for arg_idx, (arg_ifs, ordinals) in enumerate(args):
-                hit = bool(arg_ifs)
-                if arg_ifs:
-                    m_set.update(map(base.__add__, arg_ifs))
-                for o in ordinals:
-                    for t in preds[o and ends[o - 1]:ends[o]]:
-                        f = frontier[t]
-                        if f:
-                            hit = True
-                            m_set |= f
-                if arg_idx and not hit:
-                    branches[k] += 1  # a conditionless value branch
-            nested[k] = m = sorted(m_set)
-            for j in m:
-                final[j] = False
-            finished[next(slot)] = k
+        if parts and len(frontier[v]) > 4:
+            left = g.fan_out(v)
+            if left:
+                readers[v] = left
+            else:  # no cell reads it
+                frontier[v] = _EMPTY
+        if base is not None:
+            k = base + len(shape.ifs)
+            # An IF nests only IFs after it in path order: finish them last to first.
+            for _, args in reversed(shape.ifs):
+                k -= 1
+                m_set: set[int] = set()
+                for arg_idx, (arg_ifs, ordinals) in enumerate(args):
+                    hit = bool(arg_ifs)
+                    if arg_ifs:
+                        m_set.update(map(base.__add__, arg_ifs))
+                    for o in ordinals:
+                        for t in preds[o and ends[o - 1]:ends[o]]:
+                            f = frontier[t]
+                            if f:
+                                hit = True
+                                m_set |= f
+                    if arg_idx and not hit:
+                        branches[k] += 1  # a conditionless value branch
+                nested[k] = m = sorted(m_set)
+                for j in m:
+                    final[j] = False
+                finished[next(slot)] = k
+        if readers and not readers.keys().isdisjoint(preds):
+            for t in preds:
+                if t in readers:
+                    readers[t] -= 1
+                    if not readers[t]:
+                        del readers[t]
+                        frontier[t] = _EMPTY
     return Constructs(nodes, paths, nested, branches, final, g.locations(nodes), finished)
 
 

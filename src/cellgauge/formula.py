@@ -5,7 +5,9 @@ with optional ``$`` markers and sheet qualifiers, ranges (``ref:ref``),
 function calls, the infix operators ``+ - * / ^ &`` and the six comparisons,
 unary minus, the postfix percent, and parentheses. Precedence, loosest to
 tightest: comparison, concatenation (``&``), additive, multiplicative,
-exponent (``^``, left-associative), unary minus, percent.
+exponent (``^``, left-associative), unary minus, percent. The binary levels
+are one table, ``_PREC``, which the parser and the renderer share: the
+parser climbs it, and the renderer reads it to place parentheses.
 
 Token classification follows the operator/operand split used throughout the
 metrics: function names and operator symbols are operators; literals, cell
@@ -293,7 +295,17 @@ def _lex(text: str, base_offset: int) -> list[_Token]:
 
 # --- Parser --------------------------------------------------------------
 
-_COMPARISON = ("=", "<>", "<", "<=", ">", ">=")
+# The one definition of binary precedence, loosest (1) to tightest; every
+# level is left-associative. The parser climbs it and the renderer reads it
+# to place the fewest parentheses.
+_PREC = {
+    "=": 1, "<>": 1, "<": 1, "<=": 1, ">": 1, ">=": 1,
+    "&": 2,
+    "+": 3, "-": 3,
+    "*": 4, "/": 4,
+    "^": 5,
+}
+_TIGHTEST = max(_PREC.values())
 
 MAX_NESTING = 64
 
@@ -332,40 +344,21 @@ class _Parser:
             raise FormulaSyntaxError(f"unexpected {tok.text!r}", tok.offset)
         return node
 
-    def expression(self) -> AstNode:
-        node = self.concat()
-        while self.at_op(*_COMPARISON):
-            op = self.advance().text
-            node = BinaryOp(op, node, self.concat())
-        return node
-
-    def concat(self) -> AstNode:
-        node = self.additive()
-        while self.at_op("&"):
-            self.advance()
-            node = BinaryOp("&", node, self.additive())
-        return node
-
-    def additive(self) -> AstNode:
-        node = self.multiplicative()
-        while self.at_op("+", "-"):
-            op = self.advance().text
-            node = BinaryOp(op, node, self.multiplicative())
-        return node
-
-    def multiplicative(self) -> AstNode:
-        node = self.exponent()
-        while self.at_op("*", "/"):
-            op = self.advance().text
-            node = BinaryOp(op, node, self.exponent())
-        return node
-
-    def exponent(self) -> AstNode:
+    def expression(self, loosest: int = 1) -> AstNode:
+        """The longest expression at the front whose binary operators all
+        bind at ``loosest`` or tighter, by precedence climbing over
+        ``_PREC``: every level is left-associative, and an operand of the
+        tightest level is a ``unary``, so a parenthesis level costs at most
+        ``_TIGHTEST`` + 3 frames."""
         node = self.unary()
-        while self.at_op("^"):
+        while True:
+            tok = self.current
+            prec = _PREC.get(tok.text, 0) if tok.kind == "OP" else 0
+            if prec < loosest:
+                return node
             self.advance()
-            node = BinaryOp("^", node, self.unary())
-        return node
+            right = self.unary() if prec == _TIGHTEST else self.expression(prec + 1)
+            node = BinaryOp(tok.text, node, right)
 
     def unary(self) -> AstNode:
         signs = 0
@@ -488,13 +481,6 @@ def parse_formula(text: str) -> FormulaAst:
 
 # --- Rendering -----------------------------------------------------------
 
-_PREC = {
-    "=": 1, "<>": 1, "<": 1, "<=": 1, ">": 1, ">=": 1,
-    "&": 2,
-    "+": 3, "-": 3,
-    "*": 4, "/": 4,
-    "^": 5,
-}
 _UNARY_PREC = 6
 _PERCENT_PREC = 7
 _ATOM_PREC = 100
@@ -626,7 +612,7 @@ def classify_tokens(ast: FormulaAst | AstNode) -> list[ClassifiedToken]:
 
 # --- Per-formula measures -------------------------------------------------
 
-_COMPARISONS = {"=", "<>", "<", "<=", ">", ">="}
+_COMPARISONS = frozenset(op for op, prec in _PREC.items() if prec == _PREC["="])
 _LOGICAL_FUNCS = {"AND", "OR", "NOT"}
 
 

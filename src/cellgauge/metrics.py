@@ -184,34 +184,6 @@ class RangeLinkageFinding:
     verdict: str  # "ok" | "violation"
 
 
-def _runs_along(ids: list[int], at: Locations, keys: list[str],
-                fixed: str) -> list[list[int]]:
-    """Maximal runs of >= 2 consecutive shift-equivalent formula cells, each
-    as the node ids of its cells.
-
-    Formula cell ``ids[k]`` sits at ``at[k]`` and has shift key ``keys[k]``.
-    ``fixed`` is the constant axis: "column" groups vertical runs, "row"
-    groups horizontal ones.
-    """
-    lines, positions = (at.columns, at.rows) if fixed == "column" else (at.rows, at.columns)
-    groups: dict[tuple, list[tuple[int, str, int]]] = {}
-    for i, sheet, line, pos, key_text in zip(ids, at.sheets, lines, positions, keys):
-        groups.setdefault((sheet, line), []).append((pos, key_text, i))
-    runs = []
-    for entries in groups.values():
-        entries.sort(key=lambda e: e[0])
-        run: list[tuple[int, str, int]] = []
-        for entry in entries:
-            if run and (entry[0] != run[-1][0] + 1 or entry[1] != run[-1][1]):
-                if len(run) >= 2:
-                    runs.append([e[2] for e in run])
-                run = []
-            run.append(entry)
-        if len(run) >= 2:
-            runs.append([e[2] for e in run])
-    return runs
-
-
 def _block_through(
     wb: Workbook, sheet: str, vertical: bool, line: int, pos: int,
     blocks: dict[tuple, tuple[int, int]],
@@ -249,13 +221,32 @@ def _block_through(
     return hi - lo + 1, bounds
 
 
-def _copied_runs(g: CellGraph) -> tuple[list[list[int]], list[list[int]]]:
-    """The vertical and the horizontal runs of ``g``'s formula cells, as
-    node ids, keying each cell once (``FormulaShape.shift_key_at``)."""
+def _copied_runs(wb: Workbook, g: CellGraph) -> tuple[list[list[int]], list[list[int]]]:
+    """The vertical and the horizontal runs of ``g``'s formula cells: each a
+    maximal run of >= 2 cells, consecutive along one column (or row), that
+    share a shift key (``FormulaShape.shift_key_at``), as node ids. ``g`` is
+    the graph of ``wb``. Vertical runs come by sheet position, column and
+    first row, horizontal ones by sheet position, row and first column,
+    whatever the order of the cells in the document."""
     ids, shapes = g.formulas()
     at = g.locations(ids)
     keys = list(map(FormulaShape.shift_key_at, shapes, at.columns, at.rows))
-    return _runs_along(ids, at, keys, "column"), _runs_along(ids, at, keys, "row")
+    position = {sheet.name: k for k, sheet in enumerate(wb.sheets)}
+    sheets = list(map(position.__getitem__, at.sheets))
+    runs: tuple[list[list[int]], list[list[int]]] = ([], [])
+    for found, lines, positions in zip(runs, (at.columns, at.rows), (at.rows, at.columns)):
+        run: list[int] = []
+        last = None
+        for sheet, line, pos, key, i in sorted(zip(sheets, lines, positions, keys, ids)):
+            if (sheet, line, pos - 1, key) != last:  # not the next copy of the run
+                if len(run) >= 2:
+                    found.append(run)
+                run = []
+            run.append(i)
+            last = (sheet, line, pos, key)
+        if len(run) >= 2:
+            found.append(run)
+    return runs
 
 
 # A reference slot of a run: (s, reference style, actual extent, source bounds).
@@ -320,7 +311,7 @@ def check_range_linkage(wb: Workbook, g: CellGraph) -> list[RangeLinkageFinding]
     findings: list[RangeLinkageFinding] = []
     addr = g.address_of
     blocks: dict[tuple, tuple[int, int]] = {}
-    for vertical, runs in zip((True, False), _copied_runs(g)):
+    for vertical, runs in zip((True, False), _copied_runs(wb, g)):
         for run in runs:
             target = RangeRef(addr(run[0]), addr(run[-1]))
             for s, style, actual, bounds in _slots(wb, g, run, vertical, blocks):

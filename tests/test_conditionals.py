@@ -664,6 +664,38 @@ def test_frontier_work_does_not_grow_with_an_unrelated_range():
     assert large < 1.1 * small, (small, large)
 
 
+def if_fed_chain(n, **columns):
+    """IFs A{k} = IF(C$1>0,1,2) feed a chain B{k} = A{k} + B{k-1}, whose end
+    D1's IF reads; each other column named holds its formula template,
+    formatted with k, in rows 2..n."""
+    cells = {"C1": 1, "D1": f"=IF(B{n}>0,1,0)", "B1": "=A1"}
+    cells.update({f"A{k}": "=IF(C$1>0,1,2)" for k in range(1, n + 1)})
+    cells.update({f"B{k}": f"=A{k}+B{k - 1}" for k in range(2, n + 1)})
+    for column, template in columns.items():
+        cells.update({f"{column}{k}": template.format(k=k) for k in range(2, n + 1)})
+    return {"S": cells}
+
+
+@pytest.mark.parametrize("columns", [{}, {"F": "=A{k}+B{k}"}], ids=["chain", "unread"])
+def test_frontier_memory_is_linear_in_an_if_fed_chain(columns):
+    # Each B{k}'s frontier holds k IFs, and so does each F{k}, which no cell
+    # reads. Holding every one until discovery returned traced 88 MB at
+    # n = 2,000; each is now dropped after its last reader.
+    import tracemalloc
+
+    n = 2000
+    wb, g = make_graph(if_fed_chain(n, **columns))
+    tracemalloc.start()
+    try:
+        found = find_conditionals(wb, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000_000, peak
+    d1 = list(found.cells).index(CellRef("S", 4, 1))
+    assert found.nested[d1] == [found.nodes.index(g.node_id(f"S!A{k}")) for k in range(1, n + 1)]
+
+
 # --- IF layouts per shape ----------------------------------------------------------
 
 # The per-formula walk conditional discovery ran on every formula's AST
@@ -821,6 +853,8 @@ def test_constructs_match_the_oracle_with_several_ifs_per_formula(sheets):
      "T": {"A1": "=IF(A2>0,A2,2)", "A2": 1, "B2": "=IF('My T'!B1,1,2)"},
      "My T": {"B1": "=IF(Nope!B1:B2,T!A1)"}},
     downward_if_chain(3000),
+    # Frontiers of more than four IFs, some shared, each read by IFs.
+    if_fed_chain(12, C="=B{k}*2", E="=IF(B{k}>0,A{k},0)", H="=IF(C{k}>0,1,2)"),
 ])
 def test_constructs_match_the_oracle_on_fixtures(sheets):
     assert assert_matches_oracle(*make_graph(sheets))

@@ -69,7 +69,7 @@ def oracle_check_range_linkage(wb: Workbook, g: CellGraph) -> list[RangeLinkageF
     findings: list[RangeLinkageFinding] = []
     addr = g.address_of
     blocks: dict[tuple, tuple[int, int]] = {}
-    for vertical, runs in zip((True, False), _copied_runs(g)):
+    for vertical, runs in zip((True, False), _copied_runs(wb, g)):
         for run in runs:
             target = RangeRef(addr(run[0]), addr(run[-1]))
             resolved = [g.reference_targets(i) for i in run]

@@ -121,6 +121,10 @@ def test_whitespace_insignificant():
     assert parse_formula("= A1 + B1 ").root == parse_formula("=A1+B1").root
 
 
+# The binary levels, loosest first, written out here apart from _PREC.
+_LADDER = (("=", "<>", "<", "<=", ">", ">="), ("&",), ("+", "-"), ("*", "/"), ("^",))
+
+
 def test_precedence_ladder():
     # 1+2*3^2 = 1+(2*(3^2))
     ast = parse_formula("=1+2*3^2")
@@ -129,6 +133,18 @@ def test_precedence_ladder():
         NumberLiteral(1.0),
         BinaryOp("*", NumberLiteral(2.0), BinaryOp("^", NumberLiteral(3.0), NumberLiteral(2.0))),
     )
+    # Every ordered pair of binary operators: the tighter one takes the
+    # middle operand, and within one level the left one does.
+    one, two, three = (NumberLiteral(float(k)) for k in (1, 2, 3))
+    level = {op: k for k, ops in enumerate(_LADDER) for op in ops}
+    for a in level:
+        for b in level:
+            root = parse_formula(f"=1 {a} 2 {b} 3").root
+            if level[a] < level[b]:
+                assert root == BinaryOp(a, one, BinaryOp(b, two, three)), (a, b)
+            else:
+                assert root == BinaryOp(b, BinaryOp(a, one, two), three), (a, b)
+    assert level.keys() == _PREC.keys()
 
 
 def test_comparison_binds_loosest():

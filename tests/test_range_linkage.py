@@ -1,5 +1,10 @@
+import copy
+import random
+
 from cellgauge.graph import build_graph
 from cellgauge.metrics import check_range_linkage
+from cellgauge.report import analyze_workbook, emit_report
+from cellgauge.workbook import load_workbook_doc
 
 from conftest import make_workbook
 
@@ -196,3 +201,44 @@ def test_short_runs_over_a_tall_column_are_linear():
     assert findings == reference(wb)
     assert {(f.actual_extent, f.verdict) for f in findings} == {(40, "violation")}
 
+
+def copied_doc():
+    """Two sheets, whose names sort against their order, each with copied
+    runs down columns B-D and along row 11."""
+    sheets = []
+    for name in ("Zeta", "Alpha"):
+        cells = [{"ref": f"A{r}", "value": r} for r in range(1, 7)]
+        cells += [{"ref": f"{c}10", "value": k} for k, c in enumerate("ABCDEF")]
+        for r in range(1, 6):
+            cells += [{"ref": f"B{r}", "formula": f"=SUM($A$1:A{r})"},
+                      {"ref": f"C{r}", "formula": f"=A{r}*2"},
+                      {"ref": f"D{r}", "formula": f"=Zeta!A{r + 1}+1"}]
+        for c, left in zip("BCDEF", "ABCDE"):
+            cells += [{"ref": f"{c}11", "formula": f"={left}10*3"}]
+        sheets.append({"name": name, "cells": cells})
+    return {"sheets": sheets}
+
+
+def test_range_findings_follow_line_order_whatever_the_doc_order():
+    # Runs were listed in the order their lines first appeared in the
+    # document, so reordering cell docs reordered range_findings.
+    doc = copied_doc()
+    wb = load_workbook_doc(doc)
+    want = emit_report(analyze_workbook(wb))
+    findings = check_range_linkage(wb, build_graph(wb))
+    position = {"Zeta": 0, "Alpha": 1}
+
+    def order(f):  # vertical runs by sheet, column, first row; then horizontal
+        start, end = f.target_range.start, f.target_range.end
+        vertical = start.column == end.column
+        line, first = (start.column, start.row) if vertical else (start.row, start.column)
+        return not vertical, position[start.sheet], line, first
+
+    assert len({order(f) for f in findings}) == 8
+    assert list(map(order, findings)) == sorted(map(order, findings))
+    rng = random.Random(2024)
+    for _ in range(5):
+        shuffled = copy.deepcopy(doc)
+        for sheet in shuffled["sheets"]:
+            rng.shuffle(sheet["cells"])
+        assert emit_report(analyze_workbook(load_workbook_doc(shuffled))) == want
