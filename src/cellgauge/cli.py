@@ -6,10 +6,12 @@ reference cycle detected (a report is still emitted with the
 graph-dependent sections marked unavailable), 4 internal error: an
 unexpected exception in any command, reported as one ``error: internal error
 in <command>: <type>: <message>`` line on stderr without a traceback.
-Invalid input includes, in every command, a file that is not UTF-8, an
-option or weight that is not a finite number, ranges that cost more than
-``--max-range-cells`` allows (see ``graph.CellGraph``), and, in ``analyze``,
-cascades that hold more members in all than ``report.MAX_CASCADE_CELLS``.
+Invalid input includes, in every command, a file that is not UTF-8, a
+sheet name, formula or string value that is not valid Unicode (a lone
+surrogate from a JSON ``\\ud800`` escape), an option or weight that is not
+a finite number, ranges that cost more than ``--max-range-cells`` allows
+(see ``graph.CellGraph``), and, in ``analyze``, cascades that hold more
+members in all than ``report.MAX_CASCADE_CELLS``.
 ``check-ranges`` exits 0 when it finds no copied-formula run or none is a
 violation, 1 when it prints a ``VIOLATION`` line, and 2 and 4 as above.
 

@@ -214,29 +214,6 @@ def render_ref(ref: CellRef) -> str:
     return ref.render()
 
 
-def render_refs(refs: Iterable[CellRef]) -> list[str]:
-    """``[ref.render() for ref in refs]``, quoting each sheet name and
-    lettering each column once per call: reports render thousands of
-    addresses on a few sheets. ``Locations`` render themselves."""
-    if isinstance(refs, Locations):
-        return refs.render()
-    prefixes: dict[Optional[str], str] = {None: ""}
-    letters: dict[int, str] = {}
-    out: list[str] = []
-    append = out.append
-    for ref in refs:
-        sheet, column = ref.sheet, ref.column
-        prefix = prefixes.get(sheet)
-        if prefix is None:
-            prefix = prefixes[sheet] = quote_sheet_name(sheet) + "!"
-        col = letters.get(column)
-        if col is None:
-            col = letters[column] = column_to_letters(column)
-        append(f"{prefix}{'$' if ref.col_absolute else ''}{col}"
-               f"{'$' if ref.row_absolute else ''}{ref.row}")
-    return out
-
-
 class Locations(Sequence):
     """Cells given by location, as three parallel lists: cell k is on the
     sheet named ``sheets[k]`` (None for the same sheet), in column

@@ -9,13 +9,14 @@ reference reads. After the graph is built the stages pass node ids and
 read the graph's node-id columns, so no ``Cell`` is built but the one each
 copy-class ``formula_metrics`` call reads: cell metrics are computed in
 node order, rates and final constructs are keyed by node id, and the
-cascades walk the bottom-line cells by id. The report keeps its cells as
-two columns in canonical order (``CellColumns``): addresses, the graph's
-``Locations`` rendered per sheet, and metrics records that many cells
-share, such as the one all-zero record of every data cell. It keeps its
-warnings the same way (``WarningColumns``): address texts, and records
-that every W003 warning shares, so an empty cell a range reads costs the
-report one address text.
+cascades walk the bottom-line cells by id. The report keeps its cells
+only as two columns in canonical order (``CellColumns``): addresses, the
+graph's ``Locations``, and metrics records that many cells share, such as
+the one all-zero record of every data cell. It keeps its warnings only the
+same way (``WarningColumns``): address texts, and records that every W003
+warning shares, so an empty cell a range reads costs the report one
+address text. ``report.cells`` and ``report.warnings`` are lists built
+from the columns on first read.
 
 The JSON form is canonical: sorted keys, floats rounded to six decimals,
 stable ordering everywhere, so identical input bytes and configuration
@@ -23,10 +24,11 @@ produce byte-identical output. Each kind of report row (cell metrics,
 cascade, cascade conditional, range finding, data binding triple, warning)
 is declared once, as its sorted keys and a function that gives a row's
 values in that order (``_Kind``). ``as_dict`` builds its row dicts from
-these declarations, and emission writes the rows in batches: one C-encoder
-call per batch of value tuples, whose texts fill a template per kind. Cell
-and warning rows encode the values after their address once per shared
-record or (code, message) pair, and each row adds only its address.
+these declarations, and one emitter, ``_emit_rows``, writes the rows of
+every kind in batches: one C-encoder call per batch, whose texts fill a
+template per kind. A record's text after the address is encoded once
+however many rows share the record, and each row of columns adds only its
+address.
 """
 
 from __future__ import annotations
@@ -83,7 +85,7 @@ from .metrics import (
     formula_metrics,
     modular_metrics,
 )
-from .refs import CellRef, render_refs
+from .refs import CellRef, Locations
 from .reliability import (
     CascadeReliability,
     ReliabilityConfig,
@@ -130,12 +132,13 @@ class _Columns:
 
     Many rows may share one record object, whose own ``address`` is then
     one of theirs; only the address column says which row is which.
-    Iterating gives each row's record at its own address (``_moved``).
+    Iterating gives each row's record at its own address (``_moved``), and
+    ``head(a, b)`` gives the address texts of rows a..b-1.
     """
 
     __slots__ = ("addresses", "records")
 
-    def __init__(self, addresses: list, records: list):
+    def __init__(self, addresses, records: list):
         self.addresses = addresses
         self.records = records
 
@@ -154,11 +157,21 @@ class _Columns:
 
 
 class CellColumns(_Columns):
-    """A report's cells in canonical order: addresses, a list of ``CellRef``
-    or the ``Locations`` that ``analyze_workbook`` gives, and
-    ``CellMetrics`` records, one all-zero record for every data cell."""
+    """A report's cells in canonical order: addresses, a ``Locations`` (a
+    list of ``CellRef`` is taken as ``Locations.of`` it, which drops ``$``
+    markers), and ``CellMetrics`` records, one all-zero record for every
+    data cell."""
 
     __slots__ = ()
+
+    def __init__(self, addresses: Union[Locations, list[CellRef]],
+                 records: list[CellMetrics]):
+        if not isinstance(addresses, Locations):
+            addresses = Locations.of(addresses)
+        super().__init__(addresses, records)
+
+    def head(self, start: int, stop: int) -> list[str]:
+        return self.addresses[start:stop].render()
 
     @staticmethod
     def _moved(r: CellMetrics, address: CellRef) -> CellMetrics:
@@ -171,40 +184,24 @@ class WarningColumns(_Columns):
 
     __slots__ = ()
 
+    def head(self, start: int, stop: int) -> list[str]:
+        return self.addresses[start:stop]
+
     @staticmethod
     def _moved(w: AuditWarning, address: str) -> AuditWarning:
         return AuditWarning(w.code, address, w.message)
 
 
-def _rows(name: str) -> property:
-    """A report attribute given as a list of rows or as ``_Columns``. It
-    reads as the list either way: from columns the list is built on first
-    read, and from then on it is the report's rows."""
-    slot = "_" + name
-
-    def read(report: "WorkbookReport") -> list:
-        rows = getattr(report, slot)
-        if isinstance(rows, _Columns):
-            rows = list(rows)
-            setattr(report, slot, rows)
-        return rows
-
-    return property(read, lambda report, rows: setattr(report, slot, rows))
-
-
 class WorkbookReport:
     """An audit's results.
 
-    ``cells`` may be given as a list of records, or as ``CellColumns``
-    whose records many cells share, as ``analyze_workbook`` gives it;
-    ``warnings`` likewise as a list or as ``WarningColumns``. Each reads as
-    its list either way: from columns the list is built on first read, and
-    from then on it is the report's list. Emission and ``exit_code`` read
-    ``cell_columns`` and ``warning_columns`` and never build either list.
+    The report keeps its cells only as ``cell_columns`` (``CellColumns``),
+    whose records many cells share, and its warnings only as
+    ``warning_columns`` (``WarningColumns``). A list of records given for
+    either becomes columns here, each record its own. ``cells`` and
+    ``warnings`` are read-only lists, built from the columns on first read;
+    emission and ``exit_code`` read the columns and never build them.
     """
-
-    cells = _rows("cells")
-    warnings = _rows("warnings")
 
     def __init__(self, tool_version: str, input_digest: str, config: AnalysisConfig,
                  cells: Union[list[CellMetrics], CellColumns],
@@ -214,25 +211,26 @@ class WorkbookReport:
         self.tool_version = tool_version
         self.input_digest = input_digest
         self.config = config
-        self.cells = cells
+        self.cell_columns = cells if isinstance(cells, CellColumns) else CellColumns.of(cells)
         self.cascades = cascades
         self.modular = modular
         self.range_findings = range_findings
-        self.warnings = [] if warnings is None else warnings
+        self.warning_columns = (warnings if isinstance(warnings, WarningColumns)
+                                else WarningColumns.of(warnings or []))
+        self._cells: Optional[list[CellMetrics]] = None
+        self._warnings: Optional[list[AuditWarning]] = None
 
     @property
-    def cell_columns(self) -> CellColumns:
-        """The cells as columns. Once ``cells`` is a list, the columns come
-        from it, each record its own."""
-        cells = self._cells
-        return cells if isinstance(cells, CellColumns) else CellColumns.of(cells)
+    def cells(self) -> list[CellMetrics]:
+        if self._cells is None:
+            self._cells = list(self.cell_columns)
+        return self._cells
 
     @property
-    def warning_columns(self) -> WarningColumns:
-        """The warnings as columns, as ``cell_columns`` gives the cells."""
-        warnings = self._warnings
-        return (warnings if isinstance(warnings, WarningColumns)
-                else WarningColumns.of(warnings))
+    def warnings(self) -> list[AuditWarning]:
+        if self._warnings is None:
+            self._warnings = list(self.warning_columns)
+        return self._warnings
 
     @property
     def cyclic(self) -> bool:
@@ -241,7 +239,7 @@ class WorkbookReport:
     def exit_code(self) -> int:
         if self.cyclic:
             return 3
-        return 1 if len(self._warnings) else 0
+        return 1 if len(self.warning_columns) else 0
 
     def as_dict(self) -> dict:
         return _report_dict(self)
@@ -438,19 +436,11 @@ class _Kind(NamedTuple):
 
     ``nested`` names the one list-valued column, if any, and the kind of
     its rows; ``values`` gives that column as its unbuilt rows.
-
-    ``shared`` marks a kind whose first key is "address" and whose rows
-    share the values after it. It splits the rows ``items`` into
-    ``(addresses, render, bodies, key)``: ``render(addresses[a:b])`` gives
-    the address texts of rows a..b-1, row k's other values are
-    ``values(bodies[k])[1:]``, and rows whose bodies have equal ``key``
-    have equal values there.
     """
 
     keys: tuple[str, ...]
     values: Callable[..., tuple]
     nested: Optional[tuple[str, "_Kind"]] = None
-    shared: Optional[Callable[..., tuple]] = None
 
 
 _CELL = _Kind(
@@ -463,8 +453,6 @@ _CELL = _Kind(
                m.depth_of_nesting, _num(m.dispersion), m.forward_ref_count,
                m.mixed_axis_flag, m.n_operands, m.n_operators,
                m.n_references, m.row_span),
-    # Rows are CellColumns; records shared by many cells are one object.
-    shared=lambda cells: (cells.addresses, render_refs, cells.records, id),
 )
 # A cascade's conditional: (ConditionalConstruct, O value).
 _CONDITIONAL = _Kind(("cell", "o_value"),
@@ -489,10 +477,7 @@ _FINDING = _Kind(
 # A data binding triple: (sheet P, cell Q, sheet R).
 _TRIPLE = _Kind(("p", "q", "r"), lambda t: (t[0], t[1].render(), t[2]))
 _WARNING = _Kind(("address", "code", "message"),
-                 operator.attrgetter("address", "code", "message"),
-                 # Rows are WarningColumns, whose addresses are texts.
-                 shared=lambda warnings: (
-                     warnings.addresses, list, warnings.records, id))
+                 operator.attrgetter("address", "code", "message"))
 
 
 def _row_dicts(kind: _Kind, items) -> list[dict]:
@@ -572,21 +557,11 @@ def _report_dict(r: WorkbookReport, rows=_row_dicts) -> dict:
 # --- Emission -----------------------------------------------------------------
 
 _INDENT = "  "
-_NESTABLE = (dict, list, tuple, _Table)  # a _Table is truthy even when empty
-_SCALARS = frozenset((str, int, float, bool, type(None)))
 _BATCH = 1024  # rows per C-encoder call
-# Encodes a batch of rows' value tuples with "\n" between items; strings
-# escape their control characters, so every raw newline is a separator.
+# Encodes a batch of rows' values with "\n" between items; strings escape
+# their control characters, so every raw newline is a separator.
 _BATCH_ENCODER = json.JSONEncoder(ensure_ascii=False, check_circular=False,
                                   separators=("\n", ": "))
-
-
-@functools.cache
-def _flat_encoder(level: int) -> json.JSONEncoder:
-    """The C encoder for a flat value at nesting ``level``: its item
-    separator carries the newline and the indentation of the items."""
-    return json.JSONEncoder(sort_keys=True, ensure_ascii=False,
-                            separators=(",\n" + _INDENT * (level + 1), ": "))
 
 
 @functools.cache
@@ -601,129 +576,92 @@ def _row_template(kind: _Kind, level: int) -> str:
 
 def _emit_rows(kind: _Kind, items, level: int, write: Callable[[str], object]) -> None:
     """Pass ``write`` the text ``json.dumps`` gives for the list of ``kind``
-    rows ``items`` at nesting ``level``, ``_BATCH`` rows per C-encoder call.
+    rows ``items`` at nesting ``level``. ``items`` is a list of rows, or
+    ``_Columns`` whose rows share records.
 
-    The encoder writes a batch's value tuples as ``[[a\\nb]\\n[c\\nd]]``, so
-    stripping the outer brackets and the row boundaries leaves one value's
-    text per line, and each row fills its kind's template. A nested
-    column's value is encoded as ``null`` and then replaced by the text of
-    its own rows.
+    A row of ``_Columns`` starts with a head, the text of its address (the
+    kind's first value); the rest of a row is its body, the whole row for a
+    row of a list. A body's text is encoded once per record object and
+    kept. Each batch of ``_BATCH`` rows is one C-encoder call, for the
+    batch's address texts and the values of the records it is first to
+    use, with one value's text per line; each record's texts fill the
+    kind's template, and each row is written as its head and its body. A
+    nested column's value is encoded as ``null`` and then replaced by the
+    text of its own rows. A batch that finds more than ``_BATCH`` bodies
+    kept clears them, so at most about ``2 * _BATCH`` are held.
     """
     if not items:
         write("[]")
         return
-    width = len(kind.keys)
     template = _row_template(kind, level + 1)
+    if isinstance(items, _Columns):
+        head, template = template.split("%s", 1)
+        head %= ()  # the template's "%%" is a "%" here
+        records, skip = items.records, 1
+    else:
+        head, records, skip = "", items, 0
+    width = len(kind.keys) - skip
+    if kind.nested is not None:
+        key, nested_kind = kind.nested
+        at = kind.keys.index(key) - skip
+    bodies: dict[int, str] = {}  # record id -> its row's text after the head
     sep = ",\n" + _INDENT * (level + 1)
     write("[\n" + _INDENT * (level + 1))
-    for start in range(0, len(items), _BATCH):
-        batch = list(map(kind.values, items[start:start + _BATCH]))
-        if kind.nested is not None:
-            key, nested_kind = kind.nested
-            at = kind.keys.index(key)
-            nested = []
-            for i, values in enumerate(batch):
-                sub: list[str] = []
-                _emit_rows(nested_kind, values[at], level + 2, sub.append)
-                nested.append("".join(sub))
-                batch[i] = values[:at] + (None,) + values[at + 1:]
-        texts = _BATCH_ENCODER.encode(batch)[2:-2].replace("]\n[", "\n").split("\n")
-        if kind.nested is not None:
-            texts[at::width] = nested
-        if start:
-            write(sep)
-        write(sep.join(map(template.__mod__, zip(*[iter(texts)] * width))))
-    write("\n" + _INDENT * level + "]")
-
-
-def _emit_shared_rows(kind: _Kind, items, level: int,
-                      write: Callable[[str], object]) -> None:
-    """``_emit_rows`` for a kind whose rows share all but their address
-    (``_Kind.shared``).
-
-    The row text after the address is encoded once per distinct body key
-    and kept. Each batch of ``_BATCH`` rows is one C-encoder call, for its
-    address texts and the values of the bodies it is first to use, and each
-    row is written as the template's head, its address and its body's tail.
-    A batch whose rows share little clears what is kept, so at most about
-    ``2 * _BATCH`` tails are held.
-    """
-    addresses, render, bodies, key = kind.shared(items)
-    if not bodies:
-        write("[]")
-        return
-    head, tail = _row_template(kind, level + 1).split("%s", 1)
-    head %= ()  # the template's "%%" is a "%" here
-    width = len(kind.keys) - 1
-    tails: dict = {}  # body key -> the row's text after its address
-    sep = ",\n" + _INDENT * (level + 1)
-    write("[\n" + _INDENT * (level + 1))
-    for start in range(0, len(bodies), _BATCH):
-        batch = bodies[start:start + _BATCH]
-        keys = list(map(key, batch))
-        if len(tails) > _BATCH:
-            tails.clear()
+    for start in range(0, len(records), _BATCH):
+        batch = records[start:start + _BATCH]
+        keys = list(map(id, batch))
+        if len(bodies) > _BATCH:
+            bodies.clear()
         new = dict(zip(keys, batch))
-        for k in new.keys() & tails.keys():
+        for k in new.keys() & bodies.keys():
             del new[k]
-        values = render(addresses[start:start + _BATCH])
+        values = items.head(start, start + _BATCH) if skip else []
         n = len(values)
-        for body in new.values():
-            values.extend(kind.values(body)[1:])
+        nested = []
+        for record in new.values():
+            row = kind.values(record)[skip:]
+            if kind.nested is not None:
+                sub: list[str] = []
+                _emit_rows(nested_kind, row[at], level + 2, sub.append)
+                nested.append("".join(sub))
+                row = row[:at] + (None,) + row[at + 1:]
+            values.extend(row)
         texts = _BATCH_ENCODER.encode(values)[1:-1].split("\n")
-        for k, body_texts in zip(new, zip(*[iter(texts[n:])] * width)):
-            tails[k] = tail % body_texts
+        if nested:
+            texts[n + at::width] = nested
+        for k, body in zip(new, zip(*[iter(texts[n:])] * width)):
+            bodies[k] = template % body
+        rows = map(bodies.__getitem__, keys)
+        if skip:
+            rows = [head + address + body for address, body in zip(texts[:n], rows)]
         if start:
             write(sep)
-        write(sep.join([head + address + t for address, t
-                        in zip(texts[:n], map(tails.__getitem__, keys))]))
+        write(sep.join(rows))
     write("\n" + _INDENT * level + "]")
-
-
-def _holds_container(value) -> bool:
-    children = value.values() if isinstance(value, dict) else value
-    if _SCALARS.issuperset(map(type, children)):  # the common case, in C
-        return False
-    return any(isinstance(child, _NESTABLE) and child for child in children)
 
 
 def _encode_json(value, level: int, write: Callable[[str], object]) -> None:
     """Pass ``write`` the text ``json.dumps(value, sort_keys=True, indent=2,
     ensure_ascii=False)`` gives for ``value`` at nesting ``level``.
 
-    A ``_Table`` is written by ``_emit_rows``. Any other value that holds
-    no non-empty container is one call to the C encoder, whose item
-    separator carries the newline and the indentation; only the newlines
-    next to its brackets are added here. The encoder escapes control
-    characters inside strings, so a raw newline can only come from a
-    separator. Only containers that hold a non-empty container recurse.
-    Dict keys must be str.
+    A ``_Table`` is written by ``_emit_rows``, and a dict with a ``_Table``
+    among its values key by key. Any other value is one ``json.dumps``
+    call, with each newline re-indented to ``level``: strings escape their
+    control characters, so every raw newline is the encoder's own. Dict
+    keys must be str.
     """
     if isinstance(value, _Table):
-        emit = _emit_rows if value.kind.shared is None else _emit_shared_rows
-        emit(value.kind, value.items, level, write)
-        return
-    if isinstance(value, (dict, list, tuple)) and _holds_container(value):
-        if isinstance(value, dict):
-            keys = sorted(value)
-            brackets = "{}"
-            prefixes = (json.dumps(key, ensure_ascii=False) + ": " for key in keys)
-            children = map(value.__getitem__, keys)
-        else:
-            brackets, prefixes, children = "[]", itertools.repeat(""), value
+        _emit_rows(value.kind, value.items, level, write)
+    elif isinstance(value, dict) and any(isinstance(v, _Table) for v in value.values()):
+        sep = "{\n" + _INDENT * (level + 1)
+        for key in sorted(value):
+            write(sep + json.dumps(key, ensure_ascii=False) + ": ")
+            _encode_json(value[key], level + 1, write)
+            sep = ",\n" + _INDENT * (level + 1)
+        write("\n" + _INDENT * level + "}")
     else:
-        text = _flat_encoder(level).encode(value)
-        if len(text) > 2 and text[0] in "[{":
-            text = (text[0] + "\n" + _INDENT * (level + 1) + text[1:-1]
-                    + "\n" + _INDENT * level + text[-1])
-        write(text)
-        return
-    sep = brackets[0] + "\n" + _INDENT * (level + 1)
-    for prefix, child in zip(prefixes, children):
-        write(sep + prefix)
-        _encode_json(child, level + 1, write)
-        sep = ",\n" + _INDENT * (level + 1)
-    write("\n" + _INDENT * level + brackets[1])
+        write(json.dumps(value, sort_keys=True, indent=2, ensure_ascii=False)
+              .replace("\n", "\n" + _INDENT * level))
 
 
 def _color_enabled() -> bool:
@@ -771,7 +709,7 @@ def _text_report(r: WorkbookReport, top_n: int = 20) -> str:
     # The row index keeps ties in the order a stable sort would give.
     ranked = heapq.nsmallest(top_n, zip(
         map(operator.neg, cell_error_rates(records, cfg.reliability)),
-        render_refs(cells.addresses), range(len(records))))
+        cells.addresses.render(), range(len(records))))
     rows = []
     for neg, address, k in ranked:
         m = records[k]
@@ -873,13 +811,12 @@ def emit_report(r: WorkbookReport, format: str = "json") -> bytes:
     The JSON form is canonical and deterministic: the bytes of
     ``json.dumps(r.as_dict(), sort_keys=True, indent=2, ensure_ascii=False)``
     plus a trailing newline. ``_encode_json`` writes the report's few small
-    dicts through the C encoder and each row list through ``_emit_rows``:
-    ``_BATCH`` rows per C-encoder call, each row's value texts put into its
-    kind's template. Cell and warning rows go through ``_emit_shared_rows``,
-    which encodes what rows share once; the report's cell list is never
-    built. No row dict is built and the pure-Python encoder never runs. Each piece is encoded to UTF-8 as it is written into one buffer,
-    whose bytes are returned without a copy, so the report's text is never
-    held beside its bytes.
+    dicts with ``json.dumps`` and each row list through ``_emit_rows``:
+    ``_BATCH`` rows per C-encoder call, each record's value texts put once
+    into its kind's template. No row dict is built, and neither is the
+    report's cell or warning list. Each piece is encoded to UTF-8 as it is
+    written into one buffer, whose bytes are returned without a copy, so
+    the report's text is never held beside its bytes.
     """
     if format == "json":
         buf = io.BytesIO()

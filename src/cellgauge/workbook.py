@@ -4,7 +4,9 @@ Two input formats are supported: a JSON workbook document (the canonical
 format) and a CSV grid that becomes a single sheet named ``Sheet1``. Cells
 whose text begins with ``=`` are parsed as formulas; malformed formulas are
 downgraded to string data cells with a W001 warning so an audit can proceed
-on broken workbooks. A CSV with malformed quoting is a FormatError.
+on broken workbooks. A CSV with malformed quoting is a FormatError, and so
+is a sheet name, formula or string value that is not valid Unicode (a lone
+surrogate, which JSON's ``\\ud800`` escape gives).
 
 A sheet keeps its cells as columns in document order (``Sheet``): an index
 from each (row, column) key to a position, a values column (None at a
@@ -178,9 +180,24 @@ class Workbook:
 
 # --- Loading ---------------------------------------------------------------
 
+def _is_unicode(text: str) -> bool:
+    """Whether ``text`` is valid Unicode. A JSON ``\\ud800`` escape decodes
+    to a lone surrogate, which no UTF-8 output can carry."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def _typed_value(raw: object, sheet: str, key: tuple[int, int]) -> DataValue:
     """A value ``_load_cells`` does not type inline, of the cell at (row,
     column) ``key``, whose address is built only for the error message."""
+    if isinstance(raw, str):
+        if not _is_unicode(raw):
+            address = CellRef(sheet, key[1], key[0]).render()
+            raise FormatError(f"cell {address} value {raw!r} is not valid Unicode")
+        return raw
     if isinstance(raw, (int, float)):
         try:
             value = float(raw)
@@ -192,8 +209,6 @@ def _typed_value(raw: object, sheet: str, key: tuple[int, int]) -> DataValue:
                 f"cell {address} value must be a finite number, got {value!r}"
             )
         return value
-    if isinstance(raw, str):
-        return raw
     raise FormatError(f"cell value must be number, string or boolean, got {raw!r}")
 
 
@@ -240,9 +255,10 @@ def _load_cells(sheet: Sheet, cell_docs: list, warnings: list[AuditWarning],
     Each doc is checked once, in this order, and the first check that fails
     raises FormatError: an object; only known fields; a string ``ref`` with
     no sheet; an address up to column XFD; exactly one of value and formula;
-    a string formula; a valid value; a key not yet in the sheet. A plain
-    ``ref`` takes its column from the load's memo, a float, int, string or
-    boolean value is typed inline, and one ``setdefault`` finds a duplicate.
+    a string formula in valid Unicode; a valid value, a string one in valid
+    Unicode; a key not yet in the sheet. A plain ``ref`` takes its column
+    from the load's memo, a float, int, ASCII string or boolean value is
+    typed inline, and one ``setdefault`` finds a duplicate.
     """
     index, values, columns = sheet.index, sheet.values, shapes.columns
     plain, isfinite = _PLAIN_ADDRESS.match, math.isfinite
@@ -276,6 +292,9 @@ def _load_cells(sheet: Sheet, cell_docs: list, warnings: list[AuditWarning],
             value, text = None, cell_doc["formula"]
             if not isinstance(text, str):
                 raise FormatError(f'cell {ref_text} "formula" must be a string')
+            if not (text.isascii() or _is_unicode(text)):
+                address = CellRef(sheet.name, column, row).render()
+                raise FormatError(f"cell {address} formula {text!r} is not valid Unicode")
         else:
             try:
                 value = cell_doc["value"]
@@ -288,7 +307,8 @@ def _load_cells(sheet: Sheet, cell_docs: list, warnings: list[AuditWarning],
                     value, kind = float(value), float
                 except OverflowError:  # past float's range
                     pass
-            if not (kind is float and isfinite(value) or kind is str or kind is bool):
+            if not (kind is float and isfinite(value) or kind is bool
+                    or kind is str and value.isascii()):
                 value = _typed_value(value, sheet.name, key)
         position = len(values)
         if index.setdefault(key, position) != position:
@@ -325,6 +345,8 @@ def load_workbook_doc(doc: dict, provenance: str = "<doc>") -> Workbook:
         name = sheet_doc.get("name")
         if not isinstance(name, str) or not name:
             raise FormatError("sheet name must be a non-empty string")
+        if not (name.isascii() or _is_unicode(name)):
+            raise FormatError(f"sheet name {name!r} is not valid Unicode")
         sheet = Sheet(name)
         wb.add_sheet(sheet)
         cells = sheet_doc.get("cells", [])

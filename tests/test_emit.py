@@ -23,7 +23,7 @@ from cellgauge.conditionals import ConditionalConstruct
 from cellgauge.errors import W_EMPTY_REFERENCED_CELL, AuditWarning
 from cellgauge.graph import CascadeStats
 from cellgauge.metrics import CellMetrics, ModularMetrics, RangeLinkageFinding
-from cellgauge.refs import CellRef, RangeRef, column_to_letters
+from cellgauge.refs import CellRef, Locations, RangeRef, column_to_letters
 from cellgauge.reliability import CascadeReliability
 from cellgauge.report import (
     _BATCH,
@@ -252,7 +252,7 @@ def test_warnings_are_the_sorted_list_with_w003_spliced_in():
     assert {"W001", "W002"} <= set(codes[:first]) and {"W005", "W006"} <= set(codes[last:])
     assert last - first == len(empty) == 56  # A2, Z9, C3 and 53 cells of D1:E40
     assert report.exit_code() == 1
-    assert emit_report(report, "json") == emitted  # from the list, once read
+    assert emit_report(report, "json") == emitted  # the same once the list is read
 
 
 def test_empty_range_cells_build_no_address_or_warning_each(monkeypatch):
@@ -394,6 +394,24 @@ def test_emit_report_matches_reference_on_shared_rows(n, data):
     report = WorkbookReport("v", "d", AnalysisConfig(), cells, [],
                             ModularMetrics((), {}, 0.0, {}, {}), [], warnings)
     assert emit_report(report, "json") == reference_report(report)
+
+
+def test_rows_given_as_lists_become_columns_and_read_as_read_only_lists():
+    # A CellRef list of addresses is taken as Locations, which keep no "$".
+    cells = [CellMetrics(CellRef("S", 1, 1, True, True), n_operators=1),
+             CellMetrics(CellRef("My Data", 2, 3))]
+    warnings = [AuditWarning("W001", "S!A1", "m")]
+    report = WorkbookReport("v", "d", AnalysisConfig(), cells, [],
+                            ModularMetrics((), {}, 0.0, {}, {}), [], warnings)
+    assert isinstance(report.cell_columns.addresses, Locations)
+    assert report.cell_columns.head(0, 2) == ["S!A1", "'My Data'!B3"]
+    assert report.cells == [CellMetrics(CellRef("S", 1, 1), n_operators=1), cells[1]]
+    assert report.cells is report.cells and report.warnings == warnings
+    for name in ("cells", "warnings"):
+        with pytest.raises(AttributeError):
+            setattr(report, name, [])
+    assert emit_report(report, "json") == reference_report(report)
+    assert json.loads(emit_report(report, "json"))["cells"][0]["address"] == "S!A1"
 
 
 @pytest.mark.parametrize("n", [_BATCH, 2 * _BATCH + 1])

@@ -36,7 +36,7 @@ from cellgauge.graph import (
     DanglingReference,
     require_range_budget,
 )
-from cellgauge.refs import CellRef, RangeRef, column_to_letters, parse_cell_address, render_refs
+from cellgauge.refs import CellRef, RangeRef, column_to_letters, parse_cell_address
 from cellgauge.workbook import Cell, Sheet, Workbook, load_workbook_doc
 
 AddrLike = Union[CellRef, str, int]
@@ -269,7 +269,7 @@ class OracleGraph:
     def materialized_warnings(self) -> list[AuditWarning]:
         message = "referenced cell is empty; treated as data cell with value 0"
         return [AuditWarning(W_EMPTY_REFERENCED_CELL, text, message)
-                for text in render_refs(self.materialized_cells())]
+                for text in map(CellRef.render, self.materialized_cells())]
 
     # -- cycles ---------------------------------------------------------------
 

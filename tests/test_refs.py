@@ -14,7 +14,6 @@ from cellgauge.refs import (
     letters_to_column,
     parse_cell_address,
     render_ref,
-    render_refs,
 )
 
 
@@ -115,15 +114,6 @@ RENDER_SHEETS = st.sampled_from([
 ])
 RENDER_COLUMNS = st.one_of(st.integers(1, 16_384),
                            st.sampled_from([1, 26, 27, 702, 703, 16_384]))
-RENDER_REFS = st.builds(CellRef, RENDER_SHEETS, RENDER_COLUMNS, st.integers(1, 10 ** 7),
-                        st.booleans(), st.booleans())
-
-
-@given(st.lists(RENDER_REFS, max_size=40))
-def test_render_refs_matches_render(refs):
-    assert render_refs(refs) == [ref.render() for ref in refs]
-
-
 @given(st.lists(st.builds(CellRef, RENDER_SHEETS, RENDER_COLUMNS, st.integers(1, 10 ** 7)),
                 max_size=40))
 def test_locations_render_and_read_as_their_refs(refs):

@@ -12,6 +12,7 @@ import cellgauge
 from cellgauge import report as report_module
 from cellgauge.cli import main
 from cellgauge.graph import build_graph
+from cellgauge.refs import quote_sheet_name
 from cellgauge.reliability import adjusted_cell_rate
 from cellgauge.report import AnalysisConfig, analyze, analyze_workbook, emit_report
 
@@ -765,3 +766,38 @@ def test_non_finite_weights_exit_two(five_cell_path, tmp_path, capsys, text, mes
     weights.write_text(text)
     assert main(["analyze", str(five_cell_path), "--weights", str(weights)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+# --- Exit 2 for text that is not valid Unicode ----------------------------------
+
+# A JSON "\ud800" escape decodes to a lone surrogate, which no UTF-8 report,
+# text line or printed path can carry. Each such text exits 2 at load, with
+# one line naming its sheet or cell, in every command.
+@pytest.mark.parametrize("sheets, message", [
+    ({"S\ud800": {"A1": 1}}, "sheet name 'S\\ud800' is not valid Unicode"),
+    ({"S": {"A1": 1, "B1": "='X\ud800'!A1+A1"}},
+     "cell S!B1 formula \"='X\\ud800'!A1+A1\" is not valid Unicode"),
+    ({"S": {"A1": 1, "B1": '=A1&"\udfff"'}},
+     "cell S!B1 formula '=A1&\"\\udfff\"' is not valid Unicode"),
+    ({"My Data": {"C3": "x\ud83d"}}, "cell 'My Data'!C3 value 'x\\ud83d' is not valid Unicode"),
+])
+def test_text_that_is_not_valid_unicode_exits_two_naming_it(tmp_path, capsys, sheets, message):
+    path = write_doc(tmp_path, sheets)
+    cell = next(f"{quote_sheet_name(name)}!A1" for name in sheets)
+    for command in (["analyze", str(path)], ["analyze", str(path), "--format", "text"],
+                    ["check-ranges", str(path)], ["paths", str(path), "--cell", cell]):
+        assert main(command) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+
+def test_valid_astral_text_still_analyzes(tmp_path, capsys):
+    # A surrogate pair in the JSON text is one valid code point.
+    path = tmp_path / "wb.json"
+    path.write_text('{"sheets": [{"name": "S\\ud83d\\ude00", "cells": ['
+                    '{"ref": "A1", "value": "\\ud83d\\ude00"}, '
+                    '{"ref": "B1", "formula": "=A1&\\"\\ud83d\\ude00\\""}]}]}')
+    assert main(["analyze", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["cells"][0]["address"] == "'S\U0001f600'!A1"
