@@ -14,6 +14,10 @@ a finite number, ranges that cost more than ``--max-range-cells`` allows
 members in all than ``report.MAX_CASCADE_CELLS``.
 ``check-ranges`` exits 0 when it finds no copied-formula run or none is a
 violation, 1 when it prints a ``VIOLATION`` line, and 2 and 4 as above.
+``paths`` exits 0 with the paths listed, 1 when more than ``--limit``
+paths exist, 2 for invalid input (a ``--cell`` that is not an address or
+not in the graph, a negative ``--limit``), 3 on a reference cycle and 4
+as above.
 
 Every command runs with cyclic garbage collection off; ``main`` restores the
 caller's setting when it returns.
@@ -36,7 +40,6 @@ from .errors import (
     DomainError,
     FormatError,
     LimitExceededError,
-    UnknownCellError,
 )
 from .graph import EMPTY_RANGE_CELL_COST, MAX_RANGE_CELLS, build_graph
 from .metrics import DispersionConfig, check_range_linkage
@@ -119,14 +122,19 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_paths(args: argparse.Namespace) -> int:
+    # Other invalid input raises a CellGaugeError, which main maps to 2.
     try:
         wb = load_workbook(args.file)
-        cell = parse_cell_address(args.cell)
-        graph = build_graph(wb, args.max_range_cells)
-        paths = graph.enumerate_paths(cell, limit=args.limit)
-    except (OSError, FormatError, UnknownCellError, ValueError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    try:
+        cell = parse_cell_address(args.cell)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    try:
+        paths = build_graph(wb, args.max_range_cells).enumerate_paths(cell, limit=args.limit)
     except CycleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -41,7 +41,7 @@ from itertools import compress, count, repeat
 from operator import itemgetter
 from typing import Iterable, Optional, Union
 
-from .errors import CycleError, DomainError, require_finite
+from .errors import DomainError, require_finite
 from .graph import CellGraph
 from .refs import CellRef
 from .workbook import Workbook
@@ -112,9 +112,7 @@ def find_conditionals(wb: Workbook, g: CellGraph) -> Constructs:
     """Discover every IF construct in the workbook with its M set and N, as
     columns by position (see the module notes). ``g`` is the graph of
     ``wb``. Raises CycleError on a cyclic reference graph."""
-    if g.is_cyclic:
-        raise CycleError([[a.render() for a in cyc] for cyc in g.cycles])
-
+    g._ensure_acyclic()
     shapes = g.shapes()
     if_cells = g.canonical(v for v in g.formulas()[0] if shapes[v].ifs)
     first: dict[int, int] = {}  # each IF cell's first position

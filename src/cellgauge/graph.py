@@ -86,6 +86,21 @@ def require_range_budget(budget: object) -> None:
             f"max_range_cells must be a non-negative integer, got {budget!r}")
 
 
+def _reach(ids: Iterable[int], links: list) -> set[int]:
+    """Nodes ``ids`` and every node reached from them through ``links``,
+    each node's precedents or dependents by node id. A node without links
+    has nothing more to visit, so it is never pushed."""
+    seen = set(ids)
+    stack = list(filter(links.__getitem__, seen))
+    while stack:
+        for w in links[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                if links[w]:
+                    stack.append(w)
+    return seen
+
+
 # A cell address, or an int: a node id of the graph at hand.
 AddrLike = Union[CellRef, str, int]
 
@@ -410,15 +425,7 @@ class CellGraph:
     def downstream(self, ids: Iterable[int]) -> set[int]:
         """Nodes ``ids`` and every node that reads one of them, directly or
         through other cells."""
-        succs = self._succs
-        seen = set(ids)
-        stack = list(seen)
-        while stack:
-            for w in succs[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return seen
+        return _reach(ids, self._succs)
 
     # -- degrees and roles ----------------------------------------------------
 
@@ -484,54 +491,46 @@ class CellGraph:
         return order
 
     def _find_cycles(self) -> list[list[CellRef]]:
-        """Strongly connected components of size > 1, plus self-loops."""
-        n = self.node_count
-        index = [-1] * n
-        low = [0] * n
-        on_stack = [False] * n
-        stack: list[int] = []
-        sccs: list[list[int]] = []
-        counter = 0
-        for root in range(n):
-            if index[root] != -1:
+        """Strongly connected components of more than one node, plus
+        self-loops, by Kosaraju's two passes over the nodes Kahn's pass
+        left: every cycle lies among them, and so does every dependent of
+        one of them."""
+        succs, preds = self._succs, self._preds
+        left = set(range(self.node_count)).difference(self._topo)
+        # Pass 1, over dependents: each node finishes after every node it
+        # reaches that no earlier walk reached.
+        finished: list[int] = []
+        seen: set[int] = set()
+        for root in left:
+            if root in seen:
                 continue
-            work = [(root, 0)]
-            while work:
-                v, ei = work.pop()
-                if ei == 0:
-                    index[v] = low[v] = counter
-                    counter += 1
-                    stack.append(v)
-                    on_stack[v] = True
-                advanced = False
-                out = self._succs[v]
-                for k in range(ei, len(out)):
-                    w = out[k]
-                    if index[w] == -1:
-                        work.append((v, k + 1))
-                        work.append((w, 0))
-                        advanced = True
+            seen.add(root)
+            stack = [(root, iter(succs[root]))]
+            while stack:
+                v, out = stack[-1]
+                for w in out:
+                    if w not in seen:
+                        seen.add(w)
+                        stack.append((w, iter(succs[w])))
                         break
-                    if on_stack[w]:
-                        low[v] = min(low[v], index[w])
-                if advanced:
-                    continue
-                if low[v] == index[v]:
-                    comp = []
-                    while True:
-                        w = stack.pop()
-                        on_stack[w] = False
-                        comp.append(w)
-                        if w == v:
-                            break
-                    sccs.append(comp)
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[v])
-        cycles = [
-            self.canonical(comp) for comp in sccs
-            if len(comp) > 1 or comp[0] in self._preds[comp[0]]
-        ]
+                else:
+                    stack.pop()
+                    finished.append(v)
+        # Pass 2, over precedents, last finished first: each walk takes the
+        # nodes of one component.
+        cycles = []
+        for root in reversed(finished):
+            if root not in left:
+                continue
+            left.remove(root)
+            comp = [root]
+            for v in comp:  # the loop also visits the nodes appended below
+                for p in preds[v]:
+                    if p in left:
+                        left.remove(p)
+                        comp.append(p)
+            if len(comp) > 1 or root in preds[root]:
+                cycles.append(self.canonical(comp))
         cycles.sort(key=lambda cyc: self._sort_keys[cyc[0]])
         return [self._addresses(cyc) for cyc in cycles]
 
@@ -558,19 +557,6 @@ class CellGraph:
             self._stats = count, length_sum, max_len
         return self._stats
 
-    def _closure(self, idx: int) -> set[int]:
-        """A node plus all its transitive precedents."""
-        preds = self._preds
-        seen = {idx}
-        stack = [idx]
-        while stack:
-            for p in preds[stack.pop()]:
-                if p not in seen:
-                    seen.add(p)
-                    if preds[p]:  # only a node with precedents has more to visit
-                        stack.append(p)
-        return seen
-
     def reachability(self, addr: AddrLike) -> int:
         """Number of distinct reference paths reaching a cell (>= 1)."""
         idx = self._node(addr)
@@ -584,7 +570,7 @@ class CellGraph:
         canonical order."""
         idx = self._node(addr)
         self._ensure_acyclic()
-        return self.canonical(self._closure(idx))
+        return self.canonical(_reach((idx,), self._preds))
 
     def cascade_members(self, addr: AddrLike) -> list[CellRef]:
         """The terminal plus all its transitive precedents, canonical order."""

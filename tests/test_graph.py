@@ -41,6 +41,23 @@ def test_self_reference_cycle():
     assert [a.render() for a in g.cycles[0]] == ["S!A1"]
 
 
+def test_cycle_search_work_does_not_grow_with_cells_off_the_cycle():
+    # Tarjan's pass visited every node and arc to find a two-cell cycle;
+    # the search now walks only the nodes Kahn's pass leaves.
+    from cellgauge import graph
+    from test_conditionals import _lines_run
+
+    def work(n):
+        cells = {"A1": "=B1", "B1": "=A1+1"}
+        cells.update((f"C{r}", f"=D{r}*2") for r in range(1, n + 1))
+        wb, g = make_graph({"S": cells})
+        assert [[a.render() for a in cyc] for cyc in g.cycles] == [["S!A1", "S!B1"]]
+        return _lines_run(g._find_cycles, (graph,))
+
+    small, large = work(1000), work(2000)
+    assert large <= small, (small, large)
+
+
 def test_data_only_workbook():
     wb, g = make_graph({"S": {"A1": 1, "B2": 2}})
     assert g.node_count == 2 and g.edge_count == 0

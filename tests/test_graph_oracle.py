@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterable, Optional, Union
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cellgauge.errors import (
@@ -497,15 +497,29 @@ sheet_cells = st.dictionaries(st.tuples(st.integers(1, 5), st.integers(1, 6)), c
                               max_size=14)
 
 
+# Cycle-heavy workbooks: most cells of a 3 x 3 block on each sheet are
+# formulas that read cells of a 4 x 4 block, so cells read themselves
+# (self-loops), each other (2-cycles and longer), the same cell twice
+# (parallel edges) and the other sheet, and a cycle's cone holds empty
+# cells; a component that reads another one is linked one way.
+near_reference = st.builds(lambda p, c: p + a1(*c), st.sampled_from(("", "", "S!", "'My Data'!")),
+                           st.tuples(st.integers(1, 4), st.integers(1, 4)))
+near_formula = st.lists(near_reference, min_size=1, max_size=3).map(
+    lambda refs: "=" + "+".join(refs))
+dense_cells = st.dictionaries(st.tuples(st.integers(1, 3), st.integers(1, 3)),
+                              st.one_of(st.integers(-9, 9), *[near_formula] * 4),
+                              min_size=6, max_size=9)
+
+
 @st.composite
-def workbooks(draw):
+def workbooks(draw, cells=sheet_cells):
     doc = {"sheets": []}
     for name in SHEETS:
-        cells = []
-        for (column, row), value in draw(sheet_cells).items():
+        sheet = []
+        for (column, row), value in draw(cells).items():
             key = "formula" if isinstance(value, str) else "value"
-            cells.append({"ref": a1(column, row), key: value})
-        doc["sheets"].append({"name": name, "cells": cells})
+            sheet.append({"ref": a1(column, row), key: value})
+        doc["sheets"].append({"name": name, "cells": sheet})
     return load_workbook_doc(doc)
 
 
@@ -535,7 +549,9 @@ def assert_same_graph(g: CellGraph, oracle: OracleGraph) -> None:
     assert g.bottom_line_cells() == oracle.bottom_line_cells()
     assert g.cell_ids() == oracle.cell_ids()
     assert g.cycles == oracle.cycles
+    closures = [oracle._closure(j) for j in range(n)]
     for i in range(n):
+        assert g.downstream([i]) == {j for j in range(n) if i in closures[j]}
         for query in ("cascade_members", "cascade_stats"):
             assert outcome(lambda: getattr(g, query)(i)) == outcome(
                 lambda: getattr(oracle, query)(i))
@@ -543,8 +559,28 @@ def assert_same_graph(g: CellGraph, oracle: OracleGraph) -> None:
             lambda: oracle.enumerate_paths(i, limit=6))
 
 
+# Every kind of cycle at once: S!A1 reads itself; S!B1 and S!C1 read each
+# other, C1 twice; 'My Data'!B1:D1 is a 3-cycle that reads S!B1's
+# component one way; S!B1 reads the self-loop through 'My Data'!A1, whose
+# empty D9 is in both cones; and S!D1 is a dependent of a cycle.
+LINKED_CYCLES = load_workbook_doc({"sheets": [
+    {"name": "S", "cells": [
+        {"ref": "A1", "formula": "=A1*2"},
+        {"ref": "B1", "formula": "=C1+'My Data'!A1"},
+        {"ref": "C1", "formula": "=B1+B1"},
+        {"ref": "D1", "formula": "='My Data'!B1+1"},
+        {"ref": "E1", "value": 5}]},
+    {"name": "My Data", "cells": [
+        {"ref": "A1", "formula": "=S!A1+D9"},
+        {"ref": "B1", "formula": "=C1"},
+        {"ref": "C1", "formula": "=D1+S!B1"},
+        {"ref": "D1", "formula": "=B1+E5"}]},
+]})
+
+
 @settings(deadline=None)
-@given(workbooks())
+@given(st.one_of(workbooks(), workbooks(dense_cells)))
+@example(LINKED_CYCLES)
 def test_graph_answers_as_the_oracle(wb):
     g = outcome(lambda: CellGraph(wb))
     assert isinstance(g, CellGraph)  # the default budget is far away

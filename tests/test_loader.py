@@ -242,7 +242,7 @@ def test_any_csv_text_gives_a_workbook_or_a_format_error(text):
      "cell ref must not carry a sheet: 'S!B1'"),
     ([{"ref": "B1", "formula": 5, "note": ""}], "unknown cell fields: ['note']"),
 ])
-def test_each_doc_that_leaves_the_fast_path_raises_as_before(cells, message):
+def test_each_faulty_doc_raises_its_first_error(cells, message):
     doc = {"sheets": [{"name": "S", "cells": cells}]}
     with pytest.raises(FormatError) as exc:
         load_workbook_doc(doc)

@@ -318,6 +318,28 @@ def test_cli_paths_cycle(tmp_path, capsys):
     assert main(["paths", str(path), "--cell", "S!A1"]) == 3
 
 
+def test_cli_paths_internal_value_error_exits_four(tmp_path, capsys, monkeypatch):
+    # paths caught every ValueError as invalid input, so a fault in the
+    # graph's own code read as exit 2; only a --cell that is no address is.
+    def broken(*args, **kwargs):
+        raise ValueError("boom")
+
+    path = write_doc(tmp_path, {"S": {"A1": 1, "B1": "=A1*2"}})
+    assert main(["paths", str(path), "--cell", "S!9"]) == 2
+    assert capsys.readouterr().err == "error: not a cell reference: 'S!9'\n"
+    monkeypatch.setattr("cellgauge.graph.CellGraph.enumerate_paths", broken)
+    assert main(["paths", str(path), "--cell", "S!B1"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: internal error in paths: ValueError: boom\n"
+
+
+def test_cli_paths_reads_the_file_before_the_cell(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    assert main(["paths", str(missing), "--cell", "not a cell"]) == 2
+    assert str(missing) in capsys.readouterr().err
+
+
 def test_cli_check_ranges_ok(tmp_path, capsys):
     cells = {f"A{r}": float(r) for r in range(1, 7)}
     cells.update({f"B{r}": f"=SUM(A{r}:A{r + 1})" for r in range(1, 6)})
