@@ -40,7 +40,8 @@ reachabilities of its precedents over all incoming edges.
 Each cell keeps its predecessor and successor lists in reference order. Path
 counts, path-length sums and longest paths depend only on a cell's ancestors,
 so one pass in topological order computes them for every cell in exact Python
-integers; a cascade then needs only its terminal's precedent closure. All
+integers; a cascade then needs only its terminal's precedent closure, which
+bottom-line cells that read the same cells share (``CascadeGroup``). All
 averages are exact ``Fraction`` values.
 """
 
@@ -48,11 +49,11 @@ from __future__ import annotations
 
 import warnings as _warnings
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import chain, compress, product, repeat
 from operator import and_, is_, is_not, itemgetter, lshift, not_, or_, rshift
-from typing import Iterable, Optional, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 from .errors import (
     AuditWarning,
@@ -130,7 +131,18 @@ class CascadeStats:
     avg_path_length: Fraction
     max_path_length: int
     cell_count: int
-    member_ids: tuple[int, ...]  # node ids, canonical order
+    member_ids: tuple[int, ...] = ()  # node ids, canonical order
+
+
+class CascadeGroup(NamedTuple):
+    """The cascades of bottom-line cells that read the same set of nodes:
+    ``order`` is that set and every precedent of it in canonical order, and
+    ``terminals`` per terminal ``(node id, at, stats)``, where ``order[:at]``
+    sorts before it and ``stats`` has no member ids. A terminal's cascade is
+    ``order`` plus itself."""
+
+    order: list[int]
+    terminals: list[tuple[int, int, CascadeStats]]
 
 
 class CellGraph:
@@ -592,19 +604,34 @@ class CellGraph:
                 NotBottomLineWarning,
                 stacklevel=2,
             )
+        order, ((_, at, stats),) = self._cascade_group([idx])
+        return replace(stats, member_ids=(*order[:at], idx, *order[at:]))
+
+    def cascade_groups(self, terminals: Iterable[int]) -> Iterator[CascadeGroup]:
+        """The cascades of bottom-line cells ``terminals`` by the set of
+        nodes each reads, one walk, sort and path-count sum per group, in
+        the order of each group's first terminal. Each group is built when
+        asked for, so a caller that drops it first holds one cone at a time."""
+        self._ensure_acyclic()
+        groups: dict[frozenset[int], list[int]] = {}
+        for t in terminals:
+            groups.setdefault(frozenset(self._preds[t]), []).append(t)
+        return map(self._cascade_group, list(groups.values()))
+
+    def _cascade_group(self, terminals: list[int]) -> CascadeGroup:
         count, length_sum, max_len = self._path_stats()
-        members = self.member_ids(idx)
-        paths = count[idx]
-        return CascadeStats(
-            terminal=self.address_of(idx),
-            reachability=paths,
-            total_paths=paths,
-            avg_reachability=Fraction(sum(map(count.__getitem__, members)), len(members)),
-            avg_path_length=Fraction(length_sum[idx], paths),
-            max_path_length=max_len[idx],
-            cell_count=len(members),
-            member_ids=tuple(members),
-        )
+        key = self._sort_keys.__getitem__
+        order = self.canonical(_reach(self._preds[terminals[0]], self._preds))
+        paths = sum(map(count.__getitem__, order))
+        return CascadeGroup(order, [(t, bisect_left(order, key(t), key=key), CascadeStats(
+            terminal=self.address_of(t),
+            reachability=count[t],
+            total_paths=count[t],
+            avg_reachability=Fraction(paths + count[t], len(order) + 1),
+            avg_path_length=Fraction(length_sum[t], count[t]),
+            max_path_length=max_len[t],
+            cell_count=len(order) + 1,
+        )) for t in terminals])
 
     # -- path enumeration ----------------------------------------------------------
 

@@ -13,11 +13,12 @@ id, and a cascade's adjusted rate multiplies them over its member ids.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .errors import DomainError, require_finite
-from .graph import CascadeStats
+from .graph import CascadeGroup, CascadeStats
 from .metrics import CellMetrics
 from .refs import CellRef
 
@@ -136,3 +137,16 @@ def cascade_reliability(
         uniform_e=bottom_line_error_rate(cfg.base_cer, stats.cell_count),
         adjusted_e=1.0 - survive,
     )
+
+
+def group_reliability(group: CascadeGroup, survive: Sequence[float],
+                      cfg: ReliabilityConfig = ReliabilityConfig()) -> list[CascadeReliability]:
+    """The rates of each cascade of ``group``, in its terminal order, given
+    each node's survive factor ``1 - rate``. A product multiplies the
+    members before the terminal, the terminal, then the members after it,
+    as :func:`cascade_reliability` does."""
+    factors = list(map(survive.__getitem__, group.order))
+    return [CascadeReliability(
+        stats.terminal, stats.cell_count, bottom_line_error_rate(cfg.base_cer, stats.cell_count),
+        1.0 - math.prod(factors[at:], start=math.prod(factors[:at], start=1.0) * survive[t]))
+        for t, at, stats in group.terminals]

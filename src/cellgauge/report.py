@@ -9,7 +9,8 @@ reference reads. After the graph is built the stages pass node ids and
 read the graph's node-id columns, so no ``Cell`` is built but the one each
 copy-class ``formula_metrics`` call reads: cell metrics are computed in
 node order, rates and final constructs are keyed by node id, and the
-cascades walk the bottom-line cells by id. The report keeps its cells
+cascades walk the bottom-line cells by id, once per set of cells they read
+(``CellGraph.cascade_groups``). The report keeps its cells
 only as two columns in canonical order (``CellColumns``): addresses, the
 graph's ``Locations``, and metrics records that many cells share, such as
 the one all-zero record of every data cell. It keeps its warnings only the
@@ -25,10 +26,10 @@ cascade, cascade conditional, range finding, data binding triple, warning)
 is declared once, as its sorted keys and a function that gives a row's
 values in that order (``_Kind``). ``as_dict`` builds its row dicts from
 these declarations, and one emitter, ``_emit_rows``, writes the rows of
-every kind in batches: one C-encoder call per batch, whose texts fill a
-template per kind. A record's text after the address is encoded once
-however many rows share the record, and each row of columns adds only its
-address.
+every kind in batches: one C-encoder call per batch, nested rows
+included, whose texts fill a template per kind. A record's text after the
+address is encoded once however many rows share the record, and each row
+of columns adds only its address.
 """
 
 from __future__ import annotations
@@ -54,9 +55,9 @@ from .conditionals import (
     BetaConfig,
     ConditionalConstruct,
     all_complexities,
-    cascade_finals,
     find_conditionals,
     finals_by_cell,
+    group_finals,
 )
 from .errors import (
     AuditWarning,
@@ -89,14 +90,16 @@ from .refs import CellRef, Locations
 from .reliability import (
     CascadeReliability,
     ReliabilityConfig,
-    cascade_reliability,
+    adjusted_cell_rate,
     cell_error_rates,
+    group_reliability,
 )
 from .workbook import Workbook, load_workbook
 
 
 # The most members the cascades of one audit may hold in all. Building and
-# summing over one member takes ~0.45 us, so this caps that work near 45 s.
+# summing over one member of a cone that no other terminal shares takes
+# ~0.45 us, so this caps that work near 45 s.
 MAX_CASCADE_CELLS = 100_000_000
 
 
@@ -334,30 +337,48 @@ def _graph_analysis(
             "from dispersion and spans",
         ))
 
-    cascades: Optional[list[CascadeEntry]] = None
-    if not graph.is_cyclic:
-        constructs = find_conditionals(wb, graph)
-        complexity = all_complexities(constructs, config.beta)
-        finals = finals_by_cell(constructs)
-        # Each construct a cascade lists, built once, with its O value.
-        listed: dict[int, tuple[ConditionalConstruct, float]] = {}
-        rates = cell_error_rates(by_node, config.reliability)
-        cascades = []
-        members_left = MAX_CASCADE_CELLS
-        for terminal in graph.bottom_line_ids():
-            stats = graph.cascade_stats(terminal)
+    cascades = None if graph.is_cyclic else _cascades(wb, graph, by_node, config)
+    return cells, cascades, modular_metrics(wb, graph), findings, empty_cells
+
+
+def _cascades(wb: Workbook, graph: CellGraph, by_node: list[CellMetrics],
+              config: AnalysisConfig) -> list[CascadeEntry]:
+    """Each bottom-line cell's cascade, canonical order, built once per set
+    of cells the terminals read and charged against ``MAX_CASCADE_CELLS``.
+    The stage's temporaries are freed when it returns."""
+    constructs = find_conditionals(wb, graph)
+    complexity = all_complexities(constructs, config.beta)
+    finals = finals_by_cell(constructs)
+    # Each construct a cascade lists, built once, with its O value.
+    listed = functools.cache(lambda k: (constructs[k], complexity[k]))
+    # Each node's survive factor 1 - rate: a metrics record that many cells
+    # share is rated once, and the materialized empty cells, which have no
+    # metrics, take the data-cell rate.
+    rated = {k: 1.0 - adjusted_cell_rate(m, config.reliability)
+             for k, m in dict(zip(map(id, by_node), by_node)).items()}
+    survive = list(map(rated.__getitem__, map(id, by_node)))
+    survive += [1.0 - adjusted_cell_rate(None, config.reliability)] * (
+        graph.node_count - len(by_node))
+    terminals = graph.bottom_line_ids()
+    walked: dict[int, CascadeStats] = {}
+    entries: dict[int, CascadeEntry] = {}
+    charged, members_left = 0, MAX_CASCADE_CELLS
+    for group in graph.cascade_groups(terminals):
+        # Charge the cascades in canonical order as far as the walked groups
+        # give their sizes, before this group's rates and conditionals.
+        walked.update((t, stats) for t, _, stats in group.terminals)
+        while charged < len(terminals) and terminals[charged] in walked:
+            stats = walked[terminals[charged]]
             members_left -= stats.cell_count
             if members_left < 0:
                 raise CascadeBudgetError(stats.terminal.render(), MAX_CASCADE_CELLS)
-            rel = cascade_reliability(stats, rates, config.reliability)
-            conds = tuple(
-                listed.get(k) or listed.setdefault(k, (constructs[k], complexity[k]))
-                for k in cascade_finals(stats.member_ids, finals))
-            # The report keeps no node ids: they name nodes of a graph that
-            # is freed on return, and would hold every cascade's members.
-            stats = replace(stats, member_ids=())
-            cascades.append(CascadeEntry(stats, rel, conds))
-    return cells, cascades, modular_metrics(wb, graph), findings, empty_cells
+            charged += 1
+        for (t, _, stats), rel, keys in zip(
+                group.terminals, group_reliability(group, survive, config.reliability),
+                group_finals(group, finals)):
+            entries[t] = CascadeEntry(stats, rel, tuple(map(listed, keys)))
+        del group  # one group's cone is held at a time
+    return list(map(entries.__getitem__, terminals))
 
 
 def _cell_metrics(graph: CellGraph, cfg: DispersionConfig) -> list[CellMetrics]:
@@ -587,8 +608,10 @@ def _emit_rows(kind: _Kind, items, level: int, write: Callable[[str], object]) -
     use, with one value's text per line; each record's texts fill the
     kind's template, and each row is written as its head and its body. A
     nested column's value is encoded as ``null`` and then replaced by the
-    text of its own rows. A batch that finds more than ``_BATCH`` bodies
-    kept clears them, so at most about ``2 * _BATCH`` are held.
+    text of its own rows, whose values the same call encodes after the
+    batch's own, each nested row filling its kind's template. A batch that
+    finds more than ``_BATCH`` bodies kept clears them, so at most about
+    ``2 * _BATCH`` are held.
     """
     if not items:
         write("[]")
@@ -604,6 +627,8 @@ def _emit_rows(kind: _Kind, items, level: int, write: Callable[[str], object]) -
     if kind.nested is not None:
         key, nested_kind = kind.nested
         at = kind.keys.index(key) - skip
+        sub_template = _row_template(nested_kind, level + 3)
+        sub_sep = ",\n" + _INDENT * (level + 3)  # between a nested list's rows
     bodies: dict[int, str] = {}  # record id -> its row's text after the head
     sep = ",\n" + _INDENT * (level + 1)
     write("[\n" + _INDENT * (level + 1))
@@ -617,19 +642,25 @@ def _emit_rows(kind: _Kind, items, level: int, write: Callable[[str], object]) -
             del new[k]
         values = items.head(start, start + _BATCH) if skip else []
         n = len(values)
-        nested = []
+        subrows = []  # per new record, its nested column's rows
         for record in new.values():
             row = kind.values(record)[skip:]
             if kind.nested is not None:
-                sub: list[str] = []
-                _emit_rows(nested_kind, row[at], level + 2, sub.append)
-                nested.append("".join(sub))
+                subrows.append(row[at])
                 row = row[:at] + (None,) + row[at + 1:]
             values.extend(row)
+        end = len(values)
+        if subrows:
+            values.extend(itertools.chain.from_iterable(
+                map(nested_kind.values, itertools.chain.from_iterable(subrows))))
         texts = _BATCH_ENCODER.encode(values)[1:-1].split("\n")
-        if nested:
-            texts[n + at::width] = nested
-        for k, body in zip(new, zip(*[iter(texts[n:])] * width)):
+        if subrows:
+            fills = map(sub_template.__mod__,
+                        zip(*[iter(texts[end:])] * len(nested_kind.keys)))
+            texts[n + at:end:width] = [
+                "[" + sub_sep[1:] + sub_sep.join(itertools.islice(fills, len(sub)))
+                + "\n" + _INDENT * (level + 2) + "]" if sub else "[]" for sub in subrows]
+        for k, body in zip(new, zip(*[iter(texts[n:end])] * width)):
             bodies[k] = template % body
         rows = map(bodies.__getitem__, keys)
         if skip:

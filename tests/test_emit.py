@@ -163,6 +163,25 @@ def test_emission_calls_the_encoder_once_per_batch_and_cascade(acceptance_report
     assert calls <= len(report.cascades) + batches + 80
 
 
+def test_cascade_conditionals_are_encoded_with_their_cascades_batch(acceptance_report,
+                                                                    monkeypatch):
+    # 900 cascades list 1,992 conditionals, and none needs a call of its own.
+    report = acceptance_report
+    calls = 0
+    encode_once = json.JSONEncoder.encode
+
+    def counting(self, o):
+        nonlocal calls
+        calls += 1
+        return encode_once(self, o)
+
+    monkeypatch.setattr(json.JSONEncoder, "encode", counting)
+    emitted = emit_report(report, "json")
+    assert sum(map(len, (e.conditionals for e in report.cascades))) == 1_992
+    assert calls <= 15 + 80
+    assert emitted == reference_report(report)
+
+
 SHEET_NAMES = [
     "Plain", "Übersicht", "日本語", 'Q"uote', "Back\\slash",
     "New\nLine", "Tab\tCol", "Apos'trophe", "Smile\U0001f600",

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import cellgauge
+from cellgauge import graph as graph_module
 from cellgauge import report as report_module
 from cellgauge.cli import main
 from cellgauge.graph import build_graph
@@ -735,6 +736,70 @@ def test_every_fixture_fits_the_default_cascade_budget(sheets, monkeypatch):
         monkeypatch.setattr(report_module, "MAX_CASCADE_CELLS", members - 1)
         with pytest.raises(cellgauge.CascadeBudgetError):
             analyze_workbook(wb)
+
+
+def cone_sheets(terminals: int) -> dict:
+    """CONE_SHEETS with ``terminals`` cells B1.. reading the chain's end."""
+    return {"S": {**CONE_SHEETS["S"], **{f"B{r}": f"=A$30*{r}" for r in range(1, terminals + 1)}}}
+
+
+@pytest.mark.parametrize("terminals", [30, 300])
+def test_terminals_that_read_the_same_cells_share_one_cone_walk(terminals, monkeypatch):
+    wb = make_workbook(cone_sheets(terminals))
+    graphs, walks = [], []
+    reach = graph_module._reach
+
+    def built(*args):
+        graphs.append(build_graph(*args))
+        return graphs[-1]
+
+    def counted(ids, links):
+        walks.append(links)
+        return reach(ids, links)
+
+    monkeypatch.setattr(report_module, "build_graph", built)
+    monkeypatch.setattr(graph_module, "_reach", counted)
+    report = analyze_workbook(wb)
+    assert [e.stats.cell_count for e in report.cascades] == [31] * terminals
+    precedents = graphs[0].reference_columns()[0]
+    assert sum(links is precedents for links in walks) == 1
+
+
+# Two chains, A1..A10 and C1..C20. B1..B5 read A10 and D1..D5 read C20, so
+# canonical order interleaves the two groups: B1 (11 members), D1 (21), B2,
+# D2, B3 and D3, where 85 members run out.
+INTERLEAVED_SHEETS = {"S": {
+    "A1": 1, **{f"A{r}": f"=A{r - 1}+1" for r in range(2, 11)},
+    "C1": 1, **{f"C{r}": f"=C{r - 1}*2" for r in range(2, 21)},
+    **{f"B{r}": f"=A$10*{r}" for r in range(1, 6)},
+    **{f"D{r}": f"=C$20+{r}" for r in range(1, 6)}}}
+
+
+def test_cascade_budget_names_the_terminal_inside_an_interleaved_group(monkeypatch):
+    wb = make_workbook(INTERLEAVED_SHEETS)
+    monkeypatch.setattr(report_module, "MAX_CASCADE_CELLS", 85)
+    with pytest.raises(cellgauge.CascadeBudgetError) as caught:
+        analyze_workbook(wb)
+    assert (caught.value.cell, caught.value.limit) == ("S!D3", 85)
+    assert str(caught.value) == (
+        "cascade of cell S!D3 takes the cascade budget past its limit of 85 members")
+
+
+def test_the_group_that_trips_the_budget_gets_no_rates_or_conditionals(monkeypatch):
+    # 300 terminals of 31 members share one cone, and the 100th passes
+    # 3,100 - 1 members: the audit stops after the walk, before any
+    # terminal's product or finals, so only the walk runs past the budget.
+    wb = make_workbook(cone_sheets(300))
+    called = []
+    monkeypatch.setattr(report_module, "group_reliability",
+                        lambda *args: called.append("rates"))
+    monkeypatch.setattr(report_module, "group_finals",
+                        lambda *args: called.append("finals"))
+    monkeypatch.setattr(report_module, "MAX_CASCADE_CELLS", 31 * 100 - 1)
+    with pytest.raises(cellgauge.CascadeBudgetError) as caught:
+        analyze_workbook(wb)
+    assert caught.value.cell == "S!B100"
+    assert called == []
 
 
 # --- Exit 2 for undecodable bytes and non-finite options ------------------------
