@@ -56,6 +56,7 @@ from .reliability import (
     bottom_line_error_rate,
     cascade_reliability,
     cell_error_rates,
+    survive_factors,
 )
 from .report import (
     AnalysisConfig,
@@ -129,4 +130,5 @@ __all__ = [
     "render_formula",
     "render_ref",
     "spans",
+    "survive_factors",
 ]

@@ -37,7 +37,6 @@ from .conditionals import BetaConfig
 from .errors import (
     CellGaugeError,
     CycleError,
-    DomainError,
     FormatError,
     LimitExceededError,
 )
@@ -104,7 +103,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     try:
         config = _build_config(args)
         report = analyze(args.file, config)
-    except (OSError, FormatError, DomainError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     payload = emit_report(report, args.format)
@@ -150,7 +149,7 @@ def _cmd_paths(args: argparse.Namespace) -> int:
 def _cmd_check_ranges(args: argparse.Namespace) -> int:
     try:
         wb = load_workbook(args.file)
-    except (OSError, FormatError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     findings = check_range_linkage(wb, build_graph(wb, args.max_range_cells))

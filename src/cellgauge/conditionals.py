@@ -42,7 +42,7 @@ from operator import itemgetter
 from typing import Iterable, Optional, Union
 
 from .errors import DomainError, require_finite
-from .graph import CascadeGroup, CellGraph
+from .graph import CellGraph
 from .refs import CellRef
 from .workbook import Workbook
 
@@ -254,14 +254,6 @@ def cascade_finals(
     if not finals:
         return []
     return [k for i in member_ids for k in finals.get(i, ())]
-
-
-def group_finals(group: CascadeGroup, finals: dict[int, list[int]]) -> list[list[int]]:
-    """The :func:`cascade_finals` of each cascade of ``group``, in its
-    terminal order: the cone's, found once, with each terminal's own."""
-    shared = cascade_finals(group.order, finals)
-    return [sorted(shared + finals[t]) if t in finals else shared
-            for t, _, _ in group.terminals]
 
 
 def cascade_conditional_report(

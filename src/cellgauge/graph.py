@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import warnings as _warnings
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress, product, repeat
 from operator import and_, is_, is_not, itemgetter, lshift, not_, or_, rshift
@@ -117,29 +117,24 @@ class DanglingReference:
 
 @dataclass(frozen=True)
 class CascadeStats:
-    """Path statistics over one bottom-line cell's precedent closure.
-
-    ``member_ids`` are node ids of the graph that computed the statistics.
-    A ``WorkbookReport`` keeps them empty: its graph is freed when the
-    analysis returns.
-    """
+    """Path statistics over one bottom-line cell's precedent closure;
+    ``total_paths`` is the terminal's reachability. ``CellGraph.member_ids``
+    lists the members, so every source of a cascade's stats gives equal ones."""
 
     terminal: CellRef
-    reachability: int
     total_paths: int
     avg_reachability: Fraction
     avg_path_length: Fraction
     max_path_length: int
     cell_count: int
-    member_ids: tuple[int, ...] = ()  # node ids, canonical order
 
 
 class CascadeGroup(NamedTuple):
     """The cascades of bottom-line cells that read the same set of nodes:
     ``order`` is that set and every precedent of it in canonical order, and
     ``terminals`` per terminal ``(node id, at, stats)``, where ``order[:at]``
-    sorts before it and ``stats`` has no member ids. A terminal's cascade is
-    ``order`` plus itself."""
+    sorts before it. A terminal's cascade is ``order`` plus itself, in
+    canonical order ``order[:at]``, the terminal, ``order[at:]``."""
 
     order: list[int]
     terminals: list[tuple[int, int, CascadeStats]]
@@ -604,8 +599,7 @@ class CellGraph:
                 NotBottomLineWarning,
                 stacklevel=2,
             )
-        order, ((_, at, stats),) = self._cascade_group([idx])
-        return replace(stats, member_ids=(*order[:at], idx, *order[at:]))
+        return self._cascade_group([idx]).terminals[0][2]
 
     def cascade_groups(self, terminals: Iterable[int]) -> Iterator[CascadeGroup]:
         """The cascades of bottom-line cells ``terminals`` by the set of
@@ -625,7 +619,6 @@ class CellGraph:
         paths = sum(map(count.__getitem__, order))
         return CascadeGroup(order, [(t, bisect_left(order, key(t), key=key), CascadeStats(
             terminal=self.address_of(t),
-            reachability=count[t],
             total_paths=count[t],
             avg_reachability=Fraction(paths + count[t], len(order) + 1),
             avg_path_length=Fraction(length_sum[t], count[t]),

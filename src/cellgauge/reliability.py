@@ -7,8 +7,9 @@ variant replaces the uniform rate with a per-cell rate scaled by that
 cell's complexity, so few-but-complex cascades can rank worse than
 long-but-trivial ones.
 
-Per-cell rates are computed once per audit, as a list indexed by graph node
-id, and a cascade's adjusted rate multiplies them over its member ids.
+Each node's survive factor ``1 - rate`` is computed once per audit, by node
+id (``survive_factors``), and ``cascade_reliability`` folds the factors over
+each group of cascades that share a cone (``CellGraph.cascade_groups``).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .errors import DomainError, require_finite
-from .graph import CascadeGroup, CascadeStats
+from .graph import CascadeGroup
 from .metrics import CellMetrics
 from .refs import CellRef
 
@@ -114,37 +115,25 @@ def cell_error_rates(
     return list(map(rate.__getitem__, map(id, metrics)))
 
 
-def cascade_reliability(
-    stats: CascadeStats,
-    rates: Sequence[float],
-    cfg: ReliabilityConfig = ReliabilityConfig(),
-) -> CascadeReliability:
-    """Uniform and complexity-adjusted bottom-line error rates for a cascade.
-
-    ``rates[i]`` is the adjusted rate of node ``i``, as
-    :func:`cell_error_rates` computes them once for every cascade; a member
-    past the end of ``rates`` (a materialized empty cell) gets the
-    data-cell rate.
-    """
-    data_rate = adjusted_cell_rate(None, cfg)
-    known = len(rates)
-    survive = 1.0
-    for i in stats.member_ids:
-        survive *= 1.0 - (rates[i] if i < known else data_rate)
-    return CascadeReliability(
-        terminal=stats.terminal,
-        n=stats.cell_count,
-        uniform_e=bottom_line_error_rate(cfg.base_cer, stats.cell_count),
-        adjusted_e=1.0 - survive,
-    )
+def survive_factors(metrics: Sequence[Optional[CellMetrics]], node_count: int,
+                    cfg: ReliabilityConfig = ReliabilityConfig()) -> list[float]:
+    """Each node's survive factor ``1 - rate``, by node id, given the metrics
+    of a graph's populated cells in node order (``g.cells()``). A metrics
+    record that many cells share is rated once, and the materialized empty
+    cells, the nodes past the metrics, take the data-cell rate."""
+    rated = {k: 1.0 - adjusted_cell_rate(m, cfg)
+             for k, m in dict(zip(map(id, metrics), metrics)).items()}
+    survive = list(map(rated.__getitem__, map(id, metrics)))
+    survive += [1.0 - adjusted_cell_rate(None, cfg)] * (node_count - len(metrics))
+    return survive
 
 
-def group_reliability(group: CascadeGroup, survive: Sequence[float],
-                      cfg: ReliabilityConfig = ReliabilityConfig()) -> list[CascadeReliability]:
+def cascade_reliability(group: CascadeGroup, survive: Sequence[float],
+                        cfg: ReliabilityConfig = ReliabilityConfig()) -> list[CascadeReliability]:
     """The rates of each cascade of ``group``, in its terminal order, given
-    each node's survive factor ``1 - rate``. A product multiplies the
-    members before the terminal, the terminal, then the members after it,
-    as :func:`cascade_reliability` does."""
+    each node's survive factor. A product multiplies the members in canonical
+    order: those before the terminal, the terminal, then those after it. One
+    terminal ``t`` of graph ``g`` is the group ``next(g.cascade_groups([t]))``."""
     factors = list(map(survive.__getitem__, group.order))
     return [CascadeReliability(
         stats.terminal, stats.cell_count, bottom_line_error_rate(cfg.base_cer, stats.cell_count),

@@ -8,16 +8,16 @@ resolves each reference once, and every later stage reads from it what a
 reference reads. After the graph is built the stages pass node ids and
 read the graph's node-id columns, so no ``Cell`` is built but the one each
 copy-class ``formula_metrics`` call reads: cell metrics are computed in
-node order, rates and final constructs are keyed by node id, and the
-cascades walk the bottom-line cells by id, once per set of cells they read
-(``CellGraph.cascade_groups``). The report keeps its cells
-only as two columns in canonical order (``CellColumns``): addresses, the
-graph's ``Locations``, and metrics records that many cells share, such as
-the one all-zero record of every data cell. It keeps its warnings only the
-same way (``WarningColumns``): address texts, and records that every W003
-warning shares, so an empty cell a range reads costs the report one
-address text. ``report.cells`` and ``report.warnings`` are lists built
-from the columns on first read.
+node order, survive factors and final constructs are keyed by node id, and
+the cascades walk the bottom-line cells by id, once per set of cells they
+read (``CellGraph.cascade_groups``), with one reliability fold per set.
+The report keeps its cells only as two columns in canonical order
+(``CellColumns``): addresses, the graph's ``Locations``, and metrics
+records that many cells share, such as the one all-zero record of every
+data cell. It keeps its warnings only the same way (``WarningColumns``):
+address texts, and records that every W003 warning shares, so an empty
+cell a range reads costs the report one address text. ``report.cells`` and
+``report.warnings`` are lists built from the columns on first read.
 
 The JSON form is canonical: sorted keys, floats rounded to six decimals,
 stable ordering everywhere, so identical input bytes and configuration
@@ -55,9 +55,9 @@ from .conditionals import (
     BetaConfig,
     ConditionalConstruct,
     all_complexities,
+    cascade_finals,
     find_conditionals,
     finals_by_cell,
-    group_finals,
 )
 from .errors import (
     AuditWarning,
@@ -90,9 +90,9 @@ from .refs import CellRef, Locations
 from .reliability import (
     CascadeReliability,
     ReliabilityConfig,
-    adjusted_cell_rate,
+    cascade_reliability,
     cell_error_rates,
-    group_reliability,
+    survive_factors,
 )
 from .workbook import Workbook, load_workbook
 
@@ -351,14 +351,7 @@ def _cascades(wb: Workbook, graph: CellGraph, by_node: list[CellMetrics],
     finals = finals_by_cell(constructs)
     # Each construct a cascade lists, built once, with its O value.
     listed = functools.cache(lambda k: (constructs[k], complexity[k]))
-    # Each node's survive factor 1 - rate: a metrics record that many cells
-    # share is rated once, and the materialized empty cells, which have no
-    # metrics, take the data-cell rate.
-    rated = {k: 1.0 - adjusted_cell_rate(m, config.reliability)
-             for k, m in dict(zip(map(id, by_node), by_node)).items()}
-    survive = list(map(rated.__getitem__, map(id, by_node)))
-    survive += [1.0 - adjusted_cell_rate(None, config.reliability)] * (
-        graph.node_count - len(by_node))
+    survive = survive_factors(by_node, graph.node_count, config.reliability)
     terminals = graph.bottom_line_ids()
     walked: dict[int, CascadeStats] = {}
     entries: dict[int, CascadeEntry] = {}
@@ -373,9 +366,11 @@ def _cascades(wb: Workbook, graph: CellGraph, by_node: list[CellMetrics],
             if members_left < 0:
                 raise CascadeBudgetError(stats.terminal.render(), MAX_CASCADE_CELLS)
             charged += 1
-        for (t, _, stats), rel, keys in zip(
-                group.terminals, group_reliability(group, survive, config.reliability),
-                group_finals(group, finals)):
+        # The cone's final constructs, found once, with each terminal's own.
+        shared = cascade_finals(group.order, finals)
+        for (t, _, stats), rel in zip(
+                group.terminals, cascade_reliability(group, survive, config.reliability)):
+            keys = sorted(shared + finals[t]) if t in finals else shared
             entries[t] = CascadeEntry(stats, rel, tuple(map(listed, keys)))
         del group  # one group's cone is held at a time
     return list(map(entries.__getitem__, terminals))

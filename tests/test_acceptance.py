@@ -23,7 +23,7 @@ from cellgauge import (
 )
 from cellgauge.metrics import check_range_linkage
 from cellgauge.refs import column_to_letters
-from cellgauge.reliability import cascade_reliability, cell_error_rates
+from cellgauge.reliability import cascade_reliability, survive_factors
 
 from conftest import FIVE_CELL_SHEETS, NINE_CELL_SHEETS, make_graph
 from test_conditionals import ORACLE_FIXTURES, enumerate_branch_selections
@@ -55,7 +55,8 @@ def test_criterion_02_bottom_line_rates_and_fixtures():
         (terminal,) = g.bottom_line_cells()
         stats = g.cascade_stats(terminal)
         assert stats.cell_count == n
-        rel = cascade_reliability(stats, [], ReliabilityConfig())
+        group = next(g.cascade_groups([g.node_id(terminal)]))
+        (rel,) = cascade_reliability(group, survive_factors([], g.node_count), ReliabilityConfig())
         assert abs(rel.uniform_e - bottom_line_error_rate(0.02, n)) < 1e-15
     report("2 bottom-line error rates (n=5 -> 0.0961, n=9 -> 0.1663)")
 
@@ -104,7 +105,7 @@ def test_criterion_04_six_cell_cascade_aggregates():
     st = g.cascade_stats("S!D1")
     assert st.cell_count == 6
     assert st.avg_reachability == Fraction(17, 6)
-    reach_sum = sum(g.reachability(i) for i in st.member_ids)
+    reach_sum = sum(g.reachability(i) for i in g.member_ids("S!D1"))
     assert Fraction(reach_sum, 6) == Fraction(17, 6)
     report("4 six-cell cascade aggregates (terminal 7, interior 4, avg 17/6)")
 
@@ -176,10 +177,11 @@ def test_criterion_07_reduction_to_uniform():
     cascades = 0
     for sheets in fixtures:
         wb, g = make_graph(sheets)
-        rates = cell_error_rates(
-            (formula_metrics(c, g.precedents(c.address)) for c in wb.iter_cells()), cfg)
-        for t in g.bottom_line_cells():
-            rel = cascade_reliability(g.cascade_stats(t), rates, cfg)
+        survive = survive_factors(
+            [formula_metrics(c, g.precedents(c.address)) for c in wb.iter_cells()],
+            g.node_count, cfg)
+        for t in g.bottom_line_ids():
+            (rel,) = cascade_reliability(next(g.cascade_groups([t])), survive, cfg)
             assert rel.adjusted_e == pytest.approx(rel.uniform_e, rel=1e-12)
             cascades += 1
     assert cascades >= 5

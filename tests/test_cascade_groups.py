@@ -12,7 +12,6 @@ order, first go past it.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from unittest import mock
 
 from hypothesis import example, given, settings
@@ -23,7 +22,13 @@ from cellgauge.conditionals import all_complexities, find_conditionals
 from cellgauge.errors import CascadeBudgetError
 from cellgauge.graph import CellGraph
 from cellgauge.refs import column_to_letters
-from cellgauge.reliability import ReliabilityConfig, adjusted_cell_rate, bottom_line_error_rate
+from cellgauge.reliability import (
+    ReliabilityConfig,
+    adjusted_cell_rate,
+    bottom_line_error_rate,
+    cascade_reliability,
+    survive_factors,
+)
 from cellgauge.report import analyze_workbook
 from cellgauge.workbook import load_workbook_doc
 
@@ -120,7 +125,7 @@ def expected_cascades(wb) -> list:
         conditionals = tuple(
             (constructs[k], complexity[k]) for k in range(len(constructs))
             if constructs.final[k] and constructs.nodes[k] in in_cascade)
-        out.append((replace(oracle.cascade_stats(terminal), member_ids=()),
+        out.append((oracle.cascade_stats(terminal),
                     bottom_line_error_rate(cfg.base_cer, len(members)), 1.0 - survive,
                     conditionals))
     return out
@@ -137,6 +142,26 @@ def test_each_cascade_is_what_its_terminal_alone_gives(wb):
     for e in cascades:
         assert (e.reliability.terminal, e.reliability.n) == (e.stats.terminal,
                                                             e.stats.cell_count)
+
+
+@settings(deadline=None)
+@given(shared_cone_workbooks())
+@example(EXAMPLE)
+def test_every_source_gives_a_cascade_one_form(wb):
+    # A terminal alone, its group and the report give equal stats, and the
+    # fold over a group of one gives the report's reliability to the bit.
+    g = CellGraph(wb)
+    report = analyze_workbook(wb)
+    records = {m.address: m for m in report.cells}
+    survive = survive_factors([records[c.address] for c in g.cells()], g.node_count)
+    terminals = g.bottom_line_ids()
+    grouped = {t: stats for group in g.cascade_groups(terminals)
+               for t, _, stats in group.terminals}
+    assert len(report.cascades) == len(terminals)
+    for t, entry in zip(terminals, report.cascades):
+        assert g.cascade_stats(t) == grouped[t] == entry.stats
+        (rel,) = cascade_reliability(next(g.cascade_groups([t])), survive)
+        assert rel == entry.reliability
 
 
 @settings(deadline=None)

@@ -338,10 +338,10 @@ CONDITIONAL_ROWS = st.tuples(
 )
 CASCADE_ROWS = st.builds(
     lambda terminal, stats, rel, conditionals: CascadeEntry(
-        CascadeStats(terminal, *stats, member_ids=()),
+        CascadeStats(terminal, *stats),
         CascadeReliability(terminal, *rel), tuple(conditionals)),
     ADDRESSES,
-    st.tuples(INTS, INTS, NUMBERS, NUMBERS, INTS, INTS),
+    st.tuples(INTS, NUMBERS, NUMBERS, INTS, INTS),
     st.tuples(INTS, NUMBERS, NUMBERS),
     st.lists(CONDITIONAL_ROWS, max_size=3),
 )
@@ -441,7 +441,7 @@ def test_a_cascade_with_batches_of_conditionals(n):
 
     terminal = CellRef("S", 1, 1)
     entries = [
-        CascadeEntry(CascadeStats(terminal, 1, 2, Fraction(1, 3), Fraction(2), 1, 3, ()),
+        CascadeEntry(CascadeStats(terminal, 2, Fraction(1, 3), Fraction(2), 1, 3),
                      CascadeReliability(terminal, 3, 0.1, 0.2), conditionals)
         for conditionals in ((), tuple(map(conditional, range(n))), ())
     ]

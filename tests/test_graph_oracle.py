@@ -421,13 +421,11 @@ class OracleGraph:
         paths = count[idx]
         return CascadeStats(
             terminal=self._addrs[idx],
-            reachability=paths,
             total_paths=paths,
             avg_reachability=Fraction(sum(count[i] for i in members), len(members)),
             avg_path_length=Fraction(length_sum[idx], paths),
             max_path_length=max_len[idx],
             cell_count=len(members),
-            member_ids=tuple(members),
         )
 
     # -- path enumeration ----------------------------------------------------------
@@ -552,7 +550,7 @@ def assert_same_graph(g: CellGraph, oracle: OracleGraph) -> None:
     closures = [oracle._closure(j) for j in range(n)]
     for i in range(n):
         assert g.downstream([i]) == {j for j in range(n) if i in closures[j]}
-        for query in ("cascade_members", "cascade_stats"):
+        for query in ("member_ids", "cascade_members", "cascade_stats"):
             assert outcome(lambda: getattr(g, query)(i)) == outcome(
                 lambda: getattr(oracle, query)(i))
         assert outcome(lambda: g.enumerate_paths(i, limit=6)) == outcome(

@@ -1,5 +1,6 @@
 import pytest
 
+from cellgauge import reliability
 from cellgauge.errors import DomainError
 from cellgauge.metrics import CellMetrics, DispersionConfig, formula_metrics
 from cellgauge.refs import CellRef
@@ -9,6 +10,7 @@ from cellgauge.reliability import (
     bottom_line_error_rate,
     cascade_reliability,
     cell_error_rates,
+    survive_factors,
 )
 
 from conftest import FIVE_CELL_SHEETS, NINE_CELL_SHEETS, make_graph
@@ -86,19 +88,24 @@ def test_adjusted_rate_each_weight_contributes():
 
 
 def analyzed_with_rates(sheets, cfg=ReliabilityConfig()):
-    """Per cascade: its reliability and its members' rates in member order."""
+    """Per cascade: its reliability, each terminal a group of one, and its
+    members' rates in member order. The adjusted rate must be a sequential
+    ``survive *= 1 - rate`` product over the members, to the last bit."""
     wb, g = make_graph(sheets)
-    rates = cell_error_rates(
-        (formula_metrics(c, g.precedents(c.address), DispersionConfig())
-         for c in wb.iter_cells()),
-        cfg,
-    )
+    metrics = [formula_metrics(c, g.precedents(c.address), DispersionConfig())
+               for c in wb.iter_cells()]
+    rates = cell_error_rates(metrics, cfg)
+    survive_of = survive_factors(metrics, g.node_count, cfg)
     out = []
-    for t in g.bottom_line_cells():
-        stats = g.cascade_stats(t)
-        out.append((cascade_reliability(stats, rates, cfg),
-                    [rates[i] if i < len(rates) else adjusted_cell_rate(None, cfg)
-                     for i in stats.member_ids]))
+    for t in g.bottom_line_ids():
+        (rel,) = cascade_reliability(next(g.cascade_groups([t])), survive_of, cfg)
+        member_rates = [rates[i] if i < len(rates) else adjusted_cell_rate(None, cfg)
+                        for i in g.member_ids(t)]
+        survive = 1.0
+        for rate in member_rates:
+            survive *= 1.0 - rate
+        assert rel.adjusted_e == 1.0 - survive
+        out.append((rel, member_rates))
     return out
 
 
@@ -170,12 +177,33 @@ def test_adjusted_bounds():
 
 def test_materialized_cells_get_data_rate():
     wb, g = make_graph({"S": {"B1": "=A1*2"}})  # A1 empty -> materialized
-    stats = g.cascade_stats("S!B1")
-    rates = cell_error_rates(
-        formula_metrics(c, g.precedents(c.address)) for c in wb.iter_cells())
+    metrics = [formula_metrics(c, g.precedents(c.address)) for c in wb.iter_cells()]
+    rates = cell_error_rates(metrics)
     a1 = g.node_id(CellRef("S", 1, 1))
-    assert a1 in stats.member_ids and a1 >= len(rates)
+    assert a1 in g.member_ids("S!B1") and a1 >= len(rates)
     b1_rate = rates[g.node_id(CellRef("S", 2, 1))]
-    rel = cascade_reliability(stats, rates)
+    group = next(g.cascade_groups([g.node_id("S!B1")]))
+    (rel,) = cascade_reliability(group, survive_factors(metrics, g.node_count))
     # A1 gets the data-cell rate, 0.02 * 0.25.
     assert rel.adjusted_e == pytest.approx(1.0 - (1.0 - 0.005) * (1.0 - b1_rate))
+
+
+def test_survive_factors_rate_each_record_once_and_empty_cells_as_data(monkeypatch):
+    cfg = ReliabilityConfig(data_cell_factor=0.5)
+    formula = CellMetrics(address=CellRef("S", 1, 1), n_operators=1, n_operands=2,
+                          depth_of_nesting=1)
+    other = CellMetrics(address=CellRef("S", 1, 2), n_operators=3, n_operands=4,
+                        depth_of_nesting=2, decision_count=1)
+    zero = CellMetrics(address=CellRef("S", 1, 3))
+    metrics = [formula, zero, formula, other, zero, formula]
+    rated = []
+    real = reliability.adjusted_cell_rate
+    monkeypatch.setattr(reliability, "adjusted_cell_rate",
+                        lambda m, c: rated.append(m) or real(m, c))
+    survive = survive_factors(metrics, len(metrics) + 3, cfg)
+    # Each distinct record once, in first-use order, then the data-cell rate.
+    assert rated == [formula, zero, other, None]
+    assert rated[0] is formula and rated[1] is zero and rated[2] is other
+    assert survive[:len(metrics)] == [1.0 - real(m, cfg) for m in metrics]
+    assert survive[len(metrics):] == [1.0 - cfg.base_cer * cfg.data_cell_factor] * 3
+    assert survive_factors(metrics, len(metrics), cfg) == survive[:len(metrics)]

@@ -791,9 +791,9 @@ def test_the_group_that_trips_the_budget_gets_no_rates_or_conditionals(monkeypat
     # terminal's product or finals, so only the walk runs past the budget.
     wb = make_workbook(cone_sheets(300))
     called = []
-    monkeypatch.setattr(report_module, "group_reliability",
+    monkeypatch.setattr(report_module, "cascade_reliability",
                         lambda *args: called.append("rates"))
-    monkeypatch.setattr(report_module, "group_finals",
+    monkeypatch.setattr(report_module, "cascade_finals",
                         lambda *args: called.append("finals"))
     monkeypatch.setattr(report_module, "MAX_CASCADE_CELLS", 31 * 100 - 1)
     with pytest.raises(cellgauge.CascadeBudgetError) as caught:
