@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Exit codes for ``analyze``: 0 clean, 1 analyzed with warnings, 2 unreadable
-or invalid input, or a report that cannot be written to ``--out``, 3
-reference cycle detected (a report is still emitted with the
-graph-dependent sections marked unavailable), 4 internal error: an
+or invalid input, or output that cannot be written to ``--out`` or to
+stdout (closed, full, or a pipe whose reader has gone), 3 reference cycle
+detected (a report is still emitted with the graph-dependent sections
+marked unavailable), 4 internal error: an
 unexpected exception in any command, reported as one ``error: internal error
 in <command>: <type>: <message>`` line on stderr without a traceback.
 Invalid input includes, in every command, a file that is not UTF-8, a
@@ -19,19 +20,22 @@ paths exist, 2 for invalid input (a ``--cell`` that is not an address or
 not in the graph, a negative ``--limit``), 3 on a reference cycle and 4
 as above.
 
-Every command runs with cyclic garbage collection off; ``main`` restores the
-caller's setting when it returns.
+``main`` maps each error a command raises to its exit code, and prints it
+as one ``error:`` line on stderr. Every command runs with cyclic garbage
+collection off; ``main`` restores the caller's setting when it returns.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import json
 import math
+import os
 import sys
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Union
 
 from .conditionals import BetaConfig
 from .errors import (
@@ -99,73 +103,58 @@ def _build_config(args: argparse.Namespace) -> AnalysisConfig:
     )
 
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
+def _write(payload: Union[bytes, str], out: Optional[str] = None) -> None:
+    """Write a command's output to the file ``out``, or else to stdout. If
+    it cannot be written, raise an OSError that says where to; a stdout
+    that failed is pointed at the null device, so that the interpreter's
+    flush at exit does not fail again."""
+    stream = sys.stdout
     try:
-        config = _build_config(args)
-        report = analyze(args.file, config)
+        if out:
+            Path(out).write_bytes(payload)
+        elif stream is None:
+            raise OSError("it is closed")
+        else:
+            (stream.buffer if isinstance(payload, bytes) else stream).write(payload)
+            stream.flush()
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    payload = emit_report(report, args.format)
-    if args.out:
-        try:
-            Path(args.out).write_bytes(payload)
-        except OSError as exc:
-            print(f"error: cannot write report to {args.out}: {exc.strerror or exc}",
-                  file=sys.stderr)
-            return 2
-    else:
-        sys.stdout.buffer.write(payload)
-        sys.stdout.buffer.flush()
+        if not out and stream is not None:
+            with contextlib.suppress(OSError, ValueError), open(os.devnull, "wb") as null:
+                os.dup2(null.fileno(), stream.fileno())
+        where = f"report to {out}" if out else "to standard output"
+        raise OSError(f"cannot write {where}: {exc.strerror or exc}") from exc
+
+
+def _cmd_analyze(args: argparse.Namespace) -> int:
+    report = analyze(args.file, _build_config(args))
+    _write(emit_report(report, args.format), args.out)
     return report.exit_code()
 
 
 def _cmd_paths(args: argparse.Namespace) -> int:
-    # Other invalid input raises a CellGaugeError, which main maps to 2.
-    try:
-        wb = load_workbook(args.file)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    wb = load_workbook(args.file)
     try:
         cell = parse_cell_address(args.cell)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    try:
-        paths = build_graph(wb, args.max_range_cells).enumerate_paths(cell, limit=args.limit)
-    except CycleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except LimitExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    print(f"{len(paths)} path(s) to {cell.render()}")
-    for path in paths:
-        print(" -> ".join(a.render() for a in path))
+    paths = build_graph(wb, args.max_range_cells).enumerate_paths(cell, limit=args.limit)
+    lines = [f"{len(paths)} path(s) to {cell.render()}"]
+    lines += (" -> ".join(a.render() for a in path) for path in paths)
+    _write("\n".join(lines) + "\n")
     return 0
 
 
 def _cmd_check_ranges(args: argparse.Namespace) -> int:
-    try:
-        wb = load_workbook(args.file)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    wb = load_workbook(args.file)
     findings = check_range_linkage(wb, build_graph(wb, args.max_range_cells))
-    if not findings:
-        print("no copied-formula runs detected")
-        return 0
-    violations = 0
-    for f in findings:
-        if f.verdict == "violation":
-            violations += 1
-        print(
-            f"{f.verdict.upper():9s} {f.target_range.render()} "
-            f"[{f.ref_style}, s={f.s}] source {f.source_range.render()} "
-            f"expected {f.expected_extent} actual {f.actual_extent}"
-        )
-    return 1 if violations else 0
+    lines = [
+        f"{f.verdict.upper():9s} {f.target_range.render()} "
+        f"[{f.ref_style}, s={f.s}] source {f.source_range.render()} "
+        f"expected {f.expected_extent} actual {f.actual_extent}"
+        for f in findings] or ["no copied-formula runs detected"]
+    _write("\n".join(lines) + "\n")
+    return 1 if any(f.verdict == "violation" for f in findings) else 0
 
 
 def _add_range_budget(p: argparse.ArgumentParser) -> None:
@@ -217,6 +206,11 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The exit code of each error a command raises, first match first: any
+# other exception is an internal error, exit 4.
+_EXIT_CODES = ((CycleError, 3), (LimitExceededError, 1), (CellGaugeError, 2), (OSError, 2))
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     args = _parser().parse_args(argv)
     # A command builds many objects and leaves no garbage cycle that grows
@@ -227,9 +221,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     gc.disable()
     try:
         return args.func(args)
-    except CellGaugeError as exc:
+    except (CellGaugeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
     except Exception as exc:
         print(
             f"error: internal error in {args.command}: {type(exc).__name__}: {exc}",

@@ -32,7 +32,7 @@ keys a text by its shape, cutting it with the lexer's ``_TOKEN`` once per
 *skeleton* (the text with each letter and digit replaced by its class),
 which copies of a formula mostly share and which fixes where each
 reference's sheet, column and row lie. :class:`FormulaShape` is built from
-two walks of one parse and keeps what the audit needs of the formula's
+one walk of one parse and keeps what the audit needs of the formula's
 structure, not the AST: operator and operand counts, nesting, decisions,
 the range-linkage shift key split at the reference leaves, each leaf as
 its key's parts (offsets for relative parts), whether every reference is
@@ -578,36 +578,11 @@ def classify_tokens(ast: FormulaAst | AstNode) -> list[ClassifiedToken]:
     """Flatten an AST into operator/operand tokens with nesting levels.
 
     The root expression sits at level 1; each function call argument list is
-    one level deeper than the call's own name token.
+    one level deeper than the call's own name token: :func:`_layout`'s tokens.
     """
     node = ast.root if isinstance(ast, FormulaAst) else ast
-    out: list[ClassifiedToken] = []
-    # An explicit stack, so a long flat chain such as A1+A1+...+A1 (a
-    # left-deep BinaryOp tree) needs no deep call stack. A token on the stack
-    # is emitted when popped, after the subtree pushed above it.
-    stack: list[tuple[Union[AstNode, ClassifiedToken], int]] = [(node, 1)]
-    while stack:
-        n, level = stack.pop()
-        if isinstance(n, (NumberLiteral, StringLiteral, BoolLiteral, CellRefNode, RangeRefNode)):
-            out.append(ClassifiedToken("operand", level, _atom_text(n)))
-        elif isinstance(n, BinaryOp):
-            out.append(ClassifiedToken("operator", level, n.op))
-            stack.append((n.right, level))
-            stack.append((n.left, level))
-        elif isinstance(n, FunctionCall):
-            out.append(ClassifiedToken("operator", level, n.name))
-            stack.extend((arg, level + 1) for arg in reversed(n.args))
-        elif isinstance(n, UnaryOp):
-            if n.op == "%":
-                stack.append((ClassifiedToken("operator", level, "%"), level))
-            else:
-                out.append(ClassifiedToken("operator", level, n.op))
-            stack.append((n.child, level))
-        elif isinstance(n, ClassifiedToken):
-            out.append(n)
-        else:
-            raise TypeError(f"not an AST node: {n!r}")
-    return out
+    return [ClassifiedToken(kind, level, text if kind == "operator" else _atom_text(text))
+            for kind, level, text in _layout(node)[5]]
 
 
 # --- Per-formula measures -------------------------------------------------
@@ -771,11 +746,11 @@ def _copy_range(start: CellRef, end: CellRef) -> RangeRef:
 
 
 def _layout(root: AstNode) -> tuple[
-        list[Union[CellRef, RangeRef]], Reach, IfLayout, int, list[str]]:
+        list[Union[CellRef, RangeRef]], Reach, IfLayout, int, list[str], list[tuple]]:
     """One pre-order pass over a formula: the refs of its reference leaves,
     its own reach, its IF calls, its decision count (see
-    :func:`decision_count`) and its shift-key pieces. References are
-    numbered in ``walk`` order, as the dependency graph lists their
+    :func:`decision_count`), its shift-key pieces and its tokens. References
+    are numbered in ``walk`` order, as the dependency graph lists their
     targets; a path is the chain of child indexes from the root. Pre-order
     lists the IF calls in path order, so a reach names each IF by its index
     in that list.
@@ -784,21 +759,29 @@ def _layout(root: AstNode) -> tuple[
     leaves: the text before, between and after them. Joined with each
     leaf's parts relative to a cell (:func:`_shift_key`), they make that
     cell's shift key, which copies of one formula share. A string on the
-    stack is canonical text, taken when popped."""
+    stack is canonical text, taken when popped. Each token is (kind,
+    nesting level, operator text or operand node), in pre-order but for a
+    ``%``, which waits on the stack as a 3-tuple to follow its operand."""
     leaves: list[Union[CellRef, RangeRef]] = []
     own: tuple[list, list] = ([], [])
     ifs: list = []
     decisions = 0
     pieces: list[str] = []
     parts: list[str] = []
-    stack: list = [((), root, own)]
+    tokens: list[tuple] = []
+    stack: list = [((), root, own, 1)]
     while stack:
         item = stack.pop()
         if isinstance(item, str):
             parts.append(item)
             continue
-        path, node, reach = item
+        if len(item) == 3:  # a percent, after its operand
+            tokens.append(item)
+            parts.append(")")
+            continue
+        path, node, reach, level = item
         if isinstance(node, (CellRefNode, RangeRefNode)):
+            tokens.append(("operand", level, node))
             reach[1].append(len(leaves))
             leaves.append(node.ref)
             pieces.append("".join(parts))
@@ -806,11 +789,15 @@ def _layout(root: AstNode) -> tuple[
             continue
         children = child_nodes(node)
         reaches = [reach] * len(children)
+        inner, closing = level, ")"
         if isinstance(node, BinaryOp):
+            tokens.append(("operator", level, node.op))
             if node.op in _COMPARISONS:
                 decisions += 1
             opening, between = "(", node.op
         elif isinstance(node, FunctionCall):
+            tokens.append(("operator", level, node.name))
+            inner = level + 1
             if node.name in _LOGICAL_FUNCS:
                 decisions += sum(1 for arg in children if not _is_boolean_form(arg))
             elif node.name == "IF":
@@ -822,14 +809,22 @@ def _layout(root: AstNode) -> tuple[
                     decisions += 1
             opening, between = f"{node.name}(", ","
         elif isinstance(node, UnaryOp):
+            if node.op == "%":
+                closing = ("operator", level, "%")
+            else:
+                tokens.append(("operator", level, node.op))
             opening, between = f"u{node.op}(", ""
         else:
-            parts.append(_atom_text(node))
+            text = _atom_text(node)
+            if text is None:
+                raise TypeError(f"not an AST node: {node!r}")
+            tokens.append(("operand", level, node))
+            parts.append(text)
             continue
         parts.append(opening)
-        stack.append(")")
+        stack.append(closing)
         for i in range(len(children) - 1, -1, -1):
-            stack.append((path + (i,), children[i], reaches[i]))
+            stack.append((path + (i,), children[i], reaches[i], inner))
             if i:
                 stack.append(between)
     pieces.append("".join(parts))
@@ -837,8 +832,8 @@ def _layout(root: AstNode) -> tuple[
     def frozen(reach: tuple[list, list]) -> Reach:
         return tuple(reach[0]), tuple(reach[1])
 
-    return leaves, frozen(own), tuple(
-        (path, tuple(frozen(arg) for arg in args)) for path, args in ifs), decisions, pieces
+    if_layout = tuple((path, tuple(frozen(arg) for arg in args)) for path, args in ifs)
+    return leaves, frozen(own), if_layout, decisions, pieces, tokens
 
 
 # A reference leaf of a shape as its key's parts: one cell's, or a range's two
@@ -851,13 +846,14 @@ class FormulaShape:
     """A formula up to the shift of its relative references.
 
     Copies of one formula share one shape. It is built from the first
-    copy's AST, which it does not keep, and holds what depends only on the
-    formula's structure: operator and operand counts, nesting depth and
-    average level, the decision count, the reference leaves in ``walk``
-    order as their key parts (``leaves``, see :data:`Leaf`), the IF layout
-    that conditional discovery reads (``if_reach``, the formula's own
-    reach, and ``ifs``; see :data:`Reach` and :data:`IfLayout`), and the
-    range-linkage shift key's text split at the reference leaves.
+    copy's AST, which it does not keep, and :func:`shape_key`, and holds
+    what depends only on the formula's structure: operator and operand
+    counts, nesting depth and average level, the decision count, the
+    reference leaves in ``walk`` order as their key parts (``leaves``, see
+    :data:`Leaf`), the IF layout that conditional discovery reads
+    (``if_reach``, the formula's own reach, and ``ifs``; see :data:`Reach`
+    and :data:`IfLayout`), and the range-linkage shift key's text split at
+    the reference leaves.
     ``relative`` is True when every part of every reference is relative, so
     that every copy reads its cells at the same offsets from itself.
     ``shift_key`` is the copies' common shift key, or None when some range
@@ -873,17 +869,15 @@ class FormulaShape:
                  "avg_nesting_level", "decision_count", "relative", "shift_key",
                  "if_reach", "ifs", "leaves", "_key_pieces")
 
-    def __init__(self, ast: FormulaAst, column: int, row: int):
-        tokens = classify_tokens(ast)
-        levels = [t.nesting_level for t in tokens]
-        self.n_operators = sum(1 for t in tokens if t.kind == "operator")
+    def __init__(self, ast: FormulaAst, column: int, row: int, key: tuple):
+        (leaves, self.if_reach, self.ifs, self.decision_count,
+         self._key_pieces, tokens) = _layout(ast.root)
+        kinds, levels, _ = zip(*tokens)
+        self.n_operators = kinds.count("operator")
         self.n_operands = len(tokens) - self.n_operators
         self.depth_of_nesting = max(levels)
         self.avg_nesting_level = Fraction(sum(levels), len(levels))
-        (leaves, self.if_reach, self.ifs, self.decision_count,
-         self._key_pieces) = _layout(ast.root)
         # The parts of the text's references in text order, which is walk order.
-        key = shape_key(ast.source, column, row, {}, {}, {})
         parts = iter([key[i:i + 5] for i in range(1, len(key) - 1, 6)])
         self.leaves: tuple[Leaf, ...] = tuple(
             (next(parts), next(parts)) if isinstance(leaf, RangeRef) else (next(parts),)

@@ -69,8 +69,8 @@ from .refs import CellRef, Locations, parse_cell_address
 from .workbook import Cell, Workbook
 
 # The range budget counts what ranges cost an audit. Each cell a range
-# reads is one arc, ~90 bytes of peak RSS; an empty one also becomes a node,
-# a W003 warning row and a cell row, ~0.5 KB in all, and counts
+# reads is one arc, ~90 bytes of peak RSS; an empty one also becomes a node
+# and a W003 warning row (no cell row), ~0.5 KB in all, and counts
 # EMPTY_RANGE_CELL_COST. The default budget caps the range-driven part of
 # an audit's peak RSS near 0.9 GB.
 EMPTY_RANGE_CELL_COST = 10

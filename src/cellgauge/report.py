@@ -842,14 +842,23 @@ def emit_report(r: WorkbookReport, format: str = "json") -> bytes:
     into its kind's template. No row dict is built, and neither is the
     report's cell or warning list. Each piece is encoded to UTF-8 as it is
     written into one buffer, whose bytes are returned without a copy, so
-    the report's text is never held beside its bytes.
+    the report's text is never held beside its bytes. Path counts are
+    exact however many digits they have: the interpreter's limit on
+    int-to-text digits, where it has one, is lifted for the call only.
     """
-    if format == "json":
-        buf = io.BytesIO()
-        _encode_json(_report_dict(r, _Table), 0,
-                     lambda text: buf.write(text.encode("utf-8")))
-        buf.write(b"\n")
-        return buf.getvalue()  # the buffer itself, not a copy
-    if format == "text":
-        return _text_report(r).encode("utf-8")
-    raise ValueError(f"unknown report format {format!r}")
+    digits = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if digits:
+        sys.set_int_max_str_digits(0)
+    try:
+        if format == "json":
+            buf = io.BytesIO()
+            _encode_json(_report_dict(r, _Table), 0,
+                         lambda text: buf.write(text.encode("utf-8")))
+            buf.write(b"\n")
+            return buf.getvalue()  # the buffer itself, not a copy
+        if format == "text":
+            return _text_report(r).encode("utf-8")
+        raise ValueError(f"unknown report format {format!r}")
+    finally:
+        if digits:
+            sys.set_int_max_str_digits(digits)

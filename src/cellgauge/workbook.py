@@ -241,7 +241,7 @@ def _add_formula(sheet: Sheet, key: tuple[int, int], text: str,
             sheet.values.append(str(text))
             return
         # A text that parses has a key: shape_key cuts it as _lex does.
-        shape = shapes.by_key[keyed] = FormulaShape(ast, column, row)
+        shape = shapes.by_key[keyed] = FormulaShape(ast, column, row, keyed)
     sheet.formula_rows.append(len(sheet.values))
     sheet.values.append(None)
     sheet.sources.append(text)

@@ -201,7 +201,7 @@ def _add_formula(sheet: RefsSheet, key: tuple[int, int], text: str,
             sheet.values.append(str(text))
             return
         # A text that parses has a key: shape_key cuts it as _lex does.
-        shape = shapes.by_key[keyed[0]] = FormulaShape(ast, column, row)
+        shape = shapes.by_key[keyed[0]] = FormulaShape(ast, column, row, keyed[0])
         shapes.leaves[shape] = tuple(_layout(ast.root)[0])
     sheet.formula_rows.append(len(sheet.values))
     sheet.values.append(None)

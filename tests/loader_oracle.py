@@ -100,7 +100,7 @@ def _make_cell(address: CellRef, text_or_value, warnings: list[AuditWarning],
             AuditWarning(W_FORMULA_ERROR, address.render(), str(exc))
         )
         return Cell(address=address, value=str(text_or_value))
-    shape = FormulaShape(ast, address.column, address.row)
+    shape = FormulaShape(ast, address.column, address.row, keyed[0])
     if keyed is not None:
         shapes.by_key[keyed[0]] = shape
     return Cell(address=address, source=text_or_value, shape=shape)

@@ -9,12 +9,15 @@ cross-sheet references to quoted names and to names in another case,
 missing sheets, ranges with mixed anchors, copies reaching row 0 or past
 column XFD) both must give equal keys, shape classes, reference leaves,
 shift keys, W001 warnings, precedent lists and reference ends per node,
-dangling references and reports.
+dangling references and reports. ``OracleShape`` keeps the shape build
+from before a shape took the load's key and one walk: every field of every
+loaded shape must equal it.
 """
 
 from __future__ import annotations
 
 import sys
+from fractions import Fraction
 from unittest.mock import patch
 
 import pytest
@@ -25,11 +28,12 @@ import copies_oracle
 from cellgauge import refs as refs_module
 from cellgauge import report as report_module
 from cellgauge.errors import RangeBudgetError
-from cellgauge.formula import shape_key
+from cellgauge.formula import FormulaShape, _layout, _shift_key, parse_formula, shape_key
 from cellgauge.graph import CellGraph, build_graph
-from cellgauge.refs import column_to_letters
+from cellgauge.refs import RangeRef, column_to_letters
 from cellgauge.report import analyze_workbook, emit_report
 from cellgauge.workbook import Workbook, load_workbook_doc
+from test_formula import walk_classify_tokens
 
 # The copies live on "S"; "it's" and "Data" hold data. References name
 # each sheet as written and in another case, and two missing sheets.
@@ -155,6 +159,50 @@ def test_copies_load_resolve_and_report_as_the_oracle(doc):
     assert_loads_alike(wb, old)
     assert_graphs_alike(CellGraph(wb), copies_oracle.OracleGraph(old))
     assert report_bytes(wb) == report_bytes(old, copies_oracle.OracleGraph)
+
+
+class OracleShape(FormulaShape):
+    """A shape built as before it took the load's key and one walk: the
+    tokens from a walk of their own, and the key cut again from the text."""
+
+    __slots__ = ()
+
+    def __init__(self, ast, column: int, row: int):
+        tokens = walk_classify_tokens(ast)
+        levels = [t.nesting_level for t in tokens]
+        self.n_operators = sum(1 for t in tokens if t.kind == "operator")
+        self.n_operands = len(tokens) - self.n_operators
+        self.depth_of_nesting = max(levels)
+        self.avg_nesting_level = Fraction(sum(levels), len(levels))
+        (leaves, self.if_reach, self.ifs, self.decision_count,
+         self._key_pieces) = _layout(ast.root)[:5]
+        # The parts of the text's references in text order, which is walk order.
+        key = shape_key(ast.source, column, row, {}, {}, {})
+        parts = iter([key[i:i + 5] for i in range(1, len(key) - 1, 6)])
+        self.leaves = tuple(
+            (next(parts), next(parts)) if isinstance(leaf, RangeRef) else (next(parts),)
+            for leaf in leaves)
+        self.relative = not any(part[1] or part[3] for leaf in self.leaves for part in leaf)
+        uniform = all(leaf[0][1] == leaf[-1][1] and leaf[0][3] == leaf[-1][3]
+                      for leaf in self.leaves)
+        self.shift_key = _shift_key(self._key_pieces, self.references(column, row),
+                                    column, row) if uniform else None
+
+
+@settings(max_examples=200, deadline=None)
+@given(copied_docs())
+def test_every_shape_field_as_the_oracle(doc):
+    wb = load_workbook_doc(doc)
+    built = set()
+    for sheet, k, column, row in formula_rows(wb):
+        shape = sheet.shapes[k]
+        if id(shape) in built:  # a copy; its shape was built from the first
+            continue
+        built.add(id(shape))
+        want = OracleShape(parse_formula(sheet.sources[k]), column, row)
+        for name in FormulaShape.__slots__:
+            assert getattr(shape, name) == getattr(want, name), (name, sheet.sources[k])
+    assert built
 
 
 def outcome(build):

@@ -29,6 +29,7 @@ from cellgauge.formula import (
     NumberLiteral,
     RangeRefNode,
     StringLiteral,
+    ClassifiedToken,
     UnaryOp,
     _atom_text,
     _is_boolean_form,
@@ -556,7 +557,7 @@ def test_layout_matches_the_walks_it_replaced_on_random_asts():
     conditions = set()
     for _ in range(3000):
         node = random_ast(rng, rng.randint(0, 6))
-        leaves, _, _, decisions, pieces = _layout(node)
+        leaves, _, _, decisions, pieces, _ = _layout(node)
         assert pieces == _shift_key_pieces(node), node
         assert leaves == [n.ref for n in walk(node) if isinstance(n, (CellRefNode, RangeRefNode))]
         assert decision_count(node) == decisions == walk_decision_count(node), node
@@ -565,6 +566,66 @@ def test_layout_matches_the_walks_it_replaced_on_random_asts():
             for n in walk(node) if isinstance(n, FunctionCall) and n.name == "IF" and n.args)
     # Every form of IF condition that decision counting tells apart.
     assert {BinaryOp, "AND", "OR", "NOT", BoolLiteral, CellRefNode} <= conditions
+
+
+def walk_classify_tokens(ast: FormulaAst | AstNode) -> list[ClassifiedToken]:
+    """``classify_tokens`` as a walk of its own, before it read ``_layout``'s
+    tokens."""
+    node = ast.root if isinstance(ast, FormulaAst) else ast
+    out: list[ClassifiedToken] = []
+    # An explicit stack, so a long flat chain such as A1+A1+...+A1 (a
+    # left-deep BinaryOp tree) needs no deep call stack. A token on the stack
+    # is emitted when popped, after the subtree pushed above it.
+    stack: list[tuple[Union[AstNode, ClassifiedToken], int]] = [(node, 1)]
+    while stack:
+        n, level = stack.pop()
+        if isinstance(n, (NumberLiteral, StringLiteral, BoolLiteral, CellRefNode, RangeRefNode)):
+            out.append(ClassifiedToken("operand", level, _atom_text(n)))
+        elif isinstance(n, BinaryOp):
+            out.append(ClassifiedToken("operator", level, n.op))
+            stack.append((n.right, level))
+            stack.append((n.left, level))
+        elif isinstance(n, FunctionCall):
+            out.append(ClassifiedToken("operator", level, n.name))
+            stack.extend((arg, level + 1) for arg in reversed(n.args))
+        elif isinstance(n, UnaryOp):
+            if n.op == "%":
+                stack.append((ClassifiedToken("operator", level, "%"), level))
+            else:
+                out.append(ClassifiedToken("operator", level, n.op))
+            stack.append((n.child, level))
+        elif isinstance(n, ClassifiedToken):
+            out.append(n)
+        else:
+            raise TypeError(f"not an AST node: {n!r}")
+    return out
+
+
+def test_tokens_match_the_walk_they_replaced_on_random_asts():
+    rng = random.Random(11)
+    percents = 0
+    for _ in range(3000):
+        node = random_ast(rng, rng.randint(0, 7))
+        expected = walk_classify_tokens(node)
+        assert classify_tokens(node) == expected, node
+        assert classify_tokens(FormulaAst(node, render_formula(node))) == expected
+        # Each token in _layout's own form: an operand as its node.
+        tokens = _layout(node)[5]
+        assert [(kind, level) for kind, level, _ in tokens] == [
+            (t.kind, t.nesting_level) for t in expected]
+        assert all(isinstance(payload, AstNode) for kind, _, payload in tokens
+                   if kind == "operand")
+        percents += any(t.text == "%" for t in expected)
+    assert percents > 100
+
+
+@pytest.mark.parametrize("node", [
+    "A1", BinaryOp("+", ref(1, 1), "A2"), FunctionCall("SUM", (ref(1, 1), 3)),
+    UnaryOp("%", None),
+])
+def test_classify_rejects_non_nodes(node):
+    with pytest.raises(TypeError, match="not an AST node"):
+        classify_tokens(node)
 
 
 # --- repr without recursion ------------------------------------------------------

@@ -1,3 +1,4 @@
+import contextlib
 import gc
 import hashlib
 import json
@@ -213,6 +214,34 @@ def test_cli_analyze_unwritable_out_exits_two(five_cell_path, tmp_path, capsys, 
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: cannot write report to {out}: {reason}\n"
+
+
+def run_cli(args: list[str], **kwargs) -> subprocess.CompletedProcess:
+    """``cellgauge`` run in a child process, on the package this test imported."""
+    package_root = str(Path(cellgauge.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (package_root, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "cellgauge.cli", *args],
+                          stderr=subprocess.PIPE, env=env, **kwargs)
+
+
+@pytest.mark.parametrize("stdout, reason", [
+    ("/dev/full", "No space left on device"), (None, "it is closed")])
+@pytest.mark.parametrize("command", [["analyze"], ["analyze", "--format", "text"],
+                                     ["paths", "--cell", "S!B1"], ["check-ranges"]])
+def test_cli_unwritable_stdout_exits_two(tmp_path, command, stdout, reason):
+    # One error line, no traceback and no "Exception ignored" at exit.
+    path = write_doc(tmp_path, {"S": {"A1": 1, "B1": "=A1*2"}})
+    args = [command[0], str(path), *command[1:]]
+    if stdout is None:
+        done = run_cli(args, preexec_fn=lambda: os.close(1))
+    elif not os.path.exists(stdout):
+        pytest.skip(f"no {stdout} here")
+    else:
+        with open(stdout, "wb") as full:
+            done = run_cli(args, stdout=full)
+    assert done.returncode == 2
+    assert done.stderr.decode() == f"error: cannot write to standard output: {reason}\n"
 
 
 def test_cli_analyze_text(five_cell_path, capsys, monkeypatch):
@@ -463,22 +492,46 @@ def test_analyze_workbook_in_memory():
     assert report.cascades[0].stats.cell_count == 5
 
 
+def digit_limit() -> int:
+    """The interpreter's limit on int-to-text digits; 0 where it has none."""
+    return sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+
+
+@contextlib.contextmanager
+def no_digit_limit():
+    before = digit_limit()
+    if before:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if before:
+            sys.set_int_max_str_digits(before)
+
+
 def test_astronomical_path_counts_still_emit(monkeypatch):
     # A 1,200-cell doubling chain has 2**1199 paths, far past float range;
-    # the report must stay exact for integers and saturate the averages.
+    # the report must stay exact for integers and saturate the averages. At
+    # 14,300 cells the count has 4,305 digits, past the interpreter's default
+    # limit on int-to-text digits, which emission lifts for the call only;
+    # json.loads and str() need it lifted too.
     monkeypatch.setenv("CELLGAUGE_NO_COLOR", "1")
-    n = 1200
-    cells = {"A1": 1.0}
-    for k in range(2, n + 1):
-        cells[f"A{k}"] = f"=A{k - 1}+A{k - 1}"
-    wb = make_workbook({"S": cells})
-    report = analyze_workbook(wb, AnalysisConfig())
-    entry = report.cascades[0]
-    assert entry.stats.total_paths == 2 ** (n - 1)
-    parsed = json.loads(emit_report(report, "json"))
-    assert parsed["cascades"][0]["total_paths"] == 2 ** (n - 1)
-    assert parsed["cascades"][0]["avg_reachability"] > 0
-    emit_report(report, "text")  # must not raise either
+    for n in (1200, 14300):
+        cells = {"A1": 1.0}
+        for k in range(2, n + 1):
+            cells[f"A{k}"] = f"=A{k - 1}+A{k - 1}"
+        wb = make_workbook({"S": cells})
+        report = analyze_workbook(wb, AnalysisConfig())
+        entry = report.cascades[0]
+        assert entry.stats.total_paths == 2 ** (n - 1)
+        before = digit_limit()
+        payload, text = emit_report(report, "json"), emit_report(report, "text")
+        assert digit_limit() == before
+        with no_digit_limit():
+            parsed = json.loads(payload)
+            assert parsed["cascades"][0]["total_paths"] == 2 ** (n - 1)
+            assert str(2 ** (n - 1)).encode() in text
+        assert parsed["cascades"][0]["avg_reachability"] > 0
 
 
 # --- inputs that once crashed the audit ------------------------------------------

@@ -20,9 +20,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cellgauge import build_graph, load_csv_grid, load_workbook_doc
+from cellgauge import formula as formula_module
 from cellgauge import workbook as workbook_module
 from cellgauge.errors import FormulaSyntaxError, W_FORMULA_ERROR
 from cellgauge.formula import (
+    _SKELETON,
     AstNode,
     BinaryOp,
     BoolLiteral,
@@ -265,6 +267,36 @@ def test_each_shape_is_parsed_once(monkeypatch):
     d = [wb.cell(f"S!D{r}") for r in range(1, 11)]
     assert d[0].shape.shift_key is None and b[0].shape.shift_key is not None
     assert _shift_keys(d) == ["SUM(c[-3]r[0]:c[-3]R3)"] * 2 + ["SUM(c[-3]R3:c[-3]r[0])"] * 8
+
+
+def test_a_load_cuts_each_skeleton_once(monkeypatch):
+    # A shape reads its references' parts from the key the load cut, so
+    # the text is cut once per skeleton, not again for each shape.
+    calls = []
+    real = formula_module._scan_spans
+
+    def counting(text):
+        calls.append(text)
+        return real(text)
+
+    monkeypatch.setattr(formula_module, "_scan_spans", counting)
+    wb, _ = load_doc({"S": {"A1": 1.0, "B1": "=A1*2", "B2": "=A1*3", "B3": "=A1*4"}})
+    assert len({id(c.shape) for c in wb.formula_cells()}) == 3
+    assert calls == ["=A1*2"]
+    # Chains whose constants keep every text its own shape, and IFs over
+    # their ends, as in the if_scan benchmark workload.
+    calls.clear()
+    cells: dict[str, object] = {"A1": 1.0, "B1": 2.0}
+    for r in range(2, 151):
+        cells[f"A{r}"] = f"=A{r - 1}+{r % 9 + 1}"
+        cells[f"B{r}"] = f"=B{r - 1}+{(r + 4) % 9 + 1}"
+    for r in range(1, 31):
+        cells[f"D{r}"] = f"=IF(A150>B150, A150-{r * 3}, B150+{r * 3})"
+    cells["F1"] = "=SUM(D1:D30)"
+    wb, texts = load_doc({"S": cells})
+    skeletons = {text.translate(_SKELETON) for text in texts.values()}
+    assert len(calls) == len(skeletons) == 6
+    assert len({id(c.shape) for c in wb.formula_cells()}) > 30
 
 
 def test_cells_compare_and_print_without_an_ast(monkeypatch):
