@@ -41,6 +41,7 @@ from .conditionals import BetaConfig
 from .errors import (
     CellGaugeError,
     CycleError,
+    DomainError,
     FormatError,
     LimitExceededError,
 )
@@ -136,8 +137,7 @@ def _cmd_paths(args: argparse.Namespace) -> int:
     try:
         cell = parse_cell_address(args.cell)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise DomainError(str(exc)) from None
     paths = build_graph(wb, args.max_range_cells).enumerate_paths(cell, limit=args.limit)
     lines = [f"{len(paths)} path(s) to {cell.render()}"]
     lines += (" -> ".join(a.render() for a in path) for path in paths)

@@ -168,43 +168,22 @@ def _label(node: AstNode) -> object:
     return node.value
 
 
+def _signature(node: AstNode) -> tuple:
+    """Each node's type, label and child count, in pre-order. With the child
+    counts the order fixes the tree's shape, so two subtrees are equal when
+    their signatures are; a tuple compares its items by identity first, so
+    a NaN literal equals only itself."""
+    return tuple((type(n), _label(n), len(child_nodes(n))) for n in walk(node))
+
+
 def ast_equal(a: AstNode, b: AstNode) -> bool:
-    """Structural equality of two subtrees, on an explicit stack."""
-    stack = [(a, b)]
-    while stack:
-        x, y = stack.pop()
-        if x is y:
-            continue
-        if type(x) is not type(y):
-            return False
-        lx, ly = _label(x), _label(y)
-        if lx is not ly and lx != ly:
-            return False
-        cx, cy = child_nodes(x), child_nodes(y)
-        if len(cx) != len(cy):
-            return False
-        stack.extend(zip(cx, cy))
-    return True
+    """Structural equality of two subtrees: equal signatures."""
+    return a is b or _signature(a) == _signature(b)
 
 
 def ast_hash(node: AstNode) -> int:
-    """A hash consistent with :func:`ast_equal`, combined in post-order on an
-    explicit stack: a node is pushed again above its children and hashed
-    when popped the second time, from its children's hashes on ``done``."""
-    done: list[int] = []
-    stack: list[tuple[AstNode, bool]] = [(node, False)]
-    while stack:
-        n, children_done = stack.pop()
-        children = child_nodes(n)
-        if children and not children_done:
-            stack.append((n, True))
-            stack.extend((c, False) for c in reversed(children))
-            continue
-        first = len(done) - len(children)
-        hashes = tuple(done[first:])
-        del done[first:]
-        done.append(hash((type(n), _label(n), hashes)))
-    return done[0]
+    """A hash consistent with :func:`ast_equal`: the signature's."""
+    return hash(_signature(node))
 
 
 def ast_repr(node: AstNode) -> str:

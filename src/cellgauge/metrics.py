@@ -10,8 +10,8 @@ graph (one per member cell of a range), and the graph's cross-sheet arcs
 give the data binding triples. Range linkage reads each run formula's
 per-reference targets from the graph, one target list per reference slot.
 Range linkage and modular metrics read the graph's node-id columns (its
-formula cells' ids and shapes, and the nodes' locations), so neither
-builds a ``Cell`` or looks a cell up by its address.
+formula cells' ids and shapes, the nodes' locations and dependents), so
+neither builds a ``Cell`` or looks a cell up by its address.
 
 Sizes, nesting, decision counts and shift keys depend only on a formula's
 shape (``formula.FormulaShape``), which the load computes once for all the
@@ -20,7 +20,8 @@ per cell. A shape whose ranges mix anchors keys each copy from the leaves
 its shape gives at the copy's cell, so no stage reads an AST. Range linkage walks each
 populated source block once per axis, however many runs read it, and reads
 every run from its first and last copies alone: copies that share a shift
-key move, grow or shrink each reference slot one step per copy.
+key move, grow or shrink each reference slot one step per copy, so a slot
+is read from its copies' four corner ids.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, repeat
 from operator import eq, gt, mul, not_, or_, sub
-from typing import Iterator, Sequence
+from typing import Optional, Sequence
 
 from .errors import DomainError, require_finite
 from .formula import FormulaShape, decision_count  # decision_count re-exported
@@ -184,27 +185,27 @@ class RangeLinkageFinding:
     verdict: str  # "ok" | "violation"
 
 
-def _block_through(
-    wb: Workbook, sheet: str, vertical: bool, line: int, pos: int,
-    blocks: dict[tuple, tuple[int, int]],
-) -> tuple[int, RangeRef]:
-    """Size and bounds of the block of populated cells, contiguous along
-    ``line`` (a column when ``vertical``, else a row), that holds the
-    populated cell at position ``pos`` of that line.
-
-    ``blocks`` keeps the bounds of every block walked, by (sheet, axis,
-    line, position), so calls that share it walk each cell at most once per
-    axis.
-    """
-    found = blocks.get((sheet, vertical, line, pos))
+def _block_through(index: dict[tuple[int, int], int], vertical: bool, line: int,
+                   lo: int, hi: int, blocks: dict[tuple, tuple[int, int]],
+                   ) -> Optional[tuple[int, int]]:
+    """The first and last position of the block of populated cells,
+    contiguous along ``line`` (a column when ``vertical``, else a row) of
+    the sheet whose cell ``index`` is given, that holds the first populated
+    cell of the segment ``lo..hi`` of that line; None when the segment has
+    none. ``blocks`` keeps the bounds of every block walked on the sheet,
+    by (axis, line, position), so calls that share it walk each cell at
+    most once per axis."""
+    if vertical:
+        def populated(p: int) -> bool:
+            return (p, line) in index
+    else:
+        def populated(p: int) -> bool:
+            return (line, p) in index
+    pos = next(filter(populated, range(lo, hi + 1)), None)
+    if pos is None:
+        return None
+    found = blocks.get((vertical, line, pos))
     if found is None:
-        index = wb.sheet(sheet).index
-        if vertical:
-            def populated(p: int) -> bool:
-                return (p, line) in index
-        else:
-            def populated(p: int) -> bool:
-                return (line, p) in index
         lo = hi = pos
         while lo > 1 and populated(lo - 1):
             lo -= 1
@@ -212,13 +213,8 @@ def _block_through(
             hi += 1
         found = (lo, hi)
         for p in range(lo, hi + 1):
-            blocks[(sheet, vertical, line, p)] = found
-    lo, hi = found
-    if vertical:
-        bounds = RangeRef(CellRef(sheet, line, lo), CellRef(sheet, line, hi))
-    else:
-        bounds = RangeRef(CellRef(sheet, lo, line), CellRef(sheet, hi, line))
-    return hi - lo + 1, bounds
+            blocks[(vertical, line, p)] = found
+    return found
 
 
 def _copied_runs(wb: Workbook, g: CellGraph) -> tuple[list[list[int]], list[list[int]]]:
@@ -249,52 +245,6 @@ def _copied_runs(wb: Workbook, g: CellGraph) -> tuple[list[list[int]], list[list
     return runs
 
 
-# A reference slot of a run: (s, reference style, actual extent, source bounds).
-_Slot = tuple[int, str, int, RangeRef]
-
-
-def _slots(wb: Workbook, g: CellGraph, run: list[int], vertical: bool,
-           blocks: dict) -> Iterator[_Slot]:
-    """The checked reference slots of a run, read from its first and last
-    copies.
-
-    The copies of a run share one shift key, so along the run each end of
-    a slot stays put or moves one step per copy: a relative slot moves, a
-    slot whose range mixes anchors (``A$3:A1``) grows or shrinks, and no
-    slot swaps its ends. So a checked slot (one line of cells along the
-    run's axis) reads, over all its copies, the segment of that line from
-    the lower of the two copies' first cells to the higher of their last
-    cells, and it is absolute only when its last copy reads exactly its
-    first copy's cells. ``s`` is the first copy's cell count.
-    """
-    for first, last in zip(g.reference_targets(run[0]), g.reference_targets(run[-1])):
-        if not first:  # a reference to a missing sheet
-            continue
-        at, ends = g.locations(first), g.locations((last[0], last[-1]))
-        # Along the slot's line and across it, for the first copy's cells
-        # and for the last copy's two ends.
-        along, across = (at.rows, at.columns) if vertical else (at.columns, at.rows)
-        ends_along = ends.rows if vertical else ends.columns
-        line, lo, hi = across[0], min(along[0], ends_along[0]), max(along[-1], ends_along[1])
-        if across.count(line) != len(first):
-            continue
-        sheet = at.sheets[0]
-        index = wb.sheet(sheet).index
-
-        def key(p: int) -> tuple[int, int]:  # (row, column) of position p
-            return (p, line) if vertical else (line, p)
-
-        anchor = next((p for p in range(lo, hi + 1) if key(p) in index), None)
-        if anchor is None:
-            (r1, c1), (r2, c2) = key(lo), key(hi)
-            actual, bounds = 0, RangeRef(CellRef(sheet, c1, r1), CellRef(sheet, c2, r2))
-        else:
-            actual, bounds = _block_through(wb, sheet, vertical, line, anchor, blocks)
-        # A slot's cells are one segment of its line, so its ends fix them.
-        same = first[0] == last[0] and first[-1] == last[-1]
-        yield len(first), "absolute" if same else "relative", actual, bounds
-
-
 def check_range_linkage(wb: Workbook, g: CellGraph) -> list[RangeLinkageFinding]:
     """Audit copied-formula runs against their source regions.
 
@@ -305,26 +255,49 @@ def check_range_linkage(wb: Workbook, g: CellGraph) -> list[RangeLinkageFinding]
     What each reference reads comes from ``g``, the graph of ``wb``; a
     position where some formula names a missing sheet is skipped. Runs are
     found over the graph's formula cells (``g.formulas()``), so each run is
-    a list of node ids, and each run is read from its first and last copies
-    (``_slots``).
+    a list of node ids.
+
+    The copies of a run share one shift key, so along the run each end of
+    a reference slot stays put or moves one step per copy: a relative slot
+    moves, a slot whose range mixes anchors (``A$3:A1``) grows or shrinks,
+    and no slot swaps its ends. A reference's targets list its rectangle
+    row-major, so the first and last targets of the run's first and last
+    copies, four node ids, fix a slot. It is checked when the first copy's
+    two lie on one line along the run's axis; over all its copies it reads
+    the segment of that line from the lower of the two first targets to the
+    higher of the two last ones; and it is absolute only when the last copy
+    reads exactly the first copy's cells. ``s`` is the first copy's cell
+    count.
     """
     findings: list[RangeLinkageFinding] = []
     addr = g.address_of
-    blocks: dict[tuple, tuple[int, int]] = {}
+    blocks: dict[str, dict[tuple, tuple[int, int]]] = {}  # per sheet
     for vertical, runs in zip((True, False), _copied_runs(wb, g)):
         for run in runs:
             target = RangeRef(addr(run[0]), addr(run[-1]))
-            for s, style, actual, bounds in _slots(wb, g, run, vertical, blocks):
-                expected = s if style == "absolute" else len(run) + s - 1
+            for first, last in zip(g.reference_targets(run[0]), g.reference_targets(run[-1])):
+                if not first:  # a reference to a missing sheet
+                    continue
+                at = g.locations((first[0], first[-1], last[0], last[-1]))
+                along, across = (at.rows, at.columns) if vertical else (at.columns, at.rows)
+                line, sheet = across[0], at.sheets[0]
+                if across[1] != line:  # the first copy spans more than one line
+                    continue
+                lo, hi = min(along[0], along[2]), max(along[1], along[3])
+                block = _block_through(wb.sheet(sheet).index, vertical, line, lo, hi,
+                                       blocks.setdefault(sheet, {}))
+                lo, hi = block or (lo, hi)
+                ends = [CellRef(sheet, line, p) if vertical else CellRef(sheet, p, line)
+                        for p in (lo, hi)]
+                actual = 0 if block is None else hi - lo + 1
+                s = len(first)
+                absolute = first[0] == last[0] and first[-1] == last[-1]
+                expected = s if absolute else len(run) + s - 1
                 findings.append(RangeLinkageFinding(
-                    source_range=bounds,
-                    target_range=target,
-                    s=s,
-                    ref_style=style,
-                    expected_extent=expected,
-                    actual_extent=actual,
-                    verdict="ok" if expected == actual else "violation",
-                ))
+                    source_range=RangeRef(*ends), target_range=target, s=s,
+                    ref_style="absolute" if absolute else "relative",
+                    expected_extent=expected, actual_extent=actual,
+                    verdict="ok" if expected == actual else "violation"))
     return findings
 
 
@@ -351,17 +324,16 @@ def modular_metrics(wb: Workbook, g: CellGraph) -> ModularMetrics:
     triples: set[tuple[str, int, str]] = set()  # (P, node id of Q, R)
     shapes = g.shapes()
     sheet_of = g.sheet_names()
-    read: set[int] = set()  # every node some formula reads
     for i in g.formulas()[0]:
         r = sheet_of[i]
-        preds = g.precedent_ids(i)
-        read.update(preds)
-        for q in preds:
+        for q in g.precedent_ids(i):
             if sheet_of[q] != r:
                 triples.add((sheet_of[q], q, r))
+    # Every arc ends at a formula that reads its source, so a data cell
+    # nothing reads is one with no dependents.
     data = list(compress(range(len(shapes)), map(not_, shapes)))
     data_cells = len(data)
-    unreferenced = data_cells - sum(map(read.__contains__, data))
+    unreferenced = list(map(g.fan_out, data)).count(0)
     fan_in: dict[str, set[str]] = {s.name: set() for s in wb.sheets}
     fan_out: dict[str, set[str]] = {s.name: set() for s in wb.sheets}
     for p, _, r in triples:

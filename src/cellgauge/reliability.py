@@ -118,12 +118,10 @@ def cell_error_rates(
 def survive_factors(metrics: Sequence[Optional[CellMetrics]], node_count: int,
                     cfg: ReliabilityConfig = ReliabilityConfig()) -> list[float]:
     """Each node's survive factor ``1 - rate``, by node id, given the metrics
-    of a graph's populated cells in node order (``g.cells()``). A metrics
-    record that many cells share is rated once, and the materialized empty
-    cells, the nodes past the metrics, take the data-cell rate."""
-    rated = {k: 1.0 - adjusted_cell_rate(m, cfg)
-             for k, m in dict(zip(map(id, metrics), metrics)).items()}
-    survive = list(map(rated.__getitem__, map(id, metrics)))
+    of a graph's populated cells in node order (``g.cells()``). The cells
+    are rated by :func:`cell_error_rates`, and the materialized empty cells,
+    the nodes past the metrics, take the data-cell rate."""
+    survive = [1.0 - rate for rate in cell_error_rates(metrics, cfg)]
     survive += [1.0 - adjusted_cell_rate(None, cfg)] * (node_count - len(metrics))
     return survive
 

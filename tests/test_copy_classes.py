@@ -9,7 +9,8 @@ equals what the per-copy computation gives: ``oracle_formula_metrics``,
 cell metrics as they were computed one precedent address at a time, on
 every cell under each dispersion mode, and ``oracle_check_range_linkage``,
 the range-linkage check as it was when it read every copy's targets, with
-its populated-extent helper ``_populated_extent`` kept verbatim.
+its populated-extent helper ``_populated_extent`` and the block walk
+``_block_through`` that helper calls kept verbatim.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from cellgauge.metrics import (
     CellMetrics,
     DispersionConfig,
     RangeLinkageFinding,
-    _block_through,
     _copied_runs,
     check_range_linkage,
     formula_metrics,
@@ -34,6 +34,43 @@ from cellgauge.metrics import (
 from cellgauge.refs import CellRef, RangeRef, column_to_letters
 from cellgauge.report import AnalysisConfig, analyze_workbook, emit_report
 from cellgauge.workbook import Cell, Workbook, load_workbook_doc
+
+
+def _block_through(
+    wb: Workbook, sheet: str, vertical: bool, line: int, pos: int,
+    blocks: dict[tuple, tuple[int, int]],
+) -> tuple[int, RangeRef]:
+    """Size and bounds of the block of populated cells, contiguous along
+    ``line`` (a column when ``vertical``, else a row), that holds the
+    populated cell at position ``pos`` of that line.
+
+    ``blocks`` keeps the bounds of every block walked, by (sheet, axis,
+    line, position), so calls that share it walk each cell at most once per
+    axis.
+    """
+    found = blocks.get((sheet, vertical, line, pos))
+    if found is None:
+        index = wb.sheet(sheet).index
+        if vertical:
+            def populated(p: int) -> bool:
+                return (p, line) in index
+        else:
+            def populated(p: int) -> bool:
+                return (line, p) in index
+        lo = hi = pos
+        while lo > 1 and populated(lo - 1):
+            lo -= 1
+        while populated(hi + 1):
+            hi += 1
+        found = (lo, hi)
+        for p in range(lo, hi + 1):
+            blocks[(sheet, vertical, line, p)] = found
+    lo, hi = found
+    if vertical:
+        bounds = RangeRef(CellRef(sheet, line, lo), CellRef(sheet, line, hi))
+    else:
+        bounds = RangeRef(CellRef(sheet, lo, line), CellRef(sheet, hi, line))
+    return hi - lo + 1, bounds
 
 
 def _populated_extent(

@@ -33,7 +33,11 @@ from cellgauge.formula import (
     UnaryOp,
     _atom_text,
     _is_boolean_form,
+    _label,
     _layout,
+    ast_equal,
+    ast_hash,
+    child_nodes,
     classify_tokens,
     decision_count,
     parse_formula,
@@ -626,6 +630,110 @@ def test_tokens_match_the_walk_they_replaced_on_random_asts():
 def test_classify_rejects_non_nodes(node):
     with pytest.raises(TypeError, match="not an AST node"):
         classify_tokens(node)
+
+
+# --- == and hash against the walks they replaced ---------------------------------
+#
+# ``ast_equal`` and ``ast_hash`` as they were, two explicit-stack walks,
+# verbatim but for the names.
+
+
+def walk_ast_equal(a: AstNode, b: AstNode) -> bool:
+    """Structural equality of two subtrees, on an explicit stack."""
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if x is y:
+            continue
+        if type(x) is not type(y):
+            return False
+        lx, ly = _label(x), _label(y)
+        if lx is not ly and lx != ly:
+            return False
+        cx, cy = child_nodes(x), child_nodes(y)
+        if len(cx) != len(cy):
+            return False
+        stack.extend(zip(cx, cy))
+    return True
+
+
+def walk_ast_hash(node: AstNode) -> int:
+    """A hash consistent with :func:`walk_ast_equal`, combined in post-order on an
+    explicit stack: a node is pushed again above its children and hashed
+    when popped the second time, from its children's hashes on ``done``."""
+    done: list[int] = []
+    stack: list[tuple[AstNode, bool]] = [(node, False)]
+    while stack:
+        n, children_done = stack.pop()
+        children = child_nodes(n)
+        if children and not children_done:
+            stack.append((n, True))
+            stack.extend((c, False) for c in reversed(children))
+            continue
+        first = len(done) - len(children)
+        hashes = tuple(done[first:])
+        del done[first:]
+        done.append(hash((type(n), _label(n), hashes)))
+    return done[0]
+
+
+def mutated(rng, node):
+    """``node`` with one subtree, picked at random, swapped for a new random
+    one (which may equal it)."""
+    target = rng.choice(list(walk(node)))
+    new = random_ast(rng, 2)
+
+    def rebuild(n):
+        if n is target:
+            return new
+        if isinstance(n, UnaryOp):
+            return UnaryOp(n.op, rebuild(n.child))
+        if isinstance(n, BinaryOp):
+            return BinaryOp(n.op, rebuild(n.left), rebuild(n.right))
+        if isinstance(n, FunctionCall):
+            return FunctionCall(n.name, tuple(map(rebuild, n.args)))
+        return n
+    return rebuild(node)
+
+
+def test_equality_and_hash_match_the_walks_they_replaced_on_random_asts():
+    # Equal pairs come from two parses of a random tree's text, unequal ones
+    # mostly from a tree and a mutated copy.
+    rng = random.Random(2028)
+    outcomes = set()
+    for _ in range(2000):
+        node = random_ast(rng, rng.randint(1, 7))
+        text = render_formula(node)
+        a, b = parse_formula(text).root, parse_formula(text).root
+        for x, y in ((a, b), (node, a), (a, mutated(rng, a)), (node, mutated(rng, node))):
+            equal = walk_ast_equal(x, y)
+            assert ast_equal(x, y) == equal and (x == y) == equal, (x, y)
+            if equal:
+                assert ast_hash(x) == ast_hash(y) and walk_ast_hash(x) == walk_ast_hash(y)
+            outcomes.add(equal)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("a,b", [
+    ("=SUM(A1,SUM(B1))", "=SUM(A1,SUM(),B1)"),
+    ("=MAX(SUM(A1,B1))", "=MAX(SUM(A1),B1)"),
+    ("=IF(NOW(),1)", "=IF(NOW(1))"),
+])
+def test_calls_that_split_the_same_nodes_apart_differ(a, b):
+    # Each pair lists the same nodes in pre-order; only the calls' argument
+    # counts tell the trees apart.
+    x, y = parse_formula(a).root, parse_formula(b).root
+    assert [type(n) for n in walk(x)] == [type(n) for n in walk(y)]
+    assert x != y and not walk_ast_equal(x, y) and hash(x) != hash(y)
+
+
+def test_a_nan_literal_equals_only_itself():
+    # As under the walks: a label compares by identity first.
+    nan = NumberLiteral(float("nan"))
+    same, twin = BinaryOp("+", nan, ref(1, 1)), BinaryOp("+", nan, ref(1, 1))
+    assert same == twin and walk_ast_equal(same, twin) and hash(same) == hash(twin)
+    other = BinaryOp("+", NumberLiteral(float("nan")), ref(1, 1))
+    assert same != other and not walk_ast_equal(same, other)
 
 
 # --- repr without recursion ------------------------------------------------------

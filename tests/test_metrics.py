@@ -1,4 +1,6 @@
 from fractions import Fraction
+from itertools import compress
+from operator import not_
 
 import pytest
 from hypothesis import given
@@ -8,6 +10,7 @@ from cellgauge.formula import parse_formula
 from cellgauge.metrics import (
     CellMetrics,
     DispersionConfig,
+    ModularMetrics,
     decision_count,
     dispersion,
     formula_metrics,
@@ -15,7 +18,11 @@ from cellgauge.metrics import (
     spans,
 )
 
+from cellgauge.graph import CellGraph, build_graph
+from cellgauge.workbook import Workbook
+
 from conftest import make_graph, make_workbook
+from test_copy_classes import copied_workbook
 
 # Published dispersion table for alpha = 0.01, product mode.
 DISPERSION_TABLE = [
@@ -296,3 +303,56 @@ def test_no_data_cells_gives_zero_pct():
     wb, g = make_graph({"S": {"B1": "=A1"}})  # A1 materialized, not data
     mod = modular_metrics(wb, g)
     assert mod.unreferenced_data_pct == 0.0
+
+
+# Modular metrics as they were when a set collected every node some formula
+# reads, verbatim but for the name; the audit counts unread data cells from
+# their dependents instead.
+
+def oracle_modular_metrics(wb: Workbook, g: CellGraph) -> ModularMetrics:
+    """Data binding triples, module fan-in/out and the share of data cells
+    nothing reads, from ``g``, the graph of ``wb``, by node id."""
+    triples: set[tuple[str, int, str]] = set()  # (P, node id of Q, R)
+    shapes = g.shapes()
+    sheet_of = g.sheet_names()
+    read: set[int] = set()  # every node some formula reads
+    for i in g.formulas()[0]:
+        r = sheet_of[i]
+        preds = g.precedent_ids(i)
+        read.update(preds)
+        for q in preds:
+            if sheet_of[q] != r:
+                triples.add((sheet_of[q], q, r))
+    data = list(compress(range(len(shapes)), map(not_, shapes)))
+    data_cells = len(data)
+    unreferenced = data_cells - sum(map(read.__contains__, data))
+    fan_in: dict[str, set[str]] = {s.name: set() for s in wb.sheets}
+    fan_out: dict[str, set[str]] = {s.name: set() for s in wb.sheets}
+    for p, _, r in triples:
+        fan_out[p].add(r)
+        fan_in[r].add(p)
+    pct = 100.0 * unreferenced / data_cells if data_cells else 0.0
+    sheet_idx = {s.name: i for i, s in enumerate(wb.sheets)}
+    addr = g.address_of
+    ordered = sorted(
+        ((p, addr(q), r) for p, q, r in triples),
+        key=lambda t: (sheet_idx[t[0]], t[1].row, t[1].column, sheet_idx[t[2]]),
+    )
+    counts: dict[tuple[str, str], int] = {}
+    for p, _, r in ordered:
+        counts[(p, r)] = counts.get((p, r), 0) + 1
+    return ModularMetrics(
+        triples=tuple(ordered),
+        triple_count_by_pair=counts,
+        unreferenced_data_pct=pct,
+        module_fan_in={name: len(v) for name, v in fan_in.items()},
+        module_fan_out={name: len(v) for name, v in fan_out.items()},
+    )
+
+
+@given(copied_workbook())
+def test_modular_metrics_match_the_read_set_count(wb):
+    # Several sheets, references to the missing sheet Nope! and ranges over
+    # empty cells.
+    g = build_graph(wb)
+    assert modular_metrics(wb, g) == oracle_modular_metrics(wb, g)
