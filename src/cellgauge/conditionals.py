@@ -145,10 +145,11 @@ def find_conditionals(wb: Workbook, g: CellGraph) -> Constructs:
         top_ifs, top_refs = shape.if_reach
         base = first.get(v)
         preds, ends = preds_of[v], ends_of[v]
-        parts = [f for o in top_refs
-                 for f in filter(None, map(frontier.__getitem__,
-                                           preds[o and ends[o - 1]:ends[o]]))
-                 ] if top_refs else ()
+        parts = []
+        for o in top_refs:  # a one-cell reference's target is read with no slice
+            lo = o and ends[o - 1]
+            parts += filter(None, (frontier[preds[lo]],) if ends[o] - lo == 1
+                            else map(frontier.__getitem__, preds[lo:ends[o]]))
         if top_ifs:
             frontier[v] = frozenset(map(base.__add__, top_ifs)).union(*parts)
         elif parts:  # one frontier read once or more is shared
@@ -171,11 +172,12 @@ def find_conditionals(wb: Workbook, g: CellGraph) -> Constructs:
                     if arg_ifs:
                         m_set.update(map(base.__add__, arg_ifs))
                     for o in ordinals:
-                        for t in preds[o and ends[o - 1]:ends[o]]:
-                            f = frontier[t]
-                            if f:
-                                hit = True
-                                m_set |= f
+                        lo = o and ends[o - 1]
+                        f = frontier[preds[lo]] if ends[o] - lo == 1 else _EMPTY.union(
+                            *map(frontier.__getitem__, preds[lo:ends[o]]))
+                        if f:
+                            hit = True
+                            m_set |= f
                     if arg_idx and not hit:
                         branches[k] += 1  # a conditionless value branch
                 nested[k] = m = sorted(m_set)

@@ -442,6 +442,10 @@ class CellGraph:
     def fan_out(self, addr: AddrLike) -> int:
         return len(self._succs[self._node(addr)])
 
+    def fan_outs(self) -> list[int]:
+        """Each node's number of dependents, by node id."""
+        return list(map(len, self._succs))
+
     def bottom_line_ids(self) -> list[int]:
         """The node ids of the formula cells with no dependents, in
         canonical sheet/row/column order."""

@@ -5,8 +5,8 @@ dispersion of references with column/row spans, consistency checks for
 copied-formula ranges, and cross-sheet coupling (data binding triples).
 
 For formula-size metrics a range reference is a single operand; reference
-counts, dispersion and spans use the cell's precedents in the dependency
-graph (one per member cell of a range), and the graph's cross-sheet arcs
+counts, dispersion and spans count every member cell of a range, read from
+its rectangle's corners (``Rectangles``), and the graph's cross-sheet arcs
 give the data binding triples. Range linkage reads each run formula's
 per-reference targets from the graph, one target list per reference slot.
 Range linkage and modular metrics read the graph's node-id columns (its
@@ -29,9 +29,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, repeat
-from operator import eq, gt, mul, not_, or_, sub
-from typing import Optional, Sequence
+from itertools import chain, compress, repeat
+from operator import itemgetter, not_
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .errors import DomainError, require_finite
 from .formula import FormulaShape, decision_count  # decision_count re-exported
@@ -84,84 +84,113 @@ class CellMetrics:
         return self.n_operators + self.n_operands > 0
 
 
-# The metric math works on a formula's same-sheet deltas as two columns,
-# ``dxs`` and ``dys``, with C-level map/sum/max over them.
+def _abs_sum(lo: int, hi: int) -> int:
+    """The sum of |x| over lo..hi."""
+    if lo > 0 or hi < 0:
+        return abs(lo + hi) * (hi - lo + 1) // 2
+    return (lo * (lo - 1) + hi * (hi + 1)) // 2
 
-def _dispersion(dxs: list[int], dys: list[int],
-                cfg: DispersionConfig) -> tuple[float, float]:
-    if cfg.mode == "product":
-        delta = sum(map(abs, map(mul, dxs, dys)))
-    elif cfg.mode == "manhattan":
-        delta = sum(map(abs, dxs)) + sum(map(abs, dys))
-    else:  # float sums in reference order, as one delta at a time gives
-        delta = sum(map(math.hypot, dxs, dys))
+
+def _geometry(sheet: Optional[str], column: int, row: int, firsts: Locations,
+              lasts: Locations, cfg: DispersionConfig) -> dict:
+    """The reference-geometry fields of ``CellMetrics`` for the formula in
+    (``column``, ``row``) on ``sheet`` whose reference k reads the rectangle
+    from ``firsts[k]`` to ``lasts[k]``, row-major. On the formula's sheet a
+    rectangle reads every delta (dx, dy) in x0..x1 by y0..y1: its sums and
+    counts are closed forms, and only the euclidean float sum visits each
+    delta, in reference order."""
+    n = same = delta = forward = 0
+    left = right = up = down = 0  # the extreme deltas, and 0
+    on_x = on_y = False  # some delta has dx == 0 and dy != 0; some dy == 0 and dx != 0
+    dxs, dys = [], []  # euclidean: each rectangle's deltas, row-major
+    mode = cfg.mode
+    for at, c0, r0, c1, r1 in zip(firsts.sheets, firsts.columns, firsts.rows,
+                                  lasts.columns, lasts.rows):
+        w, h = c1 - c0 + 1, r1 - r0 + 1
+        n += w * h
+        if at != sheet:
+            continue
+        same += w * h
+        x0, x1, y0, y1 = c0 - column, c1 - column, r0 - row, r1 - row
+        if mode == "euclidean":
+            dxs.append(chain.from_iterable(repeat(range(x0, x1 + 1), h)))
+            dys.append(chain.from_iterable(map(repeat, range(y0, y1 + 1), repeat(w))))
+        else:
+            sx, sy = _abs_sum(x0, x1), _abs_sum(y0, y1)
+            delta += sx * sy if mode == "product" else h * sx + w * sy
+        # Forward: every delta but those with dx <= 0 and dy <= 0.
+        forward += w * h - max(0, min(x1, 0) - x0 + 1) * max(0, min(y1, 0) - y0 + 1)
+        on_x = on_x or (x0 <= 0 <= x1 and (y0, y1) != (0, 0))
+        on_y = on_y or (y0 <= 0 <= y1 and (x0, x1) != (0, 0))
+        left, right, up, down = min(left, x0), max(right, x1), min(up, y0), max(down, y1)
+    if dxs:  # one float sum in reference order, as one delta at a time gives
+        delta = sum(map(math.hypot, chain.from_iterable(dxs), chain.from_iterable(dys)))
     dr = -math.expm1(-cfg.alpha * delta)
-    # The score lives in [0, 1); keep that true when exp() underflows.
-    return min(dr, math.nextafter(1.0, 0.0)), delta
+    return dict(
+        n_references=n, cross_sheet_ref_count=n - same,
+        # The score lives in [0, 1); keep that true when exp() underflows.
+        dispersion=min(dr, math.nextafter(1.0, 0.0)), delta_sum=delta,
+        col_span=right - left, row_span=down - up,
+        mixed_axis_flag=on_x and on_y, forward_ref_count=forward)
 
 
-def _span(ds: list[int]) -> int:
-    """Max positive minus max negative delta; 0 for no delta."""
-    return max(0, max(ds, default=0)) - min(0, min(ds, default=0))
+def _of_deltas(deltas: Sequence[tuple[int, int]], cfg: DispersionConfig) -> dict:
+    at = Locations([None] * len(deltas), [dx for dx, _ in deltas], [dy for _, dy in deltas])
+    return _geometry(None, 0, 0, at, at, cfg)  # one-cell rectangles from (0, 0)
 
 
 def dispersion(
     deltas: Sequence[tuple[int, int]], cfg: DispersionConfig = DispersionConfig()
 ) -> tuple[float, float]:
     """(DR, delta sum) for a formula's same-sheet (dx, dy) reference deltas."""
-    return _dispersion([dx for dx, _ in deltas], [dy for _, dy in deltas], cfg)
+    return itemgetter("dispersion", "delta_sum")(_of_deltas(deltas, cfg))
 
 
 def spans(deltas: Sequence[tuple[int, int]]) -> tuple[int, int]:
     """(column span, row span): max positive minus max negative delta."""
-    return _span([dx for dx, _ in deltas]), _span([dy for _, dy in deltas])
+    return itemgetter("col_span", "row_span")(_of_deltas(deltas, DispersionConfig()))
+
+
+class Rectangles(NamedTuple):
+    """A formula's references that read cells, in reference order: reference
+    k reads the rectangle from ``firsts[k]`` to ``lasts[k]``, its top-left
+    and bottom-right cells."""
+
+    firsts: Locations
+    lasts: Locations
 
 
 def formula_metrics(
     cell: Cell,
-    precedents: Sequence[CellRef],
+    precedents: Union[Rectangles, Sequence[CellRef]],
     cfg: DispersionConfig = DispersionConfig(),
 ) -> CellMetrics:
     """Size, structure, and reference-geometry metrics for one cell.
 
-    Data cells yield the all-zero record. ``precedents`` must be the cell's
-    own precedent addresses in reference order (ranges expanded, duplicates
-    kept), as :meth:`CellGraph.precedents` gives them. A precedent on
-    another sheet counts as cross-sheet; the rest give (column, row) deltas.
-    Sizes, nesting and decisions come from the cell's shape. Precedents
-    given as ``Locations`` (``g.locations(g.precedent_ids(i))``) are read by
-    their columns, so no ``CellRef`` is built.
+    Data cells yield the all-zero record. ``precedents`` are the cell's
+    references as ``Rectangles``, or its own precedent addresses in
+    reference order (ranges expanded, duplicates kept), as
+    :meth:`CellGraph.precedents` gives them, each read as a one-cell
+    rectangle; ``Locations`` are read by their columns, so no ``CellRef``
+    is built. A precedent on another sheet counts as cross-sheet; the rest
+    give (column, row) deltas. Sizes, nesting and decisions come from the
+    cell's shape.
     """
     if not cell.is_formula:
         return CellMetrics(address=cell.address)
-    if not isinstance(precedents, Locations):
-        precedents = Locations.of(precedents)
+    if not isinstance(precedents, Rectangles):
+        cells = precedents if isinstance(precedents, Locations) else Locations.of(precedents)
+        precedents = Rectangles(cells, cells)
     shape = cell.shape
     at = cell.address
-    columns, rows = precedents.columns, precedents.rows
-    if precedents.sheets.count(at.sheet) < len(precedents):
-        same_sheet = list(map(eq, precedents.sheets, repeat(at.sheet)))
-        columns, rows = list(compress(columns, same_sheet)), list(compress(rows, same_sheet))
-    dxs = list(map(sub, columns, repeat(at.column)))
-    dys = list(map(sub, rows, repeat(at.row)))
-    dr, delta_sum = _dispersion(dxs, dys, cfg)
     return CellMetrics(
-        address=cell.address,
+        address=at,
         n_operators=shape.n_operators,
         n_operands=shape.n_operands,
         depth_of_nesting=shape.depth_of_nesting,
         avg_nesting_level=shape.avg_nesting_level,
         decision_count=shape.decision_count,
-        n_references=len(precedents),
-        dispersion=dr,
-        delta_sum=delta_sum,
-        col_span=_span(dxs),
-        row_span=_span(dys),
-        cross_sheet_ref_count=len(precedents) - len(dxs),
-        # Some delta has dx == 0 and dy != 0, and some dx != 0 and dy == 0.
-        mixed_axis_flag=(any(compress(dys, map(not_, dxs)))
-                         and any(compress(dxs, map(not_, dys)))),
-        forward_ref_count=sum(map(or_, map(gt, dxs, repeat(0)), map(gt, dys, repeat(0)))),
+        **_geometry(at.sheet, at.column, at.row, *precedents, cfg),
     )
 
 
@@ -324,16 +353,17 @@ def modular_metrics(wb: Workbook, g: CellGraph) -> ModularMetrics:
     triples: set[tuple[str, int, str]] = set()  # (P, node id of Q, R)
     shapes = g.shapes()
     sheet_of = g.sheet_names()
-    for i in g.formulas()[0]:
+    preds = g.reference_columns()[0]
+    # A triple crosses sheets, so a workbook of one sheet has none.
+    for i in g.formulas()[0] if len(wb.sheets) > 1 else ():
         r = sheet_of[i]
-        for q in g.precedent_ids(i):
+        for q in preds[i]:
             if sheet_of[q] != r:
                 triples.add((sheet_of[q], q, r))
     # Every arc ends at a formula that reads its source, so a data cell
     # nothing reads is one with no dependents.
-    data = list(compress(range(len(shapes)), map(not_, shapes)))
-    data_cells = len(data)
-    unreferenced = list(map(g.fan_out, data)).count(0)
+    outs = list(compress(g.fan_outs(), map(not_, shapes)))  # per data cell
+    data_cells, unreferenced = len(outs), outs.count(0)
     fan_in: dict[str, set[str]] = {s.name: set() for s in wb.sheets}
     fan_out: dict[str, set[str]] = {s.name: set() for s in wb.sheets}
     for p, _, r in triples:

@@ -82,6 +82,7 @@ from .metrics import (
     DispersionConfig,
     ModularMetrics,
     RangeLinkageFinding,
+    Rectangles,
     check_range_linkage,
     formula_metrics,
     modular_metrics,
@@ -384,7 +385,8 @@ def _cell_metrics(graph: CellGraph, cfg: DispersionConfig) -> list[CellMetrics]:
     Copies of a formula whose references are all relative read their cells
     at the same offsets, so on one sheet they share the record the first
     copy's call computes. Any other formula gets a call of its own. Each
-    call gets the one ``Cell`` it reads, built for it (``formula_of``).
+    call gets the one ``Cell`` it reads, built for it (``formula_of``), and
+    its references as ``Rectangles``, two corner ids each.
     """
     shapes = graph.shapes()
     first_data = next(itertools.compress(itertools.count(), map(operator.not_, shapes)), None)
@@ -392,11 +394,15 @@ def _cell_metrics(graph: CellGraph, cfg: DispersionConfig) -> list[CellMetrics]:
     by_node: list = [zero] * len(shapes)  # then each formula cell's record
     shared: dict[tuple, CellMetrics] = {}  # by (shape, sheet)
     ids, formula_shapes = graph.formulas()
+    preds, ends = graph.reference_columns()
     for i, shape, sheet in zip(ids, formula_shapes, graph.locations(ids).sheets):
         m = shared.get((shape, sheet)) if shape.relative else None
         if m is None:
-            m = formula_metrics(graph.formula_of(i),
-                                graph.locations(graph.precedent_ids(i)), cfg)
+            # A reference's targets list its rectangle row-major: the first
+            # and last are its corners.
+            at = graph.locations([preds[i][k] for lo, hi in zip((0,) + ends[i], ends[i])
+                                  if hi > lo for k in (lo, hi - 1)])
+            m = formula_metrics(graph.formula_of(i), Rectangles(at[::2], at[1::2]), cfg)
             if shape.relative:
                 shared[shape, sheet] = m
         by_node[i] = m

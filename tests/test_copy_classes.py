@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from typing import Optional, Sequence
 
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cellgauge.graph import CellGraph, build_graph
@@ -32,7 +32,7 @@ from cellgauge.metrics import (
     formula_metrics,
 )
 from cellgauge.refs import CellRef, RangeRef, column_to_letters
-from cellgauge.report import AnalysisConfig, analyze_workbook, emit_report
+from cellgauge.report import AnalysisConfig, _cell_metrics, analyze_workbook, emit_report
 from cellgauge.workbook import Cell, Workbook, load_workbook_doc
 
 
@@ -282,6 +282,86 @@ def test_cell_metrics_match_formula_metrics_on_every_cell(wb, mode):
     want = [oracle_formula_metrics(cells[i], g.precedents(i), cfg) for i in g.cell_ids()]
     assert [formula_metrics(cells[i], g.precedents(i), cfg) for i in g.cell_ids()] == want
     assert analyze_workbook(wb, AnalysisConfig(dispersion=cfg)).cells == want
+
+
+# --- Ranges read as rectangles ------------------------------------------------
+#
+# The audit reads each reference from its two corners and sums its deltas
+# in closed form. Formulas sit in C3:F8 of sheet S, inside the data area
+# A1:H10 of S and Data, so a range can straddle the formula's own row or
+# column (dx or dy crosses 0), or hold the formula itself. A reference may
+# name its corners in either order and anchor each part, name its own sheet
+# in another case, another sheet, or a missing one, or repeat an earlier
+# reference.
+
+RECT_PREFIXES = ("", "", "S!", "s!", "Data!", "DATA!", "Nope!")
+rect_corner = st.tuples(st.booleans(), st.integers(1, 8), st.booleans(), st.integers(1, 10))
+
+
+def _corner_text(corner) -> str:
+    col_abs, col, row_abs, row = corner
+    return f"{'$' if col_abs else ''}{column_to_letters(col)}{'$' if row_abs else ''}{row}"
+
+
+@st.composite
+def rectangle_workbook(draw):
+    cells: dict[str, list[dict]] = {}
+    for name in ("S", "Data"):
+        filled = draw(st.sets(st.tuples(st.integers(1, 8), st.integers(1, 10)), max_size=40))
+        cells[name] = [{"ref": f"{column_to_letters(c)}{r}", "value": float(c + r)}
+                       for c, r in sorted(filled)
+                       if not (name == "S" and 3 <= c <= 6 and 3 <= r <= 8)]
+    at = draw(st.lists(st.tuples(st.integers(3, 6), st.integers(3, 8)), min_size=1,
+                       max_size=4, unique=True))
+    for c, r in at:
+        terms: list[str] = []
+        for _ in range(draw(st.integers(1, 4))):
+            if terms and draw(st.integers(0, 4)) == 0:
+                terms.append(draw(st.sampled_from(terms)))  # a repeated reference
+                continue
+            corners = draw(st.lists(rect_corner, min_size=1, max_size=2))
+            terms.append(f"SUM({draw(st.sampled_from(RECT_PREFIXES))}"
+                         f"{':'.join(map(_corner_text, corners))})")
+        cells["S"].append({"ref": f"{column_to_letters(c)}{r}", "formula": "=" + "+".join(terms)})
+    return load_workbook_doc({"sheets": [
+        {"name": name, "cells": docs} for name, docs in cells.items()]})
+
+
+@given(rectangle_workbook(), st.sampled_from(DISPERSION_MODES))
+# D3 reads C3:E5 from its own row down: dx = 0 with dy != 0 only below it.
+@example(load_workbook_doc({"sheets": [{"name": "S", "cells": [
+    {"ref": "C4", "value": 1.0}, {"ref": "D3", "formula": "=SUM(C3:E5)"}]}]}), "product")
+def test_cell_metrics_read_ranges_as_rectangles(wb, mode):
+    cfg = DispersionConfig(mode=mode)
+    g = build_graph(wb)
+    cells = g.cells()
+    want = [oracle_formula_metrics(cells[i], g.precedents(i), cfg) for i in g.cell_ids()]
+    got = analyze_workbook(wb, AnalysisConfig(dispersion=cfg)).cells
+    # Equal records may still differ in a delta sum's type, which the report shows.
+    assert [(m, type(m.delta_sum)) for m in got] == [(m, type(m.delta_sum)) for m in want]
+
+
+def test_cell_metrics_read_two_corners_per_reference(monkeypatch):
+    # A SUM over a half-empty 60 x 100 rectangle and a formula of three
+    # references: cell metrics read node locations for the two formula cells
+    # and at most two corners per reference, not the 6,003 cells they read.
+    doc = {"sheets": [{"name": "S", "cells": (
+        [{"ref": f"{column_to_letters(c)}{r}", "value": float(c * r)}
+         for r in range(1, 101) for c in range(1, 61) if (c + r) % 2]
+        + [{"ref": "BZ1", "formula": "=SUM(A1:BH100)"},
+           {"ref": "BZ2", "formula": "=A1+B2*SUM(C1:D1)"}])}]}
+    g = build_graph(load_workbook_doc(doc))
+    passed: list[int] = []
+    locations = CellGraph.locations
+
+    def counted(self, ids):
+        ids = list(ids)
+        passed.append(len(ids))
+        return locations(self, ids)
+    monkeypatch.setattr(CellGraph, "locations", counted)
+    records = _cell_metrics(g, DispersionConfig())
+    assert sum(passed) <= 2 + 2 * 4
+    assert [records[g.node_id(a)].n_references for a in ("S!BZ1", "S!BZ2")] == [6_000, 4]
 
 
 def test_shared_records_are_built_once_and_listed_on_first_read(monkeypatch):

@@ -88,8 +88,10 @@ LONG_ROW = "9" * 5_000
 BAD_REFS = ["XFE1", "XFE" + LONG_ROW, "AAAA1", "A0", "S!A1", "1A", "", "A1:B2", 5, None,
             ["A1"]]
 # Every code point but the surrogates, as st.text() draws them, but without
-# the scan of the utf-8 codec that st.text() makes on its first draw.
-TEXT = st.text(st.characters(), max_size=4)
+# the scan of the utf-8 codec that st.text() makes on its first draw. A bare
+# st.characters() draws lone surrogates too, which the loader rejects (a
+# value no UTF-8 report can carry) and the per-cell loader takes.
+TEXT = st.text(st.characters(exclude_categories=("Cs",)), max_size=4)
 VALUES = st.one_of(st.floats(-1e6, 1e6), st.integers(-10 ** 6, 10 ** 6),
                    st.booleans(), TEXT)
 BAD_VALUES = [10 ** 400, -(10 ** 400), 2 ** 1024 - 1, float("nan"), float("inf"),
