@@ -146,8 +146,7 @@ def _cmd_paths(args: argparse.Namespace) -> int:
 
 
 def _cmd_check_ranges(args: argparse.Namespace) -> int:
-    wb = load_workbook(args.file)
-    findings = check_range_linkage(wb, build_graph(wb, args.max_range_cells))
+    findings = check_range_linkage(build_graph(load_workbook(args.file), args.max_range_cells))
     lines = [
         f"{f.verdict.upper():9s} {f.target_range.render()} "
         f"[{f.ref_style}, s={f.s}] source {f.source_range.render()} "

@@ -44,7 +44,6 @@ from typing import Iterable, Optional, Union
 from .errors import DomainError, require_finite
 from .graph import CellGraph
 from .refs import CellRef
-from .workbook import Workbook
 
 ConstructId = tuple[CellRef, tuple[int, ...]]
 
@@ -108,10 +107,10 @@ class Constructs(Sequence):
             self.branches[k], self.final[k], self.nodes[k])
 
 
-def find_conditionals(wb: Workbook, g: CellGraph) -> Constructs:
-    """Discover every IF construct in the workbook with its M set and N, as
-    columns by position (see the module notes). ``g`` is the graph of
-    ``wb``. Raises CycleError on a cyclic reference graph."""
+def find_conditionals(g: CellGraph) -> Constructs:
+    """Discover every IF construct in ``g``'s workbook with its M set and N,
+    as columns by position (see the module notes). Raises CycleError on a
+    cyclic reference graph."""
     g._ensure_acyclic()
     shapes = g.shapes()
     if_cells = g.canonical(v for v in g.formulas()[0] if shapes[v].ifs)

@@ -22,12 +22,11 @@ an error names it, and ``locations`` reads many nodes' sheets, columns and
 rows, and renders their addresses, from their keys alone.
 
 Every query takes a node id as well as an address. After the graph is
-built, the audit's stages work on node-id columns only: the formula cells'
-ids and shapes (``formulas``), each node's shape (``shapes``), the
+built, the audit's stages read the graph alone (its workbook is
+``CellGraph.workbook``) and work on node-id columns only: the formula
+cells' ids and shapes (``formulas``), each node's shape (``shapes``), the
 precedent lists by id, per-cell rates as a list indexed by id, and each
-cascade's members as ids. No stage looks a cell up by its address except
-to find each bottom-line cell once, and none reads ``cells()``, which
-builds the workbook's ``Cell`` objects for callers that want them.
+cascade's members as ids. No stage looks a cell up by its address.
 
 Edges point in the direction of data flow (referenced cell -> referencing
 cell), one edge per resolved reference, so duplicate references and expanded
@@ -48,7 +47,7 @@ averages are exact ``Fraction`` values.
 from __future__ import annotations
 
 import warnings as _warnings
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress, product, repeat
@@ -56,17 +55,15 @@ from operator import and_, is_, is_not, itemgetter, lshift, not_, or_, rshift
 from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 from .errors import (
-    AuditWarning,
     CycleError,
     DomainError,
     LimitExceededError,
     NotBottomLineWarning,
     RangeBudgetError,
     UnknownCellError,
-    W_EMPTY_REFERENCED_CELL,
 )
 from .refs import CellRef, Locations, parse_cell_address
-from .workbook import Cell, Workbook
+from .workbook import Workbook
 
 # The range budget counts what ranges cost an audit. Each cell a range
 # reads is one arc, ~90 bytes of peak RSS; an empty one also becomes a node
@@ -75,9 +72,6 @@ from .workbook import Cell, Workbook
 # an audit's peak RSS near 0.9 GB.
 EMPTY_RANGE_CELL_COST = 10
 MAX_RANGE_CELLS = 10_000_000
-
-# The message of every W003 warning.
-EMPTY_CELL_MESSAGE = "referenced cell is empty; treated as data cell with value 0"
 
 
 def require_range_budget(budget: object) -> None:
@@ -144,7 +138,7 @@ class CellGraph:
     """Immutable directed multigraph over the non-empty cells of a workbook.
 
     Every formula is resolved here straight into node ids: populated cells
-    are nodes 0.. in ``iter_cells`` order (``cells()``), and each empty cell
+    are nodes 0.. in ``workbook.iter_cells()`` order, and each empty cell
     becomes a node when it is first referenced. References to missing sheets
     are collected in ``dangling`` and add no edge.
 
@@ -162,7 +156,7 @@ class CellGraph:
 
     def __init__(self, wb: Workbook, max_range_cells: int = MAX_RANGE_CELLS):
         require_range_budget(max_range_cells)
-        self._wb = wb
+        self.workbook = wb
         # Per sheet name: the node id of each (row, column) key. A sheet's
         # cells are nodes from its offset on, in position order.
         self._ids: dict[str, dict[tuple[int, int], int]] = {}
@@ -289,7 +283,7 @@ class CellGraph:
         """Give each node one int whose order is canonical order: its sheet
         position, row and column, as bit fields wide enough for the
         largest row and column of any node, populated or materialized."""
-        sheets = self._wb.sheets
+        sheets = self.workbook.sheets
         self._sheet_names = [sheet.name for sheet in sheets]
         keys = list(chain.from_iterable(sheet.index for sheet in sheets))
         keys += empty_keys
@@ -313,7 +307,7 @@ class CellGraph:
     def _idx(self, addr: Union[CellRef, str]) -> int:
         if isinstance(addr, str):
             addr = parse_cell_address(addr)
-        sheet = self._wb.sheet(addr.sheet) if addr.sheet is not None else None
+        sheet = self.workbook.sheet(addr.sheet) if addr.sheet is not None else None
         idx = None if sheet is None else self._ids[sheet.name].get((addr.row, addr.column))
         if idx is None:
             raise UnknownCellError(addr.render())
@@ -336,11 +330,6 @@ class CellGraph:
     def nodes(self) -> list[CellRef]:
         return list(self.locations(range(self.node_count)))
 
-    def cells(self) -> list[Cell]:
-        """The workbook's cells in node order: node ``i`` is ``cells()[i]``.
-        Each sheet builds its ``Cell`` objects on first read."""
-        return list(chain.from_iterable(sheet.cells.values() for sheet in self._wb.sheets))
-
     def cell_ids(self) -> list[int]:
         """The node ids of the workbook's cells, canonical sheet/row/column
         order."""
@@ -356,7 +345,7 @@ class CellGraph:
         same order."""
         ids: list[int] = []
         shapes: list = []
-        for sheet, first in zip(self._wb.sheets, self._offsets):
+        for sheet, first in zip(self.workbook.sheets, self._offsets):
             ids += map(first.__add__, sheet.formula_rows)
             shapes += sheet.shapes
         return ids, shapes
@@ -389,16 +378,6 @@ class CellGraph:
     def sheet_names(self) -> list[str]:
         """The sheet name of each node, by node id."""
         return self._sheets_of(self._sort_keys)
-
-    def formula_of(self, idx: int) -> Optional[Cell]:
-        """The formula cell of a node, built on each call; None for a data
-        or empty cell."""
-        if idx >= self._populated or self._shapes[idx] is None:
-            return None
-        sheet_pos = bisect_right(self._offsets, idx) - 1
-        sheet = self._wb.sheets[sheet_pos]
-        k = bisect_left(sheet.formula_rows, idx - self._offsets[sheet_pos])
-        return Cell(self.address_of(idx), source=sheet.sources[k], shape=sheet.shapes[k])
 
     def precedents(self, addr: AddrLike) -> list[CellRef]:
         """The cells a cell reads, one per resolved reference, in reference
@@ -466,10 +445,6 @@ class CellGraph:
 
     def materialized_cells(self) -> list[CellRef]:
         return list(self.materialized_locations())
-
-    def materialized_warnings(self) -> list[AuditWarning]:
-        return [AuditWarning(W_EMPTY_REFERENCED_CELL, text, EMPTY_CELL_MESSAGE)
-                for text in self.materialized_locations().render()]
 
     # -- cycles ---------------------------------------------------------------
 

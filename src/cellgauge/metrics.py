@@ -37,7 +37,7 @@ from .errors import DomainError, require_finite
 from .formula import FormulaShape, decision_count  # decision_count re-exported
 from .graph import CellGraph
 from .refs import CellRef, Locations, RangeRef
-from .workbook import Cell, Workbook
+from .workbook import Cell
 
 DISPERSION_MODES = ("product", "manhattan", "euclidean")
 
@@ -246,17 +246,17 @@ def _block_through(index: dict[tuple[int, int], int], vertical: bool, line: int,
     return found
 
 
-def _copied_runs(wb: Workbook, g: CellGraph) -> tuple[list[list[int]], list[list[int]]]:
+def _copied_runs(g: CellGraph) -> tuple[list[list[int]], list[list[int]]]:
     """The vertical and the horizontal runs of ``g``'s formula cells: each a
     maximal run of >= 2 cells, consecutive along one column (or row), that
-    share a shift key (``FormulaShape.shift_key_at``), as node ids. ``g`` is
-    the graph of ``wb``. Vertical runs come by sheet position, column and
-    first row, horizontal ones by sheet position, row and first column,
-    whatever the order of the cells in the document."""
+    share a shift key (``FormulaShape.shift_key_at``), as node ids. Vertical
+    runs come by sheet position, column and first row, horizontal ones by
+    sheet position, row and first column, whatever the order of the cells
+    in the document."""
     ids, shapes = g.formulas()
     at = g.locations(ids)
     keys = list(map(FormulaShape.shift_key_at, shapes, at.columns, at.rows))
-    position = {sheet.name: k for k, sheet in enumerate(wb.sheets)}
+    position = {sheet.name: k for k, sheet in enumerate(g.workbook.sheets)}
     sheets = list(map(position.__getitem__, at.sheets))
     runs: tuple[list[list[int]], list[list[int]]] = ([], [])
     for found, lines, positions in zip(runs, (at.columns, at.rows), (at.rows, at.columns)):
@@ -274,17 +274,17 @@ def _copied_runs(wb: Workbook, g: CellGraph) -> tuple[list[list[int]], list[list
     return runs
 
 
-def check_range_linkage(wb: Workbook, g: CellGraph) -> list[RangeLinkageFinding]:
+def check_range_linkage(g: CellGraph) -> list[RangeLinkageFinding]:
     """Audit copied-formula runs against their source regions.
 
     Detects maximal vertical and horizontal runs of shift-equivalent
     formulas; for every reference position shared by the run's formulas it
     compares the populated source extent against the expected one
     (``s`` for absolute references, run length + ``s`` - 1 for relative).
-    What each reference reads comes from ``g``, the graph of ``wb``; a
-    position where some formula names a missing sheet is skipped. Runs are
-    found over the graph's formula cells (``g.formulas()``), so each run is
-    a list of node ids.
+    What each reference reads comes from ``g``; a position where some
+    formula names a missing sheet is skipped. Runs are found over the
+    graph's formula cells (``g.formulas()``), so each run is a list of node
+    ids.
 
     The copies of a run share one shift key, so along the run each end of
     a reference slot stays put or moves one step per copy: a relative slot
@@ -301,7 +301,7 @@ def check_range_linkage(wb: Workbook, g: CellGraph) -> list[RangeLinkageFinding]
     findings: list[RangeLinkageFinding] = []
     addr = g.address_of
     blocks: dict[str, dict[tuple, tuple[int, int]]] = {}  # per sheet
-    for vertical, runs in zip((True, False), _copied_runs(wb, g)):
+    for vertical, runs in zip((True, False), _copied_runs(g)):
         for run in runs:
             target = RangeRef(addr(run[0]), addr(run[-1]))
             for first, last in zip(g.reference_targets(run[0]), g.reference_targets(run[-1])):
@@ -313,7 +313,7 @@ def check_range_linkage(wb: Workbook, g: CellGraph) -> list[RangeLinkageFinding]
                 if across[1] != line:  # the first copy spans more than one line
                     continue
                 lo, hi = min(along[0], along[2]), max(along[1], along[3])
-                block = _block_through(wb.sheet(sheet).index, vertical, line, lo, hi,
+                block = _block_through(g.workbook.sheet(sheet).index, vertical, line, lo, hi,
                                        blocks.setdefault(sheet, {}))
                 lo, hi = block or (lo, hi)
                 ends = [CellRef(sheet, line, p) if vertical else CellRef(sheet, p, line)
@@ -347,15 +347,16 @@ class ModularMetrics:
     module_fan_out: dict[str, int]
 
 
-def modular_metrics(wb: Workbook, g: CellGraph) -> ModularMetrics:
+def modular_metrics(g: CellGraph) -> ModularMetrics:
     """Data binding triples, module fan-in/out and the share of data cells
-    nothing reads, from ``g``, the graph of ``wb``, by node id."""
+    nothing reads, from ``g`` by node id."""
+    sheets = g.workbook.sheets
     triples: set[tuple[str, int, str]] = set()  # (P, node id of Q, R)
     shapes = g.shapes()
     sheet_of = g.sheet_names()
     preds = g.reference_columns()[0]
     # A triple crosses sheets, so a workbook of one sheet has none.
-    for i in g.formulas()[0] if len(wb.sheets) > 1 else ():
+    for i in g.formulas()[0] if len(sheets) > 1 else ():
         r = sheet_of[i]
         for q in preds[i]:
             if sheet_of[q] != r:
@@ -364,13 +365,13 @@ def modular_metrics(wb: Workbook, g: CellGraph) -> ModularMetrics:
     # nothing reads is one with no dependents.
     outs = list(compress(g.fan_outs(), map(not_, shapes)))  # per data cell
     data_cells, unreferenced = len(outs), outs.count(0)
-    fan_in: dict[str, set[str]] = {s.name: set() for s in wb.sheets}
-    fan_out: dict[str, set[str]] = {s.name: set() for s in wb.sheets}
+    fan_in: dict[str, set[str]] = {s.name: set() for s in sheets}
+    fan_out: dict[str, set[str]] = {s.name: set() for s in sheets}
     for p, _, r in triples:
         fan_out[p].add(r)
         fan_in[r].add(p)
     pct = 100.0 * unreferenced / data_cells if data_cells else 0.0
-    sheet_idx = {s.name: i for i, s in enumerate(wb.sheets)}
+    sheet_idx = {s.name: i for i, s in enumerate(sheets)}
     addr = g.address_of
     ordered = sorted(
         ((p, addr(q), r) for p, q, r in triples),

@@ -9,6 +9,7 @@ reference reads at most column ``XFD`` (16,384), a sheet's last column.
 from __future__ import annotations
 
 import re
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from operator import attrgetter
@@ -182,9 +183,13 @@ class RangeRef:
 def ref_from_match(m: re.Match) -> CellRef:
     """The reference a match of :data:`REFERENCE` denotes.
 
-    Raises ValueError when its row is 0 or its column is past XFD.
+    Raises ValueError when its row is 0, has more digits than ``int()``
+    converts, or its column is past XFD.
     """
-    row = int(m["row"])
+    try:
+        row = int(m["row"])
+    except ValueError:  # past int()'s digit limit
+        raise ValueError(f"row has more than {sys.get_int_max_str_digits()} digits") from None
     if row < 1:
         raise ValueError("row index must be >= 1")
     column = letters_to_column(m["col"])
@@ -202,11 +207,17 @@ def parse_cell_address(text: str) -> CellRef:
     """
     m = _REFERENCE.fullmatch(text.strip())
     if not m:
-        raise ValueError(f"not a cell reference: {text!r}")
+        raise ValueError(f"not a cell reference: {_quoted_head(text)}")
     try:
         return ref_from_match(m)
     except ValueError as exc:
-        raise ValueError(f"{exc} in {text!r}") from None
+        raise ValueError(f"{exc} in {_quoted_head(text)}") from None
+
+
+def _quoted_head(text: str) -> str:
+    """``text`` quoted, cut to its first 20 characters, so an error names a
+    long text in one short line."""
+    return repr(text) if len(text) <= 20 else repr(text[:20]) + "..."
 
 
 def render_ref(ref: CellRef) -> str:

@@ -105,8 +105,8 @@ def cell_error_rates(
 ) -> list[float]:
     """Each cell's :func:`adjusted_cell_rate`, in the order of ``metrics``.
 
-    Given the metrics of a graph's cells in node order (``g.cells()``, which
-    is ``wb.iter_cells()`` order), the list is indexed by node id. A record
+    Given the metrics of a graph's cells in node order
+    (``g.workbook.iter_cells()`` order), the list is indexed by node id. A record
     that many cells share (one object) is rated once.
     """
     metrics = list(metrics)  # keeps each record alive while its id is a key
@@ -118,7 +118,8 @@ def cell_error_rates(
 def survive_factors(metrics: Sequence[Optional[CellMetrics]], node_count: int,
                     cfg: ReliabilityConfig = ReliabilityConfig()) -> list[float]:
     """Each node's survive factor ``1 - rate``, by node id, given the metrics
-    of a graph's populated cells in node order (``g.cells()``). The cells
+    of a graph's populated cells in node order
+    (``g.workbook.iter_cells()``). The cells
     are rated by :func:`cell_error_rates`, and the materialized empty cells,
     the nodes past the metrics, take the data-cell rate."""
     survive = [1.0 - rate for rate in cell_error_rates(metrics, cfg)]

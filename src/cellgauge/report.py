@@ -70,7 +70,6 @@ from .errors import (
     require_finite,
 )
 from .graph import (
-    EMPTY_CELL_MESSAGE,
     MAX_RANGE_CELLS,
     CascadeStats,
     CellGraph,
@@ -95,13 +94,16 @@ from .reliability import (
     cell_error_rates,
     survive_factors,
 )
-from .workbook import Workbook, load_workbook
+from .workbook import Cell, Workbook, load_workbook
 
 
 # The most members the cascades of one audit may hold in all. Building and
 # summing over one member of a cone that no other terminal shares takes
 # ~0.45 us, so this caps that work near 45 s.
 MAX_CASCADE_CELLS = 100_000_000
+
+# The message of every W003 warning.
+EMPTY_CELL_MESSAGE = "referenced cell is empty; treated as data cell with value 0"
 
 
 @dataclass(frozen=True)
@@ -314,7 +316,7 @@ def _graph_analysis(
 
     # Range linkage runs first, so its temporaries sit beside the graph alone
     # rather than beside every cell's metrics and cascade as well.
-    findings = check_range_linkage(wb, graph)
+    findings = check_range_linkage(graph)
     for f in findings:
         if f.verdict == "violation":
             warnings.append(AuditWarning(
@@ -338,16 +340,16 @@ def _graph_analysis(
             "from dispersion and spans",
         ))
 
-    cascades = None if graph.is_cyclic else _cascades(wb, graph, by_node, config)
-    return cells, cascades, modular_metrics(wb, graph), findings, empty_cells
+    cascades = None if graph.is_cyclic else _cascades(graph, by_node, config)
+    return cells, cascades, modular_metrics(graph), findings, empty_cells
 
 
-def _cascades(wb: Workbook, graph: CellGraph, by_node: list[CellMetrics],
+def _cascades(graph: CellGraph, by_node: list[CellMetrics],
               config: AnalysisConfig) -> list[CascadeEntry]:
     """Each bottom-line cell's cascade, canonical order, built once per set
     of cells the terminals read and charged against ``MAX_CASCADE_CELLS``.
     The stage's temporaries are freed when it returns."""
-    constructs = find_conditionals(wb, graph)
+    constructs = find_conditionals(graph)
     complexity = all_complexities(constructs, config.beta)
     finals = finals_by_cell(constructs)
     # Each construct a cascade lists, built once, with its O value.
@@ -385,8 +387,9 @@ def _cell_metrics(graph: CellGraph, cfg: DispersionConfig) -> list[CellMetrics]:
     Copies of a formula whose references are all relative read their cells
     at the same offsets, so on one sheet they share the record the first
     copy's call computes. Any other formula gets a call of its own. Each
-    call gets the one ``Cell`` it reads, built for it (``formula_of``), and
-    its references as ``Rectangles``, two corner ids each.
+    call gets the one ``Cell`` it reads, built for it from the node's
+    address and shape, and its references as ``Rectangles``, two corner
+    ids each.
     """
     shapes = graph.shapes()
     first_data = next(itertools.compress(itertools.count(), map(operator.not_, shapes)), None)
@@ -402,7 +405,8 @@ def _cell_metrics(graph: CellGraph, cfg: DispersionConfig) -> list[CellMetrics]:
             # and last are its corners.
             at = graph.locations([preds[i][k] for lo, hi in zip((0,) + ends[i], ends[i])
                                   if hi > lo for k in (lo, hi - 1)])
-            m = formula_metrics(graph.formula_of(i), Rectangles(at[::2], at[1::2]), cfg)
+            m = formula_metrics(Cell(graph.address_of(i), shape=shape),
+                                Rectangles(at[::2], at[1::2]), cfg)
             if shape.relative:
                 shared[shape, sheet] = m
         by_node[i] = m

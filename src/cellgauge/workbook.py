@@ -208,8 +208,9 @@ def _typed_value(raw: object, sheet: str, key: tuple[int, int]) -> DataValue:
             raise FormatError(
                 f"cell {address} value must be a finite number, got {value!r}"
             )
-        return value
-    raise FormatError(f"cell value must be number, string or boolean, got {raw!r}")
+        return value  # a subclass of int or float
+    address = CellRef(sheet, key[1], key[0]).render()
+    raise FormatError(f"cell {address} value must be number, string or boolean, got {raw!r}")
 
 
 @dataclass

@@ -76,7 +76,7 @@ def path_shapes(g: CellGraph) -> tuple[list[int], dict[int, SimpleNamespace]]:
     ids = g.formulas()[0]
     shapes = {}
     for v in ids:
-        _, if_reach, ifs = _layout(g.formula_of(v).ast.root)
+        _, if_reach, ifs = _layout(g.workbook.cell(g.address_of(v)).ast.root)
         shapes[v] = SimpleNamespace(if_reach=if_reach, ifs=ifs)
     return ids, shapes
 

@@ -252,7 +252,7 @@ class OracleGraph(CellGraph):
 
     def __init__(self, wb: Workbook, max_range_cells: int = MAX_RANGE_CELLS):
         require_range_budget(max_range_cells)
-        self._wb = wb
+        self.workbook = wb
         # Per sheet name: the node id of each (row, column) key. A sheet's
         # cells are nodes from its offset on, in position order.
         self._ids: dict[str, dict[tuple[int, int], int]] = {}

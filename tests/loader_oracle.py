@@ -70,7 +70,8 @@ def _typed_value(raw: object, address: CellRef) -> DataValue:
         return value
     if isinstance(raw, str):
         return raw
-    raise FormatError(f"cell value must be number, string or boolean, got {raw!r}")
+    raise FormatError(
+        f"cell {address.render()} value must be number, string or boolean, got {raw!r}")
 
 
 @dataclass

@@ -118,7 +118,7 @@ def test_criterion_05_branch_complexity_oracle():
     checked = 0
     for cells in ORACLE_FIXTURES:
         wb, g = make_graph({"S": cells})
-        constructs = find_conditionals(wb, g)
+        constructs = find_conditionals(g)
         values_beta = {}
         for c in constructs:
             flat = conditional_complexity(c, BetaConfig(0.0), constructs)
@@ -138,7 +138,7 @@ def test_criterion_06_range_linkage_rules():
     def run(data_rows, formula):
         cells = {f"A{r}": float(r) for r in data_rows}
         cells.update({f"B{r}": formula(r) for r in range(1, 6)})
-        (finding,) = check_range_linkage(*make_graph({"S": cells}))
+        (finding,) = check_range_linkage(make_graph({"S": cells})[1])
         return finding
 
     ok_abs = run(range(1, 4), lambda r: "=SUM($A$1:$A$3)")

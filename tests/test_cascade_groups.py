@@ -113,7 +113,7 @@ def expected_cascades(wb) -> list:
     oracle, g = OracleGraph(wb), CellGraph(wb)
     records = {m.address: m for m in analyze_workbook(wb).cells}
     cfg = ReliabilityConfig()
-    constructs = find_conditionals(wb, g)
+    constructs = find_conditionals(g)
     complexity = all_complexities(constructs)
     out = []
     for terminal in oracle.bottom_line_cells():
@@ -153,7 +153,7 @@ def test_every_source_gives_a_cascade_one_form(wb):
     g = CellGraph(wb)
     report = analyze_workbook(wb)
     records = {m.address: m for m in report.cells}
-    survive = survive_factors([records[c.address] for c in g.cells()], g.node_count)
+    survive = survive_factors([records[c.address] for c in wb.iter_cells()], g.node_count)
     terminals = g.bottom_line_ids()
     grouped = {t: stats for group in g.cascade_groups(terminals)
                for t, _, stats in group.terminals}

@@ -34,7 +34,7 @@ from conftest import make_graph, make_workbook
 
 def discovered(sheets):
     wb, g = make_graph(sheets)
-    constructs = find_conditionals(wb, g)
+    constructs = find_conditionals(g)
     return wb, g, constructs
 
 
@@ -182,7 +182,7 @@ def test_and_or_do_not_create_constructs():
 def test_cycle_propagates():
     wb, g = make_graph({"S": {"A1": "=IF(B1>0,1,2)", "B1": "=A1"}})
     with pytest.raises(CycleError):
-        find_conditionals(wb, g)
+        find_conditionals(g)
 
 
 # --- discovery oracle: the naive per-argument scan ------------------------------
@@ -266,7 +266,7 @@ def naive_discovery(wb):
 
 
 def assert_matches_naive(wb, g, label):
-    constructs = find_conditionals(wb, g)
+    constructs = find_conditionals(g)
     expected = naive_discovery(wb)
     sheet_idx = {s.name.casefold(): i for i, s in enumerate(wb.sheets)}
 
@@ -546,7 +546,7 @@ def test_cascade_report_single_if():
 
 def test_cascade_report_no_conditionals():
     wb, g = make_graph({"S": {"A1": 1, "B1": "=A1*2"}})
-    cs = find_conditionals(wb, g)
+    cs = find_conditionals(g)
     assert cascade_conditional_report(g, cs, wb.cell("S!B1").address) == []
 
 
@@ -639,7 +639,7 @@ def test_frontier_work_is_linear_in_ifs_reading_a_chain():
             **{f"B{r}": f"=B{r - 1}+1" for r in range(2, n + 1)},
             **{f"C{r}": f"=IF(B{n}>0,1,2)" for r in range(1, n + 1)},
         }})
-        return _lines_run(lambda: find_conditionals(wb, g), (conditionals, graph))
+        return _lines_run(lambda: find_conditionals(g), (conditionals, graph))
 
     small, large = work(300), work(600)
     assert large < 2.2 * small, (small, large)
@@ -658,7 +658,7 @@ def test_frontier_work_does_not_grow_with_an_unrelated_range():
             "AB1": f"=SUM(A1:Z{rows})",
             "AC1": "=IF(A1>0,1,2)",
         }})
-        return _lines_run(lambda: find_conditionals(wb, g), (conditionals, graph))
+        return _lines_run(lambda: find_conditionals(g), (conditionals, graph))
 
     small, large = work(250), work(2_500)
     assert large < 1.1 * small, (small, large)
@@ -687,7 +687,7 @@ def test_frontier_memory_is_linear_in_an_if_fed_chain(columns):
     wb, g = make_graph(if_fed_chain(n, **columns))
     tracemalloc.start()
     try:
-        found = find_conditionals(wb, g)
+        found = find_conditionals(g)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -792,9 +792,9 @@ def assert_matches_oracle(wb, g):
         want = conditionals_oracle.find_conditionals(wb, g)
     except CycleError:
         with pytest.raises(CycleError):
-            find_conditionals(wb, g)
+            find_conditionals(g)
         return []
-    got = find_conditionals(wb, g)
+    got = find_conditionals(g)
     assert len(got) == len(want)
     for c, w in zip(got, want):
         assert (c.cell, c.path, c.nested_or_precedent, c.conditionless_branches,

@@ -226,12 +226,10 @@ def test_range_budget_as_the_oracle(doc, budget):
 @pytest.mark.parametrize("ref, text, message", [
     ("B2", "=A0+1", "row index must be >= 1 (at offset 1)"),
     ("D1", "=XFE1+1", "column must be at most XFD (at offset 1)"),
-    ("B2", "=A" + "1" * 5000 + "+1",
-     "Exceeds the limit (4300 digits) for integer string conversion: value has 5000 digits; "
-     "use sys.set_int_max_str_digits() to increase the limit (at offset 1)"),
+    ("B2", "=A" + "1" * 5000 + "+1", "row has more than 4300 digits (at offset 1)"),
 ])
 def test_a_text_that_cannot_be_a_copy_keeps_its_own_w001(ref, text, message):
-    if "Exceeds" in message and sys.get_int_max_str_digits() != 4300:
+    if "digits" in message and sys.get_int_max_str_digits() != 4300:
         pytest.skip("int() has no 4,300-digit limit here")
     # Read as offsets, =A0+1 in B2 would be a copy of =A1+1 in B3, and
     # =XFE1+1 in D1 one of =XFD1+1 in C1, a text of the same skeleton.

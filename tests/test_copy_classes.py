@@ -106,7 +106,7 @@ def oracle_check_range_linkage(wb: Workbook, g: CellGraph) -> list[RangeLinkageF
     findings: list[RangeLinkageFinding] = []
     addr = g.address_of
     blocks: dict[tuple, tuple[int, int]] = {}
-    for vertical, runs in zip((True, False), _copied_runs(wb, g)):
+    for vertical, runs in zip((True, False), _copied_runs(g)):
         for run in runs:
             target = RangeRef(addr(run[0]), addr(run[-1]))
             resolved = [g.reference_targets(i) for i in run]
@@ -278,7 +278,7 @@ def oracle_formula_metrics(
 def test_cell_metrics_match_formula_metrics_on_every_cell(wb, mode):
     cfg = DispersionConfig(mode=mode)
     g = build_graph(wb)
-    cells = g.cells()
+    cells = list(wb.iter_cells())  # node i is cells[i]
     want = [oracle_formula_metrics(cells[i], g.precedents(i), cfg) for i in g.cell_ids()]
     assert [formula_metrics(cells[i], g.precedents(i), cfg) for i in g.cell_ids()] == want
     assert analyze_workbook(wb, AnalysisConfig(dispersion=cfg)).cells == want
@@ -334,7 +334,7 @@ def rectangle_workbook(draw):
 def test_cell_metrics_read_ranges_as_rectangles(wb, mode):
     cfg = DispersionConfig(mode=mode)
     g = build_graph(wb)
-    cells = g.cells()
+    cells = list(wb.iter_cells())  # node i is cells[i]
     want = [oracle_formula_metrics(cells[i], g.precedents(i), cfg) for i in g.cell_ids()]
     got = analyze_workbook(wb, AnalysisConfig(dispersion=cfg)).cells
     # Equal records may still differ in a delta sum's type, which the report shows.
@@ -391,7 +391,7 @@ def test_shared_records_are_built_once_and_listed_on_first_read(monkeypatch):
         emit_report(report, "text")
     assert built == 3
     g = build_graph(wb)
-    cells = g.cells()
+    cells = list(wb.iter_cells())  # node i is cells[i]
     assert len(cells) == 2_101
     assert report.cells == [formula_metrics(cells[i], g.precedents(i)) for i in g.cell_ids()]
 
@@ -399,7 +399,7 @@ def test_shared_records_are_built_once_and_listed_on_first_read(monkeypatch):
 @given(copied_workbook())
 def test_range_linkage_matches_the_per_copy_check(wb):
     g = build_graph(wb)
-    assert check_range_linkage(wb, g) == oracle_check_range_linkage(wb, g)
+    assert check_range_linkage(g) == oracle_check_range_linkage(wb, g)
 
 
 def test_one_shape_on_two_sheets_keeps_each_sheets_record():
@@ -432,7 +432,7 @@ def test_a_mixed_anchor_run_is_read_from_its_ends():
         + [{"ref": f"C{r}", "formula": f"=SUM(A$3:A{r})"} for r in range(1, 9)])}]}
     wb = load_workbook_doc(doc)
     g = build_graph(wb)
-    findings = check_range_linkage(wb, g)
+    findings = check_range_linkage(g)
     assert findings == oracle_check_range_linkage(wb, g)
     assert [f.target_range.render() for f in findings] == ["S!C1:C2", "S!C3:C8"]
     assert [(f.ref_style, f.s) for f in findings] == [("relative", 3), ("relative", 1)]

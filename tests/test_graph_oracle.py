@@ -542,7 +542,6 @@ def assert_same_graph(g: CellGraph, oracle: OracleGraph) -> None:
         assert g.precedent_ids(i) == oracle.precedent_ids(i)
         assert g.reference_targets(i) == oracle.reference_targets(i)
     assert g.materialized_cells() == oracle.materialized_cells()
-    assert g.materialized_warnings() == oracle.materialized_warnings()
     assert g.input_cells() == oracle.input_cells()
     assert g.bottom_line_cells() == oracle.bottom_line_cells()
     assert g.cell_ids() == oracle.cell_ids()

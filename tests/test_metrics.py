@@ -267,7 +267,7 @@ def test_modular_triples_example():
         "In": {"B2": 1, "B3": 2},
         "Out": {"A1": "=In!B2+In!B3"},
     })
-    mod = modular_metrics(wb, g)
+    mod = modular_metrics(g)
     rendered = {(p, q.render(), r) for p, q, r in mod.triples}
     assert rendered == {("In", "In!B2", "Out"), ("In", "In!B3", "Out")}
     assert mod.triple_count_by_pair == {("In", "Out"): 2}
@@ -280,13 +280,13 @@ def test_modular_triples_deduplicated():
         "In": {"B2": 1},
         "Out": {"A1": "=In!B2+In!B2", "A2": "=In!B2"},
     })
-    mod = modular_metrics(wb, g)
+    mod = modular_metrics(g)
     assert len(mod.triples) == 1
 
 
 def test_single_sheet_no_triples():
     wb, g = make_graph({"S": {"A1": 1, "B1": "=A1"}})
-    mod = modular_metrics(wb, g)
+    mod = modular_metrics(g)
     assert mod.triples == ()
     assert mod.unreferenced_data_pct == 0.0
 
@@ -295,13 +295,13 @@ def test_unreferenced_data_percentage():
     wb, g = make_graph({"S": {
         "A1": 1, "A2": 2, "A3": 3, "A4": 4, "B1": "=A1*2",
     }})
-    mod = modular_metrics(wb, g)
+    mod = modular_metrics(g)
     assert mod.unreferenced_data_pct == 75.0
 
 
 def test_no_data_cells_gives_zero_pct():
     wb, g = make_graph({"S": {"B1": "=A1"}})  # A1 materialized, not data
-    mod = modular_metrics(wb, g)
+    mod = modular_metrics(g)
     assert mod.unreferenced_data_pct == 0.0
 
 
@@ -355,4 +355,4 @@ def test_modular_metrics_match_the_read_set_count(wb):
     # Several sheets, references to the missing sheet Nope! and ranges over
     # empty cells.
     g = build_graph(wb)
-    assert modular_metrics(wb, g) == oracle_modular_metrics(wb, g)
+    assert modular_metrics(g) == oracle_modular_metrics(wb, g)

@@ -23,7 +23,7 @@ def test_absolute_linkage_ok():
     # Five copies, all reading the same three absolute cells; the source
     # column holds exactly three values.
     wb = col_run({r: "=SUM($A$1:$A$3)" for r in range(1, 6)}, data_rows=[1, 2, 3])
-    findings = check_range_linkage(wb, build_graph(wb))
+    findings = check_range_linkage(build_graph(wb))
     assert len(findings) == 1
     f = findings[0]
     assert f.ref_style == "absolute"
@@ -38,7 +38,7 @@ def test_absolute_linkage_ok():
 def test_absolute_linkage_violation_extra_source_row():
     # A fourth populated source row is never consumed.
     wb = col_run({r: "=SUM($A$1:$A$3)" for r in range(1, 6)}, data_rows=[1, 2, 3, 4])
-    f = check_range_linkage(wb, build_graph(wb))[0]
+    f = check_range_linkage(build_graph(wb))[0]
     assert f.ref_style == "absolute"
     assert f.expected_extent == 3
     assert f.actual_extent == 4
@@ -50,7 +50,7 @@ def test_relative_linkage_ok():
     # must then hold 5 + 2 - 1 = 6 values.
     formulas = {r: f"=SUM(A{r}:A{r + 1})" for r in range(1, 6)}
     wb = col_run(formulas, data_rows=range(1, 7))
-    f = check_range_linkage(wb, build_graph(wb))[0]
+    f = check_range_linkage(build_graph(wb))[0]
     assert f.ref_style == "relative"
     assert f.s == 2
     assert f.expected_extent == 6
@@ -63,7 +63,7 @@ def test_relative_linkage_violation_short_source():
     # Same run but the last copy reaches into an empty cell (A6).
     formulas = {r: f"=SUM(A{r}:A{r + 1})" for r in range(1, 6)}
     wb = col_run(formulas, data_rows=range(1, 6))
-    f = check_range_linkage(wb, build_graph(wb))[0]
+    f = check_range_linkage(build_graph(wb))[0]
     assert f.ref_style == "relative"
     assert f.expected_extent == 6
     assert f.actual_extent == 5
@@ -75,7 +75,7 @@ def test_single_relative_references_expect_run_length():
     # equal the run length.
     formulas = {r: f"=A{r}*2" for r in range(1, 5)}
     wb = col_run(formulas, data_rows=range(1, 5))
-    f = check_range_linkage(wb, build_graph(wb))[0]
+    f = check_range_linkage(build_graph(wb))[0]
     assert f.s == 1 and f.ref_style == "relative"
     assert f.expected_extent == 4 and f.actual_extent == 4
     assert f.verdict == "ok"
@@ -85,7 +85,7 @@ def test_horizontal_run():
     cells = {"A1": 1.0, "B1": 2.0, "C1": 3.0,
              "A2": "=A1*2", "B2": "=B1*2", "C2": "=C1*2"}
     wb = make_workbook({"S": cells})
-    findings = [f for f in check_range_linkage(wb, build_graph(wb)) if f.target_range.height == 1]
+    findings = [f for f in check_range_linkage(build_graph(wb)) if f.target_range.height == 1]
     assert len(findings) == 1
     f = findings[0]
     assert f.target_range.render() == "S!A2:C2"
@@ -99,7 +99,7 @@ def test_horizontal_absolute_run():
     cells = {"A1": 1.0, "B1": 2.0, "C1": 3.0}
     cells.update({f"{c}2": "=SUM($A$1:$C$1)" for c in "ABCD"})
     wb = make_workbook({"S": cells})
-    findings = [f for f in check_range_linkage(wb, build_graph(wb)) if f.target_range.height == 1]
+    findings = [f for f in check_range_linkage(build_graph(wb)) if f.target_range.height == 1]
     (f,) = findings
     assert f.ref_style == "absolute"
     assert f.expected_extent == f.actual_extent == 3
@@ -112,7 +112,7 @@ def test_horizontal_relative_violation():
     cells = {f"{c}1": 1.0 for c in "ABCD"}
     cells.update({f"{c}2": f"={c}1*2" for c in "ABCDE"})
     wb = make_workbook({"S": cells})
-    findings = [f for f in check_range_linkage(wb, build_graph(wb)) if f.target_range.height == 1]
+    findings = [f for f in check_range_linkage(build_graph(wb)) if f.target_range.height == 1]
     (f,) = findings
     assert f.ref_style == "relative"
     assert (f.expected_extent, f.actual_extent) == (5, 4)
@@ -121,7 +121,7 @@ def test_horizontal_relative_violation():
 
 def test_short_runs_ignored():
     wb = make_workbook({"S": {"A1": 1.0, "B1": "=A1*2"}})
-    assert check_range_linkage(wb, build_graph(wb)) == []
+    assert check_range_linkage(build_graph(wb)) == []
 
 
 def test_differing_formulas_break_run():
@@ -129,7 +129,7 @@ def test_differing_formulas_break_run():
         "A1": 1.0, "A2": 2.0, "A3": 3.0,
         "B1": "=A1*2", "B2": "=A2*3", "B3": "=A3*2",
     }})
-    assert only_vertical(check_range_linkage(wb, build_graph(wb))) == []
+    assert only_vertical(check_range_linkage(build_graph(wb))) == []
 
 
 def test_multi_column_source_skipped():
@@ -139,7 +139,7 @@ def test_multi_column_source_skipped():
     cells.update({f"B{r}": 2.0 for r in (1, 2, 3)})
     cells.update({f"C{r}": f for r, f in formulas.items()})
     wb = make_workbook({"S": cells})
-    assert only_vertical(check_range_linkage(wb, build_graph(wb))) == []
+    assert only_vertical(check_range_linkage(build_graph(wb))) == []
 
 
 def test_cross_sheet_source_checked():
@@ -148,7 +148,7 @@ def test_cross_sheet_source_checked():
         "Data": {f"A{r}": float(r) for r in range(1, 5)},
         "Calc": {f"B{r}": f for r, f in formulas.items()},
     })
-    f = check_range_linkage(wb, build_graph(wb))[0]
+    f = check_range_linkage(build_graph(wb))[0]
     assert f.source_range.render() == "Data!A1:A4"
     assert f.expected_extent == 4 and f.actual_extent == 4
     assert f.verdict == "ok"
@@ -157,7 +157,7 @@ def test_cross_sheet_source_checked():
 def test_fully_empty_source_reports_zero_extent():
     formulas = {r: f"=SUM(Z{r}:Z{r + 1})" for r in range(1, 4)}
     wb = make_workbook({"S": {f"B{r}": f for r, f in formulas.items()}})
-    f = check_range_linkage(wb, build_graph(wb))[0]
+    f = check_range_linkage(build_graph(wb))[0]
     assert f.actual_extent == 0
     assert f.verdict == "violation"
 
@@ -170,7 +170,7 @@ def test_string_literals_with_quotes_do_not_make_copies():
         "C1": '=CONCAT(A1,"a","b")',
         "C2": '=CONCAT(A2,"a"",""b")',
     }})
-    assert check_range_linkage(wb, build_graph(wb)) == []
+    assert check_range_linkage(build_graph(wb)) == []
 
 
 def alternating_pairs(n):
@@ -192,12 +192,12 @@ def test_short_runs_over_a_tall_column_are_linear():
     def work(n):
         wb = alternating_pairs(n)
         g = build_graph(wb)
-        return _lines_run(lambda: check_range_linkage(wb, g), (metrics,))
+        return _lines_run(lambda: check_range_linkage(g), (metrics,))
 
     small, large = work(500), work(1000)
     assert large < 2.2 * small, (small, large)
     wb = alternating_pairs(40)
-    findings = check_range_linkage(wb, build_graph(wb))
+    findings = check_range_linkage(build_graph(wb))
     assert findings == reference(wb)
     assert {(f.actual_extent, f.verdict) for f in findings} == {(40, "violation")}
 
@@ -225,7 +225,7 @@ def test_range_findings_follow_line_order_whatever_the_doc_order():
     doc = copied_doc()
     wb = load_workbook_doc(doc)
     want = emit_report(analyze_workbook(wb))
-    findings = check_range_linkage(wb, build_graph(wb))
+    findings = check_range_linkage(build_graph(wb))
     position = {"Zeta": 0, "Alpha": 1}
 
     def order(f):  # vertical runs by sheet, column, first row; then horizontal

@@ -48,6 +48,8 @@ def test_config_validation():
         ReliabilityConfig(cap=0.0)
     with pytest.raises(DomainError):
         ReliabilityConfig(base_cer=0.3, cap=0.2)
+    with pytest.raises(DomainError, match="data_cell_factor must be non-negative"):
+        ReliabilityConfig(data_cell_factor=-1)
 
 
 def test_adjusted_rate_data_cell_default():

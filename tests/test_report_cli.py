@@ -13,10 +13,12 @@ import cellgauge
 from cellgauge import graph as graph_module
 from cellgauge import report as report_module
 from cellgauge.cli import main
+from cellgauge.errors import FormatError
 from cellgauge.graph import build_graph
 from cellgauge.refs import quote_sheet_name
 from cellgauge.reliability import adjusted_cell_rate
 from cellgauge.report import AnalysisConfig, analyze, analyze_workbook, emit_report
+from cellgauge.workbook import load_workbook
 
 from conftest import FIVE_CELL_SHEETS, NINE_CELL_SHEETS, make_workbook
 from test_conditionals import ORACLE_FIXTURES
@@ -283,6 +285,48 @@ def test_cli_bad_weights_file(five_cell_path, tmp_path, capsys):
     code = main(["analyze", str(five_cell_path), "--weights", str(weights)])
     assert code == 2
     assert "unknown weight keys" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("nope", "error: invalid weights file: Expecting value: line 1 column 1 (char 0)"),
+    ("[1]", "error: weights file must be a JSON object"),
+    ('{"tokens": "x"}', "error: weight 'tokens' must be a number"),
+], ids=["not_json", "not_an_object", "not_a_number"])
+def test_cli_faulty_weights_file_exits_two_with_one_line(five_cell_path, tmp_path, capsys,
+                                                         text, message):
+    weights = tmp_path / "w.json"
+    weights.write_text(text)
+    assert main(["analyze", str(five_cell_path), "--weights", str(weights)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [message]
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("formula, message", [
+    ("=SUM(A2:)", "expected cell reference after ':' (at offset 8)"),
+    ("=SUM(A2:S!B3)", "sheet qualifier belongs on the range start (at offset 8)"),
+    ("=SUM(A2 B3)", "unexpected 'B3' in argument list (at offset 8)"),
+], ids=["no_range_end", "sheet_on_range_end", "missing_comma"])
+def test_faulty_range_syntax_is_one_w001(tmp_path, capsys, formula, message):
+    path = write_doc(tmp_path, {"S": {"A1": formula}})
+    assert main(["analyze", str(path)]) == 1
+    warnings = json.loads(capsys.readouterr().out)["warnings"]
+    assert [(w["code"], w["address"], w["message"]) for w in warnings] == [
+        ("W001", "S!A1", message)]
+
+
+def test_cli_sheet_entry_that_is_not_an_object_exits_two(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text('{"sheets": [1]}')
+    assert main(["analyze", str(path)]) == 2
+    assert capsys.readouterr().err == "error: sheet entry must be an object\n"
+
+
+def test_library_rejects_unknown_formats(five_cell_path):
+    with pytest.raises(FormatError, match="unknown format 'xlsx'"):
+        load_workbook(five_cell_path, format="xlsx")
+    with pytest.raises(ValueError, match="unknown report format 'xml'"):
+        emit_report(analyze(five_cell_path), "xml")
 
 
 def test_cli_missing_file(tmp_path, capsys):

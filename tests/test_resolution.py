@@ -339,7 +339,7 @@ def assert_resolution_matches(wb, g, label):
     arcs, dangling = _resolve_all(wb)
     assert_graph_matches_arcs(wb, g, arcs, dangling, label)
     findings = check_range_linkage(wb)
-    assert metrics.check_range_linkage(wb, g) == findings, label
+    assert metrics.check_range_linkage(g) == findings, label
     constructs = assert_matches_naive(wb, g, label)
     return arcs, dangling, findings, constructs
 
