@@ -36,12 +36,11 @@ from __future__ import annotations
 import math
 from array import array
 from collections.abc import Sequence
-from dataclasses import dataclass
 from itertools import compress, count, repeat
 from operator import itemgetter
-from typing import Iterable, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
-from .errors import DomainError, require_finite
+from .errors import DomainError, _Record, _set, require_finite
 from .graph import CellGraph
 from .refs import CellRef
 
@@ -50,18 +49,17 @@ ConstructId = tuple[CellRef, tuple[int, ...]]
 _EMPTY: frozenset = frozenset()
 
 
-@dataclass(frozen=True)
-class BetaConfig:
-    beta: float = 0.0
+class BetaConfig(_Record):
+    __slots__ = ("beta",)
 
-    def __post_init__(self):
+    def __init__(self, beta: float = 0.0):
+        _set(self, "beta", beta)
         require_finite(self, "beta")
         if self.beta < 0:
             raise DomainError(f"beta must be >= 0, got {self.beta}")
 
 
-@dataclass(frozen=True)
-class ConditionalConstruct:
+class ConditionalConstruct(NamedTuple):
     """One IF call, located by its cell and AST path (child index chain);
     ``node`` is the cell's node id in the graph it was found in."""
 
@@ -77,7 +75,6 @@ class ConditionalConstruct:
         return (self.cell, self.path)
 
 
-@dataclass(eq=False)
 class Constructs(Sequence):
     """IF constructs as columns by position: construct k is in the cell
     ``cells[k]`` (node id ``nodes[k]``) at ``paths[k]``, its M set is the
@@ -87,13 +84,11 @@ class Constructs(Sequence):
     them. It reads as a sequence of ``ConditionalConstruct``, each built
     when it is read (a slice reads as a list)."""
 
-    nodes: list[int]
-    paths: list[tuple[int, ...]]
-    nested: list[list[int]]
-    branches: list[int]
-    final: list[bool]
-    cells: Sequence[CellRef]
-    order: Sequence[int]
+    def __init__(self, nodes: list[int], paths: list[tuple[int, ...]],
+                 nested: list[list[int]], branches: list[int], final: list[bool],
+                 cells: Sequence[CellRef], order: Sequence[int]):
+        self.nodes, self.paths, self.nested = nodes, paths, nested
+        self.branches, self.final, self.cells, self.order = branches, final, cells, order
 
     def __len__(self) -> int:
         return len(self.nodes)

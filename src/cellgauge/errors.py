@@ -1,9 +1,54 @@
-"""Exceptions, audit warnings, and their stable machine codes."""
+"""Exceptions, audit warnings, their stable machine codes, and the base
+class of the package's immutable records."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from operator import attrgetter
+from typing import NamedTuple
+
+# Sets a field of a ``_Record`` in its ``__init__``, past the refusal.
+_set = object.__setattr__
+
+
+class _Record:
+    """An immutable record: ``==`` and ``hash`` by class and field values,
+    ``repr`` as ``Name(field=value, ...)``, and no assignment or deletion.
+
+    Its fields are the names in its class's ``_fields``, by default the
+    class's ``__slots__``; a subclass's ``__init__`` takes its slots in
+    order and sets each with ``_set``, so pickle and copy rebuild a record
+    through it, and a class pattern matches the slots by position.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls.__match_args__ = cls.__slots__
+        cls._fields = cls.__dict__.get("_fields", cls.__slots__)
+        if cls._fields:
+            cls._values = attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == other._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(map(self.__getattribute__, self.__slots__))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class CellGaugeError(Exception):
@@ -115,8 +160,7 @@ W_RANGE_LINKAGE_VIOLATION = "W005"
 W_CROSS_SHEET_DISPERSION_EXCLUDED = "W006"
 
 
-@dataclass(frozen=True)
-class AuditWarning:
+class AuditWarning(NamedTuple):
     """A non-fatal finding surfaced in reports; ``code`` is one of W001..W006."""
 
     code: str

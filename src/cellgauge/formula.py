@@ -46,17 +46,17 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 import re
-from dataclasses import dataclass, fields
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
-from .errors import EmptyFormulaError, FormulaSyntaxError, UnbalancedParensError
+from .errors import (EmptyFormulaError, FormulaSyntaxError, UnbalancedParensError,
+                     _Record, _set)
 from .refs import (MAX_COLUMN, REFERENCE, CellRef, RangeRef, letters_to_column,
                    ref_from_match, unquote_sheet_name)
 
 
 # --- AST -----------------------------------------------------------------
 
-class _Node:
+class _Node(_Record):
     """Structural ``==``, ``hash`` and ``repr`` for AST nodes, computed with an
     explicit stack, so a 2,000-term flat sum compares, hashes and prints
     without recursion."""
@@ -75,48 +75,64 @@ class _Node:
         return ast_repr(self)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class NumberLiteral(_Node):
-    value: float
+    __slots__ = ("value",)
+
+    def __init__(self, value: float):
+        _set(self, "value", value)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class StringLiteral(_Node):
-    value: str
+    __slots__ = ("value",)
+
+    def __init__(self, value: str):
+        _set(self, "value", value)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class BoolLiteral(_Node):
-    value: bool
+    __slots__ = ("value",)
+
+    def __init__(self, value: bool):
+        _set(self, "value", value)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class CellRefNode(_Node):
-    ref: CellRef
+    __slots__ = ("ref",)
+
+    def __init__(self, ref: CellRef):
+        _set(self, "ref", ref)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class RangeRefNode(_Node):
-    ref: RangeRef
+    __slots__ = ("ref",)
+
+    def __init__(self, ref: RangeRef):
+        _set(self, "ref", ref)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class UnaryOp(_Node):
-    op: str  # "-" (prefix) or "%" (postfix)
-    child: "AstNode"
+    __slots__ = ("op", "child")
+
+    def __init__(self, op: str, child: "AstNode"):
+        _set(self, "op", op)  # "-" (prefix) or "%" (postfix)
+        _set(self, "child", child)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class BinaryOp(_Node):
-    op: str
-    left: "AstNode"
-    right: "AstNode"
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, op: str, left: "AstNode", right: "AstNode"):
+        _set(self, "op", op)
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class FunctionCall(_Node):
-    name: str  # stored upper-cased
-    args: tuple["AstNode", ...]
+    __slots__ = ("name", "args")
+
+    def __init__(self, name: str, args: tuple["AstNode", ...]):
+        _set(self, "name", name)  # stored upper-cased
+        _set(self, "args", args)
 
 
 AstNode = Union[
@@ -131,8 +147,7 @@ AstNode = Union[
 ]
 
 
-@dataclass(frozen=True)
-class FormulaAst:
+class FormulaAst(NamedTuple):
     root: AstNode
     source: str
 
@@ -187,9 +202,10 @@ def ast_hash(node: AstNode) -> int:
 
 
 def ast_repr(node: AstNode) -> str:
-    """The text the generated dataclass ``repr`` gives for a subtree, built on
-    an explicit stack: a str on the stack is emitted as is when popped, a
-    node is replaced by its pieces."""
+    """The text a record's ``repr`` gives for a subtree, ``Name(field=value,
+    ...)`` with each field's value in turn, built on an explicit stack: a
+    str on the stack is emitted as is when popped, a node is replaced by its
+    pieces."""
     parts: list[str] = []
     stack: list[Union[AstNode, str]] = [node]
     while stack:
@@ -198,9 +214,9 @@ def ast_repr(node: AstNode) -> str:
             parts.append(n)
             continue
         items: list[Union[AstNode, str]] = [type(n).__qualname__ + "("]
-        for i, f in enumerate(fields(n)):
-            value = getattr(n, f.name)
-            items.append(f"{', ' if i else ''}{f.name}=")
+        for i, name in enumerate(n._fields):
+            value = getattr(n, name)
+            items.append(f"{', ' if i else ''}{name}=")
             if isinstance(value, _Node):
                 items.append(value)
             elif isinstance(value, tuple):  # FunctionCall.args
@@ -220,11 +236,13 @@ def ast_repr(node: AstNode) -> str:
 # One token, named by the group that matched it; alternatives are tried in
 # order, so a number or a reference wins over a name. A string closes at
 # the first quote run of odd length; ``""`` inside it stands for one quote.
-# A quote that opens no complete string is an unterminated one; no match
-# means no token starts at that character. The lexer and the shape scan
-# both cut with this one pattern.
+# Its body is matched as runs of other characters joined by ``""`` pairs,
+# so the engine keeps no backtracking state per character. A quote that
+# opens no complete string is an unterminated one; no match means no token
+# starts at that character. The lexer and the shape scan both cut with this
+# one pattern.
 _TOKEN = re.compile(
-    r'(?P<WS>[ \t\r\n]+)|(?P<STRING>"(?:[^"]|"")*"(?!"))|(?P<UNTERMINATED>")'
+    r'(?P<WS>[ \t\r\n]+)|(?P<STRING>"[^"]*(?:""[^"]*)*"(?!"))|(?P<UNTERMINATED>")'
     r"|(?P<NUMBER>(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"
     rf"|(?P<REF>{REFERENCE})|(?P<NAME>[A-Za-z_][A-Za-z0-9_.]*)"
     r"|(?P<LPAREN>\()|(?P<RPAREN>\))|(?P<COMMA>,)|(?P<COLON>:)"
@@ -232,8 +250,7 @@ _TOKEN = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # NUMBER STRING REF NAME OP LPAREN RPAREN COMMA COLON EOF
     text: str
     offset: int
@@ -546,8 +563,7 @@ def render_formula(ast: FormulaAst | AstNode) -> str:
 
 # --- Token classification ------------------------------------------------
 
-@dataclass(frozen=True)
-class ClassifiedToken:
+class ClassifiedToken(NamedTuple):
     kind: str  # "operator" | "operand"
     nesting_level: int
     text: str
@@ -724,6 +740,16 @@ def _copy_range(start: CellRef, end: CellRef) -> RangeRef:
     return RangeRef.normalized(start, end.with_sheet(start.sheet) if start.sheet else end)
 
 
+def _path(link: Optional[tuple]) -> tuple[int, ...]:
+    """The path a :func:`_layout` link stands for: the child indexes from
+    the root."""
+    indexes = []
+    while link is not None:
+        link, i = link
+        indexes.append(i)
+    return tuple(reversed(indexes))
+
+
 def _layout(root: AstNode) -> tuple[
         list[Union[CellRef, RangeRef]], Reach, IfLayout, int, list[str], list[tuple]]:
     """One pre-order pass over a formula: the refs of its reference leaves,
@@ -732,7 +758,9 @@ def _layout(root: AstNode) -> tuple[
     are numbered in ``walk`` order, as the dependency graph lists their
     targets; a path is the chain of child indexes from the root. Pre-order
     lists the IF calls in path order, so a reach names each IF by its index
-    in that list.
+    in that list. A stack item holds its node's path as a link, (its
+    parent's link, its index) and None for the root, so a pending item
+    costs the same at any depth; only an IF call's path becomes a tuple.
 
     The pieces are the formula's canonical text split at its reference
     leaves: the text before, between and after them. Joined with each
@@ -748,7 +776,7 @@ def _layout(root: AstNode) -> tuple[
     pieces: list[str] = []
     parts: list[str] = []
     tokens: list[tuple] = []
-    stack: list = [((), root, own, 1)]
+    stack: list = [(None, root, own, 1)]
     while stack:
         item = stack.pop()
         if isinstance(item, str):
@@ -758,7 +786,7 @@ def _layout(root: AstNode) -> tuple[
             tokens.append(item)
             parts.append(")")
             continue
-        path, node, reach, level = item
+        link, node, reach, level = item
         if isinstance(node, (CellRefNode, RangeRefNode)):
             tokens.append(("operand", level, node))
             reach[1].append(len(leaves))
@@ -782,7 +810,7 @@ def _layout(root: AstNode) -> tuple[
             elif node.name == "IF":
                 reach[0].append(len(ifs))  # that construct owns its own subtree
                 reaches = [([], []) for _ in children]
-                ifs.append((path, reaches))
+                ifs.append((_path(link), reaches))
                 if children and not (_is_boolean_form(children[0])
                                      or isinstance(children[0], BoolLiteral)):
                     decisions += 1
@@ -803,7 +831,7 @@ def _layout(root: AstNode) -> tuple[
         parts.append(opening)
         stack.append(closing)
         for i in range(len(children) - 1, -1, -1):
-            stack.append((path + (i,), children[i], reaches[i], inner))
+            stack.append(((link, i), children[i], reaches[i], inner))
             if i:
                 stack.append(between)
     pieces.append("".join(parts))

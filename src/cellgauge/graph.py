@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import warnings as _warnings
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress, product, repeat
 from operator import and_, is_, is_not, itemgetter, lshift, not_, or_, rshift
@@ -100,8 +99,7 @@ def _reach(ids: Iterable[int], links: list) -> set[int]:
 AddrLike = Union[CellRef, str, int]
 
 
-@dataclass(frozen=True)
-class DanglingReference:
+class DanglingReference(NamedTuple):
     """A formula reference that names a sheet the workbook does not have."""
 
     from_cell: CellRef
@@ -109,8 +107,7 @@ class DanglingReference:
     missing_sheet: str
 
 
-@dataclass(frozen=True)
-class CascadeStats:
+class CascadeStats(NamedTuple):
     """Path statistics over one bottom-line cell's precedent closure;
     ``total_paths`` is the terminal's reachability. ``CellGraph.member_ids``
     lists the members, so every source of a cascade's stats gives equal ones."""

@@ -27,13 +27,12 @@ is read from its copies' four corner ids.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress, repeat
 from operator import itemgetter, not_
 from typing import NamedTuple, Optional, Sequence, Union
 
-from .errors import DomainError, require_finite
+from .errors import DomainError, _Record, _set, require_finite
 from .formula import FormulaShape, decision_count  # decision_count re-exported
 from .graph import CellGraph
 from .refs import CellRef, Locations, RangeRef
@@ -42,8 +41,7 @@ from .workbook import Cell
 DISPERSION_MODES = ("product", "manhattan", "euclidean")
 
 
-@dataclass(frozen=True)
-class DispersionConfig:
+class DispersionConfig(_Record):
     """Dispersion scoring: DR = 1 - exp(-alpha * delta).
 
     ``product`` sums |dx*dy| per reference (same-row/column references
@@ -51,10 +49,11 @@ class DispersionConfig:
     sqrt(dx^2+dy^2).
     """
 
-    alpha: float = 0.01
-    mode: str = "product"
+    __slots__ = ("alpha", "mode")
 
-    def __post_init__(self):
+    def __init__(self, alpha: float = 0.01, mode: str = "product"):
+        _set(self, "alpha", alpha)
+        _set(self, "mode", mode)
         require_finite(self, "alpha")
         if not self.alpha > 0:
             raise DomainError(f"alpha must be positive, got {self.alpha}")
@@ -62,8 +61,7 @@ class DispersionConfig:
             raise DomainError(f"mode must be one of {DISPERSION_MODES}, got {self.mode!r}")
 
 
-@dataclass(frozen=True)
-class CellMetrics:
+class CellMetrics(NamedTuple):
     address: CellRef
     n_operators: int = 0
     n_operands: int = 0
@@ -196,8 +194,7 @@ def formula_metrics(
 
 # --- Range linkage -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class RangeLinkageFinding:
+class RangeLinkageFinding(NamedTuple):
     """Consistency check between a copied-formula run and its source region.
 
     For a run of height S_HB whose formulas each read ``s`` consecutive
@@ -332,8 +329,7 @@ def check_range_linkage(g: CellGraph) -> list[RangeLinkageFinding]:
 
 # --- Modular structure --------------------------------------------------------
 
-@dataclass(frozen=True)
-class ModularMetrics:
+class ModularMetrics(NamedTuple):
     """Cross-sheet coupling and dead-data measurements.
 
     A data binding triple (P, Q, R) records that cell Q on sheet P is read

@@ -11,9 +11,10 @@ from __future__ import annotations
 import re
 import sys
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
 from operator import attrgetter
 from typing import Iterable, Iterator, Optional, Union
+
+from .errors import _Record, _set
 
 # A sheet name that needs no quotes; any other is quoted, with '' for '.
 _PLAIN_SHEET_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
@@ -86,21 +87,20 @@ def unquote_sheet_name(text: str) -> str:
     return text
 
 
-@dataclass(frozen=True)
-class CellRef:
+class CellRef(_Record):
     """A single-cell reference; ``sheet`` is None for same-sheet references."""
 
-    sheet: Optional[str]
-    column: int
-    row: int
-    col_absolute: bool = False
-    row_absolute: bool = False
+    __slots__ = ("sheet", "column", "row", "col_absolute", "row_absolute")
 
-    def __post_init__(self):
-        if self.column < 1 or self.row < 1:
-            raise ValueError(
-                f"column and row must be >= 1, got ({self.column}, {self.row})"
-            )
+    def __init__(self, sheet: Optional[str], column: int, row: int,
+                 col_absolute: bool = False, row_absolute: bool = False):
+        if column < 1 or row < 1:
+            raise ValueError(f"column and row must be >= 1, got ({column}, {row})")
+        _set(self, "sheet", sheet)
+        _set(self, "column", column)
+        _set(self, "row", row)
+        _set(self, "col_absolute", col_absolute)
+        _set(self, "row_absolute", row_absolute)
 
     def key(self) -> tuple[str, int, int]:
         """Location identity: sheet name (case-insensitive), column, row."""
@@ -110,10 +110,10 @@ class CellRef:
         """The same location with absolute markers stripped."""
         if not (self.col_absolute or self.row_absolute):
             return self
-        return replace(self, col_absolute=False, row_absolute=False)
+        return CellRef(self.sheet, self.column, self.row)
 
     def with_sheet(self, sheet: str) -> "CellRef":
-        return replace(self, sheet=sheet)
+        return CellRef(sheet, self.column, self.row, self.col_absolute, self.row_absolute)
 
     def render(self, include_sheet: bool = True) -> str:
         text = (
@@ -130,13 +130,15 @@ class CellRef:
         return self.render()
 
 
-@dataclass(frozen=True)
-class RangeRef:
+class RangeRef(_Record):
     """A rectangular range; both endpoints are on the same sheet and the
     start corner is normalized to the top-left."""
 
-    start: CellRef
-    end: CellRef
+    __slots__ = ("start", "end")
+
+    def __init__(self, start: CellRef, end: CellRef):
+        _set(self, "start", start)
+        _set(self, "end", end)
 
     @staticmethod
     def normalized(start: CellRef, end: CellRef) -> "RangeRef":

@@ -15,17 +15,15 @@ each group of cascades that share a cone (``CellGraph.cascade_groups``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .errors import DomainError, require_finite
+from .errors import DomainError, _Record, _set, require_finite
 from .graph import CascadeGroup
 from .metrics import CellMetrics
 from .refs import CellRef
 
 
-@dataclass(frozen=True)
-class ReliabilityConfig:
+class ReliabilityConfig(_Record):
     """Base cell error rate plus the complexity-adjustment weights.
 
     A formula cell's rate is ``min(cap, base_cer * (1 + c))`` with
@@ -39,18 +37,17 @@ class ReliabilityConfig:
     and a data cell's rate is ``base_cer * data_cell_factor``.
     """
 
-    base_cer: float = 0.02
-    w_tokens: float = 1.0
-    w_depth: float = 1.0
-    w_dispersion: float = 1.0
-    w_decisions: float = 1.0
-    w_span: float = 1.0
-    data_cell_factor: float = 0.25
-    cap: float = 0.25
+    __slots__ = ("base_cer", "w_tokens", "w_depth", "w_dispersion", "w_decisions",
+                 "w_span", "data_cell_factor", "cap")
 
-    def __post_init__(self):
-        require_finite(self, "base_cer", "w_tokens", "w_depth", "w_dispersion",
-                       "w_decisions", "w_span", "data_cell_factor", "cap")
+    def __init__(self, base_cer: float = 0.02, w_tokens: float = 1.0,
+                 w_depth: float = 1.0, w_dispersion: float = 1.0,
+                 w_decisions: float = 1.0, w_span: float = 1.0,
+                 data_cell_factor: float = 0.25, cap: float = 0.25):
+        for name, value in zip(self.__slots__, (base_cer, w_tokens, w_depth, w_dispersion,
+                                                w_decisions, w_span, data_cell_factor, cap)):
+            _set(self, name, value)
+        require_finite(self, *self.__slots__)
         if not 0.0 <= self.base_cer < 1.0:
             raise DomainError(f"base_cer must be in [0, 1), got {self.base_cer}")
         for name in ("w_tokens", "w_depth", "w_dispersion", "w_decisions", "w_span"):
@@ -64,8 +61,7 @@ class ReliabilityConfig:
             raise DomainError("cap must not be below base_cer")
 
 
-@dataclass(frozen=True)
-class CascadeReliability:
+class CascadeReliability(NamedTuple):
     terminal: CellRef
     n: int
     uniform_e: float

@@ -45,7 +45,6 @@ import math
 import operator
 import os
 import sys
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple, Optional, Union
@@ -67,6 +66,8 @@ from .errors import (
     W_DANGLING_REFERENCE,
     W_EMPTY_REFERENCED_CELL,
     W_RANGE_LINKAGE_VIOLATION,
+    _Record,
+    _set,
     require_finite,
 )
 from .graph import (
@@ -106,27 +107,27 @@ MAX_CASCADE_CELLS = 100_000_000
 EMPTY_CELL_MESSAGE = "referenced cell is empty; treated as data cell with value 0"
 
 
-@dataclass(frozen=True)
-class AnalysisConfig:
+class AnalysisConfig(_Record):
     """What an audit computes, and ``max_range_cells``, the most the ranges
     of all formulas may cost (see ``CellGraph``; a graph that would need
     more is a RangeBudgetError). The budget bounds the audit's cost, not
     its result, so the report's ``config`` section leaves it out."""
 
-    dispersion: DispersionConfig = DispersionConfig()
-    reliability: ReliabilityConfig = ReliabilityConfig()
-    beta: BetaConfig = BetaConfig()
-    flag_dr: float = 0.5
-    flag_span: int = 20
-    max_range_cells: int = MAX_RANGE_CELLS
+    __slots__ = ("dispersion", "reliability", "beta", "flag_dr", "flag_span",
+                 "max_range_cells")
 
-    def __post_init__(self):
+    def __init__(self, dispersion: DispersionConfig = DispersionConfig(),
+                 reliability: ReliabilityConfig = ReliabilityConfig(),
+                 beta: BetaConfig = BetaConfig(), flag_dr: float = 0.5,
+                 flag_span: int = 20, max_range_cells: int = MAX_RANGE_CELLS):
+        for name, value in zip(self.__slots__, (dispersion, reliability, beta, flag_dr,
+                                                flag_span, max_range_cells)):
+            _set(self, name, value)
         require_finite(self, "flag_dr")
         require_range_budget(self.max_range_cells)
 
 
-@dataclass(frozen=True)
-class CascadeEntry:
+class CascadeEntry(NamedTuple):
     stats: CascadeStats
     reliability: CascadeReliability
     conditionals: tuple[tuple[ConditionalConstruct, float], ...]
@@ -181,7 +182,7 @@ class CellColumns(_Columns):
 
     @staticmethod
     def _moved(r: CellMetrics, address: CellRef) -> CellMetrics:
-        return replace(r, address=address)
+        return r._replace(address=address)
 
 
 class WarningColumns(_Columns):

@@ -40,7 +40,6 @@ import io
 import json
 import math
 import re
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Optional, Union
 
@@ -49,9 +48,11 @@ from .errors import (
     FormatError,
     FormulaSyntaxError,
     W_FORMULA_ERROR,
+    _Record,
+    _set,
 )
 from .formula import FormulaAst, FormulaShape, parse_formula, shape_key
-from .refs import MAX_COLUMN, CellRef, letters_to_column, parse_cell_address
+from .refs import MAX_COLUMN, CellRef, _quoted_head, letters_to_column, parse_cell_address
 
 DataValue = Union[float, str, bool]
 
@@ -63,8 +64,7 @@ _PLAIN_ADDRESS = re.compile(r"\$?([A-Z]{1,3})\$?([1-9][0-9]{0,6})\Z")
 _CELL_FIELDS = frozenset(("ref", "value", "formula"))
 
 
-@dataclass(frozen=True, slots=True)
-class Cell:
+class Cell(_Record):
     """A non-empty cell: either data (``value``) or a formula (``source``,
     its text, with the ``shape`` it shares with its copies).
 
@@ -74,10 +74,15 @@ class Cell:
     address, value and source, so neither parses.
     """
 
-    address: CellRef  # sheet always set, no absolute markers
-    value: Optional[DataValue] = None
-    source: Optional[str] = None
-    shape: Optional[FormulaShape] = field(default=None, compare=False, repr=False)
+    __slots__ = ("address", "value", "source", "shape")
+    _fields = ("address", "value", "source")
+
+    def __init__(self, address: CellRef, value: Optional[DataValue] = None,
+                 source: Optional[str] = None, shape: Optional[FormulaShape] = None):
+        _set(self, "address", address)  # sheet always set, no absolute markers
+        _set(self, "value", value)
+        _set(self, "source", source)
+        _set(self, "shape", shape)
 
     @property
     def is_formula(self) -> bool:
@@ -136,14 +141,22 @@ class Sheet:
     __hash__ = None  # type: ignore[assignment]
 
 
-@dataclass
 class Workbook:
-    sheets: list[Sheet] = field(default_factory=list)
-    provenance: str = "<memory>"
-    warnings: list[AuditWarning] = field(default_factory=list)
+    """Sheets in order, where the workbook came from, and its load's
+    warnings. Workbooks compare by all three."""
 
-    def __post_init__(self):
+    def __init__(self, sheets: Optional[list[Sheet]] = None, provenance: str = "<memory>",
+                 warnings: Optional[list[AuditWarning]] = None):
+        self.sheets = [] if sheets is None else sheets
+        self.provenance = provenance
+        self.warnings = [] if warnings is None else warnings
         self._index = {s.name.casefold(): i for i, s in enumerate(self.sheets)}
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.sheets, self.provenance, self.warnings)
+                == (other.sheets, other.provenance, other.warnings))
 
     def add_sheet(self, sheet: Sheet) -> None:
         fold = sheet.name.casefold()
@@ -213,16 +226,15 @@ def _typed_value(raw: object, sheet: str, key: tuple[int, int]) -> DataValue:
     raise FormatError(f"cell {address} value must be number, string or boolean, got {raw!r}")
 
 
-@dataclass
 class _Shapes:
     """The formula shapes of one load by shape key, and the load's memos:
     the column of each column-letters text, and ``shape_key``'s memos of
     the name of each sheet text and of the cuts of each text skeleton."""
 
-    by_key: dict[tuple, FormulaShape] = field(default_factory=dict)
-    columns: dict[str, int] = field(default_factory=dict)
-    sheets: dict[str, str] = field(default_factory=dict)
-    cuts: dict = field(default_factory=dict)
+    __slots__ = ("by_key", "columns", "sheets", "cuts")
+
+    def __init__(self):
+        self.by_key, self.columns, self.sheets, self.cuts = {}, {}, {}, {}
 
 
 def _add_formula(sheet: Sheet, key: tuple[int, int], text: str,
@@ -280,7 +292,7 @@ def _load_cells(sheet: Sheet, cell_docs: list, warnings: list[AuditWarning],
             row = int(digits)
         if m is None or column > MAX_COLUMN:
             if "!" in ref_text:
-                raise FormatError(f"cell ref must not carry a sheet: {ref_text!r}")
+                raise FormatError(f"cell ref must not carry a sheet: {_quoted_head(ref_text)}")
             try:
                 ref = parse_cell_address(ref_text)
             except ValueError as exc:
@@ -289,10 +301,11 @@ def _load_cells(sheet: Sheet, cell_docs: list, warnings: list[AuditWarning],
         key = (row, column)
         if "formula" in cell_doc:
             if "value" in cell_doc:
-                raise FormatError(f"cell {ref_text} must have exactly one of value/formula")
+                raise FormatError(
+                    f"cell {_quoted_head(ref_text)} must have exactly one of value/formula")
             value, text = None, cell_doc["formula"]
             if not isinstance(text, str):
-                raise FormatError(f'cell {ref_text} "formula" must be a string')
+                raise FormatError(f'cell {_quoted_head(ref_text)} "formula" must be a string')
             if not (text.isascii() or _is_unicode(text)):
                 address = CellRef(sheet.name, column, row).render()
                 raise FormatError(f"cell {address} formula {text!r} is not valid Unicode")
@@ -300,8 +313,8 @@ def _load_cells(sheet: Sheet, cell_docs: list, warnings: list[AuditWarning],
             try:
                 value = cell_doc["value"]
             except KeyError:  # neither value nor formula
-                raise FormatError(
-                    f"cell {ref_text} must have exactly one of value/formula") from None
+                raise FormatError(f"cell {_quoted_head(ref_text)} must have exactly one "
+                                  "of value/formula") from None
             kind = type(value)
             if kind is int:
                 try:

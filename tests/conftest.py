@@ -22,6 +22,27 @@ def make_workbook(sheets: dict[str, dict[str, object]]):
     return load_workbook_doc(doc)
 
 
+def count_builds(monkeypatch, *classes) -> dict:
+    """Count the objects built of each of ``classes`` while ``monkeypatch``
+    holds, by class: a NamedTuple's through ``__new__`` or ``_make`` (which
+    ``_replace`` calls), any other's through ``__init__``."""
+    built = dict.fromkeys(classes, 0)
+
+    def counting(cls, method):
+        def counted(*args, **kwargs):
+            built[cls] += 1
+            return method(*args, **kwargs)
+        return counted
+
+    for cls in classes:
+        if issubclass(cls, tuple):
+            monkeypatch.setattr(cls, "__new__", counting(cls, cls.__new__))
+            monkeypatch.setattr(cls, "_make", classmethod(counting(cls, cls._make.__func__)))
+        else:
+            monkeypatch.setattr(cls, "__init__", counting(cls, cls.__init__))
+    return built
+
+
 def make_graph(sheets: dict[str, dict[str, object]]):
     wb = make_workbook(sheets)
     return wb, build_graph(wb)

@@ -23,7 +23,7 @@ from cellgauge.errors import (
     W_FORMULA_ERROR,
 )
 from cellgauge.formula import FormulaShape, parse_formula
-from cellgauge.refs import MAX_COLUMN, CellRef, letters_to_column, parse_cell_address
+from cellgauge.refs import MAX_COLUMN, CellRef, _quoted_head, letters_to_column, parse_cell_address
 from cellgauge.workbook import Cell, Workbook
 
 from copies_oracle import shape_key
@@ -147,7 +147,7 @@ def load_workbook_doc(doc: dict, provenance: str = "<doc>") -> Workbook:
             if not isinstance(ref_text, str):
                 raise FormatError('cell "ref" must be a string')
             if "!" in ref_text:
-                raise FormatError(f"cell ref must not carry a sheet: {ref_text!r}")
+                raise FormatError(f"cell ref must not carry a sheet: {_quoted_head(ref_text)}")
             plain = _PLAIN_ADDRESS.match(ref_text)
             if plain is not None and (column := letters_to_column(plain[1])) <= MAX_COLUMN:
                 address = CellRef(name, column, int(plain[2]))
@@ -161,10 +161,10 @@ def load_workbook_doc(doc: dict, provenance: str = "<doc>") -> Workbook:
             has_formula = "formula" in cell_doc
             if has_value == has_formula:
                 raise FormatError(
-                    f"cell {ref_text} must have exactly one of value/formula"
+                    f"cell {_quoted_head(ref_text)} must have exactly one of value/formula"
                 )
             if has_formula and not isinstance(cell_doc["formula"], str):
-                raise FormatError(f'cell {ref_text} "formula" must be a string')
+                raise FormatError(f'cell {_quoted_head(ref_text)} "formula" must be a string')
             payload = cell_doc["formula"] if has_formula else cell_doc["value"]
             sheet.add(_make_cell(address, payload, wb.warnings, has_formula, shapes))
     return wb

@@ -29,7 +29,7 @@ from cellgauge.graph import CellGraph
 from cellgauge.refs import CellRef, column_to_letters
 from cellgauge.workbook import Cell, Workbook
 
-from conftest import make_graph, make_workbook
+from conftest import count_builds, make_graph, make_workbook
 
 
 def discovered(sheets):
@@ -868,18 +868,15 @@ def test_a_cycle_raises_as_in_the_oracle():
 def test_the_audit_builds_objects_only_for_listed_constructs(monkeypatch):
     # A single IF chain lists one final construct however long it is, so the
     # audit builds the same addresses and constructs at 300 cells as at 3,000.
-    counts = dict.fromkeys(("address_of", "CellRef", "ConditionalConstruct"), 0)
+    counts = count_builds(monkeypatch, CellRef, ConditionalConstruct)
+    counts["address_of"] = 0
+    address_of = CellGraph.address_of
 
-    def counting(name, fn):
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
+    def counting(*args):
+        counts["address_of"] += 1
+        return address_of(*args)
 
-    monkeypatch.setattr(CellGraph, "address_of", counting("address_of", CellGraph.address_of))
-    monkeypatch.setattr(CellRef, "__post_init__", counting("CellRef", CellRef.__post_init__))
-    monkeypatch.setattr(ConditionalConstruct, "__init__",
-                        counting("ConditionalConstruct", ConditionalConstruct.__init__))
+    monkeypatch.setattr(CellGraph, "address_of", counting)
 
     def work(n):
         wb = make_workbook(downward_if_chain(n))
@@ -891,4 +888,4 @@ def test_the_audit_builds_objects_only_for_listed_constructs(monkeypatch):
 
     small, large = work(300), work(3_000)
     assert small == large, (small, large)
-    assert small["ConditionalConstruct"] == 1
+    assert small[ConditionalConstruct] == 1

@@ -33,6 +33,7 @@ from cellgauge.graph import CellGraph, build_graph
 from cellgauge.refs import RangeRef, column_to_letters
 from cellgauge.report import analyze_workbook, emit_report
 from cellgauge.workbook import Workbook, load_workbook_doc
+from conftest import count_builds
 from test_formula import walk_classify_tokens
 
 # The copies live on "S"; "it's" and "Data" hold data. References name
@@ -264,18 +265,11 @@ def test_load_and_graph_build_no_cell_ref_per_copy(monkeypatch):
     # A CellRef is built for a shape (its parse and its shift key), not for
     # a copy: the count is the same for 20 copies of each shape as for 400.
     counts = []
-    real = refs_module.CellRef.__post_init__
     for copies in (20, 400):
         doc = copied_doc(copies)
-        made = []
-
-        def counting(self):
-            made.append(1)
-            real(self)
-
-        monkeypatch.setattr(refs_module.CellRef, "__post_init__", counting)
+        made = count_builds(monkeypatch, refs_module.CellRef)
         g = build_graph(load_workbook_doc(doc))
         monkeypatch.undo()
         assert g.edge_count > copies * 10
-        counts.append(len(made))
+        counts.append(made[refs_module.CellRef])
     assert counts[0] == counts[1], counts

@@ -34,6 +34,7 @@ from cellgauge.metrics import (
 from cellgauge.refs import CellRef, RangeRef, column_to_letters
 from cellgauge.report import AnalysisConfig, _cell_metrics, analyze_workbook, emit_report
 from cellgauge.workbook import Cell, Workbook, load_workbook_doc
+from conftest import count_builds
 
 
 def _block_through(
@@ -375,21 +376,12 @@ def test_shared_records_are_built_once_and_listed_on_first_read(monkeypatch):
         + [{"ref": "AP1", "formula": "=SUM(A1:AN100)"}]
         + [{"ref": f"AQ{r}", "formula": f"=A{r}*2+B{r}"} for r in range(1, 101)])}]}
     wb = load_workbook_doc(doc)
-    built = 0
-
-    def counting(method):
-        def counted(*args, **kwargs):
-            nonlocal built
-            built += 1
-            return method(*args, **kwargs)
-        return counted
-
     with monkeypatch.context() as patch:
-        patch.setattr(CellMetrics, "__init__", counting(CellMetrics.__init__))
+        built = count_builds(patch, CellMetrics)
         report = analyze_workbook(wb)
         emit_report(report, "json")
         emit_report(report, "text")
-    assert built == 3
+    assert built == {CellMetrics: 3}
     g = build_graph(wb)
     cells = list(wb.iter_cells())  # node i is cells[i]
     assert len(cells) == 2_101

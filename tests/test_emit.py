@@ -46,7 +46,7 @@ from cellgauge.report import (
     emit_report,
 )
 
-from conftest import make_workbook
+from conftest import count_builds, make_workbook
 from test_acceptance import generate_large_workbook_doc
 from test_conditionals import ORACLE_FIXTURES
 from test_graph_oracle import OracleGraph
@@ -285,19 +285,8 @@ def test_empty_range_cells_build_no_address_or_warning_each(monkeypatch):
          for r in range(1, 51) for c in range(1, 61) if (c + r) % 2]
         + [{"ref": "BJ1", "formula": "=SUM(A1:BH50)"}])}]}
     wb = load_workbook_doc(doc)
-    built = {CellRef: 0, AuditWarning: 0}
-
-    def counting(cls):
-        init = cls.__init__
-
-        def counted(self, *args, **kwargs):
-            built[cls] += 1
-            init(self, *args, **kwargs)
-        return counted
-
     with monkeypatch.context() as patch:
-        for cls in built:
-            patch.setattr(cls, "__init__", counting(cls))
+        built = count_builds(patch, CellRef, AuditWarning)
         report = analyze_workbook(wb)
         emit_report(report, "json")
         emit_report(report, "text")

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import tracemalloc
 from fractions import Fraction
 from typing import Union
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cellgauge import load_workbook_doc
 from cellgauge.errors import (
     EmptyFormulaError,
     FormulaSyntaxError,
@@ -26,7 +28,9 @@ from cellgauge.formula import (
     CellRefNode,
     FormulaAst,
     FunctionCall,
+    IfLayout,
     NumberLiteral,
+    Reach,
     RangeRefNode,
     StringLiteral,
     ClassifiedToken,
@@ -561,7 +565,9 @@ def test_layout_matches_the_walks_it_replaced_on_random_asts():
     conditions = set()
     for _ in range(3000):
         node = random_ast(rng, rng.randint(0, 6))
-        leaves, _, _, decisions, pieces, _ = _layout(node)
+        layout = _layout(node)
+        assert layout == tuple_path_layout(node), node
+        leaves, _, _, decisions, pieces, _ = layout
         assert pieces == _shift_key_pieces(node), node
         assert leaves == [n.ref for n in walk(node) if isinstance(n, (CellRefNode, RangeRefNode))]
         assert decision_count(node) == decisions == walk_decision_count(node), node
@@ -570,6 +576,145 @@ def test_layout_matches_the_walks_it_replaced_on_random_asts():
             for n in walk(node) if isinstance(n, FunctionCall) and n.name == "IF" and n.args)
     # Every form of IF condition that decision counting tells apart.
     assert {BinaryOp, "AND", "OR", "NOT", BoolLiteral, CellRefNode} <= conditions
+
+
+# ``_layout`` as it was, with each stack item's path a tuple, verbatim but for
+# the name. Every pending item copied its path, so a long chain held paths of
+# every length at once: quadratic memory.
+def tuple_path_layout(root: AstNode) -> tuple[
+        list[Union[CellRef, RangeRef]], Reach, IfLayout, int, list[str], list[tuple]]:
+    """One pre-order pass over a formula: the refs of its reference leaves,
+    its own reach, its IF calls, its decision count (see
+    :func:`decision_count`), its shift-key pieces and its tokens. References
+    are numbered in ``walk`` order, as the dependency graph lists their
+    targets; a path is the chain of child indexes from the root. Pre-order
+    lists the IF calls in path order, so a reach names each IF by its index
+    in that list.
+
+    The pieces are the formula's canonical text split at its reference
+    leaves: the text before, between and after them. Joined with each
+    leaf's parts relative to a cell (:func:`_shift_key`), they make that
+    cell's shift key, which copies of one formula share. A string on the
+    stack is canonical text, taken when popped. Each token is (kind,
+    nesting level, operator text or operand node), in pre-order but for a
+    ``%``, which waits on the stack as a 3-tuple to follow its operand."""
+    leaves: list[Union[CellRef, RangeRef]] = []
+    own: tuple[list, list] = ([], [])
+    ifs: list = []
+    decisions = 0
+    pieces: list[str] = []
+    parts: list[str] = []
+    tokens: list[tuple] = []
+    stack: list = [((), root, own, 1)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            parts.append(item)
+            continue
+        if len(item) == 3:  # a percent, after its operand
+            tokens.append(item)
+            parts.append(")")
+            continue
+        path, node, reach, level = item
+        if isinstance(node, (CellRefNode, RangeRefNode)):
+            tokens.append(("operand", level, node))
+            reach[1].append(len(leaves))
+            leaves.append(node.ref)
+            pieces.append("".join(parts))
+            parts = []
+            continue
+        children = child_nodes(node)
+        reaches = [reach] * len(children)
+        inner, closing = level, ")"
+        if isinstance(node, BinaryOp):
+            tokens.append(("operator", level, node.op))
+            if node.op in _COMPARISONS:
+                decisions += 1
+            opening, between = "(", node.op
+        elif isinstance(node, FunctionCall):
+            tokens.append(("operator", level, node.name))
+            inner = level + 1
+            if node.name in _LOGICAL_FUNCS:
+                decisions += sum(1 for arg in children if not _is_boolean_form(arg))
+            elif node.name == "IF":
+                reach[0].append(len(ifs))  # that construct owns its own subtree
+                reaches = [([], []) for _ in children]
+                ifs.append((path, reaches))
+                if children and not (_is_boolean_form(children[0])
+                                     or isinstance(children[0], BoolLiteral)):
+                    decisions += 1
+            opening, between = f"{node.name}(", ","
+        elif isinstance(node, UnaryOp):
+            if node.op == "%":
+                closing = ("operator", level, "%")
+            else:
+                tokens.append(("operator", level, node.op))
+            opening, between = f"u{node.op}(", ""
+        else:
+            text = _atom_text(node)
+            if text is None:
+                raise TypeError(f"not an AST node: {node!r}")
+            tokens.append(("operand", level, node))
+            parts.append(text)
+            continue
+        parts.append(opening)
+        stack.append(closing)
+        for i in range(len(children) - 1, -1, -1):
+            stack.append((path + (i,), children[i], reaches[i], inner))
+            if i:
+                stack.append(between)
+    pieces.append("".join(parts))
+
+    def frozen(reach: tuple[list, list]) -> Reach:
+        return tuple(reach[0]), tuple(reach[1])
+
+    if_layout = tuple((path, tuple(frozen(arg) for arg in args)) for path, args in ifs)
+    return leaves, frozen(own), if_layout, decisions, pieces, tokens
+
+
+def chains(op: str, n: int) -> tuple[AstNode, AstNode]:
+    """A left-deep and a right-deep chain of ``n`` terms joined by ``op``;
+    every third term is an IF call, so IF paths reach every depth."""
+    terms = [FunctionCall("IF", (BinaryOp(">", ref(1, k), NumberLiteral(0.0)), ref(2, k)))
+             if k % 3 == 0 else ref(3, k) for k in range(1, n + 1)]
+    left, right = terms[0], terms[-1]
+    for k in range(1, n):
+        left = BinaryOp(op, left, terms[k])
+        right = BinaryOp(op, terms[n - 1 - k], right)
+    return left, right
+
+
+@pytest.mark.parametrize("op", sorted(_PREC))
+def test_layout_matches_the_tuple_path_layout_on_chains(op):
+    for chain in chains(op, 200):
+        assert _layout(chain) == tuple_path_layout(chain)
+
+
+def _load_peak(formula: str) -> int:
+    """The tracemalloc peak, in bytes, of loading one cell holding ``formula``
+    beside the data cell A1."""
+    doc = {"sheets": [{"name": "S", "cells": [
+        {"ref": "A1", "value": 1}, {"ref": "B1", "formula": formula}]}]}
+    tracemalloc.start()
+    try:
+        wb = load_workbook_doc(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert wb.cell("S!B1").is_formula
+    return peak
+
+
+def test_a_long_sum_loads_in_linear_memory():
+    # With tuple paths the peak grew about fourfold per doubling.
+    small, large = (_load_peak("=" + "+".join(["A1"] * n)) for n in (5_000, 10_000))
+    assert large <= 2.2 * small, (small, large)
+
+
+def test_a_fifty_thousand_term_sum_loads_under_a_fixed_bound():
+    # About 67 MB on Python 3.11; with tuple paths 8,000 terms took 258 MB.
+    peak = _load_peak("=" + "+".join(["A1"] * 50_000))
+    assert peak < 100_000_000, peak
 
 
 def walk_classify_tokens(ast: FormulaAst | AstNode) -> list[ClassifiedToken]:
@@ -740,10 +885,11 @@ def test_a_nan_literal_equals_only_itself():
 
 
 def _mirror_class(cls):
-    """A plain frozen dataclass with the fields of an AST node class, so its
-    ``repr`` is the one the dataclass decorator generates."""
+    """A plain frozen dataclass with the fields of an AST node class (its
+    ``__slots__``), so its ``repr`` is the one the dataclass decorator
+    generates."""
     return dataclasses.make_dataclass(
-        cls.__name__, [(f.name, object) for f in dataclasses.fields(cls)], frozen=True)
+        cls.__name__, [(name, object) for name in cls.__slots__], frozen=True)
 
 
 _MIRRORS = {cls: _mirror_class(cls) for cls in (
@@ -757,8 +903,8 @@ def generated_repr(node):
 
     def mirror(value):
         if type(value) in _MIRRORS:
-            fields = dataclasses.fields(value)
-            return _MIRRORS[type(value)](*(mirror(getattr(value, f.name)) for f in fields))
+            fields = type(value).__slots__
+            return _MIRRORS[type(value)](*(mirror(getattr(value, name)) for name in fields))
         if isinstance(value, tuple):
             return tuple(mirror(v) for v in value)
         return value

@@ -12,6 +12,7 @@ copy-class metrics call, and its load no ``CellRef`` per data cell.
 
 from __future__ import annotations
 
+import json
 import re
 import sys
 
@@ -21,6 +22,7 @@ from hypothesis import strategies as st
 
 import loader_oracle
 from cellgauge import report as report_module
+from cellgauge.cli import main
 from cellgauge import workbook as workbook_module
 from cellgauge.errors import FormatError
 from cellgauge.graph import build_graph
@@ -230,18 +232,18 @@ def test_any_csv_text_gives_a_workbook_or_a_format_error(text):
      "cell S!A1 value must be a finite number, got nan"),
     ([{"ref": "B1", "value": 10 ** 400}], "cell S!B1 value must be a finite number, got inf"),
     ([{"ref": "B1", "value": 1, "formula": "=1"}],
-     "cell B1 must have exactly one of value/formula"),
-    ([{"ref": "B1"}], "cell B1 must have exactly one of value/formula"),
+     "cell 'B1' must have exactly one of value/formula"),
+    ([{"ref": "B1"}], "cell 'B1' must have exactly one of value/formula"),
     ([{"ref": "B1", "value": None}],
      "cell S!B1 value must be number, string or boolean, got None"),
     ([{"ref": "B1", "value": [1]}],
      "cell S!B1 value must be number, string or boolean, got [1]"),
-    ([{"ref": "B1", "formula": None}], 'cell B1 "formula" must be a string'),
+    ([{"ref": "B1", "formula": None}], 'cell \'B1\' "formula" must be a string'),
     ([{"ref": "B1", "value": 1, "note": ""}], "unknown cell fields: ['note']"),
     ([{"ref": "S!B1", "value": 1}], "cell ref must not carry a sheet: 'S!B1'"),
     # Docs with two faults give the error of the check that comes first.
     ([{"ref": "B1", "value": 1, "formula": None}],
-     "cell B1 must have exactly one of value/formula"),
+     "cell 'B1' must have exactly one of value/formula"),
     ([{"ref": "S!B1", "value": 1, "formula": "=1"}],
      "cell ref must not carry a sheet: 'S!B1'"),
     ([{"ref": "B1", "formula": 5, "note": ""}], "unknown cell fields: ['note']"),
@@ -267,6 +269,22 @@ def test_a_row_past_the_digit_limit_is_a_format_error(column):
     assert str(exc.value) == str(parsed.value)
     # One short line: the ref is quoted by its head, and int()'s advice is left out.
     assert len(str(exc.value)) < 80 and "set_int_max_str_digits" not in str(exc.value)
+
+
+# A ref of 4,000 digits parses (int() converts up to 4,300), so each check
+# after the parse sees it whole; one carrying a sheet is refused before.
+@pytest.mark.parametrize("cell", [
+    {"ref": "S!A" + LONG_ROW, "value": 1},
+    {"ref": "A" + LONG_ROW[:4_000], "value": 1, "formula": "=1"},
+    {"ref": "A" + LONG_ROW[:4_000]},
+    {"ref": "A" + LONG_ROW[:4_000], "formula": None},
+], ids=["sheet", "both", "neither", "formula"])
+def test_a_long_ref_gives_a_short_error_line(cell, tmp_path, capsys):
+    path = tmp_path / "wb.json"
+    path.write_text(json.dumps({"sheets": [{"name": "S", "cells": [cell]}]}))
+    assert main(["analyze", str(path)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: cell ") and len(line.encode()) < 200, line[:200]
 
 
 def test_a_number_of_a_subclass_of_int_or_float_loads_as_a_float():
