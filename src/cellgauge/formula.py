@@ -27,24 +27,23 @@ What a token is, is defined once, by the lexer's pattern ``_TOKEN``, which
 embeds ``refs.REFERENCE`` for a cell reference.
 
 A formula's *shape* is the formula up to the shift of its relative
-references: ``=A1*2`` in B1 and ``=A2*2`` in B2 share one. :func:`shape_key`
-keys a text by its shape, cutting it with the lexer's ``_TOKEN`` once per
-*skeleton* (the text with each letter and digit replaced by its class),
-which copies of a formula mostly share and which fixes where each
-reference's sheet, column and row lie. :class:`FormulaShape` is built from
-one walk of one parse and keeps what the audit needs of the formula's
-structure, not the AST: operator and operand counts, nesting, decisions,
-the range-linkage shift key split at the reference leaves, each leaf as
-its key's parts (offsets for relative parts), whether every reference is
-relative, and the IF layout conditional discovery reads. A copy is then
-its shape plus its cell: ``FormulaShape.references`` gives its reference
-leaves and ``FormulaShape.shift_key_at`` its shift key, with no AST.
+references: ``=A1*2`` in B1 and ``=A2*2`` in B2 share one. :func:`shape_keys`
+keys texts by shape a *skeleton* at a time (the text with each letter and
+digit replaced by its class, which copies mostly share): one scan with
+``_TOKEN`` cuts every text of a skeleton, and each key part is taken for
+them all in one C-level pass. :class:`FormulaShape` is built from one walk
+of one parse and keeps what the audit needs of the formula's structure, not
+the AST: counts, nesting, decisions, the shift key split at the reference
+leaves, each leaf as its key's parts, and the IF layout. A copy is then its
+shape plus its cell: ``FormulaShape.references`` gives its reference leaves.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import repeat
+from operator import itemgetter, sub
 import re
 from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
@@ -505,30 +504,31 @@ def _render(node: AstNode) -> tuple[str, int]:
     """Text and precedence of a subtree, with minimal parentheses.
 
     An explicit stack, so a long flat chain such as A1+A1+...+A1 needs no
-    deep call stack: a node is pushed again above its children and combined
-    when popped the second time, from its children's (text, precedence)
-    results on ``done``.
+    deep call stack: a node is pushed again with a None on it, beneath its
+    children, and combined when the None is popped, from its children's
+    (text, precedence) results on ``done``.
     """
     done: list[tuple[str, int]] = []
-    stack: list[tuple[AstNode, bool]] = [(node, False)]
+    stack: list[Optional[AstNode]] = [node]
     while stack:
-        n, children_done = stack.pop()
-        if not children_done:
+        n = stack.pop()
+        if n is not None:
             text = _atom_text(n)
             if text is not None:
                 done.append((text, _ATOM_PREC))
                 continue
-            stack.append((n, True))
+            stack += (n, None)
             if isinstance(n, UnaryOp):
-                stack.append((n.child, False))
+                stack.append(n.child)
             elif isinstance(n, BinaryOp):
-                stack.append((n.right, False))
-                stack.append((n.left, False))
+                stack += (n.right, n.left)
             elif isinstance(n, FunctionCall):
-                stack.extend((arg, False) for arg in reversed(n.args))
+                stack.extend(reversed(n.args))
             else:
                 raise TypeError(f"not an AST node: {n!r}")
-        elif isinstance(n, UnaryOp):
+            continue
+        n = stack.pop()
+        if isinstance(n, UnaryOp):
             text, prec = done.pop()
             if n.op == "%":
                 if prec < _PERCENT_PREC:
@@ -643,6 +643,9 @@ _Cuts = tuple[tuple[_Span, Optional[_RefCut]], ...]
 _SKELETON = str.maketrans(
     {**{c: "a" for c in "ABCDFGHIJKLMNOPQRSTUVWXYZabcdfghijklmnopqrstuvwxyz"},
      **{c: "0" for c in "0123456789"}})
+# The same map on a text's UTF-8 bytes, which code only ASCII characters
+# below 128: two texts have one byte skeleton exactly when one skeleton.
+_BYTE_SKELETON = bytes(range(256)).decode("latin-1").translate(_SKELETON).encode("latin-1")
 
 
 def _scan_spans(text: str) -> Optional[_Cuts]:
@@ -669,60 +672,86 @@ def _scan_spans(text: str) -> Optional[_Cuts]:
     return tuple(spans)
 
 
-def shape_key(text: str, column: int, row: int, columns: dict[str, int],
-              sheets: dict[str, str], cuts: dict[str, Optional[_Cuts]]) -> Optional[tuple]:
-    """The shape key of a formula text in cell (column, row).
+def shape_key(text: str, column: int, row: int, numbers: dict[str, int],
+              sheets: dict[str, str], cuts: dict[bytes, Optional[_Cuts]]) -> Optional[tuple]:
+    """The shape key of a formula text in cell (column, row), keyed by
+    :func:`shape_keys` as a group of one; None when it has none."""
+    return shape_keys((text,), (column,), (row,), numbers, sheets, cuts)[1].get(0)
 
-    The text is cut with the lexer's own token pattern, ``_TOKEN``, so at
-    exactly the places :func:`_lex` cuts it. The key is a tuple of the
-    verbatim text between references and, for each reference, its sheet
-    and each absolute flag with the absolute value or the offset from the
-    cell, so two texts share a key exactly when they are copies of one
-    formula. None when the text cannot share a shape: when it does not
-    start with ``=``, holds a character no token starts with or an
-    unterminated string, or a reference to row 0, past column XFD or past
-    ``int``'s digits (such texts fail to parse, and each must report its
-    own error offset).
 
-    ``columns`` maps column letters to columns, ``sheets`` a sheet's text
-    to its name, and ``cuts`` each text skeleton (see ``_SKELETON``) to the
-    cuts :func:`_scan_spans` found in the first text with that skeleton, so
-    later texts with it are cut without a scan. All should live as long as
-    one load.
+def shape_keys(texts: Sequence[str], columns: Sequence[int], rows: Sequence[int],
+               numbers: dict[str, int], sheets: dict[str, str],
+               cuts: dict[bytes, Optional[_Cuts]]) -> tuple[dict[int, int], dict[int, tuple]]:
+    """The shape keys of formula texts, ``texts[i]`` in cell (``columns[i]``,
+    ``rows[i]``): for each text with a key, the index of the first text with
+    its key among the texts of its skeleton, and each such first text's key.
+
+    A key is the verbatim text between references and, per reference, its
+    sheet and each absolute flag with the absolute value or the offset from
+    the cell, so copies of one formula share it. The texts of one skeleton
+    are cut once, with ``_TOKEN`` as :func:`_lex` cuts, and each key part is
+    taken for all of them in one pass. A text has no key when it does not
+    start with ``=``, holds a character no token starts with or an open
+    string, or references row 0, past XFD or past ``int``'s digits: it fails
+    to parse, at its own offset. ``numbers`` maps column letters to columns
+    and row digits to rows, ``sheets`` a sheet's text to its name, and
+    ``cuts`` each skeleton to its first text's cuts; all live for one load.
     """
-    if not text.startswith("="):
-        return None
-    skeleton = text.translate(_SKELETON)
-    spans = cuts.get(skeleton, False)
-    if spans is False:
-        spans = cuts[skeleton] = _scan_spans(text)
-    if spans is None:  # a character no token starts with
-        return None
-    key: list = []
+    groups: dict[bytes, list[int]] = {}
+    for i, skeleton in enumerate(map(bytes.translate, map(
+            str.encode, texts, repeat("utf-8"), repeat("surrogatepass")), repeat(_BYTE_SKELETON))):
+        groups.setdefault(skeleton, []).append(i)
+    first_of, key_of = {}, {}
+    for skeleton, indexes in groups.items():
+        group = list(map(texts.__getitem__, indexes))
+        spans = cuts.get(skeleton, False)
+        if spans is False:
+            spans = cuts[skeleton] = _scan_spans(group[0]) if skeleton[:1] == b"=" else None
+        if spans is None:
+            continue
+        parts = _key_parts(group, list(map(columns.__getitem__, indexes)),
+                           list(map(rows.__getitem__, indexes)), spans, numbers, sheets)
+        if parts is not None:
+            firsts: dict[tuple, int] = {}
+            first_of.update(zip(indexes, map(firsts.setdefault, zip(*parts), indexes)))
+            key_of.update(zip(firsts.values(), firsts))
+        elif len(indexes) > 1:  # some text has no key: key each text alone
+            for i in indexes:
+                key = shape_key(texts[i], columns[i], rows[i], numbers, sheets, cuts)
+                if key is not None:
+                    first_of[i], key_of[i] = i, key
+    return first_of, key_of
+
+
+def _key_parts(texts: list[str], columns: list[int], rows: list[int], spans: _Cuts,
+               numbers: dict[str, int], sheets: dict[str, str]) -> Optional[list[list]]:
+    """The key parts of texts cut by ``spans``, as columns; None when a text
+    references row 0, past XFD or past ``int``'s digits."""
+    n, parts = len(texts), []
     for other, ref in spans:
-        # The text before the reference; None if there is none.
-        key.append(None if other is None else text[other[0]:other[1]])
+        parts.append([None] * n if other is None else list(map(itemgetter(slice(*other)), texts)))
         if ref is None:  # the end of the text
             break
-        _, _, sheet, col_abs, letters, row_abs, digits = ref
-        letters = text[letters]
-        col = columns.get(letters)
-        if col is None:
-            col = columns[letters] = letters_to_column(letters)
+        _, _, sheet, col_abs, col_text, row_abs, row_text = ref
+        names = list(map(itemgetter(col_text), texts))
+        digits = list(map(itemgetter(row_text), texts))
         try:
-            ref_row = int(text[digits])
-        except ValueError:  # past int's digit limit
+            numbers.update((t, letters_to_column(t)) for t in set(names).difference(numbers))
+            numbers.update((t, int(t)) for t in set(digits).difference(numbers))
+        except ValueError:  # a row past int's digit limit
             return None
-        if ref_row < 1 or col > MAX_COLUMN:
+        cols, ref_rows = list(map(numbers.__getitem__, names)), list(map(numbers.__getitem__, digits))
+        if min(ref_rows) < 1 or max(cols) > MAX_COLUMN:
             return None
-        if sheet is not None:
-            quoted = text[sheet]
-            sheet = sheets.get(quoted)
-            if sheet is None:
-                sheet = sheets[quoted] = unquote_sheet_name(quoted)
-        key += (sheet, col_abs, col if col_abs else col - column,
-                row_abs, ref_row if row_abs else ref_row - row)
-    return tuple(key)
+        if sheet is None:
+            parts.append([None] * n)
+        else:
+            quoted = list(map(itemgetter(sheet), texts))
+            sheets.update((q, unquote_sheet_name(q)) for q in set(quoted).difference(sheets))
+            parts.append(list(map(sheets.__getitem__, quoted)))
+        parts += ([col_abs] * n, cols if col_abs else list(map(sub, cols, columns)),
+                  [row_abs] * n, ref_rows if row_abs else list(map(sub, ref_rows, rows)))
+    return parts
 
 
 # What one expression reaches without crossing an IF call: the indexes in

@@ -20,14 +20,12 @@ its value typed inline. ``Sheet.cells``, ``Workbook.cell``,
 on first read.
 
 Most formulas in a model are copies of one another, identical up to the
-shift of their relative references. One load keys each formula text by its
-shape (``formula.shape_key``, which cuts the text into tokens once per
-character-class skeleton) and parses only the first text of each shape,
-into the ``FormulaShape`` every copy carries: the measures that do not
-depend on where a copy sits, and its references as offsets. No AST
-outlives the load; a copy keeps only its text and shape, and ``Cell.ast``
-parses the text again when it is read. A text that fails to parse has no
-shape: each such text is parsed, and reports its error offset, on its own.
+shift of their relative references. Once a sheet's docs are checked, its
+formula texts are keyed a skeleton group at a time (``formula.shape_keys``),
+and only the first text of each shape is parsed, into the ``FormulaShape``
+every copy carries. No AST outlives the load; ``Cell.ast`` parses a copy's
+text again when read. A text that fails to parse is parsed, and reports
+its error offset, on its own.
 
 The workbook holds cells only; the dependency graph (``graph.py``) is what
 maps a formula's references to the cells they read.
@@ -40,6 +38,7 @@ import io
 import json
 import math
 import re
+from itertools import compress
 from pathlib import Path
 from typing import Iterator, Optional, Union
 
@@ -51,7 +50,7 @@ from .errors import (
     _Record,
     _set,
 )
-from .formula import FormulaAst, FormulaShape, parse_formula, shape_key
+from .formula import FormulaAst, FormulaShape, parse_formula, shape_keys
 from .refs import MAX_COLUMN, CellRef, _quoted_head, letters_to_column, parse_cell_address
 
 DataValue = Union[float, str, bool]
@@ -227,38 +226,44 @@ def _typed_value(raw: object, sheet: str, key: tuple[int, int]) -> DataValue:
 
 
 class _Shapes:
-    """The formula shapes of one load by shape key, and the load's memos:
-    the column of each column-letters text, and ``shape_key``'s memos of
-    the name of each sheet text and of the cuts of each text skeleton."""
+    """The formula shapes of one load by shape key, and ``shape_keys``'s
+    memos: the number of each column-letters or row-digits text, the name of
+    each sheet text and the cuts of each text skeleton."""
 
-    __slots__ = ("by_key", "columns", "sheets", "cuts")
+    __slots__ = ("by_key", "numbers", "sheets", "cuts")
 
     def __init__(self):
-        self.by_key, self.columns, self.sheets, self.cuts = {}, {}, {}, {}
+        self.by_key, self.numbers, self.sheets, self.cuts = {}, {}, {}, {}
 
 
-def _add_formula(sheet: Sheet, key: tuple[int, int], text: str,
-                 warnings: list[AuditWarning], shapes: _Shapes) -> None:
-    """Append the cell with formula ``text`` at ``key``, which the sheet's
-    index already gives the next position, to the sheet's columns. A text
-    that does not parse becomes a string data cell with a W001 warning."""
-    row, column = key
-    keyed = shape_key(text, column, row, shapes.columns, shapes.sheets, shapes.cuts)
-    shape = shapes.by_key.get(keyed)
-    if shape is None:
-        try:
-            ast = parse_formula(text)
-        except FormulaSyntaxError as exc:
-            warnings.append(AuditWarning(
-                W_FORMULA_ERROR, CellRef(sheet.name, column, row).render(), str(exc)))
-            sheet.values.append(str(text))
-            return
-        # A text that parses has a key: shape_key cuts it as _lex does.
-        shape = shapes.by_key[keyed] = FormulaShape(ast, column, row, keyed)
-    sheet.formula_rows.append(len(sheet.values))
-    sheet.values.append(None)
-    sheet.sources.append(text)
-    sheet.shapes.append(shape)
+def _add_formulas(sheet: Sheet, cells: list[tuple[int, int]], warnings: list[AuditWarning],
+                  shapes: _Shapes) -> None:
+    """Fill the sheet's formula columns from its formula docs, whose (row,
+    column) keys ``cells`` lists in document order and whose ``values`` hold
+    their texts. In that order, a copy takes the shape of the first text of
+    its key and skeleton, which looks it up or parses; a text that does not
+    parse keeps its string value, with a W001 warning of its own offset."""
+    values, positions = sheet.values, list(map(sheet.index.__getitem__, cells))
+    texts = list(map(values.__getitem__, positions))
+    rows, columns = zip(*cells) if cells else ((), ())
+    first_of, key_of = shape_keys(texts, columns, rows, shapes.numbers, shapes.sheets,
+                                  shapes.cuts)
+    by_key, found = shapes.by_key, []
+    for i, first in enumerate(map(first_of.get, range(len(texts)))):
+        shape = found[first] if first is not None and first < i else by_key.get(key_of.get(i))
+        if shape is None:
+            try:
+                ast = parse_formula(texts[i])
+            except FormulaSyntaxError as exc:
+                address = CellRef(sheet.name, columns[i], rows[i]).render()
+                warnings.append(AuditWarning(W_FORMULA_ERROR, address, str(exc)))
+            else:  # a text that parses has a key: shape_keys cuts it as _lex does
+                shape = by_key[key_of[i]] = FormulaShape(ast, columns[i], rows[i], key_of[i])
+        values[positions[i]] = str(texts[i]) if shape is None else None
+        found.append(shape)
+    sheet.formula_rows = list(compress(positions, found))
+    sheet.sources = list(compress(texts, found))
+    sheet.shapes = list(filter(None, found))
 
 
 def _load_cells(sheet: Sheet, cell_docs: list, warnings: list[AuditWarning],
@@ -271,9 +276,10 @@ def _load_cells(sheet: Sheet, cell_docs: list, warnings: list[AuditWarning],
     a string formula in valid Unicode; a valid value, a string one in valid
     Unicode; a key not yet in the sheet. A plain ``ref`` takes its column
     from the load's memo, a float, int, ASCII string or boolean value is
-    typed inline, and one ``setdefault`` finds a duplicate.
+    typed inline, and one ``setdefault`` finds a duplicate. A formula's text
+    waits in ``values`` until ``_add_formulas`` keys the sheet's formulas.
     """
-    index, values, columns = sheet.index, sheet.values, shapes.columns
+    index, values, columns, formulas = sheet.index, sheet.values, shapes.numbers, []
     plain, isfinite = _PLAIN_ADDRESS.match, math.isfinite
     for cell_doc in cell_docs:
         if not isinstance(cell_doc, dict):
@@ -329,9 +335,10 @@ def _load_cells(sheet: Sheet, cell_docs: list, warnings: list[AuditWarning],
             address = CellRef(sheet.name, column, row).render()
             raise FormatError(f"duplicate cell {address} in sheet {sheet.name!r}")
         if value is None:  # a formula doc: no value is typed as None
-            _add_formula(sheet, key, text, warnings, shapes)
-        else:
-            values.append(value)
+            formulas.append(key)
+            value = text
+        values.append(value)
+    _add_formulas(sheet, formulas, warnings, shapes)
 
 
 def load_workbook_doc(doc: dict, provenance: str = "<doc>") -> Workbook:
@@ -377,7 +384,7 @@ def load_csv_grid(text: str, provenance: str = "<csv>") -> Workbook:
     sheet = Sheet("Sheet1")
     wb.add_sheet(sheet)
     shapes = _Shapes()
-    index, values = sheet.index, sheet.values
+    index, values, formulas = sheet.index, sheet.values, []
     reader = csv.reader(io.StringIO(text), strict=True)
     try:
         for row_idx, row in enumerate(reader, start=1):
@@ -387,7 +394,8 @@ def load_csv_grid(text: str, provenance: str = "<csv>") -> Workbook:
                 key = (row_idx, col_idx)
                 index[key] = len(values)
                 if raw.startswith("="):
-                    _add_formula(sheet, key, raw, wb.warnings, shapes)
+                    formulas.append(key)
+                    values.append(raw)
                     continue
                 upper = raw.strip().upper()
                 if upper in ("TRUE", "FALSE"):
@@ -403,6 +411,7 @@ def load_csv_grid(text: str, provenance: str = "<csv>") -> Workbook:
                 values.append(value)
     except csv.Error as exc:
         raise FormatError(f"invalid CSV at line {reader.line_num}: {exc}") from exc
+    _add_formulas(sheet, formulas, wb.warnings, shapes)
     return wb
 
 

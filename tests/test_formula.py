@@ -41,6 +41,7 @@ from cellgauge.formula import (
     _layout,
     ast_equal,
     ast_hash,
+    ast_repr,
     child_nodes,
     classify_tokens,
     decision_count,
@@ -715,6 +716,41 @@ def test_a_fifty_thousand_term_sum_loads_under_a_fixed_bound():
     # About 67 MB on Python 3.11; with tuple paths 8,000 terms took 258 MB.
     peak = _load_peak("=" + "+".join(["A1"] * 50_000))
     assert peak < 100_000_000, peak
+
+
+def _peak(call) -> int:
+    """The tracemalloc peak, in bytes, of ``call()``."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# Each walker of a formula's text or AST, as a call on the text and its
+# parse; a walk's nodes are consumed as they come.
+WALKERS = {
+    "parse_formula": lambda text, ast: parse_formula(text),
+    "walk": lambda text, ast: all(walk(ast.root)),
+    "ast_hash": lambda text, ast: ast_hash(ast.root),
+    "classify_tokens": lambda text, ast: classify_tokens(ast),
+    "render_formula": lambda text, ast: render_formula(ast),
+    "ast_repr": lambda text, ast: ast_repr(ast.root),
+    "decision_count": lambda text, ast: decision_count(ast),
+}
+
+
+@pytest.mark.parametrize("walker", WALKERS.values(), ids=WALKERS)
+def test_each_walker_runs_a_long_sum_in_linear_memory(walker):
+    # render_formula pushed a tuple per pending node: its peak grew 2.5x
+    # from 4,000 to 8,000 terms, as the tuple free list covered fewer of them.
+    peaks = []
+    for n in (4_000, 8_000):
+        text = "=" + "+".join(["A1"] * n)
+        ast = parse_formula(text)
+        peaks.append(_peak(lambda: walker(text, ast)))
+    assert peaks[1] <= 2.2 * peaks[0], peaks
 
 
 def walk_classify_tokens(ast: FormulaAst | AstNode) -> list[ClassifiedToken]:

@@ -12,6 +12,8 @@ copy-class metrics call, and its load no ``CellRef`` per data cell.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import re
 import sys
@@ -24,9 +26,10 @@ import loader_oracle
 from cellgauge import report as report_module
 from cellgauge.cli import main
 from cellgauge import workbook as workbook_module
-from cellgauge.errors import FormatError
+from cellgauge.errors import FormatError, FormulaSyntaxError
+from cellgauge.formula import parse_formula
 from cellgauge.graph import build_graph
-from cellgauge.refs import REFERENCE, CellRef, parse_cell_address
+from cellgauge.refs import REFERENCE, CellRef, column_to_letters, parse_cell_address
 from cellgauge.report import analyze_workbook, emit_report
 from cellgauge.workbook import Cell, Workbook, load_csv_grid, load_workbook_doc
 
@@ -301,6 +304,85 @@ def test_a_number_of_a_subclass_of_int_or_float_loads_as_a_float():
     wb = load_workbook_doc(doc)
     assert [(c.value, type(c.value)) for c in wb.iter_cells()] == [(2.5, float), (3.0, float)]
     assert_loads_alike(load_workbook_doc, loader_oracle.load_workbook_doc, doc)
+
+
+# --- Skeleton groups -----------------------------------------------------------
+#
+# A load keys a sheet's formula texts a skeleton group at a time: texts whose
+# letters and digits may differ but whose character classes agree (see
+# formula._SKELETON). Each grid puts texts of one skeleton whose keys fare
+# differently side by side, and is loaded as CSV and as the same JSON document.
+
+PAST_DIGITS = 4_301  # one digit past int()'s default limit
+SKELETON_GRIDS = {
+    # B1 would read A0 at the offsets at which B2 reads A1.
+    "row 0 beside row 5": [["=A5+1", "=A0+1"], ["=A6+1", "=A1+1"]],
+    # XFE's "E" is a class of its own, so "=XFE1+1" has another skeleton.
+    "past XFD beside ABC": [["=XFE1+1", "=ABC1+1"], ["=XFF2+1", "=ABC2+1"]],
+    "rows past the digit limit": [["=A" + "1" * PAST_DIGITS + "+1",
+                                   "=B" + "2" * PAST_DIGITS + "+1"]],
+    "a non-ASCII sheet": [["='Sé'!A1+1", "='Sa'!A1+1"], ["='Sé'!A2+1", "='Sé'!A2+1"]],
+    "1e5 beside 1E5": [["=B1*1e5", "=C1*1E5"], ["=B2*1e5", "=C2*1E5"]],
+    "lower-case refs": [["=a1+b$2", "=B1+C$2"], ["=a2+$b2", "=$A3+b3"]],
+}
+
+
+def _grid_sources(rows: list[list[str]]) -> tuple[str, dict]:
+    """A grid of formula texts as CSV text and as the equivalent JSON
+    document, whose one sheet is named as the CSV loader names it."""
+    out = io.StringIO()
+    csv.writer(out).writerows(rows)
+    cells = [{"ref": f"{column_to_letters(c)}{r}", "formula": text}
+             for r, row in enumerate(rows, start=1) for c, text in enumerate(row, start=1)]
+    return out.getvalue(), {"sheets": [{"name": "Sheet1", "cells": cells}]}
+
+
+def _fails_alone(text: str) -> bool:
+    try:
+        parse_formula(text)
+    except FormulaSyntaxError:
+        return True
+    return False
+
+
+def _assert_own_errors(wb: Workbook) -> None:
+    """A W001 for each formula text that fails to parse on its own, in
+    document order, with the error its text gives alone, offset included."""
+    failing = [cell for cell in wb.iter_cells()
+               if isinstance(cell.value, str) and cell.value.startswith("=")
+               and _fails_alone(cell.value)]
+    assert [w.address for w in wb.warnings] == [c.address.render() for c in failing]
+    for warning in wb.warnings:
+        with pytest.raises(FormulaSyntaxError) as exc:
+            parse_formula(wb.cell(warning.address).value)
+        assert warning.message == str(exc.value)
+
+
+@pytest.mark.parametrize("rows", SKELETON_GRIDS.values(), ids=SKELETON_GRIDS)
+def test_each_skeleton_group_loads_as_the_per_cell_loader_loads_it(rows):
+    text, doc = _grid_sources(rows)
+    assert_loads_alike(load_csv_grid, loader_oracle.load_csv_grid, text)
+    assert_loads_alike(load_workbook_doc, loader_oracle.load_workbook_doc, doc)
+    for wb in (load_csv_grid(text), load_workbook_doc(doc)):
+        _assert_own_errors(wb)
+
+
+def test_a_shape_first_met_on_a_later_sheet_is_shared_by_its_later_copies():
+    doc = {"sheets": [
+        {"name": "S", "cells": [{"ref": "B1", "formula": "=A1*2"},
+                                {"ref": "B2", "formula": "=A0*2"}]},
+        {"name": "T", "cells": [{"ref": "C5", "formula": "=B5+1"},
+                                {"ref": "B2", "formula": "=A2*2"}]},
+        {"name": "U", "cells": [{"ref": "D10", "formula": "=C10+1"},
+                                {"ref": "B3", "formula": "=a3*2"}]},
+    ]}
+    assert_loads_alike(load_workbook_doc, loader_oracle.load_workbook_doc, doc)
+    wb = load_workbook_doc(doc)
+    assert wb.cell("U!D10").shape is wb.cell("T!C5").shape
+    # A key holds columns, not their letters, so "a3" copies "A1" too.
+    assert wb.cell("T!B2").shape is wb.cell("S!B1").shape is wb.cell("U!B3").shape
+    _assert_own_errors(wb)
+    assert [w.address for w in wb.warnings] == ["S!B2"]
 
 
 # --- Objects built per cell ----------------------------------------------------

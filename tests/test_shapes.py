@@ -299,6 +299,39 @@ def test_a_load_cuts_each_skeleton_once(monkeypatch):
     assert len({id(c.shape) for c in wb.formula_cells()}) > 30
 
 
+def test_a_grouped_load_parses_once_per_shape_and_scans_once_per_skeleton(monkeypatch):
+    # The load keys a sheet's texts a skeleton group at a time, so on a
+    # copy-heavy document it scans each skeleton once, and parses the first
+    # copy of each shape key once plus each text that fails (W001) once.
+    parsed, scanned = [], []
+    parse, scan = workbook_module.parse_formula, formula_module._scan_spans
+    monkeypatch.setattr(workbook_module, "parse_formula",
+                        lambda text: parsed.append(text) or parse(text))
+    monkeypatch.setattr(formula_module, "_scan_spans",
+                        lambda text: scanned.append(text) or scan(text))
+    cells: dict[str, object] = {f"A{r}": float(r) for r in range(1, 301)}
+    for r in range(1, 301):
+        cells[f"B{r}"] = f"=A{r}*2+$A$1"
+        cells[f"C{r}"] = f"=IF(B{r}>0,B{r}+1,B{r}-1)"
+        cells[f"D{r}"] = f"=SUM(A$1:A{r})"
+    # Row 0 and past XFD beside keyed texts of their skeletons; two copies
+    # of a text that fails to parse; and one shape in two skeleton groups.
+    cells.update({"E1": "=A0+1", "E2": "=A1+1", "E3": "=XFF3+1", "E4": "=ABC4+1",
+                  "E5": "=1+", "E6": "=1+", "F9": "=A9+1", "F10": "=A10+1"})
+    sheets = {"S": cells, "T": {f"B{r}": f"=A{r}*2+$A$1" for r in range(1, 50)}}
+    wb, texts = load_doc(sheets)
+    shapes = {id(c.shape) for c in wb.formula_cells()}
+    assert [w.address for w in wb.warnings] == ["S!E1", "S!E3", "S!E5", "S!E6"]
+    assert len(parsed) == len(shapes) + len(wb.warnings) == 6 + 4
+    assert sorted(parsed) == sorted(["=A1*2+$A$1", "=IF(B1>0,B1+1,B1-1)", "=SUM(A$1:A1)",
+                                     "=A1+1", "=ABC4+1", "=A9+1",
+                                     "=A0+1", "=XFF3+1", "=1+", "=1+"])
+    assert wb.cell("S!F10").shape is wb.cell("S!F9").shape
+    assert wb.cell("T!B7").shape is wb.cell("S!B1").shape
+    skeletons = {text.translate(_SKELETON) for text in texts.values()}
+    assert len(scanned) == len(skeletons) == 3 * 3 + 4
+
+
 def test_cells_compare_and_print_without_an_ast(monkeypatch):
     long_sum = "+".join(["A1"] * 2000)
     sheets = {"S": {"A1": 1.0, "B1": "=" + long_sum, "B2": "=" + long_sum.replace("A1", "A2")}}
