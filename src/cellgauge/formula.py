@@ -36,16 +36,19 @@ of one parse and keeps what the audit needs of the formula's structure, not
 the AST: counts, nesting, decisions, the shift key split at the reference
 leaves, each leaf as its key's parts, and the IF layout. A copy is then its
 shape plus its cell: ``FormulaShape.references`` gives its reference leaves.
+Texts that differ only in their numbers and in their references' column
+letters and row digits share a :func:`template_key`, and with it one parse
+and one walk (:class:`Template`), from which each of their shapes is built.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import repeat
+from itertools import islice, repeat
 from operator import itemgetter, sub
 import re
-from typing import Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .errors import (EmptyFormulaError, FormulaSyntaxError, UnbalancedParensError,
                      _Record, _set)
@@ -628,10 +631,11 @@ def _shift_key(pieces: Sequence[str], leaves: Sequence[Union[CellRef, RangeRef]]
 # --- Formula shapes ---------------------------------------------------------
 
 # Where _scan_spans cuts a text: per reference and once for the end of the
-# text, the (start, end) of the run of other tokens before it (None when
-# absent) and the reference's (start, end, sheet or None, column "$", column
-# letters, row "$", row digits), each text part as a slice.
-_Span = Optional[tuple[int, int]]
+# text, the (start, end, numbers) of the run of other tokens before it (None
+# when absent), with the slice of each number token in the run, and the
+# reference's (start, end, sheet or None, column "$", column letters, row "$",
+# row digits), each text part as a slice.
+_Span = Optional[tuple[int, int, tuple[slice, ...]]]
 _RefCut = tuple[int, int, Optional[slice], bool, slice, bool, slice]
 _Cuts = tuple[tuple[_Span, Optional[_RefCut]], ...]
 
@@ -651,24 +655,27 @@ _BYTE_SKELETON = bytes(range(256)).decode("latin-1").translate(_SKELETON).encode
 def _scan_spans(text: str) -> Optional[_Cuts]:
     """The cuts of a formula text after its ``=`` at its references, found
     with ``_TOKEN`` as :func:`_lex` finds its tokens: per reference, the
-    span of the run of other tokens before it (None if there is none) and
-    its cut (see ``_Cuts``); last, the run after the last reference and
-    None. None when some character starts no token or a string is left
-    open; a reference's row and column are not checked here."""
+    span of the run of other tokens before it (None if there is none), with
+    the number tokens in the run, and its cut (see ``_Cuts``); last, the run
+    after the last reference and None. None when some character starts no
+    token or a string is left open; a reference's row and column are not
+    checked here."""
     match = _TOKEN.match
-    spans = []
+    spans, numbers = [], []
     start = pos = 1
     while pos < len(text):
         m = match(text, pos)
         if m is None or m.lastgroup == "UNTERMINATED":
             return None
         if m.lastgroup == "REF":
-            spans.append(((start, pos) if start < pos else None, (
+            spans.append(((start, pos, tuple(numbers)) if start < pos else None, (
                 pos, m.end(), m["sheet"] and slice(*m.span("sheet")), m["colabs"] == "$",
                 slice(*m.span("col")), m["rowabs"] == "$", slice(*m.span("row")))))
-            start = m.end()
+            start, numbers = m.end(), []
+        elif m.lastgroup == "NUMBER":
+            numbers.append(slice(pos, m.end()))
         pos = m.end()
-    spans.append(((start, pos) if start < pos else None, None))
+    spans.append(((start, pos, tuple(numbers)) if start < pos else None, None))
     return tuple(spans)
 
 
@@ -681,10 +688,12 @@ def shape_key(text: str, column: int, row: int, numbers: dict[str, int],
 
 def shape_keys(texts: Sequence[str], columns: Sequence[int], rows: Sequence[int],
                numbers: dict[str, int], sheets: dict[str, str],
-               cuts: dict[bytes, Optional[_Cuts]]) -> tuple[dict[int, int], dict[int, tuple]]:
+               cuts: dict[bytes, Optional[_Cuts]]
+               ) -> tuple[dict[int, int], dict[int, tuple], dict[int, _Cuts]]:
     """The shape keys of formula texts, ``texts[i]`` in cell (``columns[i]``,
     ``rows[i]``): for each text with a key, the index of the first text with
-    its key among the texts of its skeleton, and each such first text's key.
+    its key among the texts of its skeleton, and each such first text's key
+    and cuts.
 
     A key is the verbatim text between references and, per reference, its
     sheet and each absolute flag with the absolute value or the offset from
@@ -701,7 +710,7 @@ def shape_keys(texts: Sequence[str], columns: Sequence[int], rows: Sequence[int]
     for i, skeleton in enumerate(map(bytes.translate, map(
             str.encode, texts, repeat("utf-8"), repeat("surrogatepass")), repeat(_BYTE_SKELETON))):
         groups.setdefault(skeleton, []).append(i)
-    first_of, key_of = {}, {}
+    first_of, key_of, cuts_of = {}, {}, {}
     for skeleton, indexes in groups.items():
         group = list(map(texts.__getitem__, indexes))
         spans = cuts.get(skeleton, False)
@@ -715,12 +724,13 @@ def shape_keys(texts: Sequence[str], columns: Sequence[int], rows: Sequence[int]
             firsts: dict[tuple, int] = {}
             first_of.update(zip(indexes, map(firsts.setdefault, zip(*parts), indexes)))
             key_of.update(zip(firsts.values(), firsts))
+            cuts_of.update(zip(firsts.values(), repeat(spans)))
         elif len(indexes) > 1:  # some text has no key: key each text alone
             for i in indexes:
                 key = shape_key(texts[i], columns[i], rows[i], numbers, sheets, cuts)
                 if key is not None:
-                    first_of[i], key_of[i] = i, key
-    return first_of, key_of
+                    first_of[i], key_of[i], cuts_of[i] = i, key, spans
+    return first_of, key_of, cuts_of
 
 
 def _key_parts(texts: list[str], columns: list[int], rows: list[int], spans: _Cuts,
@@ -729,7 +739,7 @@ def _key_parts(texts: list[str], columns: list[int], rows: list[int], spans: _Cu
     references row 0, past XFD or past ``int``'s digits."""
     n, parts = len(texts), []
     for other, ref in spans:
-        parts.append([None] * n if other is None else list(map(itemgetter(slice(*other)), texts)))
+        parts.append([None] * n if other is None else list(map(itemgetter(slice(*other[:2])), texts)))
         if ref is None:  # the end of the text
             break
         _, _, sheet, col_abs, col_text, row_abs, row_text = ref
@@ -752,6 +762,28 @@ def _key_parts(texts: list[str], columns: list[int], rows: list[int], spans: _Cu
         parts += ([col_abs] * n, cols if col_abs else list(map(sub, cols, columns)),
                   [row_abs] * n, ref_rows if row_abs else list(map(sub, ref_rows, rows)))
     return parts
+
+
+def template_key(text: str, cuts: _Cuts) -> tuple:
+    """The template key of a text that ``cuts`` cut (see :func:`_scan_spans`):
+    the text without its number tokens and its references' column letters
+    and row digits, as the pieces between them, each cut out part named by
+    its kind ("n", "c" or "r") between its two pieces. Names, strings,
+    sheets, ``$`` markers and spacing stay as written. Texts of one template
+    key split into tokens alike, so they parse alike, but for the values of
+    their numbers and references (see :class:`Template`)."""
+    holes = []
+    for other, ref in cuts:
+        if other is not None:
+            holes += zip(other[2], repeat("n"))
+        if ref is not None:
+            holes += ((ref[4], "c"), (ref[6], "r"))
+    key, start = [], 0
+    for hole, kind in holes:
+        key += (text[start:hole.start], kind)
+        start = hole.stop
+    key.append(text[start:])
+    return tuple(key)
 
 
 # What one expression reaches without crossing an IF call: the indexes in
@@ -779,7 +811,7 @@ def _path(link: Optional[tuple]) -> tuple[int, ...]:
     return tuple(reversed(indexes))
 
 
-def _layout(root: AstNode) -> tuple[
+def _layout(root: AstNode, mark: Optional[str] = None) -> tuple[
         list[Union[CellRef, RangeRef]], Reach, IfLayout, int, list[str], list[tuple]]:
     """One pre-order pass over a formula: the refs of its reference leaves,
     its own reach, its IF calls, its decision count (see
@@ -797,7 +829,8 @@ def _layout(root: AstNode) -> tuple[
     cell's shift key, which copies of one formula share. A string on the
     stack is canonical text, taken when popped. Each token is (kind,
     nesting level, operator text or operand node), in pre-order but for a
-    ``%``, which waits on the stack as a 3-tuple to follow its operand."""
+    ``%``, which waits on the stack as a 3-tuple to follow its operand.
+    Given a ``mark``, the pieces hold it in place of each number's text."""
     leaves: list[Union[CellRef, RangeRef]] = []
     own: tuple[list, list] = ([], [])
     ifs: list = []
@@ -851,7 +884,7 @@ def _layout(root: AstNode) -> tuple[
                 tokens.append(("operator", level, node.op))
             opening, between = f"u{node.op}(", ""
         else:
-            text = _atom_text(node)
+            text = mark if mark is not None and type(node) is NumberLiteral else _atom_text(node)
             if text is None:
                 raise TypeError(f"not an AST node: {node!r}")
             tokens.append(("operand", level, node))
@@ -906,18 +939,28 @@ class FormulaShape:
                  "if_reach", "ifs", "leaves", "_key_pieces")
 
     def __init__(self, ast: FormulaAst, column: int, row: int, key: tuple):
-        (leaves, self.if_reach, self.ifs, self.decision_count,
-         self._key_pieces, tokens) = _layout(ast.root)
+        self._set_layout(_layout(ast.root), column, row, key)
+
+    def _set_layout(self, layout: tuple, column: int, row: int, key: tuple) -> None:
+        """Set every field from a :func:`_layout` of the formula and its key."""
+        leaves, self.if_reach, self.ifs, self.decision_count, pieces, tokens = layout
         kinds, levels, _ = zip(*tokens)
         self.n_operators = kinds.count("operator")
         self.n_operands = len(tokens) - self.n_operators
         self.depth_of_nesting = max(levels)
         self.avg_nesting_level = Fraction(sum(levels), len(levels))
+        self._set_key(pieces, [2 if isinstance(leaf, RangeRef) else 1 for leaf in leaves],
+                      column, row, key)
+
+    def _set_key(self, pieces: list[str], widths: Iterable[int], column: int, row: int,
+                 key: tuple) -> None:
+        """Set the fields that the key gives, for a formula whose canonical
+        text split at its reference leaves is ``pieces`` and whose leaves are
+        ``widths`` references of the text each (two for a range)."""
+        self._key_pieces = pieces
         # The parts of the text's references in text order, which is walk order.
         parts = iter([key[i:i + 5] for i in range(1, len(key) - 1, 6)])
-        self.leaves: tuple[Leaf, ...] = tuple(
-            (next(parts), next(parts)) if isinstance(leaf, RangeRef) else (next(parts),)
-            for leaf in leaves)
+        self.leaves: tuple[Leaf, ...] = tuple(tuple(islice(parts, width)) for width in widths)
         self.relative = not any(part[1] or part[3] for leaf in self.leaves for part in leaf)
         uniform = all(leaf[0][1] == leaf[-1][1] and leaf[0][3] == leaf[-1][3]
                       for leaf in self.leaves)
@@ -940,3 +983,55 @@ class FormulaShape:
         if self.shift_key is not None:
             return self.shift_key
         return _shift_key(self._key_pieces, self.references(column, row), column, row)
+
+
+class Template:
+    """The parse and layout that the texts of one :func:`template_key` share.
+
+    Such texts differ only in their numbers and in their references' column
+    letters and row digits, so their shapes differ only in the key pieces'
+    numbers and in the fields the key gives: ``shape`` is the first text's
+    shape, and :meth:`shape_of` builds another text's from it with no parse.
+    """
+
+    __slots__ = ("shape", "_fragments")
+
+    # The fields of a shape that its template fixes.
+    _SHARED = ("n_operators", "n_operands", "depth_of_nesting", "avg_nesting_level",
+               "decision_count", "if_reach", "ifs")
+
+    def __init__(self, ast: FormulaAst, column: int, row: int, key: tuple):
+        # The canonical text holds ASCII and characters of the source alone,
+        # so a character that is neither marks each number in the pieces.
+        source, mark = ast.source, "\uffff"
+        if mark in source:  # it lacks one of the len(source) + 1 after ASCII
+            mark = min(set(map(chr, range(128, 129 + len(source)))).difference(source))
+        layout = _layout(ast.root, mark)
+        self._fragments = [piece.split(mark) for piece in layout[4]]
+        numbers = [render_number(node.value) for _, _, node in layout[5]
+                   if type(node) is NumberLiteral]
+        self.shape = FormulaShape.__new__(FormulaShape)
+        self.shape._set_layout(layout[:4] + (self._pieces(numbers),) + layout[5:], column, row, key)
+
+    def _pieces(self, numbers: Iterable[str]) -> list[str]:
+        """The key pieces with ``numbers``, in text order, in the places of
+        the first text's numbers."""
+        numbers, pieces = iter(numbers), []
+        for fragments in self._fragments:
+            parts = [fragments[0]]
+            for fragment in fragments[1:]:
+                parts += (next(numbers), fragment)
+            pieces.append("".join(parts))
+        return pieces
+
+    def shape_of(self, text: str, cuts: _Cuts, column: int, row: int,
+                 key: tuple) -> FormulaShape:
+        """The shape of ``text`` of this template, cut by ``cuts``, in cell
+        (column, row), with shape key ``key``."""
+        shape = FormulaShape.__new__(FormulaShape)
+        for name in self._SHARED:
+            setattr(shape, name, getattr(self.shape, name))
+        numbers = [render_number(float(text[number]))
+                   for other, _ in cuts if other is not None for number in other[2]]
+        shape._set_key(self._pieces(numbers), map(len, self.shape.leaves), column, row, key)
+        return shape

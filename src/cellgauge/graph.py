@@ -436,9 +436,13 @@ class CellGraph:
         idxs = compress(range(self.node_count), map(not_, self._preds))
         return self._addresses(self.canonical(idxs))
 
+    def materialized_ids(self) -> range:
+        """The node ids of the empty cells the graph materialized, ascending."""
+        return range(self._populated, self.node_count)
+
     def materialized_locations(self) -> Locations:
         """The empty cells the graph materialized, in canonical order."""
-        return self.locations(self.canonical(range(self._populated, self.node_count)))
+        return self.locations(self.canonical(self.materialized_ids()))
 
     def materialized_cells(self) -> list[CellRef]:
         return list(self.materialized_locations())

@@ -15,7 +15,7 @@ each group of cascades that share a cone (``CellGraph.cascade_groups``).
 from __future__ import annotations
 
 import math
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .errors import DomainError, _Record, _set, require_finite
 from .graph import CascadeGroup
@@ -105,10 +105,17 @@ def cell_error_rates(
     (``g.workbook.iter_cells()`` order), the list is indexed by node id. A record
     that many cells share (one object) is rated once.
     """
+    return _per_record(metrics, lambda m: adjusted_cell_rate(m, cfg))
+
+
+def _per_record(metrics: Iterable[Optional[CellMetrics]],
+                value: Callable[[Optional[CellMetrics]], float]) -> list[float]:
+    """``value`` of each record of ``metrics``, in order, computed once per
+    distinct record (one object)."""
     metrics = list(metrics)  # keeps each record alive while its id is a key
     distinct = dict(zip(map(id, metrics), metrics))
-    rate = {k: adjusted_cell_rate(m, cfg) for k, m in distinct.items()}
-    return list(map(rate.__getitem__, map(id, metrics)))
+    by_id = {k: value(m) for k, m in distinct.items()}
+    return list(map(by_id.__getitem__, map(id, metrics)))
 
 
 def survive_factors(metrics: Sequence[Optional[CellMetrics]], node_count: int,
@@ -116,9 +123,10 @@ def survive_factors(metrics: Sequence[Optional[CellMetrics]], node_count: int,
     """Each node's survive factor ``1 - rate``, by node id, given the metrics
     of a graph's populated cells in node order
     (``g.workbook.iter_cells()``). The cells
-    are rated by :func:`cell_error_rates`, and the materialized empty cells,
-    the nodes past the metrics, take the data-cell rate."""
-    survive = [1.0 - rate for rate in cell_error_rates(metrics, cfg)]
+    are rated as :func:`cell_error_rates` rates them, once per distinct
+    record, and the materialized empty cells, the nodes past the metrics,
+    take the data-cell rate."""
+    survive = _per_record(metrics, lambda m: 1.0 - adjusted_cell_rate(m, cfg))
     survive += [1.0 - adjusted_cell_rate(None, cfg)] * (node_count - len(metrics))
     return survive
 

@@ -307,7 +307,8 @@ def _graph_analysis(
             d.from_cell.render(),
             f"reference {d.target_text} names missing sheet {d.missing_sheet!r}",
         ))
-    empty_cells = graph.materialized_locations().render()
+    # In node order: _warning_columns sorts the texts.
+    empty_cells = graph.locations(graph.materialized_ids()).render()
     for cyc in graph.cycles:
         warnings.append(AuditWarning(
             W_CYCLE_DETECTED,

@@ -22,10 +22,12 @@ on first read.
 Most formulas in a model are copies of one another, identical up to the
 shift of their relative references. Once a sheet's docs are checked, its
 formula texts are keyed a skeleton group at a time (``formula.shape_keys``),
-and only the first text of each shape is parsed, into the ``FormulaShape``
-every copy carries. No AST outlives the load; ``Cell.ast`` parses a copy's
-text again when read. A text that fails to parse is parsed, and reports
-its error offset, on its own.
+and every copy carries the ``FormulaShape`` of its key. Texts that differ
+only in numbers and cell coordinates share a template, so the load parses
+once per template (``formula.Template``) and builds each shape of it from
+that parse. No AST outlives the load; ``Cell.ast`` parses a copy's text
+again when read. A text that fails to parse is parsed, and reports its
+error offset, on its own.
 
 The workbook holds cells only; the dependency graph (``graph.py``) is what
 maps a formula's references to the cells they read.
@@ -50,7 +52,8 @@ from .errors import (
     _Record,
     _set,
 )
-from .formula import FormulaAst, FormulaShape, parse_formula, shape_keys
+from .formula import (FormulaAst, FormulaShape, Template, _Cuts, parse_formula, shape_keys,
+                      template_key)
 from .refs import MAX_COLUMN, CellRef, _quoted_head, letters_to_column, parse_cell_address
 
 DataValue = Union[float, str, bool]
@@ -226,14 +229,33 @@ def _typed_value(raw: object, sheet: str, key: tuple[int, int]) -> DataValue:
 
 
 class _Shapes:
-    """The formula shapes of one load by shape key, and ``shape_keys``'s
-    memos: the number of each column-letters or row-digits text, the name of
-    each sheet text and the cuts of each text skeleton."""
+    """The formula shapes of one load by shape key, their templates by
+    template key, and ``shape_keys``'s memos: the number of each
+    column-letters or row-digits text, the name of each sheet text and the
+    cuts of each text skeleton."""
 
-    __slots__ = ("by_key", "numbers", "sheets", "cuts")
+    __slots__ = ("by_key", "templates", "numbers", "sheets", "cuts")
 
     def __init__(self):
-        self.by_key, self.numbers, self.sheets, self.cuts = {}, {}, {}, {}
+        self.by_key, self.templates, self.numbers, self.sheets, self.cuts = {}, {}, {}, {}, {}
+
+    def new(self, text: str, column: int, row: int, key: Optional[tuple],
+            cuts: Optional[_Cuts]) -> FormulaShape:
+        """The shape of ``text`` in cell (column, row), whose shape key
+        ``key`` no earlier text had, cut by ``cuts``: built from its
+        template when an earlier text had its template key, else from its
+        own parse, which raises FormulaSyntaxError for a text that does not
+        parse. A text with no key does not parse; one whose template's first
+        text did not parse does not either, and is parsed for its error."""
+        template = None if key is None else self.templates.get(at := template_key(text, cuts))
+        if template is None:
+            # A text that parses has a key: shape_keys cuts it as _lex does.
+            template = self.templates[at] = Template(parse_formula(text), column, row, key)
+            shape = template.shape
+        else:
+            shape = template.shape_of(text, cuts, column, row, key)
+        self.by_key[key] = shape
+        return shape
 
 
 def _add_formulas(sheet: Sheet, cells: list[tuple[int, int]], warnings: list[AuditWarning],
@@ -241,24 +263,23 @@ def _add_formulas(sheet: Sheet, cells: list[tuple[int, int]], warnings: list[Aud
     """Fill the sheet's formula columns from its formula docs, whose (row,
     column) keys ``cells`` lists in document order and whose ``values`` hold
     their texts. In that order, a copy takes the shape of the first text of
-    its key and skeleton, which looks it up or parses; a text that does not
-    parse keeps its string value, with a W001 warning of its own offset."""
+    its key and skeleton, which looks it up or builds it (``_Shapes.new``);
+    a text that does not parse keeps its string value, with a W001 warning
+    of its own offset."""
     values, positions = sheet.values, list(map(sheet.index.__getitem__, cells))
     texts = list(map(values.__getitem__, positions))
     rows, columns = zip(*cells) if cells else ((), ())
-    first_of, key_of = shape_keys(texts, columns, rows, shapes.numbers, shapes.sheets,
-                                  shapes.cuts)
+    first_of, key_of, cuts_of = shape_keys(texts, columns, rows, shapes.numbers, shapes.sheets,
+                                           shapes.cuts)
     by_key, found = shapes.by_key, []
     for i, first in enumerate(map(first_of.get, range(len(texts)))):
         shape = found[first] if first is not None and first < i else by_key.get(key_of.get(i))
         if shape is None:
             try:
-                ast = parse_formula(texts[i])
+                shape = shapes.new(texts[i], columns[i], rows[i], key_of.get(i), cuts_of.get(i))
             except FormulaSyntaxError as exc:
                 address = CellRef(sheet.name, columns[i], rows[i]).render()
                 warnings.append(AuditWarning(W_FORMULA_ERROR, address, str(exc)))
-            else:  # a text that parses has a key: shape_keys cuts it as _lex does
-                shape = by_key[key_of[i]] = FormulaShape(ast, columns[i], rows[i], key_of[i])
         values[positions[i]] = str(texts[i]) if shape is None else None
         found.append(shape)
     sheet.formula_rows = list(compress(positions, found))

@@ -1,6 +1,7 @@
 """Formula shapes against parsing every formula on its own.
 
-A load parses only the first text of each shape; a later copy keeps only
+A load parses only the first text of each template (texts that differ
+only in numbers and cell coordinates share one); a later copy keeps only
 its text and shape, its cell gives its references, and its text is parsed
 again only when its AST is asked for. These tests load workbooks
 and compare every formula cell with what parsing its own text gives: the
@@ -13,10 +14,11 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 from fractions import Fraction
 from typing import Union
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cellgauge import build_graph, load_csv_grid, load_workbook_doc
@@ -29,6 +31,7 @@ from cellgauge.formula import (
     BinaryOp,
     BoolLiteral,
     CellRefNode,
+    FormulaShape,
     FunctionCall,
     NumberLiteral,
     RangeRefNode,
@@ -43,6 +46,7 @@ from cellgauge.formula import (
 from cellgauge.metrics import formula_metrics
 from cellgauge.refs import CellRef, column_to_letters, parse_cell_address
 from cellgauge.workbook import Cell, Workbook
+from test_copies import OracleShape
 
 
 def _shift_keys(cells: list[Cell]) -> list[str]:
@@ -299,10 +303,12 @@ def test_a_load_cuts_each_skeleton_once(monkeypatch):
     assert len({id(c.shape) for c in wb.formula_cells()}) > 30
 
 
-def test_a_grouped_load_parses_once_per_shape_and_scans_once_per_skeleton(monkeypatch):
+def test_a_grouped_load_parses_once_per_template_and_scans_once_per_skeleton(monkeypatch):
     # The load keys a sheet's texts a skeleton group at a time, so on a
     # copy-heavy document it scans each skeleton once, and parses the first
-    # copy of each shape key once plus each text that fails (W001) once.
+    # text of each template once plus each text that fails (W001) once:
+    # texts that differ only in numbers and in column letters and row
+    # digits share one parse.
     parsed, scanned = [], []
     parse, scan = workbook_module.parse_formula, formula_module._scan_spans
     monkeypatch.setattr(workbook_module, "parse_formula",
@@ -322,10 +328,11 @@ def test_a_grouped_load_parses_once_per_shape_and_scans_once_per_skeleton(monkey
     wb, texts = load_doc(sheets)
     shapes = {id(c.shape) for c in wb.formula_cells()}
     assert [w.address for w in wb.warnings] == ["S!E1", "S!E3", "S!E5", "S!E6"]
-    assert len(parsed) == len(shapes) + len(wb.warnings) == 6 + 4
+    # "=A1+1", "=ABC4+1" and "=A9+1" are three shapes of one template.
+    assert len(shapes) == 6
+    assert len(parsed) == 4 + len(wb.warnings) == 4 + 4
     assert sorted(parsed) == sorted(["=A1*2+$A$1", "=IF(B1>0,B1+1,B1-1)", "=SUM(A$1:A1)",
-                                     "=A1+1", "=ABC4+1", "=A9+1",
-                                     "=A0+1", "=XFF3+1", "=1+", "=1+"])
+                                     "=A1+1", "=A0+1", "=XFF3+1", "=1+", "=1+"])
     assert wb.cell("S!F10").shape is wb.cell("S!F9").shape
     assert wb.cell("T!B7").shape is wb.cell("S!B1").shape
     skeletons = {text.translate(_SKELETON) for text in texts.values()}
@@ -429,11 +436,79 @@ def test_random_copies_match_their_own_parse(templates):
     assert_matches_own_parse(wb, texts)
 
 
+# --- one template, many fillings ---------------------------------------------------
+
+# A template's holes, each filled from its own pool: a number ("n"), a
+# reference's sheet ("s"), column letters ("c") and row digits ("r"). Sheet
+# names stay in a template key, so texts that differ in them are parsed
+# apart; letters and digits past XFD, row 0 and number spellings go into
+# the others.
+_FILLS = {
+    "n": ("0", "7", "25", "2.5", ".5", "3.", "1e5", "1E5", "1e-3", "10E+2", "9" * 25),
+    "s": ("S", "T", "'S'", "s", "'My Data'", "U"),
+    "c": ("A", "B", "e", "E", "Z", "AA", "xfd", "XFD", "XFE"),
+    "r": ("0", "1", "2", "10", "999", "1048576"),
+}
+# Template atoms with holes in braces: ranges on one sheet or two, the
+# end's own sheet, "$" markers, names that hold digits, a string holding the
+# character a template marks its numbers with by default, a number against
+# letters, and a dangling operator.
+_HOLEY_ATOMS = ("{n}", "{c}{r}", "${c}${r}", "{s}!{c}{r}", "{c}{r}:{c}${r}",
+                "{s}!{c}{r}:{c}{r}", "{s}!{c}{r}:{s}!{c}{r}", "LOG10({c}{r})", "LOG10({n})",
+                '"{c}{r}"&{c}{r}', '"\uffff"&{n}', "{n}%", "-{n}", "{n}{c}{r}", "{n}+")
+_TEMPLATE_OPS = ("+", "*", "^", "&", "<=", ",")
+
+
+@st.composite
+def template_fillings(draw):
+    """Texts of one template shape, each with its holes filled afresh."""
+    atoms = draw(st.lists(st.sampled_from(_HOLEY_ATOMS), min_size=1, max_size=4))
+    ops = [draw(st.sampled_from(_TEMPLATE_OPS)) for _ in atoms[1:]]
+    body = atoms[0] + "".join(op + atom for op, atom in zip(ops, atoms[1:]))
+    form = "=" + draw(st.sampled_from(("{}", "SUM({})", "IF({})", "-({})"))).format(body)
+    texts = []
+    for _ in range(draw(st.integers(2, 8))):
+        texts.append(re.sub(r"\{(\w)\}", lambda m: draw(st.sampled_from(_FILLS[m[1]])), form))
+    return texts
+
+
+@example(["=SUM(S!A1:T!B2)", "=SUM(S!A1:S!B2)"])
+@example(["=SUM(S!A1:S!B2)", "=SUM(S!A1:T!B2)", "=SUM(S!C3:S!D4)", "=SUM(S!C3:T!D4)"])
+@example(["=1+", "=1+", "=2+", "=1+"])
+@example(["=LOG10(A1)+1", "=LOG10(4)+1", "=LOG10(A2)+25", "=LOG11(A3)+7"])
+@example(["=A1*1e5", "=A2*1E5", "=A3*1A5", "=B1*1E5+E5"])
+@example(["=A1+1", "=A0+1", "=B2+2", "=XFE3+1", "=C3+3", "=XFD4+4"])
+@example(["=A1+1", "=3..5+1"])  # alike but for the kinds of their holes
+@settings(max_examples=150, deadline=None)
+@given(template_fillings())
+def test_a_template_shapes_its_texts_as_their_own_parses(texts):
+    # Texts of one template share a parse: each loaded shape equals the
+    # oracle's shape of the text's own parse in every field, and a text
+    # gets a W001, with its own message, exactly when its own parse fails.
+    cells = {f"{column_to_letters(2 + k % 3)}{1 + k // 3}": text for k, text in enumerate(texts)}
+    wb, _ = load_doc({"S": cells, "T": {"A1": 1.0}, "My Data": {"A1": 2.0}})
+    sheet, expected = wb.sheet("S"), []
+    for ref, text in cells.items():
+        at = parse_cell_address(ref)
+        cell = sheet.cell(at.column, at.row)
+        try:
+            ast = parse_formula(text)
+        except FormulaSyntaxError as exc:
+            expected.append((f"S!{ref}", str(exc)))
+            assert not cell.is_formula and cell.value == text
+            continue
+        want = OracleShape(ast, at.column, at.row)
+        for name in FormulaShape.__slots__:
+            assert getattr(cell.shape, name) == getattr(want, name), (name, text)
+    assert sorted((w.address, w.message) for w in wb.warnings
+                  if w.code == W_FORMULA_ERROR) == sorted(expected)
+
+
 # --- the audit works on shapes and node ids ---------------------------------------
 
 
 def test_audit_builds_no_ast_and_looks_up_only_terminals(monkeypatch):
-    # The load parses each shape once and the audit parses nothing: each
+    # The load parses each template once and the audit parses nothing: each
     # copy is its shape and its cell, even where a range mixing anchors makes
     # range linkage key each cell on its own. After the graph is built every
     # stage passes node ids: the only address lookups left are the cascade
@@ -463,11 +538,13 @@ def test_audit_builds_no_ast_and_looks_up_only_terminals(monkeypatch):
     ]})
     wb = load_workbook_doc(doc)
     shapes = {id(c.shape): c.shape for c in wb.formula_cells()}
-    assert calls["parse_formula"] == len(shapes) == 207
+    assert len(shapes) == 207 and not wb.warnings
+    # Nine templates, their sheet names as written, and the flip's one.
+    assert calls["parse_formula"] == 10
     flip = wb.sheet("Flip")
     assert flip.cell(3, 1).shape.shift_key is None
     report = analyze_workbook(wb)
-    assert calls["parse_formula"] == len(shapes)
+    assert calls["parse_formula"] == 10
     assert len(report.cascades) == 910
     assert calls["_idx"] <= len(report.cascades)
     # A copy is a formula cell its shape was not built from.
