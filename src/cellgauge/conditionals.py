@@ -36,8 +36,7 @@ from __future__ import annotations
 import math
 from array import array
 from collections.abc import Sequence
-from itertools import compress, count, repeat
-from operator import itemgetter
+from itertools import compress, count
 from typing import Iterable, NamedTuple, Optional, Union
 
 from .errors import DomainError, _Record, _set, require_finite
@@ -112,10 +111,11 @@ def find_conditionals(g: CellGraph) -> Constructs:
     first: dict[int, int] = {}  # each IF cell's first position
     nodes: list[int] = []
     paths: list[tuple[int, ...]] = []
-    for v in if_cells:
+    for v in if_cells:  # a loop: most IF cells hold one IF
         first[v] = len(nodes)
-        paths += map(itemgetter(0), shapes[v].ifs)
-        nodes += repeat(v, len(paths) - len(nodes))
+        for path, _ in shapes[v].ifs:
+            paths.append(path)
+            nodes.append(v)
     nested: list[list[int]] = [[]] * len(nodes)
     branches = [0] * len(nodes)
     final = [True] * len(nodes)
@@ -144,8 +144,9 @@ def find_conditionals(g: CellGraph) -> Constructs:
             lo = o and ends[o - 1]
             parts += filter(None, (frontier[preds[lo]],) if ends[o] - lo == 1
                             else map(frontier.__getitem__, preds[lo:ends[o]]))
-        if top_ifs:
-            frontier[v] = frozenset(map(base.__add__, top_ifs)).union(*parts)
+        if top_ifs:  # with no part read, the cell's own IFs are the frontier
+            own = frozenset(map(base.__add__, top_ifs))
+            frontier[v] = own.union(*parts) if parts else own
         elif parts:  # one frontier read once or more is shared
             frontier[v] = (parts[0] if all(p is parts[0] for p in parts)
                            else _EMPTY.union(*parts))
@@ -174,7 +175,7 @@ def find_conditionals(g: CellGraph) -> Constructs:
                             m_set |= f
                     if arg_idx and not hit:
                         branches[k] += 1  # a conditionless value branch
-                nested[k] = m = sorted(m_set)
+                nested[k] = m = sorted(m_set) if len(m_set) > 1 else [*m_set]
                 for j in m:
                     final[j] = False
                 finished[next(slot)] = k
@@ -191,11 +192,19 @@ def find_conditionals(g: CellGraph) -> Constructs:
 def all_complexities(constructs: Constructs, cfg: BetaConfig = BetaConfig()) -> list[float]:
     """Branch complexity of each construct ``find_conditionals`` found, by
     position: one loop in ``constructs.order``, where each construct's M set
-    is done before it."""
+    is done before it.
+
+    An M set of zero or one construct takes no ``sum`` call: on a chain of
+    IFs that each nest one, the calls cost more than the adding. A larger M
+    set keeps ``sum``: from Python 3.12 it adds floats with compensation,
+    which a plain loop would not match to the last bit."""
     nested, branches, beta = constructs.nested, constructs.branches, cfg.beta
     memo: list[float] = [0.0] * len(constructs)
     for k in constructs.order:
-        base = sum(map(memo.__getitem__, nested[k])) + branches[k]
+        m = nested[k]
+        base = branches[k]
+        if m:
+            base += memo[m[0]] if len(m) == 1 else sum(map(memo.__getitem__, m))
         try:
             memo[k] = base ** (1.0 + beta) if beta else base
         except OverflowError:

@@ -208,8 +208,10 @@ class CellGraph:
                     entry = plans[shape] = plan, layouts.setdefault(ends, ends) if cells else None
                 plan, ends = entry
                 if ends is not None:
-                    preds = [ids.get((r if row_abs else row + r, col if col_abs else column + col))
-                             for ids, _, (col_abs, col, row_abs, r), _ in plan]
+                    preds = []  # a loop: a comprehension is a call per copy before 3.12
+                    for ids, _, (col_abs, col, row_abs, r), _ in plan:
+                        preds.append(ids.get((r if row_abs else row + r,
+                                              col if col_abs else column + col)))
                     if None not in preds:  # no empty cell to materialize
                         self._preds[dst] = preds
                         for src in preds:
@@ -529,18 +531,28 @@ class CellGraph:
         Paths start at zero-fan-in cells and lengths count cells. The values
         depend only on a node's ancestors, so one topological pass serves
         every cell and every cascade.
+
+        Each node folds its precedents in one plain loop. Most nodes read
+        one to three cells, where ``sum(map(...))`` reductions cost more in
+        calls than in adding; and on CPython 3.11 the loop is also faster per
+        precedent at every fan-in measured, up to a 65,000-cell range, so a
+        range takes it too.
         """
         if self._stats is None:
             n = self.node_count
             # A zero-fan-in node has one path, one cell long.
             count, length_sum, max_len = [1] * n, [1] * n, [1] * n
             preds_of = self._preds
-            for v in compress(self._topo, map(preds_of.__getitem__, self._topo)):
+            for v in self._topo:
                 preds = preds_of[v]
-                c = sum(map(count.__getitem__, preds))
-                count[v] = c
-                length_sum[v] = sum(map(length_sum.__getitem__, preds)) + c
-                max_len[v] = 1 + max(map(max_len.__getitem__, preds))
+                if preds:
+                    c = s = m = 0
+                    for p in preds:
+                        c += count[p]
+                        s += length_sum[p]
+                        if max_len[p] > m:
+                            m = max_len[p]
+                    count[v], length_sum[v], max_len[v] = c, s + c, m + 1
             self._stats = count, length_sum, max_len
         return self._stats
 

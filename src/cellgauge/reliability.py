@@ -15,7 +15,7 @@ each group of cascades that share a cone (``CellGraph.cascade_groups``).
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import DomainError, _Record, _set, require_finite
 from .graph import CascadeGroup
@@ -105,29 +105,24 @@ def cell_error_rates(
     (``g.workbook.iter_cells()`` order), the list is indexed by node id. A record
     that many cells share (one object) is rated once.
     """
-    return _per_record(metrics, lambda m: adjusted_cell_rate(m, cfg))
-
-
-def _per_record(metrics: Iterable[Optional[CellMetrics]],
-                value: Callable[[Optional[CellMetrics]], float]) -> list[float]:
-    """``value`` of each record of ``metrics``, in order, computed once per
-    distinct record (one object)."""
     metrics = list(metrics)  # keeps each record alive while its id is a key
     distinct = dict(zip(map(id, metrics), metrics))
-    by_id = {k: value(m) for k, m in distinct.items()}
-    return list(map(by_id.__getitem__, map(id, metrics)))
+    rates = {k: adjusted_cell_rate(m, cfg) for k, m in distinct.items()}
+    return list(map(rates.__getitem__, map(id, metrics)))
 
 
-def survive_factors(metrics: Sequence[Optional[CellMetrics]], node_count: int,
-                    cfg: ReliabilityConfig = ReliabilityConfig()) -> list[float]:
-    """Each node's survive factor ``1 - rate``, by node id, given the metrics
-    of a graph's populated cells in node order
-    (``g.workbook.iter_cells()``). The cells
-    are rated as :func:`cell_error_rates` rates them, once per distinct
-    record, and the materialized empty cells, the nodes past the metrics,
-    take the data-cell rate."""
-    survive = _per_record(metrics, lambda m: 1.0 - adjusted_cell_rate(m, cfg))
-    survive += [1.0 - adjusted_cell_rate(None, cfg)] * (node_count - len(metrics))
+def survive_factors(records: Sequence[Optional[CellMetrics]], index: Sequence[int],
+                    node_count: int, cfg: ReliabilityConfig = ReliabilityConfig()) -> list[float]:
+    """Each node's survive factor ``1 - rate``, by node id. ``records`` are
+    the distinct metrics records of a graph's populated cells, and
+    ``index[i]`` is the position in ``records`` of node ``i``'s record, for
+    each populated node in node order (``g.workbook.iter_cells()``). Each
+    record is rated once, as :func:`cell_error_rates` rates it, and the
+    materialized empty cells, the nodes past ``index``, take the data-cell
+    rate."""
+    factors = [1.0 - adjusted_cell_rate(m, cfg) for m in records]
+    survive = list(map(factors.__getitem__, index))
+    survive += [1.0 - adjusted_cell_rate(None, cfg)] * (node_count - len(index))
     return survive
 
 

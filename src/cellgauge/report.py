@@ -328,10 +328,12 @@ def _graph_analysis(
                 f"expected extent {f.expected_extent}, found {f.actual_extent}",
             ))
 
-    # Per node id, then in canonical order for the report.
-    by_node = _cell_metrics(graph, config.dispersion)
+    # Distinct records and each node's index into them, then each cell's
+    # record in canonical order for the report.
+    distinct, index = _cell_metrics(graph, config.dispersion)
     order = graph.cell_ids()
-    cells = CellColumns(graph.locations(order), list(map(by_node.__getitem__, order)))
+    cells = CellColumns(graph.locations(order),
+                        list(map(distinct.__getitem__, map(index.__getitem__, order))))
     records = cells.records
     for k in itertools.compress(
             itertools.count(), map(operator.attrgetter("cross_sheet_ref_count"), records)):
@@ -342,21 +344,22 @@ def _graph_analysis(
             "from dispersion and spans",
         ))
 
-    cascades = None if graph.is_cyclic else _cascades(graph, by_node, config)
+    cascades = None if graph.is_cyclic else _cascades(graph, distinct, index, config)
     return cells, cascades, modular_metrics(graph), findings, empty_cells
 
 
-def _cascades(graph: CellGraph, by_node: list[CellMetrics],
+def _cascades(graph: CellGraph, distinct: list[CellMetrics], index: list[int],
               config: AnalysisConfig) -> list[CascadeEntry]:
     """Each bottom-line cell's cascade, canonical order, built once per set
-    of cells the terminals read and charged against ``MAX_CASCADE_CELLS``.
-    The stage's temporaries are freed when it returns."""
+    of cells the terminals read and charged against ``MAX_CASCADE_CELLS``;
+    ``distinct`` and ``index`` are what ``_cell_metrics`` returns. The
+    stage's temporaries are freed when it returns."""
     constructs = find_conditionals(graph)
     complexity = all_complexities(constructs, config.beta)
     finals = finals_by_cell(constructs)
     # Each construct a cascade lists, built once, with its O value.
     listed = functools.cache(lambda k: (constructs[k], complexity[k]))
-    survive = survive_factors(by_node, graph.node_count, config.reliability)
+    survive = survive_factors(distinct, index, graph.node_count, config.reliability)
     terminals = graph.bottom_line_ids()
     walked: dict[int, CascadeStats] = {}
     entries: dict[int, CascadeEntry] = {}
@@ -381,9 +384,12 @@ def _cascades(graph: CellGraph, by_node: list[CellMetrics],
     return list(map(entries.__getitem__, terminals))
 
 
-def _cell_metrics(graph: CellGraph, cfg: DispersionConfig) -> list[CellMetrics]:
-    """Each populated node's metrics record (``formula_metrics``), by node
-    id; many nodes share one record, and its address is the first one's.
+def _cell_metrics(graph: CellGraph,
+                  cfg: DispersionConfig) -> tuple[list[CellMetrics], list[int]]:
+    """The distinct metrics records of the populated nodes
+    (``formula_metrics``) and, by node id, the position of each node's
+    record among them; many nodes share one record, and its address is the
+    first one's.
 
     Every data cell shares the all-zero record, built without a call.
     Copies of a formula whose references are all relative read their cells
@@ -395,24 +401,26 @@ def _cell_metrics(graph: CellGraph, cfg: DispersionConfig) -> list[CellMetrics]:
     """
     shapes = graph.shapes()
     first_data = next(itertools.compress(itertools.count(), map(operator.not_, shapes)), None)
-    zero = None if first_data is None else CellMetrics(graph.address_of(first_data))
-    by_node: list = [zero] * len(shapes)  # then each formula cell's record
-    shared: dict[tuple, CellMetrics] = {}  # by (shape, sheet)
+    # The all-zero record is first; each data cell keeps index 0.
+    distinct = [] if first_data is None else [CellMetrics(graph.address_of(first_data))]
+    index = [0] * len(shapes)
+    shared: dict[tuple, int] = {}  # record positions by (shape, sheet)
     ids, formula_shapes = graph.formulas()
     preds, ends = graph.reference_columns()
     for i, shape, sheet in zip(ids, formula_shapes, graph.locations(ids).sheets):
-        m = shared.get((shape, sheet)) if shape.relative else None
-        if m is None:
+        pos = shared.get((shape, sheet)) if shape.relative else None
+        if pos is None:
             # A reference's targets list its rectangle row-major: the first
             # and last are its corners.
             at = graph.locations([preds[i][k] for lo, hi in zip((0,) + ends[i], ends[i])
                                   if hi > lo for k in (lo, hi - 1)])
-            m = formula_metrics(Cell(graph.address_of(i), shape=shape),
-                                Rectangles(at[::2], at[1::2]), cfg)
+            pos = len(distinct)
+            distinct.append(formula_metrics(Cell(graph.address_of(i), shape=shape),
+                                            Rectangles(at[::2], at[1::2]), cfg))
             if shape.relative:
-                shared[shape, sheet] = m
-        by_node[i] = m
-    return by_node
+                shared[shape, sheet] = pos
+        index[i] = pos
+    return distinct, index
 
 
 def analyze(path: Union[str, Path], config: AnalysisConfig = AnalysisConfig(),

@@ -56,7 +56,7 @@ def test_criterion_02_bottom_line_rates_and_fixtures():
         stats = g.cascade_stats(terminal)
         assert stats.cell_count == n
         group = next(g.cascade_groups([g.node_id(terminal)]))
-        (rel,) = cascade_reliability(group, survive_factors([], g.node_count), ReliabilityConfig())
+        (rel,) = cascade_reliability(group, survive_factors([], [], g.node_count), ReliabilityConfig())
         assert abs(rel.uniform_e - bottom_line_error_rate(0.02, n)) < 1e-15
     report("2 bottom-line error rates (n=5 -> 0.0961, n=9 -> 0.1663)")
 
@@ -177,9 +177,8 @@ def test_criterion_07_reduction_to_uniform():
     cascades = 0
     for sheets in fixtures:
         wb, g = make_graph(sheets)
-        survive = survive_factors(
-            [formula_metrics(c, g.precedents(c.address)) for c in wb.iter_cells()],
-            g.node_count, cfg)
+        metrics = [formula_metrics(c, g.precedents(c.address)) for c in wb.iter_cells()]
+        survive = survive_factors(metrics, range(len(metrics)), g.node_count, cfg)
         for t in g.bottom_line_ids():
             (rel,) = cascade_reliability(next(g.cascade_groups([t])), survive, cfg)
             assert rel.adjusted_e == pytest.approx(rel.uniform_e, rel=1e-12)

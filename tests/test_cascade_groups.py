@@ -153,7 +153,8 @@ def test_every_source_gives_a_cascade_one_form(wb):
     g = CellGraph(wb)
     report = analyze_workbook(wb)
     records = {m.address: m for m in report.cells}
-    survive = survive_factors([records[c.address] for c in wb.iter_cells()], g.node_count)
+    by_node = [records[c.address] for c in wb.iter_cells()]
+    survive = survive_factors(by_node, range(len(by_node)), g.node_count)
     terminals = g.bottom_line_ids()
     grouped = {t: stats for group in g.cascade_groups(terminals)
                for t, _, stats in group.terminals}

@@ -818,6 +818,34 @@ def test_constructs_match_the_oracle_on_random_workbooks():
     assert constructs > 1000 and non_final > 200, (constructs, non_final)
 
 
+# IFs with an M set of zero, one, two and three constructs, and a chain in
+# which each IF nests the one above it.
+NESTED_IFS = {
+    "Z1": 5,
+    "A1": "=IF(Z1>0,1,2)",                         # none nested, N = 2
+    "B1": "=IF(A1>0,A1,3)",                        # one nested, N = 1
+    "B2": "=IF(Z1>0,A1,A1)",                       # one nested, N = 0
+    "B3": "=IF(B1>0,B2,B1)",                       # two nested, N = 0
+    "C1": "=IF(B3>0,IF(A1>0,1,2),IF(B2>0,B1,4))",  # three nested, N = 0
+    **{f"D{k}": f"=IF(D{k - 1}>0,D{k - 1},{k})" for k in range(2, 7)},
+    "D1": "=IF(C1>0,7,C1)",
+}
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
+def test_complexities_match_the_oracle_for_zero_one_and_several_nested(beta):
+    # Values and their types: an M set of zero or one construct is read
+    # without a sum, and must still give what the sum gave, int or float.
+    wb, g = make_graph({"S": NESTED_IFS})
+    got = find_conditionals(g)
+    assert {len(m) for m in got.nested} == {0, 1, 2, 3}
+    want = conditionals_oracle.all_complexities(
+        conditionals_oracle.find_conditionals(wb, g), BetaConfig(beta))
+    values = all_complexities(got, BetaConfig(beta))
+    assert [(c.id, v, type(v)) for c, v in zip(got, values)] == [
+        (i, v, type(v)) for i, v in want.items()]
+
+
 IF_REFS = st.sampled_from(
     ["A1", "A2", "$B$1", "B2", "C3", "T!A1", "'T'!B2", "t!C3", "Nope!A1"])
 IF_RANGES = st.sampled_from(["A1:A3", "A1:C3", "B$1:B2", "T!A1:B2", "Nope!A1:A2"])

@@ -360,9 +360,10 @@ def test_cell_metrics_read_two_corners_per_reference(monkeypatch):
         passed.append(len(ids))
         return locations(self, ids)
     monkeypatch.setattr(CellGraph, "locations", counted)
-    records = _cell_metrics(g, DispersionConfig())
+    records, index = _cell_metrics(g, DispersionConfig())
     assert sum(passed) <= 2 + 2 * 4
-    assert [records[g.node_id(a)].n_references for a in ("S!BZ1", "S!BZ2")] == [6_000, 4]
+    assert [records[index[g.node_id(a)]].n_references
+            for a in ("S!BZ1", "S!BZ2")] == [6_000, 4]
 
 
 def test_shared_records_are_built_once_and_listed_on_first_read(monkeypatch):

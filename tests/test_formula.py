@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import random
 import tracemalloc
 from fractions import Fraction
@@ -719,7 +720,10 @@ def test_a_fifty_thousand_term_sum_loads_under_a_fixed_bound():
 
 
 def _peak(call) -> int:
-    """The tracemalloc peak, in bytes, of ``call()``."""
+    """The tracemalloc peak, in bytes, of ``call()``. A full collection
+    first empties the free lists, so the peak does not depend on the heap
+    that earlier tests left."""
+    gc.collect()
     tracemalloc.start()
     try:
         call()
@@ -743,8 +747,10 @@ WALKERS = {
 
 @pytest.mark.parametrize("walker", WALKERS.values(), ids=WALKERS)
 def test_each_walker_runs_a_long_sum_in_linear_memory(walker):
-    # render_formula pushed a tuple per pending node: its peak grew 2.5x
-    # from 4,000 to 8,000 terms, as the tuple free list covered fewer of them.
+    # The peak may about double when the terms double. A tuple per pending
+    # node, as render_formula once pushed, is linear too (about 1.0 MB
+    # against 0.22 MB at 8,000 terms) and passes: the 2.5x it once read here
+    # came from a tuple free list that covered more of the smaller run.
     peaks = []
     for n in (4_000, 8_000):
         text = "=" + "+".join(["A1"] * n)

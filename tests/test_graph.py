@@ -260,6 +260,42 @@ def test_reachability_matches_enumeration_on_random_dags():
     assert terminals > 150 and checked > 1000
 
 
+# Fan-ins from one to a range, duplicates included: each cell's longest
+# precedent path sits first, in the middle or last among its reads.
+FAN_IN_CELLS = {
+    **{f"A{r}": float(r) for r in range(1, 31)},
+    "B1": "=A1",                      # 1 precedent
+    "B2": "=B1+B1*B1",                # 3, one cell read three times
+    "B3": "=B2+B2+B2",                # 3 again, down a chain
+    "B4": "=A2+B3+A3*B2",             # 4 distinct, longest second
+    "B5": "=A4+B1+B4+A5+B2",          # 5 with the longest in the middle
+    "B6": "=B5+A1",                   # 2, longest first
+    "B7": "=A6+A7+A8+B6",             # 4, longest last
+    "B8": "=B7+B7+B2+B7+B7+B3",       # 6 with repeats around shorter reads
+    "B9": "=SUM(A1:A30)+B8",          # 31: a range, then the longest
+    "B10": "=SUM(A1:C3)*B9",          # a range over the chain and empty cells
+}
+
+
+@pytest.mark.parametrize("cell, fan_in", [
+    ("B1", 1), ("B2", 3), ("B3", 3), ("B4", 4), ("B5", 5), ("B6", 2), ("B7", 4),
+    ("B8", 6), ("B9", 31), ("B10", 10)])
+def test_path_statistics_match_enumeration_at_each_fan_in(cell, fan_in):
+    # Every precedent counts in the path count, the summed path length and
+    # the longest path, whether a cell reads one cell, the same cell three
+    # times or a range.
+    wb, g = make_graph({"S": FAN_IN_CELLS})
+    addr = f"S!{cell}"
+    assert g.fan_in(addr) == fan_in
+    count, avg_len, max_len = oracle_stats(g.enumerate_paths(addr))
+    assert g.reachability(addr) == count
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NotBottomLineWarning)
+        st = g.cascade_stats(addr)
+    assert (st.total_paths, st.avg_path_length, st.max_path_length) == (
+        count, avg_len, max_len)
+
+
 def test_reachability_at_least_one_and_terminal_dominates():
     rng = random.Random(7)
     for _ in range(40):

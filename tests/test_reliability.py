@@ -97,7 +97,7 @@ def analyzed_with_rates(sheets, cfg=ReliabilityConfig()):
     metrics = [formula_metrics(c, g.precedents(c.address), DispersionConfig())
                for c in wb.iter_cells()]
     rates = cell_error_rates(metrics, cfg)
-    survive_of = survive_factors(metrics, g.node_count, cfg)
+    survive_of = survive_factors(metrics, range(len(metrics)), g.node_count, cfg)
     out = []
     for t in g.bottom_line_ids():
         (rel,) = cascade_reliability(next(g.cascade_groups([t])), survive_of, cfg)
@@ -185,7 +185,8 @@ def test_materialized_cells_get_data_rate():
     assert a1 in g.member_ids("S!B1") and a1 >= len(rates)
     b1_rate = rates[g.node_id(CellRef("S", 2, 1))]
     group = next(g.cascade_groups([g.node_id("S!B1")]))
-    (rel,) = cascade_reliability(group, survive_factors(metrics, g.node_count))
+    (rel,) = cascade_reliability(
+        group, survive_factors(metrics, range(len(metrics)), g.node_count))
     # A1 gets the data-cell rate, 0.02 * 0.25.
     assert rel.adjusted_e == pytest.approx(1.0 - (1.0 - 0.005) * (1.0 - b1_rate))
 
@@ -202,10 +203,13 @@ def test_survive_factors_rate_each_record_once_and_empty_cells_as_data(monkeypat
     real = reliability.adjusted_cell_rate
     monkeypatch.setattr(reliability, "adjusted_cell_rate",
                         lambda m, c: rated.append(m) or real(m, c))
-    survive = survive_factors(metrics, len(metrics) + 3, cfg)
-    # Each distinct record once, in first-use order, then the data-cell rate.
+    # The distinct records, and each cell's position among them.
+    records, index = [formula, zero, other], [0, 1, 0, 2, 1, 0]
+    survive = survive_factors(records, index, len(metrics) + 3, cfg)
+    # Each distinct record once, in their order, then the data-cell rate.
     assert rated == [formula, zero, other, None]
     assert rated[0] is formula and rated[1] is zero and rated[2] is other
     assert survive[:len(metrics)] == [1.0 - real(m, cfg) for m in metrics]
     assert survive[len(metrics):] == [1.0 - cfg.base_cer * cfg.data_cell_factor] * 3
-    assert survive_factors(metrics, len(metrics), cfg) == survive[:len(metrics)]
+    assert survive_factors(records, index, len(metrics), cfg) == survive[:len(metrics)]
+    assert survive_factors(metrics, range(len(metrics)), len(metrics), cfg) == survive[:6]
