@@ -31,14 +31,15 @@ references: ``=A1*2`` in B1 and ``=A2*2`` in B2 share one. :func:`shape_keys`
 keys texts by shape a *skeleton* at a time (the text with each letter and
 digit replaced by its class, which copies mostly share): one scan with
 ``_TOKEN`` cuts every text of a skeleton, and each key part is taken for
-them all in one C-level pass. :class:`FormulaShape` is built from one walk
-of one parse and keeps what the audit needs of the formula's structure, not
-the AST: counts, nesting, decisions, the shift key split at the reference
-leaves, each leaf as its key's parts, and the IF layout. A copy is then its
-shape plus its cell: ``FormulaShape.references`` gives its reference leaves.
-Texts that differ only in their numbers and in their references' column
-letters and row digits share a :func:`template_key`, and with it one parse
-and one walk (:class:`Template`), from which each of their shapes is built.
+them all in one C-level pass. A :class:`FormulaShape` keeps what the audit
+needs of the formula's structure, not the AST: counts, nesting, decisions,
+the shift key split at the reference leaves, each leaf as its key's parts,
+and the IF layout. A copy is then its shape plus its cell:
+``FormulaShape.references`` gives its reference leaves. Texts that differ
+only in their numbers and in their references' column letters and row
+digits share a :func:`template_key`, and with it one parse and one walk
+(:class:`Template`). Every shape is built one way: from its template, its
+text's number tokens and its shape key.
 """
 
 from __future__ import annotations
@@ -764,18 +765,20 @@ def _key_parts(texts: list[str], columns: list[int], rows: list[int], spans: _Cu
     return parts
 
 
-def template_key(text: str, cuts: _Cuts) -> tuple:
-    """The template key of a text that ``cuts`` cut (see :func:`_scan_spans`):
-    the text without its number tokens and its references' column letters
-    and row digits, as the pieces between them, each cut out part named by
-    its kind ("n", "c" or "r") between its two pieces. Names, strings,
-    sheets, ``$`` markers and spacing stay as written. Texts of one template
-    key split into tokens alike, so they parse alike, but for the values of
-    their numbers and references (see :class:`Template`)."""
-    holes = []
+def template_key(text: str, cuts: _Cuts) -> tuple[tuple, list[str]]:
+    """The template key of a text that ``cuts`` cut (see :func:`_scan_spans`),
+    and its number tokens in text order. The key is the text without its
+    number tokens and its references' column letters and row digits, as the
+    pieces between them, each cut out part named by its kind ("n", "c" or
+    "r") between its two pieces. Names, strings, sheets, ``$`` markers and
+    spacing stay as written. Texts of one template key split into tokens
+    alike, so they parse alike, but for the values of their numbers and
+    references (see :class:`Template`)."""
+    holes, numbers = [], []
     for other, ref in cuts:
         if other is not None:
             holes += zip(other[2], repeat("n"))
+            numbers += map(text.__getitem__, other[2])
         if ref is not None:
             holes += ((ref[4], "c"), (ref[6], "r"))
     key, start = [], 0
@@ -783,7 +786,7 @@ def template_key(text: str, cuts: _Cuts) -> tuple:
         key += (text[start:hole.start], kind)
         start = hole.stop
     key.append(text[start:])
-    return tuple(key)
+    return tuple(key), numbers
 
 
 # What one expression reaches without crossing an IF call: the indexes in
@@ -914,15 +917,15 @@ Leaf = tuple[tuple[Optional[str], bool, int, bool, int], ...]
 class FormulaShape:
     """A formula up to the shift of its relative references.
 
-    Copies of one formula share one shape. It is built from the first
-    copy's AST, which it does not keep, and :func:`shape_key`, and holds
-    what depends only on the formula's structure: operator and operand
-    counts, nesting depth and average level, the decision count, the
-    reference leaves in ``walk`` order as their key parts (``leaves``, see
-    :data:`Leaf`), the IF layout that conditional discovery reads
-    (``if_reach``, the formula's own reach, and ``ifs``; see :data:`Reach`
-    and :data:`IfLayout`), and the range-linkage shift key's text split at
-    the reference leaves.
+    Copies of one formula share one shape, built from the first copy's
+    :class:`Template`, number tokens and :func:`shape_key`. It holds what
+    depends only on the formula's structure: from the template, operator
+    and operand counts, nesting depth and average level, the decision count
+    and the IF layout that conditional discovery reads (``if_reach``, the
+    formula's own reach, and ``ifs``; see :data:`Reach` and
+    :data:`IfLayout`); from the key, the reference leaves in ``walk`` order
+    as their key parts (``leaves``, see :data:`Leaf`); and the range-linkage
+    shift key's text split at the reference leaves.
     ``relative`` is True when every part of every reference is relative, so
     that every copy reads its cells at the same offsets from itself.
     ``shift_key`` is the copies' common shift key, or None when some range
@@ -938,29 +941,15 @@ class FormulaShape:
                  "avg_nesting_level", "decision_count", "relative", "shift_key",
                  "if_reach", "ifs", "leaves", "_key_pieces")
 
-    def __init__(self, ast: FormulaAst, column: int, row: int, key: tuple):
-        self._set_layout(_layout(ast.root), column, row, key)
-
-    def _set_layout(self, layout: tuple, column: int, row: int, key: tuple) -> None:
-        """Set every field from a :func:`_layout` of the formula and its key."""
-        leaves, self.if_reach, self.ifs, self.decision_count, pieces, tokens = layout
-        kinds, levels, _ = zip(*tokens)
-        self.n_operators = kinds.count("operator")
-        self.n_operands = len(tokens) - self.n_operators
-        self.depth_of_nesting = max(levels)
-        self.avg_nesting_level = Fraction(sum(levels), len(levels))
-        self._set_key(pieces, [2 if isinstance(leaf, RangeRef) else 1 for leaf in leaves],
-                      column, row, key)
-
-    def _set_key(self, pieces: list[str], widths: Iterable[int], column: int, row: int,
-                 key: tuple) -> None:
-        """Set the fields that the key gives, for a formula whose canonical
-        text split at its reference leaves is ``pieces`` and whose leaves are
-        ``widths`` references of the text each (two for a range)."""
-        self._key_pieces = pieces
+    def __init__(self, template: Template, numbers: Iterable[str], column: int, row: int,
+                 key: tuple):
+        (self.n_operators, self.n_operands, self.depth_of_nesting, self.avg_nesting_level,
+         self.decision_count, self.if_reach, self.ifs) = template.measures
+        self._key_pieces = template.pieces(numbers)
         # The parts of the text's references in text order, which is walk order.
         parts = iter([key[i:i + 5] for i in range(1, len(key) - 1, 6)])
-        self.leaves: tuple[Leaf, ...] = tuple(tuple(islice(parts, width)) for width in widths)
+        self.leaves: tuple[Leaf, ...] = tuple(tuple(islice(parts, width))
+                                              for width in template.widths)
         self.relative = not any(part[1] or part[3] for leaf in self.leaves for part in leaf)
         uniform = all(leaf[0][1] == leaf[-1][1] and leaf[0][3] == leaf[-1][3]
                       for leaf in self.leaves)
@@ -986,52 +975,40 @@ class FormulaShape:
 
 
 class Template:
-    """The parse and layout that the texts of one :func:`template_key` share.
+    """What the shapes of one :func:`template_key`'s texts share, from one
+    walk of the first text's AST, which it does not keep.
 
     Such texts differ only in their numbers and in their references' column
-    letters and row digits, so their shapes differ only in the key pieces'
-    numbers and in the fields the key gives: ``shape`` is the first text's
-    shape, and :meth:`shape_of` builds another text's from it with no parse.
+    letters and row digits, so they parse alike but for those values:
+    ``measures`` holds their shapes' counts, nesting, decisions and IF
+    layout (:class:`FormulaShape`'s fields of those names, in that order),
+    ``widths`` each reference leaf's number of references (two for a
+    range), and :meth:`pieces` gives a text's shift-key pieces.
     """
 
-    __slots__ = ("shape", "_fragments")
+    __slots__ = ("measures", "widths", "_fragments")
 
-    # The fields of a shape that its template fixes.
-    _SHARED = ("n_operators", "n_operands", "depth_of_nesting", "avg_nesting_level",
-               "decision_count", "if_reach", "ifs")
-
-    def __init__(self, ast: FormulaAst, column: int, row: int, key: tuple):
+    def __init__(self, ast: FormulaAst):
         # The canonical text holds ASCII and characters of the source alone,
         # so a character that is neither marks each number in the pieces.
         source, mark = ast.source, "\uffff"
         if mark in source:  # it lacks one of the len(source) + 1 after ASCII
             mark = min(set(map(chr, range(128, 129 + len(source)))).difference(source))
-        layout = _layout(ast.root, mark)
-        self._fragments = [piece.split(mark) for piece in layout[4]]
-        numbers = [render_number(node.value) for _, _, node in layout[5]
-                   if type(node) is NumberLiteral]
-        self.shape = FormulaShape.__new__(FormulaShape)
-        self.shape._set_layout(layout[:4] + (self._pieces(numbers),) + layout[5:], column, row, key)
+        leaves, if_reach, ifs, decisions, pieces, tokens = _layout(ast.root, mark)
+        kinds, levels, _ = zip(*tokens)
+        operators = kinds.count("operator")
+        self.measures = (operators, len(tokens) - operators, max(levels),
+                         Fraction(sum(levels), len(levels)), decisions, if_reach, ifs)
+        self.widths = [2 if isinstance(leaf, RangeRef) else 1 for leaf in leaves]
+        self._fragments = [piece.split(mark) for piece in pieces]
 
-    def _pieces(self, numbers: Iterable[str]) -> list[str]:
-        """The key pieces with ``numbers``, in text order, in the places of
-        the first text's numbers."""
-        numbers, pieces = iter(numbers), []
+    def pieces(self, numbers: Iterable[str]) -> list[str]:
+        """The shift-key text, split at the reference leaves, of this
+        template's text whose number tokens are ``numbers``, in text order."""
+        numbers, pieces = map(render_number, map(float, numbers)), []
         for fragments in self._fragments:
             parts = [fragments[0]]
             for fragment in fragments[1:]:
                 parts += (next(numbers), fragment)
             pieces.append("".join(parts))
         return pieces
-
-    def shape_of(self, text: str, cuts: _Cuts, column: int, row: int,
-                 key: tuple) -> FormulaShape:
-        """The shape of ``text`` of this template, cut by ``cuts``, in cell
-        (column, row), with shape key ``key``."""
-        shape = FormulaShape.__new__(FormulaShape)
-        for name in self._SHARED:
-            setattr(shape, name, getattr(self.shape, name))
-        numbers = [render_number(float(text[number]))
-                   for other, _ in cuts if other is not None for number in other[2]]
-        shape._set_key(self._pieces(numbers), map(len, self.shape.leaves), column, row, key)
-        return shape

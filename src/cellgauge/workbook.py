@@ -24,10 +24,10 @@ shift of their relative references. Once a sheet's docs are checked, its
 formula texts are keyed a skeleton group at a time (``formula.shape_keys``),
 and every copy carries the ``FormulaShape`` of its key. Texts that differ
 only in numbers and cell coordinates share a template, so the load parses
-once per template (``formula.Template``) and builds each shape of it from
-that parse. No AST outlives the load; ``Cell.ast`` parses a copy's text
-again when read. A text that fails to parse is parsed, and reports its
-error offset, on its own.
+once per template (``formula.Template``) and builds each shape, one way,
+from its template, its text's numbers and its key. No AST outlives the
+load; ``Cell.ast`` parses a copy's text again when read. A text that fails
+to parse is parsed, and reports its error offset, on its own.
 
 The workbook holds cells only; the dependency graph (``graph.py``) is what
 maps a formula's references to the cells they read.
@@ -242,19 +242,17 @@ class _Shapes:
     def new(self, text: str, column: int, row: int, key: Optional[tuple],
             cuts: Optional[_Cuts]) -> FormulaShape:
         """The shape of ``text`` in cell (column, row), whose shape key
-        ``key`` no earlier text had, cut by ``cuts``: built from its
-        template when an earlier text had its template key, else from its
-        own parse, which raises FormulaSyntaxError for a text that does not
+        ``key`` no earlier text had, cut by ``cuts``, built from its
+        template: an earlier text's of its template key, else its own
+        parse's, which raises FormulaSyntaxError for a text that does not
         parse. A text with no key does not parse; one whose template's first
         text did not parse does not either, and is parsed for its error."""
-        template = None if key is None else self.templates.get(at := template_key(text, cuts))
+        at, numbers = (None, ()) if key is None else template_key(text, cuts)
+        template = self.templates.get(at)
         if template is None:
             # A text that parses has a key: shape_keys cuts it as _lex does.
-            template = self.templates[at] = Template(parse_formula(text), column, row, key)
-            shape = template.shape
-        else:
-            shape = template.shape_of(text, cuts, column, row, key)
-        self.by_key[key] = shape
+            template = self.templates[at] = Template(parse_formula(text))
+        shape = self.by_key[key] = FormulaShape(template, numbers, column, row, key)
         return shape
 
 

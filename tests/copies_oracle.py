@@ -25,10 +25,13 @@ from cellgauge.formula import (
     _TOKEN,
     _SKELETON,
     FormulaShape,
+    NumberLiteral,
+    Template,
     _copy_range,
     _layout,
     _shift_key,
     parse_formula,
+    walk,
 )
 from cellgauge.graph import (
     EMPTY_RANGE_CELL_COST,
@@ -201,7 +204,9 @@ def _add_formula(sheet: RefsSheet, key: tuple[int, int], text: str,
             sheet.values.append(str(text))
             return
         # A text that parses has a key: shape_key cuts it as _lex does.
-        shape = shapes.by_key[keyed[0]] = FormulaShape(ast, column, row, keyed[0])
+        numbers = [repr(node.value) for node in walk(ast.root) if type(node) is NumberLiteral]
+        shape = shapes.by_key[keyed[0]] = FormulaShape(Template(ast), numbers, column, row,
+                                                       keyed[0])
         shapes.leaves[shape] = tuple(_layout(ast.root)[0])
     sheet.formula_rows.append(len(sheet.values))
     sheet.values.append(None)

@@ -22,7 +22,7 @@ from cellgauge.errors import (
     FormulaSyntaxError,
     W_FORMULA_ERROR,
 )
-from cellgauge.formula import FormulaShape, parse_formula
+from cellgauge.formula import FormulaShape, NumberLiteral, Template, parse_formula, walk
 from cellgauge.refs import MAX_COLUMN, CellRef, _quoted_head, letters_to_column, parse_cell_address
 from cellgauge.workbook import Cell, Workbook
 
@@ -101,7 +101,8 @@ def _make_cell(address: CellRef, text_or_value, warnings: list[AuditWarning],
             AuditWarning(W_FORMULA_ERROR, address.render(), str(exc))
         )
         return Cell(address=address, value=str(text_or_value))
-    shape = FormulaShape(ast, address.column, address.row, keyed[0])
+    numbers = [repr(node.value) for node in walk(ast.root) if type(node) is NumberLiteral]
+    shape = FormulaShape(Template(ast), numbers, address.column, address.row, keyed[0])
     if keyed is not None:
         shapes.by_key[keyed[0]] = shape
     return Cell(address=address, source=text_or_value, shape=shape)

@@ -479,6 +479,10 @@ def template_fillings(draw):
 @example(["=A1*1e5", "=A2*1E5", "=A3*1A5", "=B1*1E5+E5"])
 @example(["=A1+1", "=A0+1", "=B2+2", "=XFE3+1", "=C3+3", "=XFD4+4"])
 @example(["=A1+1", "=3..5+1"])  # alike but for the kinds of their holes
+# A string holding the default number mark U+FFFF, then also U+0080, the
+# first mark tried after it, beside numbers.
+@example(['="\uffff"&1+A1', '="\uffff"&2.5+B2', '="\uffff"&1E5*C3'])
+@example(['=LEN("\uffff\x80")+7+A1', '=LEN("\uffff\x80")+.5+B2', '=LEN("\uffff\x80")+3.+A9'])
 @settings(max_examples=150, deadline=None)
 @given(template_fillings())
 def test_a_template_shapes_its_texts_as_their_own_parses(texts):
