@@ -368,6 +368,12 @@ class CellGraph:
             list(map(and_, map(rshift, keys, repeat(self._column_bits)),
                      repeat(self._row_mask))))
 
+    def grid_keys(self, ids: Iterable[int]) -> tuple[list[int], int, int]:
+        """The sort keys of nodes ``ids`` (bit fields: sheet position, row,
+        column) and the widths of their column and row fields."""
+        return (list(map(self._sort_keys.__getitem__, ids)), self._column_bits,
+                self._sheet_shift - self._column_bits)
+
     def _sheets_of(self, keys: list[int]) -> list[str]:
         if len(self._sheet_names) == 1:  # every node is on the one sheet
             return self._sheet_names * len(keys)

@@ -17,23 +17,24 @@ Sizes, nesting, decision counts and shift keys depend only on a formula's
 shape (``formula.FormulaShape``), which the load computes once for all the
 copies of a formula; they are read from the cell's shape, not recomputed
 per cell. A shape whose ranges mix anchors keys each copy from the leaves
-its shape gives at the copy's cell, so no stage reads an AST. Range linkage walks each
-populated source block once per axis, however many runs read it, and reads
-every run from its first and last copies alone: copies that share a shift
-key move, grow or shrink each reference slot one step per copy, so a slot
-is read from its copies' four corner ids.
+its shape gives at the copy's cell, so no stage reads an AST. Range linkage
+finds runs from packed ints and reads each run from its first and last
+copies alone: copies that share a shift key move, grow or shrink each
+reference slot one step per copy, so a slot is read from its copies' four
+corner ids, and each populated source block is walked once per axis.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import chain, compress, repeat
-from operator import itemgetter, not_
+from bisect import bisect_left
+from itertools import chain, compress, count, filterfalse, repeat
+from operator import add, attrgetter, gt, is_, itemgetter, lshift, lt, not_, or_, sub
 from typing import NamedTuple, Optional, Sequence, Union
 
 from .errors import DomainError, _Record, _set, require_finite
-from .formula import FormulaShape, decision_count  # decision_count re-exported
+from .formula import decision_count  # re-exported
 from .graph import CellGraph
 from .refs import CellRef, Locations, RangeRef
 from .workbook import Cell
@@ -212,62 +213,60 @@ class RangeLinkageFinding(NamedTuple):
 
 
 def _block_through(index: dict[tuple[int, int], int], vertical: bool, line: int,
-                   lo: int, hi: int, blocks: dict[tuple, tuple[int, int]],
+                   lo: int, hi: int, walked: tuple[list[int], list[int]],
                    ) -> Optional[tuple[int, int]]:
     """The first and last position of the block of populated cells,
     contiguous along ``line`` (a column when ``vertical``, else a row) of
     the sheet whose cell ``index`` is given, that holds the first populated
-    cell of the segment ``lo..hi`` of that line; None when the segment has
-    none. ``blocks`` keeps the bounds of every block walked on the sheet,
-    by (axis, line, position), so calls that share it walk each cell at
-    most once per axis."""
-    if vertical:
-        def populated(p: int) -> bool:
-            return (p, line) in index
-    else:
-        def populated(p: int) -> bool:
-            return (line, p) in index
-    pos = next(filter(populated, range(lo, hi + 1)), None)
-    if pos is None:
+    cell of the segment ``lo..hi`` of that line; None when it has none.
+    ``walked`` holds the first and the last positions of the line's blocks
+    found so far, sorted, so calls that share it walk each cell once."""
+    along = (lambda ps: zip(ps, repeat(line))) if vertical else (lambda ps: zip(repeat(line), ps))
+    at, populated = 1 - vertical, index.__contains__  # at: the position's part of a key
+    cell = next(filter(populated, along(range(lo, hi + 1))), None)
+    if cell is None:
         return None
-    found = blocks.get((vertical, line, pos))
-    if found is None:
-        lo = hi = pos
-        while lo > 1 and populated(lo - 1):
-            lo -= 1
-        while populated(hi + 1):
-            hi += 1
-        found = (lo, hi)
-        for p in range(lo, hi + 1):
-            blocks[(vertical, line, p)] = found
-    return found
+    pos, (starts, ends) = cell[at], walked
+    k = bisect_left(ends, pos)
+    if k == len(ends) or starts[k] > pos:  # not walked yet
+        above = next(filterfalse(populated, along(range(pos - 1, 0, -1))), None)
+        starts.insert(k, 1 if above is None else above[at] + 1)
+        ends.insert(k, next(filterfalse(populated, along(count(pos + 1))))[at] - 1)
+    return starts[k], ends[k]
 
 
-def _copied_runs(g: CellGraph) -> tuple[list[list[int]], list[list[int]]]:
+def _copied_runs(g: CellGraph) -> tuple[list[tuple[int, int, int]], ...]:
     """The vertical and the horizontal runs of ``g``'s formula cells: each a
     maximal run of >= 2 cells, consecutive along one column (or row), that
-    share a shift key (``FormulaShape.shift_key_at``), as node ids. Vertical
-    runs come by sheet position, column and first row, horizontal ones by
-    sheet position, row and first column, whatever the order of the cells
-    in the document."""
+    share a shift key (``FormulaShape.shift_key_at``), as its first and last
+    node ids and its length. Vertical runs come by sheet position, column
+    and first row, horizontal ones by sheet position, row and first column,
+    whatever the order of the cells in the document.
+
+    Only copies of mixed-anchor shapes are keyed one by one. A cell is its
+    grid key (``CellGraph.grid_keys``) above its key's group, and it starts
+    (ends) a run when only the int one step ahead of (behind) it is a cell."""
     ids, shapes = g.formulas()
-    at = g.locations(ids)
-    keys = list(map(FormulaShape.shift_key_at, shapes, at.columns, at.rows))
-    position = {sheet.name: k for k, sheet in enumerate(g.workbook.sheets)}
-    sheets = list(map(position.__getitem__, at.sheets))
-    runs: tuple[list[list[int]], list[list[int]]] = ([], [])
-    for found, lines, positions in zip(runs, (at.columns, at.rows), (at.rows, at.columns)):
-        run: list[int] = []
-        last = None
-        for sheet, line, pos, key, i in sorted(zip(sheets, lines, positions, keys, ids)):
-            if (sheet, line, pos - 1, key) != last:  # not the next copy of the run
-                if len(run) >= 2:
-                    found.append(run)
-                run = []
-            run.append(i)
-            last = (sheet, line, pos, key)
-        if len(run) >= 2:
-            found.append(run)
+    grid, cbits, rbits = g.grid_keys(ids)
+    keys = list(map(attrgetter("shift_key"), shapes))
+    mixed = list(compress(count(), map(is_, keys, repeat(None))))
+    at = g.locations(map(ids.__getitem__, mixed))
+    for k, column, row in zip(mixed, at.columns, at.rows):
+        keys[k] = shapes[k].shift_key_at(column, row)
+    first: dict[str, int] = {}  # each key's first cell numbers its group
+    gbits = len(keys).bit_length()
+    cells = list(map(or_, map(lshift, grid, repeat(gbits)), map(first.setdefault, keys, count())))
+    node = dict(zip(cells, ids))
+    top, column = gbits + cbits + rbits, (1 << cbits) - 1
+    runs: tuple[list[tuple[int, int, int]], ...] = ([], [])
+    for found, step, order in zip(runs, (1 << gbits + cbits, 1 << gbits),
+                                  (lambda c: (c >> top, c >> gbits & column, c), None)):
+        ahead = list(map(node.__contains__, map(add, cells, repeat(step))))
+        behind = list(map(node.__contains__, map(sub, cells, repeat(step))))
+        # In line order, the starts and the ends of a line's runs alternate.
+        starts = sorted(compress(cells, map(gt, ahead, behind)), key=order)
+        ends = sorted(compress(cells, map(lt, ahead, behind)), key=order)
+        found += [(node[a], node[b], (b - a) // step + 1) for a, b in zip(starts, ends)]
     return runs
 
 
@@ -280,8 +279,7 @@ def check_range_linkage(g: CellGraph) -> list[RangeLinkageFinding]:
     (``s`` for absolute references, run length + ``s`` - 1 for relative).
     What each reference reads comes from ``g``; a position where some
     formula names a missing sheet is skipped. Runs are found over the
-    graph's formula cells (``g.formulas()``), so each run is a list of node
-    ids.
+    graph's formula cells (``g.formulas()``).
 
     The copies of a run share one shift key, so along the run each end of
     a reference slot stays put or moves one step per copy: a relative slot
@@ -295,35 +293,40 @@ def check_range_linkage(g: CellGraph) -> list[RangeLinkageFinding]:
     reads exactly the first copy's cells. ``s`` is the first copy's cell
     count.
     """
-    findings: list[RangeLinkageFinding] = []
-    addr = g.address_of
-    blocks: dict[str, dict[tuple, tuple[int, int]]] = {}  # per sheet
+    addr, targets = g.address_of, g.reference_targets
+    slots = []  # per slot: its run's axis, target range and length; s; absolute
+    corners: list[int] = []
     for vertical, runs in zip((True, False), _copied_runs(g)):
-        for run in runs:
-            target = RangeRef(addr(run[0]), addr(run[-1]))
-            for first, last in zip(g.reference_targets(run[0]), g.reference_targets(run[-1])):
-                if not first:  # a reference to a missing sheet
-                    continue
-                at = g.locations((first[0], first[-1], last[0], last[-1]))
-                along, across = (at.rows, at.columns) if vertical else (at.columns, at.rows)
-                line, sheet = across[0], at.sheets[0]
-                if across[1] != line:  # the first copy spans more than one line
-                    continue
-                lo, hi = min(along[0], along[2]), max(along[1], along[3])
-                block = _block_through(g.workbook.sheet(sheet).index, vertical, line, lo, hi,
-                                       blocks.setdefault(sheet, {}))
-                lo, hi = block or (lo, hi)
-                ends = [CellRef(sheet, line, p) if vertical else CellRef(sheet, p, line)
-                        for p in (lo, hi)]
-                actual = 0 if block is None else hi - lo + 1
-                s = len(first)
-                absolute = first[0] == last[0] and first[-1] == last[-1]
-                expected = s if absolute else len(run) + s - 1
-                findings.append(RangeLinkageFinding(
-                    source_range=RangeRef(*ends), target_range=target, s=s,
-                    ref_style="absolute" if absolute else "relative",
-                    expected_extent=expected, actual_extent=actual,
-                    verdict="ok" if expected == actual else "violation"))
+        for first, last, n in runs:
+            target = RangeRef(addr(first), addr(last))
+            for a, b in zip(targets(first), targets(last)):
+                if a:  # not a reference to a missing sheet
+                    corners += a[0], a[-1], b[0], b[-1]
+                    slots.append((vertical, target, n, len(a), a[0] == b[0] and a[-1] == b[-1]))
+    at = g.locations(corners)
+    sources: dict[tuple, tuple[RangeRef, int]] = {}  # by segment: range, populated extent
+    ranges: dict[tuple, RangeRef] = {}  # by block, or by segment when it has none
+    walked: dict[tuple, tuple[list[int], list[int]]] = {}  # by (sheet, axis, line)
+    findings: list[RangeLinkageFinding] = []
+    for (vertical, target, n, s, absolute), sheet, columns, rows in zip(
+            slots, at.sheets[::4], zip(*[iter(at.columns)] * 4), zip(*[iter(at.rows)] * 4)):
+        along, across = (rows, columns) if vertical else (columns, rows)
+        line = across[0]
+        if across[1] != line:  # the first copy spans more than one line
+            continue
+        segment = (sheet, vertical, line, min(along[0], along[2]), max(along[1], along[3]))
+        if segment not in sources:
+            block = _block_through(g.workbook.sheet(sheet).index, *segment[1:],
+                                   walked.setdefault(segment[:3], ([], [])))
+            lo, hi = block or segment[3:]
+            ends = [CellRef(sheet, *((line, p) if vertical else (p, line))) for p in (lo, hi)]
+            sources[segment] = (ranges.setdefault((*segment[:3], lo, hi), RangeRef(*ends)),
+                                0 if block is None else hi - lo + 1)
+        source, actual = sources[segment]
+        expected = s if absolute else n + s - 1
+        findings.append(RangeLinkageFinding(
+            source, target, s, "absolute" if absolute else "relative", expected, actual,
+            "ok" if expected == actual else "violation"))
     return findings
 
 

@@ -91,8 +91,8 @@ from .refs import CellRef, Locations
 from .reliability import (
     CascadeReliability,
     ReliabilityConfig,
+    adjusted_cell_rate,
     cascade_reliability,
-    cell_error_rates,
     survive_factors,
 )
 from .workbook import Cell, Workbook, load_workbook
@@ -167,15 +167,17 @@ class CellColumns(_Columns):
     """A report's cells in canonical order: addresses, a ``Locations`` (a
     list of ``CellRef`` is taken as ``Locations.of`` it, which drops ``$``
     markers), and ``CellMetrics`` records, one all-zero record for every
-    data cell."""
+    data cell, also kept as ``distinct`` records and each row's position in
+    them, ``index`` (by default each row its own)."""
 
-    __slots__ = ()
+    __slots__ = ("distinct", "index")
 
     def __init__(self, addresses: Union[Locations, list[CellRef]],
-                 records: list[CellMetrics]):
+                 distinct: list[CellMetrics], index: Optional[list[int]] = None):
         if not isinstance(addresses, Locations):
             addresses = Locations.of(addresses)
-        super().__init__(addresses, records)
+        self.distinct, self.index = distinct, range(len(distinct)) if index is None else index
+        super().__init__(addresses, list(map(distinct.__getitem__, self.index)))
 
     def head(self, start: int, stop: int) -> list[str]:
         return self.addresses[start:stop].render()
@@ -332,8 +334,7 @@ def _graph_analysis(
     # record in canonical order for the report.
     distinct, index = _cell_metrics(graph, config.dispersion)
     order = graph.cell_ids()
-    cells = CellColumns(graph.locations(order),
-                        list(map(distinct.__getitem__, map(index.__getitem__, order))))
+    cells = CellColumns(graph.locations(order), distinct, list(map(index.__getitem__, order)))
     records = cells.records
     for k in itertools.compress(
             itertools.count(), map(operator.attrgetter("cross_sheet_ref_count"), records)):
@@ -752,10 +753,10 @@ def _text_report(r: WorkbookReport, top_n: int = 20) -> str:
     out.append("")
 
     out.append(_style(f"TOP RISK CELLS (adjusted cell error rate, max {top_n})", "1", color))
-    # The row index keeps ties in the order a stable sort would give.
+    # Each distinct record rated once; the row index breaks ties as a stable sort.
+    rates = [-adjusted_cell_rate(m, cfg.reliability) for m in cells.distinct]
     ranked = heapq.nsmallest(top_n, zip(
-        map(operator.neg, cell_error_rates(records, cfg.reliability)),
-        cells.addresses.render(), range(len(records))))
+        map(rates.__getitem__, cells.index), cells.addresses.render(), range(len(records))))
     rows = []
     for neg, address, k in ranked:
         m = records[k]

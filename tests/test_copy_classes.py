@@ -27,7 +27,6 @@ from cellgauge.metrics import (
     CellMetrics,
     DispersionConfig,
     RangeLinkageFinding,
-    _copied_runs,
     check_range_linkage,
     formula_metrics,
 )
@@ -35,6 +34,7 @@ from cellgauge.refs import CellRef, RangeRef, column_to_letters
 from cellgauge.report import AnalysisConfig, _cell_metrics, analyze_workbook, emit_report
 from cellgauge.workbook import Cell, Workbook, load_workbook_doc
 from conftest import count_builds
+from range_linkage_oracle import _copied_runs
 
 
 def _block_through(
@@ -176,10 +176,10 @@ def render(tpl, column: int, row: int) -> str:
 
 
 @st.composite
-def copied_workbook(draw):
-    """Blocks of copies of a few templates on several sheets, over
-    half-filled data; a block is one template over a rectangle, so it holds
-    vertical and horizontal runs."""
+def copied_docs(draw):
+    """Workbook documents of blocks of copies of a few templates on several
+    sheets, over half-filled data; a block is one template over a
+    rectangle, so it holds vertical and horizontal runs."""
     cells: dict[str, dict[str, dict]] = {name: {} for name in HOSTS + ("Data",)}
     for name, sheet in cells.items():
         filled = draw(st.sets(st.tuples(st.integers(1, 10), st.integers(1, 22)), max_size=60))
@@ -196,8 +196,13 @@ def copied_workbook(draw):
             for r in range(top, top + height):
                 ref = f"{column_to_letters(c)}{r}"
                 sheet[ref] = {"ref": ref, "formula": render(tpl, c, r)}
-    return load_workbook_doc({"sheets": [
-        {"name": name, "cells": list(sheet.values())} for name, sheet in cells.items()]})
+    return {"sheets": [
+        {"name": name, "cells": list(sheet.values())} for name, sheet in cells.items()]}
+
+
+def copied_workbook():
+    """The workbooks of ``copied_docs``."""
+    return copied_docs().map(load_workbook_doc)
 
 
 # --- Cell metrics as one formula at a time computed them, verbatim but for

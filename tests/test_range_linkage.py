@@ -1,12 +1,18 @@
 import copy
 import random
 
+from hypothesis import example, given
+from hypothesis import strategies as st
+
 from cellgauge.graph import build_graph
 from cellgauge.metrics import check_range_linkage
+from cellgauge.refs import column_to_letters
 from cellgauge.report import analyze_workbook, emit_report
 from cellgauge.workbook import load_workbook_doc
 
 from conftest import make_workbook
+from range_linkage_oracle import check_range_linkage as oracle_check_range_linkage
+from test_copy_classes import copied_docs
 
 
 def col_run(formula_by_row, data_rows, data_col="A", formula_col="B"):
@@ -238,7 +244,87 @@ def test_range_findings_follow_line_order_whatever_the_doc_order():
     assert list(map(order, findings)) == sorted(map(order, findings))
     rng = random.Random(2024)
     for _ in range(5):
-        shuffled = copy.deepcopy(doc)
-        for sheet in shuffled["sheets"]:
-            rng.shuffle(sheet["cells"])
-        assert emit_report(analyze_workbook(load_workbook_doc(shuffled))) == want
+        assert emit_report(analyze_workbook(load_workbook_doc(shuffled(doc, rng)))) == want
+
+
+def test_two_shapes_with_one_shift_key_form_one_run():
+    # =Data!A1*2 and =data!A2*2 spell the sheet differently, so they are two
+    # shapes, but the shift key folds the sheet's case: B1:B4 is one run.
+    wb = make_workbook({
+        "Data": {f"A{r}": float(r) for r in range(1, 6)},
+        "S": {f"B{r}": f"={'Data' if r % 2 else 'data'}!A{r}*2" for r in range(1, 5)},
+    })
+    assert len({id(cell.shape) for cell in wb.formula_cells()}) == 2
+    (f,) = check_range_linkage(build_graph(wb))
+    assert f.target_range.render() == "S!B1:B4"
+    assert f.source_range.render() == "Data!A1:A5"
+    assert (f.ref_style, f.s, f.expected_extent, f.actual_extent, f.verdict) == (
+        "relative", 1, 4, 5, "violation")
+
+
+def test_a_slot_naming_a_missing_sheet_is_skipped():
+    wb = col_run({r: f"=Nope!A{r}+A{r}" for r in range(1, 4)}, data_rows=[1, 2, 3])
+    (f,) = check_range_linkage(build_graph(wb))
+    assert f.source_range.render() == "S!A1:A3"
+    assert (f.s, f.expected_extent, f.actual_extent, f.verdict) == (1, 3, 3, "ok")
+
+
+def test_a_slot_whose_first_copy_spans_two_lines_is_skipped():
+    # C1:C3 read A:B row by row, which spans two columns, and A alone.
+    cells = {f"{c}{r}": 1.0 for c in "AB" for r in (1, 2, 3)}
+    cells.update({f"C{r}": f"=SUM(A{r}:B{r})+A{r}" for r in (1, 2, 3)})
+    (f,) = check_range_linkage(build_graph(make_workbook({"S": cells})))
+    assert f.target_range.render() == "S!C1:C3"
+    assert f.source_range.render() == "S!A1:A3"
+    assert (f.s, f.expected_extent, f.actual_extent) == (1, 3, 3)
+
+
+class Unscanned(dict):
+    """A sheet's cell index that fails every pass over all of its keys."""
+
+    def __iter__(self):
+        raise AssertionError("a pass over a whole sheet")
+
+    keys = values = items = __iter__
+
+
+def test_range_linkage_work_does_not_grow_with_unrelated_cells():
+    # A two-copy run reads column A of a sheet whose other cells sit on other
+    # columns and rows: the check looks at the lines its runs read, so four
+    # times the unrelated cells cost no more work. Any pass over the whole
+    # sheet would, and one in C (sorted, dict or set of the index) fails the
+    # index's own guard.
+    from cellgauge import graph, metrics, refs, workbook
+    from test_conditionals import _lines_run
+
+    def work(n):
+        cells = {"A1": 1.0, "A2": 2.0, "B1": "=A1*2", "B2": "=A2*2"}
+        cells.update({f"{column_to_letters(4 + k % 50)}{3 + k // 50}": float(k)
+                      for k in range(n)})
+        g = build_graph(make_workbook({"S": cells}))
+        for sheet in g.workbook.sheets:
+            sheet.index = Unscanned(sheet.index)
+        assert len(check_range_linkage(g)) == 1
+        return _lines_run(lambda: check_range_linkage(g), (graph, metrics, refs, workbook))
+
+    small, large = work(5_000), work(20_000)
+    assert abs(large - small) < 0.1 * small, (small, large)
+
+
+def shuffled(doc, rng):
+    """``doc`` with each sheet's cell docs in an order drawn from ``rng``."""
+    doc = copy.deepcopy(doc)
+    for sheet in doc["sheets"]:
+        rng.shuffle(sheet["cells"])
+    return doc
+
+
+@given(copied_docs(), st.randoms(use_true_random=False))
+@example(copied_doc(), random.Random(0))
+def test_range_linkage_matches_the_per_cell_oracle(doc, rng):
+    # Runs found per shift key from packed ints, every slot located in one
+    # batch and every block looked up once per segment give the findings of
+    # the per-cell walk, in its order, whatever the order of the cell docs.
+    want = oracle_check_range_linkage(build_graph(load_workbook_doc(doc)))
+    for each in (doc, shuffled(doc, rng)):
+        assert check_range_linkage(build_graph(load_workbook_doc(each))) == want
