@@ -10,8 +10,6 @@ __version__ = "0.1.0"
 from .conditionals import (
     BetaConfig,
     ConditionalConstruct,
-    cascade_conditional_report,
-    conditional_complexity,
     find_conditionals,
 )
 from .errors import (
@@ -32,6 +30,7 @@ from .formula import (
     ClassifiedToken,
     FormulaAst,
     classify_tokens,
+    decision_count,
     parse_formula,
     render_formula,
 )
@@ -42,20 +41,16 @@ from .metrics import (
     ModularMetrics,
     RangeLinkageFinding,
     check_range_linkage,
-    decision_count,
-    dispersion,
     formula_metrics,
     modular_metrics,
-    spans,
 )
-from .refs import CellRef, RangeRef, parse_cell_address, render_ref
+from .refs import CellRef, RangeRef, parse_cell_address
 from .reliability import (
     CascadeReliability,
     ReliabilityConfig,
     adjusted_cell_rate,
     bottom_line_error_rate,
     cascade_reliability,
-    cell_error_rates,
     survive_factors,
 )
 from .report import (
@@ -110,14 +105,10 @@ __all__ = [
     "analyze_workbook",
     "bottom_line_error_rate",
     "build_graph",
-    "cascade_conditional_report",
     "cascade_reliability",
-    "cell_error_rates",
     "check_range_linkage",
     "classify_tokens",
-    "conditional_complexity",
     "decision_count",
-    "dispersion",
     "emit_report",
     "find_conditionals",
     "formula_metrics",
@@ -128,7 +119,5 @@ __all__ = [
     "parse_cell_address",
     "parse_formula",
     "render_formula",
-    "render_ref",
-    "spans",
     "survive_factors",
 ]

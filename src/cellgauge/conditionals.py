@@ -37,7 +37,7 @@ import math
 from array import array
 from collections.abc import Sequence
 from itertools import compress, count
-from typing import Iterable, NamedTuple, Optional, Union
+from typing import Iterable, NamedTuple, Union
 
 from .errors import DomainError, _Record, _set, require_finite
 from .graph import CellGraph
@@ -212,29 +212,6 @@ def all_complexities(constructs: Constructs, cfg: BetaConfig = BetaConfig()) -> 
     return memo
 
 
-def conditional_complexity(
-    s: ConditionalConstruct,
-    cfg: BetaConfig = BetaConfig(),
-    constructs: Optional[Constructs] = None,
-) -> float:
-    """Branch complexity of one construct.
-
-    ``constructs`` are those ``find_conditionals`` found with ``s``. Without
-    them ``s`` must have no M set, and its complexity is N^(1+beta).
-    """
-    if constructs is None:
-        if s.nested_or_precedent:
-            raise DomainError(f"the IF at {s.cell.render()} path {s.path} has an M set: "
-                              "pass the constructs found with it")
-        n = s.conditionless_branches
-        return n ** (1.0 + cfg.beta) if cfg.beta else n
-    k = next((k for k, at in enumerate(zip(constructs.nodes, constructs.paths))
-              if at == (s.node, s.path)), None)
-    if k is None:
-        raise DomainError(f"the IF at {s.cell.render()} path {s.path} is not among the constructs")
-    return all_complexities(constructs, cfg)[k]
-
-
 def finals_by_cell(constructs: Constructs) -> dict[int, list[int]]:
     """The positions of each cell's final constructs by node id, in
     construct order."""
@@ -259,16 +236,3 @@ def cascade_finals(
     if not finals:
         return []
     return [k for i in member_ids for k in finals.get(i, ())]
-
-
-def cascade_conditional_report(
-    g: CellGraph,
-    constructs: Constructs,
-    terminal: CellRef,
-    cfg: BetaConfig = BetaConfig(),
-) -> list[tuple[ConditionalConstruct, float]]:
-    """(final construct, complexity) pairs within one terminal's cascade;
-    ``constructs`` are those ``find_conditionals`` found in ``g``."""
-    complexity = all_complexities(constructs, cfg)
-    return [(constructs[k], complexity[k])
-            for k in cascade_finals(g.member_ids(terminal), finals_by_cell(constructs))]

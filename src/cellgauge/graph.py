@@ -140,8 +140,9 @@ class CellGraph:
     are collected in ``dangling`` and add no edge.
 
     Every query takes a cell address (a ``CellRef`` or its text) or a node
-    id. The audit's stages pass node ids, so after the graph is built no
-    stage looks a cell up by its address.
+    id, and raises UnknownCellError for one that names no node. The audit's
+    stages pass node ids, so after the graph is built no stage looks a cell
+    up by its address.
 
     The ranges of all formulas together may cost at most
     ``max_range_cells``: each range reference counts its area before it
@@ -313,21 +314,15 @@ class CellGraph:
         return idx
 
     def _node(self, addr: AddrLike) -> int:
-        return addr if isinstance(addr, int) else self._idx(addr)
+        if not isinstance(addr, int):
+            return self._idx(addr)
+        if not 0 <= addr < self.node_count:  # a negative id would index from the end
+            raise UnknownCellError(f"node {addr}")
+        return addr
 
     def node_id(self, addr: Union[CellRef, str]) -> int:
         """The node id of a cell; UnknownCellError when it is not a node."""
         return self._idx(addr)
-
-    def has_cell(self, addr: AddrLike) -> bool:
-        try:
-            self._node(addr)
-            return True
-        except UnknownCellError:
-            return False
-
-    def nodes(self) -> list[CellRef]:
-        return list(self.locations(range(self.node_count)))
 
     def cell_ids(self) -> list[int]:
         """The node ids of the workbook's cells, canonical sheet/row/column
@@ -389,10 +384,6 @@ class CellGraph:
         order: ranges expanded row-major, duplicates kept."""
         return self._addresses(self._preds[self._node(addr)])
 
-    def precedent_ids(self, addr: AddrLike) -> list[int]:
-        """The node ids of ``precedents(addr)``, in the same order."""
-        return list(self._preds[self._node(addr)])
-
     def reference_targets(self, addr: AddrLike) -> list[list[int]]:
         """The node ids each reference of a cell's formula reads, one list
         per reference in ``walk`` order: a range's cells row-major, and no
@@ -420,9 +411,6 @@ class CellGraph:
 
     # -- degrees and roles ----------------------------------------------------
 
-    def fan_in(self, addr: AddrLike) -> int:
-        return len(self._preds[self._node(addr)])
-
     def fan_out(self, addr: AddrLike) -> int:
         return len(self._succs[self._node(addr)])
 
@@ -435,14 +423,6 @@ class CellGraph:
         canonical sheet/row/column order."""
         ids = self.formulas()[0]
         return self.canonical(compress(ids, map(not_, map(self._succs.__getitem__, ids))))
-
-    def bottom_line_cells(self) -> list[CellRef]:
-        """Formula cells with no dependents, in canonical sheet/row/column order."""
-        return self._addresses(self.bottom_line_ids())
-
-    def input_cells(self) -> list[CellRef]:
-        idxs = compress(range(self.node_count), map(not_, self._preds))
-        return self._addresses(self.canonical(idxs))
 
     def materialized_ids(self) -> range:
         """The node ids of the empty cells the graph materialized, ascending."""
@@ -576,10 +556,6 @@ class CellGraph:
         idx = self._node(addr)
         self._ensure_acyclic()
         return self.canonical(_reach((idx,), self._preds))
-
-    def cascade_members(self, addr: AddrLike) -> list[CellRef]:
-        """The terminal plus all its transitive precedents, canonical order."""
-        return self._addresses(self.member_ids(addr))
 
     def cascade_stats(self, addr: AddrLike) -> CascadeStats:
         """Reachability and path-length statistics for one terminal cell.

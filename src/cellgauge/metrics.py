@@ -30,11 +30,10 @@ import math
 from fractions import Fraction
 from bisect import bisect_left
 from itertools import chain, compress, count, filterfalse, repeat
-from operator import add, attrgetter, gt, is_, itemgetter, lshift, lt, not_, or_, sub
+from operator import add, attrgetter, gt, is_, lshift, lt, not_, or_, sub
 from typing import NamedTuple, Optional, Sequence, Union
 
 from .errors import DomainError, _Record, _set, require_finite
-from .formula import decision_count  # re-exported
 from .graph import CellGraph
 from .refs import CellRef, Locations, RangeRef
 from .workbook import Cell
@@ -131,23 +130,6 @@ def _geometry(sheet: Optional[str], column: int, row: int, firsts: Locations,
         dispersion=min(dr, math.nextafter(1.0, 0.0)), delta_sum=delta,
         col_span=right - left, row_span=down - up,
         mixed_axis_flag=on_x and on_y, forward_ref_count=forward)
-
-
-def _of_deltas(deltas: Sequence[tuple[int, int]], cfg: DispersionConfig) -> dict:
-    at = Locations([None] * len(deltas), [dx for dx, _ in deltas], [dy for _, dy in deltas])
-    return _geometry(None, 0, 0, at, at, cfg)  # one-cell rectangles from (0, 0)
-
-
-def dispersion(
-    deltas: Sequence[tuple[int, int]], cfg: DispersionConfig = DispersionConfig()
-) -> tuple[float, float]:
-    """(DR, delta sum) for a formula's same-sheet (dx, dy) reference deltas."""
-    return itemgetter("dispersion", "delta_sum")(_of_deltas(deltas, cfg))
-
-
-def spans(deltas: Sequence[tuple[int, int]]) -> tuple[int, int]:
-    """(column span, row span): max positive minus max negative delta."""
-    return itemgetter("col_span", "row_span")(_of_deltas(deltas, DispersionConfig()))
 
 
 class Rectangles(NamedTuple):

@@ -56,14 +56,6 @@ def column_to_letters(col: int) -> str:
 
 def letters_to_column(letters: str) -> int:
     """"A" -> 1, "ab" -> 28: column letters in either case."""
-    # One and two ASCII letters (A..ZZ) directly, as column_to_letters
-    # does: the load reads every cell's column here. A letter's code & 31
-    # is its place in the alphabet in either case.
-    if letters.isascii() and letters.isalpha():
-        if len(letters) == 1:
-            return ord(letters) & 31
-        if len(letters) == 2:
-            return (ord(letters[0]) & 31) * 26 + (ord(letters[1]) & 31)
     col = 0
     for ch in letters.upper():
         if not "A" <= ch <= "Z":
@@ -220,11 +212,6 @@ def _quoted_head(text: str) -> str:
     """``text`` quoted, cut to its first 20 characters, so an error names a
     long text in one short line."""
     return repr(text) if len(text) <= 20 else repr(text[:20]) + "..."
-
-
-def render_ref(ref: CellRef) -> str:
-    """A1-notation text of a reference, with ``$`` markers and sheet prefix."""
-    return ref.render()
 
 
 class Locations(Sequence):

@@ -15,7 +15,7 @@ each group of cascades that share a cone (``CellGraph.cascade_groups``).
 from __future__ import annotations
 
 import math
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import DomainError, _Record, _set, require_finite
 from .graph import CascadeGroup
@@ -96,28 +96,13 @@ def adjusted_cell_rate(
     return min(cfg.cap, cfg.base_cer * (1.0 + c))
 
 
-def cell_error_rates(
-    metrics: Iterable[CellMetrics], cfg: ReliabilityConfig = ReliabilityConfig()
-) -> list[float]:
-    """Each cell's :func:`adjusted_cell_rate`, in the order of ``metrics``.
-
-    Given the metrics of a graph's cells in node order
-    (``g.workbook.iter_cells()`` order), the list is indexed by node id. A record
-    that many cells share (one object) is rated once.
-    """
-    metrics = list(metrics)  # keeps each record alive while its id is a key
-    distinct = dict(zip(map(id, metrics), metrics))
-    rates = {k: adjusted_cell_rate(m, cfg) for k, m in distinct.items()}
-    return list(map(rates.__getitem__, map(id, metrics)))
-
-
 def survive_factors(records: Sequence[Optional[CellMetrics]], index: Sequence[int],
                     node_count: int, cfg: ReliabilityConfig = ReliabilityConfig()) -> list[float]:
     """Each node's survive factor ``1 - rate``, by node id. ``records`` are
     the distinct metrics records of a graph's populated cells, and
     ``index[i]`` is the position in ``records`` of node ``i``'s record, for
     each populated node in node order (``g.workbook.iter_cells()``). Each
-    record is rated once, as :func:`cell_error_rates` rates it, and the
+    record is rated once, by :func:`adjusted_cell_rate`, and the
     materialized empty cells, the nodes past ``index``, take the data-cell
     rate."""
     factors = [1.0 - adjusted_cell_rate(m, cfg) for m in records]

@@ -15,9 +15,8 @@ The loader fills these columns and builds no ``Cell`` and no ``CellRef`` per
 cell or per reference. One pass checks each cell doc in a fixed order, and
 the first check it fails gives its error; a well-formed doc costs one
 key-set test, one address match with a per-load memo of column letters, and
-its value typed inline. ``Sheet.cells``, ``Workbook.cell``,
-``iter_cells`` and ``formula_cells`` build ``Cell`` objects from the columns
-on first read.
+its value typed inline. ``Sheet.cells``, ``Workbook.cell`` and
+``iter_cells`` build ``Cell`` objects from the columns on first read.
 
 Most formulas in a model are copies of one another, identical up to the
 shift of their relative references. Once a sheet's docs are checked, its
@@ -186,11 +185,6 @@ class Workbook:
     def iter_cells(self) -> Iterator[Cell]:
         for sheet in self.sheets:
             yield from sheet.cells.values()
-
-    def formula_cells(self) -> Iterator[Cell]:
-        for cell in self.iter_cells():
-            if cell.is_formula:
-                yield cell
 
 
 # --- Loading ---------------------------------------------------------------

@@ -15,14 +15,13 @@ from cellgauge import (
     ReliabilityConfig,
     analyze,
     bottom_line_error_rate,
-    conditional_complexity,
-    dispersion,
     emit_report,
     find_conditionals,
     formula_metrics,
 )
-from cellgauge.metrics import check_range_linkage
-from cellgauge.refs import column_to_letters
+from cellgauge.conditionals import all_complexities
+from cellgauge.metrics import _geometry, check_range_linkage
+from cellgauge.refs import Locations, column_to_letters
 from cellgauge.reliability import cascade_reliability, survive_factors
 
 from conftest import FIVE_CELL_SHEETS, NINE_CELL_SHEETS, make_graph
@@ -39,7 +38,9 @@ def test_criterion_01_dispersion_table():
     """Seven published (delta, DR) pairs at alpha=0.01, product mode."""
     start = time.perf_counter()
     for delta, expected in DISPERSION_TABLE:
-        dr, _ = dispersion([(1, delta)], DispersionConfig(alpha=0.01, mode="product"))
+        at = Locations([None], [1], [delta])  # one reference, (dx, dy) = (1, delta)
+        dr = _geometry(None, 0, 0, at, at,
+                       DispersionConfig(alpha=0.01, mode="product"))["dispersion"]
         assert abs(dr - expected) <= 5e-5, (delta, dr, expected)
     assert time.perf_counter() - start < 0.1
     report("1 dispersion table (7 rows, ±5e-5)")
@@ -52,7 +53,7 @@ def test_criterion_02_bottom_line_rates_and_fixtures():
     assert abs(bottom_line_error_rate(0.02, 9) - 0.1663) <= 5e-5
     for sheets, n in ((FIVE_CELL_SHEETS, 5), (NINE_CELL_SHEETS, 9)):
         wb, g = make_graph(sheets)
-        (terminal,) = g.bottom_line_cells()
+        (terminal,) = g.locations(g.bottom_line_ids())
         stats = g.cascade_stats(terminal)
         assert stats.cell_count == n
         group = next(g.cascade_groups([g.node_id(terminal)]))
@@ -70,7 +71,7 @@ def test_criterion_03_reachability_oracle_200_dags():
     instances = 0
     while instances < 200:
         wb, g = random_dag_workbook(rng, max_nodes=12, max_multiplicity=3)
-        terminals = g.bottom_line_cells()
+        terminals = g.locations(g.bottom_line_ids())
         if not terminals:
             continue
         instances += 1
@@ -120,10 +121,11 @@ def test_criterion_05_branch_complexity_oracle():
         wb, g = make_graph({"S": cells})
         constructs = find_conditionals(g)
         values_beta = {}
-        for c in constructs:
-            flat = conditional_complexity(c, BetaConfig(0.0), constructs)
-            assert flat == len(enumerate_branch_selections(c, constructs))
-            values_beta[c.id] = conditional_complexity(c, BetaConfig(0.1), constructs)
+        flat = all_complexities(constructs, BetaConfig(0.0))
+        beta = all_complexities(constructs, BetaConfig(0.1))
+        for k, c in enumerate(constructs):
+            assert flat[k] == len(enumerate_branch_selections(c, constructs))
+            values_beta[c.id] = beta[k]
             checked += 1
         for c in constructs:
             base = sum(values_beta[i] for i in c.nested_or_precedent)

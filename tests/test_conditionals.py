@@ -12,9 +12,9 @@ from cellgauge.conditionals import (
     BetaConfig,
     ConditionalConstruct,
     all_complexities,
-    cascade_conditional_report,
-    conditional_complexity,
+    cascade_finals,
     find_conditionals,
+    finals_by_cell,
 )
 from cellgauge.errors import CycleError, DomainError
 from cellgauge.formula import (
@@ -250,7 +250,7 @@ def _scan_for_conditionals(
 def naive_discovery(wb):
     """{construct id: (M set, N, is_final)} from one scan per IF argument."""
     found = {}
-    for cell in wb.formula_cells():
+    for cell in (c for c in wb.iter_cells() if c.is_formula):
         for path, node in _if_nodes(cell.ast.root):
             m_set, n = set(), 0
             for arg_idx, arg in enumerate(node.args):
@@ -404,7 +404,7 @@ def test_discovery_matches_naive_scan_on_random_workbooks():
 
 def test_single_if_two_branches():
     wb, g, cs = discovered({"S": {"X1": "=IF(A1>0, B1, C1)"}})
-    assert conditional_complexity(cs[0], BetaConfig(0.0), cs) == 2
+    assert all_complexities(cs, BetaConfig(0.0))[0] == 2
 
 
 def test_nested_complexity_beta_zero():
@@ -412,7 +412,7 @@ def test_nested_complexity_beta_zero():
         "A1": 1, "A2": 2, "D1": "=IF(A1>0, IF(A2>0,1,2), 5)",
     }})
     outer = next(c for c in cs if c.path == ())
-    assert conditional_complexity(outer, BetaConfig(0.0), cs) == 3
+    assert all_complexities(cs, BetaConfig(0.0))[cs.index(outer)] == 3
     assert len(enumerate_branch_selections(outer, cs)) == 3
 
 
@@ -424,7 +424,7 @@ def test_nested_complexity_with_beta():
     # Bottom-up: the inner construct's own complexity carries the exponent,
     # then the outer base (that value plus one clean branch) carries it too.
     expected = (2.0 ** 1.1 + 1.0) ** 1.1
-    got = conditional_complexity(outer, BetaConfig(0.1), cs)
+    got = all_complexities(cs, BetaConfig(0.1))[cs.index(outer)]
     assert got == pytest.approx(expected, abs=1e-9)
 
 
@@ -453,27 +453,27 @@ def test_discovery_matches_naive_scan_on_fixtures(cells):
 @pytest.mark.parametrize("cells", ORACLE_FIXTURES)
 def test_branch_count_oracle(cells):
     wb, g, cs = discovered({"S": cells})
-    for c in cs:
+    complexity = all_complexities(cs, BetaConfig(0.0))
+    for k, c in enumerate(cs):
         expected = len(enumerate_branch_selections(c, cs))
-        assert conditional_complexity(c, BetaConfig(0.0), cs) == expected
+        assert complexity[k] == expected
 
 
 @pytest.mark.parametrize("cells", ORACLE_FIXTURES)
 @pytest.mark.parametrize("beta", [0.0, 0.05, 0.1, 0.3])
 def test_memoized_equals_naive(cells, beta):
     wb, g, cs = discovered({"S": cells})
-    for c in cs:
-        assert conditional_complexity(c, BetaConfig(beta), cs) == pytest.approx(
-            naive_complexity(c, cs, beta), rel=1e-12
-        )
+    complexity = all_complexities(cs, BetaConfig(beta))
+    for k, c in enumerate(cs):
+        assert complexity[k] == pytest.approx(naive_complexity(c, cs, beta), rel=1e-12)
 
 
 @pytest.mark.parametrize("cells", ORACLE_FIXTURES)
 def test_monotone_in_beta(cells):
     wb, g, cs = discovered({"S": cells})
-    for c in cs:
-        values = [conditional_complexity(c, BetaConfig(b), cs)
-                  for b in (0.0, 0.1, 0.2, 0.4)]
+    by_beta = [all_complexities(cs, BetaConfig(b)) for b in (0.0, 0.1, 0.2, 0.4)]
+    for k in range(len(cs)):
+        values = [complexity[k] for complexity in by_beta]
         assert all(a <= b for a, b in zip(values, values[1:]))
 
 
@@ -481,13 +481,13 @@ def test_composition_swap_branch_for_unit_conditional():
     # Replacing a conditionless branch with a single-branch conditional
     # (complexity 1) leaves the total unchanged at beta = 0.
     wb1, g1, cs1 = discovered({"S": {"X1": "=IF(c1, A1, B1)"}})
-    base = conditional_complexity(cs1[0], BetaConfig(0.0), cs1)
+    base = all_complexities(cs1, BetaConfig(0.0))[0]
     wb2, g2, cs2 = discovered({"S": {
         "D1": "=IF(c2, A1)",  # one value branch only
         "X1": "=IF(c1, D1, B1)",
     }})
     outer = by_cell(cs2, "S!X1")[0]
-    assert conditional_complexity(outer, BetaConfig(0.0), cs2) == base == 2
+    assert all_complexities(cs2, BetaConfig(0.0))[cs2.index(outer)] == base == 2
 
 
 def downward_if_chain(length):
@@ -510,17 +510,14 @@ def test_long_downward_chain_needs_no_recursion():
     assert [(c.cell.render(), o) for c, o in cascade.conditionals] == [("S!A1", 3001)]
 
 
-def test_complexity_without_constructs_needs_no_m_set():
+def test_complexity_of_each_construct_by_position():
+    # An IF with no M set has complexity N^(1+beta); one with an M set adds
+    # its members' complexities to N.
     wb, g, cs = discovered({"S": {"A1": 1, "D1": "=IF(A1>0, IF(A1>1,1,2), 5)"}})
     outer, inner = cs
-    assert conditional_complexity(inner) == 2
-    assert conditional_complexity(inner, BetaConfig(0.5)) == 2 ** 1.5
-    with pytest.raises(DomainError, match=r"S!D1 path \(\)"):
-        conditional_complexity(outer)
-    assert conditional_complexity(outer, BetaConfig(0.0), cs) == 3
-    _, _, elsewhere = discovered({"S": {"X1": "=1+IF(A1>0,1,2)"}})
-    with pytest.raises(DomainError, match="not among"):
-        conditional_complexity(outer, BetaConfig(0.0), elsewhere)
+    assert not inner.nested_or_precedent and outer.nested_or_precedent == (inner.id,)
+    assert all_complexities(cs, BetaConfig(0.0)) == [3, 2]
+    assert all_complexities(cs, BetaConfig(0.5))[1] == 2 ** 1.5
 
 
 def test_constructs_slice_to_lists():
@@ -540,14 +537,15 @@ def test_beta_config_validation():
 
 def test_cascade_report_single_if():
     wb, g, cs = discovered({"S": {"X1": "=IF(A1>0, B1, C1)"}})
-    report = cascade_conditional_report(g, cs, wb.cell("S!X1").address)
+    cx = all_complexities(cs, BetaConfig())
+    report = [(cs[k], cx[k]) for k in cascade_finals(g.member_ids("S!X1"), finals_by_cell(cs))]
     assert [(c.cell.render(), o) for c, o in report] == [("S!X1", 2)]
 
 
 def test_cascade_report_no_conditionals():
     wb, g = make_graph({"S": {"A1": 1, "B1": "=A1*2"}})
     cs = find_conditionals(g)
-    assert cascade_conditional_report(g, cs, wb.cell("S!B1").address) == []
+    assert cascade_finals(g.member_ids("S!B1"), finals_by_cell(cs)) == []
 
 
 def test_cascade_report_chained():
@@ -556,7 +554,8 @@ def test_cascade_report_chained():
         "D1": "=IF(B1>0,1,2)",
         "E1": "=IF(A1>0, D1, 5)",
     }})
-    report = cascade_conditional_report(g, cs, wb.cell("S!E1").address)
+    cx = all_complexities(cs, BetaConfig())
+    report = [(cs[k], cx[k]) for k in cascade_finals(g.member_ids("S!E1"), finals_by_cell(cs))]
     assert [(c.cell.render(), o) for c, o in report] == [("S!E1", 3)]
 
 
@@ -565,26 +564,29 @@ def test_cascade_report_only_members():
         "X1": "=IF(A1>0, 1, 2)",
         "Y5": "=IF(B1>0, 3, 4)",
     }})
-    report = cascade_conditional_report(g, cs, wb.cell("S!X1").address)
-    assert [c.cell.render() for c, _ in report] == ["S!X1"]
+    report = [cs[k] for k in cascade_finals(g.member_ids("S!X1"), finals_by_cell(cs))]
+    assert [c.cell.render() for c in report] == ["S!X1"]
 
 
 def test_cascade_conditionals_keep_construct_order():
     # Each cascade lists the final constructs of its members in construct
     # order, as the filter over every final construct did; the report and
-    # cascade_conditional_report agree.
+    # the finals of each terminal's members agree.
     checked = 0
     for seed in range(120):
         sheets = random_conditional_workbook(seed)
         wb, g, cs = discovered(sheets)
         complexity = all_complexities(cs, BetaConfig(0.0))
+        finals = finals_by_cell(cs)
         report = analyze_workbook(wb, AnalysisConfig())
         for entry in report.cascades:
-            members = {a.key() for a in g.cascade_members(entry.stats.terminal)}
+            member_ids = g.member_ids(entry.stats.terminal)
+            members = {a.key() for a in g.locations(member_ids)}
             expected = [(c, complexity[k]) for k, c in enumerate(cs)
                         if c.is_final and c.cell.key() in members]
             assert list(entry.conditionals) == expected, seed
-            assert cascade_conditional_report(g, cs, entry.stats.terminal) == expected
+            assert [(cs[k], complexity[k])
+                    for k in cascade_finals(member_ids, finals)] == expected
             checked += len(expected) > 1
     assert checked > 50
 
@@ -747,7 +749,7 @@ def paired_layout(cell):
 def assert_layouts_match_own_parse(wb):
     """Returns the number of IF calls checked."""
     checked = 0
-    for cell in wb.formula_cells():
+    for cell in (c for c in wb.iter_cells() if c.is_formula):
         parsed = SimpleNamespace(address=cell.address, ast=parse_formula(cell.source))
         expected = _walk_formula(parsed)
         assert paired_layout(cell) == expected, cell.source
@@ -766,7 +768,7 @@ def test_shape_if_layout_matches_walk_on_random_workbooks():
         wb = make_workbook(random_conditional_workbook(seed))
         checked += assert_layouts_match_own_parse(wb)
         # A copy is a formula cell its shape was not built from.
-        shapes = [c.shape for c in wb.formula_cells()]
+        shapes = [c.shape for c in wb.iter_cells() if c.is_formula]
         copies += len(shapes) - len(set(map(id, shapes)))
     assert checked > 2000 and copies > 500, (checked, copies)
 

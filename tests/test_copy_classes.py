@@ -411,7 +411,7 @@ def test_one_shape_on_two_sheets_keeps_each_sheets_record():
                                  {"ref": "B3", "formula": "=S1!A2+A2"}]},
     ]}
     wb = load_workbook_doc(doc)
-    shapes = {id(cell.shape) for cell in wb.formula_cells()}
+    shapes = {id(cell.shape) for cell in wb.iter_cells() if cell.is_formula}
     assert len(shapes) == 1
     by_address = {m.address.render(): m for m in analyze_workbook(wb).cells}
     assert by_address["S1!B3"].cross_sheet_ref_count == 0

@@ -16,7 +16,7 @@ from conftest import make_graph
 
 def test_duplicate_reference_multi_edge():
     wb, g = make_graph({"S": {"A1": 1, "B1": "=A1+A1"}})
-    assert g.fan_in("S!B1") == 2
+    assert len(g.precedents("S!B1")) == 2
     assert g.fan_out("S!A1") == 2
     assert g.edge_count == 2
 
@@ -63,32 +63,44 @@ def test_data_only_workbook():
     wb, g = make_graph({"S": {"A1": 1, "B2": 2}})
     assert g.node_count == 2 and g.edge_count == 0
     assert not g.is_cyclic
-    assert g.bottom_line_cells() == []
+    assert list(g.locations(g.bottom_line_ids())) == []
 
 
 def test_chain_degrees(chain_graph):
     wb, g = chain_graph
-    assert g.fan_in("Sheet1!C1") == 1 and g.fan_out("Sheet1!C1") == 0
-    assert g.fan_in("Sheet1!A1") == 0 and g.fan_out("Sheet1!A1") == 1
-    assert [a.render() for a in g.bottom_line_cells()] == ["Sheet1!C1"]
-    assert [a.render() for a in g.input_cells()] == ["Sheet1!A1"]
+    assert len(g.precedents("Sheet1!C1")) == 1 and g.fan_out("Sheet1!C1") == 0
+    assert len(g.precedents("Sheet1!A1")) == 0 and g.fan_out("Sheet1!A1") == 1
+    assert [a.render() for a in g.locations(g.bottom_line_ids())] == ["Sheet1!C1"]
+    assert [a.render() for a in g.locations(g.canonical(
+        i for i, p in enumerate(g.reference_columns()[0]) if not p))] == ["Sheet1!A1"]
 
 
 def test_diamond_fan_in(diamond_graph):
     wb, g = diamond_graph
-    assert g.fan_in("Sheet1!C1") == 2
+    assert len(g.precedents("Sheet1!C1")) == 2
 
 
 def test_unknown_cell():
     wb, g = make_graph({"S": {"A1": 1}})
     with pytest.raises(UnknownCellError):
-        g.fan_in("S!Z99")
+        g.precedents("S!Z99")
+
+
+@pytest.mark.parametrize("query", [
+    "precedents", "reference_targets", "fan_out", "reachability", "member_ids",
+    "cascade_stats", "enumerate_paths"])
+def test_node_ids_outside_the_graph_are_unknown(query):
+    # A negative id must not read a node from the end of the lists.
+    wb, g = make_graph({"S": {"A1": 1, "B1": "=A1*2"}})
+    for bad in (-1, g.node_count):
+        with pytest.raises(UnknownCellError, match=rf"^no such cell in graph: node {bad}$"):
+            getattr(g, query)(bad)
 
 
 def test_empty_referenced_cell_materialized():
     wb, g = make_graph({"S": {"B1": "=A1*2"}})
-    assert g.has_cell("S!A1")
-    assert g.fan_in("S!A1") == 0
+    g.node_id("S!A1")  # a node: UnknownCellError otherwise
+    assert len(g.precedents("S!A1")) == 0
     assert [a.render() for a in g.materialized_cells()] == ["S!A1"]
     # The report, not the graph, gives the materialized cell its warning.
     warned = [(w.code, w.address) for w in analyze_workbook(wb).warnings]
@@ -128,7 +140,8 @@ def test_cascade_stats_diamond(diamond_graph):
     assert st.avg_reachability == Fraction(1 + 1 + 1 + 2, 4)
     assert st.avg_path_length == Fraction(3)
     assert st.max_path_length == 3
-    assert [a.render() for a in g.input_cells()] == ["Sheet1!A1"]
+    assert [a.render() for a in g.locations(g.canonical(
+        i for i, p in enumerate(g.reference_columns()[0]) if not p))] == ["Sheet1!A1"]
 
 
 def test_cascade_on_non_terminal_warns(chain_graph):
@@ -155,15 +168,17 @@ def test_enumerate_paths_limit(diamond_graph):
 
 def test_handshake_lemma(diamond_graph):
     wb, g = diamond_graph
-    total_in = sum(g.fan_in(a) for a in g.nodes())
-    total_out = sum(g.fan_out(a) for a in g.nodes())
+    total_in = sum(len(g.precedents(a)) for a in g.locations(range(g.node_count)))
+    total_out = sum(g.fan_out(a) for a in g.locations(range(g.node_count)))
     assert total_in == total_out == g.edge_count
 
 
 def test_edge_count_excludes_dangling():
     wb, g = make_graph({"S": {"A1": "=Missing!B1+A2"}})
     assert g.edge_count == 1  # the Missing! arc is dropped, A2 survives
-    assert g.has_cell("S!A2") and not g.has_cell("Missing!B1")
+    g.node_id("S!A2")
+    with pytest.raises(UnknownCellError):
+        g.node_id("Missing!B1")
 
 
 def test_reference_targets_one_list_per_reference():
@@ -186,7 +201,8 @@ def test_graph_build_deterministic():
     }}
     _, g1 = make_graph(sheets)
     _, g2 = make_graph(sheets)
-    assert [a.key() for a in g1.nodes()] == [a.key() for a in g2.nodes()]
+    assert ([a.key() for a in g1.locations(range(g1.node_count))]
+            == [a.key() for a in g2.locations(range(g2.node_count))])
     assert g1.edge_count == g2.edge_count
     assert g1.enumerate_paths("S!C1") == g2.enumerate_paths("S!C1")
 
@@ -235,9 +251,10 @@ def test_reachability_matches_enumeration_on_random_dags():
         order = g.topological_order()  # every node once, after what it reads
         position = {v: k for k, v in enumerate(order)}
         assert sorted(order) == list(range(g.node_count))
-        assert all(position[p] < position[v] for v in order for p in g.precedent_ids(v))
-        bottom = {a.key() for a in g.bottom_line_cells()}
-        for t in g.nodes():
+        preds = g.reference_columns()[0]
+        assert all(position[p] < position[v] for v in order for p in preds[v])
+        bottom = {a.key() for a in g.locations(g.bottom_line_ids())}
+        for t in g.locations(range(g.node_count)):
             paths = g.enumerate_paths(t, limit=500_000)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", NotBottomLineWarning)
@@ -250,7 +267,7 @@ def test_reachability_matches_enumeration_on_random_dags():
             members = {a.key() for p in paths for a in p}
             member_ids = g.member_ids(t)
             assert members == {g.address_of(i).key() for i in member_ids}
-            assert g.cascade_members(t) == [g.address_of(i) for i in member_ids]
+            assert list(g.locations(member_ids)) == [g.address_of(i) for i in member_ids]
             assert st.cell_count == len(members)
             # Within-cascade reachability sums over members.
             reach_sum = sum(g.reachability(i) for i in member_ids)
@@ -286,7 +303,7 @@ def test_path_statistics_match_enumeration_at_each_fan_in(cell, fan_in):
     # times or a range.
     wb, g = make_graph({"S": FAN_IN_CELLS})
     addr = f"S!{cell}"
-    assert g.fan_in(addr) == fan_in
+    assert len(g.precedents(addr)) == fan_in
     count, avg_len, max_len = oracle_stats(g.enumerate_paths(addr))
     assert g.reachability(addr) == count
     with warnings.catch_warnings():
@@ -300,9 +317,9 @@ def test_reachability_at_least_one_and_terminal_dominates():
     rng = random.Random(7)
     for _ in range(40):
         wb, g = random_dag_workbook(rng)
-        for a in g.nodes():
+        for a in g.locations(range(g.node_count)):
             assert g.reachability(a) >= 1
-        for t in g.bottom_line_cells():
+        for t in g.locations(g.bottom_line_ids()):
             best_pred = max(
                 (g.reachability(p[-2]) for p in g.enumerate_paths(t, limit=500_000)
                  if len(p) >= 2),

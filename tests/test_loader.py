@@ -452,7 +452,8 @@ def test_lazy_views_equal_the_per_cell_loaders_cells():
     wb, want = load_workbook_doc(doc), loader_oracle.load_workbook_doc(doc)
     assert _cells(wb) == _cells(want)
     assert list(wb.iter_cells()) == list(want.iter_cells())
-    assert list(wb.formula_cells()) == list(want.formula_cells())
+    assert ([c for c in wb.iter_cells() if c.is_formula]
+            == [c for c in want.iter_cells() if c.is_formula])
     assert all(wb.cell(c.address) == c for c in want.iter_cells())
     assert wb.cell("Data!AY36") is None and wb.cell("Nope!A1") is None
     g = build_graph(wb)

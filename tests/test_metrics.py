@@ -6,19 +6,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cellgauge.formula import parse_formula
+from cellgauge.formula import decision_count, parse_formula
 from cellgauge.metrics import (
     CellMetrics,
     DispersionConfig,
     ModularMetrics,
-    decision_count,
-    dispersion,
+    _geometry,
     formula_metrics,
     modular_metrics,
-    spans,
 )
 
 from cellgauge.graph import CellGraph, build_graph
+from cellgauge.refs import Locations
 from cellgauge.workbook import Workbook
 
 from conftest import make_graph, make_workbook
@@ -36,49 +35,60 @@ DISPERSION_TABLE = [
 ]
 
 
+# The raw-delta tests read ``_geometry``, the function the audit runs, with
+# each (dx, dy) delta as a one-cell rectangle read from (0, 0).
+
 @pytest.mark.parametrize("delta,expected", DISPERSION_TABLE)
 def test_dispersion_reference_table(delta, expected):
     # One reference with |dx*dy| = delta reproduces the table row.
-    dr, dsum = dispersion([(1, delta)])
-    assert dsum == delta
-    assert abs(dr - expected) <= 5e-5
+    at = Locations([None], [1], [delta])
+    got = _geometry(None, 0, 0, at, at, DispersionConfig())
+    assert got["delta_sum"] == delta
+    assert abs(got["dispersion"] - expected) <= 5e-5
 
 
 def test_dispersion_zero_iff_delta_zero():
-    dr, dsum = dispersion([(0, 5), (7, 0)])
-    assert dsum == 0 and dr == 0.0
+    at = Locations([None, None], [0, 7], [5, 0])
+    got = _geometry(None, 0, 0, at, at, DispersionConfig())
+    assert got["delta_sum"] == 0 and got["dispersion"] == 0.0
 
 
 def test_dispersion_modes():
-    deltas = [(3, 4), (0, 5)]
-    dr_p, d_p = dispersion(deltas, DispersionConfig(mode="product"))
-    dr_m, d_m = dispersion(deltas, DispersionConfig(mode="manhattan"))
-    dr_e, d_e = dispersion(deltas, DispersionConfig(mode="euclidean"))
-    assert d_p == 12
-    assert d_m == 12
-    assert d_e == pytest.approx(5.0 + 5.0)
+    at = Locations([None, None], [3, 0], [4, 5])
+    dr, d = {}, {}
+    for mode in ("product", "manhattan", "euclidean"):
+        got = _geometry(None, 0, 0, at, at, DispersionConfig(mode=mode))
+        dr[mode], d[mode] = got["dispersion"], got["delta_sum"]
+    assert d["product"] == 12
+    assert d["manhattan"] == 12
+    assert d["euclidean"] == pytest.approx(5.0 + 5.0)
     # Same-column reference contributes nothing in product mode but does in
     # the distance modes.
-    dr_p0, _ = dispersion([(0, 5)], DispersionConfig(mode="product"))
-    dr_m0, _ = dispersion([(0, 5)], DispersionConfig(mode="manhattan"))
+    one = Locations([None], [0], [5])
+    dr_p0 = _geometry(None, 0, 0, one, one, DispersionConfig(mode="product"))["dispersion"]
+    dr_m0 = _geometry(None, 0, 0, one, one, DispersionConfig(mode="manhattan"))["dispersion"]
     assert dr_p0 == 0.0 and dr_m0 > 0.0
-    assert dr_e > 0.0 and dr_m > 0.0 and dr_p > 0.0
+    assert dr["euclidean"] > 0.0 and dr["manhattan"] > 0.0 and dr["product"] > 0.0
 
 
 @given(st.lists(st.tuples(st.integers(-50, 50), st.integers(-50, 50)), max_size=8),
        st.sampled_from(["product", "manhattan", "euclidean"]))
 def test_dispersion_bounds(deltas, mode):
-    dr, _ = dispersion(deltas, DispersionConfig(mode=mode))
+    at = Locations([None] * len(deltas), [dx for dx, _ in deltas], [dy for _, dy in deltas])
+    dr = _geometry(None, 0, 0, at, at, DispersionConfig(mode=mode))["dispersion"]
     assert 0.0 <= dr < 1.0
 
 
 def test_dispersion_strictly_increasing_in_delta_and_alpha():
-    values = [dispersion([(1, d)])[0] for d in range(0, 500, 25)]
+    values = [_geometry(None, 0, 0, at, at, DispersionConfig())["dispersion"]
+              for d in range(0, 500, 25) for at in [Locations([None], [1], [d])]]
     assert all(a < b for a, b in zip(values, values[1:]))
-    alphas = [dispersion([(10, 10)], DispersionConfig(alpha=a))[0]
+    at = Locations([None], [10], [10])
+    alphas = [_geometry(None, 0, 0, at, at, DispersionConfig(alpha=a))["dispersion"]
               for a in (0.001, 0.01, 0.1, 1.0)]
     assert all(a < b for a, b in zip(alphas, alphas[1:]))
-    assert dispersion([(10_000, 10_000)])[0] > 0.999999
+    far = Locations([None], [10_000], [10_000])
+    assert _geometry(None, 0, 0, far, far, DispersionConfig())["dispersion"] > 0.999999
 
 
 def test_invalid_dispersion_config():
@@ -89,16 +99,22 @@ def test_invalid_dispersion_config():
 
 
 def test_spans_examples():
-    assert spans([(3, -2), (-1, 4)]) == (4, 6)
-    assert spans([(0, 7)]) == (0, 7)
-    assert spans([]) == (0, 0)
+    for deltas, expected in [([(3, -2), (-1, 4)], (4, 6)), ([(0, 7)], (0, 7)), ([], (0, 0))]:
+        at = Locations([None] * len(deltas), [dx for dx, _ in deltas],
+                       [dy for _, dy in deltas])
+        got = _geometry(None, 0, 0, at, at, DispersionConfig())
+        assert (got["col_span"], got["row_span"]) == expected
 
 
 @given(st.lists(st.tuples(st.integers(-30, 30), st.integers(-30, 30)), min_size=1, max_size=8))
 def test_spans_permutation_invariant(deltas):
-    base = spans(deltas)
-    assert spans(list(reversed(deltas))) == base
-    assert spans(sorted(deltas)) == base
+    got = []
+    for order in (deltas, list(reversed(deltas)), sorted(deltas)):
+        at = Locations([None] * len(order), [dx for dx, _ in order], [dy for _, dy in order])
+        geometry = _geometry(None, 0, 0, at, at, DispersionConfig())
+        got.append((geometry["col_span"], geometry["row_span"]))
+    base = got[0]
+    assert got[1] == base and got[2] == base
     assert base[0] >= 0 and base[1] >= 0
 
 
@@ -318,7 +334,7 @@ def oracle_modular_metrics(wb: Workbook, g: CellGraph) -> ModularMetrics:
     read: set[int] = set()  # every node some formula reads
     for i in g.formulas()[0]:
         r = sheet_of[i]
-        preds = g.precedent_ids(i)
+        preds = g.reference_columns()[0][i]
         read.update(preds)
         for q in preds:
             if sheet_of[q] != r:

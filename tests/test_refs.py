@@ -13,7 +13,6 @@ from cellgauge.refs import (
     column_to_letters,
     letters_to_column,
     parse_cell_address,
-    render_ref,
 )
 
 
@@ -54,8 +53,8 @@ def test_column_letters_match_the_loop_on_every_column():
 
 
 def loop_letters_to_column(letters):
-    """``letters_to_column`` as it was before its one- and two-letter fast
-    path: one step per letter of the upper-cased text."""
+    """``letters_to_column`` as a reference loop: one step per letter of
+    the upper-cased text."""
     col = 0
     for ch in letters.upper():
         if not "A" <= ch <= "Z":
@@ -96,13 +95,13 @@ def test_column_codec_roundtrip(col):
 
 
 def test_render_ref_examples():
-    assert render_ref(CellRef(None, 1, 1, True, True)) == "$A$1"
-    assert render_ref(CellRef(None, 28, 3)) == "AB3"
-    assert render_ref(CellRef("Data", 2, 7)) == "Data!B7"
+    assert CellRef(None, 1, 1, True, True).render() == "$A$1"
+    assert CellRef(None, 28, 3).render() == "AB3"
+    assert CellRef("Data", 2, 7).render() == "Data!B7"
 
 
 def test_render_quotes_awkward_sheet_names():
-    assert render_ref(CellRef("My Data", 1, 1)) == "'My Data'!A1"
+    assert CellRef("My Data", 1, 1).render() == "'My Data'!A1"
     assert parse_cell_address("'My Data'!A1") == CellRef("My Data", 1, 1)
 
 
@@ -135,8 +134,8 @@ def test_parse_cell_address(text, expected):
 
 
 def test_parse_render_normalizes_case():
-    assert render_ref(parse_cell_address("ab3")) == "AB3"
-    assert render_ref(parse_cell_address("$ab$3")) == "$AB$3"
+    assert parse_cell_address("ab3").render() == "AB3"
+    assert parse_cell_address("$ab$3").render() == "$AB$3"
 
 
 @pytest.mark.parametrize("bad", ["", "A", "1", "A0", "1A", "A1:B2", "Sheet!", "!A1"])

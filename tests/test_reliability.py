@@ -9,7 +9,6 @@ from cellgauge.reliability import (
     adjusted_cell_rate,
     bottom_line_error_rate,
     cascade_reliability,
-    cell_error_rates,
     survive_factors,
 )
 
@@ -96,7 +95,7 @@ def analyzed_with_rates(sheets, cfg=ReliabilityConfig()):
     wb, g = make_graph(sheets)
     metrics = [formula_metrics(c, g.precedents(c.address), DispersionConfig())
                for c in wb.iter_cells()]
-    rates = cell_error_rates(metrics, cfg)
+    rates = [adjusted_cell_rate(m, cfg) for m in metrics]
     survive_of = survive_factors(metrics, range(len(metrics)), g.node_count, cfg)
     out = []
     for t in g.bottom_line_ids():
@@ -180,7 +179,7 @@ def test_adjusted_bounds():
 def test_materialized_cells_get_data_rate():
     wb, g = make_graph({"S": {"B1": "=A1*2"}})  # A1 empty -> materialized
     metrics = [formula_metrics(c, g.precedents(c.address)) for c in wb.iter_cells()]
-    rates = cell_error_rates(metrics)
+    rates = [adjusted_cell_rate(m, ReliabilityConfig()) for m in metrics]
     a1 = g.node_id(CellRef("S", 1, 1))
     assert a1 in g.member_ids("S!B1") and a1 >= len(rates)
     b1_rate = rates[g.node_id(CellRef("S", 2, 1))]

@@ -61,7 +61,7 @@ def _style_of(flags: list[bool]) -> str:
 def _resolve_all(wb: Workbook) -> tuple[list[ResolvedReference], list[DanglingReference]]:
     resolved: list[ResolvedReference] = []
     dangling: list[DanglingReference] = []
-    for cell in wb.formula_cells():
+    for cell in (c for c in wb.iter_cells() if c.is_formula):
         own_sheet = cell.address.sheet
         for node in walk(cell.ast.root):
             if isinstance(node, CellRefNode):
@@ -168,7 +168,7 @@ def check_range_linkage(wb: Workbook) -> list[RangeLinkageFinding]:
     (``s`` for absolute references, run length + ``s`` - 1 for relative).
     """
     findings: list[RangeLinkageFinding] = []
-    formula_cells = list(wb.formula_cells())
+    formula_cells = [c for c in wb.iter_cells() if c.is_formula]
     for vertical in (True, False):
         runs = [[formula_cells[p] for p in run]
                 for run in _runs_along(formula_cells, "column" if vertical else "row")]
@@ -319,7 +319,7 @@ def assert_graph_matches_arcs(wb, g, arcs, dangling, label):
     by_cell: dict[CellRef, list[CellRef]] = {}
     for a in arcs:
         by_cell.setdefault(a.from_cell, []).append(a.to_cell)
-    for cell in wb.formula_cells():
+    for cell in (c for c in wb.iter_cells() if c.is_formula):
         assert g.precedents(cell.address) == by_cell.pop(cell.address, []), label
     assert not by_cell, label
     nodes = [c.address for c in wb.iter_cells()]
@@ -328,7 +328,7 @@ def assert_graph_matches_arcs(wb, g, arcs, dangling, label):
         if a.to_cell.key() not in populated:
             populated.add(a.to_cell.key())
             nodes.append(a.to_cell)
-    assert g.nodes() == nodes, label
+    assert list(g.locations(range(g.node_count))) == nodes, label
     assert g.edge_count == len(arcs), label
     assert g.dangling == dangling, label
 
@@ -398,7 +398,7 @@ def test_each_reference_is_resolved_once_per_audit(monkeypatch):
     })
     references = sum(
         isinstance(node, (CellRefNode, RangeRefNode))
-        for cell in wb.formula_cells() for node in walk(cell.ast.root))
+        for cell in wb.iter_cells() if cell.is_formula for node in walk(cell.ast.root))
     graphs = []
     init = graph.CellGraph.__init__
 

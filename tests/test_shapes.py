@@ -285,7 +285,7 @@ def test_a_load_cuts_each_skeleton_once(monkeypatch):
 
     monkeypatch.setattr(formula_module, "_scan_spans", counting)
     wb, _ = load_doc({"S": {"A1": 1.0, "B1": "=A1*2", "B2": "=A1*3", "B3": "=A1*4"}})
-    assert len({id(c.shape) for c in wb.formula_cells()}) == 3
+    assert len({id(c.shape) for c in wb.iter_cells() if c.is_formula}) == 3
     assert calls == ["=A1*2"]
     # Chains whose constants keep every text its own shape, and IFs over
     # their ends, as in the if_scan benchmark workload.
@@ -300,7 +300,7 @@ def test_a_load_cuts_each_skeleton_once(monkeypatch):
     wb, texts = load_doc({"S": cells})
     skeletons = {text.translate(_SKELETON) for text in texts.values()}
     assert len(calls) == len(skeletons) == 6
-    assert len({id(c.shape) for c in wb.formula_cells()}) > 30
+    assert len({id(c.shape) for c in wb.iter_cells() if c.is_formula}) > 30
 
 
 def test_a_grouped_load_parses_once_per_template_and_scans_once_per_skeleton(monkeypatch):
@@ -326,7 +326,7 @@ def test_a_grouped_load_parses_once_per_template_and_scans_once_per_skeleton(mon
                   "E5": "=1+", "E6": "=1+", "F9": "=A9+1", "F10": "=A10+1"})
     sheets = {"S": cells, "T": {f"B{r}": f"=A{r}*2+$A$1" for r in range(1, 50)}}
     wb, texts = load_doc(sheets)
-    shapes = {id(c.shape) for c in wb.formula_cells()}
+    shapes = {id(c.shape) for c in wb.iter_cells() if c.is_formula}
     assert [w.address for w in wb.warnings] == ["S!E1", "S!E3", "S!E5", "S!E6"]
     # "=A1+1", "=ABC4+1" and "=A9+1" are three shapes of one template.
     assert len(shapes) == 6
@@ -541,7 +541,7 @@ def test_audit_builds_no_ast_and_looks_up_only_terminals(monkeypatch):
         *({"ref": f"C{r}", "formula": f"=SUM(A$3:A{r})"} for r in range(1, 11)),
     ]})
     wb = load_workbook_doc(doc)
-    shapes = {id(c.shape): c.shape for c in wb.formula_cells()}
+    shapes = {id(c.shape): c.shape for c in wb.iter_cells() if c.is_formula}
     assert len(shapes) == 207 and not wb.warnings
     # Nine templates, their sheet names as written, and the flip's one.
     assert calls["parse_formula"] == 10
@@ -552,7 +552,7 @@ def test_audit_builds_no_ast_and_looks_up_only_terminals(monkeypatch):
     assert len(report.cascades) == 910
     assert calls["_idx"] <= len(report.cascades)
     # A copy is a formula cell its shape was not built from.
-    assert sum(1 for _ in wb.formula_cells()) - len(shapes) == 8053
+    assert sum(c.is_formula for c in wb.iter_cells()) - len(shapes) == 8053
     # The flip splits the copies into two runs, one per shift key.
     flip_runs = sorted(f.target_range.render() for f in report.range_findings
                        if f.target_range.start.sheet == "Flip")
