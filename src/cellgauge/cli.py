@@ -47,7 +47,7 @@ from .errors import (
 )
 from .graph import EMPTY_RANGE_CELL_COST, MAX_RANGE_CELLS, build_graph
 from .metrics import DispersionConfig, check_range_linkage
-from .refs import parse_cell_address
+from .refs import _quoted_names, parse_cell_address
 from .reliability import ReliabilityConfig
 from .report import AnalysisConfig, analyze, emit_report
 from .workbook import load_workbook
@@ -78,7 +78,7 @@ def _load_weights(path: str) -> dict:
         raise FormatError("weights file must be a JSON object")
     unknown = set(doc) - set(_WEIGHT_KEYS)
     if unknown:
-        raise FormatError(f"unknown weight keys: {sorted(unknown)}")
+        raise FormatError(f"unknown weight keys: {_quoted_names(unknown)}")
     out = {}
     for key, value in doc.items():
         if not isinstance(value, (int, float)) or isinstance(value, bool):

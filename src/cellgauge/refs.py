@@ -9,6 +9,7 @@ reference reads at most column ``XFD`` (16,384), a sheet's last column.
 from __future__ import annotations
 
 import re
+import reprlib
 import sys
 from collections.abc import Sequence
 from operator import attrgetter
@@ -208,10 +209,25 @@ def parse_cell_address(text: str) -> CellRef:
         raise ValueError(f"{exc} in {_quoted_head(text)}") from None
 
 
-def _quoted_head(text: str) -> str:
-    """``text`` quoted, cut to its first 20 characters, so an error names a
-    long text in one short line."""
-    return repr(text) if len(text) <= 20 else repr(text[:20]) + "..."
+def _quoted_head(value: object) -> str:
+    """``value`` as ``repr`` gives it, cut to about 20 characters, so an
+    error names a long value in one short line: a text is cut to its first
+    20 characters and then quoted, any other value's ``reprlib`` text (which
+    stops at a few items and levels) is cut after."""
+    if isinstance(value, str):
+        return repr(value) if len(value) <= 20 else repr(value[:20]) + "..."
+    text = reprlib.repr(value)
+    return text if len(text) <= 20 else text[:20] + "..."
+
+
+def _quoted_names(names: Iterable[str]) -> str:
+    """The sorted ``names`` as a list's text, which names only the first, by
+    its head (``_quoted_head``), once the whole passes 100 characters."""
+    names = sorted(names)
+    text = repr(names)
+    if len(text) <= 100:
+        return text
+    return "[" + _quoted_head(names[0]) + (", ...]" if len(names) > 1 else "]")
 
 
 class Locations(Sequence):

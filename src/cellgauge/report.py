@@ -11,13 +11,14 @@ copy-class ``formula_metrics`` call reads: cell metrics are computed in
 node order, survive factors and final constructs are keyed by node id, and
 the cascades walk the bottom-line cells by id, once per set of cells they
 read (``CellGraph.cascade_groups``), with one reliability fold per set.
-The report keeps its cells only as two columns in canonical order
-(``CellColumns``): addresses, the graph's ``Locations``, and metrics
-records that many cells share, such as the one all-zero record of every
-data cell. It keeps its warnings only the same way (``WarningColumns``):
-address texts, and records that every W003 warning shares, so an empty
-cell a range reads costs the report one address text. ``report.cells`` and
-``report.warnings`` are lists built from the columns on first read.
+The report keeps its cells and its warnings in one column form
+(``Columns``): each row's address, the distinct records, and each row's
+position among them. A cell's address comes from the graph's
+``Locations``, and every data cell shares the one all-zero record; a
+warning's address is its text, and every W003 warning shares one record,
+so an empty cell a range reads costs the report one address text and one
+index entry. ``report.cells`` and ``report.warnings`` are lists built from
+the columns on first read.
 
 The JSON form is canonical: sorted keys, floats rounded to six decimals,
 stable ordering everywhere, so identical input bytes and configuration
@@ -29,7 +30,7 @@ these declarations, and one emitter, ``_emit_rows``, writes the rows of
 every kind in batches: one C-encoder call per batch, nested rows
 included, whose texts fill a template per kind. A record's text after the
 address is encoded once however many rows share the record, and each row
-of columns adds only its address.
+of ``Columns`` adds only its address.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ import os
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Iterator, NamedTuple, Optional, Union
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from . import __version__
 from .conditionals import (
@@ -87,7 +88,7 @@ from .metrics import (
     formula_metrics,
     modular_metrics,
 )
-from .refs import CellRef, Locations
+from .refs import Locations
 from .reliability import (
     CascadeReliability,
     ReliabilityConfig,
@@ -133,99 +134,60 @@ class CascadeEntry(NamedTuple):
     conditionals: tuple[tuple[ConditionalConstruct, float], ...]
 
 
-class _Columns:
-    """Report rows as two columns in report order: ``addresses[k]`` is row
-    k's address and ``records[k]`` its record.
+class Columns:
+    """Report rows in report order: row k is the record
+    ``distinct[index[k]]`` at ``addresses[k]``.
 
-    Many rows may share one record object, whose own ``address`` is then
-    one of theirs; only the address column says which row is which.
-    Iterating gives each row's record at its own address (``_moved``), and
-    ``head(a, b)`` gives the address texts of rows a..b-1.
+    The addresses are a ``Locations`` for cells and address texts for
+    warnings. Many rows may share one record, whose own ``address`` is
+    then one of theirs; only the address column says which row is which.
+    Without an index, row k is ``distinct[k]``. Iterating gives each row's
+    record at its own address.
     """
 
-    __slots__ = ("addresses", "records")
+    __slots__ = ("addresses", "distinct", "index")
 
-    def __init__(self, addresses, records: list):
+    def __init__(self, addresses: Union[Locations, list[str]], distinct: list,
+                 index: Optional[Sequence[int]] = None):
         self.addresses = addresses
-        self.records = records
-
-    @classmethod
-    def of(cls, rows: list):
-        """The columns of ``rows``, each record its own."""
-        return cls([r.address for r in rows], rows)
+        self.distinct = distinct
+        self.index = range(len(distinct)) if index is None else index
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.index)
 
     def __iter__(self) -> Iterator:
-        moved = self._moved
-        for address, r in zip(self.addresses, self.records):
-            yield r if r.address == address else moved(r, address)
-
-
-class CellColumns(_Columns):
-    """A report's cells in canonical order: addresses, a ``Locations`` (a
-    list of ``CellRef`` is taken as ``Locations.of`` it, which drops ``$``
-    markers), and ``CellMetrics`` records, one all-zero record for every
-    data cell, also kept as ``distinct`` records and each row's position in
-    them, ``index`` (by default each row its own)."""
-
-    __slots__ = ("distinct", "index")
-
-    def __init__(self, addresses: Union[Locations, list[CellRef]],
-                 distinct: list[CellMetrics], index: Optional[list[int]] = None):
-        if not isinstance(addresses, Locations):
-            addresses = Locations.of(addresses)
-        self.distinct, self.index = distinct, range(len(distinct)) if index is None else index
-        super().__init__(addresses, list(map(distinct.__getitem__, self.index)))
-
-    def head(self, start: int, stop: int) -> list[str]:
-        return self.addresses[start:stop].render()
-
-    @staticmethod
-    def _moved(r: CellMetrics, address: CellRef) -> CellMetrics:
-        return r._replace(address=address)
-
-
-class WarningColumns(_Columns):
-    """A report's warnings in report order: address texts and
-    ``AuditWarning`` records, one record for every W003 warning."""
-
-    __slots__ = ()
-
-    def head(self, start: int, stop: int) -> list[str]:
-        return self.addresses[start:stop]
-
-    @staticmethod
-    def _moved(w: AuditWarning, address: str) -> AuditWarning:
-        return AuditWarning(w.code, address, w.message)
+        for address, r in zip(self.addresses, map(self.distinct.__getitem__, self.index)):
+            yield r if r.address == address else r._replace(address=address)
 
 
 class WorkbookReport:
     """An audit's results.
 
-    The report keeps its cells only as ``cell_columns`` (``CellColumns``),
-    whose records many cells share, and its warnings only as
-    ``warning_columns`` (``WarningColumns``). A list of records given for
-    either becomes columns here, each record its own. ``cells`` and
-    ``warnings`` are read-only lists, built from the columns on first read;
-    emission and ``exit_code`` read the columns and never build them.
+    The report keeps its cells only as ``cell_columns`` and its warnings
+    only as ``warning_columns``, each a ``Columns`` whose records many rows
+    share. A list of records given for either becomes columns here, each
+    record its own. ``cells`` and ``warnings`` are read-only lists, built
+    from the columns on first read; emission and ``exit_code`` read the
+    columns and never build them.
     """
 
     def __init__(self, tool_version: str, input_digest: str, config: AnalysisConfig,
-                 cells: Union[list[CellMetrics], CellColumns],
+                 cells: Union[list[CellMetrics], Columns],
                  cascades: Optional[list[CascadeEntry]],  # None when the graph is cyclic
                  modular: ModularMetrics, range_findings: list[RangeLinkageFinding],
-                 warnings: Union[list[AuditWarning], WarningColumns, None] = None):
+                 warnings: Union[list[AuditWarning], Columns, None] = None):
         self.tool_version = tool_version
         self.input_digest = input_digest
         self.config = config
-        self.cell_columns = cells if isinstance(cells, CellColumns) else CellColumns.of(cells)
+        self.cell_columns = cells if isinstance(cells, Columns) else Columns(
+            Locations.of(m.address for m in cells), cells)
         self.cascades = cascades
         self.modular = modular
         self.range_findings = range_findings
-        self.warning_columns = (warnings if isinstance(warnings, WarningColumns)
-                                else WarningColumns.of(warnings or []))
+        warnings = [] if warnings is None else warnings
+        self.warning_columns = warnings if isinstance(warnings, Columns) else Columns(
+            [w.address for w in warnings], warnings)
         self._cells: Optional[list[CellMetrics]] = None
         self._warnings: Optional[list[AuditWarning]] = None
 
@@ -273,30 +235,30 @@ def analyze_workbook(wb: Workbook, config: AnalysisConfig = AnalysisConfig(),
     )
 
 
-def _warning_columns(warnings: list[AuditWarning],
-                     empty_cells: list[str]) -> WarningColumns:
+def _warning_columns(warnings: list[AuditWarning], empty_cells: list[str]) -> Columns:
     """``warnings`` and a W003 warning for each address text in
     ``empty_cells``, as columns sorted by (code, address, message).
 
     Every W003 warning comes from here and has one message, so its rows
-    share one record, and sorted they are the address texts in string
-    order, between the lower codes and the higher ones.
+    share one record, the last of ``distinct``, and sorted they are the
+    address texts in string order, between the lower codes and the higher
+    ones.
     """
     warnings.sort(key=operator.attrgetter("code", "address", "message"))
-    columns = WarningColumns.of(warnings)
+    addresses, index = [w.address for w in warnings], range(len(warnings))
     if empty_cells:
         texts = sorted(empty_cells)
         at = bisect.bisect_right(warnings, W_EMPTY_REFERENCED_CELL,
                                  key=operator.attrgetter("code"))
-        columns.addresses[at:at] = texts
-        columns.records[at:at] = [AuditWarning(
-            W_EMPTY_REFERENCED_CELL, texts[0], EMPTY_CELL_MESSAGE)] * len(texts)
-    return columns
+        addresses[at:at] = texts
+        index = [*index[:at], *[len(warnings)] * len(texts), *index[at:]]
+        warnings.append(AuditWarning(W_EMPTY_REFERENCED_CELL, texts[0], EMPTY_CELL_MESSAGE))
+    return Columns(addresses, warnings, index)
 
 
 def _graph_analysis(
     wb: Workbook, config: AnalysisConfig, warnings: list[AuditWarning],
-) -> tuple[CellColumns, Optional[list[CascadeEntry]], ModularMetrics,
+) -> tuple[Columns, Optional[list[CascadeEntry]], ModularMetrics,
            list[RangeLinkageFinding], list[str]]:
     """Range linkage, cell metrics, cascades and modular metrics: every
     stage that reads the dependency graph. Appends their warnings to
@@ -331,17 +293,16 @@ def _graph_analysis(
             ))
 
     # Distinct records and each node's index into them, then each cell's
-    # record in canonical order for the report.
+    # position among them in canonical order for the report.
     distinct, index = _cell_metrics(graph, config.dispersion)
     order = graph.cell_ids()
-    cells = CellColumns(graph.locations(order), distinct, list(map(index.__getitem__, order)))
-    records = cells.records
-    for k in itertools.compress(
-            itertools.count(), map(operator.attrgetter("cross_sheet_ref_count"), records)):
+    cells = Columns(graph.locations(order), distinct, list(map(index.__getitem__, order)))
+    crossing = [m.cross_sheet_ref_count for m in distinct]
+    for k in itertools.compress(itertools.count(), map(crossing.__getitem__, cells.index)):
         warnings.append(AuditWarning(
             W_CROSS_SHEET_DISPERSION_EXCLUDED,
             cells.addresses[k].render(),
-            f"{records[k].cross_sheet_ref_count} cross-sheet reference(s) excluded "
+            f"{crossing[cells.index[k]]} cross-sheet reference(s) excluded "
             "from dispersion and spans",
         ))
 
@@ -613,12 +574,12 @@ def _row_template(kind: _Kind, level: int) -> str:
 
 def _emit_rows(kind: _Kind, items, level: int, write: Callable[[str], object]) -> None:
     """Pass ``write`` the text ``json.dumps`` gives for the list of ``kind``
-    rows ``items`` at nesting ``level``. ``items`` is a list of rows, or
-    ``_Columns`` whose rows share records.
+    rows ``items`` at nesting ``level``. ``items`` is a list of rows, read
+    as its own distinct records with each row its own, or ``Columns``.
 
-    A row of ``_Columns`` starts with a head, the text of its address (the
+    A row of ``Columns`` starts with a head, the text of its address (the
     kind's first value); the rest of a row is its body, the whole row for a
-    row of a list. A body's text is encoded once per record object and
+    row of a list. A body's text is encoded once per record position and
     kept. Each batch of ``_BATCH`` rows is one C-encoder call, for the
     batch's address texts and the values of the records it is first to
     use, with one value's text per line; each record's texts fill the
@@ -633,33 +594,32 @@ def _emit_rows(kind: _Kind, items, level: int, write: Callable[[str], object]) -
         write("[]")
         return
     template = _row_template(kind, level + 1)
-    if isinstance(items, _Columns):
+    if isinstance(items, Columns):
         head, template = template.split("%s", 1)
         head %= ()  # the template's "%%" is a "%" here
-        records, skip = items.records, 1
+        distinct, index, skip = items.distinct, items.index, 1
     else:
-        head, records, skip = "", items, 0
+        head, distinct, index, skip = "", items, range(len(items)), 0
     width = len(kind.keys) - skip
     if kind.nested is not None:
         key, nested_kind = kind.nested
         at = kind.keys.index(key) - skip
         sub_template = _row_template(nested_kind, level + 3)
         sub_sep = ",\n" + _INDENT * (level + 3)  # between a nested list's rows
-    bodies: dict[int, str] = {}  # record id -> its row's text after the head
+    bodies: dict[int, str] = {}  # record position -> its row's text after the head
     sep = ",\n" + _INDENT * (level + 1)
     write("[\n" + _INDENT * (level + 1))
-    for start in range(0, len(records), _BATCH):
-        batch = records[start:start + _BATCH]
-        keys = list(map(id, batch))
+    for start in range(0, len(index), _BATCH):
+        keys = index[start:start + _BATCH]
         if len(bodies) > _BATCH:
             bodies.clear()
-        new = dict(zip(keys, batch))
-        for k in new.keys() & bodies.keys():
-            del new[k]
-        values = items.head(start, start + _BATCH) if skip else []
+        new = [k for k in dict.fromkeys(keys) if k not in bodies]
+        values = items.addresses[start:start + _BATCH] if skip else []
+        if isinstance(values, Locations):
+            values = values.render()
         n = len(values)
         subrows = []  # per new record, its nested column's rows
-        for record in new.values():
+        for record in map(distinct.__getitem__, new):
             row = kind.values(record)[skip:]
             if kind.nested is not None:
                 subrows.append(row[at])
@@ -744,22 +704,21 @@ def _text_report(r: WorkbookReport, top_n: int = 20) -> str:
     )
     out.append("")
 
-    cells = r.cell_columns
-    records = cells.records
-    warnings = r.warning_columns
-    formulas = sum(m.is_formula for m in records)
-    out.append(f"cells: {len(records)} ({formulas} formulas)")
+    cells, warnings = r.cell_columns, r.warning_columns
+    is_formula = [m.is_formula for m in cells.distinct]
+    formulas = sum(map(is_formula.__getitem__, cells.index))
+    out.append(f"cells: {len(cells)} ({formulas} formulas)")
     out.append(f"warnings: {len(warnings)}")
     out.append("")
 
     out.append(_style(f"TOP RISK CELLS (adjusted cell error rate, max {top_n})", "1", color))
-    # Each distinct record rated once; the row index breaks ties as a stable sort.
+    # Each distinct record rated once; equal rates rank by address text.
     rates = [-adjusted_cell_rate(m, cfg.reliability) for m in cells.distinct]
     ranked = heapq.nsmallest(top_n, zip(
-        map(rates.__getitem__, cells.index), cells.addresses.render(), range(len(records))))
+        map(rates.__getitem__, cells.index), cells.addresses.render(), cells.index))
     rows = []
     for neg, address, k in ranked:
-        m = records[k]
+        m = cells.distinct[k]
         flags = []
         if m.dispersion > cfg.flag_dr:
             flags.append("DR")
@@ -846,7 +805,7 @@ def _text_report(r: WorkbookReport, top_n: int = 20) -> str:
     out.append("")
 
     out.append(_style(f"WARNINGS ({len(warnings)})", "1", color))
-    for address, w in zip(warnings.addresses, warnings.records):
+    for address, w in zip(warnings.addresses, map(warnings.distinct.__getitem__, warnings.index)):
         out.append(_style(f"{w.code} {address}: {w.message}", "33", color))
     out.append("")
     return "\n".join(out)

@@ -53,7 +53,8 @@ from .errors import (
 )
 from .formula import (FormulaAst, FormulaShape, Template, _Cuts, parse_formula, shape_keys,
                       template_key)
-from .refs import MAX_COLUMN, CellRef, _quoted_head, letters_to_column, parse_cell_address
+from .refs import (MAX_COLUMN, CellRef, _quoted_head, _quoted_names, letters_to_column,
+                   parse_cell_address)
 
 DataValue = Union[float, str, bool]
 
@@ -164,7 +165,7 @@ class Workbook:
         if not sheet.name:
             raise FormatError("sheet name must be non-empty")
         if fold in self._index:
-            raise FormatError(f"duplicate sheet name {sheet.name!r}")
+            raise FormatError(f"duplicate sheet name {_quoted_head(sheet.name)}")
         self._index[fold] = len(self.sheets)
         self.sheets.append(sheet)
 
@@ -205,7 +206,7 @@ def _typed_value(raw: object, sheet: str, key: tuple[int, int]) -> DataValue:
     if isinstance(raw, str):
         if not _is_unicode(raw):
             address = CellRef(sheet, key[1], key[0]).render()
-            raise FormatError(f"cell {address} value {raw!r} is not valid Unicode")
+            raise FormatError(f"cell {address} value {_quoted_head(raw)} is not valid Unicode")
         return raw
     if isinstance(raw, (int, float)):
         try:
@@ -219,7 +220,8 @@ def _typed_value(raw: object, sheet: str, key: tuple[int, int]) -> DataValue:
             )
         return value  # a subclass of int or float
     address = CellRef(sheet, key[1], key[0]).render()
-    raise FormatError(f"cell {address} value must be number, string or boolean, got {raw!r}")
+    raise FormatError(
+        f"cell {address} value must be number, string or boolean, got {_quoted_head(raw)}")
 
 
 class _Shapes:
@@ -298,7 +300,7 @@ def _load_cells(sheet: Sheet, cell_docs: list, warnings: list[AuditWarning],
         if not isinstance(cell_doc, dict):
             raise FormatError("cell entry must be an object")
         if not cell_doc.keys() <= _CELL_FIELDS:
-            raise FormatError(f"unknown cell fields: {sorted(cell_doc.keys() - _CELL_FIELDS)}")
+            raise FormatError(f"unknown cell fields: {_quoted_names(cell_doc.keys() - _CELL_FIELDS)}")
         ref_text = cell_doc.get("ref")
         if not isinstance(ref_text, str):
             raise FormatError('cell "ref" must be a string')
@@ -327,7 +329,7 @@ def _load_cells(sheet: Sheet, cell_docs: list, warnings: list[AuditWarning],
                 raise FormatError(f'cell {_quoted_head(ref_text)} "formula" must be a string')
             if not (text.isascii() or _is_unicode(text)):
                 address = CellRef(sheet.name, column, row).render()
-                raise FormatError(f"cell {address} formula {text!r} is not valid Unicode")
+                raise FormatError(f"cell {address} formula {_quoted_head(text)} is not valid Unicode")
         else:
             try:
                 value = cell_doc["value"]
@@ -364,7 +366,7 @@ def load_workbook_doc(doc: dict, provenance: str = "<doc>") -> Workbook:
         raise FormatError("workbook document must be a JSON object")
     extra = set(doc) - {"sheets"}
     if extra:
-        raise FormatError(f"unknown top-level fields: {sorted(extra)}")
+        raise FormatError(f"unknown top-level fields: {_quoted_names(extra)}")
     sheets = doc.get("sheets")
     if not isinstance(sheets, list):
         raise FormatError('"sheets" must be a list')
@@ -375,12 +377,12 @@ def load_workbook_doc(doc: dict, provenance: str = "<doc>") -> Workbook:
             raise FormatError("sheet entry must be an object")
         extra = set(sheet_doc) - {"name", "cells"}
         if extra:
-            raise FormatError(f"unknown sheet fields: {sorted(extra)}")
+            raise FormatError(f"unknown sheet fields: {_quoted_names(extra)}")
         name = sheet_doc.get("name")
         if not isinstance(name, str) or not name:
             raise FormatError("sheet name must be a non-empty string")
         if not (name.isascii() or _is_unicode(name)):
-            raise FormatError(f"sheet name {name!r} is not valid Unicode")
+            raise FormatError(f"sheet name {_quoted_head(name)} is not valid Unicode")
         sheet = Sheet(name)
         wb.add_sheet(sheet)
         cells = sheet_doc.get("cells", [])
@@ -392,7 +394,8 @@ def load_workbook_doc(doc: dict, provenance: str = "<doc>") -> Workbook:
 
 def load_csv_grid(text: str, provenance: str = "<csv>") -> Workbook:
     """Load an RFC-4180 CSV grid as a single sheet named ``Sheet1``; bad
-    quoting or a field past the csv module's size limit is a FormatError."""
+    quoting, a field past the csv module's size limit or a non-empty field
+    past column XFD is a FormatError."""
     wb = Workbook(provenance=provenance)
     sheet = Sheet("Sheet1")
     wb.add_sheet(sheet)
@@ -401,6 +404,10 @@ def load_csv_grid(text: str, provenance: str = "<csv>") -> Workbook:
     reader = csv.reader(io.StringIO(text), strict=True)
     try:
         for row_idx, row in enumerate(reader, start=1):
+            if any(row[MAX_COLUMN:]):
+                column = next(c for c in range(MAX_COLUMN, len(row)) if row[c]) + 1
+                raise FormatError(f"invalid CSV at line {reader.line_num}: a field in "
+                                  f"column {column} is past column XFD")
             for col_idx, raw in enumerate(row, start=1):
                 if raw == "":
                     continue

@@ -4,7 +4,9 @@
 validated ``CellRef`` per cell into a dict per sheet, checking each cell
 doc field by field. ``test_loader.py`` checks the columnar loaders against
 them: equal cells, values, sources, references and W001 warnings, or the
-same FormatError message.
+same FormatError message. A value of the wrong type is named by its head
+(``refs._quoted_head``), as the columnar loader names it, so a long one
+gives a short message.
 """
 
 from __future__ import annotations
@@ -71,7 +73,8 @@ def _typed_value(raw: object, address: CellRef) -> DataValue:
     if isinstance(raw, str):
         return raw
     raise FormatError(
-        f"cell {address.render()} value must be number, string or boolean, got {raw!r}")
+        f"cell {address.render()} value must be number, string or boolean, "
+        f"got {_quoted_head(raw)}")
 
 
 @dataclass

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from cellgauge import load_workbook_doc
+from cellgauge import load_workbook_doc, report as report_module
 from cellgauge.conditionals import ConditionalConstruct
 from cellgauge.errors import W_EMPTY_REFERENCED_CELL, AuditWarning
 from cellgauge.graph import CascadeStats
@@ -35,8 +35,7 @@ from cellgauge.report import (
     _WARNING,
     AnalysisConfig,
     CascadeEntry,
-    CellColumns,
-    WarningColumns,
+    Columns,
     WorkbookReport,
     _encode_json,
     _num,
@@ -279,20 +278,36 @@ def test_empty_range_cells_build_no_address_or_warning_each(monkeypatch):
     # emissions build one W003 record in all, and three CellRefs in all:
     # the address of the data cells' shared record, of the SUM's cell for
     # its metrics call, and of its cascade's terminal. No empty cell and no
-    # data cell gets one.
+    # data cell gets one. JSON emission encodes each distinct record once:
+    # 1,501 cell rows over 2 records, and 1,500 W003 rows over 1.
     doc = {"sheets": [{"name": "S", "cells": (
         [{"ref": f"{column_to_letters(c)}{r}", "value": r}
          for r in range(1, 51) for c in range(1, 61) if (c + r) % 2]
         + [{"ref": "BJ1", "formula": "=SUM(A1:BH50)"}])}]}
     wb = load_workbook_doc(doc)
+    calls = {"_CELL": 0, "_WARNING": 0}
+
+    def counted(name):
+        kind = getattr(report_module, name)
+
+        def values(row):
+            calls[name] += 1
+            return kind.values(row)
+        return kind._replace(values=values)
+
     with monkeypatch.context() as patch:
         built = count_builds(patch, CellRef, AuditWarning)
         report = analyze_workbook(wb)
-        emit_report(report, "json")
+        for name in calls:
+            patch.setattr(report_module, name, counted(name))
+        emitted = emit_report(report, "json")
+        assert calls == {"_CELL": 2, "_WARNING": 1}
         emit_report(report, "text")
     assert report.warning_columns.addresses[:3] == ["S!A1", "S!A11", "S!A13"]
+    assert len(report.cell_columns) == 1_501 and len(report.cell_columns.distinct) == 2
     assert len(report.warning_columns) == 1_500
     assert built == {CellRef: 3, AuditWarning: 1}
+    assert emitted == reference_report(report)
 
 
 # --- Rows of every kind at the batch boundaries -------------------------------
@@ -378,30 +393,32 @@ def test_emit_report_matches_reference_on_rows_of_every_kind(n, data):
 @settings(deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
 @given(data=st.data())
 def test_emit_report_matches_reference_on_shared_rows(n, data):
-    # Emission encodes a record's values once however many rows share the
-    # object. Warnings come as a list, each its own record, or as columns
-    # whose rows share one record per (code, message); each code here comes
-    # with more than one message.
-    records = data.draw(st.lists(CELL_ROWS, min_size=1, max_size=4))
-    pattern = data.draw(st.lists(st.integers(0, len(records) - 1), min_size=1, max_size=7))
+    # Emission encodes a record's values once per position among the
+    # distinct records however many rows use it. Each column's distinct
+    # records hold a record equal to another at a different position, and
+    # one record that no row uses; each warning code comes with more than
+    # one message.
+    def columns(addresses, rows):
+        distinct = data.draw(st.lists(rows, min_size=1, max_size=4))
+        distinct += [distinct[0]._replace(), data.draw(rows)]  # equal; unused
+        pattern = data.draw(st.lists(st.integers(0, len(distinct) - 2),
+                                     min_size=1, max_size=7))
+        return Columns(addresses, distinct, [pattern[k % len(pattern)] for k in range(n)])
+
     sheets = data.draw(st.lists(st.sampled_from([None, *SHEET_NAMES]), min_size=1,
                                 max_size=3, unique=True))
     addresses = [CellRef(sheets[k % len(sheets)], k % 30 + 1, k // 30 + 1) for k in range(n)]
     codes = data.draw(st.lists(TEXT, min_size=1, max_size=2, unique=True))
     messages = data.draw(st.lists(TEXT, min_size=2, max_size=3, unique=True))
-    pairs = [(code, message) for code in codes for message in messages]
-    warnings = []
-    for k, address in enumerate(addresses):
-        code, message = pairs[k % len(pairs)]
-        warnings.append(AuditWarning(code, address.render(), message))
-    if data.draw(st.booleans()):
-        shared = {(w.code, w.message): w for w in reversed(warnings)}
-        warnings = WarningColumns([w.address for w in warnings],
-                                  [shared[w.code, w.message] for w in warnings])
-    cells = CellColumns(addresses, [records[pattern[k % len(pattern)]] for k in range(n)])
+    warning_rows = st.builds(AuditWarning, st.sampled_from(codes), TEXT,
+                             st.sampled_from(messages))
+    cells = columns(Locations.of(addresses), CELL_ROWS)
+    warnings = columns([a.render() for a in addresses], warning_rows)
     report = WorkbookReport("v", "d", AnalysisConfig(), cells, [],
                             ModularMetrics((), {}, 0.0, {}, {}), [], warnings)
     assert emit_report(report, "json") == reference_report(report)
+    assert [m.address for m in report.cells] == addresses
+    assert [w.address for w in report.warnings] == warnings.addresses
 
 
 def test_rows_given_as_lists_become_columns_and_read_as_read_only_lists():
@@ -412,7 +429,7 @@ def test_rows_given_as_lists_become_columns_and_read_as_read_only_lists():
     report = WorkbookReport("v", "d", AnalysisConfig(), cells, [],
                             ModularMetrics((), {}, 0.0, {}, {}), [], warnings)
     assert isinstance(report.cell_columns.addresses, Locations)
-    assert report.cell_columns.head(0, 2) == ["S!A1", "'My Data'!B3"]
+    assert report.cell_columns.addresses.render() == ["S!A1", "'My Data'!B3"]
     assert report.cells == [CellMetrics(CellRef("S", 1, 1), n_operators=1), cells[1]]
     assert report.cells is report.cells and report.warnings == warnings
     for name in ("cells", "warnings"):

@@ -290,6 +290,69 @@ def test_a_long_ref_gives_a_short_error_line(cell, tmp_path, capsys):
     assert line.startswith("error: cell ") and len(line.encode()) < 200, line[:200]
 
 
+LONG_TEXT = "x" * 100_000
+
+
+def _sheet(*cells) -> dict:
+    return {"sheets": [{"name": "S", "cells": list(cells)}]}
+
+
+# Each input puts a 100,000-character text, or 20,000 field names, where an
+# error names it; "\ud800" is a lone surrogate. The last one's doc is
+# sound, and its weights file is not.
+@pytest.mark.parametrize("doc, weights", [
+    ({"sheets": [{"name": LONG_TEXT}, {"name": LONG_TEXT}]}, None),
+    ({"sheets": [], LONG_TEXT: 1}, None),
+    ({"sheets": [{"name": "S", LONG_TEXT: 1}]}, None),
+    ({"sheets": [{"name": LONG_TEXT + "\ud800"}]}, None),
+    (_sheet({"ref": "A1", "value": 1, LONG_TEXT: 1}), None),
+    (_sheet({"ref": "A1", "value": 1, **{f"f{k}": 1 for k in range(20_000)}}), None),
+    (_sheet({"ref": "A1", "formula": "=" + LONG_TEXT + "\ud800"}), None),
+    (_sheet({"ref": "A1", "value": LONG_TEXT + "\ud800"}), None),
+    (_sheet({"ref": "A1", "value": [LONG_TEXT]}), None),
+    (_sheet({"ref": "A1", "value": 1}), {LONG_TEXT: 1}),
+], ids=["duplicate sheet", "top-level field", "sheet field", "sheet name", "cell field",
+        "many cell fields", "formula", "string value", "value type", "weight key"])
+def test_a_long_input_text_gives_a_short_error_line(doc, weights, tmp_path, capsys):
+    path = tmp_path / "wb.json"
+    path.write_text(json.dumps(doc))
+    args = ["analyze", str(path)]
+    if weights is not None:
+        (tmp_path / "weights.json").write_text(json.dumps(weights))
+        args += ["--weights", str(tmp_path / "weights.json")]
+    assert main(args) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and len(line.encode()) <= 200, line[:300]
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"sheets": [{"name": "S", "cells": [], "note": 1, "more": 2}]},
+     "unknown sheet fields: ['more', 'note']"),
+    ({"sheets": [], "n" * 101: 1}, "unknown top-level fields: ['nnnnnnnnnnnnnnnnnnnn'...]"),
+    ({"sheets": [], "b" * 60: 1, "a" * 60: 1},
+     "unknown top-level fields: ['aaaaaaaaaaaaaaaaaaaa'..., ...]"),
+    (_sheet({"ref": "A1", "value": {"k": 1}}),
+     "cell S!A1 value must be number, string or boolean, got {'k': 1}"),
+    (_sheet({"ref": "A1", "value": list(range(100, 200))}),
+     "cell S!A1 value must be number, string or boolean, got [100, 101, 102, 103,..."),
+], ids=["short fields", "a long field", "long fields", "a short value", "a long value"])
+def test_a_long_list_or_value_is_named_by_its_head(doc, message):
+    # A short list of fields or a short value is named whole, as before.
+    with pytest.raises(FormatError) as exc:
+        load_workbook_doc(doc)
+    assert str(exc.value) == message
+
+
+def test_a_csv_field_past_column_xfd_is_a_format_error():
+    # Column XFD (16,384) is a sheet's last, as for a JSON doc's "ref"; empty
+    # fields past it are no cells.
+    at_xfd = "," * 16_383 + "1"
+    assert load_csv_grid(at_xfd + "," * 10).cell("Sheet1!XFD1").value == 1.0
+    with pytest.raises(FormatError) as exc:
+        load_csv_grid('1,"two\nlines"\n' + at_xfd + ",,2\n")
+    assert str(exc.value) == "invalid CSV at line 3: a field in column 16386 is past column XFD"
+
+
 def test_a_number_of_a_subclass_of_int_or_float_loads_as_a_float():
     # JSON gives no such value, but a document built in Python may: it is
     # typed past the inline check of exact types, as the per-cell loader types it.

@@ -85,6 +85,9 @@ REMOVED = [
     ("cellgauge.graph:CellGraph", "bottom_line_cells"),
     ("cellgauge.graph:CellGraph", "input_cells"),
     ("cellgauge.graph:CellGraph", "cascade_members"),
+    ("cellgauge.report", "_Columns"),
+    ("cellgauge.report", "CellColumns"),
+    ("cellgauge.report", "WarningColumns"),
 ]
 
 
